@@ -107,6 +107,9 @@ func realResultFromCampaign(camp *Campaign) *RealResult {
 // store) are served without a solve, and the output is bit-for-bit
 // RunReal's. A nil store degrades to plain uncached execution.
 func RunRealCached(cfg RealConfig, store *cache.Cache) (*RealResult, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	camp := NewCampaign(cfg)
 	camp.Cache = store
 	done, err := camp.RunBatch(cfg.NConfigs)
@@ -123,6 +126,9 @@ func RunRealCached(cfg RealConfig, store *cache.Cache) (*RealResult, error) {
 // attached to the campaign. A nil store degrades to plain uncached
 // execution.
 func RunRealConcurrentCached(ctx context.Context, cfg RealConfig, workers int, sinks ObsConfig, store *cache.Cache) (*RealResult, *jobrt.Report, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, err
+	}
 	camp := NewCampaign(cfg)
 	camp.Obs = sinks
 	camp.Cache = store

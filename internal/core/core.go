@@ -112,6 +112,20 @@ func DefaultRealConfig() RealConfig {
 	}
 }
 
+// MinConfigs is the smallest campaign RunReal and its variants accept: the
+// effective coupling is jackknifed over configurations, and a jackknife
+// needs two samples.
+const MinConfigs = 2
+
+// Validate rejects a spec the pipeline cannot finish, so that callers get
+// an error up front instead of a panic from the analysis at the end.
+func (cfg RealConfig) Validate() error {
+	if cfg.NConfigs < MinConfigs {
+		return fmt.Errorf("core: NConfigs = %d; the jackknife over configurations needs at least %d", cfg.NConfigs, MinConfigs)
+	}
+	return nil
+}
+
 // RealResult is the outcome of the real-lattice FH pipeline.
 type RealResult struct {
 	// C2 and CFH are per-configuration proton two-point and FH
@@ -125,6 +139,9 @@ type RealResult struct {
 
 // RunReal executes the FH pipeline on real gauge configurations.
 func RunReal(cfg RealConfig) (*RealResult, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	g, err := lattice.New(cfg.Dims)
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -31,6 +32,24 @@ func TestRunSyntheticHeadlineNumbers(t *testing.T) {
 	}
 	if len(res.TradPoints) == 0 {
 		t.Fatal("no traditional points for the figure")
+	}
+	// These are the numbers examples/neutronlifetime prints, fixed to the
+	// last bit (ROADMAP 6e) so kernel and layout work cannot drift the
+	// science while the intermediate checks above stay green.
+	for _, p := range []struct {
+		name string
+		got  float64
+		bits uint64
+	}{
+		{"gA", res.FH.GA, 0x3ff42d583ce861de},
+		{"gA err", res.FH.Err, 0x3f7abb958a703930},
+		{"tau_n", res.TauSeconds, 0x408c01c52beee079},
+		{"tau_n err", res.TauErr, 0x401eaf326b42502b},
+	} {
+		if math.Float64bits(p.got) != p.bits {
+			t.Errorf("%s = %.17g (bits %#x), pinned %.17g (bits %#x)",
+				p.name, p.got, math.Float64bits(p.got), math.Float64frombits(p.bits), p.bits)
+		}
 	}
 }
 
@@ -79,6 +98,23 @@ func TestRunRealProducesFiniteCurves(t *testing.T) {
 				t.Fatalf("C2(%d) = %g", tt, c2[tt])
 			}
 		}
+	}
+}
+
+// TestRunRealRejectsSingleConfiguration: a one-configuration spec used to
+// run all 24 solves and then panic in the jackknife; every RunReal
+// variant must refuse it up front.
+func TestRunRealRejectsSingleConfiguration(t *testing.T) {
+	cfg := DefaultRealConfig()
+	cfg.NConfigs = 1
+	if _, err := RunReal(cfg); err == nil {
+		t.Error("RunReal accepted NConfigs = 1")
+	}
+	if _, err := RunRealCached(cfg, nil); err == nil {
+		t.Error("RunRealCached accepted NConfigs = 1")
+	}
+	if _, _, err := RunRealConcurrent(context.Background(), cfg, 2); err == nil {
+		t.Error("RunRealConcurrent accepted NConfigs = 1")
 	}
 }
 

@@ -1,0 +1,179 @@
+package dirac
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"femtoverse/internal/gauge"
+	"femtoverse/internal/lattice"
+	"femtoverse/internal/linalg"
+)
+
+// schurInputs are the half fields every fused kernel is held to the staged
+// reference on: a dense Gaussian field, and a point source whose exact
+// zeros (and the negative zeros gamma_5 makes of them) are where a kernel
+// that is right about every non-zero value can still move a bit.
+func schurInputs(n int) map[string][]complex128 {
+	rng := rand.New(rand.NewSource(int64(n)))
+	point := make([]complex128, n)
+	point[7] = 1
+	point[n-2] = complex(0, -2)
+	return map[string][]complex128{"dense": randField(rng, n), "point": point}
+}
+
+func sameBits64(t *testing.T, what string, got, want []complex128) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(real(got[i])) != math.Float64bits(real(want[i])) ||
+			math.Float64bits(imag(got[i])) != math.Float64bits(imag(want[i])) {
+			t.Fatalf("%s: element %d is %v, staged reference has %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+func sameBits32(t *testing.T, what string, got, want []complex64) {
+	t.Helper()
+	for i := range want {
+		if math.Float32bits(real(got[i])) != math.Float32bits(real(want[i])) ||
+			math.Float32bits(imag(got[i])) != math.Float32bits(imag(want[i])) {
+			t.Fatalf("%s: element %d is %v, staged reference has %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestFusedSchurMatchesStagedBitForBit holds the fused site loops to the
+// staged composition they replaced, bit for bit, over the shapes that
+// could tell them apart: several Ls, lattices with extent-2 directions
+// (where the forward and the backward neighbour are the same site), every
+// split of the site range the launch parameters can produce, and dense as
+// well as exactly-zero inputs. The last lattice's parity block is past
+// linalg.ForBlocked's serial cut, so its workers > 1 runs really split; on
+// the small ones the launch parameters only pick the serial path.
+func TestFusedSchurMatchesStagedBitForBit(t *testing.T) {
+	for _, dims := range [][4]int{{2, 2, 2, 4}, {4, 2, 2, 2}, {2, 4, 8, 16}} {
+		g := lattice.MustNew(dims[0], dims[1], dims[2], dims[3])
+		cfg := gauge.NewRandom(g, int64(dims[1]+dims[3]))
+		for _, ls := range []int{2, 4, 8} {
+			m, err := NewMobius(cfg, MobiusParams{Ls: ls, M5: 1.3, B5: 1.25, C5: 0.25, M: 0.15})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := NewMobiusEO(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q := NewMobiusEO32(p)
+			n := p.HalfSize()
+			for name, src := range schurInputs(n) {
+				src32 := make([]complex64, n)
+				linalg.Demote(src32, src)
+				full := make([]complex128, m.Size())
+				p.ScatterParity5D(0, src, full)
+				p.ScatterParity5D(1, src, full)
+
+				want, wantDag := make([]complex128, n), make([]complex128, n)
+				p.refApply(want, src)
+				p.refApplyDagger(wantDag, src)
+				want32, wantDag32 := make([]complex64, n), make([]complex64, n)
+				q.refApply(want32, src32)
+				q.refApplyDagger(wantDag32, src32)
+				wantBhat, wantOdd := p.refPrepareSource(full)
+				wantFull := p.refReconstruct(src, wantOdd)
+
+				for _, workers := range []int{1, 2, 3, 8} {
+					for _, block := range []int{0, 1, 7} {
+						m.W.Workers, m.W.Block = workers, block
+						tag := fmt.Sprintf("%v Ls=%d %s workers=%d block=%d", dims, ls, name, workers, block)
+						got := make([]complex128, n)
+						p.Apply(got, src)
+						sameBits64(t, tag+" Apply", got, want)
+						p.ApplyDagger(got, src)
+						sameBits64(t, tag+" ApplyDagger", got, wantDag)
+						got32 := make([]complex64, n)
+						q.Apply(got32, src32)
+						sameBits32(t, tag+" Apply32", got32, want32)
+						q.ApplyDagger(got32, src32)
+						sameBits32(t, tag+" ApplyDagger32", got32, wantDag32)
+						bhat, odd := p.PrepareSource(full)
+						sameBits64(t, tag+" PrepareSource bhat", bhat, wantBhat)
+						sameBits64(t, tag+" PrepareSource odd", odd, wantOdd)
+						sameBits64(t, tag+" Reconstruct", p.Reconstruct(src, odd), wantFull)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestWilsonDaggerMatchesGamma5Sandwich: the scratch-free ApplyDagger is
+// gamma_5 Apply gamma_5 to the bit, zeros included.
+func TestWilsonDaggerMatchesGamma5Sandwich(t *testing.T) {
+	g := lattice.MustNew(2, 2, 4, 4)
+	w := NewWilson(gauge.NewRandom(g, 3), -1.3)
+	for name, src := range schurInputs(w.Size()) {
+		tmp, want := make([]complex128, w.Size()), make([]complex128, w.Size())
+		Gamma5(tmp, src)
+		w.Apply(want, tmp)
+		Gamma5(want, want)
+		got := make([]complex128, w.Size())
+		w.ApplyDagger(got, src)
+		sameBits64(t, name, got, want)
+	}
+}
+
+// TestWilsonApplyRejectsAliasedFields: the stencil cannot run in place, and
+// ApplyDagger lost the scratch copy that used to make dst == src legal.
+func TestWilsonApplyRejectsAliasedFields(t *testing.T) {
+	g := lattice.MustNew(2, 2, 2, 4)
+	w := NewWilson(gauge.NewRandom(g, 3), -1.3)
+	v := make([]complex128, w.Size())
+	for name, apply := range map[string]func(dst, src []complex128){"Apply": w.Apply, "ApplyDagger": w.ApplyDagger} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s(v, v) did not panic", name)
+				}
+			}()
+			apply(v, v)
+		}()
+	}
+}
+
+// The Schur applications sit inside the solver's iteration; on the calling
+// goroutine alone - a parity block under ForBlocked's cut at any worker
+// count, or one worker at any size - they must not allocate.
+func TestSchurApplyDoesNotAllocate(t *testing.T) {
+	for _, c := range []struct {
+		dims    [4]int
+		workers int
+	}{{[4]int{2, 2, 4, 8}, 0}, {[4]int{4, 4, 4, 8}, 1}} {
+		dims := c.dims
+		g := lattice.MustNew(dims[0], dims[1], dims[2], dims[3])
+		m, err := NewMobius(gauge.NewRandom(g, 1), MobiusParams{Ls: 4, M5: 1.3, B5: 1.25, C5: 0.25, M: 0.15})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.W.Workers = c.workers
+		p, err := NewMobiusEO(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := NewMobiusEO32(p)
+		n := p.HalfSize()
+		src, dst := randField(rand.New(rand.NewSource(1)), n), make([]complex128, n)
+		src32, dst32 := make([]complex64, n), make([]complex64, n)
+		linalg.Demote(src32, src)
+		for name, apply := range map[string]func(){
+			"Apply":         func() { p.Apply(dst, src) },
+			"ApplyDagger":   func() { p.ApplyDagger(dst, src) },
+			"Apply32":       func() { q.Apply(dst32, src32) },
+			"ApplyDagger32": func() { q.ApplyDagger(dst32, src32) },
+		} {
+			if a := testing.AllocsPerRun(10, apply); a != 0 {
+				t.Errorf("%v %s: %v allocations per call", dims, name, a)
+			}
+		}
+	}
+}

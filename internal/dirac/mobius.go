@@ -86,32 +86,11 @@ func (m *Mobius) slice(f []complex128, s int) []complex128 {
 // with the chiral boundary wrap multiplied by -m. In the DeGrand-Rossi
 // basis P+ keeps spins {0,1} and P- keeps spins {2,3}, so the projection
 // is pure component selection. dst must not alias src.
-func chiApply(dst, src []complex128, ls, vol4 int, mf float64, dagger bool) {
-	mm := complex(-mf, 0)
-	linalg.For(ls, 0, func(lo, hi int) {
+func chiApply(dst, src []complex128, ls, vol4 int, mf float64, dagger bool, workers int) {
+	linalg.For(ls, workers, func(lo, hi int) {
 		for s := lo; s < hi; s++ {
-			// Source slice feeding the P+ (spins 0,1) sector.
-			sp := s - 1
-			pw := complex128(1)
-			if dagger {
-				sp = s + 1
-			}
-			if sp < 0 {
-				sp, pw = ls-1, mm
-			} else if sp >= ls {
-				sp, pw = 0, mm
-			}
-			// Source slice feeding the P- (spins 2,3) sector.
-			sm := s + 1
-			mw := complex128(1)
-			if dagger {
-				sm = s - 1
-			}
-			if sm >= ls {
-				sm, mw = 0, mm
-			} else if sm < 0 {
-				sm, mw = ls-1, mm
-			}
+			sp, pwr, sm, mwr := chiNeighbours(s, ls, -mf, dagger)
+			pw, mw := complex(pwr, 0), complex(mwr, 0)
 			d := dst[s*vol4 : (s+1)*vol4]
 			up := src[sp*vol4 : (sp+1)*vol4]
 			dn := src[sm*vol4 : (sm+1)*vol4]
@@ -132,7 +111,7 @@ func (m *Mobius) Apply(dst, src []complex128) {
 	if len(dst) != m.Size() || len(src) != m.Size() {
 		panic("dirac: Mobius.Apply size mismatch")
 	}
-	chiApply(m.chi, src, m.Ls, m.vol4(), m.M, false)
+	chiApply(m.chi, src, m.Ls, m.vol4(), m.M, false, m.W.Workers)
 	b5 := complex(m.B5, 0)
 	c5 := complex(m.C5, 0)
 	linalg.For(len(src), m.W.Workers, func(lo, hi int) {
@@ -158,13 +137,11 @@ func (m *Mobius) ApplyDagger(dst, src []complex128) {
 		panic("dirac: Mobius.ApplyDagger size mismatch")
 	}
 	// cmb = Dw^dag src, slice by slice.
-	Gamma5(m.chi, src)
 	for s := 0; s < m.Ls; s++ {
-		m.W.Apply(m.slice(m.cmb, s), m.slice(m.chi, s))
+		m.W.ApplyDagger(m.slice(m.cmb, s), m.slice(src, s))
 	}
-	Gamma5(m.cmb, m.cmb)
 	// dst = b5*y + c5*chi^dag(y) + src - chi^dag(src), y = Dw^dag src.
-	chiApply(m.chi, m.cmb, m.Ls, m.vol4(), m.M, true)
+	chiApply(m.chi, m.cmb, m.Ls, m.vol4(), m.M, true, m.W.Workers)
 	b5 := complex(m.B5, 0)
 	c5 := complex(m.C5, 0)
 	linalg.For(len(src), m.W.Workers, func(lo, hi int) {
@@ -172,7 +149,7 @@ func (m *Mobius) ApplyDagger(dst, src []complex128) {
 			dst[i] = b5*m.cmb[i] + c5*m.chi[i] + src[i]
 		}
 	})
-	chiApply(m.chi, src, m.Ls, m.vol4(), m.M, true)
+	chiApply(m.chi, src, m.Ls, m.vol4(), m.M, true, m.W.Workers)
 	linalg.For(len(src), m.W.Workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			dst[i] -= m.chi[i]

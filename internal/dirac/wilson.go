@@ -35,37 +35,57 @@ func NewWilson(u *gauge.Field, mass float64) *Wilson {
 // Size returns the number of complex components in a compatible field.
 func (w *Wilson) Size() int { return w.G.Vol * SpinorLen }
 
-// Apply computes dst = D src on a full (both-parity) 4-D field.
-func (w *Wilson) Apply(dst, src []complex128) {
+// Apply computes dst = D src on a full (both-parity) 4-D field. dst must
+// not alias src: the stencil reads neighbours the loop has already written,
+// so dst == src panics.
+func (w *Wilson) Apply(dst, src []complex128) { w.apply(dst, src, false) }
+
+// ApplyDagger computes dst = D^dagger src using the gamma_5 hermiticity
+// D^dagger = gamma_5 D gamma_5 of the Wilson operator. The two gamma_5 are
+// applied site by site inside the stencil loop - to a stack copy of each
+// spinor the site reads, and to the site's own result - so the call needs
+// no scratch vector and the operator stays shareable. dst == src, which
+// the scratch copy used to allow, panics like it does for Apply.
+func (w *Wilson) ApplyDagger(dst, src []complex128) { w.apply(dst, src, true) }
+
+func (w *Wilson) apply(dst, src []complex128, dagger bool) {
 	if len(dst) != w.Size() || len(src) != w.Size() {
 		panic("dirac: Wilson.Apply size mismatch")
+	}
+	if &dst[0] == &src[0] {
+		panic("dirac: Wilson.Apply dst aliases src")
 	}
 	diag := complex(4+w.Mass, 0)
 	g := w.G
 	linalg.ForBlocked(g.Vol, w.Workers, w.Block, func(lo, hi int) {
+		var in5, nb5 [SpinorLen]complex128 // gamma_5 copies, dagger only
 		for s := lo; s < hi; s++ {
 			out := dst[s*SpinorLen : (s+1)*SpinorLen]
 			in := src[s*SpinorLen : (s+1)*SpinorLen]
+			if dagger {
+				gamma5Spinor(in5[:], in)
+				in = in5[:]
+			}
 			for i := 0; i < SpinorLen; i++ {
 				out[i] = diag * in[i]
 			}
 			for mu := 0; mu < lattice.NDim; mu++ {
-				fw := g.Fwd(s, mu)
-				hopAccum(out, src[fw*SpinorLen:(fw+1)*SpinorLen], &w.U.U[mu][s], mu, -1, false)
-				bw := g.Bwd(s, mu)
-				hopAccum(out, src[bw*SpinorLen:(bw+1)*SpinorLen], &w.U.U[mu][bw], mu, +1, true)
+				fw, bw := g.Fwd(s, mu), g.Bwd(s, mu)
+				nf := src[fw*SpinorLen : (fw+1)*SpinorLen]
+				nb := src[bw*SpinorLen : (bw+1)*SpinorLen]
+				if dagger {
+					gamma5Spinor(in5[:], nf)
+					gamma5Spinor(nb5[:], nb)
+					nf, nb = in5[:], nb5[:]
+				}
+				hopAccum(out, nf, &w.U.U[mu][s], mu, -1, false)
+				hopAccum(out, nb, &w.U.U[mu][bw], mu, +1, true)
+			}
+			if dagger {
+				gamma5Spinor(out, out)
 			}
 		}
 	})
-}
-
-// ApplyDagger computes dst = D^dagger src using the gamma_5 hermiticity
-// D^dagger = gamma_5 D gamma_5 of the Wilson operator.
-func (w *Wilson) ApplyDagger(dst, src []complex128) {
-	tmp := make([]complex128, len(src))
-	Gamma5(tmp, src)
-	w.Apply(dst, tmp)
-	Gamma5(dst, dst)
 }
 
 // Flops returns the flop count of one Apply in the standard convention.
@@ -118,18 +138,21 @@ func Gamma5(dst, src []complex128) {
 	if len(dst) != len(src) || len(src)%SpinorLen != 0 {
 		panic("dirac: Gamma5 size mismatch")
 	}
-	n := len(src) / SpinorLen
-	linalg.For(n, 0, func(lo, hi int) {
+	linalg.For(len(src)/SpinorLen, 0, func(lo, hi int) {
 		for s := lo; s < hi; s++ {
-			base := s * SpinorLen
-			for i := 0; i < 6; i++ {
-				dst[base+i] = src[base+i]
-			}
-			for i := 6; i < 12; i++ {
-				dst[base+i] = -src[base+i]
-			}
+			gamma5Spinor(dst[s*SpinorLen:(s+1)*SpinorLen], src[s*SpinorLen:(s+1)*SpinorLen])
 		}
 	})
+}
+
+// gamma5Spinor is Gamma5 on one site's twelve components.
+func gamma5Spinor(dst, src []complex128) {
+	for i := 0; i < 6; i++ {
+		dst[i] = src[i]
+	}
+	for i := 6; i < SpinorLen; i++ {
+		dst[i] = -src[i]
+	}
 }
 
 // ApplyDense is a reference implementation of the Wilson operator that

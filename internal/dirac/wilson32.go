@@ -137,22 +137,3 @@ func hopAccum32(out, in []complex64, u *SU3C64, mu, projSign int, adjoint bool) 
 		out[p1*3+c] -= complex(0.5*(r1r*u1r[c]-r1i*u1i[c]), 0.5*(r1r*u1i[c]+r1i*u1r[c]))
 	}
 }
-
-// Gamma5C64 computes dst = gamma_5 src in single precision; may alias.
-func Gamma5C64(dst, src []complex64) {
-	if len(dst) != len(src) || len(src)%SpinorLen != 0 {
-		panic("dirac: Gamma5C64 size mismatch")
-	}
-	n := len(src) / SpinorLen
-	linalg.For(n, 0, func(lo, hi int) {
-		for s := lo; s < hi; s++ {
-			base := s * SpinorLen
-			for i := 0; i < 6; i++ {
-				dst[base+i] = src[base+i]
-			}
-			for i := 6; i < 12; i++ {
-				dst[base+i] = -src[base+i]
-			}
-		}
-	})
-}

@@ -14,6 +14,20 @@ type EvenOdd struct {
 	LexToEO []int32
 	// EOToLex[p][i] is the lexicographic index of the i-th site of parity p.
 	EOToLex [2][]int32
+	// Hops[p][2*NDim*i+2*mu+b] is the stencil entry of the i-th site of
+	// parity p in direction mu, forward for b = 0 and backward for b = 1:
+	// the checkerboarded kernels walk it instead of chaining Fwd/Bwd and
+	// LexToEO lookups per hop.
+	Hops [2][]Hop
+}
+
+// Hop is one entry of the checkerboarded stencil table.
+type Hop struct {
+	// Site is the neighbour's index within the opposite parity block.
+	Site int32
+	// Link is the lexicographic site whose link U_mu the hop transports
+	// through: the site itself going forward, the neighbour going backward.
+	Link int32
 }
 
 // NewEvenOdd builds the reindexing tables.
@@ -29,6 +43,17 @@ func NewEvenOdd(g *Geometry) *EvenOdd {
 		eo.LexToEO[s] = int32(len(eo.EOToLex[p]))
 		eo.EOToLex[p] = append(eo.EOToLex[p], int32(s))
 	}
+	for p := range eo.Hops {
+		eo.Hops[p] = make([]Hop, 0, 2*NDim*len(eo.EOToLex[p]))
+		for _, lex := range eo.EOToLex[p] {
+			for mu := 0; mu < NDim; mu++ {
+				fw, bw := g.fwd[lex][mu], g.bwd[lex][mu]
+				eo.Hops[p] = append(eo.Hops[p],
+					Hop{Site: eo.LexToEO[fw], Link: lex},
+					Hop{Site: eo.LexToEO[bw], Link: bw})
+			}
+		}
+	}
 	return eo
 }
 
@@ -40,14 +65,11 @@ func (eo *EvenOdd) HalfVol() int { return eo.G.Vol / 2 }
 // forward, -1 backward). All four-dimensional neighbours of a site have
 // opposite parity, which is what makes red-black preconditioning exact.
 func (eo *EvenOdd) Neighbor(p, i, mu, dir int) int {
-	lex := int(eo.EOToLex[p][i])
-	var n int
-	if dir > 0 {
-		n = eo.G.Fwd(lex, mu)
-	} else {
-		n = eo.G.Bwd(lex, mu)
+	b := 0
+	if dir <= 0 {
+		b = 1
 	}
-	return int(eo.LexToEO[n])
+	return int(eo.Hops[p][2*NDim*i+2*mu+b].Site)
 }
 
 // GatherParity extracts the parity-p sites of a lexicographic field with

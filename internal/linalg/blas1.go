@@ -22,13 +22,24 @@ func Copy(dst, src []complex128) {
 	copy(dst, src)
 }
 
+// Every kernel below is a named loop over whole slices, run directly when
+// serialPass says the pass stays on the calling goroutine and through
+// For/Reduce* on sub-slices otherwise; the element order within a chunk,
+// and so every result bit, is the same either way.
+
 // Scale sets v[i] *= a.
 func Scale(a complex128, v []complex128, workers int) {
-	For(len(v), workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v[i] *= a
-		}
-	})
+	if serialPass(len(v), workers) {
+		scale(a, v)
+		return
+	}
+	For(len(v), workers, func(lo, hi int) { scale(a, v[lo:hi]) })
+}
+
+func scale(a complex128, v []complex128) {
+	for i := range v {
+		v[i] *= a
+	}
 }
 
 // Axpy computes y[i] += a*x[i].
@@ -36,11 +47,17 @@ func Axpy(a complex128, x, y []complex128, workers int) {
 	if len(x) != len(y) {
 		panic("linalg: Axpy length mismatch")
 	}
-	For(len(x), workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			y[i] += a * x[i]
-		}
-	})
+	if serialPass(len(x), workers) {
+		axpy(a, x, y)
+		return
+	}
+	For(len(x), workers, func(lo, hi int) { axpy(a, x[lo:hi], y[lo:hi]) })
+}
+
+func axpy(a complex128, x, y []complex128) {
+	for i, xi := range x {
+		y[i] += a * xi
+	}
 }
 
 // Xpay computes y[i] = x[i] + a*y[i] (the CG search-direction update).
@@ -48,11 +65,17 @@ func Xpay(x []complex128, a complex128, y []complex128, workers int) {
 	if len(x) != len(y) {
 		panic("linalg: Xpay length mismatch")
 	}
-	For(len(x), workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			y[i] = x[i] + a*y[i]
-		}
-	})
+	if serialPass(len(x), workers) {
+		xpay(x, a, y)
+		return
+	}
+	For(len(x), workers, func(lo, hi int) { xpay(x[lo:hi], a, y[lo:hi]) })
+}
+
+func xpay(x []complex128, a complex128, y []complex128) {
+	for i, xi := range x {
+		y[i] = xi + a*y[i]
+	}
 }
 
 // AxpyZ computes z[i] = a*x[i] + y[i] without overwriting the inputs.
@@ -60,11 +83,17 @@ func AxpyZ(a complex128, x, y, z []complex128, workers int) {
 	if len(x) != len(y) || len(x) != len(z) {
 		panic("linalg: AxpyZ length mismatch")
 	}
-	For(len(x), workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			z[i] = a*x[i] + y[i]
-		}
-	})
+	if serialPass(len(x), workers) {
+		axpyZ(a, x, y, z)
+		return
+	}
+	For(len(x), workers, func(lo, hi int) { axpyZ(a, x[lo:hi], y[lo:hi], z[lo:hi]) })
+}
+
+func axpyZ(a complex128, x, y, z []complex128) {
+	for i, xi := range x {
+		z[i] = a*xi + y[i]
+	}
 }
 
 // Dot returns the conjugated inner product <x, y> = sum conj(x[i]) * y[i],
@@ -73,26 +102,35 @@ func Dot(x, y []complex128, workers int) complex128 {
 	if len(x) != len(y) {
 		panic("linalg: Dot length mismatch")
 	}
-	return ReduceComplex128(len(x), workers, func(lo, hi int) complex128 {
-		var s complex128
-		for i := lo; i < hi; i++ {
-			xc := x[i]
-			s += complex(real(xc), -imag(xc)) * y[i]
-		}
-		return s
-	})
+	if serialPass(len(x), workers) {
+		return sumChunks(len(x), func(lo, hi int) complex128 { return dot(x[lo:hi], y[lo:hi]) })
+	}
+	return ReduceComplex128(len(x), workers, func(lo, hi int) complex128 { return dot(x[lo:hi], y[lo:hi]) })
+}
+
+func dot(x, y []complex128) complex128 {
+	var s complex128
+	for i, xc := range x {
+		s += complex(real(xc), -imag(xc)) * y[i]
+	}
+	return s
 }
 
 // NormSq returns ||v||^2 accumulated in double precision.
 func NormSq(v []complex128, workers int) float64 {
-	return ReduceFloat64(len(v), workers, func(lo, hi int) float64 {
-		s := 0.0
-		for i := lo; i < hi; i++ {
-			re, im := real(v[i]), imag(v[i])
-			s += re*re + im*im
-		}
-		return s
-	})
+	if serialPass(len(v), workers) {
+		return sumChunks(len(v), func(lo, hi int) float64 { return normSq(v[lo:hi]) })
+	}
+	return ReduceFloat64(len(v), workers, func(lo, hi int) float64 { return normSq(v[lo:hi]) })
+}
+
+func normSq(v []complex128) float64 {
+	s := 0.0
+	for _, c := range v {
+		re, im := real(c), imag(c)
+		s += re*re + im*im
+	}
+	return s
 }
 
 // Norm returns ||v||.
@@ -125,20 +163,26 @@ func ZeroC64(v []complex64) {
 	}
 }
 
-// AxpyC64 computes y[i] += a*x[i] in single precision. The complex
-// product is expanded into float32 components because the Go compiler
-// lowers complex64 multiplication through complex128.
+// AxpyC64 computes y[i] += a*x[i] in single precision.
 func AxpyC64(a complex64, x, y []complex64, workers int) {
 	if len(x) != len(y) {
 		panic("linalg: AxpyC64 length mismatch")
 	}
+	if serialPass(len(x), workers) {
+		axpyC64(a, x, y)
+		return
+	}
+	For(len(x), workers, func(lo, hi int) { axpyC64(a, x[lo:hi], y[lo:hi]) })
+}
+
+// The complex product is expanded into float32 components because the Go
+// compiler lowers complex64 multiplication through complex128.
+func axpyC64(a complex64, x, y []complex64) {
 	ar, ai := real(a), imag(a)
-	For(len(x), workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			xr, xi := real(x[i]), imag(x[i])
-			y[i] += complex(ar*xr-ai*xi, ar*xi+ai*xr)
-		}
-	})
+	for i, xc := range x {
+		xr, xi := real(xc), imag(xc)
+		y[i] += complex(ar*xr-ai*xi, ar*xi+ai*xr)
+	}
 }
 
 // XpayC64 computes y[i] = x[i] + a*y[i] in single precision.
@@ -146,13 +190,19 @@ func XpayC64(x []complex64, a complex64, y []complex64, workers int) {
 	if len(x) != len(y) {
 		panic("linalg: XpayC64 length mismatch")
 	}
+	if serialPass(len(x), workers) {
+		xpayC64(x, a, y)
+		return
+	}
+	For(len(x), workers, func(lo, hi int) { xpayC64(x[lo:hi], a, y[lo:hi]) })
+}
+
+func xpayC64(x []complex64, a complex64, y []complex64) {
 	ar, ai := real(a), imag(a)
-	For(len(x), workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			yr, yi := real(y[i]), imag(y[i])
-			y[i] = x[i] + complex(ar*yr-ai*yi, ar*yi+ai*yr)
-		}
-	})
+	for i, xc := range x {
+		yr, yi := real(y[i]), imag(y[i])
+		y[i] = xc + complex(ar*yr-ai*yi, ar*yi+ai*yr)
+	}
 }
 
 // DotC64 returns <x, y> with double-precision accumulation.
@@ -160,26 +210,36 @@ func DotC64(x, y []complex64, workers int) complex128 {
 	if len(x) != len(y) {
 		panic("linalg: DotC64 length mismatch")
 	}
-	return ReduceComplex128(len(x), workers, func(lo, hi int) complex128 {
-		var s complex128
-		for i := lo; i < hi; i++ {
-			s += complex(float64(real(x[i])), -float64(imag(x[i]))) *
-				complex(float64(real(y[i])), float64(imag(y[i])))
-		}
-		return s
-	})
+	if serialPass(len(x), workers) {
+		return sumChunks(len(x), func(lo, hi int) complex128 { return dotC64(x[lo:hi], y[lo:hi]) })
+	}
+	return ReduceComplex128(len(x), workers, func(lo, hi int) complex128 { return dotC64(x[lo:hi], y[lo:hi]) })
+}
+
+func dotC64(x, y []complex64) complex128 {
+	var s complex128
+	for i, xc := range x {
+		s += complex(float64(real(xc)), -float64(imag(xc))) *
+			complex(float64(real(y[i])), float64(imag(y[i])))
+	}
+	return s
 }
 
 // NormSqC64 returns ||v||^2 with double-precision accumulation.
 func NormSqC64(v []complex64, workers int) float64 {
-	return ReduceFloat64(len(v), workers, func(lo, hi int) float64 {
-		s := 0.0
-		for i := lo; i < hi; i++ {
-			re, im := float64(real(v[i])), float64(imag(v[i]))
-			s += re*re + im*im
-		}
-		return s
-	})
+	if serialPass(len(v), workers) {
+		return sumChunks(len(v), func(lo, hi int) float64 { return normSqC64(v[lo:hi]) })
+	}
+	return ReduceFloat64(len(v), workers, func(lo, hi int) float64 { return normSqC64(v[lo:hi]) })
+}
+
+func normSqC64(v []complex64) float64 {
+	s := 0.0
+	for _, c := range v {
+		re, im := float64(real(c)), float64(imag(c))
+		s += re*re + im*im
+	}
+	return s
 }
 
 // Demote converts a double-precision vector to single precision.

@@ -47,26 +47,31 @@ func (h *HalfVector) Encode(src []complex128) {
 	if len(src) != h.Len() {
 		panic("linalg: Encode length mismatch")
 	}
-	nb := len(h.Scale)
-	For(nb, 0, func(lo, hi int) {
-		for b := lo; b < hi; b++ {
-			blk := src[b*h.Block : (b+1)*h.Block]
-			m := MaxAbs(blk)
-			h.Scale[b] = float32(m)
-			if m == 0 {
-				for i := range blk {
-					h.Data[2*(b*h.Block+i)] = 0
-					h.Data[2*(b*h.Block+i)+1] = 0
-				}
-				continue
+	if nb := len(h.Scale); serialPass(len(src), 0) {
+		h.encode(src, 0, nb)
+	} else {
+		For(nb, 0, func(lo, hi int) { h.encode(src, lo, hi) })
+	}
+}
+
+func (h *HalfVector) encode(src []complex128, lo, hi int) {
+	for b := lo; b < hi; b++ {
+		blk := src[b*h.Block : (b+1)*h.Block]
+		m := MaxAbs(blk)
+		h.Scale[b] = float32(m)
+		if m == 0 {
+			for i := range blk {
+				h.Data[2*(b*h.Block+i)] = 0
+				h.Data[2*(b*h.Block+i)+1] = 0
 			}
-			q := halfMax / m
-			for i, c := range blk {
-				h.Data[2*(b*h.Block+i)] = int16(math.Round(real(c) * q))
-				h.Data[2*(b*h.Block+i)+1] = int16(math.Round(imag(c) * q))
-			}
+			continue
 		}
-	})
+		q := halfMax / m
+		for i, c := range blk {
+			h.Data[2*(b*h.Block+i)] = int16(math.Round(real(c) * q))
+			h.Data[2*(b*h.Block+i)+1] = int16(math.Round(imag(c) * q))
+		}
+	}
 }
 
 // Decode dequantizes h into dst as complex128.
@@ -74,19 +79,24 @@ func (h *HalfVector) Decode(dst []complex128) {
 	if len(dst) != h.Len() {
 		panic("linalg: Decode length mismatch")
 	}
-	nb := len(h.Scale)
-	For(nb, 0, func(lo, hi int) {
-		for b := lo; b < hi; b++ {
-			s := float64(h.Scale[b]) / halfMax
-			for i := 0; i < h.Block; i++ {
-				idx := b*h.Block + i
-				dst[idx] = complex(
-					float64(h.Data[2*idx])*s,
-					float64(h.Data[2*idx+1])*s,
-				)
-			}
+	if nb := len(h.Scale); serialPass(len(dst), 0) {
+		h.decode(dst, 0, nb)
+	} else {
+		For(nb, 0, func(lo, hi int) { h.decode(dst, lo, hi) })
+	}
+}
+
+func (h *HalfVector) decode(dst []complex128, lo, hi int) {
+	for b := lo; b < hi; b++ {
+		s := float64(h.Scale[b]) / halfMax
+		for i := 0; i < h.Block; i++ {
+			idx := b*h.Block + i
+			dst[idx] = complex(
+				float64(h.Data[2*idx])*s,
+				float64(h.Data[2*idx+1])*s,
+			)
 		}
-	})
+	}
 }
 
 // DecodeC64 dequantizes h into a single-precision vector, the form consumed
@@ -95,19 +105,24 @@ func (h *HalfVector) DecodeC64(dst []complex64) {
 	if len(dst) != h.Len() {
 		panic("linalg: DecodeC64 length mismatch")
 	}
-	nb := len(h.Scale)
-	For(nb, 0, func(lo, hi int) {
-		for b := lo; b < hi; b++ {
-			s := h.Scale[b] / halfMax
-			for i := 0; i < h.Block; i++ {
-				idx := b*h.Block + i
-				dst[idx] = complex(
-					float32(h.Data[2*idx])*s,
-					float32(h.Data[2*idx+1])*s,
-				)
-			}
+	if nb := len(h.Scale); serialPass(len(dst), 0) {
+		h.decodeC64(dst, 0, nb)
+	} else {
+		For(nb, 0, func(lo, hi int) { h.decodeC64(dst, lo, hi) })
+	}
+}
+
+func (h *HalfVector) decodeC64(dst []complex64, lo, hi int) {
+	for b := lo; b < hi; b++ {
+		s := h.Scale[b] / halfMax
+		for i := 0; i < h.Block; i++ {
+			idx := b*h.Block + i
+			dst[idx] = complex(
+				float32(h.Data[2*idx])*s,
+				float32(h.Data[2*idx+1])*s,
+			)
 		}
-	})
+	}
 }
 
 // EncodeC64 quantizes a single-precision vector into h.
@@ -115,34 +130,39 @@ func (h *HalfVector) EncodeC64(src []complex64) {
 	if len(src) != h.Len() {
 		panic("linalg: EncodeC64 length mismatch")
 	}
-	nb := len(h.Scale)
-	For(nb, 0, func(lo, hi int) {
-		for b := lo; b < hi; b++ {
-			blk := src[b*h.Block : (b+1)*h.Block]
-			var m float32
-			for _, c := range blk {
-				if a := absf32(real(c)); a > m {
-					m = a
-				}
-				if a := absf32(imag(c)); a > m {
-					m = a
-				}
+	if nb := len(h.Scale); serialPass(len(src), 0) {
+		h.encodeC64(src, 0, nb)
+	} else {
+		For(nb, 0, func(lo, hi int) { h.encodeC64(src, lo, hi) })
+	}
+}
+
+func (h *HalfVector) encodeC64(src []complex64, lo, hi int) {
+	for b := lo; b < hi; b++ {
+		blk := src[b*h.Block : (b+1)*h.Block]
+		var m float32
+		for _, c := range blk {
+			if a := absf32(real(c)); a > m {
+				m = a
 			}
-			h.Scale[b] = m
-			if m == 0 {
-				for i := range blk {
-					h.Data[2*(b*h.Block+i)] = 0
-					h.Data[2*(b*h.Block+i)+1] = 0
-				}
-				continue
-			}
-			q := float64(halfMax) / float64(m)
-			for i, c := range blk {
-				h.Data[2*(b*h.Block+i)] = int16(math.Round(float64(real(c)) * q))
-				h.Data[2*(b*h.Block+i)+1] = int16(math.Round(float64(imag(c)) * q))
+			if a := absf32(imag(c)); a > m {
+				m = a
 			}
 		}
-	})
+		h.Scale[b] = m
+		if m == 0 {
+			for i := range blk {
+				h.Data[2*(b*h.Block+i)] = 0
+				h.Data[2*(b*h.Block+i)+1] = 0
+			}
+			continue
+		}
+		q := float64(halfMax) / float64(m)
+		for i, c := range blk {
+			h.Data[2*(b*h.Block+i)] = int16(math.Round(float64(real(c)) * q))
+			h.Data[2*(b*h.Block+i)+1] = int16(math.Round(float64(imag(c)) * q))
+		}
+	}
 }
 
 // RelError bounds the worst-case relative quantization error of a block

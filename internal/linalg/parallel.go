@@ -111,71 +111,17 @@ const ReduceChunk = 4096
 // and final accumulation happens in float64, matching the paper's
 // convention that reductions are always performed in double precision.
 func ReduceFloat64(n, workers int, body func(lo, hi int) float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	if n <= ReduceChunk {
-		return body(0, n)
-	}
-	nChunks := (n + ReduceChunk - 1) / ReduceChunk
-	if workers <= 0 {
-		workers = DefaultWorkers
-	}
-	if workers > nChunks {
-		workers = nChunks
-	}
-	partial := make([]float64, nChunks)
-	if workers <= 1 {
-		// The serial path walks the same chunks so workers=1 is
-		// bit-identical to workers=N.
-		for c := 0; c < nChunks; c++ {
-			lo := c * ReduceChunk
-			hi := lo + ReduceChunk
-			if hi > n {
-				hi = n
-			}
-			partial[c] = body(lo, hi)
-		}
-	} else {
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					c := int(cursor.Add(1)) - 1
-					if c >= nChunks {
-						return
-					}
-					lo := c * ReduceChunk
-					hi := lo + ReduceChunk
-					if hi > n {
-						hi = n
-					}
-					partial[c] = body(lo, hi)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	sum := 0.0
-	for _, p := range partial {
-		sum += p
-	}
-	return sum
+	return reduce(n, workers, body)
 }
 
 // ReduceComplex128 is ReduceFloat64 for complex partial sums: fixed-size
 // chunks combined in chunk-index order, bitwise independent of the worker
 // count, with double-precision accumulation throughout.
 func ReduceComplex128(n, workers int, body func(lo, hi int) complex128) complex128 {
-	if n <= 0 {
-		return 0
-	}
-	if n <= ReduceChunk {
-		return body(0, n)
-	}
+	return reduce(n, workers, body)
+}
+
+func reduce[T float64 | complex128](n, workers int, body func(lo, hi int) T) T {
 	nChunks := (n + ReduceChunk - 1) / ReduceChunk
 	if workers <= 0 {
 		workers = DefaultWorkers
@@ -183,42 +129,60 @@ func ReduceComplex128(n, workers int, body func(lo, hi int) complex128) complex1
 	if workers > nChunks {
 		workers = nChunks
 	}
-	partial := make([]complex128, nChunks)
 	if workers <= 1 {
-		for c := 0; c < nChunks; c++ {
-			lo := c * ReduceChunk
-			hi := lo + ReduceChunk
-			if hi > n {
-				hi = n
-			}
-			partial[c] = body(lo, hi)
-		}
-	} else {
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					c := int(cursor.Add(1)) - 1
-					if c >= nChunks {
-						return
-					}
-					lo := c * ReduceChunk
-					hi := lo + ReduceChunk
-					if hi > n {
-						hi = n
-					}
-					partial[c] = body(lo, hi)
-				}
-			}()
-		}
-		wg.Wait()
+		return sumChunks(n, body)
 	}
-	var sum complex128
+	partial := make([]T, nChunks)
+	var cursor atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				c := int(cursor.Add(1)) - 1
+				if c >= nChunks {
+					return
+				}
+				lo := c * ReduceChunk
+				partial[c] = body(lo, min(lo+ReduceChunk, n))
+			}
+		}()
+	}
+	wg.Wait()
+	var sum T
 	for _, p := range partial {
 		sum += p
 	}
 	return sum
+}
+
+// sumChunks is the serial reduction: a running sum over the same chunks in
+// the same order as the parallel path's partials, so workers=1 is
+// bit-identical to workers=N. It does not retain body, so a caller's
+// closure stays on its stack and the pass allocates nothing.
+func sumChunks[T float64 | complex128](n int, body func(lo, hi int) T) T {
+	if n <= ReduceChunk {
+		if n <= 0 {
+			return 0
+		}
+		return body(0, n)
+	}
+	var sum T
+	for lo := 0; lo < n; lo += ReduceChunk {
+		sum += body(lo, min(lo+ReduceChunk, n))
+	}
+	return sum
+}
+
+// serialPass reports whether a BLAS-1 or codec pass over n elements runs
+// on the calling goroutine alone: one worker, or at most one ReduceChunk —
+// the size up to which the reductions have always been a single serial
+// chunk. The kernels test it before building the closure For needs, so a
+// serial pass allocates nothing.
+func serialPass(n, workers int) bool {
+	if workers <= 0 {
+		workers = DefaultWorkers
+	}
+	return workers <= 1 || n <= ReduceChunk
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -189,33 +190,65 @@ func TestScopeContextRoundTrip(t *testing.T) {
 }
 
 // TestTracerConcurrent drives spans and instants from many goroutines
-// under -race and checks the busy accounting adds up.
+// under -race and checks the busy accounting adds up. The goroutines share
+// one step clock, so a span covers its own step (100us) plus every step
+// another goroutine takes between its Begin and its End. With the
+// Begin..End..Instant triples serialised every span is exactly one step
+// and the busy sum is exact; free-running, one step a span is only a
+// floor, but no span may be lost and the busy sum must still be the sum of
+// the recorded spans.
 func TestTracerConcurrent(t *testing.T) {
-	tr := NewTracer(StepClock(traceStart, 100*time.Microsecond))
 	const workers, per = 8, 50
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		w := w
-		go func() {
-			defer wg.Done()
-			sc := NewScope(tr, 1, w)
-			for i := 0; i < per; i++ {
-				sp := sc.Begin("work", "attempt", nil)
-				sp.End()
-				sc.Instant("work", "tick", nil)
+	for _, serialised := range []bool{true, false} {
+		tr := NewTracer(StepClock(traceStart, 100*time.Microsecond))
+		var turn sync.Mutex
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for w := 0; w < workers; w++ {
+			w := w
+			go func() {
+				defer wg.Done()
+				sc := NewScope(tr, 1, w)
+				for i := 0; i < per; i++ {
+					if serialised {
+						turn.Lock()
+					}
+					sp := sc.Begin("work", "attempt", nil)
+					sp.End()
+					sc.Instant("work", "tick", nil)
+					if serialised {
+						turn.Unlock()
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		busy := tr.BusySeconds("work")[1]
+		oneStepEach := float64(workers*per) * 100e-6
+		if serialised {
+			// Every span took exactly one clock step (100us).
+			if busy < oneStepEach*0.999 || busy > oneStepEach*1.001 {
+				t.Fatalf("serialised: busy seconds = %v, want %v", busy, oneStepEach)
 			}
-		}()
-	}
-	wg.Wait()
-	busy := tr.BusySeconds("work")
-	// Every span took exactly one clock step (100us).
-	want := float64(workers*per) * 100e-6
-	if got := busy[1]; got < want*0.999 || got > want*1.001 {
-		t.Fatalf("busy seconds = %v, want %v", got, want)
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
+		} else if busy < oneStepEach*0.999 {
+			t.Fatalf("busy seconds = %v, below one step a span (%v)", busy, oneStepEach)
+		}
+		spans, sumMicros := 0, int64(0)
+		for _, e := range tr.events {
+			if e.Ph == "X" {
+				spans++
+				sumMicros += e.Dur
+			}
+		}
+		if spans != workers*per {
+			t.Fatalf("serialised=%v: %d spans recorded, want %d", serialised, spans, workers*per)
+		}
+		if want := float64(sumMicros) / 1e6; math.Abs(busy-want) > 1e-9 {
+			t.Fatalf("serialised=%v: busy seconds = %v, recorded spans sum to %v", serialised, busy, want)
+		}
+		var buf bytes.Buffer
+		if err := tr.WriteChromeTrace(&buf); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

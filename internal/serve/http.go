@@ -60,8 +60,8 @@ func (r SubmitRequest) Validate() error {
 	if sp.Ls != nil {
 		errs = append(errs, validate.PositiveInt("spec.ls", *sp.Ls))
 	}
-	if sp.NConfigs != nil {
-		errs = append(errs, validate.PositiveInt("spec.nconfigs", *sp.NConfigs))
+	if sp.NConfigs != nil && *sp.NConfigs < core.MinConfigs {
+		errs = append(errs, fmt.Errorf("spec.nconfigs must be at least %d (got %d): the effective coupling is jackknifed over configurations", core.MinConfigs, *sp.NConfigs))
 	}
 	if sp.Beta != nil {
 		errs = append(errs, validate.PositiveFloat("spec.beta", *sp.Beta))

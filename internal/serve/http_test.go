@@ -61,9 +61,15 @@ func TestHTTPValidationAndErrorMapping(t *testing.T) {
 	if !strings.Contains(body, "spec.tol") || !strings.Contains(body, "spec.nconfigs") {
 		t.Fatalf("validation errors not collected: %s", body)
 	}
-	resp = postJSON(t, hs.URL, `{"spec":{"nconfigs":1}}`)
+	resp = postJSON(t, hs.URL, `{"spec":{"nconfigs":2}}`)
 	if body := drainBody(t, resp); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("missing tenant: %d %s", resp.StatusCode, body)
+	}
+	// One configuration cannot be jackknifed: refused here, not a panic
+	// in the analysis after the solves.
+	resp = postJSON(t, hs.URL, `{"tenant":"x","spec":{"nconfigs":1}}`)
+	if body := drainBody(t, resp); resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, "spec.nconfigs") {
+		t.Fatalf("single-configuration campaign: %d %s", resp.StatusCode, body)
 	}
 	resp = postJSON(t, hs.URL, `{"tenant":"x","spec":{"nconfigs":3}}`)
 	if body := drainBody(t, resp); resp.StatusCode != http.StatusTooManyRequests {
@@ -90,7 +96,7 @@ func TestHTTPValidationAndErrorMapping(t *testing.T) {
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	resp = postJSON(t, hs.URL, `{"tenant":"x","spec":{"nconfigs":1}}`)
+	resp = postJSON(t, hs.URL, `{"tenant":"x","spec":{"nconfigs":2}}`)
 	if body := drainBody(t, resp); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("submission while draining: %d %s", resp.StatusCode, body)
 	}

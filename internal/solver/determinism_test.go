@@ -2,11 +2,15 @@ package solver
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 
 	"femtoverse/internal/dirac"
+	"femtoverse/internal/gauge"
+	"femtoverse/internal/lattice"
 )
 
 // solverWorkerCounts is the worker grid the bitwise-determinism tests
@@ -109,5 +113,54 @@ func TestCGNEMixedBitwiseDeterministicAcrossWorkerCounts(t *testing.T) {
 		}
 		bitwiseEqual(t, "cgne-mixed", w, x, refX)
 		sameResiduals(t, "cgne-mixed", w, st.Residuals, refSt.Residuals)
+	}
+}
+
+// TestConcurrentSolvesBitwise runs two solves at once on a lattice whose
+// Schur passes and BLAS-1 calls are past linalg's serial cuts, so both
+// split their passes over goroutines at the same time. Each must still
+// produce the serial solve's iterate to the bit. The iteration cap keeps
+// the solves short; an unconverged iterate is as deterministic as a
+// converged one.
+func TestConcurrentSolvesBitwise(t *testing.T) {
+	g := lattice.MustNew(4, 4, 4, 8)
+	solve := func(seed int64, workers int) []complex128 {
+		m, err := dirac.NewMobius(gauge.NewWeak(g, seed, 0.3),
+			dirac.MobiusParams{Ls: 4, M5: 1.4, B5: 1.25, C5: 0.25, M: 0.2})
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		op, err := dirac.NewMobiusEO(m)
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		m.W.Workers = workers
+		b := randRHS(rand.New(rand.NewSource(seed)), op.Size())
+		x, _, err := CGNEMixed(context.Background(), op, dirac.NewMobiusEO32(op), b,
+			Params{Tol: 1e-8, Precision: Single, Workers: workers, MaxIter: 6})
+		if err != nil && !errors.Is(err, ErrMaxIter) {
+			t.Error(err)
+		}
+		return x
+	}
+	seeds := []int64{31, 32}
+	ref := make([][]complex128, len(seeds))
+	for i, seed := range seeds {
+		ref[i] = solve(seed, 1)
+	}
+	got := make([][]complex128, len(seeds))
+	var wg sync.WaitGroup
+	for i, seed := range seeds {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = solve(seed, 4)
+		}()
+	}
+	wg.Wait()
+	for i := range seeds {
+		bitwiseEqual(t, "concurrent cgne-mixed", 4, got[i], ref[i])
 	}
 }
