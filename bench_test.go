@@ -15,6 +15,7 @@ package femtoverse
 import (
 	"context"
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"femtoverse/internal/autotune"
@@ -30,6 +31,7 @@ import (
 	"femtoverse/internal/perfmodel"
 	"femtoverse/internal/prop"
 	"femtoverse/internal/solver"
+	"femtoverse/internal/wire"
 )
 
 // benchExperiment regenerates one table/figure per iteration.
@@ -450,4 +452,124 @@ func BenchmarkDistributedDslash(b *testing.B) {
 		d.Apply(dst, src)
 	}
 	b.ReportMetric(float64(g.Vol)*1320/1e9/b.Elapsed().Seconds()*float64(b.N), "GFLOPS")
+}
+
+// The wire data path, one rung at a time: the frame codec alone, the
+// subdomain stencil alone, then a whole 2-rank application over localhost
+// TCP - as one operator per round trip, and as the normal operator CGNE
+// asks for in one. Sizes are the benchmark's wire-2rank workload (4^3 x 8
+// over {1,1,1,2}).
+
+// benchWireSession starts a 2-rank session with goroutine-hosted workers.
+func benchWireSession(b *testing.B) (*wire.Session, []complex128, []complex128) {
+	b.Helper()
+	g := lattice.MustNew(4, 4, 4, 8)
+	s, err := wire.NewSession(gauge.NewWeak(g, 11, 0.3), wire.Options{
+		Grid: [4]int{1, 1, 1, 2}, Mass: 0.1,
+		CheckpointPath: filepath.Join(b.TempDir(), "subs.fhio"),
+		Spawn: func(addr string) error {
+			// The worker's exit status is the session teardown's, not the
+			// benchmark's: a death mid-run fails the apply that meets it.
+			go wire.Serve(addr, wire.WorkerOptions{})
+			return nil
+		},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(s.Close)
+	src := make([]complex128, s.Size())
+	rng := rand.New(rand.NewSource(5))
+	for i := range src {
+		src[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+	}
+	return s, make([]complex128, s.Size()), src
+}
+
+func BenchmarkWireApply2Rank(b *testing.B) {
+	s, dst, src := benchWireSession(b)
+	s.Apply(dst, src)
+	b.ReportAllocs()
+	b.SetBytes(int64(2 * 16 * len(src))) // the field out and the field back
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Apply(dst, src)
+	}
+}
+
+func BenchmarkWireNormal2Rank(b *testing.B) {
+	s, dst, src := benchWireSession(b)
+	s.ApplyNormal(dst, src)
+	b.ReportAllocs()
+	b.SetBytes(int64(2 * 16 * len(src)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.ApplyNormal(dst, src)
+	}
+}
+
+func BenchmarkDomainSubStencil(b *testing.B) {
+	g := lattice.MustNew(4, 4, 4, 8)
+	specs, err := domain.BuildSpecs(gauge.NewWeak(g, 11, 0.3), [4]int{1, 1, 1, 2}, 0.1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sub, err := domain.NewSub(specs[0])
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i, src := 0, sub.Src(); i < len(src); i++ {
+		src[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(2 * 16 * sub.LocalLen())) // source read, result written
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sub.StencilInterior()
+		sub.StencilBoundary()
+	}
+	b.ReportMetric(float64(sub.LocalLen()/12)*1320/1e9/b.Elapsed().Seconds()*float64(b.N), "GFLOPS")
+}
+
+// replay serves the frame its sender last rendered, over and over.
+type replay struct {
+	frame *[]byte
+	at    int
+}
+
+func (r *replay) Read(p []byte) (int, error) {
+	n := copy(p, (*r.frame)[r.at:])
+	r.at = (r.at + n) % len(*r.frame)
+	return n, nil
+}
+
+// BenchmarkFrameRoundTrip is one field through the codec the way a
+// connection does it: rendered from the field into a reused write buffer
+// and sealed there, read back through a reused read buffer, checksummed
+// in place and decoded straight into the field.
+func BenchmarkFrameRoundTrip(b *testing.B) {
+	field := make([]complex128, 4*4*4*4*12) // one rank's local field
+	rng := rand.New(rand.NewSource(5))
+	for i := range field {
+		field[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+	}
+	render := func(buf []byte, xid uint64) []byte {
+		return wire.FinishFrame(wire.AppendComplex(wire.BeginFrame(buf[:0], wire.MsgApply, wire.CoordRank, xid), field))
+	}
+	frame := render(nil, 0)
+	rd := wire.NewFrameReader(&replay{frame: &frame}, 16*len(field))
+	b.ReportAllocs()
+	b.SetBytes(int64(len(frame)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		frame = render(frame, uint64(i))
+		f, err := rd.Next()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := wire.DecodeComplex(field, f.Payload); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -6,6 +6,10 @@
 # determinism, cancellation, and hot-path contracts (see DESIGN.md
 # "Static analysis"); a violation anywhere in the tree fails CI.
 set -eux
+# Formatting gate: gofmt -l prints the files it would rewrite; any name is
+# a failure. The nested benchmark module is covered too (gofmt walks
+# directories, not packages).
+test -z "$(gofmt -l .)"
 go vet ./...
 go build -o "$PWD/femtolint.bin" ./cmd/femtolint
 trap 'rm -f "$PWD/femtolint.bin" "$PWD/garank.bin" "$PWD/gastress.bin"' EXIT
@@ -74,7 +78,15 @@ go test -race -count=2 ./internal/analysis/...
 # and recovered from checkpoint, a frame-chaos run, and a partition run
 # (chaos seed 2 at rate 0.3 severs a link and forces a recovery) - every
 # one required to match the single-process correlator bit for bit.
+# The data path's ownership rules get their own lines: the zero-allocation
+# budget natively (the number that matters is the production build's),
+# the scribble-on-next-Recv solves and the table-vs-coordinates stencil
+# under the race detector, and both fuzz targets over their checked-in
+# corpora (seeds and past findings; `go test -fuzz` explores further).
 go test -race -count=2 -short ./internal/wire/
+go test -count=1 -run 'DoesNotAllocate' ./internal/wire/
+go test -race -count=2 -run 'NoPayloadOutlivesRecv|ApplyNormal|NormalBitwise|BitForBit' ./internal/wire/ ./internal/domain/
+go test -count=1 -run Fuzz ./internal/wire/
 go build -o "$PWD/garank.bin" ./cmd/garank
 ./garank.bin -ranks 4
 ./garank.bin -ranks 4 -kill-rank 1 -kill-xid 3

@@ -59,7 +59,7 @@ func main() {
 		maxInject = flag.Int("max-inject", 64, "cap on injected faults (0 = unbounded)")
 
 		killRank = flag.Int("kill-rank", -1, "rank to kill mid-solve (coordinator: forwarded to workers)")
-		killXid  = flag.Uint64("kill-xid", 0, "apply transfer id at which the killed rank dies")
+		killXid  = flag.Uint64("kill-xid", 0, "transfer id at which the killed rank dies (every stencil application has one; a D^dag D apply takes two)")
 
 		beatEvery  = flag.Duration("heartbeat-every", 20*time.Millisecond, "worker heartbeat period")
 		beatMiss   = flag.Int("heartbeat-miss", 5, "missed beats before a rank is declared dead")

@@ -133,7 +133,7 @@ func (t *Tuner) observeSearch(key Key, e Entry) {
 	reg.Counter("autotune.searches").Inc()
 	reg.Counter("autotune.kernel_runs").Add(int64(e.Runs))
 	if e.GFLOPS > 0 {
-		reg.Gauge("autotune.gflops."+key.Kernel).Set(e.GFLOPS)
+		reg.Gauge("autotune.gflops." + key.Kernel).Set(e.GFLOPS)
 	}
 	sc.Instant("autotune", "search", map[string]interface{}{
 		"key":     key.String(),

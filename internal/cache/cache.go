@@ -78,7 +78,8 @@ type Stats struct {
 	// too large for the memory budget, which bypass that tier entirely.
 	Evictions, Oversize int64
 	// Coalesced counts callers whose cold request was served by another
-	// caller's in-flight compute instead of a solve of their own.
+	// caller's compute instead of a solve of their own: it was in flight
+	// when they joined it, or landed between their miss and their turn.
 	Coalesced int64
 	// Computes counts cold-path executions GetOrCompute actually ran.
 	Computes int64
@@ -201,38 +202,61 @@ func (c *Cache) GetOrCompute(key Key, compute func() ([]byte, error)) (val []byt
 		if v, ok := c.Get(key); ok {
 			return v, true, nil
 		}
-		v, err, shared, completed := c.flight.Do(key.ID, func() ([]byte, error) {
-			c.note(&c.stats.Computes)
-			c.metrics.Counter("cache.computes").Inc()
-			v, err := compute()
-			if err != nil {
-				return nil, err
-			}
-			if perr := c.Put(key, v); perr != nil {
-				// Counted by Put; the compute result is still good.
-				c.scope.Instant("cache", "put-error", map[string]interface{}{
-					"key": key.Canonical, "err": perr.Error(),
-				})
-			}
-			return v, nil
-		})
-		if shared {
-			c.note(&c.stats.Coalesced)
-			c.metrics.Counter("cache.coalesced").Inc()
-			if !completed {
-				// The leader panicked; re-check the tiers and retry -
-				// one retrying caller becomes the next leader.
-				continue
-			}
+		v, cached, completed, err := c.computeOnce(key, compute)
+		if !completed {
+			// The leader panicked; re-check the tiers and retry - one
+			// retrying caller becomes the next leader.
+			continue
 		}
 		if err != nil {
-			return nil, shared, err
+			return nil, cached, err
 		}
 		// The flight hands every caller the same slice the leader's
 		// compute returned; copy so one caller mutating its result cannot
 		// poison the others (or, through them, the leader).
-		return append([]byte(nil), v...), shared, nil
+		return append([]byte(nil), v...), cached, nil
 	}
+}
+
+// computeOnce is the half of GetOrCompute a caller enters after its Get
+// missed: join the key's flight or lead one. cached reports that this
+// caller did not run compute; completed is false only when the leader it
+// joined panicked.
+func (c *Cache) computeOnce(key Key, compute func() ([]byte, error)) (val []byte, cached, completed bool, err error) {
+	// landed is set when this caller led a flight that found nothing left
+	// to do: it adopted a compute that had just landed, and counts as
+	// coalesced with it like the waiters that saw it land.
+	landed := false
+	v, err, shared, completed := c.flight.Do(key.ID, func() ([]byte, error) {
+		// The caller's Get and this Do are not one step: another caller's
+		// flight for the key may have been up at the Get and torn down by
+		// the Do, which makes this caller a second leader for a value the
+		// tiers already hold. Look again before computing - quietly, since
+		// the miss is already counted and this is no new lookup: no hit or
+		// miss, no recency update, no promotion.
+		if v, ok := c.peek(key); ok {
+			landed = true
+			return v, nil
+		}
+		c.note(&c.stats.Computes)
+		c.metrics.Counter("cache.computes").Inc()
+		v, err := compute()
+		if err != nil {
+			return nil, err
+		}
+		if perr := c.Put(key, v); perr != nil {
+			// Counted by Put; the compute result is still good.
+			c.scope.Instant("cache", "put-error", map[string]interface{}{
+				"key": key.Canonical, "err": perr.Error(),
+			})
+		}
+		return v, nil
+	})
+	if shared || landed {
+		c.note(&c.stats.Coalesced)
+		c.metrics.Counter("cache.coalesced").Inc()
+	}
+	return v, shared || landed, completed, err
 }
 
 // Stats snapshots the counters.
@@ -293,6 +317,23 @@ func (c *Cache) memGet(id string) ([]byte, bool) {
 	}
 	c.ll.MoveToFront(e)
 	return append([]byte(nil), e.Value.(*memItem).val...), true
+}
+
+// peek reads the tiers without leaving a trace: no hit or miss is
+// counted, the memory tier's recency order is untouched, a disk hit is
+// not promoted and a corrupt disk entry is not tallied (the Get that
+// preceded this already did). The returned slice is the caller's.
+func (c *Cache) peek(key Key) ([]byte, bool) {
+	c.mu.Lock()
+	e, ok := c.items[key.ID]
+	if ok {
+		v := append([]byte(nil), e.Value.(*memItem).val...)
+		c.mu.Unlock()
+		return v, true
+	}
+	c.mu.Unlock()
+	v, ok, _ := c.diskRead(key)
+	return v, ok
 }
 
 // memPut inserts (or refreshes) an entry and evicts from the LRU tail
@@ -380,12 +421,22 @@ func (c *Cache) diskPut(key Key, val []byte) error {
 // diskGet reads one entry. Every failure mode - missing file, torn
 // write, bit rot (hio's CRCs), wrong container shape, mismatched
 // canonical key - is a miss: the caller recomputes and the next Put
-// atomically replaces the bad file. Corrupt entries are deliberately
-// left in place rather than deleted here, so a concurrent writer's
-// fresh entry is never racily unlinked.
+// atomically replaces the bad file. Corrupt entries are counted and
+// deliberately left in place rather than deleted here, so a concurrent
+// writer's fresh entry is never racily unlinked.
 func (c *Cache) diskGet(key Key) ([]byte, bool) {
+	v, ok, corrupt := c.diskRead(key)
+	if corrupt {
+		c.dropCorrupt()
+	}
+	return v, ok
+}
+
+// diskRead is diskGet without the accounting: corrupt reports an entry
+// that exists but cannot be trusted.
+func (c *Cache) diskRead(key Key) (val []byte, ok, corrupt bool) {
 	if c.dir == "" {
-		return nil, false
+		return nil, false, false
 	}
 	file, err := hio.Load(c.diskPath(key))
 	if err != nil {
@@ -393,26 +444,20 @@ func (c *Cache) diskGet(key Key) ([]byte, bool) {
 		// (like ENOENT) was simply never written - a failed Put against an
 		// unwritable shard leaves nothing behind - so neither counts as a
 		// corrupt entry.
-		if !errors.Is(err, fs.ErrNotExist) && !errors.Is(err, syscall.ENOTDIR) {
-			c.dropCorrupt()
-		}
-		return nil, false
+		return nil, false, !errors.Is(err, fs.ErrNotExist) && !errors.Is(err, syscall.ENOTDIR)
 	}
 	grp, err := file.Root().Group(diskEntryGroup)
 	if err != nil {
-		c.dropCorrupt()
-		return nil, false
+		return nil, false, true
 	}
 	if canon, ok := grp.Attr("key"); !ok || canon != key.Canonical {
-		c.dropCorrupt()
-		return nil, false
+		return nil, false, true
 	}
 	framed, err := grp.ReadBytes("value")
 	if err != nil || len(framed) < 1 || framed[0] != 0x01 {
-		c.dropCorrupt()
-		return nil, false
+		return nil, false, true
 	}
-	return framed[1:], true
+	return framed[1:], true, false
 }
 
 // dropCorrupt accounts one disk entry rejected as corrupt or misfiled.

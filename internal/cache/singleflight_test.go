@@ -177,3 +177,90 @@ func TestFlightIndependentKeys(t *testing.T) {
 		t.Fatalf("fn ran %d times, want %d", got, keys)
 	}
 }
+
+// TestLateLeaderDoesNotRecompute forces the interleaving that used to
+// make GetOrCompute compute twice: caller B's Get misses, caller A's
+// whole flight - compute, Put, teardown - lands before B reaches the
+// flight table, and B arrives there as a second leader. B must find A's
+// value with the quiet re-check: no second compute, no second put, no
+// hit or miss counted - B is coalesced with A's compute, the one counter
+// that moves - and the memory tier's recency order exactly as A (and the
+// Put after it) left it. With and without a disk tier, and
+// with the value in the disk tier only.
+func TestLateLeaderDoesNotRecompute(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  Config
+		// between runs after A's flight has landed and before B resumes.
+		between func(t *testing.T, c *Cache)
+	}{
+		{name: "memory", cfg: Config{}},
+		{name: "memory+disk", cfg: Config{Dir: t.TempDir()}},
+		{
+			// A two-entry budget and two later Puts: A's value survives on
+			// disk alone.
+			name: "disk-only", cfg: Config{Dir: t.TempDir(), MemBytes: 2 * entrySize(100)},
+			between: func(t *testing.T, c *Cache) {
+				if err := c.Put(testKey("later"), make([]byte, 100)); err != nil {
+					t.Fatal(err)
+				}
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := New(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k := testKey("raced")
+			want := make([]byte, 100)
+			want[0] = 7
+			computes := 0
+			compute := func() ([]byte, error) {
+				computes++
+				return want, nil
+			}
+
+			if _, ok := c.Get(k); ok { // B's Get
+				t.Fatal("cold key hit")
+			}
+			if _, cached, err := c.GetOrCompute(k, compute); err != nil || cached { // A, start to finish
+				t.Fatalf("A: cached=%v err=%v", cached, err)
+			}
+			// Something touched after A, so the raced key is not the most
+			// recently used and a recency update would show.
+			if err := c.Put(testKey("after"), make([]byte, 100)); err != nil {
+				t.Fatal(err)
+			}
+			if tc.between != nil {
+				tc.between(t, c)
+			}
+			stats, order := c.Stats(), c.MemKeys()
+
+			v, cached, completed, err := c.computeOnce(k, compute) // B reaches the flight table
+			if err != nil || !completed || !cached {
+				t.Fatalf("B: cached=%v completed=%v err=%v", cached, completed, err)
+			}
+			if string(v) != string(want) {
+				t.Fatal("B got different bytes")
+			}
+			if computes != 1 {
+				t.Fatalf("computed %d times, want 1", computes)
+			}
+			stats.Coalesced++
+			if got := c.Stats(); got != stats {
+				t.Fatalf("counters moved:\n before %+v\n after  %+v", stats, got)
+			}
+			if got := c.MemKeys(); len(got) != len(order) {
+				t.Fatalf("memory tier changed: %v -> %v", order, got)
+			} else {
+				for i := range got {
+					if got[i] != order[i] {
+						t.Fatalf("recency order changed: %v -> %v", order, got)
+					}
+				}
+			}
+		})
+	}
+}

@@ -41,6 +41,11 @@ type rank struct {
 	// the matching inbound channel.
 	send [lattice.NDim][2]chan message
 	recv [lattice.NDim][2]chan message
+	// pack[stage&1][mu][dir] is the face buffer a message points into. Two
+	// sets, because a rank may pack its second stage while a slower
+	// neighbor has yet to copy the first stage's face out; a third stage
+	// cannot start before every rank has finished the first.
+	pack [2][lattice.NDim][2][]complex128
 }
 
 // Dist is a distributed Wilson operator over a process grid.
@@ -82,6 +87,8 @@ func NewDist(u *gauge.Field, grid [lattice.NDim]int, mass float64) (*Dist, error
 			}
 			for dir := 0; dir < 2; dir++ {
 				rk.send[mu][dir] = make(chan message, 1)
+				rk.pack[0][mu][dir] = make([]complex128, sub.FaceLen(mu))
+				rk.pack[1][mu][dir] = make([]complex128, sub.FaceLen(mu))
 			}
 		}
 		d.ranks = append(d.ranks, rk)
@@ -117,12 +124,36 @@ func (d *Dist) Specs() []SubSpec {
 	return out
 }
 
+// stages is what one distributed application runs on every rank between
+// the scatter and the gather. The gamma_5 sandwiches are applied where
+// the field lives: a sign flip is exact, so it commutes bit-for-bit with
+// the copies of a scatter or gather.
+type stages int
+
+const (
+	stagesApply  stages = iota // D
+	stagesDagger               // gamma_5 D gamma_5
+	stagesNormal               // gamma_5 D gamma_5 D, the intermediate never gathered
+)
+
 // Apply computes dst = D src with the four-step halo pipeline on every
 // rank concurrently.
-func (d *Dist) Apply(dst, src []complex128) {
-	if err := d.ApplyCtx(context.Background(), dst, src); err != nil {
+func (d *Dist) Apply(dst, src []complex128) { d.mustRun(dst, src, stagesApply) }
+
+// ApplyDagger implements solver.Linear via gamma_5 hermiticity.
+func (d *Dist) ApplyDagger(dst, src []complex128) { d.mustRun(dst, src, stagesDagger) }
+
+// ApplyNormal computes dst = D^dag D src in one distributed application:
+// each rank runs both stencils back to back on its own subdomain, with a
+// halo exchange before each, and the intermediate D src is never
+// gathered. The result is bit-for-bit ApplyDagger(Apply(src)); CGNE uses
+// it for the normal operator when the operator offers it.
+func (d *Dist) ApplyNormal(dst, src []complex128) { d.mustRun(dst, src, stagesNormal) }
+
+func (d *Dist) mustRun(dst, src []complex128, st stages) {
+	if err := d.run(context.Background(), dst, src, st); err != nil {
 		// Unreachable: the background context cannot be canceled, and
-		// ApplyCtx has no other failure mode.
+		// run has no other failure mode.
 		panic(err)
 	}
 }
@@ -132,6 +163,10 @@ func (d *Dist) Apply(dst, src []complex128) {
 // of blocking until the operator completes. On cancellation the contents
 // of dst are unspecified and ctx.Err() is returned.
 func (d *Dist) ApplyCtx(ctx context.Context, dst, src []complex128) error {
+	return d.run(ctx, dst, src, stagesApply)
+}
+
+func (d *Dist) run(ctx context.Context, dst, src []complex128, st stages) error {
 	if len(dst) != d.Size() || len(src) != d.Size() {
 		panic("domain: Apply size mismatch")
 	}
@@ -150,7 +185,7 @@ func (d *Dist) ApplyCtx(ctx context.Context, dst, src []complex128) error {
 	errs := make(chan error, len(d.ranks))
 	for _, rk := range d.ranks {
 		go func(rk *rank) {
-			errs <- d.applyRank(ctx, rk)
+			errs <- d.runRank(ctx, rk, st)
 		}(rk)
 	}
 	var firstErr error
@@ -185,14 +220,6 @@ func (d *Dist) ApplyCtx(ctx context.Context, dst, src []complex128) error {
 	return nil
 }
 
-// ApplyDagger implements solver.Linear via gamma_5 hermiticity.
-func (d *Dist) ApplyDagger(dst, src []complex128) {
-	tmp := make([]complex128, len(src))
-	Gamma5(tmp, src)
-	d.Apply(dst, tmp)
-	Gamma5(dst, dst)
-}
-
 // Gamma5 applies the chirality operator sitewise (dst may alias src);
 // with it any Apply-only operator gains ApplyDagger by gamma_5
 // hermiticity, which is how both Dist and the wire Session satisfy
@@ -210,9 +237,31 @@ func Gamma5(dst, src []complex128) {
 	}
 }
 
-// applyRank runs the paper's four steps on one rank, consulting ctx at
+// runRank runs one rank's share of an application: the stencil stages
+// the mode asks for, wrapped in the rank-local gamma_5 flips.
+func (d *Dist) runRank(ctx context.Context, rk *rank, st stages) error {
+	sub := rk.sub
+	if st == stagesDagger {
+		Gamma5(sub.src, sub.src)
+	}
+	if err := d.stencilStage(ctx, rk, 0); err != nil {
+		return err
+	}
+	if st == stagesNormal {
+		Gamma5(sub.src, sub.dst)
+		if err := d.stencilStage(ctx, rk, 1); err != nil {
+			return err
+		}
+	}
+	if st != stagesApply {
+		Gamma5(sub.dst, sub.dst)
+	}
+	return nil
+}
+
+// stencilStage runs the paper's four steps on one rank, consulting ctx at
 // every halo wait so cancellation interrupts the exchange.
-func (d *Dist) applyRank(ctx context.Context, rk *rank) error {
+func (d *Dist) stencilStage(ctx context.Context, rk *rank, stage int) error {
 	// Step 1: pack the halo faces.
 	// Step 2: post the sends (buffered channels: non-blocking here).
 	for mu := range rk.send {
@@ -220,7 +269,7 @@ func (d *Dist) applyRank(ctx context.Context, rk *rank) error {
 			continue
 		}
 		for dir := range rk.send[mu] {
-			buf := make([]complex128, rk.sub.FaceLen(mu))
+			buf := rk.pack[stage&1][mu][dir]
 			rk.sub.PackFace(mu, dir, buf)
 			select {
 			case rk.send[mu][dir] <- message{data: buf}:

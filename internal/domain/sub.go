@@ -152,6 +152,17 @@ func BuildSpecs(u *gauge.Field, grid [lattice.NDim]int, mass float64) ([]SubSpec
 	return specs, nil
 }
 
+// hop is one precomputed stencil leg: where the neighbor spinor sits in
+// the Sub's field array, and the gauge link that transports it.
+type hop struct {
+	psi  int32 // offset of the neighbor's 12 components in Sub.field
+	link *linalg.SU3
+}
+
+// hopsPerSite is the stencil's leg count: forward and backward in each
+// dimension, laid out [2*mu] = forward, [2*mu+1] = backward.
+const hopsPerSite = 2 * lattice.NDim
+
 // Sub is one rank's live subdomain state: geometry bookkeeping, gauge
 // links, ghost buffers, and field scratch. Methods are not safe for
 // concurrent use on one Sub; the orchestrator (Dist or a wire worker)
@@ -162,20 +173,26 @@ type Sub struct {
 	// Global lexicographic index of each local site (for scatter/gather).
 	globalOf []int
 
+	// field is the stencil's whole input in one array: the local source
+	// followed by every ghost face. src and ghostSpin are views into it,
+	// so a hop is one offset whether or not it crosses the rank edge.
+	field []complex128
 	// Ghost faces: ghostSpin[mu][dir] holds the neighbor face needed for
 	// hops in direction mu (dir 0 = from the lower neighbor, 1 = upper).
 	ghostSpin [lattice.NDim][2][]complex128
 
 	// faceSites[mu][dir] lists local sites on the dir-face of dim mu.
 	faceSites [lattice.NDim][2][]int
-	// faceIndex[mu][dir] maps a local site to its position within the
-	// face (or -1).
-	faceIndex [lattice.NDim][2][]int
+
+	// hops is the stencil table, hopsPerSite entries per local site:
+	// NewSub resolves every (site, mu, direction) to a field offset and a
+	// link once, so an application never touches coordinates.
+	hops []hop
 
 	interior []int // sites with no ghost dependence
 	boundary []int // sites touching at least one partitioned face
 
-	src, dst []complex128 // local field storage
+	src, dst []complex128 // local field storage; src is the head of field
 }
 
 // NewSub reconstructs the live subdomain from its spec.
@@ -188,15 +205,21 @@ func NewSub(spec SubSpec) (*Sub, error) {
 	if err != nil {
 		return nil, err
 	}
+	localLen := lg.Vol * spinorLen
+	fieldLen := localLen
 	for mu := 0; mu < lattice.NDim; mu++ {
 		if len(spec.U[mu]) != lg.Vol {
 			return nil, fmt.Errorf("domain: spec rank %d has %d U[%d] links, want %d",
 				spec.Rank, len(spec.U[mu]), mu, lg.Vol)
 		}
-		if spec.Partitioned(mu) && len(spec.GhostLink[mu]) != spec.FaceSites(mu) {
+		if !spec.Partitioned(mu) {
+			continue
+		}
+		if len(spec.GhostLink[mu]) != spec.FaceSites(mu) {
 			return nil, fmt.Errorf("domain: spec rank %d has %d ghost links in %d, want %d",
 				spec.Rank, len(spec.GhostLink[mu]), mu, spec.FaceSites(mu))
 		}
+		fieldLen += 2 * spec.FaceSites(mu) * spinorLen
 	}
 	sub := &Sub{Spec: spec, local: lg}
 	sub.globalOf = make([]int, lg.Vol)
@@ -208,33 +231,49 @@ func NewSub(spec SubSpec) (*Sub, error) {
 		}
 		sub.globalOf[s] = gg.Index(gc)
 	}
+	sub.field = make([]complex128, fieldLen)
+	sub.src = sub.field[:localLen:localLen]
+	sub.dst = make([]complex128, localLen)
+
+	// The table starts as the periodic local stencil; each partitioned
+	// dimension then redirects the legs that cross its two faces to the
+	// ghost face (and, backward, to the ghost link).
+	sub.hops = make([]hop, lg.Vol*hopsPerSite)
+	for s := 0; s < lg.Vol; s++ {
+		legs := sub.hops[s*hopsPerSite:]
+		for mu := 0; mu < lattice.NDim; mu++ {
+			bwd := lg.Bwd(s, mu)
+			legs[2*mu] = hop{psi: int32(lg.Fwd(s, mu) * spinorLen), link: &sub.Spec.U[mu][s]}
+			legs[2*mu+1] = hop{psi: int32(bwd * spinorLen), link: &sub.Spec.U[mu][bwd]}
+		}
+	}
 	touched := make([]bool, lg.Vol)
+	ghostAt := localLen
 	for mu := 0; mu < lattice.NDim; mu++ {
 		if !spec.Partitioned(mu) {
 			continue
 		}
-		for dir := 0; dir < 2; dir++ {
-			sub.faceIndex[mu][dir] = make([]int, lg.Vol)
-			for i := range sub.faceIndex[mu][dir] {
-				sub.faceIndex[mu][dir][i] = -1
-			}
-		}
+		faceLen := spec.FaceSites(mu) * spinorLen
+		lower, upper := ghostAt, ghostAt+faceLen
+		sub.ghostSpin[mu][0] = sub.field[lower:upper:upper]
+		sub.ghostSpin[mu][1] = sub.field[upper : upper+faceLen : upper+faceLen]
+		ghostAt += 2 * faceLen
 		for s := 0; s < lg.Vol; s++ {
+			legs := sub.hops[s*hopsPerSite:]
 			lc := lg.Coords(s)
 			if lc[mu] == 0 {
-				sub.faceIndex[mu][0][s] = len(sub.faceSites[mu][0])
+				i := len(sub.faceSites[mu][0])
 				sub.faceSites[mu][0] = append(sub.faceSites[mu][0], s)
 				touched[s] = true
+				legs[2*mu+1] = hop{psi: int32(lower + i*spinorLen), link: &sub.Spec.GhostLink[mu][i]}
 			}
 			if lc[mu] == spec.Local[mu]-1 {
-				sub.faceIndex[mu][1][s] = len(sub.faceSites[mu][1])
+				i := len(sub.faceSites[mu][1])
 				sub.faceSites[mu][1] = append(sub.faceSites[mu][1], s)
 				touched[s] = true
+				legs[2*mu].psi = int32(upper + i*spinorLen)
 			}
 		}
-		n := len(sub.faceSites[mu][0])
-		sub.ghostSpin[mu][0] = make([]complex128, n*spinorLen)
-		sub.ghostSpin[mu][1] = make([]complex128, n*spinorLen)
 	}
 	for s := 0; s < lg.Vol; s++ {
 		if touched[s] {
@@ -243,23 +282,21 @@ func NewSub(spec SubSpec) (*Sub, error) {
 			sub.interior = append(sub.interior, s)
 		}
 	}
-	sub.src = make([]complex128, lg.Vol*spinorLen)
-	sub.dst = make([]complex128, lg.Vol*spinorLen)
 	return sub, nil
 }
 
 // LocalLen returns the length of the local field vectors.
-func (sub *Sub) LocalLen() int { return sub.local.Vol * spinorLen }
+func (sub *Sub) LocalLen() int { return len(sub.src) }
 
 // FaceLen returns the complex length of one spinor face in dimension mu.
 func (sub *Sub) FaceLen(mu int) int { return len(sub.faceSites[mu][0]) * spinorLen }
 
-// SetSrc installs the local source field (length LocalLen).
-func (sub *Sub) SetSrc(src []complex128) {
-	copy(sub.src, src)
-}
+// Face returns the local sites on the dir-face of dimension mu in face
+// order - the order PackFace packs and the neighbor's ghost expects. The
+// caller must not modify it.
+func (sub *Sub) Face(mu, dir int) []int { return sub.faceSites[mu][dir] }
 
-// Src returns the local source storage (for in-place scatter).
+// Src returns the local source storage, for filling in place.
 func (sub *Sub) Src() []complex128 { return sub.src }
 
 // Dst returns the local result field after the stencil completes.
@@ -267,17 +304,15 @@ func (sub *Sub) Dst() []complex128 { return sub.dst }
 
 // ScatterFrom fills the local source from a global field.
 func (sub *Sub) ScatterFrom(global []complex128) {
-	for s := 0; s < sub.local.Vol; s++ {
-		copy(sub.src[s*spinorLen:(s+1)*spinorLen],
-			global[sub.globalOf[s]*spinorLen:(sub.globalOf[s]+1)*spinorLen])
+	for s, g := range sub.globalOf {
+		copy(sub.src[s*spinorLen:(s+1)*spinorLen], global[g*spinorLen:(g+1)*spinorLen])
 	}
 }
 
 // GatherTo writes the local result into a global field.
 func (sub *Sub) GatherTo(global []complex128) {
-	for s := 0; s < sub.local.Vol; s++ {
-		copy(global[sub.globalOf[s]*spinorLen:(sub.globalOf[s]+1)*spinorLen],
-			sub.dst[s*spinorLen:(s+1)*spinorLen])
+	for s, g := range sub.globalOf {
+		copy(global[g*spinorLen:(g+1)*spinorLen], sub.dst[s*spinorLen:(s+1)*spinorLen])
 	}
 }
 
@@ -311,30 +346,10 @@ func (sub *Sub) StencilBoundary() {
 	}
 }
 
-// neighborSpinor returns psi at the neighbor of local site s in direction
-// (mu, fwd), reading the ghost face when the hop crosses the rank edge.
-func (sub *Sub) neighborSpinor(s, mu int, fwd bool) []complex128 {
-	lc := sub.local.Coords(s)
-	if sub.Spec.Partitioned(mu) {
-		if fwd && lc[mu] == sub.local.Dims[mu]-1 {
-			i := sub.faceIndex[mu][1][s]
-			return sub.ghostSpin[mu][1][i*spinorLen : (i+1)*spinorLen]
-		}
-		if !fwd && lc[mu] == 0 {
-			i := sub.faceIndex[mu][0][s]
-			return sub.ghostSpin[mu][0][i*spinorLen : (i+1)*spinorLen]
-		}
-	}
-	var nb int
-	if fwd {
-		nb = sub.local.Fwd(s, mu)
-	} else {
-		nb = sub.local.Bwd(s, mu)
-	}
-	return sub.src[nb*spinorLen : (nb+1)*spinorLen]
-}
-
-// siteStencil applies the Wilson stencil at one local site.
+// siteStencil applies the Wilson stencil at one local site: the mass
+// term, then per dimension the forward hop (1-gamma) U_mu(x) psi(x+mu)
+// and the backward hop (1+gamma) U_mu(x-mu)^dag psi(x-mu), each leg's
+// spinor and link read off the table.
 func (sub *Sub) siteStencil(s int) {
 	out := sub.dst[s*spinorLen : (s+1)*spinorLen]
 	in := sub.src[s*spinorLen : (s+1)*spinorLen]
@@ -342,18 +357,11 @@ func (sub *Sub) siteStencil(s int) {
 	for i := 0; i < spinorLen; i++ {
 		out[i] = diag * in[i]
 	}
-	lc := sub.local.Coords(s)
+	legs := sub.hops[s*hopsPerSite : (s+1)*hopsPerSite]
 	for mu := 0; mu < lattice.NDim; mu++ {
-		// Forward hop: (1-gamma) U_mu(x) psi(x+mu).
-		hopAccumLocal(out, sub.neighborSpinor(s, mu, true), &sub.Spec.U[mu][s], mu, -1, false)
-		// Backward hop: (1+gamma) U_mu(x-mu)^dag psi(x-mu).
-		var link *linalg.SU3
-		if sub.Spec.Partitioned(mu) && lc[mu] == 0 {
-			link = &sub.Spec.GhostLink[mu][sub.faceIndex[mu][0][s]]
-		} else {
-			link = &sub.Spec.U[mu][sub.local.Bwd(s, mu)]
-		}
-		hopAccumLocal(out, sub.neighborSpinor(s, mu, false), link, mu, +1, true)
+		fwd, bwd := &legs[2*mu], &legs[2*mu+1]
+		hopAccumLocal(out, sub.field[fwd.psi:fwd.psi+spinorLen], fwd.link, mu, -1, false)
+		hopAccumLocal(out, sub.field[bwd.psi:bwd.psi+spinorLen], bwd.link, mu, +1, true)
 	}
 }
 

@@ -42,7 +42,31 @@ type DistributedRow struct {
 	HaloFrames    int64
 	HaloWireBytes int64
 	BitDiffs      int
+	// Requests is the coordinator round trips of the solve; SplitUS is
+	// where one of them went on average, microseconds, keyed by the
+	// session's wire.time.* counter it was read from (splitKeys). The
+	// coord_* phases partition the request on the coordinator; the
+	// worker_* steps are the mean over ranks of what happened inside its
+	// result wait.
+	Requests int64
+	SplitUS  map[string]float64
 }
+
+// splitKeys are the wire.time.* counters of a row's split, in pipeline
+// order; each is wire.time.<key>_ns in the session's registry.
+var splitKeys = []string{
+	"coord_scatter_send", "coord_result_wait", "coord_gather",
+	"worker_decode", "worker_pack_send", "worker_interior", "worker_ghost_wait", "worker_boundary", "worker_encode",
+}
+
+// splitLabels head the split's columns, key for key; the first
+// coordPhases of them are the coordinator's.
+var splitLabels = []string{
+	"scatter+send", "result_wait", "gather",
+	"decode", "pack+send", "interior", "ghost_wait", "boundary", "encode",
+}
+
+const coordPhases = 3
 
 // Name implements Result.
 func (Distributed) Name() string { return "distributed" }
@@ -62,6 +86,25 @@ func (d Distributed) Render() string {
 			r.Ranks, r.Policy, r.Seconds, r.Iters, r.HaloFrames, r.HaloWireBytes, r.BitDiffs)
 	}
 	fmt.Fprintf(&b, "# every row bit-for-bit the single-process solve (bit_diffs must be 0)\n")
+	fmt.Fprintf(&b, "# where one coordinator request went (us, mean; worker steps averaged over ranks)\n")
+	fmt.Fprintf(&b, "# ranks  policy         requests")
+	for i, label := range splitLabels {
+		if i == coordPhases {
+			fmt.Fprintf(&b, " |")
+		}
+		fmt.Fprintf(&b, "  %12s", label)
+	}
+	fmt.Fprintf(&b, "\n")
+	for _, r := range d.Rows {
+		fmt.Fprintf(&b, "%7d  %-13s %9d", r.Ranks, r.Policy, r.Requests)
+		for i, k := range splitKeys {
+			if i == coordPhases {
+				fmt.Fprintf(&b, " |")
+			}
+			fmt.Fprintf(&b, "  %12.1f", r.SplitUS[k])
+		}
+		fmt.Fprintf(&b, "\n")
+	}
 	return b.String()
 }
 
@@ -77,6 +120,10 @@ func (d Distributed) Data() map[string]interface{} {
 		out[k+"_halo_frames"] = r.HaloFrames
 		out[k+"_halo_wire_bytes"] = r.HaloWireBytes
 		out[k+"_bit_diffs"] = r.BitDiffs
+		out[k+"_requests"] = r.Requests
+		for _, sk := range splitKeys {
+			out[k+"_"+sk+"_us"] = r.SplitUS[sk]
+		}
 	}
 	return out
 }
@@ -151,13 +198,23 @@ func genDistributed(quick bool) (Result, error) {
 			if diffs != 0 {
 				return nil, fmt.Errorf("figures: %d-rank %s solve diverges from single process in %d components", ranks, pol.name, diffs)
 			}
-			out.Rows = append(out.Rows, DistributedRow{
+			row := DistributedRow{
 				Ranks: ranks, Policy: pol.name,
 				Seconds: secs, Iters: st.Iterations,
 				HaloFrames:    reg.Counter("wire.halo_frames").Value(),
 				HaloWireBytes: reg.Counter("wire.halo_wire_bytes").Value(),
 				BitDiffs:      diffs,
-			})
+				Requests:      reg.Counter("wire.requests").Value(),
+				SplitUS:       map[string]float64{},
+			}
+			for _, sk := range splitKeys {
+				per := float64(reg.Counter("wire.time."+sk+"_ns").Value()) / 1e3 / float64(row.Requests)
+				if strings.HasPrefix(sk, "worker_") {
+					per /= float64(ranks)
+				}
+				row.SplitUS[sk] = per
+			}
+			out.Rows = append(out.Rows, row)
 		}
 	}
 	return out, nil

@@ -204,7 +204,7 @@ func (sc Scope) Instant(cat, name string, args map[string]interface{}) {
 	}
 	sc.tr.record(event{
 		Name: name, Cat: cat, Ph: "i", S: "t",
-		TS: sc.tr.micros(sc.tr.clock()),
+		TS:  sc.tr.micros(sc.tr.clock()),
 		PID: sc.pid, TID: sc.tid, Args: args,
 	})
 }
@@ -235,7 +235,7 @@ func (t *Tracer) AddInstant(pid, tid int, cat, name string, at time.Duration, ar
 	}
 	t.record(event{
 		Name: name, Cat: cat, Ph: "i", S: "t",
-		TS: at.Microseconds(),
+		TS:  at.Microseconds(),
 		PID: pid, TID: tid, Args: args,
 	})
 }

@@ -74,9 +74,19 @@ func CGNEFrom(ctx context.Context, op Linear, b, x0 []complex128, p Params) ([]c
 	r := append([]complex128(nil), rhs...)
 	ap := make([]complex128, n)
 	tmp := make([]complex128, n)
+	// normal computes dst = D^dag D src: in one call when the operator can
+	// (a distributed operator then keeps D src on its ranks), as the two
+	// applications otherwise. The operator's type chooses, and must make
+	// the two bit-for-bit equal.
+	normal := func(dst, src []complex128) {
+		op.Apply(tmp, src)
+		op.ApplyDagger(dst, tmp)
+	}
+	if fused, ok := op.(interface{ ApplyNormal(dst, src []complex128) }); ok {
+		normal = fused.ApplyNormal
+	}
 	if x0 != nil {
-		op.Apply(tmp, x)
-		op.ApplyDagger(ap, tmp)
+		normal(ap, x)
 		st.Flops += 2 * p.FlopsPerApply
 		linalg.Axpy(-1, ap, r, w)
 	}
@@ -113,8 +123,7 @@ func CGNEFrom(ctx context.Context, op Linear, b, x0 []complex128, p Params) ([]c
 			return x, st, fmt.Errorf("solver: interrupted after %d iterations: %w", st.Iterations, err)
 		}
 		// ap = N p = D^dag D p.
-		op.Apply(tmp, pv)
-		op.ApplyDagger(ap, tmp)
+		normal(ap, pv)
 		st.Flops += 2 * p.FlopsPerApply
 		st.Iterations++
 

@@ -321,3 +321,74 @@ func TestPreconditioningAblation(t *testing.T) {
 		stFull.Iterations, float64(stFull.Flops),
 		float64(stFull.Flops)/float64(stPre.Flops))
 }
+
+// normalOp is a diagOp that also offers the one-call normal operator and
+// counts which entry points the solver took.
+type normalOp struct {
+	diagOp
+	tmp                     []complex128
+	applies, daggers, fused int
+}
+
+func (o *normalOp) Apply(dst, src []complex128) {
+	o.applies++
+	o.diagOp.Apply(dst, src)
+}
+
+func (o *normalOp) ApplyDagger(dst, src []complex128) {
+	o.daggers++
+	o.diagOp.ApplyDagger(dst, src)
+}
+
+func (o *normalOp) ApplyNormal(dst, src []complex128) {
+	o.fused++
+	o.diagOp.Apply(o.tmp, src)
+	o.diagOp.ApplyDagger(dst, o.tmp)
+}
+
+// TestCGNETakesApplyNormalWhenOffered checks the selection is by the
+// operator's type alone: an operator with ApplyNormal gets exactly one
+// call per iteration (and one for an initial guess) in place of the
+// Apply+ApplyDagger pair, and the solve is bit-for-bit the one without.
+func TestCGNETakesApplyNormalWhenOffered(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	n := 64
+	d := make([]complex128, n)
+	for i := range d {
+		d[i] = complex(1+rng.Float64(), rng.Float64()-0.5)
+	}
+	b := randRHS(rng, n)
+	x0 := randRHS(rng, n)
+	p := Params{Tol: 1e-10, RecordResiduals: true}
+
+	plain := &diagOp{d: d}
+	xRef, stRef, err := CGNEFrom(context.Background(), plain, b, x0, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op := &normalOp{diagOp: diagOp{d: d}, tmp: make([]complex128, n)}
+	x, st, err := CGNEFrom(context.Background(), op, b, x0, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if op.fused != st.Iterations+1 {
+		t.Fatalf("ApplyNormal called %d times over %d iterations and one initial guess", op.fused, st.Iterations)
+	}
+	// What is left for the pair: D^dag b, and the true-residual checks.
+	if op.daggers != 1 || op.applies == 0 || op.applies > 1+st.Iterations {
+		t.Fatalf("Apply called %d times, ApplyDagger %d: the normal operator still went through the pair", op.applies, op.daggers)
+	}
+	if st.Iterations != stRef.Iterations || len(st.Residuals) != len(stRef.Residuals) {
+		t.Fatalf("iterations %d vs %d", st.Iterations, stRef.Iterations)
+	}
+	for i := range x {
+		if x[i] != xRef[i] {
+			t.Fatalf("component %d: %v vs %v", i, x[i], xRef[i])
+		}
+	}
+	for i := range st.Residuals {
+		if st.Residuals[i] != stRef.Residuals[i] {
+			t.Fatalf("residual %d: %v vs %v", i, st.Residuals[i], stRef.Residuals[i])
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -91,17 +92,30 @@ type Stats struct {
 // connection; a semaphore rather than a mutex because the critical
 // section sleeps through injected delays and backoff, and parking while
 // holding a sync.Mutex is against the lockhold contract).
+//
+// Each direction owns one reusable buffer. A sender renders its frame
+// straight into the write buffer (begin, append the payload, send) and the
+// frame leaves in one write; the read side is a FrameReader, so a received
+// Payload aliases the read buffer and is valid only until the next Recv.
+// One goroutine at a time may Recv.
 type Conn struct {
-	c          net.Conn
-	link       int // directed chaos link key (fault.LinkKey)
-	plink      int // canonical (order-independent) key: partitions sever both ways
-	chaos      *Chaos
-	timing     Timing
-	maxPayload int
-	writeSem   chan struct{}
-	epoch      func() uint64 // current epoch for partition draws
-	stats      *Stats
+	c        net.Conn
+	link     int // directed chaos link key (fault.LinkKey)
+	plink    int // canonical (order-independent) key: partitions sever both ways
+	chaos    *Chaos
+	timing   Timing
+	writeSem chan struct{}
+	wbuf     []byte // the frame being sent; owned by the writeSem holder
+	rd       FrameReader
+	epoch    func() uint64 // current epoch for partition draws
+	stats    *Stats
 }
+
+// poisonReads makes every new connection scribble over a received frame
+// as soon as its consumer asks for the next one. Tests set it to prove no
+// payload outlives its validity; nothing else writes it (atomic because
+// workers of an earlier test may still be winding down when one does).
+var poisonReads atomic.Bool
 
 // newConn wraps an established socket.
 func newConn(c net.Conn, link, plink int, chaos *Chaos, timing Timing, maxPayload int, epoch func() uint64, stats *Stats) *Conn {
@@ -113,7 +127,8 @@ func newConn(c net.Conn, link, plink int, chaos *Chaos, timing Timing, maxPayloa
 	}
 	return &Conn{
 		c: c, link: link, plink: plink, chaos: chaos, timing: timing,
-		maxPayload: maxPayload, writeSem: make(chan struct{}, 1), epoch: epoch, stats: stats,
+		writeSem: make(chan struct{}, 1), epoch: epoch, stats: stats,
+		rd: FrameReader{r: c, maxPayload: maxPayload, poison: poisonReads.Load()},
 	}
 }
 
@@ -122,7 +137,7 @@ func newConn(c net.Conn, link, plink int, chaos *Chaos, timing Timing, maxPayloa
 // chaos-free under default deadlines: ranks are unassigned, so there is
 // no identity to key draws by). Only legal before concurrent use starts.
 func (fc *Conn) arm(link, plink int, chaos *Chaos, timing Timing, maxPayload int, epoch func() uint64) {
-	fc.link, fc.plink, fc.chaos, fc.timing, fc.maxPayload = link, plink, chaos, timing, maxPayload
+	fc.link, fc.plink, fc.chaos, fc.timing, fc.rd.maxPayload = link, plink, chaos, timing, maxPayload
 	if epoch != nil {
 		fc.epoch = epoch
 	}
@@ -146,29 +161,46 @@ func (fc *Conn) Stats() *Stats { return fc.stats }
 // RemoteAddr exposes the peer address for diagnostics.
 func (fc *Conn) RemoteAddr() string { return fc.c.RemoteAddr().String() }
 
-// Send transmits one frame. Chaos faults drawn for the transmission are
-// simulated sender-side: a dropped or corrupted attempt is followed by a
-// capped-jittered backoff and a retransmission drawing a fresh variate,
-// so the frame eventually lands unless the attempt cap trips
-// (ErrLinkFailed) or the link is partitioned for the epoch (silently
-// swallowed - only the heartbeat monitor can see through a partition).
-// sel disambiguates frames sharing a (type, xid) - the halo section
-// index - so every transmission draws from its own identity key.
+// Send transmits one frame whose payload is already rendered (the small
+// control frames). sel disambiguates frames sharing a (type, xid) - the
+// halo section index - so every transmission draws from its own identity
+// key.
 func (fc *Conn) Send(f *Frame, sel int) error {
+	return fc.send(append(fc.begin(f.Type, f.Rank, f.Xid), f.Payload...), sel)
+}
+
+// begin takes the connection's write side and opens a frame in its write
+// buffer. The caller appends the payload to the returned slice - straight
+// from the field, face or stats it describes - and must hand it to send,
+// which releases the write side.
+func (fc *Conn) begin(t MsgType, rank int, xid uint64) []byte {
+	fc.writeSem <- struct{}{}
+	return BeginFrame(fc.wbuf[:0], t, rank, xid)
+}
+
+// send seals the frame begin opened and transmits it. Chaos faults drawn
+// for the transmission are simulated sender-side: a dropped or corrupted
+// attempt is followed by a capped-jittered backoff and a retransmission
+// drawing a fresh variate, so the frame eventually lands unless the
+// attempt cap trips (ErrLinkFailed) or the link is partitioned for the
+// epoch (silently swallowed - only the heartbeat monitor can see through
+// a partition).
+func (fc *Conn) send(buf []byte, sel int) error {
+	defer func() { <-fc.writeSem }()
+	fc.wbuf = FinishFrame(buf)
+	data := fc.wbuf
 	if fc.chaos.LinkDown(fc.plink, fc.epoch()) {
 		// Partitioned: the bytes vanish. Reporting success is the point -
 		// a real partition gives the sender no signal either.
 		return nil
 	}
-	fc.writeSem <- struct{}{}
-	defer func() { <-fc.writeSem }()
-
-	data := EncodeFrame(f)
+	typ, xid := MsgType(data[4]), binary.LittleEndian.Uint64(data[9:])
+	paylen := len(data) - FrameOverhead
 	for attempt := 1; ; attempt++ {
 		if attempt > fc.timing.MaxSendAttempts {
-			return fmt.Errorf("%w: %d transmissions of %v frame all faulted", ErrLinkFailed, fc.timing.MaxSendAttempts, f.Type)
+			return fmt.Errorf("%w: %d transmissions of %v frame all faulted", ErrLinkFailed, fc.timing.MaxSendAttempts, typ)
 		}
-		key := fault.MsgKey(f.Xid, int(f.Type), sel, attempt)
+		key := fault.MsgKey(xid, int(typ), sel, attempt)
 		k := fc.chaos.Draw(fc.link, key)
 		switch k {
 		case fault.NetDrop:
@@ -181,15 +213,14 @@ func (fc *Conn) Send(f *Frame, sel int) error {
 			// Damage a payload byte (or the checksum when there is no
 			// payload) and deliver: the receiver's CRC must catch it and
 			// discard the frame. Then back off and retransmit clean.
-			bad := append([]byte(nil), data...)
-			idx := headerLen
-			if len(f.Payload) == 0 {
-				idx = len(bad) - 1
-			} else {
-				idx += int(fault.Uniform(fc.chaos.Plan().Seed^corruptSalt, int64(fc.link), int64(f.Xid)) * float64(len(f.Payload)))
+			idx := len(data) - 1
+			if paylen > 0 {
+				idx = headerLen + int(fault.Uniform(fc.chaos.Plan().Seed^corruptSalt, int64(fc.link), int64(xid))*float64(paylen))
 			}
-			bad[idx] ^= 0xa5
-			if err := fc.writeAll(bad); err != nil {
+			data[idx] ^= 0xa5
+			err := fc.writeAll(data)
+			data[idx] ^= 0xa5
+			if err != nil {
 				return err
 			}
 			fc.stats.Resends.Add(1)
@@ -205,6 +236,17 @@ func (fc *Conn) Send(f *Frame, sel int) error {
 
 const corruptSalt = 0x636f7272 // "corr"
 
+// stopTimer leaves a reused timer stopped with its channel empty, ready
+// for the next Reset, whether or not it fired.
+func stopTimer(t *time.Timer) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+}
+
 // writeAll writes data under the per-op deadline.
 func (fc *Conn) writeAll(data []byte) error {
 	if err := fc.c.SetWriteDeadline(time.Now().Add(fc.timing.IOTimeout)); err != nil {
@@ -216,21 +258,19 @@ func (fc *Conn) writeAll(data []byte) error {
 
 // Recv reads the next intact frame, discarding checksum-damaged frames
 // (payload corruption preserves framing; the retransmission follows).
-// timeout bounds the whole call; zero means the per-op IOTimeout.
-// Discarded frames are tallied in the connection Stats.
+// The frame's Payload aliases the connection's read buffer: it is valid
+// until the next Recv and no longer. timeout bounds the whole call; zero
+// means the per-op IOTimeout. Discarded frames are tallied in the
+// connection Stats.
 func (fc *Conn) Recv(timeout time.Duration) (Frame, error) {
 	if timeout <= 0 {
 		timeout = fc.timing.IOTimeout
 	}
-	deadline := time.Now().Add(timeout)
+	if err := fc.c.SetReadDeadline(time.Now().Add(timeout)); err != nil {
+		return Frame{}, err
+	}
 	for {
-		if err := fc.c.SetReadDeadline(deadline); err != nil {
-			return Frame{}, err
-		}
-		f, err := ReadFrame(fc.c, fc.maxPayload)
-		if err == nil {
-			return f, nil
-		}
+		f, err := fc.rd.Next()
 		if errors.Is(err, ErrCorrupt) {
 			// Detected damage: drop the frame, keep the stream. Injected
 			// corruption touches only payload/CRC bytes, so framing
@@ -240,6 +280,6 @@ func (fc *Conn) Recv(timeout time.Duration) (Frame, error) {
 			fc.stats.Corrupts.Add(1)
 			continue
 		}
-		return Frame{}, err
+		return f, err
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 )
 
 // MsgType enumerates the protocol's frame types.
@@ -101,7 +102,10 @@ const (
 // FrameOverhead is the fixed per-frame wire cost beyond the payload.
 const FrameOverhead = headerLen + trailerLen
 
-// Frame is one protocol message.
+// Frame is one protocol message. A frame handed out by a FrameReader or
+// a Conn borrows its Payload from the reader's buffer: the bytes are valid
+// only until the next frame is read, so a consumer decodes them into its
+// own storage before it reads again.
 type Frame struct {
 	Type    MsgType
 	Rank    int // sender rank; the coordinator sends as -1
@@ -122,114 +126,185 @@ var ErrCorrupt = errors.New("wire: corrupt frame")
 // detected fault, exactly like corruption.
 var ErrTruncated = errors.New("wire: truncated frame")
 
-// EncodeFrame renders the frame to a fresh byte slice.
-func EncodeFrame(f *Frame) []byte {
-	buf := make([]byte, headerLen+len(f.Payload)+trailerLen)
-	binary.LittleEndian.PutUint32(buf[0:], frameMagic)
-	buf[4] = byte(f.Type)
-	binary.LittleEndian.PutUint32(buf[5:], uint32(int32(f.Rank)))
-	binary.LittleEndian.PutUint64(buf[9:], f.Xid)
-	binary.LittleEndian.PutUint32(buf[17:], uint32(len(f.Payload)))
-	copy(buf[headerLen:], f.Payload)
-	crc := crc32.ChecksumIEEE(buf[4 : headerLen+len(f.Payload)])
-	binary.LittleEndian.PutUint32(buf[headerLen+len(f.Payload):], crc)
-	return buf
+// BeginFrame opens a frame at the head of buf, which must be empty (a
+// reused buffer cut to [:0]): the header, with the length field left for
+// FinishFrame. The caller appends the payload and seals the frame.
+func BeginFrame(buf []byte, t MsgType, rank int, xid uint64) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, frameMagic)
+	buf = append(buf, byte(t))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(int32(rank)))
+	buf = binary.LittleEndian.AppendUint64(buf, xid)
+	return binary.LittleEndian.AppendUint32(buf, 0)
+}
+
+// FinishFrame seals the frame BeginFrame opened at buf[0]: everything
+// after the header is the payload, whose length is patched in and whose
+// checksum is computed where it lies and appended.
+func FinishFrame(buf []byte) []byte {
+	binary.LittleEndian.PutUint32(buf[17:], uint32(len(buf)-headerLen))
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[4:]))
+}
+
+// frameLen validates the header at the head of data (magic, length bound)
+// and returns the frame's full wire length. maxPayload bounds the length
+// field before anything is sized by it.
+func frameLen(data []byte, maxPayload int) (int, error) {
+	if binary.LittleEndian.Uint32(data[0:]) != frameMagic {
+		return 0, fmt.Errorf("%w: bad magic %#x", ErrCorrupt, binary.LittleEndian.Uint32(data[0:]))
+	}
+	paylen := binary.LittleEndian.Uint32(data[17:])
+	if int64(paylen) > int64(maxPayload) {
+		return 0, fmt.Errorf("%w: length %d exceeds bound %d", ErrCorrupt, paylen, maxPayload)
+	}
+	return headerLen + int(paylen) + trailerLen, nil
 }
 
 // DecodeFrame parses one frame from the head of data, returning the
-// frame and the bytes consumed. maxPayload bounds the length field: a
-// corrupt length can therefore never force a large allocation.
+// frame and the bytes consumed. The frame's Payload aliases data.
+// maxPayload bounds the length field.
 func DecodeFrame(data []byte, maxPayload int) (Frame, int, error) {
 	if len(data) < headerLen {
 		return Frame{}, 0, fmt.Errorf("%w: %d header bytes of %d", ErrTruncated, len(data), headerLen)
 	}
-	if binary.LittleEndian.Uint32(data[0:]) != frameMagic {
-		return Frame{}, 0, fmt.Errorf("%w: bad magic %#x", ErrCorrupt, binary.LittleEndian.Uint32(data[0:]))
+	total, err := frameLen(data, maxPayload)
+	if err != nil {
+		return Frame{}, 0, err
 	}
-	paylen := binary.LittleEndian.Uint32(data[17:])
-	if int64(paylen) > int64(maxPayload) {
-		return Frame{}, 0, fmt.Errorf("%w: length %d exceeds bound %d", ErrCorrupt, paylen, maxPayload)
-	}
-	total := headerLen + int(paylen) + trailerLen
 	if len(data) < total {
 		return Frame{}, 0, fmt.Errorf("%w: %d bytes of %d", ErrTruncated, len(data), total)
 	}
-	want := binary.LittleEndian.Uint32(data[headerLen+int(paylen):])
-	if got := crc32.ChecksumIEEE(data[4 : headerLen+int(paylen)]); got != want {
+	body := data[4 : total-trailerLen]
+	want := binary.LittleEndian.Uint32(data[total-trailerLen:])
+	if got := crc32.ChecksumIEEE(body); got != want {
 		return Frame{}, 0, fmt.Errorf("%w: crc %#x != %#x", ErrCorrupt, got, want)
 	}
 	f := Frame{
 		Type:    MsgType(data[4]),
 		Rank:    int(int32(binary.LittleEndian.Uint32(data[5:]))),
 		Xid:     binary.LittleEndian.Uint64(data[9:]),
-		Payload: append([]byte(nil), data[headerLen:headerLen+int(paylen)]...),
+		Payload: data[headerLen : total-trailerLen : total-trailerLen],
 	}
 	return f, total, nil
 }
 
-// WriteFrame writes one frame to w.
-func WriteFrame(w io.Writer, f *Frame) error {
-	_, err := w.Write(EncodeFrame(f))
-	return err
+// FrameReader reads frames from a stream through one reusable buffer: a
+// frame is parsed and checksummed where the socket read left it, and the
+// Payload it hands out aliases that buffer until the next call to Next.
+// The buffer grows to the largest frame seen and never past the payload
+// bound, so a steady stream of frames allocates nothing. Not safe for
+// concurrent use.
+type FrameReader struct {
+	r          io.Reader
+	maxPayload int
+	buf        []byte
+	lo, hi     int // buf[lo:hi] is read but not yet consumed
+	// poison overwrites every consumed frame on the next call - the test
+	// hook that proves no consumer keeps a payload past its validity.
+	poison bool
+	last   int // start of the frame the previous Next handed out
 }
 
-// ReadFrame reads one frame from r. Truncation surfaces as ErrTruncated,
-// damage as ErrCorrupt; the caller decides whether the stream is still
-// framed (only payload/crc damage preserves framing).
-func ReadFrame(r io.Reader, maxPayload int) (Frame, error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return Frame{}, fmt.Errorf("%w: stream ended mid-header", ErrTruncated)
+// minReadBuf is the reader's initial buffer: small frames (beats, acks)
+// arrive several to a read without the buffer ever growing.
+const minReadBuf = 4096
+
+// NewFrameReader reads frames of at most maxPayload payload bytes from r.
+func NewFrameReader(r io.Reader, maxPayload int) *FrameReader {
+	return &FrameReader{r: r, maxPayload: maxPayload}
+}
+
+// Next returns the next frame. Truncation surfaces as ErrTruncated,
+// damage as ErrCorrupt (the damaged bytes are consumed; whether the
+// stream is still framed is the caller's call - only payload/crc damage
+// preserves framing), a stream that ends between frames as io.EOF. A
+// deadline error from the underlying reader loses nothing: the partial
+// frame stays buffered and the next call resumes it.
+func (fr *FrameReader) Next() (Frame, error) {
+	if fr.poison {
+		for i := fr.last; i < fr.lo; i++ {
+			fr.buf[i] = 0xa5
 		}
+	}
+	if err := fr.fill(headerLen); err != nil {
 		return Frame{}, err
 	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != frameMagic {
-		return Frame{}, fmt.Errorf("%w: bad magic %#x", ErrCorrupt, binary.LittleEndian.Uint32(hdr[0:]))
-	}
-	paylen := binary.LittleEndian.Uint32(hdr[17:])
-	if int64(paylen) > int64(maxPayload) {
-		return Frame{}, fmt.Errorf("%w: length %d exceeds bound %d", ErrCorrupt, paylen, maxPayload)
-	}
-	rest := make([]byte, int(paylen)+trailerLen)
-	if _, err := io.ReadFull(r, rest); err != nil {
-		if errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF) {
-			return Frame{}, fmt.Errorf("%w: stream ended mid-frame", ErrTruncated)
-		}
+	total, err := frameLen(fr.buf[fr.lo:fr.hi], fr.maxPayload)
+	if err != nil {
+		fr.lo += headerLen
 		return Frame{}, err
 	}
-	full := make([]byte, 0, headerLen+len(rest))
-	full = append(full, hdr[:]...)
-	full = append(full, rest...)
-	f, _, err := DecodeFrame(full, maxPayload)
+	if err := fr.fill(total); err != nil {
+		return Frame{}, err
+	}
+	f, _, err := DecodeFrame(fr.buf[fr.lo:fr.lo+total], fr.maxPayload)
+	fr.last = fr.lo
+	fr.lo += total
 	return f, err
+}
+
+// fill makes at least n unconsumed bytes available at buf[lo:], reading
+// as much as the socket offers. The caller has already bounded n.
+func (fr *FrameReader) fill(n int) error {
+	if fr.lo+n > len(fr.buf) {
+		// The frame does not fit behind lo: slide the unconsumed bytes to
+		// the front, into a larger buffer if even that is too small.
+		to := fr.buf
+		if n > len(to) {
+			to = make([]byte, max(n, minReadBuf))
+		}
+		fr.hi = copy(to, fr.buf[fr.lo:fr.hi])
+		fr.buf, fr.lo, fr.last = to, 0, 0
+	}
+	for empty := 0; fr.hi-fr.lo < n; {
+		m, err := fr.r.Read(fr.buf[fr.hi:])
+		fr.hi += m
+		switch {
+		case fr.hi-fr.lo >= n:
+			return nil
+		case errors.Is(err, io.EOF) && (fr.hi > fr.lo || n > headerLen):
+			return fmt.Errorf("%w: stream ended mid-frame", ErrTruncated)
+		case err != nil:
+			return err
+		case m > 0:
+			empty = 0
+		default:
+			if empty++; empty == 100 {
+				return io.ErrNoProgress
+			}
+		}
+	}
+	return nil
 }
 
 // Payload encoding helpers: complex128 fields travel as interleaved
 // little-endian float64 bit patterns, the byte-exact image of the
 // in-memory values, so a field survives the round trip bit-for-bit.
 
-// AppendComplex appends the raw encoding of v to buf.
+// AppendComplex appends the raw encoding of v to buf in one pass over a
+// buffer grown once.
 func AppendComplex(buf []byte, v []complex128) []byte {
-	for _, c := range v {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(real(c)))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(imag(c)))
+	n := len(buf)
+	buf = slices.Grow(buf, 16*len(v))[:n+16*len(v)]
+	out := buf[n:]
+	for i, c := range v {
+		o := out[i*16 : i*16+16 : i*16+16]
+		binary.LittleEndian.PutUint64(o, math.Float64bits(real(c)))
+		binary.LittleEndian.PutUint64(o[8:], math.Float64bits(imag(c)))
 	}
 	return buf
 }
 
-// DecodeComplex decodes n complex values from the head of buf, returning
-// the remainder.
-func DecodeComplex(buf []byte, n int) ([]complex128, []byte, error) {
-	need := n * 16
+// DecodeComplex decodes len(dst) complex values from the head of buf
+// straight into dst, returning the remainder.
+func DecodeComplex(dst []complex128, buf []byte) ([]byte, error) {
+	need := 16 * len(dst)
 	if len(buf) < need {
-		return nil, nil, fmt.Errorf("%w: %d payload bytes for %d complex values", ErrTruncated, len(buf), n)
+		return nil, fmt.Errorf("%w: %d payload bytes for %d complex values", ErrTruncated, len(buf), len(dst))
 	}
-	out := make([]complex128, n)
-	for i := 0; i < n; i++ {
-		re := math.Float64frombits(binary.LittleEndian.Uint64(buf[i*16:]))
-		im := math.Float64frombits(binary.LittleEndian.Uint64(buf[i*16+8:]))
-		out[i] = complex(re, im)
+	for i := range dst {
+		o := buf[i*16 : i*16+16 : i*16+16]
+		dst[i] = complex(math.Float64frombits(binary.LittleEndian.Uint64(o)),
+			math.Float64frombits(binary.LittleEndian.Uint64(o[8:])))
 	}
-	return out, buf[need:], nil
+	return buf[need:], nil
 }

@@ -3,10 +3,22 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"testing"
 )
+
+// EncodeFrame renders the frame to a fresh byte slice.
+func EncodeFrame(f *Frame) []byte {
+	buf := BeginFrame(make([]byte, 0, f.WireLen()), f.Type, f.Rank, f.Xid)
+	return FinishFrame(append(buf, f.Payload...))
+}
+
+// ReadFrame reads one frame from r through a fresh FrameReader.
+func ReadFrame(r io.Reader, maxPayload int) (Frame, error) {
+	return NewFrameReader(r, maxPayload).Next()
+}
 
 // testFrame returns a representative frame with a non-trivial payload.
 func testFrame() *Frame {
@@ -35,9 +47,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, f); err != nil {
-		t.Fatalf("write: %v", err)
-	}
+	buf.Write(data)
 	got2, err := ReadFrame(&buf, 1<<20)
 	if err != nil {
 		t.Fatalf("read: %v", err)
@@ -140,7 +150,8 @@ func TestComplexCodecBitExact(t *testing.T) {
 		complex(1.0/3.0, -math.MaxFloat64),
 	}
 	buf := AppendComplex(nil, vals)
-	got, rest, err := DecodeComplex(buf, len(vals))
+	got := make([]complex128, len(vals))
+	rest, err := DecodeComplex(got, buf)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -153,7 +164,7 @@ func TestComplexCodecBitExact(t *testing.T) {
 			t.Fatalf("value %d: %v decoded as %v (bit patterns differ)", i, vals[i], got[i])
 		}
 	}
-	if _, _, err := DecodeComplex(buf[:len(buf)-1], len(vals)); !errors.Is(err, ErrTruncated) {
+	if _, err := DecodeComplex(got, buf[:len(buf)-1]); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("short buffer: err = %v, want ErrTruncated", err)
 	}
 }

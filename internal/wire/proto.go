@@ -103,12 +103,10 @@ func decodePeerTable(payload []byte) (map[int]string, error) {
 	return out, nil
 }
 
-// haloSection is one packed boundary face inside a MsgHalo frame; dir is
-// the sender's face direction, so the receiver fills ghost slot 1-dir.
-type haloSection struct {
-	mu, dir int
-	data    []complex128
-}
+// A MsgHalo payload is a u16 section count followed by the sections, each
+// a (mu u8, dir u8, count u32) header and count complex values: one packed
+// boundary face. dir is the sender's face direction, so the receiver
+// fills ghost slot 1-dir.
 
 // Halo payload framing costs, exported so the communication model
 // (internal/comms) can price a modelled message into wire bytes and be
@@ -120,104 +118,135 @@ const (
 	SectionHeaderLen = 1 + 1 + 4
 )
 
-func encodeHaloSections(secs []haloSection) []byte {
-	size := HaloHeaderLen
-	for _, s := range secs {
-		size += SectionHeaderLen + 16*len(s.data)
-	}
-	buf := make([]byte, 0, size)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(secs)))
-	for _, s := range secs {
-		buf = append(buf, byte(s.mu), byte(s.dir))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.data)))
-		buf = AppendComplex(buf, s.data)
-	}
-	return buf
+// appendSectionHeader opens one face section of count complex values.
+func appendSectionHeader(buf []byte, mu, dir, count int) []byte {
+	buf = append(buf, byte(mu), byte(dir))
+	return binary.LittleEndian.AppendUint32(buf, uint32(count))
 }
 
-func decodeHaloSections(payload []byte) ([]haloSection, error) {
+// decodeHaloSections walks a MsgHalo payload and decodes every face
+// straight into the slice place(mu, dir, count) returns for it. place
+// returns nil to drop a section (a superseded transfer, a slot this rank
+// does not have); a destination of any length but count is a protocol
+// error. Nothing is allocated and no length read from the payload sizes
+// anything: a section can only claim what the frame carries.
+func decodeHaloSections(payload []byte, place func(mu, dir, count int) []complex128) error {
 	if len(payload) < HaloHeaderLen {
-		return nil, fmt.Errorf("%w: halo section count", ErrTruncated)
+		return fmt.Errorf("%w: halo section count", ErrTruncated)
 	}
 	n := int(binary.LittleEndian.Uint16(payload))
 	payload = payload[HaloHeaderLen:]
-	out := make([]haloSection, 0, n)
 	for i := 0; i < n; i++ {
 		if len(payload) < SectionHeaderLen {
-			return nil, fmt.Errorf("%w: halo section %d header", ErrTruncated, i)
+			return fmt.Errorf("%w: halo section %d header", ErrTruncated, i)
 		}
 		mu, dir := int(payload[0]), int(payload[1])
 		count := int(binary.LittleEndian.Uint32(payload[2:]))
 		payload = payload[SectionHeaderLen:]
 		if count > len(payload)/16 {
 			// A damaged count cannot demand more than the frame carries.
-			return nil, fmt.Errorf("%w: halo section %d claims %d values in %d bytes", ErrCorrupt, i, count, len(payload))
+			return fmt.Errorf("%w: halo section %d claims %d values in %d bytes", ErrCorrupt, i, count, len(payload))
 		}
-		data, rest, err := DecodeComplex(payload, count)
+		dst := place(mu, dir, count)
+		if dst == nil {
+			payload = payload[16*count:]
+			continue
+		}
+		if len(dst) != count {
+			return fmt.Errorf("%w: halo section %d (mu=%d dir=%d) has %d values, want %d", ErrCorrupt, i, mu, dir, count, len(dst))
+		}
+		rest, err := DecodeComplex(dst, payload)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out = append(out, haloSection{mu: mu, dir: dir, data: data})
 		payload = rest
 	}
-	return out, nil
+	return nil
 }
 
-// resultStats is the per-apply fault-tolerance accounting a worker
-// reports with every result, successful or not.
+// workerTimes is where one worker's share of an application went, by
+// pipeline step. Measured on the worker's own clock and reported for
+// attribution only: nothing reads these to decide anything.
+type workerTimes struct {
+	Decode    time.Duration // apply payload -> local source field
+	PackSend  time.Duration // faces packed into halo frames and written
+	Interior  time.Duration // stencil on sites with no ghost dependence
+	GhostWait time.Duration // blocked until every ghost face had arrived
+	Boundary  time.Duration // stencil on the halo sites
+	Encode    time.Duration // local result field -> result payload
+}
+
+// resultStats is the per-apply accounting a worker reports with every
+// result, successful or not: fault-tolerance tallies and the time split.
 type resultStats struct {
 	HaloFrames int64 // halo frames sent this apply
 	HaloBytes  int64 // their wire bytes, framing included
 	Resends    int64 // faulted transmissions retried (all conns)
 	Corrupts   int64 // damaged frames detected and discarded
+	Times      workerTimes
 }
 
-func encodeResult(st resultStats, dst []complex128, errstr string) []byte {
-	buf := make([]byte, 0, 1+4*8+16*len(dst)+len(errstr))
-	if errstr != "" {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
+// A MsgResult payload is a failure flag byte, the resultStats as ten
+// little-endian i64, and then either the error text (flag 1) or a u32
+// count and the local result field (flag 0).
+const (
+	resultHeaderLen = 1 + 10*8
+	// resultEncodeOff locates Times.Encode, the one field measured after
+	// the header is written: the worker patches it in once the field is
+	// rendered, before the frame is sealed.
+	resultEncodeOff = 1 + 9*8
+)
+
+// appendResultHeader opens a result payload.
+func appendResultHeader(buf []byte, failed bool, st resultStats) []byte {
+	flag := byte(0)
+	if failed {
+		flag = 1
 	}
-	buf = appendI64(buf, st.HaloFrames)
-	buf = appendI64(buf, st.HaloBytes)
-	buf = appendI64(buf, st.Resends)
-	buf = appendI64(buf, st.Corrupts)
-	if errstr != "" {
-		return append(buf, errstr...)
+	buf = append(buf, flag)
+	t := st.Times
+	for _, v := range [...]int64{st.HaloFrames, st.HaloBytes, st.Resends, st.Corrupts,
+		int64(t.Decode), int64(t.PackSend), int64(t.Interior), int64(t.GhostWait), int64(t.Boundary), int64(t.Encode)} {
+		buf = appendI64(buf, v)
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(dst)))
-	return AppendComplex(buf, dst)
+	return buf
 }
 
-func decodeResult(payload []byte) (resultStats, []complex128, string, error) {
+// decodeResult parses a result payload, decoding a successful result's
+// field straight into dst (which must have exactly its length). A failed
+// result returns the worker's error text and leaves dst alone.
+func decodeResult(payload []byte, dst []complex128) (resultStats, string, error) {
 	var st resultStats
-	if len(payload) < 1+4*8 {
-		return st, nil, "", fmt.Errorf("%w: result header", ErrTruncated)
+	if len(payload) < resultHeaderLen {
+		return st, "", fmt.Errorf("%w: result header", ErrTruncated)
 	}
 	failed := payload[0] == 1
-	r := byteReader{buf: payload[1:]}
+	r := byteReader{buf: payload[1:resultHeaderLen]}
 	st.HaloFrames = r.i64()
 	st.HaloBytes = r.i64()
 	st.Resends = r.i64()
 	st.Corrupts = r.i64()
-	rest := r.buf[r.off:]
+	t := &st.Times
+	for _, d := range [...]*time.Duration{&t.Decode, &t.PackSend, &t.Interior, &t.GhostWait, &t.Boundary, &t.Encode} {
+		*d = time.Duration(r.i64())
+	}
+	rest := payload[resultHeaderLen:]
 	if failed {
-		return st, nil, string(rest), nil
+		return st, string(rest), nil
 	}
 	if len(rest) < 4 {
-		return st, nil, "", fmt.Errorf("%w: result length", ErrTruncated)
+		return st, "", fmt.Errorf("%w: result length", ErrTruncated)
 	}
 	n := int(binary.LittleEndian.Uint32(rest))
 	rest = rest[4:]
 	if n > len(rest)/16 {
-		return st, nil, "", fmt.Errorf("%w: result claims %d values in %d bytes", ErrCorrupt, n, len(rest))
+		return st, "", fmt.Errorf("%w: result claims %d values in %d bytes", ErrCorrupt, n, len(rest))
 	}
-	dst, _, err := DecodeComplex(rest, n)
-	if err != nil {
-		return st, nil, "", err
+	if n != len(dst) {
+		return st, "", fmt.Errorf("%w: result has %d values, want %d", ErrCorrupt, n, len(dst))
 	}
-	return st, dst, "", nil
+	_, err := DecodeComplex(dst, rest)
+	return st, "", err
 }
 
 // Little-endian append/read helpers.

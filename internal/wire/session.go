@@ -49,11 +49,23 @@ type Options struct {
 	MaxApplyRetries int
 }
 
-// resultMsg is one worker result routed to the apply loop.
+// resultMsg is one worker result routed to the apply loop. The result
+// field itself is already in the rank's subdomain by the time this is
+// posted: the rank's reader decodes it there off the connection's read
+// buffer.
 type resultMsg struct {
-	rank    int
-	xid     uint64
-	payload []byte
+	rank   int
+	xid    uint64
+	stats  resultStats
+	errstr string // the worker's failure, if it reported one
+	err    error  // a result the coordinator could not decode
+}
+
+// deathNotice announces one declared death. gen is the generation that
+// died: a notice is news only while that is still the rank's current
+// generation - once the rank has been reassigned, it is history.
+type deathNotice struct {
+	rank, gen int
 }
 
 // ackMsg is one peer-rewiring acknowledgment.
@@ -96,16 +108,87 @@ type Session struct {
 
 	ln      net.Listener
 	epoch   atomic.Uint64
-	xid     atomic.Uint64
 	pending chan *pendingWorker
 	results chan resultMsg
 	peersOK chan ackMsg
-	deadCh  chan int
+	deadCh  chan deathNotice
 	stats   Stats
+	met     sessionMetrics
+
+	// Apply-loop scratch, reused by every attempt: one caller at a time
+	// drives a session, as the shared subdomains have always required.
+	xid        uint64
+	conns      []*Conn
+	got        []bool
+	applyTimer *time.Timer
 
 	mu      sync.Mutex
 	workers []*remoteRank
 	closed  bool
+	// curXid is the request in flight: a rank's reader decodes a result
+	// into the rank's subdomain only while the result answers it.
+	curXid uint64
+}
+
+// sessionMetrics holds the counters an application touches, resolved
+// once: a registry lookup per count would put a lock, and for the
+// per-rank names a formatted string, on every apply. All nil (no-ops)
+// without a registry.
+type sessionMetrics struct {
+	// applies counts operator applications (stencil stages), requests the
+	// coordinator round trips that carried them: a normal apply is two
+	// of the former in one of the latter.
+	applies, requests, resultsDropped *obs.Counter
+	// total is the fleet aggregate, rank[r] the per-rank breakdown.
+	total haloCounters
+	rank  []haloCounters
+	// Where an application's time went (ns): the coordinator's three
+	// phases partition the apply, the workers' six are summed over ranks.
+	scatterSend, resultWait, gather                               *obs.Counter
+	decode, packSend, interior, ghostWait, boundary, encodeResult *obs.Counter
+}
+
+type haloCounters struct {
+	frames, bytes, resends, corrupts *obs.Counter
+}
+
+// newHaloCounters resolves one rank's counters, or the fleet aggregate's
+// for rank < 0.
+func newHaloCounters(reg *obs.Registry, rank int) haloCounters {
+	name := func(base string) string {
+		if rank < 0 {
+			return base
+		}
+		return obs.RankMetric(base, rank)
+	}
+	return haloCounters{
+		frames:   reg.Counter(name("wire.halo_frames")),
+		bytes:    reg.Counter(name("wire.halo_wire_bytes")),
+		resends:  reg.Counter(name("wire.resends")),
+		corrupts: reg.Counter(name("wire.corrupt_frames")),
+	}
+}
+
+func newSessionMetrics(reg *obs.Registry, ranks int) sessionMetrics {
+	m := sessionMetrics{
+		applies:        reg.Counter("wire.applies"),
+		requests:       reg.Counter("wire.requests"),
+		resultsDropped: reg.Counter("wire.results_dropped"),
+		total:          newHaloCounters(reg, -1),
+		scatterSend:    reg.Counter("wire.time.coord_scatter_send_ns"),
+		resultWait:     reg.Counter("wire.time.coord_result_wait_ns"),
+		gather:         reg.Counter("wire.time.coord_gather_ns"),
+		decode:         reg.Counter("wire.time.worker_decode_ns"),
+		packSend:       reg.Counter("wire.time.worker_pack_send_ns"),
+		interior:       reg.Counter("wire.time.worker_interior_ns"),
+		ghostWait:      reg.Counter("wire.time.worker_ghost_wait_ns"),
+		boundary:       reg.Counter("wire.time.worker_boundary_ns"),
+		encodeResult:   reg.Counter("wire.time.worker_encode_ns"),
+	}
+	for r := 0; r < ranks; r++ {
+		m.rank = append(m.rank, newHaloCounters(reg, r))
+	}
+	return m
 }
 
 // NewSession decomposes the gauge field, checkpoints the subdomains,
@@ -145,11 +228,19 @@ func NewSession(u *gauge.Field, opts Options) (*Session, error) {
 		n:       len(specs),
 		size:    u.G.Vol * spinorComplexLen,
 		pending: make(chan *pendingWorker, 2*len(specs)),
-		results: make(chan resultMsg, 64*len(specs)),
+		// A rank's reader admits one result per attempt (the one that
+		// answers curXid), so an application's whole retry budget fits;
+		// postResult counts what does not.
+		results: make(chan resultMsg, (opts.MaxApplyRetries+1)*len(specs)),
 		peersOK: make(chan ackMsg, 16*len(specs)),
-		deadCh:  make(chan int, 16*len(specs)),
+		deadCh:  make(chan deathNotice, 16*len(specs)),
 		workers: make([]*remoteRank, len(specs)),
+		met:     newSessionMetrics(opts.Metrics, len(specs)),
+		conns:   make([]*Conn, len(specs)),
+		got:     make([]bool, len(specs)),
 	}
+	s.applyTimer = time.NewTimer(time.Hour)
+	s.applyTimer.Stop()
 	for r := range specs {
 		sub, err := domain.NewSub(specs[r])
 		if err != nil {
@@ -333,12 +424,35 @@ func (s *Session) readRank(r, gen int, c *Conn) {
 			default:
 			}
 		case MsgResult:
-			select {
-			case s.results <- resultMsg{rank: r, xid: f.Xid, payload: f.Payload}:
-			default:
+			// Decode where the frame lies, into the rank's own subdomain:
+			// under s.mu, so the field is written only by the current
+			// generation's reader and only for the request in flight.
+			msg := resultMsg{rank: r, xid: f.Xid}
+			s.mu.Lock()
+			current := s.workers[r].gen == gen && f.Xid == s.curXid
+			if current {
+				msg.stats, msg.errstr, msg.err = decodeResult(f.Payload, s.subs[r].Dst())
+			}
+			s.mu.Unlock()
+			if current {
+				s.postResult(msg)
 			}
 		default:
 		}
+	}
+}
+
+// postResult hands a result to the apply loop. The channel is sized so
+// this cannot block (see NewSession); if it ever would, the result is
+// dropped out loud - counted, and the apply it answered times out and
+// retries - rather than stall the reader that also carries the rank's
+// heartbeats.
+func (s *Session) postResult(msg resultMsg) {
+	select {
+	case s.results <- msg:
+	default:
+		s.met.resultsDropped.Add(1)
+		s.opts.Scope.Instant("wire", "result-dropped", map[string]interface{}{"rank": msg.rank, "xid": msg.xid})
 	}
 }
 
@@ -391,10 +505,27 @@ func (s *Session) declareDead(r, gen int, cause error) {
 	s.count("wire.rank_deaths", 1)
 	s.count(obs.RankMetric("wire.deaths", r), 1)
 	s.opts.Scope.Instant("wire", "rank-death", map[string]interface{}{"rank": r, "cause": cause.Error()})
+	s.postDeath(deathNotice{rank: r, gen: gen})
+}
+
+// postDeath queues a death notice for whichever loop is waiting on one. A
+// full queue loses nothing: the death is already recorded in the rank's
+// state, which is what recovery reads.
+func (s *Session) postDeath(d deathNotice) {
 	select {
-	case s.deadCh <- r:
+	case s.deadCh <- d:
 	default:
 	}
+}
+
+// stillDead reports whether a death notice is news: the generation it
+// names is still the rank's current one, so the rank has not been
+// reassigned since. Stale notices - deaths a recovery has already dealt
+// with - are skipped by every loop that reads the queue.
+func (s *Session) stillDead(d deathNotice) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.workers[d.rank].gen == d.gen
 }
 
 // deadRanks lists currently dead ranks.
@@ -471,8 +602,10 @@ func (s *Session) stabilizeOnce() error {
 			}
 			acked[ack.rank] = true
 			need--
-		case r := <-s.deadCh:
-			return fmt.Errorf("wire: rank %d died during rewiring", r)
+		case d := <-s.deadCh:
+			if s.stillDead(d) {
+				return fmt.Errorf("wire: rank %d died during rewiring", d.rank)
+			}
 		case <-deadline.C:
 			return fmt.Errorf("wire: epoch %d rewiring timed out with %d ranks unacked", epoch, need)
 		}
@@ -484,24 +617,37 @@ func (s *Session) stabilizeOnce() error {
 // through failures; if the retry budget is exhausted the operator cannot
 // make progress and the solve cannot continue meaningfully, so it
 // panics rather than return silently wrong data.
-func (s *Session) Apply(dst, src []complex128) {
-	if err := s.ApplyCtx(context.Background(), dst, src); err != nil {
+func (s *Session) Apply(dst, src []complex128) { s.mustApply(dst, src, 0) }
+
+// ApplyDagger implements solver.Linear via gamma_5 hermiticity; the
+// workers apply both gamma_5 to their own subdomains.
+func (s *Session) ApplyDagger(dst, src []complex128) { s.mustApply(dst, src, flagDagger) }
+
+// ApplyNormal computes dst = D^dag D src in one round trip: each worker
+// runs D, then gamma_5 D gamma_5 on its result, with a halo exchange
+// before each stencil, and only the final field comes back. dst is
+// bit-for-bit what ApplyDagger(Apply(src)) produces. solver.CGNE calls it
+// for the normal operator on any operator that has the method, which
+// halves a CG iteration's scatters, gathers and coordinator-worker wake
+// chains.
+func (s *Session) ApplyNormal(dst, src []complex128) { s.mustApply(dst, src, flagNormal) }
+
+func (s *Session) mustApply(dst, src []complex128, op byte) {
+	if err := s.applyCtx(context.Background(), dst, src, op); err != nil {
 		panic(fmt.Sprintf("wire: distributed apply failed beyond recovery: %v", err))
 	}
-}
-
-// ApplyDagger implements solver.Linear via gamma_5 hermiticity.
-func (s *Session) ApplyDagger(dst, src []complex128) {
-	tmp := make([]complex128, len(src))
-	domain.Gamma5(tmp, src)
-	s.Apply(dst, tmp)
-	domain.Gamma5(dst, dst)
 }
 
 // ApplyCtx computes dst = D src across the workers, recovering from rank
 // deaths, partitions and link failures between attempts. It fails only
 // when ctx is done or the retry budget is exhausted.
 func (s *Session) ApplyCtx(ctx context.Context, dst, src []complex128) error {
+	return s.applyCtx(ctx, dst, src, 0)
+}
+
+// applyCtx is ApplyCtx for any of the three operators; op is the
+// request's operator flag (0, flagDagger or flagNormal).
+func (s *Session) applyCtx(ctx context.Context, dst, src []complex128, op byte) error {
 	if len(dst) != s.size || len(src) != s.size {
 		panic("wire: Apply size mismatch")
 	}
@@ -516,13 +662,13 @@ func (s *Session) ApplyCtx(ctx context.Context, dst, src []complex128) error {
 			// partition or hang into a declared death before recovering.
 			s.awaitDeaths(ctx)
 		}
-		if len(s.deadRanks()) > 0 || attempt > 0 {
+		if attempt > 0 || len(s.deadRanks()) > 0 {
 			if err := s.stabilize(); err != nil {
 				lastErr = err
 				continue
 			}
 		}
-		err := s.tryApply(ctx, dst, src)
+		err := s.tryApply(ctx, dst, src, op)
 		if err == nil {
 			return nil
 		}
@@ -537,109 +683,132 @@ func (s *Session) ApplyCtx(ctx context.Context, dst, src []complex128) error {
 // awaitDeaths parks for up to one heartbeat window, returning early as
 // soon as any rank is declared dead (or ctx is done).
 func (s *Session) awaitDeaths(ctx context.Context) {
-	window := s.timing.HeartbeatEvery * time.Duration(s.timing.HeartbeatMiss+1)
-	deadline := time.NewTimer(window)
-	defer deadline.Stop()
 	if len(s.deadRanks()) > 0 {
 		return
 	}
-	select {
-	case r := <-s.deadCh:
-		// Re-post so the stabilization pass sees it too (it reads state,
-		// not the channel, but draining here keeps the channel honest).
-		_ = r
-	case <-deadline.C:
-	case <-ctx.Done():
+	window := s.timing.HeartbeatEvery * time.Duration(s.timing.HeartbeatMiss+1)
+	deadline := time.NewTimer(window)
+	defer deadline.Stop()
+	for {
+		select {
+		case d := <-s.deadCh:
+			if s.stillDead(d) {
+				// Only the wake-up was wanted: put the notice back, so
+				// the queue still says what the state says. The rewiring
+				// wait will find it stale once the rank is reassigned.
+				s.postDeath(d)
+				return
+			}
+		case <-deadline.C:
+			return
+		case <-ctx.Done():
+			return
+		}
 	}
 }
 
-// tryApply runs one distributed application attempt under a fresh
-// transfer id; any failure leaves the workers idle (their ghost waits
-// are bounded) and the caller decides whether to recover and retry.
-func (s *Session) tryApply(ctx context.Context, dst, src []complex128) error {
-	xid := s.xid.Add(1)
-	span := s.opts.Scope.Begin("wire", "halo-apply", map[string]interface{}{
-		"xid": xid, "ranks": s.n, "coarse": s.opts.Coarse, "staged": s.opts.Staged})
-	defer span.End()
+// tryApply runs one distributed application attempt under fresh transfer
+// ids - one per stencil stage, so a normal apply takes two - and any
+// failure leaves the workers idle (their ghost waits are bounded) while
+// the caller decides whether to recover and retry. The steady state
+// allocates nothing: fields are rendered from the subdomains into the
+// connections' write buffers and decoded back by the ranks' readers.
+func (s *Session) tryApply(ctx context.Context, dst, src []complex128, op byte) error {
+	stages := uint64(1)
+	if op == flagNormal {
+		stages = 2
+	}
+	xid := s.xid + 1
+	s.xid += stages
+	if s.opts.Scope.Enabled() {
+		span := s.opts.Scope.Begin("wire", "halo-apply", map[string]interface{}{
+			"xid": xid, "ranks": s.n, "coarse": s.opts.Coarse, "staged": s.opts.Staged, "stages": stages})
+		defer span.End()
+	}
 
-	var flags byte
+	flags := op
 	if s.opts.Coarse {
 		flags |= flagCoarse
 	}
 	if s.opts.Staged {
 		flags |= flagStaged
 	}
-	conns := make([]*Conn, s.n)
+	t0 := time.Now()
 	s.mu.Lock()
+	s.curXid = xid
 	for r, w := range s.workers {
 		if !w.alive || w.conn == nil {
 			s.mu.Unlock()
 			return fmt.Errorf("wire: rank %d is dead", r)
 		}
-		conns[r] = w.conn
+		s.conns[r] = w.conn
 	}
 	s.mu.Unlock()
 
 	for r, sub := range s.subs {
 		sub.ScatterFrom(src)
-		payload := make([]byte, 1, 1+16*sub.LocalLen())
-		payload[0] = flags
-		payload = AppendComplex(payload, sub.Src())
-		f := &Frame{Type: MsgApply, Rank: CoordRank, Xid: xid, Payload: payload}
-		if err := conns[r].Send(f, 0); err != nil {
+		buf := append(s.conns[r].begin(MsgApply, CoordRank, xid), flags)
+		if err := s.conns[r].send(AppendComplex(buf, sub.Src()), 0); err != nil {
 			return fmt.Errorf("wire: sending apply to rank %d: %w", r, err)
 		}
 	}
+	t1 := time.Now()
 
-	got := make([]bool, s.n)
+	clear(s.got)
 	need := s.n
-	deadline := time.NewTimer(s.timing.ApplyTimeout)
-	defer deadline.Stop()
+	s.applyTimer.Reset(s.timing.ApplyTimeout)
+	defer stopTimer(s.applyTimer)
 	for need > 0 {
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case r := <-s.deadCh:
-			return fmt.Errorf("wire: rank %d died mid-apply", r)
+		case d := <-s.deadCh:
+			if s.stillDead(d) {
+				return fmt.Errorf("wire: rank %d died mid-apply", d.rank)
+			}
 		case res := <-s.results:
-			if res.xid != xid || got[res.rank] {
+			if res.xid != xid || s.got[res.rank] {
 				continue // stale attempt or duplicate
 			}
-			st, data, errstr, err := decodeResult(res.payload)
-			if err != nil {
-				return fmt.Errorf("wire: result from rank %d: %w", res.rank, err)
+			if res.err != nil {
+				return fmt.Errorf("wire: result from rank %d: %w", res.rank, res.err)
 			}
-			s.recordStats(res.rank, st)
-			if errstr != "" {
-				return fmt.Errorf("wire: rank %d apply failed: %s", res.rank, errstr)
+			s.recordStats(res.rank, res.stats)
+			if res.errstr != "" {
+				return fmt.Errorf("wire: rank %d apply failed: %s", res.rank, res.errstr)
 			}
-			if len(data) != s.subs[res.rank].LocalLen() {
-				return fmt.Errorf("wire: rank %d returned %d values, want %d", res.rank, len(data), s.subs[res.rank].LocalLen())
-			}
-			copy(s.subs[res.rank].Dst(), data)
-			got[res.rank] = true
+			s.got[res.rank] = true
 			need--
-		case <-deadline.C:
+		case <-s.applyTimer.C:
 			return fmt.Errorf("wire: apply %d timed out with %d ranks outstanding", xid, need)
 		}
 	}
+	t2 := time.Now()
 	for _, sub := range s.subs {
 		sub.GatherTo(dst)
 	}
-	s.count("wire.applies", 1)
+	s.met.applies.Add(int64(stages))
+	s.met.requests.Add(1)
+	s.met.scatterSend.Add(int64(t1.Sub(t0)))
+	s.met.resultWait.Add(int64(t2.Sub(t1)))
+	s.met.gather.Add(int64(time.Since(t2)))
 	return nil
 }
 
 // recordStats folds one worker's per-apply accounting into the registry.
 func (s *Session) recordStats(rank int, st resultStats) {
-	s.count("wire.halo_frames", st.HaloFrames)
-	s.count("wire.halo_wire_bytes", st.HaloBytes)
-	s.count("wire.resends", st.Resends)
-	s.count("wire.corrupt_frames", st.Corrupts)
-	s.count(obs.RankMetric("wire.halo_frames", rank), st.HaloFrames)
-	s.count(obs.RankMetric("wire.halo_wire_bytes", rank), st.HaloBytes)
-	s.count(obs.RankMetric("wire.resends", rank), st.Resends)
-	s.count(obs.RankMetric("wire.corrupt_frames", rank), st.Corrupts)
+	for _, c := range [...]haloCounters{s.met.total, s.met.rank[rank]} {
+		c.frames.Add(st.HaloFrames)
+		c.bytes.Add(st.HaloBytes)
+		c.resends.Add(st.Resends)
+		c.corrupts.Add(st.Corrupts)
+	}
+	s.met.decode.Add(int64(st.Times.Decode))
+	s.met.packSend.Add(int64(st.Times.PackSend))
+	s.met.interior.Add(int64(st.Times.Interior))
+	s.met.ghostWait.Add(int64(st.Times.GhostWait))
+	s.met.boundary.Add(int64(st.Times.Boundary))
+	s.met.encodeResult.Add(int64(st.Times.Encode))
 }
 
 // ChaosCounts exposes the coordinator-side injected-fault tally (worker

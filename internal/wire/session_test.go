@@ -113,16 +113,7 @@ func bitDiff(a, b []complex128) int {
 // (eager/staged x fine/coarse), for Apply and ApplyDagger both.
 func TestSessionApplyBitwise(t *testing.T) {
 	dims := [lattice.NDim]int{4, 4, 4, 4}
-	cases := []struct {
-		name           string
-		coarse, staged bool
-	}{
-		{"eager-fine", false, false},
-		{"eager-coarse", true, false},
-		{"staged-fine", false, true},
-		{"staged-coarse", true, true},
-	}
-	for _, tc := range cases {
+	for _, tc := range policies {
 		t.Run(tc.name, func(t *testing.T) {
 			s, u, _ := testSession(t, dims, [lattice.NDim]int{1, 1, 1, 2}, func(o *Options) {
 				o.Coarse, o.Staged = tc.coarse, tc.staged

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -12,6 +13,7 @@ import (
 
 	"femtoverse/internal/domain"
 	"femtoverse/internal/fault"
+	"femtoverse/internal/lattice"
 )
 
 // CoordRank is the rank id the coordinator signs its frames with.
@@ -25,10 +27,11 @@ type WorkerOptions struct {
 	// DialTimeout bounds the initial coordinator dial (pre-welcome, so it
 	// cannot come from the welcome). Zero means the Timing default.
 	DialTimeout time.Duration
-	// KillAtApply, when non-nil, is consulted as each apply request
-	// arrives; returning true makes the worker die abruptly - sockets
-	// torn down mid-protocol, no result sent - exactly like a crashed
-	// process. The rank-loss recovery tests drive this hook.
+	// KillAtApply, when non-nil, is consulted as each stencil stage of an
+	// apply request starts (a normal apply runs two, as xid and xid+1);
+	// returning true makes the worker die abruptly - sockets torn down
+	// mid-protocol, no result sent - exactly like a crashed process. The
+	// rank-loss recovery tests drive this hook.
 	KillAtApply func(rank int, xid uint64) bool
 	// HangAtApply, when non-nil, is consulted the same way; returning
 	// true freezes the worker - heartbeats included - for HangFor with
@@ -47,12 +50,20 @@ var errKilled = errors.New("wire: worker killed by chaos hook")
 // freeze elapses.
 var errHung = errors.New("wire: worker hung by chaos hook")
 
-// haloKey addresses one expected ghost face: the apply transfer it
-// belongs to plus the (dimension, ghost side) slot it fills.
-type haloKey struct {
-	xid uint64
-	mu  int
-	dir int
+// ghostSlot stages one incoming ghost face between the peer reader that
+// decodes it off the wire and the apply loop that installs it in the
+// subdomain. xid names the transfer whose face it holds while full.
+type ghostSlot struct {
+	buf  []complex128
+	xid  uint64
+	full bool
+}
+
+// peerFaces is one neighbor's share of a halo exchange: the faces bound
+// for that rank, in (mu, dir) order.
+type peerFaces struct {
+	peer  int
+	faces [][2]int // (mu, dir)
 }
 
 // peerKey addresses a peer connection: rewiring is per epoch, and a
@@ -78,16 +89,30 @@ type Worker struct {
 	stats Stats
 
 	peerLn net.Listener
+	// haloPlan groups the subdomain's faces by destination rank in
+	// first-seen (mu, dir) order - the grouping
+	// domain.Dist.HaloMessageBytes models, which is what makes the
+	// modelled message sizes crosscheckable against the live sends.
+	haloPlan []peerFaces
+	// ghostTimer bounds a ghost wait; owned by the apply loop.
+	ghostTimer *time.Timer
+	// ghostReady (capacity 1) wakes the apply loop after a peer reader has
+	// staged a face; the loop re-reads the slots, so one token covers any
+	// number of arrivals.
+	ghostReady chan struct{}
 
-	mu         sync.Mutex
-	peers      map[peerKey]*Conn
-	mailbox    map[haloKey]chan []complex128
-	curXid     uint64
-	peerDown   chan struct{} // closed when a current-epoch peer conn dies
-	downOnce   *sync.Once
-	haloFrames int64
-	haloBytes  int64
-	stopBeats  chan struct{}
+	mu    sync.Mutex
+	peers map[peerKey]*Conn
+	// ghosts[xid&1][mu][dir] stages incoming faces. Every stencil stage
+	// has its own xid and consecutive stages alternate parity, so a
+	// neighbor running one stage ahead - the second stencil of a normal
+	// apply, or simply the rank the coordinator reached first - fills the
+	// other set instead of the faces this rank has yet to consume.
+	ghosts    [2][lattice.NDim][2]ghostSlot
+	curXid    uint64
+	peerDown  chan struct{} // closed when a current-epoch peer conn dies
+	downOnce  *sync.Once
+	stopBeats chan struct{}
 	// beatsOnce guards stopBeats against the hang hook and teardown
 	// racing to close it.
 	beatsOnce sync.Once
@@ -98,9 +123,9 @@ type Worker struct {
 // killed by the chaos hook, or the protocol fails.
 func Serve(coordAddr string, opts WorkerOptions) error {
 	w := &Worker{
-		opts:    opts,
-		peers:   map[peerKey]*Conn{},
-		mailbox: map[haloKey]chan []complex128{},
+		opts:       opts,
+		peers:      map[peerKey]*Conn{},
+		ghostReady: make(chan struct{}, 1),
 	}
 	defer w.teardown()
 
@@ -167,8 +192,37 @@ func (w *Worker) handshake(coordAddr string) error {
 	if err != nil {
 		return err
 	}
-	w.sub, err = domain.NewSub(spec)
-	return err
+	if w.sub, err = domain.NewSub(spec); err != nil {
+		return err
+	}
+	w.planHalos()
+	return nil
+}
+
+// planHalos sizes the ghost staging and fixes the halo send plan, once:
+// both are pure functions of the subdomain.
+func (w *Worker) planHalos() {
+	byPeer := map[int]int{}
+	for mu := 0; mu < lattice.NDim; mu++ {
+		if !w.sub.Spec.Partitioned(mu) {
+			continue
+		}
+		for dir := 0; dir < 2; dir++ {
+			for parity := range w.ghosts {
+				w.ghosts[parity][mu][dir].buf = make([]complex128, w.sub.FaceLen(mu))
+			}
+			p := w.sub.Spec.NeighborRank(mu, dir)
+			i, seen := byPeer[p]
+			if !seen {
+				i = len(w.haloPlan)
+				byPeer[p] = i
+				w.haloPlan = append(w.haloPlan, peerFaces{peer: p})
+			}
+			w.haloPlan[i].faces = append(w.haloPlan[i].faces, [2]int{mu, dir})
+		}
+	}
+	w.ghostTimer = time.NewTimer(time.Hour)
+	w.ghostTimer.Stop()
 }
 
 // helloMaxPayload bounds pre-welcome frames: addresses and specs only.
@@ -313,57 +367,54 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// deliverHalo unpacks a halo frame's sections into the mailbox. The
-// sender packs its face for (mu, senderDir); on this side it fills the
-// opposite ghost slot, exactly the in-process channel wiring.
+// deliverHalo decodes a halo frame's faces off the peer connection's read
+// buffer straight into the ghost staging. The sender packs its face for
+// (mu, senderDir); on this side it fills the opposite ghost slot, exactly
+// the in-process channel wiring.
 func (w *Worker) deliverHalo(f Frame) error {
-	secs, err := decodeHaloSections(f.Payload)
-	if err != nil {
-		return err
-	}
-	for _, s := range secs {
-		w.post(haloKey{xid: f.Xid, mu: s.mu, dir: 1 - s.dir}, s.data)
-	}
-	return nil
-}
-
-// post delivers one ghost face. Faces for transfers already superseded
-// are dropped; faces for future transfers are buffered (a neighbor that
-// got its apply first legitimately sends ahead).
-func (w *Worker) post(k haloKey, data []complex128) {
 	w.mu.Lock()
-	if k.xid < w.curXid {
-		w.mu.Unlock()
-		return
-	}
-	ch := w.mailboxLocked(k)
+	err := decodeHaloSections(f.Payload, func(mu, dir, count int) []complex128 {
+		return w.stageLocked(f.Xid, mu, 1-dir)
+	})
 	w.mu.Unlock()
 	select {
-	case ch <- data:
+	case w.ghostReady <- struct{}{}:
 	default:
 	}
+	return err
 }
 
-// mailboxLocked returns (creating if needed) the capacity-1 slot for k.
+// stageLocked claims the staging buffer for one arriving ghost face, or
+// returns nil to drop it. Faces for transfers already superseded are
+// dropped; faces for future transfers are staged (a neighbor that got its
+// apply first legitimately sends ahead), displacing only an older face no
+// one consumed - whose transfer the coordinator has by then abandoned.
 // Callers hold w.mu.
-func (w *Worker) mailboxLocked(k haloKey) chan []complex128 {
-	ch, ok := w.mailbox[k]
-	if !ok {
-		ch = make(chan []complex128, 1)
-		w.mailbox[k] = ch
+func (w *Worker) stageLocked(xid uint64, mu, dir int) []complex128 {
+	if xid < w.curXid || mu >= lattice.NDim || dir < 0 || dir > 1 {
+		return nil
 	}
-	return ch
+	slot := &w.ghosts[xid&1][mu][dir]
+	if slot.buf == nil || slot.full && slot.xid >= xid {
+		return nil
+	}
+	slot.xid, slot.full = xid, true
+	return slot.buf
 }
 
-// beginXid advances the current transfer id and purges mailbox slots
-// from superseded transfers, so ghosts from an abandoned apply attempt
-// can never satisfy a later one.
+// beginXid advances the current transfer id and empties the staged faces
+// of superseded transfers, so ghosts from an abandoned apply attempt can
+// never satisfy a later one.
 func (w *Worker) beginXid(xid uint64) {
 	w.mu.Lock()
 	w.curXid = xid
-	for k := range w.mailbox {
-		if k.xid < xid {
-			delete(w.mailbox, k)
+	for parity := range w.ghosts {
+		for mu := range w.ghosts[parity] {
+			for dir := range w.ghosts[parity][mu] {
+				if slot := &w.ghosts[parity][mu][dir]; slot.xid < xid {
+					slot.full = false
+				}
+			}
 		}
 	}
 	w.mu.Unlock()
@@ -396,12 +447,6 @@ func (w *Worker) controlLoop() error {
 				continue
 			}
 		case MsgApply:
-			if w.opts.KillAtApply != nil && w.opts.KillAtApply(w.rank, f.Xid) {
-				return errKilled
-			}
-			if w.opts.HangAtApply != nil && w.opts.HangAtApply(w.rank, f.Xid) {
-				return w.hang()
-			}
 			if err := w.serveApply(f); err != nil {
 				return err
 			}
@@ -513,132 +558,152 @@ func (w *Worker) peerFor(rank int) (*Conn, chan struct{}) {
 // neededPeers lists the distinct neighbor ranks across partitioned
 // dimensions, in (mu, dir) first-seen order.
 func (w *Worker) neededPeers() []int {
-	seen := map[int]bool{}
-	var out []int
-	for mu := 0; mu < len(w.sub.Spec.Grid); mu++ {
-		if !w.sub.Spec.Partitioned(mu) {
-			continue
-		}
-		for dir := 0; dir < 2; dir++ {
-			p := w.sub.Spec.NeighborRank(mu, dir)
-			if p == w.rank || seen[p] {
-				continue
-			}
-			seen[p] = true
-			out = append(out, p)
-		}
+	out := make([]int, 0, len(w.haloPlan))
+	for _, pf := range w.haloPlan {
+		out = append(out, pf.peer)
 	}
 	return out
 }
 
-// serveApply runs the four-step halo pipeline for one transfer and
-// reports the result (or the failure) back to the coordinator.
+// serveApply runs one apply request - one or two stencil stages, each the
+// four-step halo pipeline under its own transfer id - and reports the
+// result (or the failure) back to the coordinator, rendered from the
+// subdomain's result field straight into the control link's write buffer.
 func (w *Worker) serveApply(f Frame) error {
-	resendBase := w.stats.Resends.Load()
-	corruptBase := w.stats.Corrupts.Load()
-	w.mu.Lock()
-	w.haloFrames, w.haloBytes = 0, 0
-	w.mu.Unlock()
-
-	applyErr := w.applyOnce(f)
-
-	res := &Frame{Type: MsgResult, Rank: w.rank, Xid: f.Xid}
-	w.mu.Lock()
-	st := resultStats{
-		HaloFrames: w.haloFrames,
-		HaloBytes:  w.haloBytes,
-		Resends:    w.stats.Resends.Load() - resendBase,
-		Corrupts:   w.stats.Corrupts.Load() - corruptBase,
+	resendBase, corruptBase := w.stats.Resends.Load(), w.stats.Corrupts.Load()
+	var st resultStats
+	applyErr := w.applyOnce(f, &st)
+	if errors.Is(applyErr, errKilled) || errors.Is(applyErr, errHung) {
+		return applyErr
 	}
-	w.mu.Unlock()
+	st.Resends = w.stats.Resends.Load() - resendBase
+	st.Corrupts = w.stats.Corrupts.Load() - corruptBase
+
+	buf := appendResultHeader(w.coord.begin(MsgResult, w.rank, f.Xid), applyErr != nil, st)
 	if applyErr != nil {
-		res.Payload = encodeResult(st, nil, applyErr.Error())
+		buf = append(buf, applyErr.Error()...)
 	} else {
-		res.Payload = encodeResult(st, w.sub.Dst(), "")
+		t0 := time.Now()
+		dst := w.sub.Dst()
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(dst)))
+		buf = AppendComplex(buf, dst)
+		binary.LittleEndian.PutUint64(buf[headerLen+resultEncodeOff:], uint64(time.Since(t0)))
 	}
-	return w.coord.Send(res, 0)
+	return w.coord.send(buf, 0)
 }
 
-// applyOnce executes one operator application against the current
-// epoch's peers.
-func (w *Worker) applyOnce(f Frame) error {
-	if len(f.Payload) < 1 {
-		return fmt.Errorf("wire: worker %d: empty apply payload", w.rank)
-	}
-	coarse := f.Payload[0]&flagCoarse != 0
-	staged := f.Payload[0]&flagStaged != 0
-	src, _, err := DecodeComplex(f.Payload[1:], w.sub.LocalLen())
-	if err != nil {
-		return err
-	}
-	w.sub.SetSrc(src)
-	w.beginXid(f.Xid)
-
-	if staged {
-		// Staged: fill the interior first, then push halos - the policy
-		// that trades overlap for fewer in-flight messages.
-		w.sub.StencilInterior()
-		if err := w.sendHalos(f.Xid, coarse); err != nil {
-			return err
-		}
-	} else {
-		// Eager: halos leave before any arithmetic so the interior
-		// overlaps the exchange.
-		if err := w.sendHalos(f.Xid, coarse); err != nil {
-			return err
-		}
-		w.sub.StencilInterior()
-	}
-	if err := w.recvGhosts(f.Xid); err != nil {
-		return err
-	}
-	w.sub.StencilBoundary()
-	return nil
-}
-
-// Halo-plan flag bits in the apply payload's first byte.
+// Flag bits in the apply payload's first byte: the halo plan, and which
+// operator the request wants. The gamma_5 flips of the adjoint run here,
+// on the rank that holds the field - a sign flip is exact, so where it
+// happens cannot change a bit of the result.
 const (
 	flagCoarse = 1 << 0
 	flagStaged = 1 << 1
+	// flagDagger asks for gamma_5 D gamma_5 instead of D.
+	flagDagger = 1 << 2
+	// flagNormal asks for D^dag D = gamma_5 D gamma_5 D: two stencil
+	// stages, under transfer ids xid and xid+1, the intermediate never
+	// leaving the rank.
+	flagNormal = 1 << 3
 )
+
+// applyOnce executes one apply request against the current epoch's peers.
+// f's payload lives in the control link's read buffer; it is decoded into
+// the subdomain's source field before anything else reads that link.
+func (w *Worker) applyOnce(f Frame, st *resultStats) error {
+	if len(f.Payload) < 1 {
+		return fmt.Errorf("wire: worker %d: empty apply payload", w.rank)
+	}
+	flags := f.Payload[0]
+	t0 := time.Now()
+	src := w.sub.Src()
+	if _, err := DecodeComplex(src, f.Payload[1:]); err != nil {
+		return err
+	}
+	if flags&flagDagger != 0 {
+		domain.Gamma5(src, src)
+	}
+	st.Times.Decode = time.Since(t0)
+
+	if err := w.stencilStage(f.Xid, flags, st); err != nil {
+		return err
+	}
+	if flags&flagNormal != 0 {
+		domain.Gamma5(src, w.sub.Dst())
+		if err := w.stencilStage(f.Xid+1, flags, st); err != nil {
+			return err
+		}
+	}
+	if flags&(flagDagger|flagNormal) != 0 {
+		domain.Gamma5(w.sub.Dst(), w.sub.Dst())
+	}
+	return nil
+}
+
+// stencilStage runs the four-step halo pipeline once, as transfer xid,
+// adding its step times to st. The chaos hooks fire here, so a normal
+// apply can be killed between its two stencils.
+func (w *Worker) stencilStage(xid uint64, flags byte, st *resultStats) error {
+	if w.opts.KillAtApply != nil && w.opts.KillAtApply(w.rank, xid) {
+		return errKilled
+	}
+	if w.opts.HangAtApply != nil && w.opts.HangAtApply(w.rank, xid) {
+		return w.hang()
+	}
+	w.beginXid(xid)
+	coarse := flags&flagCoarse != 0
+	t0 := time.Now()
+	if flags&flagStaged != 0 {
+		// Staged: fill the interior first, then push halos - the policy
+		// that trades overlap for fewer in-flight messages.
+		w.sub.StencilInterior()
+		t1 := time.Now()
+		if err := w.sendHalos(xid, coarse, st); err != nil {
+			return err
+		}
+		st.Times.Interior += t1.Sub(t0)
+		st.Times.PackSend += time.Since(t1)
+	} else {
+		// Eager: halos leave before any arithmetic so the interior
+		// overlaps the exchange.
+		if err := w.sendHalos(xid, coarse, st); err != nil {
+			return err
+		}
+		t1 := time.Now()
+		w.sub.StencilInterior()
+		st.Times.PackSend += t1.Sub(t0)
+		st.Times.Interior += time.Since(t1)
+	}
+	t2 := time.Now()
+	if err := w.recvGhosts(xid); err != nil {
+		return err
+	}
+	t3 := time.Now()
+	w.sub.StencilBoundary()
+	st.Times.GhostWait += t3.Sub(t2)
+	st.Times.Boundary += time.Since(t3)
+	return nil
+}
 
 // sendHalos packs and ships every boundary face for transfer xid. Fine
 // granularity sends one frame per (mu, dir) face; coarse batches all
-// faces bound for the same neighbor into one frame. The grouping order
-// matches domain.Dist.HaloMessageBytes, which is what makes the
-// modelled message sizes crosscheckable against these live sends.
-func (w *Worker) sendHalos(xid uint64, coarse bool) error {
-	perPeer := map[int][]haloSection{}
-	var order []int
-	for mu := 0; mu < len(w.sub.Spec.Grid); mu++ {
-		if !w.sub.Spec.Partitioned(mu) {
-			continue
-		}
-		for dir := 0; dir < 2; dir++ {
-			buf := make([]complex128, w.sub.FaceLen(mu))
-			w.sub.PackFace(mu, dir, buf)
-			p := w.sub.Spec.NeighborRank(mu, dir)
-			if _, seen := perPeer[p]; !seen {
-				order = append(order, p)
-			}
-			perPeer[p] = append(perPeer[p], haloSection{mu: mu, dir: dir, data: buf})
-		}
-	}
+// faces bound for the same neighbor into one frame.
+func (w *Worker) sendHalos(xid uint64, coarse bool, st *resultStats) error {
 	sel := 0
-	for _, p := range order {
-		pc, _ := w.peerFor(p)
+	for _, pf := range w.haloPlan {
+		pc, _ := w.peerFor(pf.peer)
 		if pc == nil {
-			return fmt.Errorf("wire: worker %d: no connection to peer %d", w.rank, p)
+			return fmt.Errorf("wire: worker %d: no connection to peer %d", w.rank, pf.peer)
 		}
 		if coarse {
-			if err := w.sendHaloFrame(pc, xid, sel, perPeer[p]); err != nil {
+			if err := w.sendHaloFrame(pc, xid, sel, pf.faces, st); err != nil {
 				return err
 			}
 			sel++
 			continue
 		}
-		for _, s := range perPeer[p] {
-			if err := w.sendHaloFrame(pc, xid, sel, []haloSection{s}); err != nil {
+		for i := range pf.faces {
+			if err := w.sendHaloFrame(pc, xid, sel, pf.faces[i:i+1], st); err != nil {
 				return err
 			}
 			sel++
@@ -647,45 +712,61 @@ func (w *Worker) sendHalos(xid uint64, coarse bool) error {
 	return nil
 }
 
-// sendHaloFrame encodes sections into one MsgHalo frame and transmits
-// it, tallying the halo frame/byte counters the result reports.
-func (w *Worker) sendHaloFrame(pc *Conn, xid uint64, sel int, secs []haloSection) error {
-	f := &Frame{Type: MsgHalo, Rank: w.rank, Xid: xid, Payload: encodeHaloSections(secs)}
-	w.mu.Lock()
-	w.haloFrames++
-	w.haloBytes += int64(f.WireLen())
-	w.mu.Unlock()
-	return pc.Send(f, sel)
+// sendHaloFrame packs faces from the source field straight into one
+// MsgHalo frame in the peer connection's write buffer and transmits it,
+// tallying the halo frame/byte counters the result reports.
+func (w *Worker) sendHaloFrame(pc *Conn, xid uint64, sel int, faces [][2]int, st *resultStats) error {
+	src := w.sub.Src()
+	buf := pc.begin(MsgHalo, w.rank, xid)
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(faces)))
+	for _, face := range faces {
+		mu, dir := face[0], face[1]
+		buf = appendSectionHeader(buf, mu, dir, w.sub.FaceLen(mu))
+		for _, s := range w.sub.Face(mu, dir) {
+			buf = AppendComplex(buf, src[s*spinorComplexLen:(s+1)*spinorComplexLen])
+		}
+	}
+	st.HaloFrames++
+	st.HaloBytes += int64(len(buf) + trailerLen)
+	return pc.send(buf, sel)
 }
 
-// recvGhosts waits for every expected ghost face of transfer xid,
-// bounded by the ghost timeout and aborted early if a peer connection
-// dies. A missing ghost is a detected fault the coordinator turns into
-// recovery, never an indefinite stall.
+// recvGhosts waits for every expected ghost face of transfer xid and
+// installs each in the subdomain, bounded by the ghost timeout and
+// aborted early if a peer connection dies. A missing ghost is a detected
+// fault the coordinator turns into recovery, never an indefinite stall.
 func (w *Worker) recvGhosts(xid uint64) error {
-	timer := time.NewTimer(w.cfg.Timing.GhostTimeout)
-	defer timer.Stop()
-	for mu := 0; mu < len(w.sub.Spec.Grid); mu++ {
-		if !w.sub.Spec.Partitioned(mu) {
-			continue
-		}
-		for dir := 0; dir < 2; dir++ {
-			w.mu.Lock()
-			ch := w.mailboxLocked(haloKey{xid: xid, mu: mu, dir: dir})
-			down := w.peerDown
-			w.mu.Unlock()
-			select {
-			case data := <-ch:
-				if len(data) != w.sub.FaceLen(mu) {
-					return fmt.Errorf("wire: worker %d: ghost (mu=%d dir=%d) has %d values, want %d", w.rank, mu, dir, len(data), w.sub.FaceLen(mu))
+	w.ghostTimer.Reset(w.cfg.Timing.GhostTimeout)
+	defer stopTimer(w.ghostTimer)
+	var have [lattice.NDim][2]bool
+	for {
+		missMu, missDir := -1, 0
+		w.mu.Lock()
+		for mu := range w.ghosts[xid&1] {
+			for dir := range w.ghosts[xid&1][mu] {
+				slot := &w.ghosts[xid&1][mu][dir]
+				if slot.buf == nil || have[mu][dir] {
+					continue
 				}
-				w.sub.SetGhost(mu, dir, data)
-			case <-down:
-				return fmt.Errorf("wire: worker %d: peer connection lost waiting for ghost (mu=%d dir=%d xid=%d)", w.rank, mu, dir, xid)
-			case <-timer.C:
-				return fmt.Errorf("wire: worker %d: ghost (mu=%d dir=%d xid=%d) not received within %v", w.rank, mu, dir, xid, w.cfg.Timing.GhostTimeout)
+				if slot.full && slot.xid == xid {
+					w.sub.SetGhost(mu, dir, slot.buf)
+					slot.full, have[mu][dir] = false, true
+				} else if missMu < 0 {
+					missMu, missDir = mu, dir
+				}
 			}
 		}
+		down := w.peerDown
+		w.mu.Unlock()
+		if missMu < 0 {
+			return nil
+		}
+		select {
+		case <-w.ghostReady:
+		case <-down:
+			return fmt.Errorf("wire: worker %d: peer connection lost waiting for ghost (mu=%d dir=%d xid=%d)", w.rank, missMu, missDir, xid)
+		case <-w.ghostTimer.C:
+			return fmt.Errorf("wire: worker %d: ghost (mu=%d dir=%d xid=%d) not received within %v", w.rank, missMu, missDir, xid, w.cfg.Timing.GhostTimeout)
+		}
 	}
-	return nil
 }
