@@ -10,6 +10,28 @@ set -eux
 # a failure. The nested benchmark module is covered too (gofmt walks
 # directories, not packages).
 test -z "$(gofmt -l .)"
+# run_gate REGEX [go test flags] -- PKGS: `go test -run` exits 0 with "no
+# tests to run" when the regex matches nothing, so renaming a test can
+# silently empty a gate. Every -run line below goes through here: the
+# regex must first name at least one test in every listed package.
+run_gate() {
+	regex=$1
+	shift
+	flags=
+	while [ "$1" != -- ]; do
+		flags="$flags $1"
+		shift
+	done
+	shift
+	for pkg in "$@"; do
+		go test -list "$regex" "$pkg" | grep -Eq '^(Test|Fuzz)' || {
+			echo "ci: gate -run '$regex' names no test in $pkg" >&2
+			exit 1
+		}
+	done
+	# shellcheck disable=SC2086 # flags is a word list
+	go test $flags -run "$regex" "$@"
+}
 go vet ./...
 go build -o "$PWD/femtolint.bin" ./cmd/femtolint
 trap 'rm -f "$PWD/femtolint.bin" "$PWD/garank.bin" "$PWD/gastress.bin"' EXIT
@@ -38,7 +60,7 @@ go test -race -count=2 ./internal/fault/ ./internal/runtime/ ./internal/cluster/
 # save a drain relies on - re-run under the race detector, so an
 # allocation can end (wall clock, SIGTERM, injected preemption) at any
 # instant without losing journaled work or corrupting a checkpoint.
-go test -race -count=2 -run 'Drain|Preempt|Budget|Admission|Atomic|Save' ./internal/core/ ./internal/hio/
+run_gate 'Drain|Preempt|Budget|Admission|Atomic|Save' -race -count=2 -- ./internal/core/ ./internal/hio/
 # Observability gate: the metrics registry and span tracer must be
 # race-free under concurrent instrumentation, the autotuner must perform
 # exactly one search per cold key under concurrent Execute (the
@@ -50,20 +72,23 @@ go test -race -count=2 -run 'Drain|Preempt|Budget|Admission|Atomic|Save' ./inter
 # Schur application whenever the pass stays on the calling goroutine. The
 # suites run under -race with -count=2 against fresh interleavings.
 go test -race -count=2 ./internal/obs/
-go test -race -count=2 -run 'Singleflight|SearchModelled|RepsEnabled|Observer' ./internal/autotune/
-go test -race -count=2 -run 'Bitwise|BitForBit|ReduceChunk|Deterministic|DoesNotAllocate|NestedFor|ConcurrentCallers' ./internal/linalg/ ./internal/dirac/ ./internal/solver/
-go test -race -run 'Obs|Timeline|Trace' ./internal/runtime/ ./internal/core/ ./internal/cluster/
+run_gate 'Singleflight|SearchModelled|RepsEnabled|Observer' -race -count=2 -- ./internal/autotune/
+run_gate 'Bitwise|BitForBit|ReduceChunk|Deterministic|DoesNotAllocate|NestedFor|ConcurrentCallers' -race -count=2 -- ./internal/linalg/ ./internal/dirac/ ./internal/solver/
+run_gate 'Obs|Timeline|Trace' -race -- ./internal/runtime/ ./internal/core/ ./internal/cluster/
 # Cache gate: the content-addressed result cache must be race-free and
 # deterministic - the LRU eviction order, the byte budget, the disk
 # tier's corruption-is-a-miss contract and the per-key singleflight all
 # re-run under -race against fresh interleavings (-count=2). The driver
 # suites then prove the product contract: a warm campaign is bit-for-bit
-# the cold one with zero solver iterations, concurrent campaigns on one
-# store solve each configuration exactly once, and an FH campaign reuses
-# cached base propagators across insertions.
+# the cold one with zero solver iterations (the equivalence matrix's
+# 3-worker cells: every journal and batching choice, no store then a cold
+# one then the same directory warm), a sequential journaled run goes
+# through the store too, concurrent campaigns on one store solve each
+# configuration exactly once, and an FH campaign reuses cached base
+# propagators across insertions.
 go test -race -count=2 ./internal/cache/
-go test -race -run 'WarmCache|ShareSolves|SequentialWarm|CacheBitForBit' ./internal/core/
-go test -race -run 'FH' ./internal/workflow/
+run_gate 'ShareSolves|UsesCache|EquivalenceMatrix/workers=3' -race -- ./internal/core/
+run_gate 'FH' -race -- ./internal/workflow/
 # Analysis gate: the analyzer suite itself (driver, fact plumbing,
 # fixtures, the vettool handshake e2e) re-runs under the race detector
 # against fresh interleavings - the unitchecker is invoked concurrently
@@ -84,9 +109,9 @@ go test -race -count=2 ./internal/analysis/...
 # under the race detector, and both fuzz targets over their checked-in
 # corpora (seeds and past findings; `go test -fuzz` explores further).
 go test -race -count=2 -short ./internal/wire/
-go test -count=1 -run 'DoesNotAllocate' ./internal/wire/
-go test -race -count=2 -run 'NoPayloadOutlivesRecv|ApplyNormal|NormalBitwise|BitForBit' ./internal/wire/ ./internal/domain/
-go test -count=1 -run Fuzz ./internal/wire/
+run_gate 'DoesNotAllocate' -count=1 -- ./internal/wire/
+run_gate 'NoPayloadOutlivesRecv|ApplyNormal|NormalBitwise|BitForBit' -race -count=2 -- ./internal/wire/ ./internal/domain/
+run_gate Fuzz -count=1 -- ./internal/wire/
 go build -o "$PWD/garank.bin" ./cmd/garank
 ./garank.bin -ranks 4
 ./garank.bin -ranks 4 -kill-rank 1 -kill-xid 3
@@ -121,7 +146,7 @@ rm -f "$PWD/gastress.bin"
 # mid-campaign, and a second server generation resuming the journal to
 # the uninterrupted run's fingerprint.
 go test -race -count=2 ./internal/serve/ ./internal/validate/
-go test -race -run 'EndToEnd|FlagValidation' ./cmd/gaserve/ ./cmd/gasolve/ ./cmd/garank/ ./cmd/gastress/
+run_gate 'EndToEnd|FlagValidation' -race -- ./cmd/gaserve/ ./cmd/gasolve/ ./cmd/garank/ ./cmd/gastress/
 # The femtolint suppression budget: the tree carries 8 reviewed
 # //femtolint:ignore directives (the runtime's deliberate post-drain
 # Wait, the journal's best-effort Close-after-error cleanups). New code

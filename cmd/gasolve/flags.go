@@ -23,8 +23,6 @@ type cliFlags struct {
 	preflight  int
 	journal    string
 	checkpoint string
-	metrics    bool
-	traceOut   string
 }
 
 // validate applies the flag contract: range checks through the shared
@@ -53,10 +51,6 @@ func (f cliFlags) validate() error {
 	}
 	if f.journal != "" && f.checkpoint != "" {
 		structural = append(structural, errors.New("-journal and -checkpoint are mutually exclusive"))
-	}
-	if (f.metrics || f.traceOut != "") && f.workers < 1 {
-		structural = append(structural,
-			errors.New("-metrics and -trace instrument the concurrent pipeline; add -workers N"))
 	}
 	return validate.All(append([]error{rangeErr}, structural...)...)
 }

@@ -37,9 +37,6 @@ func TestFlagValidationSweep(t *testing.T) {
 		{"negative batch", func(f *cliFlags) { f.batch = -1 }, false, "-batch"},
 		{"negative workers", func(f *cliFlags) { f.workers = -2 }, false, "-workers"},
 		{"journal and checkpoint", func(f *cliFlags) { f.journal = "j"; f.checkpoint = "c" }, false, "mutually exclusive"},
-		{"metrics without workers", func(f *cliFlags) { f.metrics = true }, false, "-workers"},
-		{"trace without workers", func(f *cliFlags) { f.traceOut = "t.json" }, false, "-workers"},
-		{"metrics with workers", func(f *cliFlags) { f.metrics = true; f.workers = 2 }, true, ""},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -136,8 +136,8 @@ func main() {
 		journal    = flag.String("journal", "", "campaign write-ahead journal: resume if it exists, run every remaining configuration, log each as it finishes")
 		walltime   = flag.Duration("walltime", 0, "journal mode: allocation wall clock; the runtime refuses work that cannot finish and drains at expiry (0 = unbounded)")
 		drainGrace = flag.Duration("drain-grace", 10*time.Second, "journal mode: how long in-flight solves may keep running once a drain begins")
-		metrics    = flag.Bool("metrics", false, "print a metrics snapshot (runtime counters, solver work, utilization timeline) after the run; needs -workers")
-		traceOut   = flag.String("trace", "", "write a Chrome trace of the campaign to this file (open in Perfetto); needs -workers")
+		metrics    = flag.Bool("metrics", false, "print a metrics snapshot after the run: solver work and cache counters at any -workers, plus runtime counters and the utilization timeline when -workers > 0")
+		traceOut   = flag.String("trace", "", "write a Chrome trace of the campaign to this file (open in Perfetto): campaign and solver spans at any -workers, plus per-attempt worker lanes when -workers > 0")
 		cacheDir   = flag.String("cache-dir", "", "content-addressed result cache directory, shared across campaigns and restarts: cached solves are skipped, bit-for-bit")
 		cacheMem   = flag.Int("cache-mem", 0, "result cache in-memory budget in MiB (0 = 64 MiB default; a value > 0 enables caching even without -cache-dir)")
 		preflight  = flag.Int("preflight-ranks", 0, "before the campaign, smoke-test the distributed wire runtime with this many localhost ranks (0 = skip); fails fast if the halo exchange is broken")
@@ -150,7 +150,6 @@ func main() {
 		l: *l, t: *t, ls: *ls, configs: *nCfg, batch: *batch,
 		workers: *workers, preflight: *preflight,
 		journal: *journal, checkpoint: *checkpoint,
-		metrics: *metrics, traceOut: *traceOut,
 	}).validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "gasolve: invalid flags:\n%v\n", err)
 		os.Exit(2)
@@ -197,9 +196,13 @@ func main() {
 		Prec:        solver.Single,
 	}
 
+	// Every mode is the same run path; the flags only fill in its options.
+	opts := core.RunOptions{Workers: *workers, Obs: sinks.cfg, Cache: store}
+
 	if *journal != "" {
-		if err := runJournaled(ctx, *journal, *workers,
-			jobrt.Budget{WallClock: *walltime, DrainGrace: *drainGrace}, preempt, spec, sinks, store); err != nil {
+		opts.Budget = jobrt.Budget{WallClock: *walltime, DrainGrace: *drainGrace}
+		opts.Preempt = preempt
+		if err := runJournaled(ctx, *journal, opts, spec, sinks); err != nil {
 			fmt.Fprintf(os.Stderr, "gasolve: %v\n", err)
 			os.Exit(1)
 		}
@@ -207,7 +210,7 @@ func main() {
 	}
 
 	if *checkpoint != "" {
-		if err := runCheckpointed(ctx, *checkpoint, *batch, *workers, spec, sinks, store); err != nil {
+		if err := runCheckpointed(ctx, *checkpoint, *batch, opts, spec, sinks); err != nil {
 			fmt.Fprintf(os.Stderr, "gasolve: %v\n", err)
 			os.Exit(1)
 		}
@@ -232,17 +235,8 @@ func main() {
 
 	fmt.Printf("running real FH pipeline on %v x Ls=%d, %d configurations...\n",
 		spec.Dims, spec.Params.Ls, spec.NConfigs)
-	var res *core.RealResult
-	var err error
-	if *workers > 0 {
-		var rep *jobrt.Report
-		res, rep, err = core.RunRealConcurrentCached(ctx, spec, *workers, sinks.cfg, store)
-		sinks.printReport(rep)
-	} else if store != nil {
-		res, err = core.RunRealCached(spec, store)
-	} else {
-		res, err = core.RunReal(spec)
-	}
+	res, rep, err := core.Run(ctx, spec, opts)
+	sinks.printReport(rep)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "gasolve: %v\n", err)
 		os.Exit(1)
@@ -265,7 +259,7 @@ func main() {
 // at expiry or on SIGINT/SIGTERM, and every finished configuration is
 // durable in the journal - so simply re-running the same command resumes
 // from where the previous allocation stopped, bit-for-bit.
-func runJournaled(ctx context.Context, path string, workers int, budget jobrt.Budget, preempt <-chan string, spec core.RealConfig, sinks obsSinks, store *cache.Cache) error {
+func runJournaled(ctx context.Context, path string, opts core.RunOptions, spec core.RealConfig, sinks obsSinks) error {
 	var (
 		camp *core.Campaign
 		j    *core.Journal
@@ -285,14 +279,13 @@ func runJournaled(ctx context.Context, path string, workers int, budget jobrt.Bu
 		camp = core.NewCampaign(spec)
 		fmt.Printf("new journaled campaign: %d configurations planned\n", spec.NConfigs)
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	camp.Obs = sinks.cfg
-	camp.Cache = store
-	n, rep, err := camp.RunBatchConcurrentBudgeted(ctx, camp.Spec.NConfigs, workers, j, budget, preempt)
+	// Admission control and the drain live in the job pool, so journal
+	// mode always runs on one: -workers 0 means a single solve worker.
+	opts.Workers = max(opts.Workers, 1)
+	opts.Journal = j
+	n, rep, err := camp.Run(ctx, camp.Spec.NConfigs, opts)
 	sinks.printReport(rep)
-	printCacheStats(store)
+	printCacheStats(opts.Cache)
 	if cerr := j.Close(); cerr != nil && err == nil {
 		err = cerr
 	}
@@ -323,7 +316,7 @@ func runJournaled(ctx context.Context, path string, workers int, budget jobrt.Bu
 // runCheckpointed resumes (or starts) a persistent campaign, measures one
 // batch, saves, and reports progress - the pattern a real allocation-by-
 // allocation campaign uses.
-func runCheckpointed(ctx context.Context, path string, batch, workers int, spec core.RealConfig, sinks obsSinks, store *cache.Cache) error {
+func runCheckpointed(ctx context.Context, path string, batch int, opts core.RunOptions, spec core.RealConfig, sinks obsSinks) error {
 	var camp *core.Campaign
 	if file, err := hio.Load(path); err == nil {
 		camp, err = core.LoadCampaign(file.Root())
@@ -335,21 +328,12 @@ func runCheckpointed(ctx context.Context, path string, batch, workers int, spec 
 		camp = core.NewCampaign(spec)
 		fmt.Printf("new campaign: %d configurations planned\n", spec.NConfigs)
 	}
-	camp.Cache = store
-	var n int
-	var err error
-	if workers > 0 {
-		camp.Obs = sinks.cfg
-		var rep *jobrt.Report
-		n, rep, err = camp.RunBatchConcurrent(ctx, batch, workers)
-		sinks.printReport(rep)
-	} else {
-		n, err = camp.RunBatch(batch)
-	}
+	n, rep, err := camp.Run(ctx, batch, opts)
+	sinks.printReport(rep)
 	if err != nil {
 		return err
 	}
-	printCacheStats(store)
+	printCacheStats(opts.Cache)
 	if err := sinks.flush(); err != nil {
 		return err
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,6 +19,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	spec := core.RealConfig{
 		Dims:        [4]int{2, 2, 2, 8},
 		Params:      dirac.MobiusParams{Ls: 4, M5: 1.4, B5: 1.25, C5: 0.25, M: 0.15},
@@ -32,13 +34,13 @@ func main() {
 
 	// Reference: the whole campaign uninterrupted.
 	ref := core.NewCampaign(spec)
-	if _, err := ref.RunBatch(spec.NConfigs); err != nil {
+	if _, _, err := ref.Run(ctx, spec.NConfigs, core.RunOptions{}); err != nil {
 		log.Fatal(err)
 	}
 
 	// Interrupted run: first half, checkpoint, "crash", restore, finish.
 	first := core.NewCampaign(spec)
-	n, err := first.RunBatch(2)
+	n, _, err := first.Run(ctx, 2, core.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,7 +61,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("allocation 2: resumed with %d/%d done\n", second.Done(), spec.NConfigs)
-	if _, err := second.RunBatch(spec.NConfigs); err != nil {
+	if _, _, err := second.Run(ctx, spec.NConfigs, core.RunOptions{}); err != nil {
 		log.Fatal(err)
 	}
 

@@ -29,7 +29,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	conc, rep, err := femtoverse.RunRealPipelineConcurrent(context.Background(), cfg, 4)
+	conc, rep, err := femtoverse.RunCampaign(context.Background(), cfg, femtoverse.CampaignOptions{Workers: 4})
 	if err != nil {
 		log.Fatal(err)
 	}

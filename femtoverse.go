@@ -11,14 +11,18 @@
 //
 // This root package is the public facade: it re-exports the stable
 // surface of the internal packages so applications can be written against
-// a single import. The three entry points most users want:
+// a single import. The entry points most users want:
 //
 //   - RunSynthetic reproduces the paper's Fig. 1 statistics (the FH
 //     method against the traditional method with 10x the samples) and
 //     the neutron lifetime;
 //   - RunRealPipeline executes the full production workflow - gauge
-//     generation, Mobius solves, FH propagators, contractions, I/O - on
-//     a laptop-scale lattice;
+//     generation, Mobius solves, FH propagators, contractions - on a
+//     laptop-scale lattice, sequentially with nothing attached;
+//   - RunCampaign is the same pipeline with CampaignOptions: a worker
+//     count (the live job runtime), a write-ahead journal, an allocation
+//     budget, observability sinks, a result cache - none of which can
+//     change a bit of the physics;
 //   - Experiment regenerates any table or figure of the paper.
 package femtoverse
 
@@ -300,15 +304,31 @@ func OpenCampaignJournal(path string, every int) (*CampaignJournal, *Campaign, e
 	return core.OpenJournal(path, every)
 }
 
-// RealPipelineConfig configures the real-lattice campaign.
+// RealPipelineConfig is the campaign spec: geometry, action, ensemble
+// and solver policy. The FH campaigns of the workflow layer take the
+// same type under the name FHPipelineConfig.
 type RealPipelineConfig = core.RealConfig
 
 // DefaultRealPipelineConfig returns a seconds-scale configuration.
 func DefaultRealPipelineConfig() RealPipelineConfig { return core.DefaultRealConfig() }
 
-// RunRealPipeline runs the FH pipeline on real gauge configurations.
+// RunRealPipeline runs the FH pipeline on real gauge configurations:
+// RunCampaign with the zero options.
 func RunRealPipeline(cfg RealPipelineConfig) (*RealPipelineResult, error) {
 	return core.RunReal(cfg)
+}
+
+// CampaignOptions chooses how a campaign executes - Workers (0 = on the
+// calling goroutine, N = the job runtime), Journal, Budget/Preempt, Obs,
+// Cache - and never what it computes. Campaign.Run takes the same struct
+// for batch-by-batch campaigns.
+type CampaignOptions = core.RunOptions
+
+// RunCampaign runs the whole FH campaign under opts. The physics is
+// bit-for-bit RunRealPipeline's at every option; the job report is nil
+// when opts.Workers is 0.
+func RunCampaign(ctx context.Context, cfg RealPipelineConfig, opts CampaignOptions) (*RealPipelineResult, *JobReport, error) {
+	return core.Run(ctx, cfg, opts)
 }
 
 // Statistics.
@@ -460,13 +480,6 @@ func RunJobs(ctx context.Context, cfg JobConfig, tasks []JobTask) ([]JobResult, 
 	return jobrt.Run(ctx, cfg, tasks)
 }
 
-// RunRealPipelineConcurrent is RunRealPipeline on the job runtime:
-// bit-for-bit the same physics, computed with `workers` configurations
-// in flight, plus the runtime's utilization report.
-func RunRealPipelineConcurrent(ctx context.Context, cfg RealPipelineConfig, workers int) (*RealPipelineResult, *JobReport, error) {
-	return core.RunRealConcurrent(ctx, cfg, workers)
-}
-
 // Observability: the dependency-free metrics registry and span tracer
 // that the job runtime, the solvers and the autotuner report into. Both
 // are strictly opt-in - a nil registry or tracer is a no-op - and
@@ -484,8 +497,9 @@ type (
 	TraceScope = obs.Scope
 	// TraceClock is a Tracer's injected time source.
 	TraceClock = obs.Clock
-	// CampaignObs bundles the sinks a campaign driver threads through
-	// the runtime into the solvers.
+	// CampaignObs bundles the sinks CampaignOptions.Obs threads through
+	// the runtime into the solvers: campaign/attempt/solver spans land in
+	// the tracer, the runtime and solver-work counters in the registry.
 	CampaignObs = core.ObsConfig
 )
 
@@ -495,13 +509,6 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 // NewTracer returns a tracer on the given clock (nil selects the wall
 // clock; obs.StepClock gives deterministic replay traces).
 func NewTracer(clock TraceClock) *Tracer { return obs.NewTracer(clock) }
-
-// RunRealPipelineConcurrentObs is RunRealPipelineConcurrent with
-// observability sinks attached: campaign/attempt/solver spans land in
-// the tracer and the runtime and solver-work counters in the registry.
-func RunRealPipelineConcurrentObs(ctx context.Context, cfg RealPipelineConfig, workers int, sinks CampaignObs) (*RealPipelineResult, *JobReport, error) {
-	return core.RunRealConcurrentObs(ctx, cfg, workers, sinks)
-}
 
 // Content-addressed result cache: dedupe identical solves across
 // campaigns, processes and restarts. Results are keyed by the canonical
@@ -528,27 +535,14 @@ func NewResultCache(cfg ResultCacheConfig) (*ResultCache, error) { return cache.
 // namespace version whenever the encoded value layout changes.
 func NewCacheKey(namespace string) *CacheKeyBuilder { return cache.NewKey(namespace) }
 
-// RunRealPipelineCached is RunRealPipeline with a result cache attached:
-// configurations already cached by any campaign or process sharing the
-// store are served without a solve. A nil store runs uncached.
-func RunRealPipelineCached(cfg RealPipelineConfig, store *ResultCache) (*RealPipelineResult, error) {
-	return core.RunRealCached(cfg, store)
-}
-
-// RunRealPipelineConcurrentCached is RunRealPipelineConcurrentObs with a
-// result cache attached; cached configurations never become pool tasks.
-func RunRealPipelineConcurrentCached(ctx context.Context, cfg RealPipelineConfig, workers int, sinks CampaignObs, store *ResultCache) (*RealPipelineResult, *JobReport, error) {
-	return core.RunRealConcurrentCached(ctx, cfg, workers, sinks, store)
-}
-
 // Feynman-Hellmann campaigns over the cache: the workflow layer caches
 // propagators (not just correlators), so adding a new current insertion
 // to an already-measured ensemble reuses every base propagator.
 type (
 	// FHInsertion names one current insertion and its spin structure.
 	FHInsertion = workflow.Insertion
-	// FHPipelineConfig is the workflow layer's campaign specification
-	// (geometry, action, ensemble, solver policy) an FH campaign embeds.
+	// FHPipelineConfig is the campaign spec an FH campaign embeds: the
+	// same type as RealPipelineConfig.
 	FHPipelineConfig = workflow.RealConfig
 	// FHCampaignConfig is a real campaign plus its insertion list.
 	FHCampaignConfig = workflow.FHCampaignConfig

@@ -22,7 +22,7 @@ func benchSpec() RealConfig {
 func BenchmarkCampaignSequential(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c := NewCampaign(benchSpec())
-		if n, err := c.RunBatch(100); err != nil || n != benchSpec().NConfigs {
+		if n, _, err := c.Run(context.Background(), 100, RunOptions{}); err != nil || n != benchSpec().NConfigs {
 			b.Fatalf("%d, %v", n, err)
 		}
 	}
@@ -41,7 +41,7 @@ func BenchmarkCampaignConcurrent(b *testing.B) {
 			var util float64
 			for i := 0; i < b.N; i++ {
 				c := NewCampaign(benchSpec())
-				n, rep, err := c.RunBatchConcurrent(context.Background(), 100, workers)
+				n, rep, err := c.Run(context.Background(), 100, RunOptions{Workers: workers})
 				if err != nil || n != benchSpec().NConfigs {
 					b.Fatalf("%d, %v", n, err)
 				}

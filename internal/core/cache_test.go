@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -14,16 +15,23 @@ import (
 // one ensemble share their prefix solves.
 func TestSolveKeyIdentity(t *testing.T) {
 	spec := campaignSpec()
-	base := solveKey(spec, 0)
-	if base != solveKey(spec, 0) {
+	base := SolveKey(spec, 0)
+	// The literal was computed before the key prefix moved into SpecKey: a
+	// store warmed by an older build stays warm. A pin that changes
+	// orphans every stored result and needs a namespace bump, not a new
+	// literal.
+	if want := "77f636315385069dd6e93cbbc9b704ed8e68dc938fb049d9bd39df83cd837791"; base.ID != want {
+		t.Fatalf("SolveKey(campaignSpec(), 0) = %s, pinned %s", base.ID, want)
+	}
+	if base != SolveKey(spec, 0) {
 		t.Fatal("identical specs gave different keys")
 	}
-	if base.ID == solveKey(spec, 1).ID {
+	if base.ID == SolveKey(spec, 1).ID {
 		t.Fatal("configuration index not in the key")
 	}
 	longer := spec
 	longer.NConfigs = spec.NConfigs * 4
-	if solveKey(longer, 0) != base {
+	if SolveKey(longer, 0) != base {
 		t.Fatal("batch size leaked into the key; cross-campaign dedupe broken")
 	}
 	for _, mutate := range []func(*RealConfig){
@@ -36,94 +44,9 @@ func TestSolveKeyIdentity(t *testing.T) {
 	} {
 		m := spec
 		mutate(&m)
-		if solveKey(m, 0).ID == base.ID {
+		if SolveKey(m, 0).ID == base.ID {
 			t.Fatalf("mutated spec %+v collided with base key", m)
 		}
-	}
-}
-
-// TestCampaignWarmCacheBitForBit is the PR's acceptance test: a cold
-// cached campaign matches an uncached reference bit for bit, and a warm
-// campaign over the same store reproduces it again with zero solver
-// iterations - every configuration served from the cache.
-func TestCampaignWarmCacheBitForBit(t *testing.T) {
-	ref := NewCampaign(campaignSpec())
-	if n, err := ref.RunBatch(10); err != nil || n != 4 {
-		t.Fatalf("uncached reference: %d, %v", n, err)
-	}
-
-	dir := t.TempDir()
-	store, err := cache.New(cache.Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cold := NewCampaign(campaignSpec())
-	cold.Cache = store
-	n, rep, err := cold.RunBatchConcurrent(context.Background(), 10, 2)
-	if err != nil || n != 4 {
-		t.Fatalf("cold cached run: %d, %v", n, err)
-	}
-	if rep == nil || rep.Failed != 0 {
-		t.Fatalf("cold report: %+v", rep)
-	}
-	requireIdentical(t, ref, cold)
-
-	// Warm: a fresh campaign and a fresh cache instance over the same
-	// directory (a "restarted tenant"). Zero solver work is the contract:
-	// the metrics registry must never see a solver iteration.
-	warmStore, err := cache.New(cache.Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	warm := NewCampaign(campaignSpec())
-	warm.Cache = warmStore
-	warm.Obs = ObsConfig{Metrics: reg}
-	n, _, err = warm.RunBatchConcurrent(context.Background(), 10, 2)
-	if err != nil || n != 4 {
-		t.Fatalf("warm cached run: %d, %v", n, err)
-	}
-	requireIdentical(t, ref, warm)
-	if v := reg.Counter("core.solver_iterations").Value(); v != 0 {
-		t.Fatalf("warm run performed %d solver iterations, want 0", v)
-	}
-	if v := reg.Counter("core.configs_solved").Value(); v != 0 {
-		t.Fatalf("warm run solved %d configurations, want 0", v)
-	}
-	st := warmStore.Stats()
-	if st.Hits < 4 || st.Computes != 0 {
-		t.Fatalf("warm store stats: %v", st)
-	}
-}
-
-// TestCampaignSequentialWarmCache: the sequential driver consults the
-// same store, so a warm sequential rerun is also solve-free and
-// bit-identical.
-func TestCampaignSequentialWarmCache(t *testing.T) {
-	ref := NewCampaign(campaignSpec())
-	if n, err := ref.RunBatch(10); err != nil || n != 4 {
-		t.Fatalf("uncached reference: %d, %v", n, err)
-	}
-	store, err := cache.New(cache.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold := NewCampaign(campaignSpec())
-	cold.Cache = store
-	if n, err := cold.RunBatch(10); err != nil || n != 4 {
-		t.Fatalf("cold sequential: %d, %v", n, err)
-	}
-	requireIdentical(t, ref, cold)
-
-	warm := NewCampaign(campaignSpec())
-	warm.Cache = store
-	if n, err := warm.RunBatch(10); err != nil || n != 4 {
-		t.Fatalf("warm sequential: %d, %v", n, err)
-	}
-	requireIdentical(t, ref, warm)
-	if st := store.Stats(); st.Computes != 4 {
-		t.Fatalf("store computed %d times across both runs, want 4: %v", st.Computes, st)
 	}
 }
 
@@ -132,11 +55,7 @@ func TestCampaignSequentialWarmCache(t *testing.T) {
 // coalesces concurrent cold keys and the cache serves everything else.
 func TestConcurrentCampaignsShareSolves(t *testing.T) {
 	spec := campaignSpec()
-	ref := NewCampaign(spec)
-	if n, err := ref.RunBatch(10); err != nil || n != 4 {
-		t.Fatalf("reference: %d, %v", n, err)
-	}
-
+	ref := reference(t)
 	store, err := cache.New(cache.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -146,13 +65,11 @@ func TestConcurrentCampaignsShareSolves(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make([]error, len(camps))
 	for ci, camp := range camps {
-		camp.Cache = store
-		camp.Obs = ObsConfig{Metrics: reg}
-		ci, camp := ci, camp
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			n, _, err := camp.RunBatchConcurrent(context.Background(), 10, 2)
+			n, _, err := camp.Run(context.Background(), 10,
+				RunOptions{Workers: 2, Cache: store, Obs: ObsConfig{Metrics: reg}})
 			if err == nil && n != 4 {
 				errs[ci] = context.DeadlineExceeded // any sentinel: wrong count
 			} else {
@@ -177,37 +94,44 @@ func TestConcurrentCampaignsShareSolves(t *testing.T) {
 	}
 }
 
-// TestJournaledWarmCacheCheckpoints: cache hits recorded before admission
-// still reach the journal, so a warm journaled campaign remains crash-
-// recoverable without re-entering the pool.
-func TestJournaledWarmCacheCheckpoints(t *testing.T) {
-	dir := t.TempDir()
+// TestSequentialJournaledRunUsesCache: a journaled run on the calling
+// goroutine goes through the result store like every other run - a warm
+// store means zero solver iterations, and the hits still reach the
+// journal, so the warm campaign stays crash-recoverable.
+func TestSequentialJournaledRunUsesCache(t *testing.T) {
+	ref := reference(t)
 	store, err := cache.New(cache.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold := NewCampaign(campaignSpec())
-	cold.Cache = store
-	if n, err := cold.RunBatch(10); err != nil || n != 4 {
-		t.Fatalf("cold fill: %d, %v", n, err)
+	for i := 0; i < ref.Spec.NConfigs; i++ {
+		blob, err := cache.EncodeFloatSeries(ref.C2[i], ref.CFH[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Put(SolveKey(ref.Spec, i), blob); err != nil {
+			t.Fatal(err)
+		}
 	}
-
-	j, err := CreateJournal(dir+"/warm.fwal", campaignSpec(), 1)
+	path := filepath.Join(t.TempDir(), "warm.fwal")
+	j, err := CreateJournal(path, campaignSpec(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := obs.NewRegistry()
 	warm := NewCampaign(campaignSpec())
-	warm.Cache = store
-	n, _, err := warm.RunBatchConcurrentJournaled(context.Background(), 10, 2, j)
+	n, _, err := warm.Run(context.Background(), 10, RunOptions{Journal: j, Cache: store, Obs: ObsConfig{Metrics: reg}})
 	if err != nil || n != 4 {
-		t.Fatalf("warm journaled: %d, %v", n, err)
+		t.Fatalf("warm journaled run: %d, %v", n, err)
 	}
+	if v := reg.Counter("core.solver_iterations").Value(); v != 0 {
+		t.Fatalf("warm run performed %d solver iterations, want 0", v)
+	}
+	requireIdentical(t, ref, warm)
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	// The journal alone reconstructs the warm campaign.
-	j2, recovered, err := OpenJournal(dir+"/warm.fwal", 1)
+	j2, recovered, err := OpenJournal(path, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +139,7 @@ func TestJournaledWarmCacheCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	if recovered.Done() != 4 {
-		t.Fatalf("journal recovered %d configurations, want 4", recovered.Done())
+		t.Fatalf("journal holds %d records, want 4", recovered.Done())
 	}
-	requireIdentical(t, warm, recovered)
+	requireIdentical(t, ref, recovered)
 }

@@ -1,15 +1,10 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
-	"femtoverse/internal/cache"
 	"femtoverse/internal/contract"
-	"femtoverse/internal/gauge"
 	"femtoverse/internal/hio"
-	"femtoverse/internal/lattice"
-	"femtoverse/internal/obs"
 	"femtoverse/internal/solver"
 	"femtoverse/internal/stats"
 )
@@ -25,27 +20,6 @@ type Campaign struct {
 	// by configuration number; missing entries are still to do.
 	C2  map[int][]float64
 	CFH map[int][]float64
-	// Obs attaches observability sinks to the concurrent drivers. It is
-	// runtime-only state - Save/Load deliberately do not persist it, so a
-	// resumed campaign attaches fresh sinks (or none).
-	Obs ObsConfig
-	// Cache, when non-nil, is the content-addressed result store the
-	// drivers consult before admitting solve work: configurations whose
-	// correlators are already cached (by this campaign, another campaign
-	// on the same store, or a previous process) are recorded without a
-	// single solver iteration. Runtime-only, like Obs: Save/Load do not
-	// persist it, and a nil cache reproduces the uncached behaviour
-	// bit-for-bit.
-	Cache *cache.Cache
-}
-
-// ObsConfig carries the optional observability sinks a campaign driver
-// threads into the job runtime and the solvers: a metrics registry for
-// counters/gauges/histograms and a tracer for the Chrome-trace timeline.
-// Both nil (the zero value) means fully uninstrumented execution.
-type ObsConfig struct {
-	Metrics *obs.Registry
-	Trace   *obs.Tracer
 }
 
 // NewCampaign starts an empty campaign for the spec.
@@ -62,45 +36,6 @@ func (c *Campaign) Done() int { return len(c.C2) }
 
 // Complete reports whether every configuration has been measured.
 func (c *Campaign) Complete() bool { return c.Done() >= c.Spec.NConfigs }
-
-// RunBatch measures up to n outstanding configurations (in order) and
-// returns how many it completed. Gauge configurations are regenerated
-// deterministically, so resuming after a save/load produces identical
-// physics to an uninterrupted run.
-func (c *Campaign) RunBatch(n int) (int, error) {
-	if n <= 0 || c.Complete() {
-		return 0, nil
-	}
-	g, err := lattice.New(c.Spec.Dims)
-	if err != nil {
-		return 0, err
-	}
-	configs := gauge.Ensemble(g, c.Spec.Seed, c.Spec.Beta, c.Spec.NConfigs,
-		c.Spec.ThermSweeps, c.Spec.GapSweeps)
-	done := 0
-	for i := 0; i < c.Spec.NConfigs && done < n; i++ {
-		if _, ok := c.C2[i]; ok {
-			continue
-		}
-		if c.Cache != nil {
-			var restarts int
-			c2, cfh, err := c.solveThroughCache(context.Background(), i, configs[i], &restarts)
-			if err != nil {
-				return done, fmt.Errorf("core: config %d: %w", i, err)
-			}
-			c.C2[i], c.CFH[i] = c2, cfh
-			done++
-			continue
-		}
-		p, err := solveConfig(context.Background(), c.Spec, configs[i])
-		if err != nil {
-			return done, fmt.Errorf("core: config %d: %w", i, err)
-		}
-		c.C2[i], c.CFH[i] = contractConfig(p)
-		done++
-	}
-	return done, nil
-}
 
 // Save writes the campaign state into an hio container group.
 func (c *Campaign) Save(root *hio.Group) error {
@@ -199,26 +134,40 @@ func LoadCampaign(root *hio.Group) (*Campaign, error) {
 	return c, nil
 }
 
-// Geff returns the jackknifed effective-coupling curve over the finished
-// configurations (at least two are required).
-func (c *Campaign) Geff() (geff, err []float64, e error) {
-	if c.Done() < 2 {
-		return nil, nil, fmt.Errorf("core: %d finished configurations; need >= 2", c.Done())
+// Result assembles the analysis of the finished configurations: their
+// correlators in configuration order plus the jackknifed effective
+// coupling over them (at least two are required). It is the only place
+// the jackknife over configurations is set up.
+func (c *Campaign) Result() (*RealResult, error) {
+	if c.Done() < MinConfigs {
+		return nil, fmt.Errorf("core: %d finished configurations; need >= %d", c.Done(), MinConfigs)
 	}
 	tExt := c.Spec.Dims[3]
+	res := &RealResult{SolvesPerConfig: 24}
 	joined := make([][]float64, 0, c.Done())
 	for i := 0; i < c.Spec.NConfigs; i++ {
 		c2, ok := c.C2[i]
 		if !ok {
 			continue
 		}
+		res.C2 = append(res.C2, c2)
+		res.CFH = append(res.CFH, c.CFH[i])
 		v := make([]float64, 2*tExt)
 		copy(v[:tExt], c2)
 		copy(v[tExt:], c.CFH[i])
 		joined = append(joined, v)
 	}
-	geff, errv := stats.JackknifeVec(joined, func(mean []float64) []float64 {
+	res.Geff, res.GeffErr = stats.JackknifeVec(joined, func(mean []float64) []float64 {
 		return contract.EffectiveGA(mean[tExt:], mean[:tExt])
 	})
-	return geff, errv, nil
+	return res, nil
+}
+
+// Geff returns Result's effective-coupling curve and its jackknife error.
+func (c *Campaign) Geff() (geff, err []float64, e error) {
+	res, e := c.Result()
+	if e != nil {
+		return nil, nil, e
+	}
+	return res.Geff, res.GeffErr, nil
 }

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"femtoverse/internal/hio"
@@ -16,58 +19,68 @@ func campaignSpec() RealConfig {
 	return cfg
 }
 
-func TestCampaignResumeMatchesUninterrupted(t *testing.T) {
-	// Reference: the whole campaign in one shot.
-	ref := NewCampaign(campaignSpec())
-	if n, err := ref.RunBatch(10); err != nil || n != 4 {
-		t.Fatalf("reference run: %d, %v", n, err)
-	}
-	if !ref.Complete() {
-		t.Fatal("reference incomplete")
-	}
+var refCampaign struct {
+	once sync.Once
+	camp *Campaign
+	err  error
+}
 
-	// Interrupted: two configs, checkpoint, restore, finish.
-	c1 := NewCampaign(campaignSpec())
-	if n, err := c1.RunBatch(2); err != nil || n != 2 {
-		t.Fatalf("first batch: %d, %v", n, err)
+// reference returns the campaign every equivalence test is held to:
+// campaignSpec() run whole, sequentially, with nothing attached. It is
+// computed once per test binary and must be treated as read-only.
+func reference(t *testing.T) *Campaign {
+	t.Helper()
+	refCampaign.once.Do(func() {
+		c := NewCampaign(campaignSpec())
+		n, rep, err := c.Run(context.Background(), 10, RunOptions{})
+		if err != nil || n != 4 || rep != nil || !c.Complete() {
+			refCampaign.err = fmt.Errorf("reference run: done %d, report %v, err %v", n, rep, err)
+		}
+		refCampaign.camp = c
+	})
+	if refCampaign.err != nil {
+		t.Fatal(refCampaign.err)
 	}
+	return refCampaign.camp
+}
+
+// requireIdentical asserts two campaigns hold the same finished
+// configurations with bit-for-bit the same correlators.
+func requireIdentical(t *testing.T, ref, got *Campaign) {
+	t.Helper()
+	if got.Done() != ref.Done() {
+		t.Fatalf("done: %d vs %d", got.Done(), ref.Done())
+	}
+	if g, r := got.Fingerprint(), ref.Fingerprint(); g != r {
+		t.Fatalf("correlators differ: fingerprint %.12s vs %.12s", g, r)
+	}
+}
+
+// saveLoad round-trips a campaign through the serialized container, the
+// way an allocation-by-allocation campaign is checkpointed.
+func saveLoad(t *testing.T, c *Campaign) *Campaign {
+	t.Helper()
 	file := hio.New()
-	if err := c1.Save(file.Root()); err != nil {
+	if err := c.Save(file.Root()); err != nil {
 		t.Fatal(err)
 	}
-	// Round-trip through the serialized container.
 	file2, err := hio.Decode(file.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := LoadCampaign(file2.Root())
+	restored, err := LoadCampaign(file2.Root())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c2.Done() != 2 || c2.Complete() {
-		t.Fatalf("restored campaign state: done %d", c2.Done())
+	if restored.Spec != c.Spec {
+		t.Fatalf("spec lost in round trip: %+v vs %+v", restored.Spec, c.Spec)
 	}
-	if c2.Spec.Params.B5 != campaignSpec().Params.B5 || c2.Spec.Seed != campaignSpec().Seed {
-		t.Fatalf("spec lost in round trip: %+v", c2.Spec)
-	}
-	if n, err := c2.RunBatch(10); err != nil || n != 2 {
-		t.Fatalf("resume batch: %d, %v", n, err)
-	}
-	if !c2.Complete() {
-		t.Fatal("resumed campaign incomplete")
-	}
+	requireIdentical(t, c, restored)
+	return restored
+}
 
-	// Bit-for-bit identical physics.
-	for i := 0; i < 4; i++ {
-		for tt := range ref.C2[i] {
-			if ref.C2[i][tt] != c2.C2[i][tt] || ref.CFH[i][tt] != c2.CFH[i][tt] {
-				t.Fatalf("config %d correlators differ after resume", i)
-			}
-		}
-	}
-
-	// Analysis runs on the completed campaign.
-	geff, gerr, err := c2.Geff()
+func TestCampaignAnalysis(t *testing.T) {
+	geff, gerr, err := saveLoad(t, reference(t)).Geff()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,8 +99,20 @@ func TestCampaignGeffNeedsTwoConfigs(t *testing.T) {
 	if _, _, err := c.Geff(); err == nil {
 		t.Fatal("empty campaign analysis accepted")
 	}
-	if n, err := c.RunBatch(0); err != nil || n != 0 {
+	if n, _, err := c.Run(context.Background(), 0, RunOptions{}); err != nil || n != 0 {
 		t.Fatalf("zero batch: %d %v", n, err)
+	}
+}
+
+// TestBoundedRunNeedsPool: admission control and drain live in the job
+// pool, so the inline executor refuses a budget instead of ignoring it.
+func TestBoundedRunNeedsPool(t *testing.T) {
+	c := NewCampaign(campaignSpec())
+	if _, _, err := c.Run(context.Background(), 1, RunOptions{Preempt: make(chan string)}); err == nil {
+		t.Fatal("preemption channel accepted at Workers 0")
+	}
+	if c.Done() != 0 {
+		t.Fatalf("refused run measured %d configurations", c.Done())
 	}
 }
 

@@ -7,24 +7,24 @@
 //     a09m310-calibrated ensemble generator: the FH analysis on N
 //     samples against the traditional fixed-sink analysis on 10 N
 //     samples, the excited-state subtraction, and the lifetime;
-//   - RunReal runs the identical algorithm - 12+12 Mobius domain-wall
-//     solves, FH sequential sources, epsilon-tensor contractions - on
-//     real laptop-scale gauge configurations, demonstrating that every
-//     stage of the production pipeline is implemented, not mocked.
+//   - Run (RunReal with the zero options) runs the identical algorithm -
+//     12+12 Mobius domain-wall solves, FH sequential sources,
+//     epsilon-tensor contractions - on real laptop-scale gauge
+//     configurations, demonstrating that every stage of the production
+//     pipeline is implemented, not mocked. Campaign.Run is the one run
+//     path underneath: RunOptions chooses the executor and what is
+//     attached to it, never the physics.
 package core
 
 import (
 	"context"
 	"fmt"
 
-	"femtoverse/internal/contract"
 	"femtoverse/internal/dirac"
 	"femtoverse/internal/ensemble"
-	"femtoverse/internal/gauge"
-	"femtoverse/internal/lattice"
 	"femtoverse/internal/physics"
+	jobrt "femtoverse/internal/runtime"
 	"femtoverse/internal/solver"
-	"femtoverse/internal/stats"
 )
 
 // SyntheticResult is the outcome of the statistical (Fig. 1) analysis.
@@ -112,7 +112,7 @@ func DefaultRealConfig() RealConfig {
 	}
 }
 
-// MinConfigs is the smallest campaign RunReal and its variants accept: the
+// MinConfigs is the smallest campaign Run accepts: the
 // effective coupling is jackknifed over configurations, and a jackknife
 // needs two samples.
 const MinConfigs = 2
@@ -137,41 +137,32 @@ type RealResult struct {
 	SolvesPerConfig int
 }
 
-// RunReal executes the FH pipeline on real gauge configurations.
-func RunReal(cfg RealConfig) (*RealResult, error) {
+// Run executes the whole FH campaign of cfg - every configuration
+// through Campaign.Run under opts, then Campaign.Result - and returns the
+// analysis with the job runtime's report (nil at Workers == 0).
+func Run(ctx context.Context, cfg RealConfig, opts RunOptions) (*RealResult, *jobrt.Report, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	g, err := lattice.New(cfg.Dims)
+	camp := NewCampaign(cfg)
+	done, rep, err := camp.Run(ctx, cfg.NConfigs, opts)
 	if err != nil {
-		return nil, err
+		return nil, rep, err
 	}
-	configs := gauge.Ensemble(g, cfg.Seed, cfg.Beta, cfg.NConfigs, cfg.ThermSweeps, cfg.GapSweeps)
-	res := &RealResult{SolvesPerConfig: 24}
-	tExt := g.T()
+	if done < cfg.NConfigs {
+		return nil, rep, fmt.Errorf("core: %d of %d configurations completed", done, cfg.NConfigs)
+	}
+	res, err := camp.Result()
+	return res, rep, err
+}
 
-	for _, u := range configs {
-		p, err := solveConfig(context.Background(), cfg, u)
-		if err != nil {
-			return nil, err
-		}
-		c2, c3 := contractConfig(p)
-		res.C2 = append(res.C2, c2)
-		res.CFH = append(res.CFH, c3)
-	}
-
-	// Jackknifed effective coupling from the joint sample vectors.
-	joined := make([][]float64, len(res.C2))
-	for i := range joined {
-		v := make([]float64, 2*tExt)
-		copy(v[:tExt], res.C2[i])
-		copy(v[tExt:], res.CFH[i])
-		joined[i] = v
-	}
-	res.Geff, res.GeffErr = stats.JackknifeVec(joined, func(mean []float64) []float64 {
-		return contract.EffectiveGA(mean[tExt:], mean[:tExt])
-	})
-	return res, nil
+// RunReal is Run with the zero options: the sequential, uninstrumented,
+// uncached pipeline on the calling goroutine. It keeps its own name and
+// signature because it is the product the benchmark times and the bit
+// pins hold.
+func RunReal(cfg RealConfig) (*RealResult, error) {
+	res, _, err := Run(context.Background(), cfg, RunOptions{})
+	return res, err
 }
 
 // TimeToSolution quantifies the exponential advantage: samplesNeeded

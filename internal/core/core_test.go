@@ -102,19 +102,16 @@ func TestRunRealProducesFiniteCurves(t *testing.T) {
 }
 
 // TestRunRealRejectsSingleConfiguration: a one-configuration spec used to
-// run all 24 solves and then panic in the jackknife; every RunReal
-// variant must refuse it up front.
+// run all 24 solves and then panic in the jackknife; Run must refuse it
+// up front at every option.
 func TestRunRealRejectsSingleConfiguration(t *testing.T) {
 	cfg := DefaultRealConfig()
 	cfg.NConfigs = 1
 	if _, err := RunReal(cfg); err == nil {
 		t.Error("RunReal accepted NConfigs = 1")
 	}
-	if _, err := RunRealCached(cfg, nil); err == nil {
-		t.Error("RunRealCached accepted NConfigs = 1")
-	}
-	if _, _, err := RunRealConcurrent(context.Background(), cfg, 2); err == nil {
-		t.Error("RunRealConcurrent accepted NConfigs = 1")
+	if _, _, err := Run(context.Background(), cfg, RunOptions{Workers: 2}); err == nil {
+		t.Error("Run accepted NConfigs = 1")
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // drain itself must never surface as an error - refused and stranded
 // configurations are the next allocation's work.
 func TestDrainAtEveryBudgetResumesBitForBit(t *testing.T) {
-	ref := journalRef(t)
+	ref := reference(t)
 	walls := []time.Duration{
 		time.Millisecond, // expires before anything finishes
 		20 * time.Millisecond,
@@ -33,8 +33,8 @@ func TestDrainAtEveryBudgetResumesBitForBit(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := NewCampaign(campaignSpec())
-		done, rep, err := c.RunBatchConcurrentBudgeted(context.Background(), 10, 2, j,
-			jobrt.Budget{WallClock: wall, DrainGrace: 50 * time.Millisecond}, nil)
+		done, rep, err := c.Run(context.Background(), 10, RunOptions{Workers: 2, Journal: j,
+			Budget: jobrt.Budget{WallClock: wall, DrainGrace: 50 * time.Millisecond}})
 		if err != nil {
 			t.Fatalf("wall=%v: drain surfaced as an error: %v", wall, err)
 		}
@@ -53,13 +53,13 @@ func TestDrainAtEveryBudgetResumesBitForBit(t *testing.T) {
 		if resumed.Done() != done {
 			t.Fatalf("wall=%v: journal recovered %d configs, batch reported %d", wall, resumed.Done(), done)
 		}
-		if _, _, err := resumed.RunBatchConcurrentJournaled(context.Background(), 10, 2, j2); err != nil {
+		if _, _, err := resumed.Run(context.Background(), 10, RunOptions{Workers: 2, Journal: j2}); err != nil {
 			t.Fatalf("wall=%v: resume: %v", wall, err)
 		}
 		if err := j2.Close(); err != nil {
 			t.Fatal(err)
 		}
-		assertSamePhysics(t, ref, resumed)
+		requireIdentical(t, ref, resumed)
 	}
 }
 
@@ -68,7 +68,7 @@ func TestDrainAtEveryBudgetResumesBitForBit(t *testing.T) {
 // the journal is forced durable by the drain even though its checkpoint
 // cadence would never fire, and the next allocation resumes bit-for-bit.
 func TestPreemptNoticeDrainsCampaign(t *testing.T) {
-	ref := journalRef(t)
+	ref := reference(t)
 	path := filepath.Join(t.TempDir(), "campaign.fwal")
 	// Cadence 1000: only the drain-path Sync can make entries durable.
 	j, err := CreateJournal(path, campaignSpec(), 1000)
@@ -81,8 +81,8 @@ func TestPreemptNoticeDrainsCampaign(t *testing.T) {
 		preempt <- "SIGTERM"
 	}()
 	c := NewCampaign(campaignSpec())
-	done, rep, err := c.RunBatchConcurrentBudgeted(context.Background(), 10, 2, j,
-		jobrt.Budget{DrainGrace: 5 * time.Second}, preempt)
+	done, rep, err := c.Run(context.Background(), 10, RunOptions{Workers: 2, Journal: j,
+		Budget: jobrt.Budget{DrainGrace: 5 * time.Second}, Preempt: preempt})
 	if err != nil {
 		t.Fatalf("preempted batch surfaced an error: %v", err)
 	}
@@ -97,11 +97,11 @@ func TestPreemptNoticeDrainsCampaign(t *testing.T) {
 	if resumed.Done() != done {
 		t.Fatalf("journal recovered %d configs, batch reported %d", resumed.Done(), done)
 	}
-	if _, _, err := resumed.RunBatchConcurrentJournaled(context.Background(), 10, 2, j2); err != nil {
+	if _, _, err := resumed.Run(context.Background(), 10, RunOptions{Workers: 2, Journal: j2}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	assertSamePhysics(t, ref, resumed)
+	requireIdentical(t, ref, resumed)
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -9,9 +8,7 @@ import (
 	"os"
 	"sync"
 
-	"femtoverse/internal/gauge"
 	"femtoverse/internal/hio"
-	"femtoverse/internal/lattice"
 )
 
 // Journal is an incremental write-ahead log for a measurement campaign.
@@ -287,35 +284,4 @@ func (j *Journal) Close() error {
 		j.checkpoints++
 	}
 	return j.f.Close()
-}
-
-// RunBatchJournaled is RunBatch with write-ahead logging: each finished
-// configuration is appended to the journal before the next one starts,
-// so a kill loses at most the configuration in flight.
-func (c *Campaign) RunBatchJournaled(n int, j *Journal) (int, error) {
-	if n <= 0 || c.Complete() {
-		return 0, nil
-	}
-	g, err := lattice.New(c.Spec.Dims)
-	if err != nil {
-		return 0, err
-	}
-	configs := gauge.Ensemble(g, c.Spec.Seed, c.Spec.Beta, c.Spec.NConfigs,
-		c.Spec.ThermSweeps, c.Spec.GapSweeps)
-	done := 0
-	for i := 0; i < c.Spec.NConfigs && done < n; i++ {
-		if _, ok := c.C2[i]; ok {
-			continue
-		}
-		p, err := solveConfig(context.Background(), c.Spec, configs[i])
-		if err != nil {
-			return done, fmt.Errorf("core: config %d: %w", i, err)
-		}
-		c.C2[i], c.CFH[i] = contractConfig(p)
-		if err := j.Append(i, c.C2[i], c.CFH[i]); err != nil {
-			return done, fmt.Errorf("core: journal config %d: %w", i, err)
-		}
-		done++
-	}
-	return done, nil
 }

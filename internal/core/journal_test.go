@@ -7,29 +7,11 @@ import (
 	"testing"
 )
 
-// journalRef runs the reference campaign - uninterrupted, sequential -
-// once per test that needs it.
-func journalRef(t *testing.T) *Campaign {
-	t.Helper()
-	ref := NewCampaign(campaignSpec())
-	if n, err := ref.RunBatch(10); err != nil || n != 4 {
-		t.Fatalf("reference run: %d, %v", n, err)
-	}
-	return ref
-}
-
-func assertSamePhysics(t *testing.T, ref, got *Campaign) {
-	t.Helper()
-	if !got.Complete() {
-		t.Fatal("campaign incomplete")
-	}
-	for i := 0; i < ref.Spec.NConfigs; i++ {
-		for k := range ref.C2[i] {
-			if got.C2[i][k] != ref.C2[i][k] || got.CFH[i][k] != ref.CFH[i][k] {
-				t.Fatalf("config %d correlators differ from the uninterrupted run", i)
-			}
-		}
-	}
+// runJournaled measures up to n configurations on the calling goroutine
+// with j attached.
+func runJournaled(c *Campaign, n int, j *Journal) (int, error) {
+	done, _, err := c.Run(context.Background(), n, RunOptions{Journal: j})
+	return done, err
 }
 
 // TestJournalKillAtEveryConfigResumesBitForBit kills the campaign after
@@ -37,7 +19,7 @@ func assertSamePhysics(t *testing.T, ref, got *Campaign) {
 // resumes each from the journal alone; every resumed campaign must be
 // bit-for-bit identical to the uninterrupted reference.
 func TestJournalKillAtEveryConfigResumesBitForBit(t *testing.T) {
-	ref := journalRef(t)
+	ref := reference(t)
 	for kill := 0; kill <= ref.Spec.NConfigs; kill++ {
 		path := filepath.Join(t.TempDir(), "campaign.fwal")
 		j, err := CreateJournal(path, campaignSpec(), 1)
@@ -46,7 +28,7 @@ func TestJournalKillAtEveryConfigResumesBitForBit(t *testing.T) {
 		}
 		c := NewCampaign(campaignSpec())
 		if kill > 0 {
-			if n, err := c.RunBatchJournaled(kill, j); err != nil || n != kill {
+			if n, err := runJournaled(c, kill, j); err != nil || n != kill {
 				t.Fatalf("kill=%d: first batch %d, %v", kill, n, err)
 			}
 		}
@@ -59,13 +41,13 @@ func TestJournalKillAtEveryConfigResumesBitForBit(t *testing.T) {
 		if resumed.Done() != kill {
 			t.Fatalf("kill=%d: recovered %d entries", kill, resumed.Done())
 		}
-		if _, err := resumed.RunBatchJournaled(10, j2); err != nil {
+		if _, err := runJournaled(resumed, 10, j2); err != nil {
 			t.Fatalf("kill=%d: resume: %v", kill, err)
 		}
 		if err := j2.Close(); err != nil {
 			t.Fatal(err)
 		}
-		assertSamePhysics(t, ref, resumed)
+		requireIdentical(t, ref, resumed)
 
 		// The journal now holds the whole campaign: a second recovery
 		// needs no recomputation at all.
@@ -76,7 +58,7 @@ func TestJournalKillAtEveryConfigResumesBitForBit(t *testing.T) {
 		if err := j3.Close(); err != nil {
 			t.Fatal(err)
 		}
-		assertSamePhysics(t, ref, full)
+		requireIdentical(t, ref, full)
 	}
 }
 
@@ -86,7 +68,7 @@ func TestJournalKillAtEveryConfigResumesBitForBit(t *testing.T) {
 // record is intact, a recovered-entry count that equals the number of
 // fully contained records, and never a partially applied record.
 func TestJournalTruncationSweep(t *testing.T) {
-	ref := journalRef(t)
+	ref := reference(t)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "campaign.fwal")
 	j, err := CreateJournal(path, campaignSpec(), 1)
@@ -94,7 +76,7 @@ func TestJournalTruncationSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewCampaign(campaignSpec())
-	if n, err := c.RunBatchJournaled(10, j); err != nil || n != 4 {
+	if n, err := runJournaled(c, 10, j); err != nil || n != 4 {
 		t.Fatalf("journaled run: %d, %v", n, err)
 	}
 	if err := j.Close(); err != nil {
@@ -184,25 +166,25 @@ func TestJournalTruncationSweep(t *testing.T) {
 	if resumed.Done() != 2 {
 		t.Fatalf("recovered %d entries from a tear inside record 3", resumed.Done())
 	}
-	if _, err := resumed.RunBatchJournaled(10, j3); err != nil {
+	if _, err := runJournaled(resumed, 10, j3); err != nil {
 		t.Fatal(err)
 	}
 	if err := j3.Close(); err != nil {
 		t.Fatal(err)
 	}
-	assertSamePhysics(t, ref, resumed)
+	requireIdentical(t, ref, resumed)
 	_, replayed, err := OpenJournal(cutPath, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSamePhysics(t, ref, replayed)
+	requireIdentical(t, ref, replayed)
 }
 
 // TestJournalCorruptRecordStopsReplay flips one byte inside an entry's
 // payload: the CRC must reject the record, replay must stop at the last
 // good entry before it, and the resume must still complete bit-for-bit.
 func TestJournalCorruptRecordStopsReplay(t *testing.T) {
-	ref := journalRef(t)
+	ref := reference(t)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "campaign.fwal")
 	j, err := CreateJournal(path, campaignSpec(), 2)
@@ -210,7 +192,7 @@ func TestJournalCorruptRecordStopsReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewCampaign(campaignSpec())
-	if n, err := c.RunBatchJournaled(10, j); err != nil || n != 4 {
+	if n, err := runJournaled(c, 10, j); err != nil || n != 4 {
 		t.Fatalf("journaled run: %d, %v", n, err)
 	}
 	if err := j.Close(); err != nil {
@@ -238,52 +220,13 @@ func TestJournalCorruptRecordStopsReplay(t *testing.T) {
 	if resumed.Done() != 1 {
 		t.Fatalf("recovered %d entries past a corrupt record", resumed.Done())
 	}
-	if _, err := resumed.RunBatchJournaled(10, j2); err != nil {
+	if _, err := runJournaled(resumed, 10, j2); err != nil {
 		t.Fatal(err)
 	}
 	if err := j2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	assertSamePhysics(t, ref, resumed)
-}
-
-// TestJournalConcurrentCampaign: the concurrent driver appends from its
-// contraction tasks; a kill after the first batch resumes bit-for-bit,
-// and the report carries the checkpoint count.
-func TestJournalConcurrentCampaign(t *testing.T) {
-	ref := journalRef(t)
-	path := filepath.Join(t.TempDir(), "campaign.fwal")
-	j, err := CreateJournal(path, campaignSpec(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewCampaign(campaignSpec())
-	n, rep, err := c.RunBatchConcurrentJournaled(context.Background(), 2, 2, j)
-	if err != nil || n != 2 {
-		t.Fatalf("first concurrent batch: %d, %v", n, err)
-	}
-	if rep.JournalCheckpoints != 2 {
-		t.Fatalf("report checkpoints %d, want 2 (cadence 1, two configs)", rep.JournalCheckpoints)
-	}
-	// Kill: no Close. Resume concurrently from the journal.
-	j2, resumed, err := OpenJournal(path, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resumed.Done() != 2 {
-		t.Fatalf("recovered %d entries", resumed.Done())
-	}
-	n, rep, err = resumed.RunBatchConcurrentJournaled(context.Background(), 10, 2, j2)
-	if err != nil || n != 2 {
-		t.Fatalf("resumed concurrent batch: %d, %v", n, err)
-	}
-	if rep.JournalCheckpoints != 2 {
-		t.Fatalf("resumed report checkpoints %d, want 2", rep.JournalCheckpoints)
-	}
-	if err := j2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	assertSamePhysics(t, ref, resumed)
+	requireIdentical(t, ref, resumed)
 }
 
 // TestJournalCheckpointCadence: with cadence 3, eleven appends fsync at

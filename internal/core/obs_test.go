@@ -25,9 +25,9 @@ func TestCampaignObservability(t *testing.T) {
 	camp := NewCampaign(cfg)
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer(nil)
-	camp.Obs = ObsConfig{Metrics: reg, Trace: tr}
 
-	done, rep, err := camp.RunBatchConcurrent(context.Background(), cfg.NConfigs, 2)
+	done, rep, err := camp.Run(context.Background(), cfg.NConfigs,
+		RunOptions{Workers: 2, Obs: ObsConfig{Metrics: reg, Trace: tr}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,12 +109,12 @@ func TestCampaignObservabilityDoesNotPerturbPhysics(t *testing.T) {
 	cfg.NConfigs = 2
 
 	plain := NewCampaign(cfg)
-	if _, _, err := plain.RunBatchConcurrent(context.Background(), cfg.NConfigs, 2); err != nil {
+	if _, _, err := plain.Run(context.Background(), cfg.NConfigs, RunOptions{Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
 	instr := NewCampaign(cfg)
-	instr.Obs = ObsConfig{Metrics: obs.NewRegistry(), Trace: obs.NewTracer(nil)}
-	if _, _, err := instr.RunBatchConcurrent(context.Background(), cfg.NConfigs, 2); err != nil {
+	sinks := ObsConfig{Metrics: obs.NewRegistry(), Trace: obs.NewTracer(nil)}
+	if _, _, err := instr.Run(context.Background(), cfg.NConfigs, RunOptions{Workers: 2, Obs: sinks}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < cfg.NConfigs; i++ {

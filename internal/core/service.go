@@ -11,18 +11,11 @@ import (
 )
 
 // This file is the stateless service surface of the campaign core: the
-// pieces a long-running multi-tenant driver (internal/serve) needs to
-// run one configuration at a time on its own scheduler while staying
-// bit-for-bit compatible with the batch drivers - the same content
-// address, the same compute path, the same counters.
-
-// SolveKey returns the content address of configuration cfg's correlator
-// pair under spec: the cache identity shared by every driver in the
-// repository, so a solve performed by a batch campaign is a warm hit for
-// a service tenant and vice versa.
-func SolveKey(spec RealConfig, cfg int) cache.Key {
-	return solveKey(spec, cfg)
-}
+// per-configuration step Campaign.Run is built from, exported so that a
+// long-running multi-tenant driver (internal/serve) can run one
+// configuration at a time on its own scheduler while staying bit-for-bit
+// compatible with the campaigns - the same content address (SolveKey),
+// the same compute path, the same counters.
 
 // EnsembleFor regenerates the spec's gauge ensemble. Configurations are
 // a pure function of the spec (seed, action, update counts), which is

@@ -45,16 +45,10 @@ func genCacheWarm(quick bool) (Result, error) {
 
 	run := func() (sec float64, iters int64, err error) {
 		reg := obs.NewRegistry()
-		camp := core.NewCampaign(spec)
-		camp.Cache = store
-		camp.Obs = core.ObsConfig{Metrics: reg}
 		t0 := time.Now()
-		n, _, err := camp.RunBatchConcurrent(context.Background(), spec.NConfigs, 2)
-		if err != nil {
-			return 0, 0, err
-		}
-		if n != spec.NConfigs {
-			return 0, 0, fmt.Errorf("cachewarm: %d of %d configurations completed", n, spec.NConfigs)
+		if _, _, err := core.Run(context.Background(), spec,
+			core.RunOptions{Workers: 2, Cache: store, Obs: core.ObsConfig{Metrics: reg}}); err != nil {
+			return 0, 0, fmt.Errorf("cachewarm: %w", err)
 		}
 		return time.Since(t0).Seconds(), reg.Counter("core.solver_iterations").Value(), nil
 	}

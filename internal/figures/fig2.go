@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -56,7 +57,7 @@ func genFig2(quick bool) (Result, error) {
 	out := Fig2{Model: model}
 	if !quick {
 		cfg := workflow.DefaultRealConfig()
-		real, err := workflow.RunReal(cfg)
+		real, _, err := workflow.RunReal(context.Background(), cfg, 0)
 		if err != nil {
 			return nil, err
 		}

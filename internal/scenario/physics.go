@@ -24,7 +24,7 @@ func (sc Scenario) runPhysics(ctx context.Context) (string, []string, []string, 
 	spec := sc.Physics.Spec
 
 	ref := core.NewCampaign(spec)
-	if _, err := ref.RunBatch(spec.NConfigs); err != nil {
+	if _, _, err := ref.Run(ctx, spec.NConfigs, core.RunOptions{}); err != nil {
 		return "", nil, nil, fmt.Errorf("reference campaign: %w", err)
 	}
 	if !ref.Complete() {
@@ -34,7 +34,7 @@ func (sc Scenario) runPhysics(ctx context.Context) (string, []string, []string, 
 
 	checks = append(checks, "physics-concurrent-bitident")
 	conc := core.NewCampaign(spec)
-	if _, _, err := conc.RunBatchConcurrent(ctx, spec.NConfigs, 2); err != nil {
+	if _, _, err := conc.Run(ctx, spec.NConfigs, core.RunOptions{Workers: 2}); err != nil {
 		return "", nil, nil, fmt.Errorf("concurrent campaign: %w", err)
 	}
 	if conc.Fingerprint() != fp {
@@ -52,11 +52,11 @@ func (sc Scenario) runPhysics(ctx context.Context) (string, []string, []string, 
 		spec2 := spec
 		spec2.Prec = prec
 		ref2 := core.NewCampaign(spec2)
-		if _, err := ref2.RunBatch(spec2.NConfigs); err != nil {
+		if _, _, err := ref2.Run(ctx, spec2.NConfigs, core.RunOptions{}); err != nil {
 			return "", nil, nil, fmt.Errorf("%v reference campaign: %w", prec, err)
 		}
 		conc2 := core.NewCampaign(spec2)
-		if _, _, err := conc2.RunBatchConcurrent(ctx, spec2.NConfigs, 2); err != nil {
+		if _, _, err := conc2.Run(ctx, spec2.NConfigs, core.RunOptions{Workers: 2}); err != nil {
 			return "", nil, nil, fmt.Errorf("%v concurrent campaign: %w", prec, err)
 		}
 		if conc2.Fingerprint() != ref2.Fingerprint() {
@@ -106,8 +106,7 @@ func (sc Scenario) cacheEpisode(ctx context.Context, fp string) (checks, viol []
 		return nil, nil, err
 	}
 	cold := core.NewCampaign(spec)
-	cold.Cache = coldStore
-	if _, _, err = cold.RunBatchConcurrent(ctx, spec.NConfigs, 2); err != nil {
+	if _, _, err = cold.Run(ctx, spec.NConfigs, core.RunOptions{Workers: 2, Cache: coldStore}); err != nil {
 		return nil, nil, fmt.Errorf("cold cached campaign: %w", err)
 	}
 	if cold.Fingerprint() != fp {
@@ -130,9 +129,8 @@ func (sc Scenario) cacheEpisode(ctx context.Context, fp string) (checks, viol []
 		return nil, nil, err
 	}
 	warm := core.NewCampaign(spec)
-	warm.Cache = warmStore
-	warm.Obs = core.ObsConfig{Metrics: reg}
-	if _, _, err = warm.RunBatchConcurrent(ctx, spec.NConfigs, 2); err != nil {
+	if _, _, err = warm.Run(ctx, spec.NConfigs,
+		core.RunOptions{Workers: 2, Cache: warmStore, Obs: core.ObsConfig{Metrics: reg}}); err != nil {
 		return nil, nil, fmt.Errorf("warm cached campaign: %w", err)
 	}
 	if warm.Fingerprint() != fp {
@@ -215,7 +213,8 @@ func (sc Scenario) journalEpisode(ctx context.Context, fp string) (checks, viol 
 	} else {
 		budget.WallClock = sc.Physics.JournalWall
 	}
-	if _, _, err = interrupted.RunBatchConcurrentBudgeted(ctx, spec.NConfigs, 2, j, budget, preempt); err != nil {
+	if _, _, err = interrupted.Run(ctx, spec.NConfigs,
+		core.RunOptions{Workers: 2, Journal: j, Budget: budget, Preempt: preempt}); err != nil {
 		cerr := j.Close()
 		return nil, nil, fmt.Errorf("interrupted campaign: %w (journal close: %v)", err, cerr)
 	}
@@ -227,7 +226,7 @@ func (sc Scenario) journalEpisode(ctx context.Context, fp string) (checks, viol 
 	if err != nil {
 		return nil, nil, fmt.Errorf("reopen journal: %w", err)
 	}
-	if _, err = resumed.RunBatchJournaled(spec.NConfigs, j2); err != nil {
+	if _, _, err = resumed.Run(ctx, spec.NConfigs, core.RunOptions{Journal: j2}); err != nil {
 		cerr := j2.Close()
 		return nil, nil, fmt.Errorf("resumed campaign: %w (journal close: %v)", err, cerr)
 	}

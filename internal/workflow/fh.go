@@ -6,6 +6,7 @@ import (
 
 	"femtoverse/internal/cache"
 	"femtoverse/internal/contract"
+	"femtoverse/internal/core"
 	"femtoverse/internal/dirac"
 	"femtoverse/internal/gauge"
 	"femtoverse/internal/lattice"
@@ -66,26 +67,10 @@ func fhPropKey(cfg RealConfig, i int, ins Insertion) cache.Key {
 	return b.Build()
 }
 
-// propKeyBuilder appends the solve identity every propagator key shares:
-// geometry, action, ensemble generation, solver policy, configuration.
+// propKeyBuilder starts a propagator key: the spec identity every cache
+// key in the repository shares (core.SpecKey), then the configuration.
 func propKeyBuilder(cfg RealConfig, i int) *cache.KeyBuilder {
-	return cache.NewKey("workflow/prop/v1").
-		Int("nx", int64(cfg.Dims[0])).
-		Int("ny", int64(cfg.Dims[1])).
-		Int("nz", int64(cfg.Dims[2])).
-		Int("nt", int64(cfg.Dims[3])).
-		Int("ls", int64(cfg.Params.Ls)).
-		Float("m5", cfg.Params.M5).
-		Float("b5", cfg.Params.B5).
-		Float("c5", cfg.Params.C5).
-		Float("m", cfg.Params.M).
-		Int("seed", cfg.Seed).
-		Float("beta", cfg.Beta).
-		Int("therm", int64(cfg.ThermSweeps)).
-		Int("gap", int64(cfg.GapSweeps)).
-		Float("tol", cfg.Tol).
-		Int("prec", int64(cfg.Prec)).
-		Int("cfg", int64(i))
+	return core.SpecKey("workflow/prop/v1", cfg).Int("cfg", int64(i))
 }
 
 // propThroughCache returns the propagator for key, computing it at most

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"femtoverse/internal/cache"
+	"femtoverse/internal/dirac"
 	"femtoverse/internal/linalg"
+	"femtoverse/internal/solver"
 )
 
 func fhCampaignSpec() FHCampaignConfig {
@@ -133,5 +135,25 @@ func TestFHPropKeyCoversGamma(t *testing.T) {
 	}
 	if basePropKey(spec.RealConfig, 0).ID == basePropKey(spec.RealConfig, 1).ID {
 		t.Fatal("configuration index not in the base key")
+	}
+}
+
+// TestPropKeysPinned holds the propagator cache identity to literals
+// computed before the key prefix moved into core.SpecKey: a store warmed
+// by an older build stays warm. A pin that changes orphans every stored
+// propagator and needs a namespace bump, not a new literal.
+func TestPropKeysPinned(t *testing.T) {
+	spec := RealConfig{
+		Dims:     [4]int{2, 2, 2, 4},
+		Params:   dirac.MobiusParams{Ls: 4, M5: 1.4, B5: 1.25, C5: 0.25, M: 0.1},
+		NConfigs: 2, Seed: 7, Tol: 1e-8, Prec: solver.Single,
+		Beta: 5.8, ThermSweeps: 3, GapSweeps: 1,
+	}
+	if got, want := basePropKey(spec, 1).ID, "cee0cb88aa5e32f44eee3333ab39b89672cf2cd82ab7012c0eaefc65a955df0d"; got != want {
+		t.Errorf("base propagator key %s, pinned %s", got, want)
+	}
+	axial := Insertion{Name: "axial", Gamma: linalg.AxialGamma()}
+	if got, want := fhPropKey(spec, 1, axial).ID, "d7891fb2d545d9a01be10551c91353e00523f1a453dc91b5e83f71da98a1325a"; got != want {
+		t.Errorf("FH propagator key %s, pinned %s", got, want)
 	}
 }

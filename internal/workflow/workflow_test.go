@@ -1,6 +1,7 @@
 package workflow
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -12,9 +13,12 @@ func TestRealPipelineEndToEnd(t *testing.T) {
 	cfg.NConfigs = 2
 	cfg.ThermSweeps = 3
 	cfg.GapSweeps = 1
-	res, err := RunReal(cfg)
+	res, rep, err := RunReal(context.Background(), cfg, 0)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if rep != nil {
+		t.Fatalf("inline run returned a pool report: %+v", rep)
 	}
 	if len(res.Pion) != 2 || len(res.Proton) != 2 {
 		t.Fatalf("correlators missing: %d/%d", len(res.Pion), len(res.Proton))
@@ -41,6 +45,56 @@ func TestRealPipelineEndToEnd(t *testing.T) {
 	p, _, _ := res.Budget.Fractions()
 	if p < 50 {
 		t.Fatalf("propagator share %.1f%%; solves must dominate", p)
+	}
+}
+
+// The pipeline must produce the same correlators bit for bit and the
+// same accounting exactly whoever executes its stages - the calling
+// goroutine (workers 0) or the job runtime at any width; only the
+// measured Budget (wall-clock timings) may differ.
+func TestRunRealMatchesAtEveryWorkerCount(t *testing.T) {
+	cfg := DefaultRealConfig()
+	cfg.Dims = [4]int{2, 2, 2, 4}
+	cfg.Params.Ls = 4
+	cfg.NConfigs = 3
+	cfg.ThermSweeps = 3
+	cfg.GapSweeps = 1
+
+	var ref *RealResult
+	for _, workers := range []int{0, 1, 3} {
+		got, rep, err := RunReal(context.Background(), cfg, workers)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if got.Budget.Total() <= 0 {
+			t.Fatalf("workers=%d: empty budget", workers)
+		}
+		if workers == 0 {
+			ref = got
+			continue
+		}
+		if rep == nil || rep.Succeeded != 3*cfg.NConfigs || rep.Failed != 0 {
+			t.Fatalf("workers=%d report: %+v", workers, rep)
+		}
+		if got.Solves != ref.Solves || got.Iterations != ref.Iterations ||
+			got.Flops != ref.Flops || got.IOBytes != ref.IOBytes {
+			t.Fatalf("workers=%d accounting differs: %+v vs %+v", workers, got, ref)
+		}
+		if len(got.Pion) != len(ref.Pion) || len(got.Proton) != len(ref.Proton) {
+			t.Fatalf("workers=%d correlator counts differ", workers)
+		}
+		for i := range ref.Pion {
+			for tt := range ref.Pion[i] {
+				if got.Pion[i][tt] != ref.Pion[i][tt] {
+					t.Fatalf("workers=%d pion differs at cfg %d t=%d", workers, i, tt)
+				}
+			}
+			for tt := range ref.Proton[i] {
+				if got.Proton[i][tt] != ref.Proton[i][tt] {
+					t.Fatalf("workers=%d proton differs at cfg %d t=%d", workers, i, tt)
+				}
+			}
+		}
 	}
 }
 
