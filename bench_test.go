@@ -14,6 +14,7 @@ package femtoverse
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -209,6 +210,40 @@ func benchSolve(b *testing.B, prec solver.Precision) {
 func BenchmarkCGNEDouble(b *testing.B) { benchSolve(b, solver.Double) }
 func BenchmarkCGNESingle(b *testing.B) { benchSolve(b, solver.Single) }
 func BenchmarkCGNEHalf(b *testing.B)   { benchSolve(b, solver.Half) }
+
+// BenchmarkPropagator is one point propagator - twelve component solves
+// through prop's batch - at the fh-* lattice of the repository benchmark,
+// on one lane and on two. The lane count is not a parameter of the code;
+// the row sets the budget the code observes (linalg.DefaultWorkers) and
+// restores it.
+func BenchmarkPropagator(b *testing.B) {
+	g := lattice.MustNew(2, 2, 4, 8)
+	cfg := gauge.NewWeak(g, 3, 0.3)
+	cfg.FlipTimeBoundary()
+	m, err := dirac.NewMobius(cfg, dirac.MobiusParams{Ls: 4, M5: 1.4, B5: 1.25, C5: 0.25, M: 0.2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	eo, err := dirac.NewMobiusEO(m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, lanes := range []int{1, 2} {
+		b.Run(fmt.Sprintf("lanes=%d", lanes), func(b *testing.B) {
+			defer func(old int) { linalg.DefaultWorkers = old }(linalg.DefaultWorkers)
+			linalg.DefaultWorkers = lanes
+			qs := prop.NewQuarkSolver(eo, solver.Params{Tol: 1e-8, Precision: solver.Single})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := qs.ComputePoint([4]int{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(qs.Solves)/b.Elapsed().Seconds(), "solves/s")
+		})
+	}
+}
 
 // Ablation: kernel autotuning on/off. The tunable is the Wilson dslash
 // worker count; the tuner must find a configuration at least as good as

@@ -69,11 +69,17 @@ run_gate 'Drain|Preempt|Budget|Admission|Atomic|Save' -race -count=2 -- ./intern
 # here too: the fused Schur kernels against their staged reference at
 # every launch split, two solves splitting their passes at once, a For
 # nested in a For body, and zero allocations per BLAS-1 call and per
-# Schur application whenever the pass stays on the calling goroutine. The
-# suites run under -race with -count=2 against fresh interleavings.
+# Schur application whenever the pass stays on the calling goroutine. So
+# do the propagator lanes: a batch on 1, 2, 3 and 12 lanes against the
+# serial loop digest for digest, an operator view against its parent
+# while the parent applies, a kept solver workspace against a fresh one,
+# the lane budget under contention, cancellation and the lowest-failure
+# rule with every lane joined, and the half codec's rounding and in-place
+# round trip against what they replaced. The suites run under -race with
+# -count=2 against fresh interleavings.
 go test -race -count=2 ./internal/obs/
 run_gate 'Singleflight|SearchModelled|RepsEnabled|Observer' -race -count=2 -- ./internal/autotune/
-run_gate 'Bitwise|BitForBit|ReduceChunk|Deterministic|DoesNotAllocate|NestedFor|ConcurrentCallers' -race -count=2 -- ./internal/linalg/ ./internal/dirac/ ./internal/solver/
+run_gate 'Bitwise|BitForBit|ReduceChunk|Deterministic|DoesNotAllocate|NestedFor|ConcurrentCallers|Lane|Batch|Budget|Straggler|View|Workspace|RoundTrip|RoundHalf' -race -count=2 -- ./internal/linalg/ ./internal/dirac/ ./internal/solver/ ./internal/prop/
 run_gate 'Obs|Timeline|Trace' -race -- ./internal/runtime/ ./internal/core/ ./internal/cluster/
 # Cache gate: the content-addressed result cache must be race-free and
 # deterministic - the LRU eviction order, the byte budget, the disk
@@ -147,6 +153,31 @@ rm -f "$PWD/gastress.bin"
 # the uninterrupted run's fingerprint.
 go test -race -count=2 ./internal/serve/ ./internal/validate/
 run_gate 'EndToEnd|FlagValidation' -race -- ./cmd/gaserve/ ./cmd/gasolve/ ./cmd/garank/ ./cmd/gastress/
+# Touched-package gate: an interleaving-dependent test shows only when
+# its suite is repeated, and five were found by hand in four PRs because
+# somebody happened to pass -count. So every package the change under test
+# touches re-runs its whole suite three times under the race detector. The
+# change under test is the Go files that differ from the merge base with
+# $CI_BASE when CI names the target branch; otherwise the uncommitted
+# ones, if there are any, and the last commit's if the tree is clean. The
+# nested benchmark module has its own step above.
+if [ -n "${CI_BASE:-}" ]; then
+	base=$(git merge-base HEAD "$CI_BASE")
+elif [ -n "$(git status --porcelain -- '*.go')" ]; then
+	base=HEAD
+else
+	base=HEAD~1
+fi
+touched=$({
+	git diff --name-only "$base" -- '*.go'
+	git ls-files --others --exclude-standard -- '*.go'
+} | grep -v '^benchmark/' | xargs -r -n1 dirname | sort -u | while read -r d; do
+	if ls "$d"/*.go >/dev/null 2>&1; then echo "./$d"; fi
+done)
+if [ -n "$touched" ]; then
+	# shellcheck disable=SC2086 # touched is a word list
+	go test -race -count=3 -timeout 120m $touched
+fi
 # The femtolint suppression budget: the tree carries 8 reviewed
 # //femtolint:ignore directives (the runtime's deliberate post-drain
 # Wait, the journal's best-effort Close-after-error cleanups). New code

@@ -29,9 +29,9 @@ type configProps struct {
 }
 
 // solveConfig runs the full solve stage for one configuration: boundary
-// flip, operator construction, 12 forward solves and 12 FH solves. It is
-// the single compute path under every driver, which is what makes their
-// outputs bit-for-bit comparable.
+// flip, operator construction, a batch of 12 forward solves and a batch of
+// 12 FH solves. It is the single compute path under every driver, which is
+// what makes their outputs bit-for-bit comparable.
 func solveConfig(ctx context.Context, cfg RealConfig, u *gauge.Field) (*configProps, error) {
 	u.FlipTimeBoundary()
 	m, err := dirac.NewMobius(u, cfg.Params)
@@ -82,10 +82,13 @@ type ObsConfig struct {
 // run.
 type RunOptions struct {
 	// Workers chooses the executor. 0 walks the configurations in order
-	// on the calling goroutine: no pool, no goroutine, no report. N >= 1
-	// hands the same tasks to the job runtime with N solve workers (and
-	// N/2, at least one, contract workers) - the mpi_jm co-scheduling
-	// pattern - and returns its utilization report.
+	// on the calling goroutine: no pool, no report. N >= 1 hands the same
+	// tasks to the job runtime with N solve workers (and N/2, at least
+	// one, contract workers) - the mpi_jm co-scheduling pattern - and
+	// returns its utilization report. Either way, whoever solves a
+	// configuration may put its sibling component solves on cores the
+	// process has idle (prop.QuarkSolver.SolveBatchCtx); with every core
+	// taken by another configuration it solves them alone.
 	Workers int
 	// Journal, when non-nil, is the write-ahead log: every configuration
 	// is appended the moment its correlators exist (cache hits included),

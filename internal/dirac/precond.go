@@ -34,6 +34,15 @@ type MobiusEO struct {
 	// transpose of minvP because the sectors are transposes of each other.
 	minvP, minvM []float64
 
+	// Workers, when positive, is the split width of this operator's own
+	// site loops; zero defers to M.W.Workers. It is how a lane (View) runs
+	// narrower than its siblings' shared configuration; like every split
+	// width it cannot change a bit of the result.
+	Workers int
+
+	// Everything above is read-only once built and shared by every View;
+	// everything below is one applier's own.
+
 	// Scratch half-fields (Ls * HalfVol * SpinorLen each).
 	t1, t2, t3 []complex128
 
@@ -71,12 +80,31 @@ func NewMobiusEO(m *Mobius) (*MobiusEO, error) {
 	}
 	p.minvP = inv
 	p.minvM = linalg.TransposeReal(ls, inv)
+	p.ownScratch()
+	return p, nil
+}
+
+// ownScratch gives p the state no two appliers may share: the scratch
+// half-fields and the bound site loop.
+func (p *MobiusEO) ownScratch() {
 	n := p.HalfSize()
 	p.t1 = make([]complex128, n)
 	p.t2 = make([]complex128, n)
 	p.t3 = make([]complex128, n)
 	p.sites = p.runSites
-	return p, nil
+}
+
+// View returns an operator that is p to the bit - the same Mobius
+// operator, even-odd tables and fifth-dimension inverses, by reference -
+// but applies through scratch and pass state of its own, so that p and any
+// number of views may run Apply, ApplyDagger, PrepareSource and
+// Reconstruct at the same time. It costs three half-fields. Changes to
+// the shared M (its launch parameters, say) reach every view; each view's
+// Workers is its own.
+func (p *MobiusEO) View() *MobiusEO {
+	v := &MobiusEO{M: p.M, EO: p.EO, a: p.a, c: p.c, minvP: p.minvP, minvM: p.minvM}
+	v.ownScratch()
+	return v
 }
 
 // HalfVol returns the number of 4-D sites per parity block.
@@ -122,8 +150,17 @@ const (
 func (p *MobiusEO) run(st schurStage, dst, src []complex128) {
 	p.stage, p.dst, p.src = st, dst, src
 	w := p.M.W
-	linalg.ForBlocked(p.HalfVol(), w.Workers, w.Block, p.sites)
+	linalg.ForBlocked(p.HalfVol(), ownWidth(p.Workers, w.Workers), w.Block, p.sites)
 	p.dst, p.src = nil, nil
+}
+
+// ownWidth is an operator's split width: its own when set, the shared
+// configuration's otherwise.
+func ownWidth(own, shared int) int {
+	if own > 0 {
+		return own
+	}
+	return shared
 }
 
 // runSites is the body of every pass: sites [lo, hi) of the pass's parity

@@ -21,6 +21,11 @@ type MobiusEO32 struct {
 	a, c, b5, c5, m float32
 	minvP, minvM    []float32
 
+	// Workers is MobiusEO.Workers for this operator's site loops. As
+	// there, what is above it is shared by every View and what is below is
+	// one applier's own.
+	Workers int
+
 	t1, t2, t3 []complex64
 
 	// The pass in flight: which site loop, on what. sites is bound once at
@@ -51,12 +56,26 @@ func NewMobiusEO32(p *MobiusEO) *MobiusEO32 {
 	for i, v := range p.minvM {
 		q.minvM[i] = float32(v)
 	}
-	n := p.HalfSize()
+	q.ownScratch()
+	return q
+}
+
+func (q *MobiusEO32) ownScratch() {
+	n := q.P.HalfSize()
 	q.t1 = make([]complex64, n)
 	q.t2 = make([]complex64, n)
 	q.t3 = make([]complex64, n)
 	q.sites = q.runSites
-	return q
+}
+
+// View is MobiusEO.View for the single-precision mirror: the demoted
+// gauge field and the float32 constants by reference, scratch and pass
+// state of its own. P stays the operator q was demoted from, which a
+// MobiusEO32 consults for geometry alone.
+func (q *MobiusEO32) View() *MobiusEO32 {
+	v := &MobiusEO32{P: q.P, U: q.U, a: q.a, c: q.c, b5: q.b5, c5: q.c5, m: q.m, minvP: q.minvP, minvM: q.minvM}
+	v.ownScratch()
+	return v
 }
 
 // Size returns the half-field component count.
@@ -91,7 +110,7 @@ func (q *MobiusEO32) ApplyNormal(dst, src, tmp []complex64) {
 func (q *MobiusEO32) run(st schurStage, dst, src []complex64) {
 	q.stage, q.dst, q.src = st, dst, src
 	w := q.P.M.W
-	linalg.ForBlocked(q.P.HalfVol(), w.Workers, w.Block, q.sites)
+	linalg.ForBlocked(q.P.HalfVol(), ownWidth(q.Workers, w.Workers), w.Block, q.sites)
 	q.dst, q.src = nil, nil
 }
 

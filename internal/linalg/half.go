@@ -68,8 +68,8 @@ func (h *HalfVector) encode(src []complex128, lo, hi int) {
 		}
 		q := halfMax / m
 		for i, c := range blk {
-			h.Data[2*(b*h.Block+i)] = int16(math.Round(real(c) * q))
-			h.Data[2*(b*h.Block+i)+1] = int16(math.Round(imag(c) * q))
+			h.Data[2*(b*h.Block+i)] = int16(roundHalfAway(real(c) * q))
+			h.Data[2*(b*h.Block+i)+1] = int16(roundHalfAway(imag(c) * q))
 		}
 	}
 }
@@ -140,15 +140,7 @@ func (h *HalfVector) EncodeC64(src []complex64) {
 func (h *HalfVector) encodeC64(src []complex64, lo, hi int) {
 	for b := lo; b < hi; b++ {
 		blk := src[b*h.Block : (b+1)*h.Block]
-		var m float32
-		for _, c := range blk {
-			if a := absf32(real(c)); a > m {
-				m = a
-			}
-			if a := absf32(imag(c)); a > m {
-				m = a
-			}
-		}
+		m := maxAbsC64(blk)
 		h.Scale[b] = m
 		if m == 0 {
 			for i := range blk {
@@ -159,19 +151,85 @@ func (h *HalfVector) encodeC64(src []complex64, lo, hi int) {
 		}
 		q := float64(halfMax) / float64(m)
 		for i, c := range blk {
-			h.Data[2*(b*h.Block+i)] = int16(math.Round(float64(real(c)) * q))
-			h.Data[2*(b*h.Block+i)+1] = int16(math.Round(float64(imag(c)) * q))
+			h.Data[2*(b*h.Block+i)] = int16(roundHalfAway(float64(real(c)) * q))
+			h.Data[2*(b*h.Block+i)+1] = int16(roundHalfAway(float64(imag(c)) * q))
 		}
 	}
+}
+
+// HalfRoundTripC64 rounds v through the 16-bit storage format in place:
+// every block of block complex elements comes out as DecodeC64 of its
+// EncodeC64, bit for bit, without the int16 buffer in between - what the
+// mixed-precision solver wants of the format, which never reads the
+// stored form. len(v) must be a multiple of block.
+func HalfRoundTripC64(v []complex64, block, workers int) {
+	if block <= 0 || len(v)%block != 0 {
+		panic("linalg: half round trip length must be a positive multiple of block")
+	}
+	if nb := len(v) / block; serialPass(len(v), workers) {
+		halfRoundTripC64(v, block, 0, nb)
+	} else {
+		For(nb, workers, func(lo, hi int) { halfRoundTripC64(v, block, lo, hi) })
+	}
+}
+
+func halfRoundTripC64(v []complex64, block, lo, hi int) {
+	for b := lo; b < hi; b++ {
+		blk := v[b*block : (b+1)*block]
+		m := maxAbsC64(blk)
+		if m == 0 {
+			// A block of zeros (or of nothing but NaNs, which never win
+			// the maximum) is stored as zeros under scale 0.
+			for i := range blk {
+				blk[i] = 0
+			}
+			continue
+		}
+		q := float64(halfMax) / float64(m)
+		s := m / halfMax
+		for i, c := range blk {
+			blk[i] = complex(
+				float32(int16(roundHalfAway(float64(real(c))*q)))*s,
+				float32(int16(roundHalfAway(float64(imag(c))*q)))*s,
+			)
+		}
+	}
+}
+
+// maxAbsC64 is the scale of a block: its largest absolute component.
+func maxAbsC64(blk []complex64) float32 {
+	var m float32
+	for _, c := range blk {
+		if a := absf32(real(c)); a > m {
+			m = a
+		}
+		if a := absf32(imag(c)); a > m {
+			m = a
+		}
+	}
+	return m
+}
+
+// roundHalfAway rounds x to the nearest integer, halves away from zero:
+// math.Round for every |x| < 2^30, which scaled components (at most
+// halfMax in magnitude) always are, at a fraction of its cost. With t the
+// truncation of x, the remainder d = x - t is exact and lies in (-1, 1),
+// 2d is exact too, and its truncation is +1 from d = 0.5 up, -1 from -0.5
+// down and 0 between - the correction, with no comparison for the branch
+// predictor to lose on data whose fractions are as good as random. Adding
+// 0.5 and truncating would not do: 0.49999999999999994 + 0.5 rounds to 1.
+func roundHalfAway(x float64) int32 {
+	t := int32(x)
+	return t + int32(2*(x-float64(t)))
 }
 
 // RelError bounds the worst-case relative quantization error of a block
 // whose max magnitude is scale: half a quantum over the scale.
 func RelError() float64 { return 0.5 / halfMax }
 
+// absf32 clears the sign bit. A comparison with zero would be a branch
+// on the sign of field data, which the predictor loses half the time: it
+// was most of what the C64 codec cost.
 func absf32(x float32) float32 {
-	if x < 0 {
-		return -x
-	}
-	return x
+	return math.Float32frombits(math.Float32bits(x) &^ (1 << 31))
 }

@@ -128,3 +128,79 @@ func TestHalfRejectsBadBlockSize(t *testing.T) {
 	}()
 	NewHalfVector(25, 24)
 }
+
+// TestRoundHalfAwayIsMathRound holds the codec's rounding to the
+// math.Round it replaced wherever the two could part: every half-integer
+// of the int16 range and its float64 neighbours on both sides, the range
+// edges, and a million seeded values.
+func TestRoundHalfAwayIsMathRound(t *testing.T) {
+	check := func(x float64) {
+		t.Helper()
+		if got, want := roundHalfAway(x), int32(math.Round(x)); got != want {
+			t.Fatalf("roundHalfAway(%v) = %d, math.Round gives %d", x, got, want)
+		}
+	}
+	for k := 0; k <= halfMax; k++ {
+		for _, h := range []float64{float64(k), float64(k) + 0.5} {
+			for _, x := range []float64{h, math.Nextafter(h, math.Inf(1)), math.Nextafter(h, math.Inf(-1))} {
+				check(x)
+				check(-x)
+			}
+		}
+	}
+	for _, x := range []float64{0.49999999999999994, halfMax + 0.49999999999999, math.Copysign(0, -1), 5e-324} {
+		check(x)
+		check(-x)
+	}
+	rng := rand.New(rand.NewSource(19))
+	for i := 0; i < 1000000; i++ {
+		check((2*rng.Float64() - 1) * (halfMax + 0.5))
+	}
+}
+
+// TestHalfRoundTripC64IsEncodeDecode holds the in-place round trip to the
+// stored form it skips, bit for bit, on ordinary blocks and on the ones
+// with a special case in the codec: zeros of either sign, a lone NaN, a
+// block of nothing but NaNs, an infinity, and values at the float32 edges.
+func TestHalfRoundTripC64IsEncodeDecode(t *testing.T) {
+	const block = 12
+	rng := rand.New(rand.NewSource(3))
+	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	blocks := [][]complex64{
+		make([]complex64, block),
+		{complex(float32(math.Copysign(0, -1)), 0), complex(0, float32(math.Copysign(0, -1)))},
+		{complex(nan, 1), complex(0.25, -0.75)},
+		{complex(nan, nan), complex(nan, nan)},
+		{complex(inf, 1), complex(-2, 3)},
+		{complex(-inf, nan), 0},
+		{complex(math.MaxFloat32, -math.MaxFloat32), complex(1, math.SmallestNonzeroFloat32)},
+		{complex(math.SmallestNonzeroFloat32, 0), complex(0, -math.SmallestNonzeroFloat32)},
+	}
+	for len(blocks) < 8+4*ReduceChunk/block { // past serialPass's cut, so workers > 1 splits
+		blk := make([]complex64, block)
+		scale := float32(math.Exp(20 * rng.NormFloat64()))
+		for i := range blk {
+			blk[i] = complex(scale*float32(rng.NormFloat64()), scale*float32(rng.NormFloat64()))
+		}
+		blocks = append(blocks, blk)
+	}
+	var v []complex64
+	for _, blk := range blocks {
+		v = append(v, append(blk, make([]complex64, block-len(blk))...)...)
+	}
+	want := append([]complex64(nil), v...)
+	h := NewHalfVector(len(v), block)
+	h.EncodeC64(want)
+	h.DecodeC64(want)
+	for _, workers := range []int{1, 3} {
+		got := append([]complex64(nil), v...)
+		HalfRoundTripC64(got, block, workers)
+		for i := range want {
+			if math.Float32bits(real(got[i])) != math.Float32bits(real(want[i])) ||
+				math.Float32bits(imag(got[i])) != math.Float32bits(imag(want[i])) {
+				t.Fatalf("workers %d: element %d of block %d is %v in place, %v through the stored form (from %v)",
+					workers, i%block, i/block, got[i], want[i], v[i])
+			}
+		}
+	}
+}

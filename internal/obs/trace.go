@@ -187,6 +187,24 @@ func (sc Scope) Enabled() bool { return sc.tr != nil }
 // With returns the same tracer on a different lane.
 func (sc Scope) With(pid, tid int) Scope { return Scope{tr: sc.tr, pid: pid, tid: tid} }
 
+// laneTIDStride keeps helper-lane tids clear of the tids drivers hand out
+// themselves, which are small worker indices.
+const laneTIDStride = 1 << 12
+
+// Lane returns the scope of helper lane i of this scope's lane: the same
+// pid on a tid derived from this one and labelled after it. A lane that
+// fans work out to helper goroutines gives each its own, so that spans on
+// one tid never overlap and a viewer stacks the helpers under their
+// caller. Lane 0 is the scope itself.
+func (sc Scope) Lane(i int) Scope {
+	if sc.tr == nil || i == 0 {
+		return sc
+	}
+	l := sc.With(sc.pid, sc.tid+i*laneTIDStride)
+	sc.tr.SetThreadName(l.pid, l.tid, fmt.Sprintf("tid %d lane %d", sc.tid, i))
+	return l
+}
+
 // Begin opens a span in the given category. Args may be nil.
 func (sc Scope) Begin(cat, name string, args map[string]interface{}) Span {
 	if sc.tr == nil {

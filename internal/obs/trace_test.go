@@ -189,6 +189,24 @@ func TestScopeContextRoundTrip(t *testing.T) {
 	}
 }
 
+// TestScopeLane: helper lanes of a lane get tids of their own under the
+// same pid, clear of the small tids drivers hand out, and a name that says
+// whose they are; lane 0 and the no-op scope are themselves.
+func TestScopeLane(t *testing.T) {
+	tr := NewTracer(StepClock(traceStart, time.Microsecond))
+	sc := NewScope(tr, 3, 7)
+	if sc.Lane(0) != sc || (Scope{}).Lane(2) != (Scope{}) {
+		t.Fatal("lane 0 or the no-op scope did not stay itself")
+	}
+	l1, l2 := sc.Lane(1), sc.Lane(2)
+	if l1.tr != tr || l1.pid != 3 || l1.tid == l2.tid || l1.tid < laneTIDStride || l1.tid%laneTIDStride != 7 {
+		t.Fatalf("helper lanes %+v and %+v of %+v", l1, l2, sc)
+	}
+	if got := tr.thrds[[2]int{3, l2.tid}]; got != "tid 7 lane 2" {
+		t.Fatalf("lane 2 is named %q", got)
+	}
+}
+
 // TestTracerConcurrent drives spans and instants from many goroutines
 // under -race and checks the busy accounting adds up. The goroutines share
 // one step clock, so a span covers its own step (100us) plus every step

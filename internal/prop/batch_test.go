@@ -1,0 +1,336 @@
+package prop
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"math"
+	"runtime"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+
+	"femtoverse/internal/gauge"
+	"femtoverse/internal/lattice"
+	"femtoverse/internal/linalg"
+	"femtoverse/internal/obs"
+	"femtoverse/internal/solver"
+)
+
+// withBudget runs the test under a lane budget of n. The budget is all
+// the batch looks at - linalg.DefaultWorkers, with nothing else in the
+// test process computing - so this is how a test picks its lane count: n
+// lanes for twelve systems, whatever the host.
+func withBudget(t *testing.T, n int) {
+	t.Helper()
+	old := linalg.DefaultWorkers
+	linalg.DefaultWorkers = n
+	t.Cleanup(func() { linalg.DefaultWorkers = old })
+}
+
+// lanesIdle reports whether all n lanes of the budget are free, which
+// after a batch returns means the caller and every helper have left.
+func lanesIdle(n int) bool {
+	got := 0
+	for got < n && linalg.TryEnterLane() {
+		got++
+	}
+	for i := 0; i < got; i++ {
+		linalg.LeaveLane()
+	}
+	return got == n
+}
+
+func laneTestSolver(t *testing.T, prec solver.Precision) *QuarkSolver {
+	t.Helper()
+	g := lattice.MustNew(2, 2, 2, 4)
+	cfg := gauge.NewWeak(g, 11, 0.3)
+	cfg.FlipTimeBoundary()
+	qs := testSolver(t, cfg, 0.2)
+	qs.Par.Precision, qs.Par.Tol = prec, 1e-6
+	return qs
+}
+
+func digest(v []complex128) [sha256.Size]byte {
+	buf := make([]byte, 16*len(v))
+	for i, c := range v {
+		binary.LittleEndian.PutUint64(buf[16*i:], math.Float64bits(real(c)))
+		binary.LittleEndian.PutUint64(buf[16*i+8:], math.Float64bits(imag(c)))
+	}
+	return sha256.Sum256(buf)
+}
+
+// propDigests is what a lane count must not move: the digest of every
+// column of the point and the FH propagator, and the solver's totals.
+type propDigests struct {
+	cols                 [2 * NComp][sha256.Size]byte
+	iters, solves, rests int
+	flops                int64
+}
+
+func digestsOf(qs *QuarkSolver, base, fh *Propagator) propDigests {
+	d := propDigests{iters: qs.TotalIterations, solves: qs.Solves, rests: qs.TotalRestarts, flops: qs.TotalFlops}
+	for j := 0; j < NComp; j++ {
+		d.cols[j], d.cols[NComp+j] = digest(base.Col[j]), digest(fh.Col[j])
+	}
+	return d
+}
+
+// serialReference is the loop the batch replaced, kept here as the
+// reference: one Solve4D after another on the calling goroutine.
+func serialReference(t *testing.T, prec solver.Precision) propDigests {
+	t.Helper()
+	qs := laneTestSolver(t, prec)
+	g := qs.EO.M.W.G
+	base, fh := NewPropagator(g), NewPropagator(g)
+	seq := make([]complex128, len(base.Col[0]))
+	for j := 0; j < NComp; j++ {
+		q, _, err := qs.Solve4D(PointSource(g, [4]int{}, j/3, j%3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		base.Col[j] = q
+	}
+	for j := 0; j < NComp; j++ {
+		SpinMul(seq, base.Col[j], linalg.AxialGamma())
+		q, _, err := qs.Solve4D(seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fh.Col[j] = q
+	}
+	return digestsOf(qs, base, fh)
+}
+
+func TestLanesCannotMoveABit(t *testing.T) {
+	for _, prec := range []solver.Precision{solver.Single, solver.Half} {
+		want := serialReference(t, prec)
+		for _, lanes := range []int{1, 2, 3, 12} {
+			withBudget(t, lanes)
+			qs := laneTestSolver(t, prec)
+			base, err := qs.ComputePointCtx(context.Background(), [4]int{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fh, err := qs.FHPropagatorCtx(context.Background(), base, linalg.AxialGamma())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(qs.lanes) != lanes {
+				t.Fatalf("%v: budget %d ran %d lanes", prec, lanes, len(qs.lanes))
+			}
+			if got := digestsOf(qs, base, fh); got != want {
+				t.Fatalf("%v on %d lanes differs from the serial loop:\n got %+v\nwant %+v", prec, lanes, got, want)
+			}
+			if qs.EO.Workers != 0 || !lanesIdle(lanes) {
+				t.Fatalf("%v on %d lanes: operator width %d or the budget not handed back", prec, lanes, qs.EO.Workers)
+			}
+		}
+	}
+}
+
+func TestBatchCancelJoinsAndSolverRecovers(t *testing.T) {
+	want := serialReference(t, solver.Single)
+	withBudget(t, 3)
+	qs := laneTestSolver(t, solver.Single)
+	g := qs.EO.M.W.G
+	ctx, cancel := context.WithCancel(context.Background())
+	_, err := qs.solveBatch(ctx, NComp, func(j int, _ *lane) []complex128 {
+		if j == 5 {
+			cancel()
+		}
+		return PointSource(g, [4]int{}, j/3, j%3)
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled batch returned %v", err)
+	}
+	if !lanesIdle(3) {
+		t.Fatal("a lane of the cancelled batch is still computing after it returned")
+	}
+	qs.TotalIterations, qs.TotalFlops, qs.Solves, qs.TotalRestarts = 0, 0, 0, 0
+	base, err := qs.ComputePointCtx(context.Background(), [4]int{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fh, err := qs.FHPropagatorCtx(context.Background(), base, linalg.AxialGamma())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := digestsOf(qs, base, fh); got != want {
+		t.Fatal("the solver does not reach the reference after a cancelled batch")
+	}
+}
+
+// TestBatchReportsLowestFailure poisons systems 3 and 7. Whichever lane
+// fails first, the batch must report system 3 - where the serial loop
+// would have stopped - so the later failure may cancel what comes after
+// it but never what comes before.
+func TestBatchReportsLowestFailure(t *testing.T) {
+	for _, lanes := range []int{1, 2, 12} {
+		withBudget(t, lanes)
+		qs := laneTestSolver(t, solver.Single)
+		g := qs.EO.M.W.G
+		for rep := 0; rep < 5; rep++ {
+			_, err := qs.solveBatch(context.Background(), NComp, func(j int, _ *lane) []complex128 {
+				b := PointSource(g, [4]int{}, j/3, j%3)
+				if j == 3 || j == 7 {
+					b[len(b)/2] = complex(math.NaN(), 0)
+				}
+				return b
+			})
+			if !errors.Is(err, solver.ErrDiverged) || !strings.Contains(err.Error(), "system 3 of 12") {
+				t.Fatalf("%d lanes: got %v, want system 3's divergence", lanes, err)
+			}
+			if !lanesIdle(lanes) {
+				t.Fatal("a lane outlived the failed batch")
+			}
+		}
+	}
+}
+
+// TestConcurrentBatchesShareTheBudget is the pool at two solve workers on
+// two cores: both callers hold a lane for as long as they are in their
+// batch, so neither finds a core for a helper and neither waits for the
+// other.
+func TestConcurrentBatchesShareTheBudget(t *testing.T) {
+	withBudget(t, 2)
+	solvers := []*QuarkSolver{laneTestSolver(t, solver.Single), laneTestSolver(t, solver.Single)}
+	// Both batches are inside before either looks for a core - the test
+	// holds the budget until they are - and neither takes its last system
+	// before the other is about to: at every hand-out the budget is spent.
+	linalg.EnterLane()
+	linalg.EnterLane()
+	var first, last sync.WaitGroup
+	first.Add(2)
+	last.Add(2)
+	var wg sync.WaitGroup
+	for _, qs := range solvers {
+		wg.Add(1)
+		go func(qs *QuarkSolver) {
+			defer wg.Done()
+			g := qs.EO.M.W.G
+			_, err := qs.solveBatch(context.Background(), NComp, func(j int, _ *lane) []complex128 {
+				switch j {
+				case 0:
+					first.Done()
+					first.Wait()
+					linalg.LeaveLane()
+				case NComp - 1:
+					last.Done()
+					last.Wait()
+				}
+				return PointSource(g, [4]int{}, j/3, j%3)
+			})
+			if err != nil {
+				t.Error(err)
+			}
+		}(qs)
+	}
+	wg.Wait()
+	for i, qs := range solvers {
+		if len(qs.lanes) != 1 || qs.Solves != NComp {
+			t.Fatalf("solver %d ran %d lanes and %d solves, want 1 and %d", i, len(qs.lanes), qs.Solves, NComp)
+		}
+	}
+}
+
+func TestExhaustedBudgetStartsNoGoroutine(t *testing.T) {
+	withBudget(t, 2)
+	linalg.EnterLane() // somebody else has the other core
+	defer linalg.LeaveLane()
+	qs := laneTestSolver(t, solver.Single)
+	g := qs.EO.M.W.G
+	before := runtime.NumGoroutine()
+	_, err := qs.solveBatch(context.Background(), NComp, func(j int, _ *lane) []complex128 {
+		// Not !=: a goroutine of an earlier test may still be on its way out.
+		if n := runtime.NumGoroutine(); n > before {
+			t.Errorf("system %d: %d goroutines, %d before the batch", j, n, before)
+		}
+		return PointSource(g, [4]int{}, j/3, j%3)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(qs.lanes) != 1 {
+		t.Fatalf("%d lanes built with the budget spent", len(qs.lanes))
+	}
+}
+
+// TestStragglerPicksUpFreedCore: a batch that starts with every core
+// taken gets its helper at the first hand-out after one is freed.
+func TestStragglerPicksUpFreedCore(t *testing.T) {
+	withBudget(t, 2)
+	linalg.EnterLane()
+	qs := laneTestSolver(t, solver.Single)
+	g := qs.EO.M.W.G
+	_, err := qs.solveBatch(context.Background(), NComp, func(j int, l *lane) []complex128 {
+		if j == 4 {
+			if len(qs.lanes) != 1 {
+				t.Errorf("%d lanes while the sibling held its core", len(qs.lanes))
+			}
+			linalg.LeaveLane() // the sibling configuration finishes
+		}
+		return PointSource(g, [4]int{}, j/3, j%3)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(qs.lanes) != 2 {
+		t.Fatalf("%d lanes after a core was freed, want 2", len(qs.lanes))
+	}
+}
+
+// TestHelperLanesTraceOnTheirOwnTids: a traced batch on three lanes puts
+// its twelve solve spans on up to three tids of the caller's pid, and no
+// two spans of one tid overlap.
+func TestHelperLanesTraceOnTheirOwnTids(t *testing.T) {
+	withBudget(t, 3)
+	qs := laneTestSolver(t, solver.Single)
+	tr := obs.NewTracer(nil)
+	ctx := obs.WithScope(context.Background(), obs.NewScope(tr, 2, 5))
+	if _, err := qs.ComputePointCtx(ctx, [4]int{}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var trace struct {
+		TraceEvents []struct {
+			Name     string
+			PID, TID int
+			TS, Dur  int64
+		}
+	}
+	if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
+		t.Fatal(err)
+	}
+	type span struct{ t0, t1 int64 }
+	byTID := map[int][]span{}
+	for _, e := range trace.TraceEvents {
+		if e.Name == "cgne-mixed" {
+			if e.PID != 2 {
+				t.Fatalf("solve span on pid %d", e.PID)
+			}
+			byTID[e.TID] = append(byTID[e.TID], span{e.TS, e.TS + e.Dur})
+		}
+	}
+	n := 0
+	for tid, spans := range byTID {
+		n += len(spans)
+		sort.Slice(spans, func(i, j int) bool { return spans[i].t0 < spans[j].t0 })
+		for i := 1; i < len(spans); i++ {
+			if spans[i].t0 < spans[i-1].t1 {
+				t.Fatalf("tid %d: span %v starts inside %v", tid, spans[i], spans[i-1])
+			}
+		}
+	}
+	// A helper the scheduler starts late may find nothing left to take.
+	if _, ok := byTID[5]; !ok || len(byTID) > 3 || n != NComp {
+		t.Fatalf("%d solve spans on tids %v, want %d on the caller's tid 5 and at most two more", n, byTID, NComp)
+	}
+}

@@ -15,7 +15,6 @@ import (
 	"femtoverse/internal/gauge"
 	"femtoverse/internal/lattice"
 	"femtoverse/internal/linalg"
-	"femtoverse/internal/obs"
 	"femtoverse/internal/solver"
 )
 
@@ -114,12 +113,15 @@ func Project4D(psi5 []complex128, ls int) []complex128 {
 
 // SpinMul applies a spin matrix to a 4-D field site by site:
 // dst_{s,c}(x) = sum_s' M[s][s'] src_{s',c}(x). dst must not alias src.
-func SpinMul(dst, src []complex128, m linalg.SpinMatrix) {
+func SpinMul(dst, src []complex128, m linalg.SpinMatrix) { spinMul(dst, src, m, 0) }
+
+// spinMul is SpinMul at a given split width.
+func spinMul(dst, src []complex128, m linalg.SpinMatrix, workers int) {
 	if len(dst) != len(src) || len(src)%dirac.SpinorLen != 0 {
 		panic("prop: SpinMul size mismatch")
 	}
 	n := len(src) / dirac.SpinorLen
-	linalg.For(n, 0, func(lo, hi int) {
+	linalg.For(n, workers, func(lo, hi int) {
 		for s := lo; s < hi; s++ {
 			base := s * dirac.SpinorLen
 			for sp := 0; sp < 4; sp++ {
@@ -153,6 +155,10 @@ type QuarkSolver struct {
 	// solves - nonzero means the sloppy stage diverged and the divergence
 	// defenses rescued the propagator.
 	TotalRestarts int
+
+	// lanes[0] solves on EO and Sloppy themselves and serves the calling
+	// goroutine; the rest are the helper lanes of the batches (batch.go).
+	lanes []*lane
 }
 
 // NewQuarkSolver builds a solver stack over the preconditioned operator;
@@ -180,27 +186,9 @@ func (qs *QuarkSolver) Solve5D(b4 []complex128) ([]complex128, solver.Stats, err
 // aborts the inner CG mid-iteration, which is how the job runtime stops
 // a timed-out or superseded propagator solve.
 func (qs *QuarkSolver) Solve5DCtx(ctx context.Context, b4 []complex128) ([]complex128, solver.Stats, error) {
-	if len(b4) != qs.EO.M.W.G.Vol*dirac.SpinorLen {
-		panic("prop: Solve5D source size mismatch")
-	}
-	b5 := Inject5D(b4, qs.EO.M.Ls)
-	bhat, etaOdd := qs.EO.PrepareSource(b5)
-	par := qs.Par
-	if sc := obs.ScopeFrom(ctx); sc.Enabled() {
-		// The job runtime stamps each attempt's worker lane into the task
-		// context; adopting it here makes the solver's spans nest under
-		// the attempt span in the exported trace.
-		par.Obs = sc
-	}
-	xe, st, err := solver.CGNEMixed(ctx, qs.EO, qs.Sloppy, bhat, par)
-	qs.TotalIterations += st.Iterations
-	qs.TotalFlops += st.Flops
-	qs.Solves++
-	qs.TotalRestarts += st.Restarts
-	if err != nil {
-		return nil, st, fmt.Errorf("prop: component solve failed: %w", err)
-	}
-	return qs.EO.Reconstruct(xe, etaOdd), st, nil
+	psi5, st, err := qs.lane(0).solve5D(ctx, b4, qs.scoped(ctx))
+	qs.fold()
+	return psi5, st, err
 }
 
 // Solve4D solves the domain-wall system for a 4-D source and returns the
@@ -292,20 +280,19 @@ func (qs *QuarkSolver) Compute(source func(spin, color int) []complex128) (*Prop
 }
 
 // ComputeCtx is Compute under a context; cancellation aborts between (or
-// inside) component solves.
+// inside) component solves. The twelve sources are made up front, on the
+// calling goroutine, and solved as one batch whose system j is component
+// spin*3 + color.
 func (qs *QuarkSolver) ComputeCtx(ctx context.Context, source func(spin, color int) []complex128) (*Propagator, error) {
-	p := NewPropagator(qs.EO.M.W.G)
-	for spin := 0; spin < 4; spin++ {
-		for color := 0; color < 3; color++ {
-			j := spin*3 + color
-			q, _, err := qs.Solve4DCtx(ctx, source(spin, color))
-			if err != nil {
-				return nil, fmt.Errorf("prop: component (s=%d,c=%d): %w", spin, color, err)
-			}
-			p.Col[j] = q
-		}
+	sources := make([][]complex128, NComp)
+	for j := range sources {
+		sources[j] = source(j/3, j%3)
 	}
-	return p, nil
+	cols, err := qs.SolveBatchCtx(ctx, sources)
+	if err != nil {
+		return nil, fmt.Errorf("prop: propagator: %w", err)
+	}
+	return &Propagator{G: qs.EO.M.W.G, Col: [NComp][]complex128(cols)}, nil
 }
 
 // ComputePoint is Compute with a point source at x0.
@@ -334,17 +321,19 @@ func (qs *QuarkSolver) FHPropagator(base *Propagator, gamma linalg.SpinMatrix) (
 	return qs.FHPropagatorCtx(context.Background(), base, gamma)
 }
 
-// FHPropagatorCtx is FHPropagator under a context.
+// FHPropagatorCtx is FHPropagator under a context. The twelve sequential
+// sources are each built by the lane that solves them, in that lane's
+// scratch.
 func (qs *QuarkSolver) FHPropagatorCtx(ctx context.Context, base *Propagator, gamma linalg.SpinMatrix) (*Propagator, error) {
-	fh := NewPropagator(base.G)
-	seq := make([]complex128, base.G.Vol*dirac.SpinorLen)
-	for j := 0; j < NComp; j++ {
-		SpinMul(seq, base.Col[j], gamma)
-		q, _, err := qs.Solve4DCtx(ctx, seq)
-		if err != nil {
-			return nil, fmt.Errorf("prop: FH component %d: %w", j, err)
+	cols, err := qs.solveBatch(ctx, NComp, func(j int, l *lane) []complex128 {
+		if l.seq == nil {
+			l.seq = make([]complex128, base.G.Vol*dirac.SpinorLen)
 		}
-		fh.Col[j] = q
+		spinMul(l.seq, base.Col[j], gamma, l.eo.Workers)
+		return l.seq
+	})
+	if err != nil {
+		return nil, fmt.Errorf("prop: FH propagator: %w", err)
 	}
-	return fh, nil
+	return &Propagator{G: base.G, Col: [NComp][]complex128(cols)}, nil
 }

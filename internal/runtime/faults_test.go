@@ -83,6 +83,62 @@ func TestChaosReproducibleAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// TestOrganicWatchdogKillLeavesInjectedSequenceAlone is the chaos
+// reproducibility test with the host's worst behaviour made deterministic:
+// every task's first real execution stalls past the watchdog, as a
+// descheduled attempt does on a loaded machine. The kill must spend retry
+// budget and nothing else - same faults, same per-task injected sequence,
+// same values as the run that never stalls - and must be told apart from
+// the kills the plan's hangs cause.
+func TestOrganicWatchdogKillLeavesInjectedSequenceAlone(t *testing.T) {
+	plan := fault.Plan{
+		Seed: 20260806, Transient: 0.12, Panic: 0.06, Hang: 0.06,
+		Corrupt: 0.06, DomainLoss: 0.06, MaxInjections: 3,
+	}
+	run := func(tasks []Task) ([]Result, Report) {
+		res, rep, err := Run(context.Background(), Config{
+			SolveWorkers: 4, ContractWorkers: 1,
+			MaxRetries: 10, RetryBackoff: 100 * time.Microsecond,
+			MaxBackoff: time.Millisecond, Watchdog: 20 * time.Millisecond,
+			Fault: plan,
+		}, tasks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, rep
+	}
+	stalling := chaosTasks(40)
+	for i := range stalling {
+		body, stalled := stalling[i].Run, false
+		stalling[i].Run = func(ctx context.Context) (interface{}, error) {
+			if !stalled { // attempts of one task never overlap
+				stalled = true
+				<-ctx.Done()
+				return nil, ctx.Err()
+			}
+			return body(ctx)
+		}
+	}
+	ref, refRep := run(chaosTasks(40))
+	res, rep := run(stalling)
+	if rep.OrganicKills == 0 || refRep.OrganicKills != 0 {
+		t.Fatalf("organic kills: stalling run %d, reference %d", rep.OrganicKills, refRep.OrganicKills)
+	}
+	if got := rep.WatchdogKills - rep.OrganicKills; got != rep.Faults.Hang {
+		t.Fatalf("%d watchdog kills less %d organic is %d, injected hangs %d",
+			rep.WatchdogKills, rep.OrganicKills, got, rep.Faults.Hang)
+	}
+	if rep.Faults != refRep.Faults {
+		t.Fatalf("faults %v, without stalls %v", rep.Faults, refRep.Faults)
+	}
+	for i := range res {
+		if res[i].Value != ref[i].Value || fmt.Sprint(res[i].Metrics.Injected) != fmt.Sprint(ref[i].Metrics.Injected) {
+			t.Fatalf("task %d: value %v injected %v, without stalls %v %v", i,
+				res[i].Value, res[i].Metrics.Injected, ref[i].Value, ref[i].Metrics.Injected)
+		}
+	}
+}
+
 // TestBackoffScheduleIsPinned pins the capped, deterministically
 // jittered retry schedule: exact values derived from the fault seed and
 // task identity, doubled per failure, never past 1.5x MaxBackoff.

@@ -90,6 +90,13 @@ type Report struct {
 	// WatchdogKills counts attempts abandoned past the heartbeat
 	// deadline.
 	WatchdogKills int
+	// OrganicKills is how many of the WatchdogKills hit an attempt that
+	// had drawn no hang: the host held it past the deadline (a loaded
+	// machine, a descheduled goroutine). Such a kill is among the
+	// FailedAttempts and spends retry budget, but leaves Faults and the
+	// task's injected sequence alone, so those stay functions of the plan;
+	// WatchdogKills - OrganicKills is the number of injected hangs.
+	OrganicKills int
 	// DomainCasualties counts attempts killed by the loss of their
 	// failure domain rather than their own failure; casualties retry
 	// without consuming the task's budget.

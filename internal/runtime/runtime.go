@@ -353,6 +353,7 @@ type Pool struct {
 	faults           fault.Counts
 	recoveredPanics  int
 	watchdogKills    int
+	organicKills     int
 	domainCasualties int
 	requeues         int
 }
@@ -1030,10 +1031,20 @@ func (p *Pool) execute(j *job) {
 			p.met.domainCasualties.Inc()
 			p.met.failures.Inc()
 		} else {
-			j.injKey++
-			if drawn != fault.None {
-				p.faults.Add(drawn)
-				j.injected = append(j.injected, drawn)
+			// A watchdog kill of an attempt that drew no hang is organic:
+			// the host, not the plan, held the attempt past the deadline.
+			// It is a failure like any other and spends retry budget (a
+			// task that really hangs must still end), but the fault it
+			// drew never materialized, so the draw is neither counted nor
+			// used up - the retry draws it again, and the injected
+			// sequence stays a function of the plan alone.
+			organic := watchdogFired && fk != fault.Hang
+			if !organic {
+				j.injKey++
+				if drawn != fault.None {
+					p.faults.Add(drawn)
+					j.injected = append(j.injected, drawn)
+				}
 			}
 			if out.panicked {
 				p.recoveredPanics++
@@ -1041,6 +1052,9 @@ func (p *Pool) execute(j *job) {
 			}
 			if watchdogFired {
 				p.watchdogKills++
+				if organic {
+					p.organicKills++
+				}
 				p.met.watchdogKills.Inc()
 				p.trace.Instant("sched", "watchdog-kill", map[string]interface{}{
 					"task": j.t.ID, "attempt": attempt,
@@ -1055,7 +1069,7 @@ func (p *Pool) execute(j *job) {
 				// estimates for admission control and backfill planning.
 				p.est.observe(j.t.Class, p.nominalCost(j), j.estDur, dt)
 			}
-			if fk == fault.DomainLoss {
+			if fk == fault.DomainLoss && !organic {
 				p.killDomainLocked(j)
 			}
 		}
@@ -1278,6 +1292,7 @@ func (p *Pool) collectLocked() ([]Result, Report) {
 		Faults:           p.faults,
 		RecoveredPanics:  p.recoveredPanics,
 		WatchdogKills:    p.watchdogKills,
+		OrganicKills:     p.organicKills,
 		DomainCasualties: p.domainCasualties,
 		Requeues:         p.requeues,
 	}

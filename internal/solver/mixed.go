@@ -28,7 +28,42 @@ import (
 // reliable iterate one precision tier up (Half -> Single -> Double),
 // bounded by MaxRestarts and counted in Stats.Restarts. Out of restarts,
 // the solve fails with ErrDiverged.
+//
+// This form allocates its vectors afresh; a caller with many systems of
+// one size to solve keeps a Workspace and calls its method.
 func CGNEMixed(ctx context.Context, op Linear, sloppy Linear32, b []complex128, p Params) ([]complex128, Stats, error) {
+	var ws Workspace
+	return ws.CGNEMixed(ctx, op, sloppy, b, p)
+}
+
+// Workspace holds the ten work vectors of a mixed-precision solve - five
+// double (normal-equation right-hand side, true residual, two operator
+// temporaries, the reliable-update snapshot) and five single (residual,
+// direction, its image, a temporary, the sloppy solution) - so that a
+// caller solving system after system of one size allocates them once.
+// The zero value is ready; the vectors are sized by the first solve and
+// again whenever the size changes. A Workspace serves one solve at a
+// time, and nothing in it outlives a solve: the solution returned is
+// always a fresh vector the caller owns.
+type Workspace struct {
+	rhs, rD, tmpD, tmpD2, xPrev []complex128
+	r, pv, ap, tmp, xs          []complex64
+}
+
+// size makes every vector n long. Only xs is read before it is written,
+// and the solve zeroes it itself.
+func (ws *Workspace) size(n int) {
+	if len(ws.rhs) == n {
+		return
+	}
+	vec, vec32 := func() []complex128 { return make([]complex128, n) }, func() []complex64 { return make([]complex64, n) }
+	ws.rhs, ws.rD, ws.tmpD, ws.tmpD2, ws.xPrev = vec(), vec(), vec(), vec(), vec()
+	ws.r, ws.pv, ws.ap, ws.tmp, ws.xs = vec32(), vec32(), vec32(), vec32(), vec32()
+}
+
+// CGNEMixed is the package function of the same name on the workspace's
+// vectors: the same loop, the same bits.
+func (ws *Workspace) CGNEMixed(ctx context.Context, op Linear, sloppy Linear32, b []complex128, p Params) ([]complex128, Stats, error) {
 	p = p.withDefaults()
 	if p.Precision == Double || sloppy == nil {
 		return CGNE(ctx, op, b, p)
@@ -100,38 +135,29 @@ func CGNEMixed(ctx context.Context, op Linear, sloppy Linear32, b []complex128, 
 		return x, st, nil
 	}
 
-	// Double-precision outer state.
-	rhs := make([]complex128, n)
-	op.ApplyDagger(rhs, b)
-	st.Flops += p.FlopsPerApply
-	rD := append([]complex128(nil), rhs...) // true normal residual
-	tmpD := make([]complex128, n)
-	tmpD2 := make([]complex128, n)
-
-	// Sloppy state.
-	r := make([]complex64, n)
-	linalg.Demote(r, rD)
-	pv := append([]complex64(nil), r...)
-	ap := make([]complex64, n)
-	tmp := make([]complex64, n)
-	xs := make([]complex64, n) // sloppy solution accumulated since update
-
-	// Half-precision storage rounding for the matvec stream.
-	var hbuf *linalg.HalfVector
-	if p.Precision == Half {
-		hbuf = linalg.NewHalfVector(n, dirac.SpinorLen)
-	}
-	roundHalf := func(v []complex64) {
-		if hbuf == nil {
-			return
-		}
-		hbuf.EncodeC64(v)
-		hbuf.DecodeC64(v)
-	}
-
+	// Double-precision outer state: rD is the true normal residual, and
 	// xPrev snapshots x across a reliable update so a fold-in that turns
 	// out to be poisoned (non-finite recomputed residual) can be undone.
-	xPrev := make([]complex128, n)
+	ws.size(n)
+	rhs, rD, tmpD, tmpD2, xPrev := ws.rhs, ws.rD, ws.tmpD, ws.tmpD2, ws.xPrev
+	op.ApplyDagger(rhs, b)
+	st.Flops += p.FlopsPerApply
+	linalg.Copy(rD, rhs)
+
+	// Sloppy state; xs is the sloppy solution accumulated since the last
+	// reliable update.
+	r, pv, ap, tmp, xs := ws.r, ws.pv, ws.ap, ws.tmp, ws.xs
+	linalg.Demote(r, rD)
+	copy(pv, r)
+	linalg.ZeroC64(xs)
+
+	// Half-precision storage rounding for the matvec stream.
+	half := p.Precision == Half
+	roundHalf := func(v []complex64) {
+		if half {
+			linalg.HalfRoundTripC64(v, dirac.SpinorLen, w)
+		}
+	}
 
 	rr := linalg.NormSq(rD, w)
 	rhsNorm := math.Sqrt(rr)
@@ -210,7 +236,7 @@ func CGNEMixed(ctx context.Context, op Linear, sloppy Linear32, b []complex128, 
 			roundHalf(pv)
 			sloppy.Apply(tmp, pv)
 			sloppy.ApplyDagger(ap, tmp)
-			if hbuf != nil {
+			if half {
 				// The fixed-point storage rounding would scrub a NaN into
 				// finite garbage; catch the poison before it is laundered.
 				if nf := linalg.NormSqC64(ap, w); math.IsNaN(nf) || math.IsInf(nf, 0) {
@@ -296,7 +322,7 @@ func CGNEMixed(ctx context.Context, op Linear, sloppy Linear32, b []complex128, 
 					"restart": st.Restarts, "precision": st.Precision.String(),
 				})
 			}
-			hbuf = nil
+			half = false
 			restart()
 			beginBlock()
 			continue
