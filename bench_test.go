@@ -168,6 +168,47 @@ func BenchmarkSchurApply32(b *testing.B) {
 	b.ReportMetric(float64(eo.FlopsPerApply())/1e9/b.Elapsed().Seconds()*float64(b.N), "GFLOPS")
 }
 
+// BenchmarkSchurNormal is one normal-equation application - what a CG
+// iteration costs - at the fh-* lattice of the repository benchmark on a
+// dense source: the shape the campaigns run, under both split cuts, where
+// a few per cent in the hop bodies shows and the 8^3 x 16 point-source
+// rows above do not resolve it. Run with -cpu 1.
+func BenchmarkSchurNormal(b *testing.B) {
+	g := lattice.MustNew(2, 2, 4, 8)
+	m, err := dirac.NewMobius(gauge.NewRandom(g, 1), dirac.MobiusParams{Ls: 4, M5: 1.4, B5: 1.25, C5: 0.25, M: 0.1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	eo, err := dirac.NewMobiusEO(m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	q := dirac.NewMobiusEO32(eo)
+	n := eo.HalfSize()
+	src, dst, tmp := make([]complex128, n), make([]complex128, n), make([]complex128, n)
+	rng := rand.New(rand.NewSource(2))
+	for i := range src {
+		src[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+	}
+	src32, dst32, tmp32 := make([]complex64, n), make([]complex64, n), make([]complex64, n)
+	linalg.Demote(src32, src)
+	for _, c := range []struct {
+		name   string
+		normal func()
+	}{
+		{"f64", func() { eo.ApplyNormal(dst, src, tmp) }},
+		{"f32", func() { q.ApplyNormal(dst32, src32, tmp32) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.normal()
+			}
+			b.ReportMetric(b.Elapsed().Seconds()*1e6/float64(b.N), "us/op")
+		})
+	}
+}
+
 // Ablation: solver precision. The paper's double-half scheme exists
 // because sloppy arithmetic is cheaper per iteration; these three
 // benchmarks quantify that on the same solve.

@@ -32,6 +32,10 @@ run_gate() {
 	# shellcheck disable=SC2086 # flags is a word list
 	go test $flags -run "$regex" "$@"
 }
+# unsafe allow-list: the tree reinterprets memory in one place, the four
+# lane views of internal/dirac/lanes.go, whose layout assumption
+# lanes_test.go pins. Any other file that imports unsafe fails here.
+test "$(grep -rl '"unsafe"' --include='*.go' . | sort | tr '\n' ' ')" = './internal/dirac/lanes.go ./internal/dirac/lanes_test.go '
 go vet ./...
 go build -o "$PWD/femtolint.bin" ./cmd/femtolint
 trap 'rm -f "$PWD/femtolint.bin" "$PWD/garank.bin" "$PWD/gastress.bin"' EXIT
@@ -75,11 +79,13 @@ run_gate 'Drain|Preempt|Budget|Admission|Atomic|Save' -race -count=2 -- ./intern
 # while the parent applies, a kept solver workspace against a fresh one,
 # the lane budget under contention, cancellation and the lowest-failure
 # rule with every lane joined, and the half codec's rounding and in-place
-# round trip against what they replaced. The suites run under -race with
-# -count=2 against fresh interleavings.
+# round trip against what they replaced, and the lane views the generic
+# Schur kernel reads its fields through (-race turns checkptr on, which
+# checks every unsafe conversion they make). The suites run under -race
+# with -count=2 against fresh interleavings.
 go test -race -count=2 ./internal/obs/
 run_gate 'Singleflight|SearchModelled|RepsEnabled|Observer' -race -count=2 -- ./internal/autotune/
-run_gate 'Bitwise|BitForBit|ReduceChunk|Deterministic|DoesNotAllocate|NestedFor|ConcurrentCallers|Lane|Batch|Budget|Straggler|View|Workspace|RoundTrip|RoundHalf' -race -count=2 -- ./internal/linalg/ ./internal/dirac/ ./internal/solver/ ./internal/prop/
+run_gate 'Bitwise|BitForBit|ReduceChunk|Deterministic|DoesNotAllocate|NestedFor|ConcurrentCallers|Lane|Batch|Budget|Straggler|View|Workspace|RoundTrip|RoundHalf|Lanes' -race -count=2 -- ./internal/linalg/ ./internal/dirac/ ./internal/solver/ ./internal/prop/
 run_gate 'Obs|Timeline|Trace' -race -- ./internal/runtime/ ./internal/core/ ./internal/cluster/
 # Cache gate: the content-addressed result cache must be race-free and
 # deterministic - the LRU eviction order, the byte budget, the disk

@@ -2,10 +2,11 @@
 // paper's workload: the 4-D Wilson operator (the stencil kernel), the 5-D
 // Möbius domain-wall operator built on top of it, and the red-black
 // (even-odd) Schur-preconditioned operator that the production solver
-// actually inverts. Both double- and single-precision applications are
-// provided; the single-precision path is the compute stage of the
-// mixed-precision "double-half" solver, whose storage-precision rounding
-// is modelled with the 16-bit fixed-point codec from package linalg.
+// actually inverts. The Schur operator is one generic kernel (schur.go)
+// instantiated at float64 (MobiusEO) and float32 (MobiusEO32); the
+// single-precision instance is the compute stage of the mixed-precision
+// "double-half" solver, whose storage-precision rounding is modelled with
+// the 16-bit fixed-point codec from package linalg.
 //
 // Field layout: a 4-D spinor field is a flat []complex128 (or []complex64)
 // of length Vol*12 with index site*12 + spin*3 + color. A 5-D domain-wall

@@ -12,15 +12,32 @@ import (
 )
 
 // schurInputs are the half fields every fused kernel is held to the staged
-// reference on: a dense Gaussian field, and a point source whose exact
-// zeros (and the negative zeros gamma_5 makes of them) are where a kernel
-// that is right about every non-zero value can still move a bit.
+// reference on: a dense Gaussian field; a point source whose exact zeros
+// (and the negative zeros gamma_5 makes of them) are where a kernel that
+// is right about every non-zero value can still move a bit; and a field
+// that carries every pattern of signed zeros a component can hold - (+0,
+// +0), (+0, -0), (-0, +0), (-0, -0) - among non-zero values, the period 7
+// so that no fifth-dimension or hop neighbour repeats a site's pattern.
 func schurInputs(n int) map[string][]complex128 {
 	rng := rand.New(rand.NewSource(int64(n)))
 	point := make([]complex128, n)
 	point[7] = 1
 	point[n-2] = complex(0, -2)
-	return map[string][]complex128{"dense": randField(rng, n), "point": point}
+	dense, zeros := randField(rng, n), randField(rng, n)
+	negZero := math.Copysign(0, -1)
+	for i := range zeros {
+		switch i % 7 {
+		case 0:
+			zeros[i] = complex(0, 0)
+		case 1:
+			zeros[i] = complex(0, negZero)
+		case 2:
+			zeros[i] = complex(negZero, 0)
+		case 3:
+			zeros[i] = complex(negZero, negZero)
+		}
+	}
+	return map[string][]complex128{"dense": dense, "point": point, "zeros": zeros}
 }
 
 func sameBits64(t *testing.T, what string, got, want []complex128) {

@@ -4,7 +4,7 @@ import "femtoverse/internal/linalg"
 
 // The staged Schur kernels, as they stood before the fused site loops
 // replaced them: one whole-vector sweep per stage (chi, axpby, hop, M5inv,
-// gamma_5), the generic hopAccum with run-time projector signs, a fresh
+// gamma_5), the generic HopAccum with run-time projector signs, a fresh
 // LexToEO lookup per hop. They survive here, serial and unexported, as the
 // reference the fused Apply/ApplyDagger/PrepareSource/Reconstruct must
 // reproduce bit for bit (TestFusedSchurMatchesStagedBitForBit), and so
@@ -27,10 +27,10 @@ func (p *MobiusEO) hopHalf(dst, src []complex128, pOut int) {
 			for mu := 0; mu < 4; mu++ {
 				fwLex := g.Fwd(lex, mu)
 				j := int(eo.LexToEO[fwLex])
-				hopAccum(out, src[off+j*SpinorLen:off+(j+1)*SpinorLen], &u[mu][lex], mu, -1, false)
+				HopAccum(out, src[off+j*SpinorLen:off+(j+1)*SpinorLen], &u[mu][lex], mu, -1, false)
 				bwLex := g.Bwd(lex, mu)
 				j = int(eo.LexToEO[bwLex])
-				hopAccum(out, src[off+j*SpinorLen:off+(j+1)*SpinorLen], &u[mu][bwLex], mu, +1, true)
+				HopAccum(out, src[off+j*SpinorLen:off+(j+1)*SpinorLen], &u[mu][bwLex], mu, +1, true)
 			}
 		}
 	}
@@ -188,6 +188,70 @@ func chiApply32(dst, src []complex64, ls, vol int, mf float32, dagger bool) {
 				d[site+i] = complex(mw*real(v), mw*imag(v))
 			}
 		}
+	}
+}
+
+// hopAccum32 is the single-precision hopping kernel. The arithmetic is
+// written out in explicit float32 real/imaginary components because the
+// Go compiler lowers complex64 multiplication through complex128, which
+// costs more than 2x on this hot path.
+func hopAccum32(out, in []complex64, u *SU3C64, mu, projSign int, adjoint bool) {
+	p0 := linalg.GammaPerm[mu][0]
+	p1 := linalg.GammaPerm[mu][1]
+	ph0c := linalg.GammaPhase[mu][0]
+	ph1c := linalg.GammaPhase[mu][1]
+	s := float32(projSign)
+	ph0r, ph0i := s*float32(real(ph0c)), s*float32(imag(ph0c))
+	ph1r, ph1i := s*float32(real(ph1c)), s*float32(imag(ph1c))
+
+	// Projected half-spinors h0, h1 as separate re/im arrays.
+	var h0r, h0i, h1r, h1i [3]float32
+	for c := 0; c < 3; c++ {
+		a := in[p0*3+c]
+		ar, ai := real(a), imag(a)
+		h0r[c] = real(in[c]) + ph0r*ar - ph0i*ai
+		h0i[c] = imag(in[c]) + ph0r*ai + ph0i*ar
+		b := in[p1*3+c]
+		br, bi := real(b), imag(b)
+		h1r[c] = real(in[3+c]) + ph1r*br - ph1i*bi
+		h1i[c] = imag(in[3+c]) + ph1r*bi + ph1i*br
+	}
+	var u0r, u0i, u1r, u1i [3]float32
+	if adjoint {
+		for i := 0; i < 3; i++ {
+			var s0r, s0i, s1r, s1i float32
+			for j := 0; j < 3; j++ {
+				mr, mi := real(u[j][i]), -imag(u[j][i])
+				s0r += mr*h0r[j] - mi*h0i[j]
+				s0i += mr*h0i[j] + mi*h0r[j]
+				s1r += mr*h1r[j] - mi*h1i[j]
+				s1i += mr*h1i[j] + mi*h1r[j]
+			}
+			u0r[i], u0i[i] = s0r, s0i
+			u1r[i], u1i[i] = s1r, s1i
+		}
+	} else {
+		for i := 0; i < 3; i++ {
+			var s0r, s0i, s1r, s1i float32
+			for j := 0; j < 3; j++ {
+				mr, mi := real(u[i][j]), imag(u[i][j])
+				s0r += mr*h0r[j] - mi*h0i[j]
+				s0i += mr*h0i[j] + mi*h0r[j]
+				s1r += mr*h1r[j] - mi*h1i[j]
+				s1i += mr*h1i[j] + mi*h1r[j]
+			}
+			u0r[i], u0i[i] = s0r, s0i
+			u1r[i], u1i[i] = s1r, s1i
+		}
+	}
+	// Reconstruction phases r = projSign * conj(ph).
+	r0r, r0i := ph0r, -ph0i
+	r1r, r1i := ph1r, -ph1i
+	for c := 0; c < 3; c++ {
+		out[c] -= complex(0.5*u0r[c], 0.5*u0i[c])
+		out[3+c] -= complex(0.5*u1r[c], 0.5*u1i[c])
+		out[p0*3+c] -= complex(0.5*(r0r*u0r[c]-r0i*u0i[c]), 0.5*(r0r*u0i[c]+r0i*u0r[c]))
+		out[p1*3+c] -= complex(0.5*(r1r*u1r[c]-r1i*u1i[c]), 0.5*(r1r*u1i[c]+r1i*u1r[c]))
 	}
 }
 

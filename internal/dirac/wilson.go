@@ -78,8 +78,8 @@ func (w *Wilson) apply(dst, src []complex128, dagger bool) {
 					gamma5Spinor(nb5[:], nb)
 					nf, nb = in5[:], nb5[:]
 				}
-				hopAccum(out, nf, &w.U.U[mu][s], mu, -1, false)
-				hopAccum(out, nb, &w.U.U[mu][bw], mu, +1, true)
+				HopAccum(out, nf, &w.U.U[mu][s], mu, -1, false)
+				HopAccum(out, nb, &w.U.U[mu][bw], mu, +1, true)
 			}
 			if dagger {
 				gamma5Spinor(out, out)
@@ -91,15 +91,17 @@ func (w *Wilson) apply(dst, src []complex128, dagger bool) {
 // Flops returns the flop count of one Apply in the standard convention.
 func (w *Wilson) Flops() int64 { return int64(w.G.Vol) * WilsonFlopsPerSite }
 
-// hopAccum accumulates one hopping term into out:
+// HopAccum accumulates one hopping term into out:
 //
 //	out += -1/2 (1 + projSign*gamma_mu) U(or U^dag) in
 //
 // using the spin-projection trick: (1 + s*gamma_mu) has rank two, so only
 // two color-vector SU(3) multiplies are needed, with the lower spin
 // components reconstructed by a phase. adjoint selects U^dag (backward
-// hop). This is the QUDA matrix-free stencil in scalar form.
-func hopAccum(out, in []complex128, u *linalg.SU3, mu, projSign int, adjoint bool) {
+// hop). This is the QUDA matrix-free stencil in scalar form, and the one
+// copy of it: the 4-D Wilson operator here and the rank-local stencil of
+// package domain both call it.
+func HopAccum(out, in []complex128, u *linalg.SU3, mu, projSign int, adjoint bool) {
 	p0 := linalg.GammaPerm[mu][0]
 	p1 := linalg.GammaPerm[mu][1]
 	ph0 := linalg.GammaPhase[mu][0]

@@ -148,27 +148,6 @@ func TestWilsonWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-func TestWilson32TracksDoublePrecision(t *testing.T) {
-	g := lattice.MustNew(2, 4, 2, 4)
-	cfg := gauge.NewRandom(g, 21)
-	w := NewWilson(cfg, -1.0)
-	w32 := NewWilson32(w)
-	rng := rand.New(rand.NewSource(6))
-	src := randField(rng, w.Size())
-	src32 := make([]complex64, len(src))
-	linalg.Demote(src32, src)
-	dst := make([]complex128, len(src))
-	dst32 := make([]complex64, len(src))
-	w.Apply(dst, src)
-	w32.Apply(dst32, src32)
-	prom := make([]complex128, len(src))
-	linalg.Promote(prom, dst32)
-	norm := math.Sqrt(linalg.NormSq(dst, 0))
-	if d := fieldDist(dst, prom); d > 1e-5*norm {
-		t.Fatalf("single precision drifted: %g vs norm %g", d, norm)
-	}
-}
-
 func TestGamma5IsInvolution(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	v := randField(rng, 10*SpinorLen)

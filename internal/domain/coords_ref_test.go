@@ -78,7 +78,7 @@ func (ref *coordsRef) siteStencil(out []complex128, s int) {
 	lc := sub.local.Coords(s)
 	for mu := 0; mu < lattice.NDim; mu++ {
 		// Forward hop: (1-gamma) U_mu(x) psi(x+mu).
-		hopAccumLocal(out, ref.neighborSpinor(s, mu, true), &sub.Spec.U[mu][s], mu, -1, false)
+		dirac.HopAccum(out, ref.neighborSpinor(s, mu, true), &sub.Spec.U[mu][s], mu, -1, false)
 		// Backward hop: (1+gamma) U_mu(x-mu)^dag psi(x-mu).
 		var link *linalg.SU3
 		if sub.Spec.Partitioned(mu) && lc[mu] == 0 {
@@ -86,7 +86,7 @@ func (ref *coordsRef) siteStencil(out []complex128, s int) {
 		} else {
 			link = &sub.Spec.U[mu][sub.local.Bwd(s, mu)]
 		}
-		hopAccumLocal(out, ref.neighborSpinor(s, mu, false), link, mu, +1, true)
+		dirac.HopAccum(out, ref.neighborSpinor(s, mu, false), link, mu, +1, true)
 	}
 }
 

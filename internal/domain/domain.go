@@ -21,11 +21,12 @@ import (
 	"context"
 	"fmt"
 
+	"femtoverse/internal/dirac"
 	"femtoverse/internal/gauge"
 	"femtoverse/internal/lattice"
 )
 
-const spinorLen = 12
+const spinorLen = dirac.SpinorLen
 
 // message is one halo face in flight: the spinor values of a boundary
 // face, ordered by the receiver's face indexing.

@@ -10,6 +10,7 @@ package domain
 import (
 	"fmt"
 
+	"femtoverse/internal/dirac"
 	"femtoverse/internal/gauge"
 	"femtoverse/internal/lattice"
 	"femtoverse/internal/linalg"
@@ -360,37 +361,7 @@ func (sub *Sub) siteStencil(s int) {
 	legs := sub.hops[s*hopsPerSite : (s+1)*hopsPerSite]
 	for mu := 0; mu < lattice.NDim; mu++ {
 		fwd, bwd := &legs[2*mu], &legs[2*mu+1]
-		hopAccumLocal(out, sub.field[fwd.psi:fwd.psi+spinorLen], fwd.link, mu, -1, false)
-		hopAccumLocal(out, sub.field[bwd.psi:bwd.psi+spinorLen], bwd.link, mu, +1, true)
-	}
-}
-
-// hopAccumLocal mirrors the shared-memory kernel's hopping term.
-func hopAccumLocal(out, in []complex128, u *linalg.SU3, mu, projSign int, adjoint bool) {
-	p0 := linalg.GammaPerm[mu][0]
-	p1 := linalg.GammaPerm[mu][1]
-	ph0 := linalg.GammaPhase[mu][0]
-	ph1 := linalg.GammaPhase[mu][1]
-	sgn := complex(float64(projSign), 0)
-	var h0, h1 [3]complex128
-	for c := 0; c < 3; c++ {
-		h0[c] = in[0*3+c] + sgn*ph0*in[p0*3+c]
-		h1[c] = in[1*3+c] + sgn*ph1*in[p1*3+c]
-	}
-	var uh0, uh1 [3]complex128
-	if adjoint {
-		uh0 = u.AdjMulVec(&h0)
-		uh1 = u.AdjMulVec(&h1)
-	} else {
-		uh0 = u.MulVec(&h0)
-		uh1 = u.MulVec(&h1)
-	}
-	r0 := sgn * complex(real(ph0), -imag(ph0))
-	r1 := sgn * complex(real(ph1), -imag(ph1))
-	for c := 0; c < 3; c++ {
-		out[0*3+c] -= 0.5 * uh0[c]
-		out[1*3+c] -= 0.5 * uh1[c]
-		out[p0*3+c] -= 0.5 * r0 * uh0[c]
-		out[p1*3+c] -= 0.5 * r1 * uh1[c]
+		dirac.HopAccum(out, sub.field[fwd.psi:fwd.psi+spinorLen], fwd.link, mu, -1, false)
+		dirac.HopAccum(out, sub.field[bwd.psi:bwd.psi+spinorLen], bwd.link, mu, +1, true)
 	}
 }
