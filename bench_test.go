@@ -453,62 +453,6 @@ func BenchmarkMetropolisSweep(b *testing.B) {
 	}
 }
 
-func BenchmarkBiCGStabVsCGNE(b *testing.B) {
-	// Reported via sub-benchmarks so the iteration disparity is visible
-	// in one table.
-	g := lattice.MustNew(2, 2, 2, 4)
-	cfg := gauge.NewWeak(g, 75, 0.3)
-	m, err := dirac.NewMobius(cfg, dirac.MobiusParams{Ls: 4, M5: 1.4, B5: 1.25, C5: 0.25, M: 0.3})
-	if err != nil {
-		b.Fatal(err)
-	}
-	eo, err := dirac.NewMobiusEO(m)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rhs := make([]complex128, eo.Size())
-	rng := rand.New(rand.NewSource(76))
-	for i := range rhs {
-		rhs[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-	}
-	b.Run("cgne", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := solver.CGNE(context.Background(), eo, rhs, solver.Params{Tol: 1e-8}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("bicgstab", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := solver.BiCGStab(context.Background(), eo, rhs, solver.Params{Tol: 1e-8}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// Deflation setup cost vs per-solve saving: the production trade
-// (12 x sources x FH resolves amortize one Lanczos per configuration).
-
-func BenchmarkLanczosCheby(b *testing.B) {
-	g := lattice.MustNew(2, 2, 2, 4)
-	cfg := gauge.NewWeak(g, 79, 0.3)
-	m, err := dirac.NewMobius(cfg, dirac.MobiusParams{Ls: 4, M5: 1.4, B5: 1.25, C5: 0.25, M: 0.05})
-	if err != nil {
-		b.Fatal(err)
-	}
-	eo, err := dirac.NewMobiusEO(m)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := solver.LanczosCheby(context.Background(), eo, 8, 32, 24, 1.0, int64(i), solver.Params{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // Distributed vs shared-memory dslash: the four-step halo pipeline's
 // overhead at laptop scale (rank goroutines, channel halo exchange,
 // scatter/gather) against the flat shared-memory kernel.

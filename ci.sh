@@ -56,8 +56,8 @@ go test -race -timeout 40m ./...
 # detector with -count=2, so the chaos engine's determinism claim
 # (same seed and plan -> same fault sequence and report at any worker
 # count) is exercised twice against fresh goroutine interleavings, and
-# the recovery paths (panic isolation, watchdog kills, quarantine,
-# journal replay) hold under concurrent load.
+# the recovery paths (panic isolation, watchdog kills, failure-domain
+# casualties, capped retry backoff) hold under concurrent load.
 go test -race -count=2 ./internal/fault/ ./internal/runtime/ ./internal/cluster/
 # Drain gate: the allocation-budget paths - drain/resume determinism,
 # admission control, Preempt-fault preemption, and the atomic container

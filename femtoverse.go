@@ -128,36 +128,14 @@ func Solve(eo *MobiusEO, b []complex128, p SolverParams) ([]complex128, SolverSt
 
 // SolveContext is Solve under a context: cancellation or deadline expiry
 // aborts the CG iteration mid-solve and returns the partial solution with
-// a wrapped context error. The job runtime uses this to enforce per-task
-// timeouts.
+// a wrapped context error. The job runtime cancels attempts through it
+// (watchdog, failure-domain loss, drain).
 func SolveContext(ctx context.Context, eo *MobiusEO, b []complex128, p SolverParams) ([]complex128, SolverStats, error) {
 	var sloppy solver.Linear32
 	if p.Precision != solver.Double {
 		sloppy = dirac.NewMobiusEO32(eo)
 	}
 	return solver.CGNEMixed(ctx, eo, sloppy, b, p)
-}
-
-// SolveBiCGStab runs the BiCGStab ablation baseline directly on the
-// non-Hermitian system (expect many more iterations on domain-wall
-// operators; that is the point).
-func SolveBiCGStab(eo *MobiusEO, b []complex128, p SolverParams) ([]complex128, SolverStats, error) {
-	return solver.BiCGStab(context.Background(), eo, b, p)
-}
-
-// EigenPair is a Ritz approximation to a normal-operator eigenpair.
-type EigenPair = solver.EigenPair
-
-// LowModes computes the nEv lowest eigenpairs of D^dag D with a
-// Chebyshev-filtered Lanczos process (m Krylov steps, polynomial degree,
-// bulk cutoff lcut), the setup step of deflated production solves.
-func LowModes(eo *MobiusEO, nEv, m, degree int, lcut float64, seed int64, p SolverParams) ([]EigenPair, SolverStats, error) {
-	return solver.LanczosCheby(context.Background(), eo, nEv, m, degree, lcut, seed, p)
-}
-
-// SolveDeflated runs CGNE seeded with the low-mode guess.
-func SolveDeflated(eo *MobiusEO, b []complex128, modes []EigenPair, p SolverParams) ([]complex128, SolverStats, error) {
-	return solver.CGNEDeflated(context.Background(), eo, b, modes, p)
 }
 
 // DistributedWilson is the Wilson operator executed with the paper's
@@ -409,14 +387,14 @@ func SimulateCluster(cfg ClusterConfig, tasks []ClusterTask, p SchedPolicy) (Clu
 
 // Execution runtime: the live job manager (mpi_jm on goroutines) that
 // schedules real solve and contraction tasks with dependency tracking,
-// EASY backfilling, per-task timeouts and bounded retry.
+// EASY backfilling, a watchdog and bounded retry.
 type (
 	// JobPool is the concurrent job-execution pool.
 	JobPool = jobrt.Pool
 	// JobTask is one schedulable unit of real work.
 	JobTask = jobrt.Task
-	// JobConfig shapes a pool: worker-class widths, queue depth, retry
-	// and timeout policy, failure injection.
+	// JobConfig shapes a pool: worker-class widths, retry and watchdog
+	// policy, allocation budget, failure injection, observability.
 	JobConfig = jobrt.Config
 	// JobResult pairs a finished task with its value and lifecycle record.
 	JobResult = jobrt.Result

@@ -173,26 +173,6 @@ func TestFacadeExtendedSurface(t *testing.T) {
 		t.Fatal("NERSC round trip changed plaquette")
 	}
 
-	// Deflated solve path.
-	m, err := NewMobius(ens[0], MobiusParams{Ls: 4, M5: 1.4, B5: 1.25, C5: 0.25, M: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eo, err := NewMobiusEO(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	modes, _, err := LowModes(eo, 4, 20, 16, 1.0, 1, SolverParams{})
-	if err != nil || len(modes) != 4 {
-		t.Fatalf("LowModes: %v", err)
-	}
-	b := make([]complex128, eo.Size())
-	b[3] = 1
-	x, st, err := SolveDeflated(eo, b, modes, SolverParams{Tol: 1e-8})
-	if err != nil || !st.Converged || len(x) != eo.Size() {
-		t.Fatalf("deflated solve: %v %+v", err, st)
-	}
-
 	// Extrapolation through the facade.
 	pts := []EnsemblePoint{
 		{EpsPi2: 0.07, A2: 0.2, GA: 1.22, Err: 0.01},

@@ -20,16 +20,16 @@ import (
 )
 
 const (
-	// netRetrySeconds prices one recovered per-frame network fault (drop,
+	// NetRetrySeconds prices one recovered per-frame network fault (drop,
 	// delay, corruption): a handful of capped jittered backoff rounds plus
 	// the retransmission itself.
-	netRetrySeconds = 1.0
-	// defaultPartitionRecoverySeconds is the fallback NetPartition penalty
-	// when Config.PartitionRecoverySeconds is zero. It mirrors
-	// mpijm.RankRecoverySeconds (which cannot be imported here - mpijm
-	// builds on this package): the heartbeat window that converts silence
-	// into a declared death plus re-establishing the rank's connections.
-	defaultPartitionRecoverySeconds = 45.0
+	NetRetrySeconds = 1.0
+	// PartitionRecoverySeconds prices one NetPartition recovery: the
+	// heartbeat window that converts silence into a declared death plus
+	// restoring the lost rank onto a respawned process. mpijm's
+	// RankRecoverySeconds derives the same figure from its lump model
+	// (mpijm builds on this package, so its test pins the two equal).
+	PartitionRecoverySeconds = 45.0
 )
 
 // TaskKind distinguishes GPU solves from CPU-only contractions.
@@ -75,12 +75,6 @@ type Config struct {
 	SlowNodeFrac float64
 	SlowFactor   float64
 	Seed         int64
-	// FailureRate is the legacy per-execution probability that a task dies
-	// and must be re-run (node crash, file-system hiccup). It folds into
-	// Fault as a DomainLoss rate - the historical behaviour, where every
-	// failure propagated through the policy's failure domain - and is
-	// mutually exclusive with setting Fault directly.
-	FailureRate float64
 	// Fault is the deterministic chaos plan shared with the live runtime
 	// (internal/fault): draws are keyed by task identity and attempt, so
 	// the injected fault sequence is a property of the plan, not of the
@@ -91,15 +85,10 @@ type Config struct {
 	// live wire layer's chaos: they never kill a task - the halo runtime
 	// detects and recovers them (resend after backoff, checksum discard,
 	// heartbeat timeout plus rank respawn) - so the simulator books the
-	// recovery latency against the report instead. When Fault.Seed is zero
-	// the plan is seeded from Seed so distinct allocations draw distinct
-	// faults by default.
+	// recovery latency (NetRetrySeconds, PartitionRecoverySeconds) against
+	// the report instead. When Fault.Seed is zero the plan is seeded from
+	// Seed so distinct allocations draw distinct faults by default.
 	Fault fault.Plan
-	// PartitionRecoverySeconds prices one NetPartition recovery: the
-	// heartbeat window that converts silence into a declared death plus
-	// restoring the lost rank onto a respawned process. Zero selects the
-	// default (mpijm.RankRecoverySeconds supplies the calibrated figure).
-	PartitionRecoverySeconds float64
 	// MaxRetries bounds re-executions per task (default 5 when failures
 	// are enabled).
 	MaxRetries int
@@ -125,12 +114,6 @@ func (c Config) Validate() error {
 	if c.SlowFactor < 0 || c.SlowFactor > 1 {
 		return fmt.Errorf("cluster: SlowFactor %g outside [0,1]", c.SlowFactor)
 	}
-	if c.FailureRate < 0 || c.FailureRate >= 1 {
-		return fmt.Errorf("cluster: FailureRate %g outside [0,1)", c.FailureRate)
-	}
-	if c.FailureRate > 0 && c.Fault.Enabled() {
-		return fmt.Errorf("cluster: FailureRate and Fault are mutually exclusive; fold the rate into Fault.DomainLoss")
-	}
 	if err := c.Fault.Validate(); err != nil {
 		return fmt.Errorf("cluster: %w", err)
 	}
@@ -140,15 +123,10 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// faultPlan resolves the effective chaos plan: the legacy FailureRate
-// becomes a pure DomainLoss plan (each failure dies through the policy's
-// failure domain, exactly the old semantics), and an unset seed defaults
-// to the allocation seed's failure stream.
+// faultPlan resolves the effective chaos plan: an unset seed defaults to
+// the allocation seed's failure stream.
 func (c Config) faultPlan() fault.Plan {
 	p := c.Fault
-	if c.FailureRate > 0 {
-		p = fault.Plan{DomainLoss: c.FailureRate}
-	}
 	if p.Seed == 0 {
 		p.Seed = c.Seed + 0x5eed
 	}
@@ -591,12 +569,9 @@ func Run(cfg Config, tasks []Task, p Policy) (Report, error) {
 			// rank. The task completes - no failure, no re-run - and the
 			// recovery latency is booked against the report.
 			rep.Faults.Add(fk)
-			penalty := netRetrySeconds
+			penalty := NetRetrySeconds
 			if fk == fault.NetPartition {
-				penalty = cfg.PartitionRecoverySeconds
-				if penalty <= 0 {
-					penalty = defaultPartitionRecoverySeconds
-				}
+				penalty = PartitionRecoverySeconds
 			}
 			rep.NetRecoverySeconds += penalty
 			rep.SustainedTFlops += stat.Task.TFlops * dur

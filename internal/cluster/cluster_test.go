@@ -317,9 +317,8 @@ func TestNetFaultsRecoverNotFail(t *testing.T) {
 	}
 }
 
-// TestPartitionRecoveryPenalty checks the NetPartition price: the
-// configured figure when set, the mpijm-calibrated default when zero,
-// and the flat per-frame retry constant for the other net kinds.
+// TestPartitionRecoveryPenalty checks the NetPartition price and the
+// flat per-frame retry constant for the other net kinds.
 func TestPartitionRecoveryPenalty(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Fault = fault.Plan{Seed: 4, NetPartition: 0.5}
@@ -331,19 +330,9 @@ func TestPartitionRecoveryPenalty(t *testing.T) {
 	if rep.Faults.NetPartition == 0 {
 		t.Fatal("no partitions drawn at 50%")
 	}
-	want := float64(rep.Faults.NetPartition) * defaultPartitionRecoverySeconds
+	want := float64(rep.Faults.NetPartition) * PartitionRecoverySeconds
 	if rep.NetRecoverySeconds != want {
-		t.Fatalf("default partition penalty: got %v, want %v", rep.NetRecoverySeconds, want)
-	}
-
-	cfg.PartitionRecoverySeconds = 120
-	rep, err = Run(cfg, tasks, NaiveBundle{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want = float64(rep.Faults.NetPartition) * 120
-	if rep.NetRecoverySeconds != want {
-		t.Fatalf("configured partition penalty: got %v, want %v", rep.NetRecoverySeconds, want)
+		t.Fatalf("partition penalty: got %v, want %v", rep.NetRecoverySeconds, want)
 	}
 
 	cfg.Fault = fault.Plan{Seed: 4, NetDrop: 0.5}
@@ -351,7 +340,7 @@ func TestPartitionRecoveryPenalty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want = float64(rep.Faults.NetDrop) * netRetrySeconds
+	want = float64(rep.Faults.NetDrop) * NetRetrySeconds
 	if rep.NetRecoverySeconds != want {
 		t.Fatalf("per-frame retry penalty: got %v, want %v", rep.NetRecoverySeconds, want)
 	}

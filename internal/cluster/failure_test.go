@@ -54,7 +54,7 @@ func TestDanglingDependencyRejected(t *testing.T) {
 func TestFailuresRetryAndAccountWaste(t *testing.T) {
 	cfg := Config{
 		Nodes: 8, GPUsPerNode: 4, CPUSlotsPerNode: 40, Seed: 3,
-		FailureRate: 0.3, MaxRetries: 50,
+		Fault: fault.Plan{DomainLoss: 0.3}, MaxRetries: 50,
 	}
 	tasks := solveTasks(16, 500, 0.1, 4)
 	rep, err := Run(cfg, tasks, NaiveBundle{})
@@ -89,20 +89,11 @@ func TestFailuresRetryAndAccountWaste(t *testing.T) {
 func TestRetryLimitEnforced(t *testing.T) {
 	cfg := Config{
 		Nodes: 2, GPUsPerNode: 4, CPUSlotsPerNode: 8, Seed: 5,
-		FailureRate: 0.999, MaxRetries: 3,
+		Fault: fault.Plan{DomainLoss: 0.999}, MaxRetries: 3,
 	}
 	tasks := []Task{{ID: 0, Kind: GPUTask, GPUs: 8, Seconds: 10}}
 	if _, err := Run(cfg, tasks, NaiveBundle{}); err == nil {
 		t.Fatal("hopeless task did not error out")
-	}
-}
-
-func TestFailureRateValidation(t *testing.T) {
-	if err := (Config{Nodes: 1, FailureRate: 1.0}).Validate(); err == nil {
-		t.Fatal("failure rate 1.0 accepted")
-	}
-	if err := (Config{Nodes: 1, FailureRate: -0.1}).Validate(); err == nil {
-		t.Fatal("negative failure rate accepted")
 	}
 }
 
@@ -125,7 +116,7 @@ func TestFailureDomainTakesDownNeighbours(t *testing.T) {
 	// the other running tasks too, so failures come in bursts.
 	cfgIso := Config{
 		Nodes: 8, GPUsPerNode: 4, CPUSlotsPerNode: 40, Seed: 7,
-		FailureRate: 0.25, MaxRetries: 100,
+		Fault: fault.Plan{DomainLoss: 0.25}, MaxRetries: 100,
 	}
 	tasks := solveTasks(24, 500, 0.1, 8)
 	for i := range tasks {
@@ -149,16 +140,6 @@ func TestFailureDomainTakesDownNeighbours(t *testing.T) {
 	}
 	if dom.TasksDone != 24 || iso.TasksDone != 24 {
 		t.Fatal("tasks lost")
-	}
-}
-
-func TestLegacyFailureRateAndFaultAreExclusive(t *testing.T) {
-	cfg := Config{Nodes: 1, FailureRate: 0.1, Fault: fault.Plan{Transient: 0.1}}
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("FailureRate + Fault accepted together")
-	}
-	if err := (Config{Nodes: 1, Fault: fault.Plan{Transient: 1.5}}).Validate(); err == nil {
-		t.Fatal("over-unity fault plan accepted")
 	}
 }
 

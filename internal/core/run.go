@@ -246,12 +246,11 @@ func (c *Campaign) Run(ctx context.Context, n int, opts RunOptions) (done int, r
 	} else {
 		var report jobrt.Report
 		_, report, runErr = jobrt.Run(ctx, jobrt.Config{
-			SolveWorkers:    opts.Workers,
-			ContractWorkers: max(opts.Workers/2, 1),
-			Budget:          opts.Budget,
-			Preempt:         opts.Preempt,
-			Metrics:         opts.Obs.Metrics,
-			Trace:           opts.Obs.Trace,
+			SolveWorkers: opts.Workers,
+			Budget:       opts.Budget,
+			Preempt:      opts.Preempt,
+			Metrics:      opts.Obs.Metrics,
+			Trace:        opts.Obs.Trace,
 		}, tasks)
 		for k := range meas {
 			report.SolverRestarts += meas[k].restarts

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"femtoverse/internal/cluster"
+	"femtoverse/internal/fault"
 	"femtoverse/internal/machine"
 	"femtoverse/internal/mpijm"
 	"femtoverse/internal/perfmodel"
@@ -72,7 +73,7 @@ func genResilience(quick bool) (Result, error) {
 		cfg := cluster.Config{
 			Nodes: 128, GPUsPerNode: 4, CPUSlotsPerNode: 40,
 			JitterSigma: 0.03, Seed: 13,
-			FailureRate: 0.04, MaxRetries: 100,
+			Fault: fault.Plan{DomainLoss: 0.04}, MaxRetries: 100,
 		}
 		pol := mpijm.New(mpijm.Params{LumpNodes: lump, BlockNodes: 4})
 		rep, err := cluster.Run(cfg, tasks, pol)

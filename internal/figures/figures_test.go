@@ -251,6 +251,26 @@ func TestResilienceLumpSizeTradeoff(t *testing.T) {
 			t.Fatalf("waste not increasing with lump size: %+v", r.Rows)
 		}
 	}
+	// The exact quick-mode rows, pinned before the experiment moved from
+	// the simulator's legacy failure rate to the equivalent DomainLoss
+	// plan: any drift in the fault draws, the lump domains or the
+	// simulator's clock shows here.
+	pins := []struct {
+		lump, failures    int
+		wasted, makespanS uint64
+	}{
+		{8, 4, 0x4017b476275706f6, 0x40a9789705cf0ec9},
+		{32, 16, 0x4032ab717afd9bf5, 0x40aa991a36ecfeed},
+		{128, 64, 0x4058084e3f0953fd, 0x40b54507ffc06625},
+	}
+	for i, p := range pins {
+		row := r.Rows[i]
+		if row.LumpNodes != p.lump || row.Failures != p.failures ||
+			math.Float64bits(row.WastedPct) != p.wasted || math.Float64bits(row.MakespanS) != p.makespanS {
+			t.Fatalf("row %d = %+v, pinned lump %d failures %d wasted %v makespan %v", i, row,
+				p.lump, p.failures, math.Float64frombits(p.wasted), math.Float64frombits(p.makespanS))
+		}
+	}
 }
 
 func TestGDRAblationHelpsAtScale(t *testing.T) {

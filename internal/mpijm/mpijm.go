@@ -292,9 +292,8 @@ const heartbeatDetectSeconds = 5.0
 // RankRecoverySeconds prices one rank-loss recovery in the lump runtime:
 // the heartbeat window that detects the death plus reconnecting the
 // replacement rank into the job (the same DPM connect figure as lump
-// startup). cluster.Config.PartitionRecoverySeconds takes this as its
-// calibrated value; the cluster package defaults to the same figure when
-// the config leaves it zero.
+// startup). It is the figure cluster.PartitionRecoverySeconds books per
+// simulated NetPartition.
 func RankRecoverySeconds() float64 { return heartbeatDetectSeconds + ConnectSeconds() }
 
 // StartupAdvantage returns monolithic / lump startup time for a node

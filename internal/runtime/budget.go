@@ -74,7 +74,7 @@ const (
 const estimateAlpha = 0.3
 
 // estimator refines per-class task-duration estimates online. Estimates
-// are seeded from the nominal planning costs (Task.Cost / DefaultCost,
+// are seeded from the nominal planning costs (Task.Cost / defaultCost,
 // in seconds) and corrected by an EWMA of the observed-over-nominal
 // ratio of completed attempts, per worker class - so a campaign whose
 // nominal costs are off by a constant factor converges to truthful
@@ -127,7 +127,7 @@ func (e *estimator) meanErr() float64 {
 func (p *Pool) nominalCost(j *job) float64 {
 	c := j.t.Cost
 	if c <= 0 {
-		c = p.cfg.DefaultCost
+		c = defaultCost
 	}
 	return c
 }

@@ -92,45 +92,6 @@ func TestBudgetExpiryStrandsOverrunningWork(t *testing.T) {
 	}
 }
 
-// TestQuarantineReleaseDuringDrain: a task re-routed because its worker
-// was quarantined mid-drain is refused - with its healthy workers
-// released first - rather than re-queued onto a pool that will never
-// dispatch again. This is the "quarantined workers release their slots
-// before drain accounting runs" half of the liveness property.
-func TestQuarantineReleaseDuringDrain(t *testing.T) {
-	p, err := New(context.Background(), Config{
-		SolveWorkers: 2, ContractWorkers: 1,
-		MaxRetries: 5, QuarantineAfter: 1,
-		RetryBackoff: 100 * time.Microsecond,
-		Budget:       Budget{DrainGrace: 200 * time.Millisecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	boom := errors.New("boom")
-	if err := p.Submit(Task{ID: 0, Class: Solve, Run: func(context.Context) (interface{}, error) {
-		p.Drain("test drain")
-		return nil, boom
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	p.Close()
-	results, rep, err := p.Wait()
-	if err != nil {
-		t.Fatalf("drain-refused task surfaced as an error: %v", err)
-	}
-	checkDrainAccounting(t, rep)
-	if rep.Requeues != 1 {
-		t.Fatalf("requeues %d, want 1 (quarantine must have fired)", rep.Requeues)
-	}
-	if rep.Refused != 1 || rep.Stranded != 0 {
-		t.Fatalf("refused %d stranded %d, want the re-routed task refused", rep.Refused, rep.Stranded)
-	}
-	if !errors.Is(results[0].Err, ErrRefused) {
-		t.Fatalf("task error %v, want ErrRefused", results[0].Err)
-	}
-}
-
 // TestPreemptFaultFiresDrainPath: an injected fault.Preempt is an
 // allocation-level event, not a task failure - the drawing attempt runs
 // to completion inside the grace period, the pool drains, queued tasks

@@ -188,7 +188,7 @@ func TestBackoffScheduleIsPinned(t *testing.T) {
 // the pool survive to run everything else.
 func TestPanicIsolation(t *testing.T) {
 	tasks := []Task{
-		{ID: 0, Class: Solve, Retries: -1, Run: func(context.Context) (interface{}, error) {
+		{ID: 0, Class: Solve, Run: func(context.Context) (interface{}, error) {
 			panic("wild pointer")
 		}},
 	}
@@ -242,7 +242,7 @@ func TestPanicRetries(t *testing.T) {
 // is abandoned at the heartbeat deadline and its slot reused; the pool
 // does not wait for the zombie.
 func TestWatchdogReclaimsHungSlot(t *testing.T) {
-	hang := Task{ID: 0, Class: Solve, Retries: -1,
+	hang := Task{ID: 0, Class: Solve,
 		Run: func(context.Context) (interface{}, error) {
 			time.Sleep(300 * time.Millisecond) // deaf to cancellation
 			return nil, nil
@@ -303,66 +303,6 @@ func TestInjectedHangIsKilledByWatchdog(t *testing.T) {
 	}
 }
 
-// TestQuarantineBenchesWorkerAndReroutes: three consecutive failures on
-// one worker bench it; the failing task is requeued onto the survivor,
-// and the last worker of a class can never be benched.
-func TestQuarantineBenchesWorkerAndReroutes(t *testing.T) {
-	tasks := []Task{{ID: 0, Class: Solve, Retries: 10,
-		Run: func(context.Context) (interface{}, error) {
-			return nil, errors.New("always fails")
-		}}}
-	res, rep, err := Run(context.Background(), Config{
-		SolveWorkers: 2, ContractWorkers: 1,
-		QuarantineAfter: 3, RetryBackoff: 100 * time.Microsecond,
-	}, tasks)
-	if err == nil {
-		t.Fatal("hopeless task reported success")
-	}
-	if len(rep.QuarantinedSolve) != 1 {
-		t.Fatalf("quarantined solve workers %v, want exactly one", rep.QuarantinedSolve)
-	}
-	if rep.Requeues != 1 {
-		t.Fatalf("requeues %d, want 1 (benched mid-retry, re-routed once)", rep.Requeues)
-	}
-	if res[0].Metrics.Attempts != 11 {
-		t.Fatalf("attempts %d, want initial + 10 retries", res[0].Metrics.Attempts)
-	}
-}
-
-// TestQuarantineSparesHealthyWorkers: after the bad streak ends, healthy
-// tasks keep the remaining workers and complete; a benched worker stays
-// benched for the rest of the pool's life.
-func TestQuarantineSparesHealthyWorkers(t *testing.T) {
-	var tasks []Task
-	// Eight hopeless tasks to poison workers, then twenty good ones.
-	for i := 0; i < 8; i++ {
-		tasks = append(tasks, Task{ID: i, Class: Solve, Retries: -1,
-			Run: func(context.Context) (interface{}, error) {
-				return nil, errors.New("bad streak")
-			}})
-	}
-	for i := 8; i < 28; i++ {
-		i := i
-		tasks = append(tasks, Task{ID: i, Class: Solve,
-			Run: func(context.Context) (interface{}, error) { return i, nil }})
-	}
-	res, rep, err := Run(context.Background(), Config{
-		SolveWorkers: 3, ContractWorkers: 1,
-		QuarantineAfter: 2, RetryBackoff: 100 * time.Microsecond,
-	}, tasks)
-	if err == nil {
-		t.Fatal("bad streak reported success")
-	}
-	if len(rep.QuarantinedSolve) == 0 || len(rep.QuarantinedSolve) > 2 {
-		t.Fatalf("quarantined %v; want 1-2 of 3 (floor keeps the class alive)", rep.QuarantinedSolve)
-	}
-	for _, r := range res[8:] {
-		if r.Err != nil {
-			t.Fatalf("healthy task %d failed after quarantine: %v", r.Task.ID, r.Err)
-		}
-	}
-}
-
 // TestDomainLossKillsCoDomainTasks: a DomainLoss fault takes down the
 // in-flight tasks sharing the failure domain (the MPI_Abort lump kill);
 // casualties retry for free and everything completes.
@@ -407,7 +347,7 @@ func TestDomainLossKillsCoDomainTasks(t *testing.T) {
 			}})
 	}
 	res, rep, err := Run(context.Background(), Config{
-		SolveWorkers: 4, ContractWorkers: 1, DomainSize: 4,
+		SolveWorkers: 2, ContractWorkers: 1, // one failure domain
 		MaxRetries: 3, RetryBackoff: 100 * time.Microsecond,
 		Fault: plan,
 	}, tasks)

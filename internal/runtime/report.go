@@ -76,7 +76,7 @@ type Report struct {
 	// admission controller's cost model was this run.
 	EstimateErr float64
 	// FailedAttempts counts failed executions (injected failures,
-	// timeouts, task errors, casualties) including ones that were
+	// watchdog kills, task errors, casualties) including ones that were
 	// retried; the analogue of cluster.Report.Failures.
 	FailedAttempts int
 	// Backfills counts out-of-order starts through EASY backfilling.
@@ -101,13 +101,6 @@ type Report struct {
 	// failure domain rather than their own failure; casualties retry
 	// without consuming the task's budget.
 	DomainCasualties int
-	// Requeues counts tasks sent back to the ready queue for re-routing
-	// after one of their workers was quarantined.
-	Requeues int
-	// QuarantinedSolve / QuarantinedContract list the worker IDs benched
-	// by the circuit breaker, ascending.
-	QuarantinedSolve    []int
-	QuarantinedContract []int
 	// JournalCheckpoints and SolverRestarts are filled in by campaign
 	// drivers that run on this pool: completed-work checkpoints written
 	// to the crash-recovery journal, and precision-escalation restarts
@@ -180,11 +173,9 @@ func (r Report) String() string {
 	fmt.Fprintf(&b, "  %d backfills, %d failed attempts, queue wait mean %v max %v",
 		r.Backfills, r.FailedAttempts,
 		r.MeanQueueWait.Round(time.Microsecond), r.MaxQueueWait.Round(time.Microsecond))
-	if r.Faults.Total() > 0 || r.RecoveredPanics > 0 || r.WatchdogKills > 0 ||
-		r.DomainCasualties > 0 || len(r.QuarantinedSolve)+len(r.QuarantinedContract) > 0 {
-		fmt.Fprintf(&b, "\n  chaos: %v; %d panics recovered, %d watchdog kills, %d domain casualties, %d requeues, %d workers quarantined",
-			r.Faults, r.RecoveredPanics, r.WatchdogKills, r.DomainCasualties,
-			r.Requeues, len(r.QuarantinedSolve)+len(r.QuarantinedContract))
+	if r.Faults.Total() > 0 || r.RecoveredPanics > 0 || r.WatchdogKills > 0 || r.DomainCasualties > 0 {
+		fmt.Fprintf(&b, "\n  chaos: %v; %d panics recovered, %d watchdog kills, %d domain casualties",
+			r.Faults, r.RecoveredPanics, r.WatchdogKills, r.DomainCasualties)
 	}
 	if r.JournalCheckpoints > 0 || r.SolverRestarts > 0 {
 		fmt.Fprintf(&b, "\n  recovery: %d journal checkpoints, %d solver restarts",

@@ -14,17 +14,15 @@
 //     smaller tasks start in the holes only if they cannot delay the
 //     head's reservation;
 //   - bounded admission with backpressure (Submit blocks while the
-//     runnable backlog is full), per-task context cancellation and
-//     timeouts, and bounded retry with capped, deterministically jittered
-//     exponential backoff;
+//     runnable backlog is full), per-task context cancellation, and
+//     bounded retry with capped, deterministically jittered exponential
+//     backoff;
 //   - a fault-tolerance layer over the internal/fault chaos engine:
 //     injected faults are keyed by task identity so a chaos run replays
 //     exactly at any worker count, worker panics are isolated (the task
 //     fails, the worker survives), a watchdog abandons attempts that stop
-//     making progress, workers that fail repeatedly are quarantined
-//     (mpi_jm's bad-node marking) with their tasks re-routed, and a
-//     failure-domain loss kills the in-flight co-domain tasks the way an
-//     MPI_Abort takes down a whole lump;
+//     making progress, and a failure-domain loss kills the in-flight
+//     co-domain tasks the way an MPI_Abort takes down a whole lump;
 //   - per-task lifecycle metrics rolled into a Report whose utilization
 //     and waste accounting match cluster.Report, so the simulator's
 //     predictions and the real executor can be cross-checked.
@@ -102,19 +100,14 @@ type Task struct {
 	// running (the analogue of a job's GPU count); 0 means 1.
 	Slots int
 	// Cost is the estimated duration in seconds used for backfill
-	// planning only; 0 means Config.DefaultCost. Estimates never affect
+	// planning only; 0 means one second. Estimates never affect
 	// correctness, only schedule quality.
 	Cost float64
 	// DependsOn lists task IDs that must complete successfully before
 	// this task starts. A failed dependency fails the task.
 	DependsOn []int
-	// Timeout bounds one execution attempt (0 = Config.Timeout).
-	Timeout time.Duration
-	// Retries overrides Config.MaxRetries for this task: 0 uses the pool
-	// default, a negative value disables retries.
-	Retries int
-	// Run does the work. It must honour ctx: a cancelled or timed-out
-	// task should stop mid-computation (the solver's CGNE loop does).
+	// Run does the work. It must honour ctx: a cancelled task should stop
+	// mid-computation (the solver's CGNE loop does).
 	Run func(ctx context.Context) (interface{}, error)
 }
 
@@ -133,16 +126,12 @@ type Config struct {
 	// SolveWorkers is the solve-class width (default: NumCPU, every
 	// hardware thread doubles as one GPU analogue).
 	SolveWorkers int
-	// ContractWorkers is the contract-class width (default: a quarter of
-	// the solve width, the host cores mpi_jm overlays work onto).
+	// ContractWorkers is the contract-class width (default: half the solve
+	// width, at least one - the host cores mpi_jm overlays work onto).
 	ContractWorkers int
-	// QueueDepth bounds the runnable backlog (ready + running tasks):
-	// Submit blocks - backpressure - while it is full. Default
-	// 4*(SolveWorkers+ContractWorkers).
-	QueueDepth int
-	// MaxRetries is the default bound on re-executions after a failed
-	// attempt (default 0: no retries). Failure-domain casualties do not
-	// consume the budget.
+	// MaxRetries bounds re-executions of a task after a failed attempt
+	// (default 0: no retries). Failure-domain casualties do not consume
+	// the budget.
 	MaxRetries int
 	// RetryBackoff is the first retry delay, doubled per failed attempt
 	// up to MaxBackoff and jittered deterministically from the task seed
@@ -151,28 +140,12 @@ type Config struct {
 	// MaxBackoff caps the exponential retry backoff
 	// (default 64*RetryBackoff).
 	MaxBackoff time.Duration
-	// Timeout bounds each execution attempt (0 = none). Timeouts are
-	// cooperative: the attempt's context expires and Run is expected to
-	// return.
-	Timeout time.Duration
-	// Watchdog is the heartbeat deadline on one attempt's wall time.
-	// Unlike Timeout it is not cooperative: when it fires, the attempt's
-	// context is cancelled AND the attempt is abandoned immediately - its
-	// slots are reclaimed and whatever the stalled Run eventually returns
-	// is discarded. 0 disables the watchdog.
+	// Watchdog is the heartbeat deadline on one attempt's wall time. It
+	// is not cooperative: when it fires, the attempt's context is
+	// cancelled AND the attempt is abandoned immediately - its slots are
+	// reclaimed and whatever the stalled Run eventually returns is
+	// discarded. 0 disables the watchdog; a plan with Fault.Hang needs it.
 	Watchdog time.Duration
-	// QuarantineAfter benches a worker after this many consecutive failed
-	// attempts ran on it (mpi_jm's bad-node marking): the worker stops
-	// receiving tasks and the failing task is re-routed to other workers.
-	// 0 disables quarantine. A class never quarantines below the widest
-	// submitted task (or its last worker), so progress is always possible.
-	QuarantineAfter int
-	// DomainSize groups workers of a class into failure domains of this
-	// many consecutive worker IDs for DomainLoss faults (default 2).
-	DomainSize int
-	// DefaultCost is the planning estimate in seconds for tasks with
-	// Cost 0 (default 1).
-	DefaultCost float64
 	// Budget is the allocation budget: with WallClock set, the scheduler
 	// refuses to admit tasks whose calibrated duration estimate exceeds
 	// the remaining wall-clock, and drains gracefully at expiry (see
@@ -192,35 +165,40 @@ type Config struct {
 	Metrics *obs.Registry
 	// Trace, when non-nil, records one span per execution attempt on the
 	// lane of its lead worker (pid 1 = solve class, pid 2 = contract
-	// class, tid = worker ID) plus scheduler instants (retries,
-	// quarantines, watchdog kills, domain losses, drain phases, backfills)
-	// on the control lane (pid 0), exportable as Chrome trace JSON. The
-	// attempt's context carries the worker-lane obs.Scope, so task bodies
-	// (the solvers) land their own spans on the same lane.
+	// class, tid = worker ID) plus scheduler instants (retries, watchdog
+	// kills, domain losses, drain phases, backfills) on the control lane
+	// (pid 0), exportable as Chrome trace JSON. The attempt's context
+	// carries the worker-lane obs.Scope, so task bodies (the solvers) land
+	// their own spans on the same lane.
 	Trace *obs.Tracer
 }
+
+// Scheduling constants that no caller varies.
+const (
+	// queueDepthPerWorker sizes the runnable backlog (ready + running
+	// tasks) Submit admits before blocking - backpressure - per worker of
+	// either class.
+	queueDepthPerWorker = 4
+	// domainSize groups workers of a class into failure domains of this
+	// many consecutive worker IDs for DomainLoss faults.
+	domainSize = 2
+	// defaultCost is the planning estimate in seconds for tasks with
+	// Cost 0.
+	defaultCost = 1.0
+)
 
 func (c Config) withDefaults() Config {
 	if c.SolveWorkers <= 0 {
 		c.SolveWorkers = goruntime.NumCPU()
 	}
 	if c.ContractWorkers <= 0 {
-		c.ContractWorkers = (c.SolveWorkers + 3) / 4
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 4 * (c.SolveWorkers + c.ContractWorkers)
+		c.ContractWorkers = max(c.SolveWorkers/2, 1)
 	}
 	if c.RetryBackoff <= 0 {
 		c.RetryBackoff = 2 * time.Millisecond
 	}
 	if c.MaxBackoff <= 0 {
 		c.MaxBackoff = 64 * c.RetryBackoff
-	}
-	if c.DomainSize <= 0 {
-		c.DomainSize = 2
-	}
-	if c.DefaultCost <= 0 {
-		c.DefaultCost = 1
 	}
 	if c.Budget.DrainGrace <= 0 {
 		c.Budget.DrainGrace = time.Second
@@ -236,14 +214,11 @@ func (c Config) Validate() error {
 	if err := c.Budget.Validate(); err != nil {
 		return err
 	}
-	if c.Fault.Hang > 0 && c.Watchdog <= 0 && c.Timeout <= 0 {
-		return errors.New("runtime: Fault.Hang needs a Watchdog or Timeout to reclaim hung slots")
+	if c.Fault.Hang > 0 && c.Watchdog <= 0 {
+		return errors.New("runtime: Fault.Hang needs a Watchdog to reclaim hung slots")
 	}
 	if c.MaxRetries < 0 {
 		return fmt.Errorf("runtime: negative MaxRetries %d", c.MaxRetries)
-	}
-	if c.QuarantineAfter < 0 {
-		return fmt.Errorf("runtime: negative QuarantineAfter %d", c.QuarantineAfter)
 	}
 	return nil
 }
@@ -315,14 +290,6 @@ type Pool struct {
 	freeWorkers [numClasses][]int
 	runningSet  map[*job]struct{}
 
-	// Fault-tolerance state: per-worker consecutive failures and the
-	// quarantine roster, plus the widest task seen per class (the
-	// quarantine floor).
-	consecFail  [numClasses][]int
-	quarantined [numClasses][]bool
-	benched     [numClasses]int
-	maxSlots    [numClasses]int
-
 	unfinished int
 	closed     bool
 
@@ -355,7 +322,6 @@ type Pool struct {
 	watchdogKills    int
 	organicKills     int
 	domainCasualties int
-	requeues         int
 }
 
 // nameTraceLanes labels the trace's process/thread lanes after the
@@ -417,10 +383,6 @@ func New(ctx context.Context, cfg Config) (*Pool, error) {
 	for i := range p.freeWorkers[Contract] {
 		p.freeWorkers[Contract][i] = i
 	}
-	p.consecFail[Solve] = make([]int, cfg.SolveWorkers)
-	p.consecFail[Contract] = make([]int, cfg.ContractWorkers)
-	p.quarantined[Solve] = make([]bool, cfg.SolveWorkers)
-	p.quarantined[Contract] = make([]bool, cfg.ContractWorkers)
 	// Wake blocked Submit/Wait callers when the pool is cancelled.
 	go func() {
 		<-pctx.Done()
@@ -468,11 +430,6 @@ func (p *Pool) classWidth(c Class) int {
 	return p.cfg.ContractWorkers
 }
 
-// activeWidthLocked is the class width minus quarantined workers.
-func (p *Pool) activeWidthLocked(c Class) int {
-	return p.classWidth(c) - p.benched[c]
-}
-
 func (p *Pool) runnableLocked() int {
 	n := len(p.runningSet)
 	for c := Class(0); c < numClasses; c++ {
@@ -481,9 +438,9 @@ func (p *Pool) runnableLocked() int {
 	return n
 }
 
-// Submit enqueues a task. It blocks while the runnable backlog is at
-// QueueDepth (backpressure); dependencies may reference tasks submitted
-// earlier or - as long as backpressure permits - later.
+// Submit enqueues a task. It blocks while the runnable backlog is full
+// (backpressure); dependencies may reference tasks submitted earlier or -
+// as long as backpressure permits - later.
 func (p *Pool) Submit(t Task) error {
 	if t.Run == nil {
 		return errors.New("runtime: task without Run")
@@ -502,11 +459,12 @@ func (p *Pool) Submit(t Task) error {
 
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if w := p.activeWidthLocked(t.Class); t.Slots > w {
-		return fmt.Errorf("runtime: task %d needs %d slots but class %v has %d active workers",
+	if w := p.classWidth(t.Class); t.Slots > w {
+		return fmt.Errorf("runtime: task %d needs %d slots but class %v has %d workers",
 			t.ID, t.Slots, t.Class, w)
 	}
-	for !p.closed && p.ctx.Err() == nil && p.runnableLocked() >= p.cfg.QueueDepth {
+	depth := queueDepthPerWorker * (p.cfg.SolveWorkers + p.cfg.ContractWorkers)
+	for !p.closed && p.ctx.Err() == nil && p.runnableLocked() >= depth {
 		p.room.Wait()
 	}
 	if p.closed {
@@ -517,9 +475,6 @@ func (p *Pool) Submit(t Task) error {
 	}
 	if _, dup := p.jobs[t.ID]; dup {
 		return fmt.Errorf("runtime: duplicate task ID %d", t.ID)
-	}
-	if t.Slots > p.maxSlots[t.Class] {
-		p.maxSlots[t.Class] = t.Slots
 	}
 
 	j := &job{t: t, seq: len(p.order), slots: t.Slots, submitted: time.Now()}
@@ -904,8 +859,7 @@ func (p *Pool) runAttempt(j *job, runCtx context.Context, fk fault.Kind, ch chan
 		panic(fault.Error(fault.Panic))
 	case fault.Hang:
 		// The injected hang never returns on its own; it stops when the
-		// watchdog, a timeout, a domain loss or pool shutdown cancels the
-		// attempt.
+		// watchdog, a domain loss or pool shutdown cancels the attempt.
 		<-runCtx.Done()
 		ch <- attemptOutcome{err: fault.Error(fault.Hang)}
 		return
@@ -926,27 +880,10 @@ func (p *Pool) runAttempt(j *job, runCtx context.Context, fk fault.Kind, ch chan
 }
 
 // execute supervises a job's attempts outside the lock: fault draws,
-// watchdog, quarantine-driven re-routing, and bounded capped-backoff
-// retry.
+// watchdog, and bounded capped-backoff retry.
 func (p *Pool) execute(j *job) {
-	maxRetries := p.cfg.MaxRetries
-	if j.t.Retries > 0 {
-		maxRetries = j.t.Retries
-	} else if j.t.Retries < 0 {
-		maxRetries = 0
-	}
 	for {
-		timeout := j.t.Timeout
-		if timeout == 0 {
-			timeout = p.cfg.Timeout
-		}
-		var runCtx context.Context
-		var cancel context.CancelFunc
-		if timeout > 0 {
-			runCtx, cancel = context.WithTimeout(p.ctx, timeout)
-		} else {
-			runCtx, cancel = context.WithCancel(p.ctx)
-		}
+		runCtx, cancel := context.WithCancel(p.ctx)
 
 		p.mu.Lock()
 		j.attempts++
@@ -1077,37 +1014,8 @@ func (p *Pool) execute(j *job) {
 		// Past the grace period, a failed in-flight attempt is stranded:
 		// the allocation is over, nothing retries.
 		stranded := p.drainLevel >= drainHard && err != nil
-
-		benched := false
-		if !casualty {
-			// Casualties are not attributed to workers: the worker did
-			// nothing wrong, its domain died around it.
-			benched = p.noteAttemptWorkersLocked(j, err != nil)
-		}
 		retry := !stranded && err != nil && p.ctx.Err() == nil &&
-			(casualty || j.failCount <= maxRetries)
-		requeue := retry && benched
-		if requeue {
-			// A worker of this job was just quarantined: release the
-			// remaining healthy workers and - unless the pool is
-			// draining, in which case the freed slots must not pick up
-			// new work - send the job back to the ready queue so it is
-			// re-routed, mpi_jm-style. During a drain the job is refused
-			// instead, with its slots released first so drain accounting
-			// never counts a benched worker as busy.
-			p.requeues++
-			p.met.requeues.Inc()
-			p.releaseWorkersLocked(j)
-			if p.drainLevel > drainNone {
-				p.finishLocked(j, nil, fmt.Errorf("%w (draining: %s)", ErrRefused, p.drainReason), false)
-			} else {
-				j.state = jobReady
-				p.enqueueLocked(j)
-			}
-			p.dispatchLocked()
-			p.mu.Unlock()
-			return
-		}
+			(casualty || j.failCount <= p.cfg.MaxRetries)
 		p.mu.Unlock()
 
 		if !retry {
@@ -1159,7 +1067,7 @@ func (p *Pool) killDomainLocked(j *job) {
 	cls := j.t.Class
 	domains := map[int]bool{}
 	for _, w := range j.workers {
-		domains[w/p.cfg.DomainSize] = true
+		domains[w/domainSize] = true
 	}
 	for r := range p.runningSet {
 		if r == j || r.t.Class != cls || r.attemptCancel == nil || r.domainKilled {
@@ -1167,7 +1075,7 @@ func (p *Pool) killDomainLocked(j *job) {
 		}
 		hit := false
 		for _, w := range r.workers {
-			if domains[w/p.cfg.DomainSize] {
+			if domains[w/domainSize] {
 				hit = true
 				break
 			}
@@ -1182,64 +1090,6 @@ func (p *Pool) killDomainLocked(j *job) {
 	}
 }
 
-// noteAttemptWorkersLocked updates the per-worker consecutive-failure
-// counters after an attempt and quarantines workers that crossed the
-// threshold. It reports whether any of j's workers was benched just now
-// (the signal to re-route j).
-func (p *Pool) noteAttemptWorkersLocked(j *job, failed bool) bool {
-	cls := j.t.Class
-	if !failed {
-		for _, w := range j.workers {
-			p.consecFail[cls][w] = 0
-		}
-		return false
-	}
-	if p.cfg.QuarantineAfter <= 0 {
-		return false
-	}
-	benched := false
-	for _, w := range j.workers {
-		p.consecFail[cls][w]++
-		if p.consecFail[cls][w] >= p.cfg.QuarantineAfter &&
-			!p.quarantined[cls][w] && p.canBenchLocked(cls) {
-			p.quarantined[cls][w] = true
-			p.benched[cls]++
-			benched = true
-			p.met.quarantines.Inc()
-			p.trace.Instant("sched", "quarantine", map[string]interface{}{
-				"class": cls.String(), "worker": w,
-			})
-		}
-	}
-	return benched
-}
-
-// canBenchLocked reports whether the class can lose one more worker and
-// still run its widest submitted task (and keep at least one worker).
-func (p *Pool) canBenchLocked(cls Class) bool {
-	floor := p.maxSlots[cls]
-	if floor < 1 {
-		floor = 1
-	}
-	return p.activeWidthLocked(cls)-1 >= floor
-}
-
-// releaseWorkersLocked returns a running job's healthy workers to the
-// free pool; quarantined workers are withheld (benched). The job leaves
-// the running set.
-func (p *Pool) releaseWorkersLocked(j *job) {
-	cls := j.t.Class
-	for _, w := range j.workers {
-		if p.quarantined[cls][w] {
-			continue
-		}
-		p.free[cls]++
-		p.freeWorkers[cls] = append(p.freeWorkers[cls], w)
-	}
-	j.workers = nil
-	delete(p.runningSet, j)
-}
-
 // finishLocked retires a job: releases its slots, records the result,
 // unblocks (or, on error, cascades failure to) its dependents.
 func (p *Pool) finishLocked(j *job, value interface{}, err error, wasRunning bool) {
@@ -1248,9 +1098,11 @@ func (p *Pool) finishLocked(j *job, value interface{}, err error, wasRunning boo
 	}
 	now := time.Now()
 	if wasRunning {
-		workers := append([]int(nil), j.workers...)
-		p.releaseWorkersLocked(j)
-		j.workers = workers // keep the record for TaskMetrics
+		// Return the slots; j.workers stays as the TaskMetrics record.
+		cls := j.t.Class
+		p.free[cls] += len(j.workers)
+		p.freeWorkers[cls] = append(p.freeWorkers[cls], j.workers...)
+		delete(p.runningSet, j)
 		if now.After(p.lastEnd) {
 			p.lastEnd = now
 		}
@@ -1294,20 +1146,6 @@ func (p *Pool) collectLocked() ([]Result, Report) {
 		WatchdogKills:    p.watchdogKills,
 		OrganicKills:     p.organicKills,
 		DomainCasualties: p.domainCasualties,
-		Requeues:         p.requeues,
-	}
-	for cls := Class(0); cls < numClasses; cls++ {
-		var ids []int
-		for w, q := range p.quarantined[cls] {
-			if q {
-				ids = append(ids, w)
-			}
-		}
-		if cls == Solve {
-			rep.QuarantinedSolve = ids
-		} else {
-			rep.QuarantinedContract = ids
-		}
 	}
 	results := make([]Result, len(p.order))
 	started := 0

@@ -25,8 +25,6 @@ type poolMetrics struct {
 	failures         *obs.Counter
 	retries          *obs.Counter
 	backfills        *obs.Counter
-	requeues         *obs.Counter
-	quarantines      *obs.Counter
 	watchdogKills    *obs.Counter
 	domainCasualties *obs.Counter
 	recoveredPanics  *obs.Counter
@@ -41,8 +39,6 @@ func newPoolMetrics(r *obs.Registry) poolMetrics {
 		failures:         r.Counter("runtime.failed_attempts"),
 		retries:          r.Counter("runtime.retries"),
 		backfills:        r.Counter("runtime.backfills"),
-		requeues:         r.Counter("runtime.requeues"),
-		quarantines:      r.Counter("runtime.quarantines"),
 		watchdogKills:    r.Counter("runtime.watchdog_kills"),
 		domainCasualties: r.Counter("runtime.domain_casualties"),
 		recoveredPanics:  r.Counter("runtime.recovered_panics"),

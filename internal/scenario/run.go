@@ -26,12 +26,6 @@ const TimeScale = 2 * time.Millisecond
 const PreemptReason = "preempt notice"
 
 const (
-	// partitionRecoverySeconds and netRetrySeconds mirror the simulator's
-	// wire-recovery pricing; the net-recovery invariant recomputes
-	// Report.NetRecoverySeconds from the fault tally with them.
-	partitionRecoverySeconds = 45.0
-	netRetrySeconds          = 1.0
-
 	// utilTolerance bounds |live solve util - sim GPU util| for calm and
 	// net-chaos scenarios; utilToleranceChaos loosens it when compute
 	// chaos is live (hangs burn watchdog time on the pool but nominal
@@ -218,8 +212,8 @@ func Run(ctx context.Context, sc Scenario) (*Outcome, error) {
 		// The simulator prices every wire-level recovery; the tally and
 		// the priced total must agree to within float noise.
 		applied("net-recovery-pricing")
-		want := float64(sim.Faults.NetDrop+sim.Faults.NetDelay+sim.Faults.NetCorrupt)*netRetrySeconds +
-			float64(sim.Faults.NetPartition)*partitionRecoverySeconds
+		want := float64(sim.Faults.NetDrop+sim.Faults.NetDelay+sim.Faults.NetCorrupt)*cluster.NetRetrySeconds +
+			float64(sim.Faults.NetPartition)*cluster.PartitionRecoverySeconds
 		if math.Abs(sim.NetRecoverySeconds-want) > 1e-6 {
 			fail("sim net recovery %.6f s != priced tally %.6f s", sim.NetRecoverySeconds, want)
 		}
@@ -308,7 +302,6 @@ func checkObs(snap obs.Snapshot, live jobrt.Report, fail func(string, ...interfa
 	counter("runtime.watchdog_kills", int64(live.WatchdogKills))
 	counter("runtime.domain_casualties", int64(live.DomainCasualties))
 	counter("runtime.backfills", int64(live.Backfills))
-	counter("runtime.requeues", int64(live.Requeues))
 	gauge := func(name string, want float64) {
 		got, ok := snap.GaugeValue(name)
 		if !ok {
@@ -467,13 +460,12 @@ func (sc Scenario) runSim() (cluster.Report, error) {
 		CoSchedule:      true,
 	})
 	cfg := cluster.Config{
-		Nodes:                    w.SolveWorkers,
-		GPUsPerNode:              1,
-		CPUSlotsPerNode:          2,
-		Seed:                     1,
-		Fault:                    sc.Plan,
-		MaxRetries:               sc.Plan.MaxInjections + 1,
-		PartitionRecoverySeconds: partitionRecoverySeconds,
+		Nodes:           w.SolveWorkers,
+		GPUsPerNode:     1,
+		CPUSlotsPerNode: 2,
+		Seed:            1,
+		Fault:           sc.Plan,
+		MaxRetries:      sc.Plan.MaxInjections + 1,
 	}
 	startup := pol.Startup(cfg)
 	switch sc.Adversity {

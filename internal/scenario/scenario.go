@@ -33,8 +33,9 @@ const (
 	// many cheap dependent contractions - the workload mpi_jm's
 	// co-scheduling exists for.
 	ContractionHeavy Family = iota
-	// Deflated: one expensive setup stage (the Lanczos deflation basis)
-	// amortized across many right-hand-side solves that depend on it.
+	// Deflated: one expensive, 2-slot setup stage (modelled as a task
+	// duration, the shape of an eigenvector deflation setup) amortized
+	// across many right-hand-side solves that depend on it.
 	Deflated
 	// FHCacheWarm: a Feynman-Hellmann-style mix whose physics episode
 	// exercises the content-addressed result cache (warm rerun must be
@@ -322,6 +323,7 @@ func generateWorkload(fam Family, d dice) Workload {
 			}
 		}
 	case Deflated:
+		// The setup keeps its historical name: workload digests hash it.
 		setup := solve("lanczos-setup", 2, d.between(15, 25, saltDur), 0, -1)
 		nRHS := 6 + d.intn(6, saltShape)
 		for r := 0; r < nRHS; r++ {

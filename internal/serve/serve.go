@@ -500,12 +500,11 @@ func (s *Server) takeLocked() dispatchItem {
 // the configuration undone; the journal resume covers it next run.
 func (s *Server) submitPair(it dispatchItem) {
 	err := s.pool.Submit(jobrt.Task{
-		ID:      it.solveID,
-		Name:    fmt.Sprintf("%s/solve/%03d", it.cr.id, it.cfg),
-		Class:   jobrt.Solve,
-		Cost:    1,
-		Retries: -1,
-		Run:     s.runSolve(it.cr, it.cfg),
+		ID:    it.solveID,
+		Name:  fmt.Sprintf("%s/solve/%03d", it.cr.id, it.cfg),
+		Class: jobrt.Solve,
+		Cost:  1,
+		Run:   s.runSolve(it.cr, it.cfg),
 	})
 	if err == nil {
 		err = s.pool.Submit(jobrt.Task{
@@ -514,7 +513,6 @@ func (s *Server) submitPair(it dispatchItem) {
 			Class:     jobrt.Contract,
 			Cost:      0.05,
 			DependsOn: []int{it.solveID},
-			Retries:   -1,
 			Run:       s.runFinalize(it.cr),
 		})
 		if err != nil {

@@ -27,12 +27,12 @@ func interrupted(ctx context.Context) error {
 // solve mid-iteration and returns the partial solution with a wrapped
 // ctx error.
 func CGNE(ctx context.Context, op Linear, b []complex128, p Params) ([]complex128, Stats, error) {
-	return CGNEFrom(ctx, op, b, nil, p)
+	return cgneFrom(ctx, op, b, nil, p)
 }
 
-// CGNEFrom is CGNE with an initial guess x0 (nil means zero); deflated
-// solves seed it with the low-mode contribution.
-func CGNEFrom(ctx context.Context, op Linear, b, x0 []complex128, p Params) ([]complex128, Stats, error) {
+// cgneFrom is CGNE with an initial guess x0 (nil means zero); CGNEMixed
+// escalates to double precision from its sloppy iterate through it.
+func cgneFrom(ctx context.Context, op Linear, b, x0 []complex128, p Params) ([]complex128, Stats, error) {
 	p = p.withDefaults()
 	start := time.Now()
 	n := op.Size()

@@ -341,7 +341,7 @@ func (ws *Workspace) CGNEMixed(ctx context.Context, op Linear, sloppy Linear32, 
 		if pd.MaxIter < 1 {
 			pd.MaxIter = 1
 		}
-		xd, dst, derr := CGNEFrom(ctx, op, b, x, pd)
+		xd, dst, derr := cgneFrom(ctx, op, b, x, pd)
 		st.Iterations += dst.Iterations
 		st.Flops += dst.Flops
 		st.ReliableUpdates += dst.ReliableUpdates

@@ -362,12 +362,12 @@ func TestCGNETakesApplyNormalWhenOffered(t *testing.T) {
 	p := Params{Tol: 1e-10, RecordResiduals: true}
 
 	plain := &diagOp{d: d}
-	xRef, stRef, err := CGNEFrom(context.Background(), plain, b, x0, p)
+	xRef, stRef, err := cgneFrom(context.Background(), plain, b, x0, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	op := &normalOp{diagOp: diagOp{d: d}, tmp: make([]complex128, n)}
-	x, st, err := CGNEFrom(context.Background(), op, b, x0, p)
+	x, st, err := cgneFrom(context.Background(), op, b, x0, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,5 +390,23 @@ func TestCGNETakesApplyNormalWhenOffered(t *testing.T) {
 		if st.Residuals[i] != stRef.Residuals[i] {
 			t.Fatalf("residual %d: %v vs %v", i, st.Residuals[i], stRef.Residuals[i])
 		}
+	}
+}
+
+func TestCGNEFromRespectsGuess(t *testing.T) {
+	// Starting from the exact solution must converge immediately.
+	p := newTestEO(t, 35, 0.3)
+	rng := rand.New(rand.NewSource(6))
+	b := randRHS(rng, p.Size())
+	x, _, err := CGNE(context.Background(), p, b, Params{Tol: 1e-10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, st, err := cgneFrom(context.Background(), p, b, x, Params{Tol: 1e-8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Iterations > 2 {
+		t.Fatalf("exact guess still took %d iterations", st.Iterations)
 	}
 }

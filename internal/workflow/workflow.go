@@ -287,10 +287,7 @@ func RunReal(ctx context.Context, cfg RealConfig, workers int) (*RealResult, *jo
 			}
 		}
 	} else {
-		_, report, err := jobrt.Run(ctx, jobrt.Config{
-			SolveWorkers:    workers,
-			ContractWorkers: max(workers/2, 1),
-		}, tasks)
+		_, report, err := jobrt.Run(ctx, jobrt.Config{SolveWorkers: workers}, tasks)
 		if err != nil {
 			return nil, &report, err
 		}
