@@ -117,12 +117,14 @@ go test -race -count=2 ./internal/analysis/...
 # one required to match the single-process correlator bit for bit.
 # The data path's ownership rules get their own lines: the zero-allocation
 # budget natively (the number that matters is the production build's),
-# the scribble-on-next-Recv solves and the table-vs-coordinates stencil
-# under the race detector, and both fuzz targets over their checked-in
-# corpora (seeds and past findings; `go test -fuzz` explores further).
+# the scribble-on-next-Recv solves, the table-vs-coordinates stencil and
+# the halo plan (its pinned peer order, and modelled == measured frames
+# and bytes at 2 and 4 ranks) under the race detector, and both fuzz
+# targets over their checked-in corpora (seeds and past findings;
+# `go test -fuzz` explores further).
 go test -race -count=2 -short ./internal/wire/
 run_gate 'DoesNotAllocate' -count=1 -- ./internal/wire/
-run_gate 'NoPayloadOutlivesRecv|ApplyNormal|NormalBitwise|BitForBit' -race -count=2 -- ./internal/wire/ ./internal/domain/
+run_gate 'NoPayloadOutlivesRecv|ApplyNormal|NormalBitwise|BitForBit|Halo' -race -count=2 -- ./internal/wire/ ./internal/domain/
 run_gate Fuzz -count=1 -- ./internal/wire/
 go build -o "$PWD/garank.bin" ./cmd/garank
 ./garank.bin -ranks 4
@@ -147,8 +149,9 @@ go build -o "$PWD/gastress.bin" ./cmd/gastress
 rm -f "$PWD/gastress.bin"
 # Service gate: the multi-tenant campaign server. The serve suite
 # re-runs under the race detector against fresh interleavings
-# (-count=2): stride fair-share order pinned exactly, quota admission
-# refusals, cross-tenant warm duplicates with zero solver iterations,
+# (-count=2): stride fair-share order pinned exactly, priorities that
+# would zero a tenant's stride refused, quota admission refusals,
+# cross-tenant warm duplicates with zero solver iterations,
 # concurrent-duplicate coalescing through the cache singleflight,
 # drain + restart resuming a journaled campaign bit for bit, and a
 # byte-identical /metrics rendering for a fixed workload. The shared

@@ -9,9 +9,11 @@
 // model of the CORAL supercomputers with METAQ- and mpi_jm-style job
 // management.
 //
-// This root package is the public facade: it re-exports the stable
-// surface of the internal packages so applications can be written against
-// a single import. The entry points most users want:
+// This root package is the public facade: the doors README.md, examples/
+// and example_test.go walk through, the types their signatures name, and
+// the constructors their option fields need - a single import for an
+// application. Everything else stays in the internal packages. The entry
+// points most users want:
 //
 //   - RunSynthetic reproduces the paper's Fig. 1 statistics (the FH
 //     method against the traditional method with 10x the samples) and
@@ -28,26 +30,18 @@ package femtoverse
 
 import (
 	"context"
-	"io"
 
-	"femtoverse/internal/autotune"
 	"femtoverse/internal/cache"
 	"femtoverse/internal/cluster"
-	"femtoverse/internal/comms"
 	"femtoverse/internal/contract"
 	"femtoverse/internal/core"
 	"femtoverse/internal/dirac"
-	"femtoverse/internal/domain"
-	"femtoverse/internal/ensemble"
 	"femtoverse/internal/fault"
 	"femtoverse/internal/figures"
-	"femtoverse/internal/fit"
 	"femtoverse/internal/gauge"
-	"femtoverse/internal/hio"
 	"femtoverse/internal/lattice"
 	"femtoverse/internal/linalg"
 	"femtoverse/internal/machine"
-	"femtoverse/internal/metaq"
 	"femtoverse/internal/mpijm"
 	"femtoverse/internal/obs"
 	"femtoverse/internal/perfmodel"
@@ -55,7 +49,6 @@ import (
 	"femtoverse/internal/prop"
 	jobrt "femtoverse/internal/runtime"
 	"femtoverse/internal/solver"
-	"femtoverse/internal/stats"
 	"femtoverse/internal/workflow"
 )
 
@@ -79,16 +72,6 @@ func UnitGauge(g *Geometry) *GaugeField { return gauge.NewUnit(g) }
 // Metropolis sampler.
 func QuenchedEnsemble(g *Geometry, seed int64, beta float64, n, therm, gap int) []*GaugeField {
 	return gauge.Ensemble(g, seed, beta, n, therm, gap)
-}
-
-// HMCParams configures the hybrid Monte Carlo sampler.
-type HMCParams = gauge.HMCParams
-
-// HMCEnsemble generates configurations with hybrid Monte Carlo (the
-// production ensemble algorithm) and returns the sampler for its
-// acceptance diagnostics.
-func HMCEnsemble(g *Geometry, p HMCParams, n, therm, gap int) ([]*GaugeField, *gauge.HMC, error) {
-	return gauge.HMCEnsemble(g, p, n, therm, gap)
 }
 
 // Dirac operators and solvers.
@@ -123,30 +106,11 @@ func NewMobiusEO(m *Mobius) (*MobiusEO, error) { return dirac.NewMobiusEO(m) }
 // Solve runs the production mixed-precision CGNE on the preconditioned
 // system D x = b and returns the solution.
 func Solve(eo *MobiusEO, b []complex128, p SolverParams) ([]complex128, SolverStats, error) {
-	return SolveContext(context.Background(), eo, b, p)
-}
-
-// SolveContext is Solve under a context: cancellation or deadline expiry
-// aborts the CG iteration mid-solve and returns the partial solution with
-// a wrapped context error. The job runtime cancels attempts through it
-// (watchdog, failure-domain loss, drain).
-func SolveContext(ctx context.Context, eo *MobiusEO, b []complex128, p SolverParams) ([]complex128, SolverStats, error) {
 	var sloppy solver.Linear32
 	if p.Precision != solver.Double {
 		sloppy = dirac.NewMobiusEO32(eo)
 	}
-	return solver.CGNEMixed(ctx, eo, sloppy, b, p)
-}
-
-// DistributedWilson is the Wilson operator executed with the paper's
-// four-step halo pipeline over a process grid of rank goroutines.
-type DistributedWilson = domain.Dist
-
-// NewDistributedWilson decomposes the operator over the grid; the result
-// satisfies the solver interface, so Solve-style drivers run on it
-// unchanged.
-func NewDistributedWilson(u *GaugeField, grid [4]int, mass float64) (*DistributedWilson, error) {
-	return domain.NewDist(u, grid, mass)
+	return solver.CGNEMixed(context.Background(), eo, sloppy, b, p)
 }
 
 // Propagators and contractions.
@@ -165,90 +129,25 @@ func NewQuarkSolver(eo *MobiusEO, p SolverParams) *QuarkSolver {
 // Pion2pt returns the zero-momentum pion correlator.
 func Pion2pt(p *Propagator, t0 int) []float64 { return contract.Pion2pt(p, t0) }
 
-// Proton2pt returns the positive-parity proton correlator.
-func Proton2pt(u, d *Propagator, t0 int) []complex128 { return contract.Proton2pt(u, d, t0) }
-
-// ProtonFH3pt returns the isovector axial FH three-point function.
-func ProtonFH3pt(u, d, fhU, fhD *Propagator, t0 int) []complex128 {
-	return contract.ProtonFH3pt(u, d, fhU, fhD, t0)
-}
-
-// Pion2ptMom returns the pion correlator at spatial momentum
-// (2 pi / L) * mom.
-func Pion2ptMom(p *Propagator, t0 int, mom [3]int) []complex128 {
-	return contract.Pion2ptMom(p, t0, mom)
-}
-
-// Meson2pt returns the generic bilinear meson correlator for spin
-// structure Gamma (gamma_5 reproduces Pion2pt; gamma_k the rho).
-func Meson2pt(p *Propagator, t0 int, gamma linalg.SpinMatrix) []float64 {
-	return contract.Meson2pt(p, t0, gamma)
-}
-
-// Rho2pt returns the polarization-averaged vector-meson correlator.
-func Rho2pt(p *Propagator, t0 int) []float64 { return contract.Rho2pt(p, t0) }
-
-// SmearedPointSource returns a gauge-covariantly smeared point source.
-func SmearedPointSource(u *GaugeField, x0 [4]int, spin, color int, kappa float64, iters int) []complex128 {
-	return prop.SmearedPointSource(u, x0, spin, color, kappa, iters)
-}
-
 // EffectiveMass returns log(C(t)/C(t+1)).
 func EffectiveMass(c []float64) []float64 { return contract.EffectiveMass(c) }
 
-// EffectiveGA returns the Fig. 1 observable g_eff(t).
-func EffectiveGA(c3, c2 []float64) []float64 { return contract.EffectiveGA(c3, c2) }
-
-// Physics analyses.
+// Physics campaigns.
 type (
-	// GAResult is an extraction of the axial coupling.
-	GAResult = physics.GAResult
-	// FHEnsembleParams parameterizes the synthetic correlator generator.
-	FHEnsembleParams = ensemble.FHParams
 	// SyntheticResult is the Fig. 1 campaign outcome.
 	SyntheticResult = core.SyntheticResult
 	// RealPipelineResult is the real-lattice campaign outcome.
 	RealPipelineResult = core.RealResult
-	// FitResult is a completed nonlinear fit.
-	FitResult = fit.Result
 )
-
-// A09M310 returns ensemble parameters calibrated to the paper's physical
-// point (m_pi = 310 MeV, a = 0.09 fm, gA = 1.271).
-func A09M310(n int, seed int64) FHEnsembleParams { return ensemble.A09M310(n, seed) }
-
-// ExtractFH runs the Feynman-Hellmann gA analysis.
-func ExtractFH(c2, cfh [][]float64, tmin, tmax int) (GAResult, error) {
-	return physics.ExtractFH(c2, cfh, tmin, tmax)
-}
 
 // NeutronLifetime evaluates Eq. (1): tau_n = 5172.0 / (1 + 3 gA^2) s.
 func NeutronLifetime(gA, gAErr float64) (tau, tauErr float64) {
 	return physics.NeutronLifetime(gA, gAErr)
 }
 
-// ExtractFHWindowAverage model-averages the FH extraction over fit
-// windows with AIC weights.
-func ExtractFHWindowAverage(c2, cfh [][]float64, tmins []int, tmax int) (GAResult, fit.Average, error) {
-	return physics.ExtractFHWindowAverage(c2, cfh, tmins, tmax)
-}
-
-// SpectrumResult is a ground-state mass determination.
-type SpectrumResult = physics.SpectrumResult
-
-// ExtractMass fits a ground-state mass from per-configuration correlators.
-func ExtractMass(samples [][]float64, tmin, tmax int) (SpectrumResult, error) {
-	return physics.ExtractMass(samples, tmin, tmax)
-}
-
-// EnsemblePoint is one ensemble's gA determination for the
-// chiral-continuum extrapolation.
-type EnsemblePoint = physics.EnsemblePoint
-
-// ExtrapolateGA fits gA(eps_pi^2, a^2) over an ensemble grid and
-// evaluates it at the physical point.
-func ExtrapolateGA(points []EnsemblePoint, epsPi2Phys float64) (physics.ExtrapolationResult, error) {
-	return physics.ExtrapolateGA(points, epsPi2Phys)
+// RunSynthetic runs the full Fig. 1 statistical campaign.
+func RunSynthetic(nSamples, tradFactor int, seed int64) (*SyntheticResult, error) {
+	return core.RunSynthetic(nSamples, tradFactor, seed)
 }
 
 // Campaign is a checkpointable real-lattice measurement campaign.
@@ -257,20 +156,13 @@ type Campaign = core.Campaign
 // NewCampaign starts an empty campaign.
 func NewCampaign(spec RealPipelineConfig) *Campaign { return core.NewCampaign(spec) }
 
-// LoadCampaign restores a campaign from an hio group.
-func LoadCampaign(root *hio.Group) (*Campaign, error) { return core.LoadCampaign(root) }
-
-// RunSynthetic runs the full Fig. 1 statistical campaign.
-func RunSynthetic(nSamples, tradFactor int, seed int64) (*SyntheticResult, error) {
-	return core.RunSynthetic(nSamples, tradFactor, seed)
-}
-
 // CampaignJournal is the campaign's crash-recovery write-ahead log: an
 // append-only, CRC-framed file holding the campaign spec plus one
 // record per finished configuration, durable every N appends.
 type CampaignJournal = core.Journal
 
-// CreateCampaignJournal starts a fresh journal for a new campaign.
+// CreateCampaignJournal starts a fresh journal for a new campaign, for
+// CampaignOptions.Journal.
 func CreateCampaignJournal(path string, spec RealPipelineConfig, every int) (*CampaignJournal, error) {
 	return core.CreateJournal(path, spec, every)
 }
@@ -309,27 +201,14 @@ func RunCampaign(ctx context.Context, cfg RealPipelineConfig, opts CampaignOptio
 	return core.Run(ctx, cfg, opts)
 }
 
-// Statistics.
-
-// Jackknife returns the mean and jackknife error of a derived scalar.
-func Jackknife(samples [][]float64, f func(mean []float64) float64) (value, err float64) {
-	return stats.Jackknife(samples, f)
-}
-
 // Machines and performance models.
 type (
 	// Machine is one row of the paper's Table II.
 	Machine = machine.Machine
 	// PerfModel predicts solver performance on a machine.
 	PerfModel = perfmodel.Model
-	// PerfPoint is one scaling measurement.
-	PerfPoint = perfmodel.Point
 	// Problem describes a lattice solve for the performance model.
 	Problem = perfmodel.Problem
-	// CommPolicy is a halo-exchange strategy.
-	CommPolicy = comms.Choice
-	// Tuner is the QUDA-style run-time autotuner.
-	Tuner = autotune.Tuner
 )
 
 // Titan, Ray, Sierra and Summit return the Table II machines.
@@ -347,9 +226,6 @@ func Summit() Machine { return machine.Summit() }
 // NewPerfModel builds the calibrated performance model for a machine.
 func NewPerfModel(m Machine) *PerfModel { return perfmodel.New(m) }
 
-// NewTuner returns an empty autotuner cache.
-func NewTuner() *Tuner { return autotune.New() }
-
 // Cluster simulation and job management.
 type (
 	// ClusterConfig shapes a simulated allocation.
@@ -360,8 +236,6 @@ type (
 	ClusterReport = cluster.Report
 	// SchedPolicy is a pluggable scheduling strategy.
 	SchedPolicy = cluster.Policy
-	// METAQPolicy is the backfilling bundler baseline.
-	METAQPolicy = metaq.Policy
 	// MpiJMParams configures the mpi_jm job manager.
 	MpiJMParams = mpijm.Params
 )
@@ -389,8 +263,6 @@ func SimulateCluster(cfg ClusterConfig, tasks []ClusterTask, p SchedPolicy) (Clu
 // schedules real solve and contraction tasks with dependency tracking,
 // EASY backfilling, a watchdog and bounded retry.
 type (
-	// JobPool is the concurrent job-execution pool.
-	JobPool = jobrt.Pool
 	// JobTask is one schedulable unit of real work.
 	JobTask = jobrt.Task
 	// JobConfig shapes a pool: worker-class widths, retry and watchdog
@@ -400,10 +272,6 @@ type (
 	JobResult = jobrt.Result
 	// JobReport summarises a pool run in the simulator's vocabulary.
 	JobReport = jobrt.Report
-	// JobClass selects the worker class a task runs on.
-	JobClass = jobrt.Class
-	// JobMetrics is one task's lifecycle record.
-	JobMetrics = jobrt.TaskMetrics
 	// JobBudget is a finite batch allocation: the wall-clock window the
 	// pool may occupy and the grace in-flight work gets once a drain
 	// begins. The pool refuses tasks whose calibrated estimate exceeds
@@ -411,24 +279,8 @@ type (
 	JobBudget = jobrt.Budget
 	// FaultPlan is the deterministic chaos plan: seeded, typed fault
 	// injection keyed by task identity, shared by the live runtime and
-	// the cluster simulator.
+	// the cluster simulator. Each fault kind has its own rate field.
 	FaultPlan = fault.Plan
-	// FaultKind is one fault type from the taxonomy.
-	FaultKind = fault.Kind
-	// FaultCounts tallies injected faults by kind.
-	FaultCounts = fault.Counts
-)
-
-// Fault kinds injectable through a FaultPlan.
-const (
-	FaultTransient  = fault.Transient
-	FaultPanic      = fault.Panic
-	FaultHang       = fault.Hang
-	FaultCorrupt    = fault.Corrupt
-	FaultDomainLoss = fault.DomainLoss
-	// FaultPreempt ends the whole allocation early: it fires the pool's
-	// drain path instead of failing the drawing task.
-	FaultPreempt = fault.Preempt
 )
 
 // Drain-path sentinels: refused work was never started (its estimate
@@ -447,11 +299,6 @@ const (
 	ContractTask = jobrt.Contract
 )
 
-// NewJobPool starts a job pool; Submit tasks, then Wait.
-func NewJobPool(ctx context.Context, cfg JobConfig) (*JobPool, error) {
-	return jobrt.New(ctx, cfg)
-}
-
 // RunJobs executes a fixed task set on a fresh pool and returns the
 // results in submission order with the utilization report.
 func RunJobs(ctx context.Context, cfg JobConfig, tasks []JobTask) ([]JobResult, JobReport, error) {
@@ -466,13 +313,9 @@ type (
 	// MetricsRegistry is a registry of named counters, gauges and
 	// histograms with deterministic snapshots.
 	MetricsRegistry = obs.Registry
-	// MetricsSnapshot is one point-in-time dump of a registry.
-	MetricsSnapshot = obs.Snapshot
 	// Tracer records spans and instants against an injected clock and
 	// exports Chrome trace_event JSON (Perfetto, chrome://tracing).
 	Tracer = obs.Tracer
-	// TraceScope addresses one (pid, tid) lane of a Tracer.
-	TraceScope = obs.Scope
 	// TraceClock is a Tracer's injected time source.
 	TraceClock = obs.Clock
 	// CampaignObs bundles the sinks CampaignOptions.Obs threads through
@@ -481,11 +324,12 @@ type (
 	CampaignObs = core.ObsConfig
 )
 
-// NewMetricsRegistry returns an empty metrics registry.
+// NewMetricsRegistry returns an empty metrics registry, for
+// CampaignObs.Metrics.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
 // NewTracer returns a tracer on the given clock (nil selects the wall
-// clock; obs.StepClock gives deterministic replay traces).
+// clock), for CampaignObs.Trace.
 func NewTracer(clock TraceClock) *Tracer { return obs.NewTracer(clock) }
 
 // Content-addressed result cache: dedupe identical solves across
@@ -497,21 +341,11 @@ type (
 	ResultCache = cache.Cache
 	// ResultCacheConfig shapes a store: directory, memory budget, sinks.
 	ResultCacheConfig = cache.Config
-	// ResultCacheStats is a point-in-time hit/miss/eviction census.
-	ResultCacheStats = cache.Stats
-	// CacheKey is a built content address.
-	CacheKey = cache.Key
-	// CacheKeyBuilder accumulates named fields into a canonical CacheKey.
-	CacheKeyBuilder = cache.KeyBuilder
 )
 
 // NewResultCache opens (or creates) a result store. The zero Config is a
 // memory-only store with the default budget.
 func NewResultCache(cfg ResultCacheConfig) (*ResultCache, error) { return cache.New(cfg) }
-
-// NewCacheKey starts a canonical key in the given namespace; bump the
-// namespace version whenever the encoded value layout changes.
-func NewCacheKey(namespace string) *CacheKeyBuilder { return cache.NewKey(namespace) }
 
 // Feynman-Hellmann campaigns over the cache: the workflow layer caches
 // propagators (not just correlators), so adding a new current insertion
@@ -539,61 +373,24 @@ func RunFHCampaign(ctx context.Context, cfg FHCampaignConfig, store *ResultCache
 	return workflow.RunFHCampaign(ctx, cfg, store)
 }
 
-// Workflow and I/O.
-type (
-	// WorkflowBudget is the propagator/contraction/IO time split.
-	WorkflowBudget = workflow.Budget
-	// HFile is the hierarchical I/O container (HDF5 stand-in).
-	HFile = hio.File
-)
-
-// NewHFile returns an empty I/O container.
-func NewHFile() *HFile { return hio.New() }
-
-// LoadHFile reads a container from disk.
-func LoadHFile(path string) (*HFile, error) { return hio.Load(path) }
-
-// LoadGauge reads a configuration saved with GaugeField.Save.
-func LoadGauge(g *hio.Group, name string) (*GaugeField, error) { return gauge.Load(g, name) }
-
-// ModelWorkflow evaluates the production-scale Fig. 2 budget.
-func ModelWorkflow() (*workflow.ModelResult, error) {
-	return workflow.Model(workflow.DefaultModelConfig())
-}
-
 // Experiments.
 
 // ExperimentResult is a rendered table or figure.
 type ExperimentResult = figures.Result
 
-// Experiments lists every reproducible table and figure.
-func Experiments() []string { return figures.Names() }
-
-// Experiment regenerates one table or figure of the paper; quick trades
-// statistics for speed.
+// Experiment regenerates one table or figure of the paper (the names are
+// `latbench -list`'s); quick trades statistics for speed.
 func Experiment(name string, quick bool) (ExperimentResult, error) {
 	return figures.Run(name, quick)
 }
 
-// Gamma matrices and spin structures for the facade's correlator calls.
+// Spin structures for the FH current insertions.
 
 // SpinMatrix is a dense 4x4 spin matrix in the DeGrand-Rossi basis.
 type SpinMatrix = linalg.SpinMatrix
-
-// GammaMatrix returns gamma_mu (0..3 = x,y,z,t; 4 = gamma_5).
-func GammaMatrix(mu int) SpinMatrix { return linalg.Gamma(mu) }
 
 // AxialCurrentGamma returns gamma_z gamma_5, the gA insertion.
 func AxialCurrentGamma() SpinMatrix { return linalg.AxialGamma() }
 
 // TensorCurrentGamma returns sigma_xy, the gT insertion.
 func TensorCurrentGamma() SpinMatrix { return linalg.TensorGamma() }
-
-// NERSC-format gauge I/O (the community archive format).
-
-// WriteNERSC serializes a configuration in NERSC archive format.
-func WriteNERSC(f *GaugeField, w io.Writer) error { return f.WriteNERSC(w) }
-
-// ReadNERSC parses a NERSC archive configuration with checksum,
-// plaquette and link-trace validation.
-func ReadNERSC(r io.Reader) (*GaugeField, error) { return gauge.ReadNERSC(r) }

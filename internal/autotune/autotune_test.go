@@ -61,6 +61,9 @@ func TestTunerFindsOptimum(t *testing.T) {
 
 func TestTunerCachesAfterFirstEncounter(t *testing.T) {
 	tn := New()
+	if tn.Len() != 0 {
+		t.Fatalf("fresh tuner has %d entries", tn.Len())
+	}
 	tn.SetReps(1)
 	k := newFake("dslash")
 	tn.Execute(k)

@@ -89,61 +89,6 @@ type Exchange struct {
 	ComputeSeconds float64
 }
 
-// WireMsg describes one framed halo message: the spinor payload bytes and
-// the number of face sections batched inside it. The per-message shape
-// comes from domain.Dist.HaloMessageBytes/HaloMessageSections; the wire
-// layer (internal/wire) realizes the same shapes on live TCP sockets.
-type WireMsg struct {
-	Payload  int
-	Sections int
-}
-
-// Messages pairs per-message payload bytes with per-message section
-// counts into the model's message list. The two slices must be parallel
-// (they come from the same Dist under the same granularity).
-func Messages(payloadBytes, sections []int) []WireMsg {
-	if len(payloadBytes) != len(sections) {
-		panic(fmt.Sprintf("comms: %d payload entries vs %d section entries", len(payloadBytes), len(sections)))
-	}
-	out := make([]WireMsg, len(payloadBytes))
-	for i := range out {
-		out[i] = WireMsg{Payload: payloadBytes[i], Sections: sections[i]}
-	}
-	return out
-}
-
-// WireBytes prices a message list on a framed wire: each message pays the
-// fixed per-frame overhead, a per-message header, and a per-section
-// header on top of its payload. Fed the wire package's frame constants it
-// reproduces - exactly, byte for byte - what internal/wire measures on
-// live sockets per operator application, which the crosscheck test in
-// that package pins.
-func WireBytes(msgs []WireMsg, frameOverhead, msgHeader, sectionHeader int) int {
-	total := 0
-	for _, m := range msgs {
-		total += frameOverhead + msgHeader + m.Sections*sectionHeader + m.Payload
-	}
-	return total
-}
-
-// ExchangeFromMessages builds the per-process Exchange requirement from a
-// per-message breakdown: total inter-node bytes and the batch count that
-// prices per-message latency. Payloads here are modelled as inter-node
-// (the conservative placement); callers with topology knowledge can move
-// bytes to IntraBytes afterwards.
-func ExchangeFromMessages(msgs []WireMsg, gpusPerNIC, nodes int, computeSeconds float64) Exchange {
-	ex := Exchange{
-		Dims:           (len(msgs) + 1) / 2,
-		GPUsPerNIC:     gpusPerNIC,
-		Nodes:          nodes,
-		ComputeSeconds: computeSeconds,
-	}
-	for _, m := range msgs {
-		ex.InterBytes += float64(m.Payload)
-	}
-	return ex
-}
-
 // Model evaluates exchange times for the policies on a given machine.
 type Model struct {
 	M machine.Machine

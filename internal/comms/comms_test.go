@@ -156,39 +156,3 @@ func TestPolicyStrings(t *testing.T) {
 		t.Fatalf("choice string %q", c.String())
 	}
 }
-
-// TestWireBytesPricing pins the framed-wire pricing arithmetic the wire
-// crosscheck consumes: per-frame overhead once per message, the message
-// header once, the section header per batched face.
-func TestWireBytesPricing(t *testing.T) {
-	msgs := Messages([]int{100, 200}, []int{1, 3})
-	got := WireBytes(msgs, 25, 2, 6)
-	want := (25 + 2 + 1*6 + 100) + (25 + 2 + 3*6 + 200)
-	if got != want {
-		t.Fatalf("WireBytes = %d, want %d", got, want)
-	}
-	if WireBytes(nil, 25, 2, 6) != 0 {
-		t.Fatal("empty message list must price to zero")
-	}
-}
-
-// TestExchangeFromMessages checks the per-message breakdown folds into
-// the model's Exchange: summed inter-node bytes, paired batch count.
-func TestExchangeFromMessages(t *testing.T) {
-	msgs := Messages([]int{1000, 1000, 500, 500}, []int{1, 1, 1, 1})
-	ex := ExchangeFromMessages(msgs, 3, 16, 0.01)
-	if ex.InterBytes != 3000 {
-		t.Fatalf("InterBytes = %g, want 3000", ex.InterBytes)
-	}
-	if ex.Dims != 2 {
-		t.Fatalf("Dims = %d, want 2", ex.Dims)
-	}
-	if ex.GPUsPerNIC != 3 || ex.Nodes != 16 || ex.ComputeSeconds != 0.01 {
-		t.Fatalf("passthrough fields lost: %+v", ex)
-	}
-	// The priced exchange must be usable directly by the model.
-	m := Model{M: machine.Summit()}
-	if tm := m.ExposedTime(Choice{Policy: StagedDMA}, ex); tm <= 0 {
-		t.Fatalf("priced exchange gives non-positive exposed time %g", tm)
-	}
-}

@@ -302,100 +302,20 @@ func (d *Dist) stencilStage(ctx context.Context, rk *rank, stage int) error {
 }
 
 // HaloBytesPerApply returns the spinor bytes each rank exchanges per
-// application, the quantity the communication model prices.
+// application - rank 0's halo plan (Sub.HaloPeers) summed over its faces -
+// the quantity the communication model prices.
 func (d *Dist) HaloBytesPerApply() int {
+	if len(d.ranks) == 0 {
+		return 0
+	}
+	sub := d.ranks[0].sub
 	total := 0
-	for _, b := range d.HaloMessageBytes(true) {
-		total += b
+	for _, p := range sub.HaloPeers() {
+		for _, f := range p.Faces {
+			total += sub.FaceLen(f[0]) * 16
+		}
 	}
 	return total
-}
-
-// HaloMessageBytes returns the payload bytes of each halo message one
-// rank sends per operator application. Under fine-grained exchange every
-// (dimension, direction) face travels as its own message; under coarse
-// exchange all faces bound for the same neighbor rank are batched into
-// one. The per-message breakdown is what lets the communication model
-// price wire framing honestly (internal/comms) and is crosschecked
-// against bytes measured on live sockets by internal/wire.
-func (d *Dist) HaloMessageBytes(fine bool) []int {
-	if len(d.ranks) == 0 {
-		return nil
-	}
-	sub := d.ranks[0].sub
-	if fine {
-		var out []int
-		for mu := 0; mu < lattice.NDim; mu++ {
-			if !d.dec.Partitioned(mu) {
-				continue
-			}
-			face := sub.FaceLen(mu) * 16
-			out = append(out, face, face)
-		}
-		return out
-	}
-	// Coarse: batch by destination rank, in (mu, dir) order - the same
-	// grouping the wire layer uses.
-	perPeer := map[int]int{}
-	var order []int
-	for mu := 0; mu < lattice.NDim; mu++ {
-		if !d.dec.Partitioned(mu) {
-			continue
-		}
-		for dir := 0; dir < 2; dir++ {
-			peer := sub.Spec.NeighborRank(mu, dir)
-			if _, seen := perPeer[peer]; !seen {
-				order = append(order, peer)
-			}
-			perPeer[peer] += sub.FaceLen(mu) * 16
-		}
-	}
-	out := make([]int, 0, len(order))
-	for _, peer := range order {
-		out = append(out, perPeer[peer])
-	}
-	return out
-}
-
-// HaloMessageSections returns, message-for-message with HaloMessageBytes,
-// how many face sections each message batches: always 1 under fine
-// exchange, the destination rank's face count under coarse. Together the
-// two let a model price framed wire traffic exactly (payload plus
-// per-frame and per-section headers).
-func (d *Dist) HaloMessageSections(fine bool) []int {
-	if len(d.ranks) == 0 {
-		return nil
-	}
-	sub := d.ranks[0].sub
-	if fine {
-		var out []int
-		for mu := 0; mu < lattice.NDim; mu++ {
-			if !d.dec.Partitioned(mu) {
-				continue
-			}
-			out = append(out, 1, 1)
-		}
-		return out
-	}
-	perPeer := map[int]int{}
-	var order []int
-	for mu := 0; mu < lattice.NDim; mu++ {
-		if !d.dec.Partitioned(mu) {
-			continue
-		}
-		for dir := 0; dir < 2; dir++ {
-			peer := sub.Spec.NeighborRank(mu, dir)
-			if _, seen := perPeer[peer]; !seen {
-				order = append(order, peer)
-			}
-			perPeer[peer]++
-		}
-	}
-	out := make([]int, 0, len(order))
-	for _, peer := range order {
-		out = append(out, perPeer[peer])
-	}
-	return out
 }
 
 // InteriorFraction reports the fraction of sites computable before any

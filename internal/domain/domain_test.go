@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"femtoverse/internal/dirac"
@@ -207,9 +208,9 @@ func TestApplyCtxCancellation(t *testing.T) {
 	}
 }
 
-// TestHaloMessageModel pins the per-message accounting the communication
-// model and the wire crosscheck consume: fine messages are one face
-// each; coarse batches per destination; totals agree with
+// TestHaloMessageModel pins the message shapes the halo plan implies:
+// fine exchange sends one face per message, coarse one message per peer
+// batching that peer's faces, and the plan's faces sum to
 // HaloBytesPerApply.
 func TestHaloMessageModel(t *testing.T) {
 	g := lattice.MustNew(4, 4, 4, 8)
@@ -221,23 +222,14 @@ func TestHaloMessageModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fineB, fineS := d2.HaloMessageBytes(true), d2.HaloMessageSections(true)
-	if len(fineB) != 2 || len(fineS) != 2 || fineS[0] != 1 || fineS[1] != 1 {
-		t.Fatalf("fine shape: bytes %v sections %v", fineB, fineS)
+	sub := d2.ranks[0].sub
+	plan := sub.HaloPeers()
+	if len(plan) != 1 || len(plan[0].Faces) != 2 {
+		t.Fatalf("2-rank plan %v: want one peer with two faces", plan)
 	}
-	coarseB, coarseS := d2.HaloMessageBytes(false), d2.HaloMessageSections(false)
-	if len(coarseB) != 1 || len(coarseS) != 1 || coarseS[0] != 2 {
-		t.Fatalf("coarse shape: bytes %v sections %v", coarseB, coarseS)
-	}
-	if coarseB[0] != fineB[0]+fineB[1] {
-		t.Fatalf("coarse payload %d != folded fine payloads %d", coarseB[0], fineB[0]+fineB[1])
-	}
-	total := 0
-	for _, b := range fineB {
-		total += b
-	}
-	if got := d2.HaloBytesPerApply(); got != total {
-		t.Fatalf("HaloBytesPerApply %d != summed messages %d", got, total)
+	face := sub.FaceLen(3) * 16
+	if got := d2.HaloBytesPerApply(); got != 2*face {
+		t.Fatalf("HaloBytesPerApply %d != two %d-byte faces", got, face)
 	}
 
 	// Four ranks: two distinct neighbors, coarse cannot batch across
@@ -246,7 +238,67 @@ func TestHaloMessageModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := d4.HaloMessageSections(false); len(s) != 2 || s[0] != 1 || s[1] != 1 {
-		t.Fatalf("4-rank coarse sections %v, want [1 1]", s)
+	plan = d4.ranks[0].sub.HaloPeers()
+	if len(plan) != 2 || len(plan[0].Faces) != 1 || len(plan[1].Faces) != 1 || plan[0].Rank == plan[1].Rank {
+		t.Fatalf("4-rank plan %v: want two peers with one face each", plan)
+	}
+}
+
+// TestHaloPeersPinnedOrder pins the halo plan - peer order and the faces
+// bound for each, which fix the wire frame order and the message keys the
+// fault plan draws on - for every rank of four grids, as the wire worker
+// grouped them when it built the plan itself. (mu, dir) pairs: mu 0..3 =
+// x, y, z, t; dir 0 = lower face, 1 = upper.
+func TestHaloPeersPinnedOrder(t *testing.T) {
+	u := gauge.NewUnit(lattice.MustNew(4, 4, 4, 8))
+	both := func(mu int) [][2]int { return [][2]int{{mu, 0}, {mu, 1}} }
+	one := func(mu, dir int) [][2]int { return [][2]int{{mu, dir}} }
+	for _, tc := range []struct {
+		grid [4]int
+		want [][]HaloPeer // per rank
+	}{
+		{[4]int{1, 1, 1, 2}, [][]HaloPeer{
+			{{1, both(3)}},
+			{{0, both(3)}},
+		}},
+		{[4]int{1, 1, 1, 4}, [][]HaloPeer{
+			{{3, one(3, 0)}, {1, one(3, 1)}},
+			{{0, one(3, 0)}, {2, one(3, 1)}},
+			{{1, one(3, 0)}, {3, one(3, 1)}},
+			{{2, one(3, 0)}, {0, one(3, 1)}},
+		}},
+		{[4]int{1, 1, 2, 2}, [][]HaloPeer{
+			{{1, both(2)}, {2, both(3)}},
+			{{0, both(2)}, {3, both(3)}},
+			{{3, both(2)}, {0, both(3)}},
+			{{2, both(2)}, {1, both(3)}},
+		}},
+		{[4]int{2, 2, 1, 2}, [][]HaloPeer{
+			{{1, both(0)}, {2, both(1)}, {4, both(3)}},
+			{{0, both(0)}, {3, both(1)}, {5, both(3)}},
+			{{3, both(0)}, {0, both(1)}, {6, both(3)}},
+			{{2, both(0)}, {1, both(1)}, {7, both(3)}},
+			{{5, both(0)}, {6, both(1)}, {0, both(3)}},
+			{{4, both(0)}, {7, both(1)}, {1, both(3)}},
+			{{7, both(0)}, {4, both(1)}, {2, both(3)}},
+			{{6, both(0)}, {5, both(1)}, {3, both(3)}},
+		}},
+	} {
+		specs, err := BuildSpecs(u, tc.grid, 0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(specs) != len(tc.want) {
+			t.Fatalf("grid %v: %d ranks, want %d", tc.grid, len(specs), len(tc.want))
+		}
+		for r := range specs {
+			sub, err := NewSub(specs[r])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := sub.HaloPeers(); !reflect.DeepEqual(got, tc.want[r]) {
+				t.Fatalf("grid %v rank %d: plan %v, want %v", tc.grid, r, got, tc.want[r])
+			}
+		}
 	}
 }

@@ -193,7 +193,17 @@ type Sub struct {
 	interior []int // sites with no ghost dependence
 	boundary []int // sites touching at least one partitioned face
 
+	// peers is the halo message plan, fixed by NewSub (see HaloPeers).
+	peers []HaloPeer
+
 	src, dst []complex128 // local field storage; src is the head of field
+}
+
+// HaloPeer is one neighbor's share of a halo exchange: the neighbor's rank
+// and the (mu, dir) faces bound for it, in (mu, dir) order.
+type HaloPeer struct {
+	Rank  int
+	Faces [][2]int
 }
 
 // NewSub reconstructs the live subdomain from its spec.
@@ -283,8 +293,32 @@ func NewSub(spec SubSpec) (*Sub, error) {
 			sub.interior = append(sub.interior, s)
 		}
 	}
+	for mu := 0; mu < lattice.NDim; mu++ {
+		if !spec.Partitioned(mu) {
+			continue
+		}
+		for dir := 0; dir < 2; dir++ {
+			rank := spec.NeighborRank(mu, dir)
+			i := 0
+			for i < len(sub.peers) && sub.peers[i].Rank != rank {
+				i++
+			}
+			if i == len(sub.peers) {
+				sub.peers = append(sub.peers, HaloPeer{Rank: rank})
+			}
+			sub.peers[i].Faces = append(sub.peers[i].Faces, [2]int{mu, dir})
+		}
+	}
 	return sub, nil
 }
+
+// HaloPeers returns the halo message plan: every neighbor rank in
+// first-seen (mu, dir) order with the faces bound for it. It is the one
+// answer to "which faces travel in which frame" - a coarse exchange sends
+// one frame per peer, a fine one a frame per face, in this order - and
+// the plan the wire workers send by and the communication model prices.
+// The caller must not modify it.
+func (sub *Sub) HaloPeers() []HaloPeer { return sub.peers }
 
 // LocalLen returns the length of the local field vectors.
 func (sub *Sub) LocalLen() int { return len(sub.src) }

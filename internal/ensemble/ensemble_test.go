@@ -12,6 +12,9 @@ func TestValidation(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	if p.GA != 1.271 {
+		t.Fatalf("a09m310 calibrated to gA = %v, want the paper's 1.271", p.GA)
+	}
 	bad := p
 	bad.MN = 0.1 // below 3/2 m_pi
 	if err := bad.Validate(); err == nil {

@@ -1,7 +1,10 @@
 package figures
 
 import (
+	"flag"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -26,6 +29,16 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
+var updateGolden = flag.Bool("update-golden", false, "rewrite the render goldens in testdata")
+
+// timedRenders print measured wall times, so they differ run to run and
+// have no golden.
+var timedRenders = map[string]bool{"cachewarm": true, "distributed": true}
+
+// TestAllExperimentsRenderQuickly runs every experiment in quick mode and
+// holds each deterministic render byte for byte to its golden file,
+// testdata/<name>.golden. Run with -update-golden after an intentional
+// change to an experiment's output.
 func TestAllExperimentsRenderQuickly(t *testing.T) {
 	for _, name := range Names() {
 		res, err := Run(name, true)
@@ -41,6 +54,25 @@ func TestAllExperimentsRenderQuickly(t *testing.T) {
 		body := res.Render()
 		if len(body) < 40 {
 			t.Fatalf("%s: implausibly short render:\n%s", name, body)
+		}
+		if timedRenders[name] {
+			continue
+		}
+		golden := filepath.Join("testdata", name+".golden")
+		if *updateGolden {
+			if err := os.MkdirAll("testdata", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(golden, []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatalf("%s: golden file missing (run with -update-golden): %v", name, err)
+		}
+		if body != string(want) {
+			t.Errorf("%s: render diverged from %s\n--- got ---\n%s\n--- want ---\n%s", name, golden, body, want)
 		}
 	}
 }

@@ -85,13 +85,12 @@ func genOverlap(bool) (Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		exposed := 1 - pt.IterSeconds*0 // placeholder replaced below
-		// Exposed fraction = (iter - pure-compute) / iter; recompute the
-		// pure-compute time from the model constants.
+		// Exposed fraction = (iter - pure-compute) / iter, the pure-compute
+		// time recomputed from the model constants.
 		bytesPerIter := float64(problem.Sites5D()) / float64(modelGPUs[i]) *
 			perfmodel.FlopsPerSite5D / perfmodel.AI
 		tComp := bytesPerIter / (machine.Sierra().EffectiveBWPerGPUGB() * 1e9)
-		exposed = (pt.IterSeconds - tComp) / pt.IterSeconds
+		exposed := (pt.IterSeconds - tComp) / pt.IterSeconds
 		if exposed < 0 {
 			exposed = 0
 		}

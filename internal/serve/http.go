@@ -50,7 +50,7 @@ func (r SubmitRequest) Validate() error {
 	if strings.TrimSpace(r.Tenant) == "" || strings.ContainsAny(r.Tenant, "/\\ \t\r\n") {
 		errs = append(errs, errors.New("tenant: must be a non-empty token without spaces or path separators"))
 	}
-	errs = append(errs, validate.NonNegativeInt("priority", r.Priority))
+	errs = append(errs, checkPriority(r.Priority))
 	sp := r.Spec
 	if sp.Dims != nil {
 		for i, d := range sp.Dims {

@@ -1,6 +1,9 @@
 package serve
 
-import "sort"
+import (
+	"fmt"
+	"sort"
+)
 
 // Fair-share across tenants is stride scheduling: each tenant holds a
 // pass value, the dispatcher always picks the backlogged tenant with the
@@ -14,6 +17,17 @@ import "sort"
 // here: an over-quota submission is refused at the door, so the
 // scheduler only ever sees work that is allowed to run.
 const strideOne = 1 << 16
+
+// checkPriority admits priorities 0 (keep the tenant's weight, initially
+// 1) through strideOne. A larger weight would make strideOne/weight zero:
+// that tenant's pass would never advance, so it would win every pick and
+// starve every other backlogged tenant.
+func checkPriority(priority int) error {
+	if priority < 0 || priority > strideOne {
+		return fmt.Errorf("priority must be in [0, %d] (got %d)", strideOne, priority)
+	}
+	return nil
+}
 
 // tenant is one submitter's scheduling state. Guarded by Server.mu.
 type tenant struct {

@@ -259,8 +259,12 @@ func readSidecar(path string) (sidecar, error) {
 // creation, then enqueue. The returned error is ErrDraining after
 // shutdown began and wraps runtime.ErrRefused when the tenant is over
 // quota - admission refusal, deliberately the same vocabulary as the
-// pool's allocation-budget refusals.
+// pool's allocation-budget refusals. A priority outside [0, 65536] is
+// refused before anything is written.
 func (s *Server) SubmitCampaign(tenant string, priority int, name string, spec core.RealConfig) (CampaignStatus, error) {
+	if err := checkPriority(priority); err != nil {
+		return CampaignStatus{}, fmt.Errorf("serve: %w", err)
+	}
 	s.submitMu.Lock()
 	defer s.submitMu.Unlock()
 
@@ -600,12 +604,14 @@ func (s *Server) runFinalize(cr *campaignRun) func(ctx context.Context) (interfa
 		s.mu.Lock()
 		fin := cr.state == stateRunning && cr.camp.Complete()
 		if fin {
+			// Counted before the "complete" event is published, so a
+			// client that has seen the event also sees the count.
+			s.reg.Counter("serve.campaigns_completed").Inc()
 			s.finalizeLocked(cr)
 		}
 		s.mu.Unlock()
 		if fin {
 			s.closeJournal(cr)
-			s.reg.Counter("serve.campaigns_completed").Inc()
 		}
 		return nil, nil
 	}

@@ -3,6 +3,9 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -114,6 +117,32 @@ func TestFairShareStrideSchedule(t *testing.T) {
 	want := []string{"a", "b", "b", "a", "b", "b", "a", "a"}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Fatalf("dispatch order = %v, want %v", got, want)
+	}
+}
+
+// TestPriorityAboveStrideOneRefused: a weight above strideOne would make
+// the tenant's stride strideOne/weight zero, so its pass would never
+// advance and it would take every pick from a backlogged weight-1
+// tenant. Such a priority is refused at the door - an error from
+// SubmitCampaign, a 400 naming the field over HTTP - while strideOne
+// itself is admitted.
+func TestPriorityAboveStrideOneRefused(t *testing.T) {
+	s, _ := newTestServer(t, Config{SolveWorkers: 1, ContractWorkers: 1, StartPaused: true})
+	if _, err := s.SubmitCampaign("a", 1, "", tinySpec(101, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.SubmitCampaign("hog", strideOne+1, "", tinySpec(202, 2)); err == nil || !strings.Contains(err.Error(), "priority") {
+		t.Fatalf("priority %d submission: got %v, want a priority error", strideOne+1, err)
+	}
+	if _, err := s.SubmitCampaign("max", strideOne, "", tinySpec(303, 2)); err != nil {
+		t.Fatalf("priority %d refused: %v", strideOne, err)
+	}
+
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+	resp := postJSON(t, hs.URL, fmt.Sprintf(`{"tenant":"hog","priority":%d,"spec":{"nconfigs":2}}`, strideOne+1))
+	if body := drainBody(t, resp); resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, "priority") {
+		t.Fatalf("priority %d over HTTP: %d %s", strideOne+1, resp.StatusCode, body)
 	}
 }
 

@@ -108,9 +108,9 @@ func decodePeerTable(payload []byte) (map[int]string, error) {
 // boundary face. dir is the sender's face direction, so the receiver
 // fills ghost slot 1-dir.
 
-// Halo payload framing costs, exported so the communication model
-// (internal/comms) can price a modelled message into wire bytes and be
-// crosschecked against the bytes measured here.
+// Halo payload framing costs, exported so a subdomain's halo plan
+// (domain.Sub.HaloPeers) can be priced into wire bytes and crosschecked
+// against the bytes measured here.
 const (
 	// HaloHeaderLen is the per-frame section-count prefix.
 	HaloHeaderLen = 2

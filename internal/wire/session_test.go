@@ -3,6 +3,7 @@ package wire
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -10,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"femtoverse/internal/comms"
 	"femtoverse/internal/dirac"
 	"femtoverse/internal/domain"
 	"femtoverse/internal/fault"
@@ -456,48 +456,84 @@ func TestSessionApplyCtxCanceled(t *testing.T) {
 	}
 }
 
-// TestSessionHaloBytesModelledVsMeasured pins satellite claim of the
-// comms model: the wire bytes the model prices from the domain
-// decomposition equal, exactly, the bytes the live sockets carried -
-// fine and coarse, including the batched two-faces-one-peer shape a
-// two-rank grid produces.
+// TestSessionHaloBytesModelledVsMeasured pins the byte parity of the halo
+// plan: every rank's plan (domain.Sub.HaloPeers), priced with the frame
+// constants - coarse sends one frame per peer, fine one per face - equals,
+// exactly, the frames and wire bytes that rank's sockets carried. The
+// grids cover the plan's three shapes: one peer with both faces (2 ranks
+// on t), two peers with one face each (4 ranks on t), and two peers with
+// two faces each (2 x 2 over z and t).
 func TestSessionHaloBytesModelledVsMeasured(t *testing.T) {
 	dims := [lattice.NDim]int{4, 4, 4, 8}
-	grid := [lattice.NDim]int{1, 1, 1, 2}
-	for _, tc := range []struct {
+	grids := []struct {
+		grid         [lattice.NDim]int
+		peers, faces int // every rank's plan: peers, faces per peer
+	}{
+		{[lattice.NDim]int{1, 1, 1, 2}, 1, 2},
+		{[lattice.NDim]int{1, 1, 1, 4}, 2, 1},
+		{[lattice.NDim]int{1, 1, 2, 2}, 2, 2},
+	}
+	for _, gran := range []struct {
 		name   string
 		coarse bool
 	}{{"fine", false}, {"coarse", true}} {
-		t.Run(tc.name, func(t *testing.T) {
-			s, u, reg := testSession(t, dims, grid, func(o *Options) {
-				o.Coarse = tc.coarse
-			})
-			src := randomSource(s.Size(), 3)
-			dst := make([]complex128, s.Size())
-			s.Apply(dst, src)
+		t.Run(gran.name, func(t *testing.T) {
+			for _, gc := range grids {
+				name := fmt.Sprintf("%dx%dx%dx%d", gc.grid[0], gc.grid[1], gc.grid[2], gc.grid[3])
+				t.Run(name, func(t *testing.T) {
+					s, u, reg := testSession(t, dims, gc.grid, func(o *Options) {
+						o.Coarse = gran.coarse
+					})
+					src := randomSource(s.Size(), 3)
+					s.Apply(make([]complex128, s.Size()), src)
 
-			d, err := domain.NewDist(u, grid, 0.1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fine := !tc.coarse
-			msgs := comms.Messages(d.HaloMessageBytes(fine), d.HaloMessageSections(fine))
-			perRank := comms.WireBytes(msgs, FrameOverhead, HaloHeaderLen, SectionHeaderLen)
-			wantBytes := int64(perRank * s.Ranks())
-			wantFrames := int64(len(msgs) * s.Ranks())
-
-			gotBytes := reg.Counter("wire.halo_wire_bytes").Value()
-			gotFrames := reg.Counter("wire.halo_frames").Value()
-			if gotBytes != wantBytes {
-				t.Fatalf("halo wire bytes: measured %d, modelled %d", gotBytes, wantBytes)
-			}
-			if gotFrames != wantFrames {
-				t.Fatalf("halo frames: measured %d, modelled %d", gotFrames, wantFrames)
-			}
-			for r := 0; r < s.Ranks(); r++ {
-				if got := reg.Counter(obs.RankMetric("wire.halo_wire_bytes", r)).Value(); got != int64(perRank) {
-					t.Fatalf("rank %d wire bytes: measured %d, modelled %d", r, got, perRank)
-				}
+					specs, err := domain.BuildSpecs(u, gc.grid, 0.1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var allFrames, allBytes int64
+					for r := range specs {
+						sub, err := domain.NewSub(specs[r])
+						if err != nil {
+							t.Fatal(err)
+						}
+						plan := sub.HaloPeers()
+						if len(plan) != gc.peers {
+							t.Fatalf("rank %d plan %v: want %d peers", r, plan, gc.peers)
+						}
+						var frames, bytes int64
+						for _, p := range plan {
+							if len(p.Faces) != gc.faces {
+								t.Fatalf("rank %d plan %v: want %d faces per peer", r, plan, gc.faces)
+							}
+							if gran.coarse {
+								frames++
+								bytes += FrameOverhead + HaloHeaderLen
+							}
+							for _, f := range p.Faces {
+								if !gran.coarse {
+									frames++
+									bytes += FrameOverhead + HaloHeaderLen
+								}
+								bytes += int64(SectionHeaderLen + 16*sub.FaceLen(f[0]))
+							}
+						}
+						if got := reg.Counter(obs.RankMetric("wire.halo_frames", r)).Value(); got != frames {
+							t.Fatalf("rank %d halo frames: measured %d, modelled %d", r, got, frames)
+						}
+						if got := reg.Counter(obs.RankMetric("wire.halo_wire_bytes", r)).Value(); got != bytes {
+							t.Fatalf("rank %d halo wire bytes: measured %d, modelled %d", r, got, bytes)
+						}
+						allFrames += frames
+						allBytes += bytes
+					}
+					if got := reg.Counter("wire.halo_frames").Value(); got != allFrames {
+						t.Fatalf("halo frames: measured %d, modelled %d", got, allFrames)
+					}
+					if got := reg.Counter("wire.halo_wire_bytes").Value(); got != allBytes {
+						t.Fatalf("halo wire bytes: measured %d, modelled %d", got, allBytes)
+					}
+				})
 			}
 		})
 	}

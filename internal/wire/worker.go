@@ -59,13 +59,6 @@ type ghostSlot struct {
 	full bool
 }
 
-// peerFaces is one neighbor's share of a halo exchange: the faces bound
-// for that rank, in (mu, dir) order.
-type peerFaces struct {
-	peer  int
-	faces [][2]int // (mu, dir)
-}
-
 // peerKey addresses a peer connection: rewiring is per epoch, and a
 // neighbor may establish the next epoch's connection before this worker
 // has even seen the epoch's peer table.
@@ -89,11 +82,6 @@ type Worker struct {
 	stats Stats
 
 	peerLn net.Listener
-	// haloPlan groups the subdomain's faces by destination rank in
-	// first-seen (mu, dir) order - the grouping
-	// domain.Dist.HaloMessageBytes models, which is what makes the
-	// modelled message sizes crosscheckable against the live sends.
-	haloPlan []peerFaces
 	// ghostTimer bounds a ghost wait; owned by the apply loop.
 	ghostTimer *time.Timer
 	// ghostReady (capacity 1) wakes the apply loop after a peer reader has
@@ -195,34 +183,18 @@ func (w *Worker) handshake(coordAddr string) error {
 	if w.sub, err = domain.NewSub(spec); err != nil {
 		return err
 	}
-	w.planHalos()
-	return nil
-}
-
-// planHalos sizes the ghost staging and fixes the halo send plan, once:
-// both are pure functions of the subdomain.
-func (w *Worker) planHalos() {
-	byPeer := map[int]int{}
-	for mu := 0; mu < lattice.NDim; mu++ {
-		if !w.sub.Spec.Partitioned(mu) {
-			continue
-		}
-		for dir := 0; dir < 2; dir++ {
+	// Size the ghost staging once: the plan names every partitioned
+	// (mu, dir) face, and each has a ghost slot per parity.
+	for _, p := range w.sub.HaloPeers() {
+		for _, f := range p.Faces {
 			for parity := range w.ghosts {
-				w.ghosts[parity][mu][dir].buf = make([]complex128, w.sub.FaceLen(mu))
+				w.ghosts[parity][f[0]][f[1]].buf = make([]complex128, w.sub.FaceLen(f[0]))
 			}
-			p := w.sub.Spec.NeighborRank(mu, dir)
-			i, seen := byPeer[p]
-			if !seen {
-				i = len(w.haloPlan)
-				byPeer[p] = i
-				w.haloPlan = append(w.haloPlan, peerFaces{peer: p})
-			}
-			w.haloPlan[i].faces = append(w.haloPlan[i].faces, [2]int{mu, dir})
 		}
 	}
 	w.ghostTimer = time.NewTimer(time.Hour)
 	w.ghostTimer.Stop()
+	return nil
 }
 
 // helloMaxPayload bounds pre-welcome frames: addresses and specs only.
@@ -558,9 +530,10 @@ func (w *Worker) peerFor(rank int) (*Conn, chan struct{}) {
 // neededPeers lists the distinct neighbor ranks across partitioned
 // dimensions, in (mu, dir) first-seen order.
 func (w *Worker) neededPeers() []int {
-	out := make([]int, 0, len(w.haloPlan))
-	for _, pf := range w.haloPlan {
-		out = append(out, pf.peer)
+	plan := w.sub.HaloPeers()
+	out := make([]int, 0, len(plan))
+	for _, p := range plan {
+		out = append(out, p.Rank)
 	}
 	return out
 }
@@ -685,25 +658,26 @@ func (w *Worker) stencilStage(xid uint64, flags byte, st *resultStats) error {
 	return nil
 }
 
-// sendHalos packs and ships every boundary face for transfer xid. Fine
-// granularity sends one frame per (mu, dir) face; coarse batches all
-// faces bound for the same neighbor into one frame.
+// sendHalos packs and ships every boundary face for transfer xid, in the
+// subdomain's halo plan order. Fine granularity sends one frame per
+// (mu, dir) face; coarse batches all faces bound for the same neighbor
+// into one frame.
 func (w *Worker) sendHalos(xid uint64, coarse bool, st *resultStats) error {
 	sel := 0
-	for _, pf := range w.haloPlan {
-		pc, _ := w.peerFor(pf.peer)
+	for _, p := range w.sub.HaloPeers() {
+		pc, _ := w.peerFor(p.Rank)
 		if pc == nil {
-			return fmt.Errorf("wire: worker %d: no connection to peer %d", w.rank, pf.peer)
+			return fmt.Errorf("wire: worker %d: no connection to peer %d", w.rank, p.Rank)
 		}
 		if coarse {
-			if err := w.sendHaloFrame(pc, xid, sel, pf.faces, st); err != nil {
+			if err := w.sendHaloFrame(pc, xid, sel, p.Faces, st); err != nil {
 				return err
 			}
 			sel++
 			continue
 		}
-		for i := range pf.faces {
-			if err := w.sendHaloFrame(pc, xid, sel, pf.faces[i:i+1], st); err != nil {
+		for i := range p.Faces {
+			if err := w.sendHaloFrame(pc, xid, sel, p.Faces[i:i+1], st); err != nil {
 				return err
 			}
 			sel++
