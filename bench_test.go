@@ -245,7 +245,7 @@ func benchSolve(b *testing.B, prec solver.Precision) {
 		last = st
 	}
 	b.ReportMetric(float64(last.Iterations), "iters")
-	b.ReportMetric(last.TFLOPS()*1e3, "GFLOPS")
+	b.ReportMetric(float64(last.Flops)/last.Elapsed.Seconds()/1e9, "GFLOPS")
 }
 
 func BenchmarkCGNEDouble(b *testing.B) { benchSolve(b, solver.Double) }
@@ -406,42 +406,7 @@ func BenchmarkBLAS1Axpy(b *testing.B) {
 	}
 }
 
-// Extended-feature benchmarks: the ensemble-generation, smearing and
-// stochastic-estimation substrates.
-
-func BenchmarkHMCTrajectory(b *testing.B) {
-	g := lattice.MustNew(4, 4, 4, 4)
-	h, err := gauge.NewHMC(gauge.HMCParams{Beta: 5.7, Steps: 10, StepSize: 0.08, Seed: 71})
-	if err != nil {
-		b.Fatal(err)
-	}
-	f := gauge.NewWeak(g, 72, 0.25)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Trajectory(f)
-	}
-}
-
-func BenchmarkStoutSmearSweep(b *testing.B) {
-	g := lattice.MustNew(8, 8, 8, 8)
-	f := gauge.NewWeak(g, 77, 0.3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := f.StoutSmear(0.1, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkGaussianSourceSmearing(b *testing.B) {
-	g := lattice.MustNew(8, 8, 8, 8)
-	f := gauge.NewUnit(g)
-	src := prop.PointSource(g, [4]int{0, 0, 0, 0}, 0, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		gauge.GaussianSmearSource(f, src, 0.25, 4)
-	}
-}
+// Ensemble generation: one Metropolis sweep of the local gauge sampler.
 
 func BenchmarkMetropolisSweep(b *testing.B) {
 	g := lattice.MustNew(4, 4, 4, 4)
@@ -543,13 +508,13 @@ func BenchmarkDomainSubStencil(b *testing.B) {
 		src[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
 	b.ReportAllocs()
-	b.SetBytes(int64(2 * 16 * sub.LocalLen())) // source read, result written
+	b.SetBytes(int64(2 * 16 * len(sub.Src()))) // source read, result written
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sub.StencilInterior()
 		sub.StencilBoundary()
 	}
-	b.ReportMetric(float64(sub.LocalLen()/12)*1320/1e9/b.Elapsed().Seconds()*float64(b.N), "GFLOPS")
+	b.ReportMetric(float64(len(sub.Src())/12)*1320/1e9/b.Elapsed().Seconds()*float64(b.N), "GFLOPS")
 }
 
 // replay serves the frame its sender last rendered, over and over.

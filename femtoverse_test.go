@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -239,4 +240,157 @@ func TestFacadeFunctionsAreDocumented(t *testing.T) {
 	if funcs == 0 {
 		t.Fatal("parsed no exported functions")
 	}
+}
+
+// exportAllowList names the exported internal functions and methods that
+// no non-test code calls on purpose, each with the reason it stays: test
+// hooks a suite drives the package through, and reference
+// implementations the fast paths are checked against.
+var exportAllowList = map[string]string{
+	// Test hooks.
+	"analysistest.RunExpectNone":  "test-support package: runs an analyzer fixture that must stay silent",
+	"autotune.Tuner.Execute":      "the timed kernel search's entry, driven by the autotune suites and the root dslash benchmarks",
+	"autotune.Tuner.SetEnabled":   "switches timed tuning off for the untuned benchmark baseline",
+	"autotune.Tuner.SetReps":      "cuts the timed search to one repetition so the suites stay fast",
+	"cache.Cache.MemKeys":         "exposes the LRU order the eviction tests pin",
+	"cache.Flight.Inflight":       "exposes in-flight keys so the singleflight tests can wait for a leader",
+	"domain.Dist.ApplyCtx":        "the cancellation tests' door into the ctx-aware apply that Apply runs under context.Background",
+	"obs.StepClock":               "the deterministic clock behind the golden trace files",
+	"serve.Server.ResumeDispatch": "releases a StartPaused server so the fair-share tests can pin the dispatch order",
+	"wire.NewFrameReader":         "reads a byte stream as frames for the codec, fuzz and ownership tests",
+	"wire.Session.ApplyCtx":       "the cancellation tests' door into the ctx-aware apply that Apply runs under context.Background",
+	"wire.Session.ChaosCounts":    "exposes the coordinator's injected-fault tally to the chaos tests",
+	// Test references: independent implementations the tests check the
+	// production paths against.
+	"dirac.Wilson.ApplyDense":      "dense-matrix Wilson operator the spin-projected kernels are checked against",
+	"gauge.Field.GaugeTransform":   "gauge rotation for the gauge-invariance checks of the measurement chain",
+	"gauge.RandomGaugeRotation":    "draws the rotation the gauge-invariance checks apply",
+	"linalg.AxpyZ":                 "out-of-place axpy the staged Schur reference and the linearity checks combine fields with",
+	"linalg.SU3.UnitarityError":    "group-membership check for generated and reunitarized links",
+	"obs.Tracer.BusySeconds":       "trace-side busy seconds, cross-checked against the runtime's integrals",
+	"prop.ComputePerturbed":        "the explicit-insertion propagator the Feynman-Hellmann propagator is checked against",
+	"runtime.Timeline.BusySeconds": "timeline-side busy seconds, cross-checked against the runtime's integrals",
+}
+
+// stdlibCalled names the methods the standard library calls through its
+// interfaces (sort.Interface and heap.Interface), so no call site names
+// them.
+var stdlibCalled = map[string]bool{"Less": true, "Swap": true}
+
+// TestInternalExportsHaveCallers keeps internal/ free of dead library:
+// every exported function or method declared in a non-test file under
+// internal/ must be named by some non-test code of the module - cmd/,
+// examples/ and the nested benchmark module included - other than by its
+// own declaration and body. Names are matched as identifiers, so a
+// mention in a comment does not count, and a method counts as called
+// when any call site uses its name. A new export arrives with its
+// caller, or it is listed in exportAllowList with the reason it has none.
+func TestInternalExportsHaveCallers(t *testing.T) {
+	type export struct {
+		key, name string
+		method    bool
+	}
+	var exports []export
+	uses := map[string]int{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				uses[id.Name]++
+			}
+			return true
+		})
+		internal := strings.HasPrefix(filepath.ToSlash(path), "internal/")
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			// Neither the declaration nor a recursive call is a caller.
+			uses[fn.Name.Name]--
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok && isSelfCall(fn, call.Fun) {
+					uses[fn.Name.Name]--
+				}
+				return true
+			})
+			if !internal || !fn.Name.IsExported() {
+				continue
+			}
+			key := filepath.Base(filepath.Dir(path)) + "."
+			if fn.Recv != nil {
+				key += recvName(fn.Recv.List[0].Type) + "."
+			}
+			key += fn.Name.Name
+			exports = append(exports, export{key, fn.Name.Name, fn.Recv != nil})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(exports) == 0 {
+		t.Fatal("parsed no internal exports")
+	}
+	listed := map[string]bool{}
+	for _, e := range exports {
+		if _, ok := exportAllowList[e.key]; ok {
+			listed[e.key] = true
+			continue
+		}
+		if uses[e.name] <= 0 && !(e.method && stdlibCalled[e.name]) {
+			t.Errorf("%s is exported but no non-test code calls it", e.key)
+		}
+	}
+	for key := range exportAllowList {
+		if !listed[key] {
+			t.Errorf("exportAllowList names %s, which is not an exported internal function", key)
+		}
+	}
+}
+
+// recvName returns the type name of a method receiver expression.
+func recvName(x ast.Expr) string {
+	switch x := x.(type) {
+	case *ast.StarExpr:
+		return recvName(x.X)
+	case *ast.IndexExpr:
+		return recvName(x.X)
+	case *ast.IndexListExpr:
+		return recvName(x.X)
+	case *ast.Ident:
+		return x.Name
+	}
+	return "?"
+}
+
+// isSelfCall reports whether fun, called inside fn's body, is fn itself:
+// the bare name for a function, the receiver's method for a method.
+func isSelfCall(fn *ast.FuncDecl, fun ast.Expr) bool {
+	if fn.Recv == nil {
+		id, ok := fun.(*ast.Ident)
+		return ok && id.Name == fn.Name.Name
+	}
+	sel, ok := fun.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != fn.Name.Name || len(fn.Recv.List[0].Names) == 0 {
+		return false
+	}
+	x, ok := sel.X.(*ast.Ident)
+	return ok && x.Name == fn.Recv.List[0].Names[0].Name
 }

@@ -3,7 +3,6 @@ package analysis
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 )
 
 // This file is femtolint's fact mechanism: the piece that turns the suite
@@ -86,15 +85,4 @@ func MergeFacts(dst, src Facts) Facts {
 		dst[path] = pf
 	}
 	return dst
-}
-
-// FactPackages returns the package paths carrying facts, sorted, for
-// deterministic iteration in tests and reports.
-func FactPackages(f Facts) []string {
-	paths := make([]string, 0, len(f))
-	for p := range f {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	return paths
 }

@@ -47,9 +47,6 @@ type Config struct {
 	// Metrics, when non-nil, receives hit/miss/eviction/byte/coalesce
 	// counters under the "cache." prefix.
 	Metrics *obs.Registry
-	// Scope, when enabled, receives an instant event per cache hit and
-	// per completed cold fill, so traces show where solves were skipped.
-	Scope obs.Scope
 }
 
 // DefaultMemBytes is the memory-tier budget when Config.MemBytes is
@@ -119,7 +116,6 @@ type Cache struct {
 	flight *Flight[string, []byte]
 
 	metrics *obs.Registry
-	scope   obs.Scope
 }
 
 // New builds a cache. When cfg.Dir is non-empty the directory is created
@@ -142,7 +138,6 @@ func New(cfg Config) (*Cache, error) {
 		dir:     cfg.Dir,
 		flight:  NewFlight[string, []byte](),
 		metrics: cfg.Metrics,
-		scope:   cfg.Scope,
 	}, nil
 }
 
@@ -155,7 +150,6 @@ func (c *Cache) Get(key Key) ([]byte, bool) {
 		c.note(&c.stats.Hits, &c.stats.MemHits)
 		c.metrics.Counter("cache.hits").Inc()
 		c.metrics.Counter("cache.hits_mem").Inc()
-		c.hitInstant(key, "mem")
 		return v, true
 	}
 	if v, ok := c.diskGet(key); ok {
@@ -163,7 +157,6 @@ func (c *Cache) Get(key Key) ([]byte, bool) {
 		c.note(&c.stats.Hits, &c.stats.DiskHits)
 		c.metrics.Counter("cache.hits").Inc()
 		c.metrics.Counter("cache.hits_disk").Inc()
-		c.hitInstant(key, "disk")
 		return append([]byte(nil), v...), true
 	}
 	c.note(&c.stats.Misses)
@@ -246,9 +239,6 @@ func (c *Cache) computeOnce(key Key, compute func() ([]byte, error)) (val []byte
 		}
 		if perr := c.Put(key, v); perr != nil {
 			// Counted by Put; the compute result is still good.
-			c.scope.Instant("cache", "put-error", map[string]interface{}{
-				"key": key.Canonical, "err": perr.Error(),
-			})
 		}
 		return v, nil
 	})
@@ -297,13 +287,6 @@ func (c *Cache) note(fields ...*int64) {
 		*f++
 	}
 	c.mu.Unlock()
-}
-
-// hitInstant emits one trace instant for a hit.
-func (c *Cache) hitInstant(key Key, tier string) {
-	c.scope.Instant("cache", "hit", map[string]interface{}{
-		"key": key.Canonical, "tier": tier,
-	})
 }
 
 // memGet looks the key up in the memory tier and, on a hit, marks it

@@ -27,8 +27,8 @@ const (
 	// PartitionRecoverySeconds prices one NetPartition recovery: the
 	// heartbeat window that converts silence into a declared death plus
 	// restoring the lost rank onto a respawned process. mpijm's
-	// RankRecoverySeconds derives the same figure from its lump model
-	// (mpijm builds on this package, so its test pins the two equal).
+	// TestRankRecoverySeconds derives the same figure from its lump model
+	// and pins the two equal.
 	PartitionRecoverySeconds = 45.0
 )
 
@@ -354,14 +354,8 @@ func (s *Sim) Admits(t Task, overhead float64) bool {
 	return t.Seconds+overhead <= s.RemainingSeconds()
 }
 
-// NodeGPUsFree returns the free GPU count of a node.
-func (s *Sim) NodeGPUsFree(id int) int { return s.nodes[id].gpusFree }
-
 // NodeCPUsFree returns the free CPU-slot count of a node.
 func (s *Sim) NodeCPUsFree(id int) int { return s.nodes[id].cpusFree }
-
-// NodeSpeed returns the node's intrinsic speed factor.
-func (s *Sim) NodeSpeed(id int) float64 { return s.nodes[id].speed }
 
 // FreeWholeNodes returns IDs of nodes with every GPU free, ascending.
 func (s *Sim) FreeWholeNodes() []int {

@@ -11,7 +11,6 @@ package contract
 
 import (
 	"math"
-	"math/cmplx"
 
 	"femtoverse/internal/dirac"
 	"femtoverse/internal/linalg"
@@ -51,223 +50,6 @@ func Pion2pt(p *prop.Propagator, t0 int) []float64 {
 						acc += real(v)*real(v) + imag(v)*imag(v)
 					}
 				}
-			}
-			return acc
-		})
-		out[(ts-t0+tExt)%tExt] = sum
-	}
-	return out
-}
-
-// Meson2pt returns the zero-momentum correlator of the meson with spin
-// structure Gamma:
-//
-//	C(t) = sum_x Tr[ Gamma S(x,0) Gamma gamma_5 S(x,0)^dag gamma_5 ],
-//
-// the generic bilinear two-point function (Gamma = gamma_5 is the pion
-// and reproduces Pion2pt exactly; Gamma = gamma_k averaged over k is the
-// rho; Gamma = 1 the scalar).
-func Meson2pt(p *prop.Propagator, t0 int, gamma linalg.SpinMatrix) []float64 {
-	g := p.G
-	tExt := g.T()
-	// C = Tr[Gamma S Gamma^dag gamma_5 S^dag gamma_5]. With M1 = Gamma S
-	// and M2 = S Gamma this reduces (gamma_5 diagonal = +-1) to the
-	// componentwise form
-	//
-	//	C = sum_{ij} s_i s_j M1[i][j] conj(M2[i][j]),
-	//
-	// where s_i is the gamma_5 sign of the spin part of index i. For
-	// Gamma = gamma_5 it collapses to sum |S|^2, i.e. Pion2pt.
-	sign := func(idx int) float64 {
-		if idx < 6 {
-			return 1
-		}
-		return -1
-	}
-	out := make([]float64, tExt)
-	for ts := 0; ts < tExt; ts++ {
-		slice := g.TimeSlice(ts)
-		sum := linalg.ReduceFloat64(len(slice), 0, func(lo, hi int) float64 {
-			acc := 0.0
-			for k := lo; k < hi; k++ {
-				m := p.At(slice[k])
-				var m1, m2 [12][12]complex128
-				for i := 0; i < 12; i++ {
-					si, ci := i/3, i%3
-					for j := 0; j < 12; j++ {
-						var a, b complex128
-						for s2 := 0; s2 < 4; s2++ {
-							if gamma[si][s2] != 0 {
-								a += gamma[si][s2] * m[s2*3+ci][j]
-							}
-						}
-						sj, cj := j/3, j%3
-						for s2 := 0; s2 < 4; s2++ {
-							if gamma[s2][sj] != 0 {
-								b += m[i][s2*3+cj] * gamma[s2][sj]
-							}
-						}
-						m1[i][j], m2[i][j] = a, b
-					}
-				}
-				for i := 0; i < 12; i++ {
-					for j := 0; j < 12; j++ {
-						v := m1[i][j] * complex(real(m2[i][j]), -imag(m2[i][j]))
-						acc += sign(i) * sign(j) * real(v)
-					}
-				}
-			}
-			return acc
-		})
-		out[(ts-t0+tExt)%tExt] = sum
-	}
-	return out
-}
-
-// CrossMeson2pt returns the mixed-bilinear correlator
-//
-//	C(t) = sum_x Tr[ Gsnk S(x,0) Gsrc^dag gamma_5 S(x,0)^dag gamma_5 ],
-//
-// with independent source and sink spin structures; the axial-
-// pseudoscalar correlator C_{A4 P} feeding the PCAC quark mass is the
-// production use.
-func CrossMeson2pt(p *prop.Propagator, t0 int, gSnk, gSrc linalg.SpinMatrix) []complex128 {
-	g := p.G
-	tExt := g.T()
-	sign := func(idx int) float64 {
-		if idx < 6 {
-			return 1
-		}
-		return -1
-	}
-	out := make([]complex128, tExt)
-	for ts := 0; ts < tExt; ts++ {
-		slice := g.TimeSlice(ts)
-		sum := linalg.ReduceComplex128(len(slice), 0, func(lo, hi int) complex128 {
-			var acc complex128
-			for k := lo; k < hi; k++ {
-				m := p.At(slice[k])
-				// M1 = Gsnk S, M2 = S Gsrc; C = sum s_i s_j M1 conj(M2).
-				for i := 0; i < 12; i++ {
-					si, ci := i/3, i%3
-					for j := 0; j < 12; j++ {
-						sj, cj := j/3, j%3
-						var a, b complex128
-						for s2 := 0; s2 < 4; s2++ {
-							if gSnk[si][s2] != 0 {
-								a += gSnk[si][s2] * m[s2*3+ci][j]
-							}
-							if gSrc[s2][sj] != 0 {
-								b += m[i][s2*3+cj] * gSrc[s2][sj]
-							}
-						}
-						acc += complex(sign(i)*sign(j), 0) * a *
-							complex(real(b), -imag(b))
-					}
-				}
-			}
-			return acc
-		})
-		out[(ts-t0+tExt)%tExt] = sum
-	}
-	return out
-}
-
-// PCACMass returns the partially-conserved-axial-current quark mass
-//
-//	m_PCAC(t) = d_t C_{A4 P}(t) / (2 C_{PP}(t)),
-//
-// with the symmetric lattice time derivative. For domain-wall fermions it
-// measures m + m_res: the Ward-identity check of the whole current
-// algebra. Entries where the derivative is undefined are NaN.
-func PCACMass(p *prop.Propagator, t0 int) []float64 {
-	g5 := linalg.Gamma(4)
-	a4 := linalg.Gamma(3).MulSM(g5) // gamma_t gamma_5
-	cap4 := CrossMeson2pt(p, t0, a4, g5)
-	cpp := Pion2pt(p, t0)
-	tExt := len(cpp)
-	out := make([]float64, tExt)
-	for t := range out {
-		if t == 0 || t == tExt-1 || cpp[t] == 0 {
-			out[t] = math.NaN()
-			continue
-		}
-		deriv := real(cap4[t+1]-cap4[t-1]) / 2
-		out[t] = deriv / (2 * cpp[t])
-	}
-	return out
-}
-
-// Rho2pt returns the vector-meson correlator averaged over the three
-// spatial polarizations.
-func Rho2pt(p *prop.Propagator, t0 int) []float64 {
-	tExt := p.G.T()
-	out := make([]float64, tExt)
-	for k := 0; k < 3; k++ {
-		c := Meson2pt(p, t0, linalg.Gamma(k))
-		for t := range out {
-			out[t] += c[t] / 3
-		}
-	}
-	return out
-}
-
-// Baryon2ptProjected is Proton2pt with an arbitrary sink spin projector
-// (ParityProjPlus gives the proton; (1 - gamma_t)/2 the negative-parity
-// partner propagating forward).
-func Baryon2ptProjected(u, d *prop.Propagator, t0 int, proj linalg.SpinMatrix) []complex128 {
-	g := u.G
-	tExt := g.T()
-	out := make([]complex128, tExt)
-	for ts := 0; ts < tExt; ts++ {
-		slice := g.TimeSlice(ts)
-		sum := linalg.ReduceComplex128(len(slice), 0, func(lo, hi int) complex128 {
-			var acc complex128
-			for k := lo; k < hi; k++ {
-				mu := u.At(slice[k])
-				md := d.At(slice[k])
-				acc += protonSite(mu, mu, sTilde(md), proj)
-			}
-			return acc
-		})
-		out[(ts-t0+tExt)%tExt] = sum
-	}
-	return out
-}
-
-// Pion2ptMom returns the pion correlator projected onto spatial momentum
-// p = (2 pi / L) * mom at the sink:
-//
-//	C(t; p) = sum_x exp(-i p . x) Tr[S(x,0) S(x,0)^dag].
-//
-// The free-field dispersion relation E(p)^2 ~ m^2 + p_hat^2 built from
-// these is one of the validation tests of the Dirac stack.
-func Pion2ptMom(p *prop.Propagator, t0 int, mom [3]int) []complex128 {
-	g := p.G
-	tExt := g.T()
-	out := make([]complex128, tExt)
-	kx := 2 * math.Pi * float64(mom[0]) / float64(g.Dims[0])
-	ky := 2 * math.Pi * float64(mom[1]) / float64(g.Dims[1])
-	kz := 2 * math.Pi * float64(mom[2]) / float64(g.Dims[2])
-	for ts := 0; ts < tExt; ts++ {
-		slice := g.TimeSlice(ts)
-		sum := linalg.ReduceComplex128(len(slice), 0, func(lo, hi int) complex128 {
-			var acc complex128
-			for k := lo; k < hi; k++ {
-				site := slice[k]
-				c := g.Coords(site)
-				phase := kx*float64(c[0]) + ky*float64(c[1]) + kz*float64(c[2])
-				ph := complex(math.Cos(phase), -math.Sin(phase))
-				base := site * dirac.SpinorLen
-				dens := 0.0
-				for j := 0; j < prop.NComp; j++ {
-					col := p.Col[j]
-					for i := 0; i < prop.NComp; i++ {
-						v := col[base+i]
-						dens += real(v)*real(v) + imag(v)*imag(v)
-					}
-				}
-				acc += ph * complex(dens, 0)
 			}
 			return acc
 		})
@@ -411,21 +193,6 @@ func Real(c []complex128) []float64 {
 		out[i] = real(v)
 	}
 	return out
-}
-
-// MaxImagFraction reports max |Im C(t)| / |C(t)|, a contraction sanity
-// metric (should be small for ensemble averages, exactly tiny for
-// single-configuration tests only up to statistical noise).
-func MaxImagFraction(c []complex128) float64 {
-	worst := 0.0
-	for _, v := range c {
-		if a := cmplx.Abs(v); a > 0 {
-			if f := math.Abs(imag(v)) / a; f > worst {
-				worst = f
-			}
-		}
-	}
-	return worst
 }
 
 // EffectiveMass returns m_eff(t) = log(C(t)/C(t+1)) for t in

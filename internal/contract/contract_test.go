@@ -1,6 +1,7 @@
 package contract
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"testing"
@@ -144,7 +145,7 @@ func TestFH3ptLinearAndZero(t *testing.T) {
 			t.Fatalf("zero FH propagators gave C3(%d) = %v", i, v)
 		}
 	}
-	fh, err := qs.FHPropagator(p, linalg.AxialGamma())
+	fh, err := qs.FHPropagatorCtx(context.Background(), p, linalg.AxialGamma())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,14 +197,5 @@ func TestEffectiveGARecoversLinearSlope(t *testing.T) {
 		if math.Abs(v-ga) > 1e-12 {
 			t.Fatalf("g_eff(%d) = %g, want %g", i, v, ga)
 		}
-	}
-}
-
-func TestMaxImagFraction(t *testing.T) {
-	c := []complex128{1, complex(1, 0.5)}
-	f := MaxImagFraction(c)
-	want := 0.5 / math.Hypot(1, 0.5)
-	if math.Abs(f-want) > 1e-14 {
-		t.Fatalf("MaxImagFraction = %g, want %g", f, want)
 	}
 }

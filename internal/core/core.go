@@ -118,8 +118,19 @@ func DefaultRealConfig() RealConfig {
 const MinConfigs = 2
 
 // Validate rejects a spec the pipeline cannot finish, so that callers get
-// an error up front instead of a panic from the analysis at the end.
+// an error up front instead of a failed first solve or a panic from the
+// analysis at the end. The extent rule is lattice.New's - every extent
+// even and at least 2, for red-black preconditioning - checked without
+// building the geometry.
 func (cfg RealConfig) Validate() error {
+	for mu, d := range cfg.Dims {
+		if d < 2 || d%2 != 0 {
+			return fmt.Errorf("core: extent %d in direction %d; need an even extent >= 2", d, mu)
+		}
+	}
+	if err := cfg.Params.Validate(); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
 	if cfg.NConfigs < MinConfigs {
 		return fmt.Errorf("core: NConfigs = %d; the jackknife over configurations needs at least %d", cfg.NConfigs, MinConfigs)
 	}
@@ -163,16 +174,4 @@ func Run(ctx context.Context, cfg RealConfig, opts RunOptions) (*RealResult, *jo
 func RunReal(cfg RealConfig) (*RealResult, error) {
 	res, _, err := Run(context.Background(), cfg, RunOptions{})
 	return res, err
-}
-
-// TimeToSolution quantifies the exponential advantage: samplesNeeded
-// returns how many samples each method needs to reach a target absolute
-// error, given a measured (error, samples) operating point and 1/sqrt(N)
-// scaling.
-func TimeToSolution(measuredErr float64, measuredSamples int, targetErr float64) float64 {
-	if targetErr <= 0 {
-		return 0
-	}
-	r := measuredErr / targetErr
-	return float64(measuredSamples) * r * r
 }

@@ -114,15 +114,3 @@ func TestRunRealRejectsSingleConfiguration(t *testing.T) {
 		t.Error("Run accepted NConfigs = 1")
 	}
 }
-
-func TestTimeToSolutionScaling(t *testing.T) {
-	// Halving the target error requires 4x the samples.
-	n1 := TimeToSolution(0.01, 100, 0.01)
-	n2 := TimeToSolution(0.01, 100, 0.005)
-	if math.Abs(n1-100) > 1e-9 || math.Abs(n2-400) > 1e-9 {
-		t.Fatalf("scaling wrong: %v %v", n1, n2)
-	}
-	if TimeToSolution(0.01, 100, 0) != 0 {
-		t.Fatal("degenerate target")
-	}
-}

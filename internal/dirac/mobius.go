@@ -157,18 +157,6 @@ func (m *Mobius) ApplyDagger(dst, src []complex128) {
 	})
 }
 
-// Gamma5R5 computes dst_s = gamma_5 src_{Ls-1-s}, the 5-D chirality
-// operator of the domain-wall formulation. dst must not alias src.
-func Gamma5R5(dst, src []complex128, ls int) {
-	if len(dst) != len(src) || len(src)%ls != 0 {
-		panic("dirac: Gamma5R5 size mismatch")
-	}
-	vol4 := len(src) / ls
-	for s := 0; s < ls; s++ {
-		Gamma5(dst[s*vol4:(s+1)*vol4], src[(ls-1-s)*vol4:(ls-1-s)*vol4+vol4])
-	}
-}
-
 // Flops returns the flop count of one Apply: Ls Wilson applications plus
 // the fifth-dimension and Mobius axpy arithmetic (8 real ops per complex
 // component for the two elementwise passes plus the chi construction).

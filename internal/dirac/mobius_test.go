@@ -141,19 +141,6 @@ func TestMobiusParamValidation(t *testing.T) {
 	}
 }
 
-func TestGamma5R5IsInvolution(t *testing.T) {
-	m := testMobius(t, 37)
-	rng := rand.New(rand.NewSource(4))
-	src := randField(rng, m.Size())
-	a := make([]complex128, m.Size())
-	b := make([]complex128, m.Size())
-	Gamma5R5(a, src, m.Ls)
-	Gamma5R5(b, a, m.Ls)
-	if d := fieldDist(b, src); d > 0 {
-		t.Fatalf("(gamma_5 R5)^2 != 1: %g", d)
-	}
-}
-
 func TestMobiusLinearity(t *testing.T) {
 	m := testMobius(t, 39)
 	rng := rand.New(rand.NewSource(5))

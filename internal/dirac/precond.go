@@ -212,12 +212,3 @@ func (p *MobiusEO) FlopsPerApply() int64 {
 	m5inv := hv * ls * ls * SpinorLen * 8
 	return hop + bAndA + m5inv
 }
-
-// PaperFlopsPerSite5D returns the per-5-D-site flop count of one normal
-// equation CG iteration (two Schur applications plus BLAS-1), which lands
-// in the paper's quoted 10,000-12,000 range for production Ls.
-func (p *MobiusEO) PaperFlopsPerSite5D() float64 {
-	perApply := float64(p.FlopsPerApply()) / float64(p.HalfVol()*p.M.Ls)
-	blas := 100.0 // paper: 50-100 flops/site of BLAS-1 per iteration
-	return 2*perApply + blas
-}

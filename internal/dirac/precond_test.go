@@ -158,28 +158,6 @@ func TestGatherScatterParity5DRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPaperFlopsPerSiteInQuotedRange(t *testing.T) {
-	// With a production-like Ls = 12..20, the per-5-D-site CG iteration
-	// cost must land in the paper's quoted 10,000-12,000 flop window
-	// (dominated by the Wilson hopping; M5inv adds the Ls dependence).
-	g := lattice.MustNew(4, 4, 4, 8)
-	cfg := gauge.NewUnit(g)
-	for _, ls := range []int{12, 16, 20} {
-		m, err := NewMobius(cfg, MobiusParams{Ls: ls, M5: 1.8, B5: 1.5, C5: 0.5, M: 0.01})
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := NewMobiusEO(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f := p.PaperFlopsPerSite5D()
-		if f < 6000 || f > 14000 {
-			t.Fatalf("Ls=%d: %g flops per 5-D site, outside plausible window", ls, f)
-		}
-	}
-}
-
 func TestHopHalfMatchesFullWilsonHopping(t *testing.T) {
 	// Hopping on half fields must agree with (Dw - diag) on the full
 	// lattice restricted to one parity.

@@ -115,16 +115,6 @@ func (d *Dist) Size() int { return d.G.Vol * spinorLen }
 // Ranks returns the process count.
 func (d *Dist) Ranks() int { return len(d.ranks) }
 
-// Specs returns a copy of the per-rank subdomain specs (for checkpointing
-// and for shipping subdomains to worker processes).
-func (d *Dist) Specs() []SubSpec {
-	out := make([]SubSpec, len(d.ranks))
-	for i, rk := range d.ranks {
-		out[i] = rk.sub.Spec
-	}
-	return out
-}
-
 // stages is what one distributed application runs on every rank between
 // the scatter and the gather. The gamma_5 sandwiches are applied where
 // the field lives: a sign flip is exact, so it commutes bit-for-bit with

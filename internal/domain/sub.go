@@ -83,15 +83,6 @@ func (sp *SubSpec) FaceSites(mu int) int {
 	return n
 }
 
-// LocalVol returns the subdomain's site count.
-func (sp *SubSpec) LocalVol() int {
-	n := 1
-	for mu := 0; mu < lattice.NDim; mu++ {
-		n *= sp.Local[mu]
-	}
-	return n
-}
-
 // BuildSpecs decomposes the gauge field over the grid into one spec per
 // rank - the coordinator-side half of NewDist, exported so the wire
 // layer can ship subdomains to worker processes and checkpoint them.
@@ -319,9 +310,6 @@ func NewSub(spec SubSpec) (*Sub, error) {
 // the plan the wire workers send by and the communication model prices.
 // The caller must not modify it.
 func (sub *Sub) HaloPeers() []HaloPeer { return sub.peers }
-
-// LocalLen returns the length of the local field vectors.
-func (sub *Sub) LocalLen() int { return len(sub.src) }
 
 // FaceLen returns the complex length of one spinor face in dimension mu.
 func (sub *Sub) FaceLen(mu int) int { return len(sub.faceSites[mu][0]) * spinorLen }

@@ -86,12 +86,6 @@ func (p FHParams) RMean(t float64) float64 {
 	return p.GA*t + p.C0 + p.K1*math.Exp(-p.DE*t)
 }
 
-// GeffMean returns the noiseless effective coupling g_eff(t) =
-// R(t+1) - R(t) = gA + contamination(t).
-func (p FHParams) GeffMean(t float64) float64 {
-	return p.RMean(t+1) - p.RMean(t)
-}
-
 // ar1 fills eta with a unit-variance AR(1) chain of correlation rho.
 func ar1(rng *rand.Rand, eta []float64, rho float64) {
 	drive := math.Sqrt(1 - rho*rho)

@@ -1,9 +1,8 @@
-// Package fit provides the correlated nonlinear least-squares machinery of
-// the gA analysis: a Levenberg-Marquardt minimiser with numerical
-// Jacobians, chi-square against either independent errors or a full
-// covariance matrix, and the specific fit models of the paper's Fig. 1 -
-// the effective-coupling plateau with excited-state contamination, and
-// multi-exponential two-point functions.
+// Package fit provides the nonlinear least-squares machinery of the gA
+// analysis: a Levenberg-Marquardt minimiser with numerical Jacobians,
+// chi-square against independent errors, and the fit models of the
+// paper's Fig. 1 - the effective-coupling plateau with excited-state
+// contamination, and the traditional fixed-sink ratio.
 package fit
 
 import (
@@ -34,37 +33,26 @@ func (r Result) Chi2PerDOF() float64 {
 	return r.Chi2 / float64(r.DOF)
 }
 
-// Options tunes the minimiser; zero values select the defaults.
-type Options struct {
-	MaxIter int     // default 200
-	Tol     float64 // relative chi2 improvement convergence, default 1e-10
-	Lambda0 float64 // initial damping, default 1e-3
-}
-
-func (o Options) withDefaults() Options {
-	if o.MaxIter <= 0 {
-		o.MaxIter = 200
-	}
-	if o.Tol <= 0 {
-		o.Tol = 1e-10
-	}
-	if o.Lambda0 <= 0 {
-		o.Lambda0 = 1e-3
-	}
-	return o
-}
+// The minimiser's settings: the iteration cap, the relative chi2
+// improvement that counts as converged, and the initial damping.
+const (
+	maxIter = 200
+	tol     = 1e-10
+	lambda0 = 1e-3
+)
 
 // ErrSingular is returned when the normal equations cannot be solved even
 // with heavy damping.
 var ErrSingular = errors.New("fit: singular normal equations")
 
-// Problem is a correlated least-squares problem: minimise
-// r^T W r with r_i = y_i - f(p, x_i) and W the inverse covariance.
+// Problem is a weighted least-squares problem: minimise r^T W r with
+// r_i = y_i - f(p, x_i) and W the weight matrix.
 type Problem struct {
 	F  Func
 	Xs []float64
 	Ys []float64
-	// W is the inverse covariance (weight) matrix, row-major n x n.
+	// W is the weight matrix, row-major n x n: diag(1/sigma_i^2) from
+	// NewUncorrelated.
 	W []float64
 }
 
@@ -80,19 +68,6 @@ func NewUncorrelated(f Func, xs, ys, sigmas []float64) (*Problem, error) {
 			return nil, fmt.Errorf("fit: sigma[%d] = %g must be positive", i, s)
 		}
 		w[i*n+i] = 1 / (s * s)
-	}
-	return &Problem{F: f, Xs: xs, Ys: ys, W: w}, nil
-}
-
-// NewCorrelated builds a Problem from a covariance matrix, inverting it.
-func NewCorrelated(f Func, xs, ys, cov []float64) (*Problem, error) {
-	n := len(xs)
-	if len(ys) != n || len(cov) != n*n {
-		return nil, fmt.Errorf("fit: covariance shape mismatch")
-	}
-	w, err := linalg.InvReal(n, cov)
-	if err != nil {
-		return nil, fmt.Errorf("fit: covariance not invertible: %w", err)
 	}
 	return &Problem{F: f, Xs: xs, Ys: ys, W: w}, nil
 }
@@ -135,8 +110,7 @@ func (p *Problem) jacobian(params []float64) []float64 {
 }
 
 // Solve runs Levenberg-Marquardt from the initial guess p0.
-func (p *Problem) Solve(p0 []float64, opt Options) (Result, error) {
-	opt = opt.withDefaults()
+func (p *Problem) Solve(p0 []float64) (Result, error) {
 	n := len(p.Xs)
 	k := len(p0)
 	if n < k {
@@ -144,7 +118,7 @@ func (p *Problem) Solve(p0 []float64, opt Options) (Result, error) {
 	}
 	params := append([]float64(nil), p0...)
 	chi2 := p.Chi2(params)
-	lambda := opt.Lambda0
+	lambda := lambda0
 	res := Result{DOF: n - k}
 
 	r := make([]float64, n)
@@ -152,7 +126,7 @@ func (p *Problem) Solve(p0 []float64, opt Options) (Result, error) {
 	hess := make([]float64, k*k)
 	damped := make([]float64, k*k)
 
-	for iter := 0; iter < opt.MaxIter; iter++ {
+	for iter := 0; iter < maxIter; iter++ {
 		res.Iterations = iter + 1
 		jac := p.jacobian(params)
 		for i := 0; i < n; i++ {
@@ -213,7 +187,7 @@ func (p *Problem) Solve(p0 []float64, opt Options) (Result, error) {
 				chi2 = trialChi2
 				lambda = math.Max(lambda*0.3, 1e-12)
 				improved = true
-				if rel < opt.Tol {
+				if rel < tol {
 					res.Params = params
 					res.Chi2 = chi2
 					res.Converged = true
@@ -244,15 +218,6 @@ func (p *Problem) Solve(p0 []float64, opt Options) (Result, error) {
 }
 
 // Models of the gA analysis.
-
-// SingleExp is A * exp(-m x) with params = [A, m].
-func SingleExp(p []float64, x float64) float64 { return p[0] * math.Exp(-p[1]*x) }
-
-// TwoExp is A0 exp(-m0 x) (1 + A1 exp(-dE x)) with params = [A0, m0, A1, dE]
-// and dE > 0 enforced softly by |dE|.
-func TwoExp(p []float64, x float64) float64 {
-	return p[0] * math.Exp(-p[1]*x) * (1 + p[2]*math.Exp(-math.Abs(p[3])*x))
-}
 
 // GeffModel is the paper's Fig. 1 fit form for the effective coupling:
 // g_eff(t) = gA + c1 * exp(-dE t), params = [gA, c1, dE]; the excited

@@ -186,20 +186,6 @@ func (f *Field) FlipTimeBoundary() {
 	}
 }
 
-// MaxUnitarityError returns the worst-case ||U U^dag - 1||_F over all
-// links, a cheap validation used after I/O and long update chains.
-func (f *Field) MaxUnitarityError() float64 {
-	worst := 0.0
-	for mu := 0; mu < lattice.NDim; mu++ {
-		for s := range f.U[mu] {
-			if e := f.U[mu][s].UnitarityError(); e > worst {
-				worst = e
-			}
-		}
-	}
-	return worst
-}
-
 // Ensemble generates n configurations separated by nSweeps Metropolis
 // sweeps at coupling beta after nTherm thermalisation sweeps, mimicking
 // the Monte Carlo ensembles of the paper's workflow. The returned slice

@@ -81,9 +81,6 @@ func (d *Dataset) Len() int {
 	return n
 }
 
-// SizeBytes returns the payload size.
-func (d *Dataset) SizeBytes() int { return len(d.raw) }
-
 // Group is a node of the container tree.
 type Group struct {
 	name     string
@@ -172,16 +169,6 @@ func (g *Group) AttrFloat(key string) (float64, error) {
 		return 0, fmt.Errorf("hio: attribute %q = %q is not numeric", key, v)
 	}
 	return f, nil
-}
-
-// Groups lists child group names, sorted.
-func (g *Group) Groups() []string {
-	out := make([]string, 0, len(g.children))
-	for n := range g.children {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Datasets lists dataset names, sorted.
@@ -313,19 +300,6 @@ func (g *Group) ReadBytes(name string) ([]byte, error) {
 		return nil, err
 	}
 	return append([]byte(nil), d.raw...), nil
-}
-
-// TotalBytes sums all dataset payloads under g, recursively: the quantity
-// the workflow's I/O-time accounting uses.
-func (g *Group) TotalBytes() int {
-	total := 0
-	for _, d := range g.datasets {
-		total += d.SizeBytes()
-	}
-	for _, c := range g.children {
-		total += c.TotalBytes()
-	}
-	return total
 }
 
 // Serialization: little-endian, length-prefixed strings, depth-first tree.

@@ -63,15 +63,6 @@ func (d *Decomposition) LocalVolume4D() int {
 // LocalVolume5D returns the number of 5-D sites per rank.
 func (d *Decomposition) LocalVolume5D() int { return d.LocalVolume4D() * d.Ls }
 
-// GlobalVolume4D returns the total number of 4-D sites.
-func (d *Decomposition) GlobalVolume4D() int {
-	v := 1
-	for _, l := range d.Global {
-		v *= l
-	}
-	return v
-}
-
 // Partitioned reports whether direction mu is split across processes (and
 // therefore requires halo exchange rather than local wraparound).
 func (d *Decomposition) Partitioned(mu int) bool { return d.Grid[mu] > 1 }

@@ -60,18 +60,6 @@ func NewEvenOdd(g *Geometry) *EvenOdd {
 // HalfVol returns the number of sites in one parity block.
 func (eo *EvenOdd) HalfVol() int { return eo.G.Vol / 2 }
 
-// Neighbor returns, for the i-th site of parity p, the index within the
-// opposite parity block of its neighbour in direction mu (dir = +1
-// forward, -1 backward). All four-dimensional neighbours of a site have
-// opposite parity, which is what makes red-black preconditioning exact.
-func (eo *EvenOdd) Neighbor(p, i, mu, dir int) int {
-	b := 0
-	if dir <= 0 {
-		b = 1
-	}
-	return int(eo.Hops[p][2*NDim*i+2*mu+b].Site)
-}
-
 // GatherParity extracts the parity-p sites of a lexicographic field with
 // the given number of complex components per site into dst (contiguous
 // even-odd ordering).

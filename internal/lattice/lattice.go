@@ -21,7 +21,6 @@ type Geometry struct {
 	fwd    [][NDim]int32 // fwd[site][mu]: site + mu-hat with periodic wrap
 	bwd    [][NDim]int32 // bwd[site][mu]: site - mu-hat with periodic wrap
 	parity []uint8       // (x+y+z+t) mod 2 per site
-	nEven  int
 }
 
 // New builds a Geometry for the given extents. All extents must be >= 2 so
@@ -59,7 +58,6 @@ func New(dims [NDim]int) (*Geometry, error) {
 		}
 		g.parity[s] = uint8(sum % 2)
 	}
-	g.nEven = vol / 2
 	return g, nil
 }
 
@@ -102,9 +100,6 @@ func (g *Geometry) Bwd(s, mu int) int { return int(g.bwd[s][mu]) }
 // Parity returns 0 for even sites and 1 for odd sites.
 func (g *Geometry) Parity(s int) int { return int(g.parity[s]) }
 
-// NEven returns the number of even-parity sites (always Vol/2 here).
-func (g *Geometry) NEven() int { return g.nEven }
-
 // TimeSlice returns all lexicographic site indices with time coordinate t,
 // in increasing spatial order; used by correlator accumulation.
 func (g *Geometry) TimeSlice(t int) []int {
@@ -116,9 +111,6 @@ func (g *Geometry) TimeSlice(t int) []int {
 	}
 	return out
 }
-
-// SpatialVol returns the number of sites per time slice.
-func (g *Geometry) SpatialVol() int { return g.Dims[0] * g.Dims[1] * g.Dims[2] }
 
 // T returns the temporal extent.
 func (g *Geometry) T() int { return g.Dims[3] }

@@ -89,7 +89,7 @@ func TestParityBalance(t *testing.T) {
 			n++
 		}
 	}
-	if n != g.Vol/2 || g.NEven() != g.Vol/2 {
+	if n != g.Vol/2 {
 		t.Fatalf("even sites %d of %d", n, g.Vol)
 	}
 }
@@ -108,7 +108,7 @@ func TestTimeSliceCoversLattice(t *testing.T) {
 	total := 0
 	for tt := 0; tt < g.T(); tt++ {
 		sl := g.TimeSlice(tt)
-		if len(sl) != g.SpatialVol() {
+		if len(sl) != g.Dims[0]*g.Dims[1]*g.Dims[2] {
 			t.Fatalf("slice %d has %d sites", tt, len(sl))
 		}
 		for _, s := range sl {
@@ -148,11 +148,11 @@ func TestEvenOddNeighborConsistency(t *testing.T) {
 		for i := 0; i < eo.HalfVol(); i++ {
 			lex := int(eo.EOToLex[p][i])
 			for mu := 0; mu < NDim; mu++ {
-				nEO := eo.Neighbor(p, i, mu, +1)
+				nEO := int(eo.Hops[p][2*NDim*i+2*mu].Site)
 				if int(eo.EOToLex[1-p][nEO]) != g.Fwd(lex, mu) {
 					t.Fatalf("fwd EO neighbour mismatch p=%d i=%d mu=%d", p, i, mu)
 				}
-				nEO = eo.Neighbor(p, i, mu, -1)
+				nEO = int(eo.Hops[p][2*NDim*i+2*mu+1].Site)
 				if int(eo.EOToLex[1-p][nEO]) != g.Bwd(lex, mu) {
 					t.Fatalf("bwd EO neighbour mismatch p=%d i=%d mu=%d", p, i, mu)
 				}
@@ -245,7 +245,11 @@ func TestBestGridProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return d.Ranks() == ranks && d.LocalVolume4D()*ranks == d.GlobalVolume4D()
+		global := 1
+		for _, l := range d.Global {
+			global *= l
+		}
+		return d.Ranks() == ranks && d.LocalVolume4D()*ranks == global
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)

@@ -7,13 +7,6 @@ import "math"
 // bandwidth-bound). Each kernel takes an explicit worker count so the
 // run-time autotuner can search over it; workers <= 0 means DefaultWorkers.
 
-// Zero sets every element of v to zero.
-func Zero(v []complex128) {
-	for i := range v {
-		v[i] = 0
-	}
-}
-
 // Copy copies src into dst. The slices must have equal length.
 func Copy(dst, src []complex128) {
 	if len(dst) != len(src) {

@@ -106,23 +106,6 @@ func InvReal(n int, a []float64) ([]float64, error) {
 	return inv, nil
 }
 
-// MatMulReal returns the product of two row-major n x n matrices.
-func MatMulReal(n int, a, b []float64) []float64 {
-	c := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		for k := 0; k < n; k++ {
-			aik := a[i*n+k]
-			if aik == 0 {
-				continue
-			}
-			for j := 0; j < n; j++ {
-				c[i*n+j] += aik * b[k*n+j]
-			}
-		}
-	}
-	return c
-}
-
 // TransposeReal returns the transpose of a row-major n x n matrix.
 func TransposeReal(n int, a []float64) []float64 {
 	t := make([]float64, n*n)

@@ -52,7 +52,7 @@ func TestInvRealTimesMatrixIsIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prod := MatMulReal(n, a, inv)
+	prod := matMulReal(n, a, inv)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			want := 0.0
@@ -149,4 +149,21 @@ func TestSolveInverseConsistencyProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// matMulReal returns the product of two row-major n x n matrices.
+func matMulReal(n int, a, b []float64) []float64 {
+	c := make([]float64, n*n)
+	for i := 0; i < n; i++ {
+		for k := 0; k < n; k++ {
+			aik := a[i*n+k]
+			if aik == 0 {
+				continue
+			}
+			for j := 0; j < n; j++ {
+				c[i*n+j] += aik * b[k*n+j]
+			}
+		}
+	}
+	return c
 }

@@ -89,17 +89,6 @@ func (a SpinMatrix) ScaleSM(s complex128) SpinMatrix {
 	return c
 }
 
-// TransposeSM returns a^T.
-func (a SpinMatrix) TransposeSM() SpinMatrix {
-	var c SpinMatrix
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			c[i][j] = a[j][i]
-		}
-	}
-	return c
-}
-
 // AdjSM returns a^dagger.
 func (a SpinMatrix) AdjSM() SpinMatrix {
 	var c SpinMatrix
@@ -115,18 +104,6 @@ func (a SpinMatrix) AdjSM() SpinMatrix {
 // TraceSM returns tr(a).
 func (a SpinMatrix) TraceSM() complex128 {
 	return a[0][0] + a[1][1] + a[2][2] + a[3][3]
-}
-
-// DistSM returns the Frobenius distance between a and b.
-func (a SpinMatrix) DistSM(b SpinMatrix) float64 {
-	s := 0.0
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			d := a[i][j] - b[i][j]
-			s += real(d)*real(d) + imag(d)*imag(d)
-		}
-	}
-	return s
 }
 
 // ChargeConj returns the charge-conjugation matrix C = gamma_t gamma_y in
@@ -151,16 +128,6 @@ func ParityProjPlus() SpinMatrix {
 // current A_3 whose nucleon matrix element is gA.
 func AxialGamma() SpinMatrix {
 	return Gamma(2).MulSM(Gamma(4))
-}
-
-// ChiralProj applies the chiral projector P+- = (1 +- gamma_5)/2 to a spin
-// index: in this basis P+ keeps spins {0,1} and P- keeps spins {2,3}.
-// sign must be +1 or -1; it returns whether the spin survives projection.
-func ChiralProj(sign int, spin int) bool {
-	if sign > 0 {
-		return spin < 2
-	}
-	return spin >= 2
 }
 
 // TensorGamma returns sigma_{xy} = (i/2)[gamma_x, gamma_y] = i gamma_x

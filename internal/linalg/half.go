@@ -223,10 +223,6 @@ func roundHalfAway(x float64) int32 {
 	return t + int32(2*(x-float64(t)))
 }
 
-// RelError bounds the worst-case relative quantization error of a block
-// whose max magnitude is scale: half a quantum over the scale.
-func RelError() float64 { return 0.5 / halfMax }
-
 // absf32 clears the sign bit. A comparison with zero would be a branch
 // on the sign of field data, which the predictor loses half the time: it
 // was most of what the C64 codec cost.

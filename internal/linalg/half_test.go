@@ -23,7 +23,7 @@ func TestHalfRoundTripErrorBound(t *testing.T) {
 			got := d[b*block+i]
 			// Componentwise absolute error bounded by half a quantum of
 			// the block scale (plus float32 scale rounding).
-			bound := m*RelError()*1.01 + 1e-7*m
+			bound := m*(0.5/halfMax)*1.01 + 1e-7*m
 			if e := math.Abs(real(c) - real(got)); e > bound {
 				t.Fatalf("block %d elem %d re err %g > %g", b, i, e, bound)
 			}

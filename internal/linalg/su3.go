@@ -68,13 +68,6 @@ func (a SU3) Trace() complex128 {
 	return a[0][0] + a[1][1] + a[2][2]
 }
 
-// Det returns det(a).
-func (a SU3) Det() complex128 {
-	return a[0][0]*(a[1][1]*a[2][2]-a[1][2]*a[2][1]) -
-		a[0][1]*(a[1][0]*a[2][2]-a[1][2]*a[2][0]) +
-		a[0][2]*(a[1][0]*a[2][1]-a[1][1]*a[2][0])
-}
-
 // MulVec computes w = a*v for a color 3-vector held at stride 1.
 func (a SU3) MulVec(v *[3]complex128) [3]complex128 {
 	var w [3]complex128
@@ -110,8 +103,8 @@ func (a SU3) DistFrom(b SU3) float64 {
 	return math.Sqrt(s)
 }
 
-// UnitarityError returns ||a a^dagger - 1||_F, a cheap gauge-field sanity
-// metric used by configuration I/O validation.
+// UnitarityError returns ||a a^dagger - 1||_F, the sanity metric the
+// tests hold generated and reunitarized links to.
 func (a SU3) UnitarityError() float64 {
 	return a.Mul(a.Adj()).DistFrom(IdentitySU3())
 }

@@ -67,12 +67,6 @@ type Machine struct {
 	// co-scheduling contractions with GPU solves.
 	CPUSlotsPerNode int
 
-	// GPUMemoryGB is the device memory per GPU, which sets the minimum
-	// GPU count for a given lattice (the paper: "we will in general need
-	// a minimum number of GPUs for a given calculation due to memory
-	// overheads").
-	GPUMemoryGB float64
-
 	// Software stack (Table II bottom rows).
 	GCC, MPI, CUDA string
 }
@@ -87,9 +81,6 @@ func (m Machine) MemBWPerGPUGB() float64 { return m.GPUBWPerNodeGB / float64(m.G
 // per GPU (GB/s) at the best operating point.
 func (m Machine) EffectiveBWPerGPUGB() float64 { return m.MemBWPerGPUGB() * m.CacheAmp }
 
-// TotalGPUs returns the machine-wide GPU count.
-func (m Machine) TotalGPUs() int { return m.Nodes * m.GPUsPerNode }
-
 // Titan returns the Cray XK7 at OLCF (the previous state of the art the
 // paper compares against).
 func Titan() Machine {
@@ -101,7 +92,6 @@ func Titan() Machine {
 		CacheAmp:        139.0 / 250.0,
 		GPUDirectRDMA:   true, // Gemini-era GPUDirect was available
 		CPUSlotsPerNode: 16,
-		GPUMemoryGB:     6, // K20X
 		GCC:             "4.9.3", MPI: "Cray MPICH 7.6.3", CUDA: "7.5.18",
 	}
 }
@@ -116,7 +106,6 @@ func Ray() Machine {
 		CacheAmp:        516.0 / 720.0,
 		GPUDirectRDMA:   true,
 		CPUSlotsPerNode: 20,
-		GPUMemoryGB:     16, // P100
 		GCC:             "4.9.3", MPI: "Spectrum 2017.04.03", CUDA: "9.0.176",
 	}
 }
@@ -131,7 +120,6 @@ func Sierra() Machine {
 		CacheAmp:        975.0 / 900.0,
 		GPUDirectRDMA:   false, // not supported at submission time (paper V)
 		CPUSlotsPerNode: 40,
-		GPUMemoryGB:     16, // V100
 		GCC:             "4.9.3", MPI: "MVAPICH2 2.3", CUDA: "9.2.148",
 	}
 }
@@ -146,7 +134,6 @@ func Summit() Machine {
 		CacheAmp:        975.0 / 900.0,
 		GPUDirectRDMA:   false,
 		CPUSlotsPerNode: 42,
-		GPUMemoryGB:     16, // V100
 		GCC:             "4.8.5", MPI: "Spectrum 2018.01.10", CUDA: "9.1.85",
 	}
 }
@@ -154,22 +141,4 @@ func Summit() Machine {
 // All returns the four systems in the paper's Table II order.
 func All() []Machine {
 	return []Machine{Titan(), Ray(), Sierra(), Summit()}
-}
-
-// ByName looks a machine up case-sensitively.
-func ByName(name string) (Machine, error) {
-	for _, m := range All() {
-		if m.Name == name {
-			return m, nil
-		}
-	}
-	return Machine{}, fmt.Errorf("machine: unknown system %q", name)
-}
-
-// SpeedupOver returns the per-GPU raw solver speedup of m over base at
-// the calibrated best operating points, the quantity behind the paper's
-// "machine-to-machine speed up ... a factor of approximately 12 and 15".
-func (m Machine) SpeedupOver(base Machine, jobGPUsM, jobGPUsBase int) float64 {
-	return m.EffectiveBWPerGPUGB() * float64(jobGPUsM) /
-		(base.EffectiveBWPerGPUGB() * float64(jobGPUsBase))
 }

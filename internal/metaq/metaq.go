@@ -17,10 +17,11 @@ type Policy struct {
 	// notes separate invocations "can become taxing on the service
 	// nodes"). Default 15.
 	LaunchOverhead float64
-	// ScatterPenalty is the speed factor of a task placed on
-	// non-contiguous nodes. Default 0.92.
-	ScatterPenalty float64
 }
+
+// scatterPenalty is the speed factor of a task placed on non-contiguous
+// nodes.
+const scatterPenalty = 0.92
 
 // Name implements cluster.Policy.
 func (Policy) Name() string { return "metaq" }
@@ -34,13 +35,6 @@ func (p Policy) overhead() float64 {
 		return p.LaunchOverhead
 	}
 	return 15
-}
-
-func (p Policy) scatter() float64 {
-	if p.ScatterPenalty > 0 && p.ScatterPenalty <= 1 {
-		return p.ScatterPenalty
-	}
-	return 0.92
 }
 
 // Dispatch implements cluster.Policy: walk the queue in order and start
@@ -68,7 +62,7 @@ func (p Policy) Dispatch(s *cluster.Sim) []cluster.Start {
 			free = free[need:]
 			penalty := 1.0
 			if !isContiguous(nodes) {
-				penalty = p.scatter()
+				penalty = scatterPenalty
 			}
 			starts = append(starts, cluster.Start{
 				TaskID:       id,

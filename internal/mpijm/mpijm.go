@@ -13,7 +13,6 @@ package mpijm
 
 import (
 	"fmt"
-	"math"
 
 	"femtoverse/internal/cluster"
 )
@@ -283,25 +282,3 @@ func LumpStartupSeconds(nodes, lumpNodes int) float64 {
 // ConnectSeconds is the lump-connection component alone (the paper: "In
 // less than one minute, all lumps were connected").
 func ConnectSeconds() float64 { return 40 }
-
-// heartbeatDetectSeconds is the window the wire coordinator waits before
-// converting a rank's silence into a declared death (missed-beat budget
-// times the beat interval, internal/wire defaults).
-const heartbeatDetectSeconds = 5.0
-
-// RankRecoverySeconds prices one rank-loss recovery in the lump runtime:
-// the heartbeat window that detects the death plus reconnecting the
-// replacement rank into the job (the same DPM connect figure as lump
-// startup). It is the figure cluster.PartitionRecoverySeconds books per
-// simulated NetPartition.
-func RankRecoverySeconds() float64 { return heartbeatDetectSeconds + ConnectSeconds() }
-
-// StartupAdvantage returns monolithic / lump startup time for a node
-// count, the quantitative version of the paper's startup claim.
-func StartupAdvantage(nodes, lumpNodes int) float64 {
-	ls := LumpStartupSeconds(nodes, lumpNodes)
-	if ls <= 0 {
-		return math.Inf(1)
-	}
-	return cluster.MonolithicStartupSeconds(nodes) / ls
-}

@@ -109,8 +109,8 @@ func TestStartup4224NodesInThreeToFiveMinutes(t *testing.T) {
 		t.Fatal("lump connection should take under a minute")
 	}
 	// And it beats the monolithic launch at scale.
-	if StartupAdvantage(4224, 128) <= 1.5 {
-		t.Fatalf("no startup advantage at 4224 nodes: %v", StartupAdvantage(4224, 128))
+	if adv := cluster.MonolithicStartupSeconds(4224) / LumpStartupSeconds(4224, 128); adv <= 1.5 {
+		t.Fatalf("no startup advantage at 4224 nodes: %v", adv)
 	}
 }
 
@@ -230,12 +230,17 @@ func TestRandomWorkloadsProperty(t *testing.T) {
 	}
 }
 
-// TestRankRecoverySeconds pins the calibrated rank-loss recovery figure:
-// heartbeat detection plus the same DPM connect window as lump startup,
-// well under the monolithic-restart alternative, and exactly the price the
-// simulator books per NetPartition.
+// TestRankRecoverySeconds derives the rank-loss recovery figure of the
+// lump runtime - heartbeat detection plus the same DPM connect window as
+// lump startup - and pins it well under the monolithic-restart
+// alternative and exactly at the price the simulator books per
+// NetPartition.
 func TestRankRecoverySeconds(t *testing.T) {
-	got := RankRecoverySeconds()
+	// The window the wire coordinator waits before converting a rank's
+	// silence into a declared death (missed-beat budget times the beat
+	// interval, internal/wire defaults).
+	const heartbeatDetectSeconds = 5.0
+	got := heartbeatDetectSeconds + ConnectSeconds()
 	if got <= ConnectSeconds() {
 		t.Fatalf("recovery %vs must exceed the bare connect window %vs", got, ConnectSeconds())
 	}

@@ -21,7 +21,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -396,9 +395,4 @@ func (s Snapshot) Text() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// JSON renders the snapshot as indented JSON.
-func (s Snapshot) JSON() ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
 }

@@ -124,11 +124,11 @@ func TestSnapshotDeterministicAndJSON(t *testing.T) {
 
 	s1 := r.Snapshot()
 	s2 := r.Snapshot()
-	j1, err := s1.JSON()
+	j1, err := json.Marshal(s1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j2, err := s2.JSON()
+	j2, err := json.Marshal(s2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -246,18 +246,6 @@ func (t *Tracer) AddSpan(pid, tid int, cat, name string, start, dur time.Duratio
 	})
 }
 
-// AddInstant is AddSpan's zero-duration counterpart.
-func (t *Tracer) AddInstant(pid, tid int, cat, name string, at time.Duration, args map[string]interface{}) {
-	if t == nil {
-		return
-	}
-	t.record(event{
-		Name: name, Cat: cat, Ph: "i", S: "t",
-		TS:  at.Microseconds(),
-		PID: pid, TID: tid, Args: args,
-	})
-}
-
 // scopeKey is the context key of a Scope.
 type scopeKey struct{}
 

@@ -21,7 +21,6 @@ package perfmodel
 
 import (
 	"fmt"
-	"math"
 
 	"femtoverse/internal/comms"
 	"femtoverse/internal/lattice"
@@ -61,31 +60,6 @@ func (p Problem) Sites5D() int {
 		v *= d
 	}
 	return v
-}
-
-// MemoryBytesPerSite5D is the device-memory footprint per 5-D lattice
-// site of a mixed-precision CG solve: the gauge field (4 links x 18
-// reals, single precision, amortized over Ls), the double-precision
-// solution and residual pair, and roughly six half-precision Krylov
-// vectors of 24 reals each, plus halo buffers. The constant is the QUDA
-// production rule of thumb of ~0.6 KB per 5-D site.
-const MemoryBytesPerSite5D = 600.0
-
-// MinGPUs returns the smallest GPU count whose aggregate device memory
-// fits the solve - the paper's "minimum number of GPUs for a given
-// calculation due to memory overheads". The count is rounded up to a
-// multiple of the node's GPU count, since allocations are node-granular.
-func MinGPUs(m machine.Machine, p Problem) int {
-	bytes := float64(p.Sites5D()) * MemoryBytesPerSite5D
-	perGPU := m.GPUMemoryGB * 1e9 * 0.9 // reserve 10% for the runtime
-	n := int(math.Ceil(bytes / perGPU))
-	if n < 1 {
-		n = 1
-	}
-	if r := n % m.GPUsPerNode; r != 0 {
-		n += m.GPUsPerNode - r
-	}
-	return n
 }
 
 // Model predicts solver performance for one machine.

@@ -178,30 +178,3 @@ func TestVolumeKeyFormat(t *testing.T) {
 		t.Fatal("Sites5D wrong")
 	}
 }
-
-func TestMinGPUsMemoryGate(t *testing.T) {
-	// The Fig. 3 problem (48^3 x 64 x 20) needs ~85 GB: a handful of
-	// 16 GB V100s, i.e. the paper's 4-node 16-GPU jobs sit comfortably
-	// above the floor, while a single GPU cannot hold it.
-	si := machine.Sierra()
-	n := MinGPUs(si, fig3Problem)
-	if n <= 1 {
-		t.Fatalf("48^3 x 64 x 20 cannot fit one V100, got MinGPUs = %d", n)
-	}
-	if n > 16 {
-		t.Fatalf("MinGPUs = %d; production ran these on 16 GPUs", n)
-	}
-	if n%si.GPUsPerNode != 0 {
-		t.Fatalf("MinGPUs = %d not node-granular", n)
-	}
-	// The Fig. 4 problem is ~20x larger.
-	big := Problem{Global: [4]int{96, 96, 96, 144}, Ls: 20}
-	nBig := MinGPUs(si, big)
-	if nBig < 3*n {
-		t.Fatalf("96^3 x 144 floor %d not much above 48^3 x 64 floor %d", nBig, n)
-	}
-	// Titan's 6 GB GPUs need proportionally more.
-	if MinGPUs(machine.Titan(), fig3Problem) <= n {
-		t.Fatal("6 GB K20X cannot need fewer GPUs than 16 GB V100")
-	}
-}

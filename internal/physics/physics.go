@@ -111,7 +111,7 @@ func ExtractFH(c2, cfh [][]float64, tmin, tmax int) (GAResult, error) {
 		var best fit.Result
 		ok := false
 		for _, s0 := range starts {
-			res, err := prob.Solve(s0, fit.Options{})
+			res, err := prob.Solve(s0)
 			if err != nil || !res.Converged {
 				continue
 			}
@@ -269,7 +269,7 @@ func ExtractTraditional(data map[int][][]float64) (GAResult, []TradPoint, error)
 			if err != nil {
 				return math.NaN()
 			}
-			res, err := prob.Solve([]float64{mean[mid], 0.1, 0.5}, fit.Options{})
+			res, err := prob.Solve([]float64{mean[mid], 0.1, 0.5})
 			if err != nil || !res.Converged {
 				return math.NaN()
 			}

@@ -20,8 +20,8 @@ import (
 //	d/dlambda S4(lambda) |_0 = S4 Gamma S4,
 //
 // which is exactly the sequential FH propagator computed by
-// QuarkSolver.FHPropagator. PerturbedMobius implements D5(lambda), so the
-// finite-difference derivative of a correlator through real solves
+// QuarkSolver.FHPropagatorCtx. PerturbedMobius implements D5(lambda), so
+// the finite-difference derivative of a correlator through real solves
 // validates the sequential implementation end to end - the sharpest
 // correctness check this repository has for the paper's core algorithm.
 

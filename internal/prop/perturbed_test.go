@@ -1,6 +1,7 @@
 package prop
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -94,7 +95,7 @@ func TestFeynmanHellmannTheorem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fh, err := qs.FHPropagator(base, gamma)
+	fh, err := qs.FHPropagatorCtx(context.Background(), base, gamma)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"femtoverse/internal/dirac"
-	"femtoverse/internal/gauge"
 	"femtoverse/internal/lattice"
 	"femtoverse/internal/linalg"
 	"femtoverse/internal/solver"
@@ -57,25 +56,6 @@ func PointSource(g *lattice.Geometry, x0 [4]int, spin, color int) []complex128 {
 	b := make([]complex128, g.Vol*dirac.SpinorLen)
 	b[g.Index(x0)*dirac.SpinorLen+spin*3+color] = 1
 	return b
-}
-
-// WallSource returns a time-slice wall source: unit amplitude for the
-// given component at every spatial site of slice t0. Wall sources improve
-// ground-state overlap for the two-point functions.
-func WallSource(g *lattice.Geometry, t0, spin, color int) []complex128 {
-	b := make([]complex128, g.Vol*dirac.SpinorLen)
-	for _, s := range g.TimeSlice(t0) {
-		b[s*dirac.SpinorLen+spin*3+color] = 1
-	}
-	return b
-}
-
-// SmearedPointSource returns a gauge-covariantly Gaussian-smeared point
-// source: the production choice for good ground-state overlap at early
-// times, which is where the FH analysis lives.
-func SmearedPointSource(u *gauge.Field, x0 [4]int, spin, color int, kappa float64, iters int) []complex128 {
-	src := PointSource(u.G, x0, spin, color)
-	return gauge.GaussianSmearSource(u, src, kappa, iters)
 }
 
 // Inject5D embeds a 4-D source into the 5-D domain-wall source: the P+
@@ -308,7 +288,7 @@ func (qs *QuarkSolver) ComputePointCtx(ctx context.Context, x0 [4]int) (*Propaga
 	})
 }
 
-// FHPropagator computes the Feynman-Hellmann sequential propagator
+// FHPropagatorCtx computes the Feynman-Hellmann sequential propagator
 //
 //	S_FH(x; src) = sum_y S(x, y) Gamma S(y, src)
 //
@@ -316,14 +296,9 @@ func (qs *QuarkSolver) ComputePointCtx(ctx context.Context, x0 [4]int) (*Propaga
 // the base propagator as the source. One extra solve per component yields
 // the current insertion summed over every intermediate point - all
 // source-sink separations for the cost of one, which is the paper's
-// exponential improvement in time-to-solution.
-func (qs *QuarkSolver) FHPropagator(base *Propagator, gamma linalg.SpinMatrix) (*Propagator, error) {
-	return qs.FHPropagatorCtx(context.Background(), base, gamma)
-}
-
-// FHPropagatorCtx is FHPropagator under a context. The twelve sequential
+// exponential improvement in time-to-solution. The twelve sequential
 // sources are each built by the lane that solves them, in that lane's
-// scratch.
+// scratch; a cancelled ctx aborts the batch.
 func (qs *QuarkSolver) FHPropagatorCtx(ctx context.Context, base *Propagator, gamma linalg.SpinMatrix) (*Propagator, error) {
 	cols, err := qs.solveBatch(ctx, NComp, func(j int, l *lane) []complex128 {
 		if l.seq == nil {

@@ -1,6 +1,7 @@
 package prop
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -42,24 +43,6 @@ func TestPointSourceStructure(t *testing.T) {
 	}
 	if nz != 1 {
 		t.Fatalf("%d nonzeros", nz)
-	}
-}
-
-func TestWallSourceCoversSlice(t *testing.T) {
-	g := lattice.MustNew(2, 2, 2, 4)
-	b := WallSource(g, 3, 0, 2)
-	nz := 0
-	for i, v := range b {
-		if v != 0 {
-			nz++
-			site := i / dirac.SpinorLen
-			if g.Coords(site)[3] != 3 {
-				t.Fatal("nonzero off the wall")
-			}
-		}
-	}
-	if nz != g.SpatialVol() {
-		t.Fatalf("%d nonzeros, want %d", nz, g.SpatialVol())
 	}
 }
 
@@ -237,15 +220,15 @@ func TestFHPropagatorLinearInGamma(t *testing.T) {
 	g2 := linalg.AxialGamma()
 	sum := g1.AddSM(g2)
 
-	fh1, err := qs.FHPropagator(base, g1)
+	fh1, err := qs.FHPropagatorCtx(context.Background(), base, g1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fh2, err := qs.FHPropagator(base, g2)
+	fh2, err := qs.FHPropagatorCtx(context.Background(), base, g2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fhSum, err := qs.FHPropagator(base, sum)
+	fhSum, err := qs.FHPropagatorCtx(context.Background(), base, sum)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +259,7 @@ func TestFHWithZeroGammaIsZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	var zero linalg.SpinMatrix
-	fh, err := qs.FHPropagator(base, zero)
+	fh, err := qs.FHPropagatorCtx(context.Background(), base, zero)
 	if err != nil {
 		t.Fatal(err)
 	}

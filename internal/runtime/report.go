@@ -155,14 +155,6 @@ func (r Report) CheckConservation() error {
 	return nil
 }
 
-// Util returns the utilization of one worker class.
-func (r Report) Util(c Class) float64 {
-	if c == Solve {
-		return r.SolveUtil
-	}
-	return r.ContractUtil
-}
-
 // String renders a human-readable summary.
 func (r Report) String() string {
 	var b strings.Builder

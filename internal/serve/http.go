@@ -84,7 +84,8 @@ func (r SubmitRequest) Validate() error {
 }
 
 // RealConfig validates the request and materializes its campaign spec
-// over the repository default.
+// over the repository default; a spec the pipeline cannot run (odd or
+// unit extents, Mobius parameters NewMobius rejects) is an error here.
 func (r SubmitRequest) RealConfig() (core.RealConfig, error) {
 	if err := r.Validate(); err != nil {
 		return core.RealConfig{}, err
@@ -134,7 +135,7 @@ func (r SubmitRequest) RealConfig() (core.RealConfig, error) {
 		}
 		spec.Prec = p
 	}
-	return spec, nil
+	return spec, spec.Validate()
 }
 
 func parsePrecision(s string) (solver.Precision, error) {

@@ -6,11 +6,15 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"femtoverse/internal/core"
 )
 
 func postJSON(t *testing.T, url, body string) *http.Response {
@@ -99,6 +103,48 @@ func TestHTTPValidationAndErrorMapping(t *testing.T) {
 	resp = postJSON(t, hs.URL, `{"tenant":"x","spec":{"nconfigs":2}}`)
 	if body := drainBody(t, resp); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("submission while draining: %d %s", resp.StatusCode, body)
+	}
+}
+
+// TestUnrunnableSpecRefused checks that a spec the pipeline cannot run is
+// refused at submission - 400 over HTTP, an error through the Go API -
+// and that nothing reaches the state directory: no journal, no sidecar.
+// Odd or unit extents fail lattice.New and the Mobius values fail
+// NewMobius, both only at the first solve if admitted.
+func TestUnrunnableSpecRefused(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := newTestServer(t, Config{StartPaused: true, StateDir: dir})
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+	for _, spec := range []string{
+		`{"dims":[3,2,2,8]}`,
+		`{"dims":[2,2,2,1]}`,
+		`{"ls":1}`,
+		`{"m5":2.5}`,
+		`{"b5":0}`,
+		`{"mass":-1}`,
+	} {
+		resp := postJSON(t, hs.URL, `{"tenant":"a","spec":`+spec+`}`)
+		if body := drainBody(t, resp); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("spec %s: %d %s, want 400", spec, resp.StatusCode, body)
+		}
+	}
+	bad := tinySpec(1, 2)
+	bad.Dims[0] = 3
+	single := tinySpec(1, 1)
+	for _, spec := range []core.RealConfig{bad, single} {
+		if _, err := s.SubmitCampaign("a", 1, "", spec); err == nil {
+			t.Errorf("SubmitCampaign accepted dims %v, %d configurations", spec.Dims, spec.NConfigs)
+		}
+	}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			t.Errorf("refused submission left %s on disk", path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

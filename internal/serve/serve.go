@@ -57,9 +57,8 @@ type Config struct {
 	Metrics *obs.Registry
 	// DefaultQuota is the admission quota: the maximum number of
 	// unfinished configurations one tenant may have in the system
-	// (default 64). Quotas, when set for a tenant, overrides it.
+	// (default 64).
 	DefaultQuota int
-	Quotas       map[string]int
 	// DrainGrace bounds shutdown's soft-drain phase, exactly as in the
 	// job runtime (default 2s): in-flight solves get this long to finish
 	// and journal before they are stranded.
@@ -259,10 +258,14 @@ func readSidecar(path string) (sidecar, error) {
 // creation, then enqueue. The returned error is ErrDraining after
 // shutdown began and wraps runtime.ErrRefused when the tenant is over
 // quota - admission refusal, deliberately the same vocabulary as the
-// pool's allocation-budget refusals. A priority outside [0, 65536] is
-// refused before anything is written.
+// pool's allocation-budget refusals. A priority outside [0, 65536], or a
+// spec core.RealConfig.Validate rejects, is refused before anything is
+// written.
 func (s *Server) SubmitCampaign(tenant string, priority int, name string, spec core.RealConfig) (CampaignStatus, error) {
 	if err := checkPriority(priority); err != nil {
+		return CampaignStatus{}, fmt.Errorf("serve: %w", err)
+	}
+	if err := spec.Validate(); err != nil {
 		return CampaignStatus{}, fmt.Errorf("serve: %w", err)
 	}
 	s.submitMu.Lock()
@@ -274,7 +277,7 @@ func (s *Server) SubmitCampaign(tenant string, priority int, name string, spec c
 		s.reg.Counter("serve.refused_draining").Inc()
 		return CampaignStatus{}, ErrDraining
 	}
-	quota := s.quotaFor(tenant)
+	quota := s.cfg.DefaultQuota
 	if used := s.unfinishedLocked(tenant); used+spec.NConfigs > quota {
 		s.mu.Unlock()
 		s.reg.Counter("serve.refused_quota").Inc()
@@ -315,13 +318,6 @@ func (s *Server) SubmitCampaign(tenant string, priority int, name string, spec c
 	s.mu.Unlock()
 	s.reg.Counter("serve.campaigns_submitted").Inc()
 	return st, nil
-}
-
-func (s *Server) quotaFor(tenant string) int {
-	if q, ok := s.cfg.Quotas[tenant]; ok && q > 0 {
-		return q
-	}
-	return s.cfg.DefaultQuota
 }
 
 // unfinishedLocked counts the tenant's admitted-but-unfinished

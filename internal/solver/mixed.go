@@ -16,13 +16,13 @@ import (
 // vector updates run in a sloppy precision (single, or single compute
 // with 16-bit fixed-point storage rounding for Half), while reliable
 // updates - triggered when the sloppy residual has dropped by
-// ReliableDelta relative to its maximum since the last update - recompute
+// reliableDelta relative to its maximum since the last update - recompute
 // the group residual in full double precision and re-inject it, bounding
 // the accumulated rounding error. All reductions are double precision.
 // The context is checked once per iteration, as in CGNE.
 //
 // The sloppy stage is defended against divergence: a NaN/Inf residual or
-// curvature, a sloppy breakdown, or StagnationUpdates consecutive
+// curvature, a sloppy breakdown, or stagnationUpdates consecutive
 // reliable updates without progress triggers a restart - the poisoned
 // sloppy accumulation is discarded and the solve resumes from the last
 // reliable iterate one precision tier up (Half -> Single -> Double),
@@ -270,7 +270,7 @@ func (ws *Workspace) CGNEMixed(ctx context.Context, op Linear, sloppy Linear32, 
 			}
 			rNorm := math.Sqrt(rrNew)
 
-			if rNorm < p.ReliableDelta*maxSinceUpdate || rNorm <= neTarget {
+			if rNorm < reliableDelta*maxSinceUpdate || rNorm <= neTarget {
 				rrNew = reliableUpdate()
 				if math.IsNaN(rrNew) || math.IsInf(rrNew, 0) {
 					diverged = true
@@ -282,7 +282,7 @@ func (ws *Workspace) CGNEMixed(ctx context.Context, op Linear, sloppy Linear32, 
 				if rNorm < bestReliable {
 					bestReliable = rNorm
 					staleUpdates = 0
-				} else if staleUpdates++; p.StagnationUpdates > 0 && staleUpdates >= p.StagnationUpdates {
+				} else if staleUpdates++; staleUpdates >= stagnationUpdates {
 					diverged = true
 					break
 				}

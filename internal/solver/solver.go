@@ -70,10 +70,6 @@ type Params struct {
 	MaxIter int
 	// Precision selects the sloppy stage (Double disables it).
 	Precision Precision
-	// ReliableDelta triggers a reliable update when the sloppy residual
-	// has shrunk by this factor relative to its maximum since the last
-	// update. Default 0.1, the production value quoted in the QUDA paper.
-	ReliableDelta float64
 	// Workers is the BLAS-1 goroutine count; <= 0 uses the default.
 	Workers int
 	// FlopsPerApply, if set, is the flop cost of one operator application
@@ -88,11 +84,6 @@ type Params struct {
 	// Double). Default 2, exactly the tier ladder; negative disables
 	// restarts and turns divergence into ErrDiverged.
 	MaxRestarts int
-	// StagnationUpdates is how many consecutive reliable updates may fail
-	// to improve the best double-precision residual before CGNEMixed
-	// declares the sloppy stage stagnant and restarts (or fails with
-	// ErrDiverged when out of restarts). Default 5; negative disables.
-	StagnationUpdates int
 	// StagnationWindow is how many iterations pure double CGNE may run
 	// without improving its best normal-equation residual before failing
 	// with ErrDiverged instead of burning the rest of MaxIter. Default
@@ -114,6 +105,18 @@ type Params struct {
 	RecordResiduals bool
 }
 
+const (
+	// reliableDelta triggers a reliable update when the sloppy residual
+	// has shrunk by this factor relative to its maximum since the last
+	// update: the production value quoted in the QUDA paper.
+	reliableDelta = 0.1
+	// stagnationUpdates is how many consecutive reliable updates may fail
+	// to improve the best double-precision residual before CGNEMixed
+	// declares the sloppy stage stagnant and restarts (or fails with
+	// ErrDiverged when out of restarts).
+	stagnationUpdates = 5
+)
+
 func (p Params) withDefaults() Params {
 	if p.Tol <= 0 {
 		p.Tol = 1e-8
@@ -121,14 +124,8 @@ func (p Params) withDefaults() Params {
 	if p.MaxIter <= 0 {
 		p.MaxIter = 25000
 	}
-	if p.ReliableDelta <= 0 || p.ReliableDelta >= 1 {
-		p.ReliableDelta = 0.1
-	}
 	if p.MaxRestarts == 0 {
 		p.MaxRestarts = 2
-	}
-	if p.StagnationUpdates == 0 {
-		p.StagnationUpdates = 5
 	}
 	if p.StagnationWindow == 0 {
 		p.StagnationWindow = p.MaxIter / 10
@@ -156,15 +153,6 @@ type Stats struct {
 	// Params.RecordResiduals is set (see there for what each solver
 	// records). Bitwise identical across worker counts.
 	Residuals []float64
-}
-
-// TFLOPS returns the sustained matvec teraflop rate of the solve.
-func (s Stats) TFLOPS() float64 {
-	sec := s.Elapsed.Seconds()
-	if sec <= 0 {
-		return 0
-	}
-	return float64(s.Flops) / sec / 1e12
 }
 
 // ErrMaxIter is returned when the iteration cap is reached before the

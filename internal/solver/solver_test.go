@@ -254,13 +254,6 @@ func TestSolverLinearityInRHS(t *testing.T) {
 	}
 }
 
-func TestStatsTFLOPS(t *testing.T) {
-	st := Stats{Flops: 2e12}
-	if st.TFLOPS() != 0 {
-		t.Fatal("zero elapsed must give zero rate")
-	}
-}
-
 func TestPrecisionString(t *testing.T) {
 	if Double.String() != "double" || Single.String() != "single" || Half.String() != "half" {
 		t.Fatal("precision names wrong")

@@ -1,13 +1,11 @@
 // Package stats provides the ensemble statistics used throughout the
-// analysis: jackknife and bootstrap resampling, binning and integrated
-// autocorrelation time for Monte Carlo chains, covariance matrices for
-// correlated fits, and the histogramming used by the paper's Fig. 7.
+// analysis: jackknife resampling, percentiles, and the histogramming used
+// by the paper's Fig. 7.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 )
 
@@ -21,32 +19,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Variance returns the unbiased sample variance.
-func Variance(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(n-1)
-}
-
-// StdDev returns the unbiased sample standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// StdErr returns the standard error of the mean.
-func StdErr(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	return StdDev(xs) / math.Sqrt(float64(len(xs)))
 }
 
 // MeanVec returns the elementwise mean of equal-length sample vectors.
@@ -135,100 +107,6 @@ func JackknifeVec(samples [][]float64, f func(mean []float64) []float64) (value,
 		errs[i] = math.Sqrt((n - 1) / n * errs[i])
 	}
 	return f(MeanVec(samples)), errs
-}
-
-// Bootstrap returns the mean and bootstrap error of a derived scalar over
-// nBoot resamplings with the supplied RNG (deterministic for fixed seed).
-func Bootstrap(rng *rand.Rand, samples [][]float64, nBoot int, f func(mean []float64) float64) (value, err float64) {
-	nCfg := len(samples)
-	if nCfg < 2 {
-		panic("stats: bootstrap needs >= 2 samples")
-	}
-	vals := make([]float64, nBoot)
-	resample := make([][]float64, nCfg)
-	for b := 0; b < nBoot; b++ {
-		for i := range resample {
-			resample[i] = samples[rng.Intn(nCfg)]
-		}
-		vals[b] = f(MeanVec(resample))
-	}
-	return f(MeanVec(samples)), StdDev(vals)
-}
-
-// Covariance returns the n x n covariance matrix of the sample vectors,
-// normalised for the covariance of the *mean* (divided by N), which is
-// what a correlated fit to ensemble averages needs.
-func Covariance(samples [][]float64) []float64 {
-	nCfg := len(samples)
-	if nCfg < 2 {
-		panic("stats: covariance needs >= 2 samples")
-	}
-	n := len(samples[0])
-	mean := MeanVec(samples)
-	cov := make([]float64, n*n)
-	for _, s := range samples {
-		for i := 0; i < n; i++ {
-			di := s[i] - mean[i]
-			for j := 0; j < n; j++ {
-				cov[i*n+j] += di * (s[j] - mean[j])
-			}
-		}
-	}
-	norm := float64(nCfg*(nCfg-1)) / 1.0
-	for i := range cov {
-		cov[i] /= norm
-	}
-	return cov
-}
-
-// Bin groups a Monte Carlo chain into non-overlapping bins of the given
-// size (the trailing partial bin is dropped), the standard treatment of
-// autocorrelated chains before resampling.
-func Bin(xs []float64, binSize int) []float64 {
-	if binSize < 1 {
-		panic("stats: bin size must be >= 1")
-	}
-	n := len(xs) / binSize
-	out := make([]float64, n)
-	for b := 0; b < n; b++ {
-		out[b] = Mean(xs[b*binSize : (b+1)*binSize])
-	}
-	return out
-}
-
-// IntegratedAutocorrTime estimates tau_int with the standard windowed
-// estimator (window grows until t >= 5*tau_int). Returns 0.5 for white
-// noise.
-func IntegratedAutocorrTime(xs []float64) float64 {
-	n := len(xs)
-	if n < 4 {
-		return 0.5
-	}
-	m := Mean(xs)
-	c0 := 0.0
-	for _, x := range xs {
-		c0 += (x - m) * (x - m)
-	}
-	c0 /= float64(n)
-	if c0 == 0 {
-		return 0.5
-	}
-	tau := 0.5
-	for t := 1; t < n/2; t++ {
-		ct := 0.0
-		for i := 0; i+t < n; i++ {
-			ct += (xs[i] - m) * (xs[i+t] - m)
-		}
-		ct /= float64(n - t)
-		tau += ct / c0
-		if float64(t) >= 5*tau {
-			break
-		}
-	}
-	if tau < 0.5 {
-		tau = 0.5
-	}
-	return tau
 }
 
 // Histogram is a fixed-range linear-bin histogram (Fig. 7 of the paper is

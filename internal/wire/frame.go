@@ -113,9 +113,6 @@ type Frame struct {
 	Payload []byte
 }
 
-// WireLen returns the frame's full on-the-wire byte count.
-func (f *Frame) WireLen() int { return FrameOverhead + len(f.Payload) }
-
 // ErrCorrupt marks a frame rejected by the codec: bad magic, checksum
 // mismatch, or an implausible length field. Use errors.Is; the carrier
 // connection cannot distinguish who damaged the bytes, only that the

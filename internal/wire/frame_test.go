@@ -11,7 +11,7 @@ import (
 
 // EncodeFrame renders the frame to a fresh byte slice.
 func EncodeFrame(f *Frame) []byte {
-	buf := BeginFrame(make([]byte, 0, f.WireLen()), f.Type, f.Rank, f.Xid)
+	buf := BeginFrame(make([]byte, 0, FrameOverhead+len(f.Payload)), f.Type, f.Rank, f.Xid)
 	return FinishFrame(append(buf, f.Payload...))
 }
 
@@ -32,8 +32,8 @@ func testFrame() *Frame {
 func TestFrameRoundTrip(t *testing.T) {
 	f := testFrame()
 	data := EncodeFrame(f)
-	if len(data) != f.WireLen() {
-		t.Fatalf("encoded %d bytes, WireLen says %d", len(data), f.WireLen())
+	if want := FrameOverhead + len(f.Payload); len(data) != want {
+		t.Fatalf("encoded %d bytes, want header and trailer plus payload = %d", len(data), want)
 	}
 	got, n, err := DecodeFrame(data, 1<<20)
 	if err != nil {

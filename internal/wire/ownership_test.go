@@ -275,7 +275,7 @@ func TestAwaitDeathsRepostsNotice(t *testing.T) {
 func TestStaleDeathNoticeDoesNotFailApply(t *testing.T) {
 	dims := [lattice.NDim]int{4, 4, 4, 4}
 	s, u, reg := testSession(t, dims, [lattice.NDim]int{1, 1, 1, 2}, nil)
-	if got, want := cap(s.results), (s.opts.MaxApplyRetries+1)*s.n; got != want {
+	if got, want := cap(s.results), (maxApplyRetries+1)*s.n; got != want {
 		t.Fatalf("results queue holds %d, want the retry budget %d", got, want)
 	}
 	s.deadCh <- deathNotice{rank: 1, gen: 0}

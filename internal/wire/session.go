@@ -44,10 +44,11 @@ type Options struct {
 	// coordinator address. Called once per rank at startup and once per
 	// recovery. Required.
 	Spawn func(coordAddr string) error
-	// MaxApplyRetries bounds recovery-and-retry rounds per application
-	// (default 5).
-	MaxApplyRetries int
 }
+
+// maxApplyRetries bounds the recovery-and-retry rounds per application
+// and the stabilization attempts per recovery.
+const maxApplyRetries = 5
 
 // resultMsg is one worker result routed to the apply loop. The result
 // field itself is already in the rank's subdomain by the time this is
@@ -207,9 +208,6 @@ func NewSession(u *gauge.Field, opts Options) (*Session, error) {
 	if opts.MaxPayload <= 0 {
 		opts.MaxPayload = 64 << 20
 	}
-	if opts.MaxApplyRetries <= 0 {
-		opts.MaxApplyRetries = 5
-	}
 	chaos, err := NewChaos(opts.Chaos)
 	if err != nil {
 		return nil, err
@@ -231,7 +229,7 @@ func NewSession(u *gauge.Field, opts Options) (*Session, error) {
 		// A rank's reader admits one result per attempt (the one that
 		// answers curXid), so an application's whole retry budget fits;
 		// postResult counts what does not.
-		results: make(chan resultMsg, (opts.MaxApplyRetries+1)*len(specs)),
+		results: make(chan resultMsg, (maxApplyRetries+1)*len(specs)),
 		peersOK: make(chan ackMsg, 16*len(specs)),
 		deadCh:  make(chan deathNotice, 16*len(specs)),
 		workers: make([]*remoteRank, len(specs)),
@@ -548,7 +546,7 @@ func (s *Session) deadRanks() []int {
 // alone rewires every peer connection.
 func (s *Session) stabilize() error {
 	var lastErr error
-	for attempt := 0; attempt <= s.opts.MaxApplyRetries; attempt++ {
+	for attempt := 0; attempt <= maxApplyRetries; attempt++ {
 		if err := s.stabilizeOnce(); err != nil {
 			lastErr = err
 			continue
@@ -652,7 +650,7 @@ func (s *Session) applyCtx(ctx context.Context, dst, src []complex128, op byte) 
 		panic("wire: Apply size mismatch")
 	}
 	var lastErr error
-	for attempt := 0; attempt <= s.opts.MaxApplyRetries; attempt++ {
+	for attempt := 0; attempt <= maxApplyRetries; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -677,7 +675,7 @@ func (s *Session) applyCtx(ctx context.Context, dst, src []complex128, op byte) 
 		}
 		lastErr = err
 	}
-	return fmt.Errorf("wire: apply failed after %d attempts: %w", s.opts.MaxApplyRetries+1, lastErr)
+	return fmt.Errorf("wire: apply failed after %d attempts: %w", maxApplyRetries+1, lastErr)
 }
 
 // awaitDeaths parks for up to one heartbeat window, returning early as
