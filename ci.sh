@@ -32,9 +32,9 @@ run_gate() {
 	# shellcheck disable=SC2086 # flags is a word list
 	go test $flags -run "$regex" "$@"
 }
-# unsafe allow-list: the tree reinterprets memory in one place, the four
-# lane views of internal/dirac/lanes.go, whose layout assumption
-# lanes_test.go pins. Any other file that imports unsafe fails here.
+# unsafe allow-list: the tree reinterprets memory in one place, the lane
+# views of internal/dirac/lanes.go, whose layout assumption lanes_test.go
+# pins. Any other file that imports unsafe fails here.
 test "$(grep -rl '"unsafe"' --include='*.go' . | sort | tr '\n' ' ')" = './internal/dirac/lanes.go ./internal/dirac/lanes_test.go '
 go vet ./...
 go build -o "$PWD/femtolint.bin" ./cmd/femtolint
@@ -80,12 +80,17 @@ run_gate 'Drain|Preempt|Budget|Admission|Atomic|Save' -race -count=2 -- ./intern
 # the lane budget under contention, cancellation and the lowest-failure
 # rule with every lane joined, and the half codec's rounding and in-place
 # round trip against what they replaced, and the lane views the generic
-# Schur kernel reads its fields through (-race turns checkptr on, which
-# checks every unsafe conversion they make). The suites run under -race
-# with -count=2 against fresh interleavings.
+# Schur kernel and the 4-D hop read their fields through (-race turns
+# checkptr on, which checks every unsafe conversion they make). The 4-D
+# stencil rides here too: the flat Wilson operator at every launch split,
+# the rank-local stencil of internal/domain on every rank of three grids
+# and a CGNE solve against the generic hop (an external test of
+# internal/dirac, which can import domain where the reference's package
+# cannot), and the flat operator's serial pass allocation-free. The suites
+# run under -race with -count=2 against fresh interleavings.
 go test -race -count=2 ./internal/obs/
 run_gate 'Singleflight|SearchModelled|RepsEnabled|Observer' -race -count=2 -- ./internal/autotune/
-run_gate 'Bitwise|BitForBit|ReduceChunk|Deterministic|DoesNotAllocate|NestedFor|ConcurrentCallers|Lane|Batch|Budget|Straggler|View|Workspace|RoundTrip|RoundHalf|Lanes' -race -count=2 -- ./internal/linalg/ ./internal/dirac/ ./internal/solver/ ./internal/prop/
+run_gate 'Bitwise|BitForBit|ReduceChunk|Deterministic|DoesNotAllocate|NestedFor|ConcurrentCallers|Lane|Batch|Budget|Straggler|View|Workspace|RoundTrip|RoundHalf|Lanes|WilsonHop|WilsonApplyDoesNotAllocate' -race -count=2 -- ./internal/linalg/ ./internal/dirac/ ./internal/solver/ ./internal/prop/
 run_gate 'Obs|Timeline|Trace' -race -- ./internal/runtime/ ./internal/core/ ./internal/cluster/
 # Cache gate: the content-addressed result cache must be race-free and
 # deterministic - the LRU eviction order, the byte budget, the disk

@@ -18,14 +18,16 @@ type cx[F float32 | float64] struct{ re, im F }
 // link is an SU(3) matrix in lanes: linalg.SU3 or SU3C64.
 type link[F float32 | float64] [3][3]cx[F]
 
-// The four views below are the only unsafe code in the tree (ci.sh holds
-// the import to this file and its test). Each reinterprets a slice in
-// place - no copy, the same length, writes through either side seen by the
-// other - and relies on one fact about the compiler's layout: a complex
-// value is its real part followed by its imaginary part, each of the
-// matching float type, with no padding. lanes_test.go pins it, sizes and
-// order, rather than assuming it. A view is taken once per pass over the
-// lattice, never per site.
+// The six views below are the only unsafe code in the tree (ci.sh holds
+// the import to this file and its test). Each reinterprets a slice, a
+// spinor or a link in place - no copy, the same length, writes through
+// either side seen by the other - and relies on one fact about the
+// compiler's layout: a complex value is its real part followed by its
+// imaginary part, each of the matching float type, with no padding.
+// lanes_test.go pins it, sizes and order, rather than assuming it. A slice
+// view is taken once per pass over the lattice, never per site; the
+// spinor and link views are pointer conversions, which cost no
+// instruction, and Hop takes them per hop.
 
 func lanes64(v []complex128) []cx[float64] {
 	return unsafe.Slice((*cx[float64])(unsafe.Pointer(unsafe.SliceData(v))), len(v))
@@ -41,4 +43,12 @@ func links64(u []linalg.SU3) []link[float64] {
 
 func links32(u []SU3C64) []link[float32] {
 	return unsafe.Slice((*link[float32])(unsafe.Pointer(unsafe.SliceData(u))), len(u))
+}
+
+func spinor64(v *[SpinorLen]complex128) *[SpinorLen]cx[float64] {
+	return (*[SpinorLen]cx[float64])(unsafe.Pointer(v))
+}
+
+func link64(u *linalg.SU3) *link[float64] {
+	return (*link[float64])(unsafe.Pointer(u))
 }

@@ -87,6 +87,36 @@ func TestLanesLinks(t *testing.T) {
 	}
 }
 
+// The spinor and link views are pointers into the field or the gauge
+// links where they lie: a hop reads and writes through them in place.
+func TestLanesSpinorAndLink(t *testing.T) {
+	v := make([]complex128, 2*SpinorLen)
+	for i := range v {
+		v[i] = complex(float64(i), -float64(i)-0.5)
+	}
+	sp := spinor64((*[SpinorLen]complex128)(v[SpinorLen:]))
+	for i := range sp {
+		if want := (cx[float64]{float64(SpinorLen + i), -float64(SpinorLen+i) - 0.5}); sp[i] != want {
+			t.Fatalf("spinor64[%d] = %v, want %v", i, sp[i], want)
+		}
+	}
+	sp[SpinorLen-1] = cx[float64]{-7, 8}
+	if v[2*SpinorLen-1] != complex(-7, 8) || v[SpinorLen-1] != complex(SpinorLen-1, -SpinorLen+0.5) {
+		t.Fatalf("a write through spinor64 left %v, %v", v[2*SpinorLen-1], v[SpinorLen-1])
+	}
+
+	u := make([]linalg.SU3, 2)
+	u[1][2][0] = complex(3, -4)
+	l := link64(&u[1])
+	if l[2][0] != (cx[float64]{3, -4}) {
+		t.Fatalf("link64 reads %v", l[2][0])
+	}
+	l[0][1] = cx[float64]{5, 6}
+	if u[1][0][1] != complex(5, 6) || u[0][0][1] != 0 {
+		t.Fatalf("a write through link64 left %v, %v", u[1][0][1], u[0][0][1])
+	}
+}
+
 // A nil or empty slice has no element 0 to take the address of; its view
 // is empty and costs no dereference. (The kernels pass nil for the
 // operands a pass does not use.)

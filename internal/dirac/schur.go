@@ -234,8 +234,8 @@ func (k *schur[F]) fibreAxpy(z, x, y []cx[F], i int) {
 // Every accumulator starts at +0 and only ever has terms subtracted from
 // it, so an output that is zero is +0 whatever the signs of the zeros
 // that went in: the specialised projections may differ from the generic
-// HopAccum in the sign of an intermediate zero and still reproduce its
-// output bit for bit (DESIGN.md, "Kernels").
+// hop in the sign of an intermediate zero and still reproduce its output
+// bit for bit (DESIGN.md, "Kernels").
 func (k *schur[F]) fibreHop(dst, src []cx[F], pOut, i int, g5 bool) {
 	ls := k.ls
 	stride := k.halfVol * SpinorLen
@@ -301,7 +301,7 @@ type halfSpinor[F float32 | float64] [6]cx[F]
 // s = -1 and b = 1 (the backward hop) with s = +1. In the DeGrand-Rossi
 // basis every gamma_mu entry is +-1 or +-i, so the projection is an add
 // or a subtract of a swapped component: no multiply, exactly the values
-// the generic HopAccum forms by multiplying the phases out. The colours
+// the generic hop forms by multiplying the phases out. The colours
 // are written out because a loop over them costs a tenth of the float32
 // kernel (DESIGN.md s19).
 func (h *halfSpinor[F]) project(v *[SpinorLen]cx[F], d int) {
@@ -370,8 +370,8 @@ func (h *halfSpinor[F]) reconstruct(o *[SpinorLen]cx[F], d int) {
 }
 
 // mul sets w = (u h)/2 for both colour vectors of h, each row summed left
-// to right as SU3.MulVec does. The rows are written out like the colours
-// of project, and for the same reason.
+// to right. The rows are written out like the colours of project, and for
+// the same reason.
 func (w *halfSpinor[F]) mul(u *link[F], h *halfSpinor[F]) {
 	m0, m1, m2 := u[0][0], u[0][1], u[0][2]
 	w[0] = m0.times(h[0]).add(m1.times(h[1])).add(m2.times(h[2])).scale(0.5)

@@ -1,15 +1,94 @@
 package dirac
 
-import "femtoverse/internal/linalg"
+import (
+	"femtoverse/internal/lattice"
+	"femtoverse/internal/linalg"
+)
 
 // The staged Schur kernels, as they stood before the fused site loops
 // replaced them: one whole-vector sweep per stage (chi, axpby, hop, M5inv,
-// gamma_5), the generic HopAccum with run-time projector signs, a fresh
+// gamma_5), the generic hopAccum with run-time projector signs, a fresh
 // LexToEO lookup per hop. They survive here, serial and unexported, as the
 // reference the fused Apply/ApplyDagger/PrepareSource/Reconstruct must
 // reproduce bit for bit (TestFusedSchurMatchesStagedBitForBit), and so
 // that the stage-level identities (A^{-1} A = 1, adjointness of A and B,
-// half hop = full hop restricted to a parity) stay tested.
+// half hop = full hop restricted to a parity) stay tested. The 4-D Wilson
+// operator has its generic composition here too (refWilson), which the
+// flat operator and the rank-local stencil of package domain are held to
+// (TestWilsonHopMatchesGenericBitForBit).
+
+// hopAccum is the generic hop, the one the specialised Hop replaced:
+//
+//	out += -1/2 (1 + projSign*gamma_mu) U(or U^dag) in
+//
+// It reads gamma_mu off linalg's GammaPerm/GammaPhase tables, multiplies
+// the +-1/+-i phases out as general complex numbers and loops over the
+// colours. Each colour product is a row summed left to right, the
+// adjoint's from +0. adjoint selects U^dag (backward hop).
+func hopAccum(out, in []complex128, u *linalg.SU3, mu, projSign int, adjoint bool) {
+	p0 := linalg.GammaPerm[mu][0]
+	p1 := linalg.GammaPerm[mu][1]
+	ph0 := linalg.GammaPhase[mu][0]
+	ph1 := linalg.GammaPhase[mu][1]
+	sgn := complex(float64(projSign), 0)
+
+	var h0, h1 [3]complex128
+	for c := 0; c < 3; c++ {
+		h0[c] = in[0*3+c] + sgn*ph0*in[p0*3+c]
+		h1[c] = in[1*3+c] + sgn*ph1*in[p1*3+c]
+	}
+	var uh0, uh1 [3]complex128
+	for i := 0; i < 3; i++ {
+		if adjoint {
+			for j := 0; j < 3; j++ {
+				x := complex(real(u[j][i]), -imag(u[j][i]))
+				uh0[i] += x * h0[j]
+				uh1[i] += x * h1[j]
+			}
+		} else {
+			uh0[i] = u[i][0]*h0[0] + u[i][1]*h0[1] + u[i][2]*h0[2]
+			uh1[i] = u[i][0]*h1[0] + u[i][1]*h1[1] + u[i][2]*h1[2]
+		}
+	}
+	// Reconstruction: component p0 carries projSign*conj(ph0) times the
+	// projected upper component (gamma_mu^2 = 1 makes the phases inverses).
+	r0 := sgn * complex(real(ph0), -imag(ph0))
+	r1 := sgn * complex(real(ph1), -imag(ph1))
+	for c := 0; c < 3; c++ {
+		out[0*3+c] -= 0.5 * uh0[c]
+		out[1*3+c] -= 0.5 * uh1[c]
+		out[p0*3+c] -= 0.5 * r0 * uh0[c]
+		out[p1*3+c] -= 0.5 * r1 * uh1[c]
+	}
+}
+
+// refWilson is the 4-D Wilson operator composed from the generic hop, as
+// whole-vector sweeps: dst = D src, or with dagger gamma_5 D gamma_5 src.
+// Per site the accumulator starts at the complex product diag*src and the
+// hops are subtracted in mu order, forward then backward.
+func refWilson(w *Wilson, dst, src []complex128, dagger bool) {
+	in := src
+	if dagger {
+		in = make([]complex128, len(src))
+		Gamma5(in, src)
+	}
+	diag := complex(4+w.Mass, 0)
+	g := w.G
+	for s := 0; s < g.Vol; s++ {
+		out := dst[s*SpinorLen : (s+1)*SpinorLen]
+		for i := range out {
+			out[i] = diag * in[s*SpinorLen+i]
+		}
+		for mu := 0; mu < lattice.NDim; mu++ {
+			fw, bw := g.Fwd(s, mu), g.Bwd(s, mu)
+			hopAccum(out, in[fw*SpinorLen:(fw+1)*SpinorLen], &w.U.U[mu][s], mu, -1, false)
+			hopAccum(out, in[bw*SpinorLen:(bw+1)*SpinorLen], &w.U.U[mu][bw], mu, +1, true)
+		}
+	}
+	if dagger {
+		Gamma5(dst, dst)
+	}
+}
 
 func (p *MobiusEO) hopHalf(dst, src []complex128, pOut int) {
 	g := p.M.W.G
@@ -27,10 +106,10 @@ func (p *MobiusEO) hopHalf(dst, src []complex128, pOut int) {
 			for mu := 0; mu < 4; mu++ {
 				fwLex := g.Fwd(lex, mu)
 				j := int(eo.LexToEO[fwLex])
-				HopAccum(out, src[off+j*SpinorLen:off+(j+1)*SpinorLen], &u[mu][lex], mu, -1, false)
+				hopAccum(out, src[off+j*SpinorLen:off+(j+1)*SpinorLen], &u[mu][lex], mu, -1, false)
 				bwLex := g.Bwd(lex, mu)
 				j = int(eo.LexToEO[bwLex])
-				HopAccum(out, src[off+j*SpinorLen:off+(j+1)*SpinorLen], &u[mu][bwLex], mu, +1, true)
+				hopAccum(out, src[off+j*SpinorLen:off+(j+1)*SpinorLen], &u[mu][bwLex], mu, +1, true)
 			}
 		}
 	}

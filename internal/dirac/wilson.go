@@ -55,96 +55,92 @@ func (w *Wilson) apply(dst, src []complex128, dagger bool) {
 	if &dst[0] == &src[0] {
 		panic("dirac: Wilson.Apply dst aliases src")
 	}
+	// A pass on one worker runs on the calling goroutine and builds no
+	// closure; only a pass that may split pays for one.
+	workers := w.Workers
+	if workers <= 0 {
+		workers = linalg.DefaultWorkers
+	}
+	if workers == 1 {
+		w.sites(dst, src, dagger, 0, w.G.Vol)
+		return
+	}
+	linalg.ForBlocked(w.G.Vol, workers, w.Block, func(lo, hi int) { w.sites(dst, src, dagger, lo, hi) })
+}
+
+// sites applies the stencil on sites [lo, hi): the mass term, written as
+// the complex product whose 0*x term decides the sign of a zero, then per
+// dimension the forward and the backward hop.
+func (w *Wilson) sites(dst, src []complex128, dagger bool, lo, hi int) {
 	diag := complex(4+w.Mass, 0)
 	g := w.G
-	linalg.ForBlocked(g.Vol, w.Workers, w.Block, func(lo, hi int) {
-		var in5, nb5 [SpinorLen]complex128 // gamma_5 copies, dagger only
-		for s := lo; s < hi; s++ {
-			out := dst[s*SpinorLen : (s+1)*SpinorLen]
-			in := src[s*SpinorLen : (s+1)*SpinorLen]
-			if dagger {
-				gamma5Spinor(in5[:], in)
-				in = in5[:]
-			}
-			for i := 0; i < SpinorLen; i++ {
-				out[i] = diag * in[i]
-			}
-			for mu := 0; mu < lattice.NDim; mu++ {
-				fw, bw := g.Fwd(s, mu), g.Bwd(s, mu)
-				nf := src[fw*SpinorLen : (fw+1)*SpinorLen]
-				nb := src[bw*SpinorLen : (bw+1)*SpinorLen]
-				if dagger {
-					gamma5Spinor(in5[:], nf)
-					gamma5Spinor(nb5[:], nb)
-					nf, nb = in5[:], nb5[:]
-				}
-				HopAccum(out, nf, &w.U.U[mu][s], mu, -1, false)
-				HopAccum(out, nb, &w.U.U[mu][bw], mu, +1, true)
-			}
-			if dagger {
-				gamma5Spinor(out, out)
-			}
+	var in5, nb5 [SpinorLen]complex128 // gamma_5 copies, dagger only
+	for s := lo; s < hi; s++ {
+		out := (*[SpinorLen]complex128)(dst[s*SpinorLen:])
+		in := (*[SpinorLen]complex128)(src[s*SpinorLen:])
+		if dagger {
+			gamma5Spinor(in5[:], in[:])
+			in = &in5
 		}
-	})
+		for i := range out {
+			out[i] = diag * in[i]
+		}
+		for mu := 0; mu < lattice.NDim; mu++ {
+			fw, bw := g.Fwd(s, mu), g.Bwd(s, mu)
+			nf := (*[SpinorLen]complex128)(src[fw*SpinorLen:])
+			nb := (*[SpinorLen]complex128)(src[bw*SpinorLen:])
+			if dagger {
+				gamma5Spinor(in5[:], nf[:])
+				gamma5Spinor(nb5[:], nb[:])
+				nf, nb = &in5, &nb5
+			}
+			Hop(out, nf, &w.U.U[mu][s], 2*mu)
+			Hop(out, nb, &w.U.U[mu][bw], 2*mu+1)
+		}
+		if dagger {
+			gamma5Spinor(out[:], out[:])
+		}
+	}
 }
 
 // Flops returns the flop count of one Apply in the standard convention.
 func (w *Wilson) Flops() int64 { return int64(w.G.Vol) * WilsonFlopsPerSite }
 
-// HopAccum accumulates one hopping term into out:
+// Hop accumulates one hopping term of the Wilson stencil into out, for
+// direction d = 2*mu + b:
 //
-//	out += -1/2 (1 + projSign*gamma_mu) U(or U^dag) in
+//	out -= 1/2 (1 - gamma_mu) U in         b = 0, the forward hop
+//	out -= 1/2 (1 + gamma_mu) U^dagger in  b = 1, the backward hop
 //
-// using the spin-projection trick: (1 + s*gamma_mu) has rank two, so only
-// two color-vector SU(3) multiplies are needed, with the lower spin
-// components reconstructed by a phase. adjoint selects U^dag (backward
-// hop). This is the QUDA matrix-free stencil in scalar form, and the one
-// copy of it: the 4-D Wilson operator here and the rank-local stencil of
-// package domain both call it.
-func HopAccum(out, in []complex128, u *linalg.SU3, mu, projSign int, adjoint bool) {
-	p0 := linalg.GammaPerm[mu][0]
-	p1 := linalg.GammaPerm[mu][1]
-	ph0 := linalg.GammaPhase[mu][0]
-	ph1 := linalg.GammaPhase[mu][1]
-	sgn := complex(float64(projSign), 0)
-
-	var h0, h1 [3]complex128
-	for c := 0; c < 3; c++ {
-		h0[c] = in[0*3+c] + sgn*ph0*in[p0*3+c]
-		h1[c] = in[1*3+c] + sgn*ph1*in[p1*3+c]
-	}
-	var uh0, uh1 [3]complex128
-	if adjoint {
-		uh0 = u.AdjMulVec(&h0)
-		uh1 = u.AdjMulVec(&h1)
+// It is the Schur kernel's hop on one spinor: a spin projection that is an
+// add or subtract of swapped parts, two colour-vector SU(3) products, and
+// the lower spins reconstructed by the same swaps - the QUDA matrix-free
+// stencil in scalar form, and the one copy of it. The 4-D Wilson operator
+// and the rank-local stencil of package domain call it.
+func Hop(out, in *[SpinorLen]complex128, u *linalg.SU3, d int) {
+	var h, uh halfSpinor[float64]
+	h.project(spinor64(in), d)
+	if d&1 == 0 {
+		uh.mul(link64(u), &h)
 	} else {
-		uh0 = u.MulVec(&h0)
-		uh1 = u.MulVec(&h1)
+		uh.mulAdj(link64(u), &h)
 	}
-	// Reconstruction: component p0 carries projSign*conj(ph0) times the
-	// projected upper component (gamma_mu^2 = 1 makes the phases inverses).
-	r0 := sgn * complex(real(ph0), -imag(ph0))
-	r1 := sgn * complex(real(ph1), -imag(ph1))
-	for c := 0; c < 3; c++ {
-		out[0*3+c] -= 0.5 * uh0[c]
-		out[1*3+c] -= 0.5 * uh1[c]
-		out[p0*3+c] -= 0.5 * r0 * uh0[c]
-		out[p1*3+c] -= 0.5 * r1 * uh1[c]
-	}
+	uh.reconstruct(spinor64(out), d)
 }
 
 // Gamma5 computes dst = gamma_5 src on a 4-D field (diagonal in the
 // DeGrand-Rossi basis: spins 0,1 keep sign, spins 2,3 flip). dst and src
-// may alias.
+// may alias. It runs on the calling goroutine and allocates nothing; with
+// it any Apply-only operator gains ApplyDagger by gamma_5 hermiticity,
+// which is how the distributed operators of packages domain and wire
+// apply theirs on the rank.
 func Gamma5(dst, src []complex128) {
 	if len(dst) != len(src) || len(src)%SpinorLen != 0 {
 		panic("dirac: Gamma5 size mismatch")
 	}
-	linalg.For(len(src)/SpinorLen, 0, func(lo, hi int) {
-		for s := lo; s < hi; s++ {
-			gamma5Spinor(dst[s*SpinorLen:(s+1)*SpinorLen], src[s*SpinorLen:(s+1)*SpinorLen])
-		}
-	})
+	for s := 0; s < len(src); s += SpinorLen {
+		gamma5Spinor(dst[s:s+SpinorLen], src[s:s+SpinorLen])
+	}
 }
 
 // gamma5Spinor is Gamma5 on one site's twelve components.

@@ -148,6 +148,24 @@ func TestWilsonWorkerCountInvariance(t *testing.T) {
 	}
 }
 
+// TestWilsonApplyDoesNotAllocate: on one worker the flat operator's pass
+// runs on the calling goroutine and builds no closure, so neither Apply nor
+// ApplyDagger allocates.
+func TestWilsonApplyDoesNotAllocate(t *testing.T) {
+	g := lattice.MustNew(4, 4, 4, 8)
+	w := NewWilson(gauge.NewRandom(g, 1), 0.1)
+	w.Workers = 1
+	src, dst := randField(rand.New(rand.NewSource(1)), w.Size()), make([]complex128, w.Size())
+	for name, apply := range map[string]func(){
+		"Apply":       func() { w.Apply(dst, src) },
+		"ApplyDagger": func() { w.ApplyDagger(dst, src) },
+	} {
+		if a := testing.AllocsPerRun(10, apply); a != 0 {
+			t.Errorf("%s: %v allocations per call", name, a)
+		}
+	}
+}
+
 func TestGamma5IsInvolution(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	v := randField(rng, 10*SpinorLen)

@@ -45,17 +45,17 @@ func newCoordsRef(sub *Sub) *coordsRef {
 
 // neighborSpinor returns psi at the neighbor of local site s in direction
 // (mu, fwd), reading the ghost face when the hop crosses the rank edge.
-func (ref *coordsRef) neighborSpinor(s, mu int, fwd bool) []complex128 {
+func (ref *coordsRef) neighborSpinor(s, mu int, fwd bool) *[spinorLen]complex128 {
 	sub := ref.sub
 	lc := sub.local.Coords(s)
 	if sub.Spec.Partitioned(mu) {
 		if fwd && lc[mu] == sub.local.Dims[mu]-1 {
 			i := ref.faceIndex[mu][1][s]
-			return sub.ghostSpin[mu][1][i*spinorLen : (i+1)*spinorLen]
+			return (*[spinorLen]complex128)(sub.ghostSpin[mu][1][i*spinorLen:])
 		}
 		if !fwd && lc[mu] == 0 {
 			i := ref.faceIndex[mu][0][s]
-			return sub.ghostSpin[mu][0][i*spinorLen : (i+1)*spinorLen]
+			return (*[spinorLen]complex128)(sub.ghostSpin[mu][0][i*spinorLen:])
 		}
 	}
 	var nb int
@@ -64,11 +64,11 @@ func (ref *coordsRef) neighborSpinor(s, mu int, fwd bool) []complex128 {
 	} else {
 		nb = sub.local.Bwd(s, mu)
 	}
-	return sub.src[nb*spinorLen : (nb+1)*spinorLen]
+	return (*[spinorLen]complex128)(sub.src[nb*spinorLen:])
 }
 
 // siteStencil applies the Wilson stencil at one local site into out.
-func (ref *coordsRef) siteStencil(out []complex128, s int) {
+func (ref *coordsRef) siteStencil(out *[spinorLen]complex128, s int) {
 	sub := ref.sub
 	in := sub.src[s*spinorLen : (s+1)*spinorLen]
 	diag := complex(4+sub.Spec.Mass, 0)
@@ -78,7 +78,7 @@ func (ref *coordsRef) siteStencil(out []complex128, s int) {
 	lc := sub.local.Coords(s)
 	for mu := 0; mu < lattice.NDim; mu++ {
 		// Forward hop: (1-gamma) U_mu(x) psi(x+mu).
-		dirac.HopAccum(out, ref.neighborSpinor(s, mu, true), &sub.Spec.U[mu][s], mu, -1, false)
+		dirac.Hop(out, ref.neighborSpinor(s, mu, true), &sub.Spec.U[mu][s], 2*mu)
 		// Backward hop: (1+gamma) U_mu(x-mu)^dag psi(x-mu).
 		var link *linalg.SU3
 		if sub.Spec.Partitioned(mu) && lc[mu] == 0 {
@@ -86,7 +86,7 @@ func (ref *coordsRef) siteStencil(out []complex128, s int) {
 		} else {
 			link = &sub.Spec.U[mu][sub.local.Bwd(s, mu)]
 		}
-		dirac.HopAccum(out, ref.neighborSpinor(s, mu, false), link, mu, +1, true)
+		dirac.Hop(out, ref.neighborSpinor(s, mu, false), link, 2*mu+1)
 	}
 }
 
@@ -139,10 +139,10 @@ func TestTableStencilMatchesCoordsBitForBit(t *testing.T) {
 				t.Fatalf("grid %v rank %d: interior+boundary = %d sites of %d", grid, r, n, sub.local.Vol)
 			}
 			ref := newCoordsRef(sub)
-			want := make([]complex128, spinorLen)
+			var want [spinorLen]complex128
 			for s := 0; s < sub.local.Vol; s++ {
-				ref.siteStencil(want, s)
-				if d := bitDiff(sub.dst[s*spinorLen:(s+1)*spinorLen], want); d != 0 {
+				ref.siteStencil(&want, s)
+				if d := bitDiff(sub.dst[s*spinorLen:(s+1)*spinorLen], want[:]); d != 0 {
 					t.Fatalf("grid %v rank %d site %d: %d components differ bitwise from the coordinate stencil", grid, r, s, d)
 				}
 			}

@@ -211,41 +211,24 @@ func (d *Dist) run(ctx context.Context, dst, src []complex128, st stages) error 
 	return nil
 }
 
-// Gamma5 applies the chirality operator sitewise (dst may alias src);
-// with it any Apply-only operator gains ApplyDagger by gamma_5
-// hermiticity, which is how both Dist and the wire Session satisfy
-// solver.Linear.
-func Gamma5(dst, src []complex128) {
-	n := len(src) / spinorLen
-	for s := 0; s < n; s++ {
-		base := s * spinorLen
-		for i := 0; i < 6; i++ {
-			dst[base+i] = src[base+i]
-		}
-		for i := 6; i < 12; i++ {
-			dst[base+i] = -src[base+i]
-		}
-	}
-}
-
 // runRank runs one rank's share of an application: the stencil stages
 // the mode asks for, wrapped in the rank-local gamma_5 flips.
 func (d *Dist) runRank(ctx context.Context, rk *rank, st stages) error {
 	sub := rk.sub
 	if st == stagesDagger {
-		Gamma5(sub.src, sub.src)
+		dirac.Gamma5(sub.src, sub.src)
 	}
 	if err := d.stencilStage(ctx, rk, 0); err != nil {
 		return err
 	}
 	if st == stagesNormal {
-		Gamma5(sub.src, sub.dst)
+		dirac.Gamma5(sub.src, sub.dst)
 		if err := d.stencilStage(ctx, rk, 1); err != nil {
 			return err
 		}
 	}
 	if st != stagesApply {
-		Gamma5(sub.dst, sub.dst)
+		dirac.Gamma5(sub.dst, sub.dst)
 	}
 	return nil
 }

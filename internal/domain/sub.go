@@ -370,20 +370,18 @@ func (sub *Sub) StencilBoundary() {
 }
 
 // siteStencil applies the Wilson stencil at one local site: the mass
-// term, then per dimension the forward hop (1-gamma) U_mu(x) psi(x+mu)
-// and the backward hop (1+gamma) U_mu(x-mu)^dag psi(x-mu), each leg's
-// spinor and link read off the table.
+// term, then the eight hops in table order - per dimension the forward hop
+// (1-gamma) U_mu(x) psi(x+mu) and the backward hop (1+gamma)
+// U_mu(x-mu)^dag psi(x-mu) - each leg's spinor and link read off the
+// table, whose leg index is the hop's direction.
 func (sub *Sub) siteStencil(s int) {
-	out := sub.dst[s*spinorLen : (s+1)*spinorLen]
-	in := sub.src[s*spinorLen : (s+1)*spinorLen]
+	out := (*[spinorLen]complex128)(sub.dst[s*spinorLen:])
+	in := (*[spinorLen]complex128)(sub.src[s*spinorLen:])
 	diag := complex(4+sub.Spec.Mass, 0)
-	for i := 0; i < spinorLen; i++ {
+	for i := range out {
 		out[i] = diag * in[i]
 	}
-	legs := sub.hops[s*hopsPerSite : (s+1)*hopsPerSite]
-	for mu := 0; mu < lattice.NDim; mu++ {
-		fwd, bwd := &legs[2*mu], &legs[2*mu+1]
-		dirac.HopAccum(out, sub.field[fwd.psi:fwd.psi+spinorLen], fwd.link, mu, -1, false)
-		dirac.HopAccum(out, sub.field[bwd.psi:bwd.psi+spinorLen], bwd.link, mu, +1, true)
+	for d, leg := range sub.hops[s*hopsPerSite : (s+1)*hopsPerSite] {
+		dirac.Hop(out, (*[spinorLen]complex128)(sub.field[leg.psi:]), leg.link, d)
 	}
 }

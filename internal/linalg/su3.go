@@ -68,29 +68,6 @@ func (a SU3) Trace() complex128 {
 	return a[0][0] + a[1][1] + a[2][2]
 }
 
-// MulVec computes w = a*v for a color 3-vector held at stride 1.
-func (a SU3) MulVec(v *[3]complex128) [3]complex128 {
-	var w [3]complex128
-	for i := 0; i < 3; i++ {
-		w[i] = a[i][0]*v[0] + a[i][1]*v[1] + a[i][2]*v[2]
-	}
-	return w
-}
-
-// AdjMulVec computes w = a^dagger * v without forming the adjoint.
-func (a SU3) AdjMulVec(v *[3]complex128) [3]complex128 {
-	var w [3]complex128
-	for i := 0; i < 3; i++ {
-		var s complex128
-		for j := 0; j < 3; j++ {
-			x := a[j][i]
-			s += complex(real(x), -imag(x)) * v[j]
-		}
-		w[i] = s
-	}
-	return w
-}
-
 // DistFrom returns the Frobenius distance ||a-b||_F.
 func (a SU3) DistFrom(b SU3) float64 {
 	s := 0.0

@@ -11,6 +11,7 @@ import (
 	"syscall"
 	"time"
 
+	"femtoverse/internal/dirac"
 	"femtoverse/internal/domain"
 	"femtoverse/internal/fault"
 	"femtoverse/internal/lattice"
@@ -594,7 +595,7 @@ func (w *Worker) applyOnce(f Frame, st *resultStats) error {
 		return err
 	}
 	if flags&flagDagger != 0 {
-		domain.Gamma5(src, src)
+		dirac.Gamma5(src, src)
 	}
 	st.Times.Decode = time.Since(t0)
 
@@ -602,13 +603,13 @@ func (w *Worker) applyOnce(f Frame, st *resultStats) error {
 		return err
 	}
 	if flags&flagNormal != 0 {
-		domain.Gamma5(src, w.sub.Dst())
+		dirac.Gamma5(src, w.sub.Dst())
 		if err := w.stencilStage(f.Xid+1, flags, st); err != nil {
 			return err
 		}
 	}
 	if flags&(flagDagger|flagNormal) != 0 {
-		domain.Gamma5(w.sub.Dst(), w.sub.Dst())
+		dirac.Gamma5(w.sub.Dst(), w.sub.Dst())
 	}
 	return nil
 }
