@@ -4,8 +4,7 @@ package femtoverse
 // figure of the paper's evaluation (each regenerates the experiment and
 // reports its headline metric), plus kernel microbenchmarks and the
 // ablations called out in DESIGN.md (precision of the sloppy solver
-// stage, autotuning on/off, communication policy fixed vs tuned,
-// scheduler choice). Run with:
+// stage, communication policy choice, scheduler choice). Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -19,7 +18,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"femtoverse/internal/autotune"
 	"femtoverse/internal/comms"
 	"femtoverse/internal/contract"
 	"femtoverse/internal/dirac"
@@ -286,49 +284,8 @@ func BenchmarkPropagator(b *testing.B) {
 	}
 }
 
-// Ablation: kernel autotuning on/off. The tunable is the Wilson dslash
-// worker count; the tuner must find a configuration at least as good as
-// the untuned first candidate.
-
-type dslashTunable struct {
-	w        *dirac.Wilson
-	src, dst []complex128
-}
-
-func (d *dslashTunable) Key() autotune.Key {
-	return autotune.Key{Kernel: "wilson-dslash", Volume: "8x8x8x16", Aux: "prec=double"}
-}
-func (d *dslashTunable) Candidates() []autotune.LaunchParams { return autotune.DefaultCandidates() }
-func (d *dslashTunable) Flops() int64                        { return d.w.Flops() }
-func (d *dslashTunable) PreTune()                            {}
-func (d *dslashTunable) PostTune()                           {}
-func (d *dslashTunable) Run(p autotune.LaunchParams) {
-	d.w.Workers = p.Workers
-	d.w.Block = p.Block
-	d.w.Apply(d.dst, d.src)
-}
-
-func benchAutotune(b *testing.B, enabled bool) {
-	cfg, _ := benchLattice(b)
-	w := dirac.NewWilson(cfg, 0.1)
-	src := make([]complex128, w.Size())
-	src[0] = 1
-	tn := autotune.New()
-	tn.SetEnabled(enabled)
-	tn.SetReps(1)
-	k := &dslashTunable{w: w, src: src, dst: make([]complex128, w.Size())}
-	tn.Execute(k) // tune (or not) outside the timed loop
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tn.Execute(k)
-	}
-}
-
-func BenchmarkDslashAutotuned(b *testing.B) { benchAutotune(b, true) }
-func BenchmarkDslashUntuned(b *testing.B)   { benchAutotune(b, false) }
-
-// Ablation: communication policy fixed vs autotuned, evaluated across a
-// strong-scaling sweep on Sierra.
+// Communication-policy choice: the model's exhaustive pick, across a
+// strong-scaling sweep on Sierra and for one exchange.
 
 func BenchmarkCommPolicyTuned(b *testing.B) {
 	problem := perfmodel.Problem{Global: [4]int{48, 48, 48, 64}, Ls: 20}
@@ -349,7 +306,7 @@ func BenchmarkCommPolicyEnumeration(b *testing.B) {
 		ComputeSeconds: 1e-3,
 	}
 	for i := 0; i < b.N; i++ {
-		if _, t := mod.BestFixed(ex); t <= 0 {
+		if _, t := mod.Best(ex); t <= 0 {
 			b.Fatal("degenerate exchange")
 		}
 	}

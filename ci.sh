@@ -66,30 +66,28 @@ go test -race -count=2 ./internal/fault/ ./internal/runtime/ ./internal/cluster/
 # instant without losing journaled work or corrupting a checkpoint.
 run_gate 'Drain|Preempt|Budget|Admission|Atomic|Save' -race -count=2 -- ./internal/core/ ./internal/hio/
 # Observability gate: the metrics registry and span tracer must be
-# race-free under concurrent instrumentation, the autotuner must perform
-# exactly one search per cold key under concurrent Execute (the
-# singleflight contract), and the fixed-chunk reductions must make
-# solves bitwise identical at every worker count. The kernel guards ride
-# here too: the fused Schur kernels against their staged reference at
-# every launch split, two solves splitting their passes at once, a For
-# nested in a For body, and zero allocations per BLAS-1 call and per
-# Schur application whenever the pass stays on the calling goroutine. So
-# do the propagator lanes: a batch on 1, 2, 3 and 12 lanes against the
-# serial loop digest for digest, an operator view against its parent
-# while the parent applies, a kept solver workspace against a fresh one,
-# the lane budget under contention, cancellation and the lowest-failure
-# rule with every lane joined, and the half codec's rounding and in-place
-# round trip against what they replaced, and the lane views the generic
-# Schur kernel and the 4-D hop read their fields through (-race turns
-# checkptr on, which checks every unsafe conversion they make). The 4-D
-# stencil rides here too: the flat Wilson operator at every launch split,
-# the rank-local stencil of internal/domain on every rank of three grids
-# and a CGNE solve against the generic hop (an external test of
-# internal/dirac, which can import domain where the reference's package
-# cannot), and the flat operator's serial pass allocation-free. The suites
-# run under -race with -count=2 against fresh interleavings.
+# race-free under concurrent instrumentation, and the fixed-chunk
+# reductions must make solves bitwise identical at every worker count.
+# The kernel guards ride here too: the fused Schur kernels against their
+# staged reference at every launch split, two solves splitting their
+# passes at once, a For nested in a For body, and zero allocations per
+# BLAS-1 call and per Schur application whenever the pass stays on the
+# calling goroutine. So do the propagator lanes: a batch on 1, 2, 3 and
+# 12 lanes against the serial loop digest for digest, an operator view
+# against its parent while the parent applies, a kept solver workspace
+# against a fresh one, the lane budget under contention, cancellation
+# and the lowest-failure rule with every lane joined, and the half
+# codec's rounding and in-place round trip against what they replaced,
+# and the lane views the generic Schur kernel and the 4-D hop read their
+# fields through (-race turns checkptr on, which checks every unsafe
+# conversion they make). The 4-D stencil rides here too: the flat Wilson
+# operator at every launch split, the rank-local stencil of
+# internal/domain on every rank of three grids and a CGNE solve against
+# the generic hop (an external test of internal/dirac, which can import
+# domain where the reference's package cannot), and the flat operator's
+# serial pass allocation-free. The suites run under -race with -count=2
+# against fresh interleavings.
 go test -race -count=2 ./internal/obs/
-run_gate 'Singleflight|SearchModelled|RepsEnabled|Observer' -race -count=2 -- ./internal/autotune/
 run_gate 'Bitwise|BitForBit|ReduceChunk|Deterministic|DoesNotAllocate|NestedFor|ConcurrentCallers|Lane|Batch|Budget|Straggler|View|Workspace|RoundTrip|RoundHalf|Lanes|WilsonHop|WilsonApplyDoesNotAllocate' -race -count=2 -- ./internal/linalg/ ./internal/dirac/ ./internal/solver/ ./internal/prop/
 run_gate 'Obs|Timeline|Trace' -race -- ./internal/runtime/ ./internal/core/ ./internal/cluster/
 # Cache gate: the content-addressed result cache must be race-free and

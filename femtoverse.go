@@ -3,8 +3,8 @@
 // (Berkowitz et al., SC 2018): a lattice-QCD calculation of the nucleon
 // axial coupling gA - and through it the Standard-Model neutron lifetime
 // - built on a Mobius domain-wall Dirac operator, a mixed-precision
-// red-black-preconditioned CG solver with run-time kernel and
-// communication-policy autotuning, the Feynman-Hellmann propagator
+// red-black-preconditioned CG solver with communication-policy
+// autotuning, the Feynman-Hellmann propagator
 // algorithm, epsilon-tensor baryon contractions, and a discrete-event
 // model of the CORAL supercomputers with METAQ- and mpi_jm-style job
 // management.
@@ -306,7 +306,7 @@ func RunJobs(ctx context.Context, cfg JobConfig, tasks []JobTask) ([]JobResult, 
 }
 
 // Observability: the dependency-free metrics registry and span tracer
-// that the job runtime, the solvers and the autotuner report into. Both
+// that the job runtime and the solvers report into. Both
 // are strictly opt-in - a nil registry or tracer is a no-op - and
 // attaching them never changes the physics.
 type (

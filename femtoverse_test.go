@@ -249,9 +249,6 @@ func TestFacadeFunctionsAreDocumented(t *testing.T) {
 var exportAllowList = map[string]string{
 	// Test hooks.
 	"analysistest.RunExpectNone":  "test-support package: runs an analyzer fixture that must stay silent",
-	"autotune.Tuner.Execute":      "the timed kernel search's entry, driven by the autotune suites and the root dslash benchmarks",
-	"autotune.Tuner.SetEnabled":   "switches timed tuning off for the untuned benchmark baseline",
-	"autotune.Tuner.SetReps":      "cuts the timed search to one repetition so the suites stay fast",
 	"cache.Cache.MemKeys":         "exposes the LRU order the eviction tests pin",
 	"cache.Flight.Inflight":       "exposes in-flight keys so the singleflight tests can wait for a leader",
 	"domain.Dist.ApplyCtx":        "the cancellation tests' door into the ctx-aware apply that Apply runs under context.Background",

@@ -31,8 +31,8 @@
 //     (defer or all-returns), so traces cannot silently lose
 //     lanes.
 //   - lockhold:    no blocking operation (channel ops, select without
-//     default, singleflight, waits — and, in the runtime/
-//     cache/autotune packages, file I/O) while holding a
+//     default, singleflight, waits — and, in the runtime and
+//     cache packages, file I/O) while holding a
 //     sync.Mutex/RWMutex.
 //
 // Diagnostics can be suppressed, narrowly, with a justified comment on the

@@ -113,9 +113,9 @@ func TestLockHold(t *testing.T) {
 }
 
 // TestLockHoldFileIOScope loads the same file-write-under-mutex fixture
-// under an autotune path (where it is the convoy bug) and a neutral path
+// under a cache path (where it is the convoy bug) and a neutral path
 // (where core-journal-style serialized writes are the intended design).
 func TestLockHoldFileIOScope(t *testing.T) {
-	analysistest.Run(t, "testdata/lockholdio", "fixture/internal/autotune", analysis.LockHold)
+	analysistest.Run(t, "testdata/lockholdio", "fixture/internal/cache", analysis.LockHold)
 	analysistest.RunExpectNone(t, "testdata/lockholdio", "fixture/journalish", analysis.LockHold)
 }

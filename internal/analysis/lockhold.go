@@ -7,22 +7,20 @@ import (
 )
 
 // LockHold forbids blocking while holding a sync.Mutex or sync.RWMutex —
-// the deadlock-and-convoy class PRs 5 and 6 debugged by hand in the
-// runtime pool, the cache, and the autotuner. A goroutine that parks
-// inside a critical section stalls every other goroutine contending for
-// that lock, which at campaign scale turns one slow disk write into a
-// fleet-wide utilization hole.
+// the deadlock-and-convoy class once debugged by hand in the runtime pool
+// and the cache. A goroutine that parks inside a critical section stalls
+// every other goroutine contending for that lock, which at campaign scale
+// turns one slow disk write into a fleet-wide utilization hole.
 //
 // Blocking operations: channel send/receive, range over a channel,
 // select without a default case, sync.WaitGroup.Wait, time.Sleep, and
 // the cache's singleflight entry points Flight.Do / Cache.GetOrCompute
 // (both park the caller behind another goroutine's compute). In the
 // packages whose locks were the actual trouble spots —
-// internal/{runtime,cache,autotune} — file I/O (os file operations,
-// *os.File methods, hio load/save) counts as blocking too. It does not
-// elsewhere: core's journal serializes its file writes under a mutex on
-// purpose (one writer, crash-consistent ordering), and that design is
-// legitimate.
+// internal/{runtime,cache} — file I/O (os file operations, *os.File
+// methods, hio load/save) counts as blocking too. It does not elsewhere:
+// core's journal serializes its file writes under a mutex on purpose
+// (one writer, crash-consistent ordering), and that design is legitimate.
 //
 // sync.Cond.Wait is exempt: it atomically releases the mutex while
 // parked, which is precisely the sanctioned way to block "under" a lock
@@ -35,7 +33,7 @@ import (
 // they execute on their own goroutine or schedule.
 var LockHold = &Analyzer{
 	Name: "lockhold",
-	Doc:  "no blocking operation (channel ops, select, singleflight, waits, file I/O in runtime/cache/autotune) while holding a sync.Mutex/RWMutex",
+	Doc:  "no blocking operation (channel ops, select, singleflight, waits, file I/O in runtime/cache) while holding a sync.Mutex/RWMutex",
 	Run:  runLockHold,
 }
 
@@ -44,7 +42,6 @@ var LockHold = &Analyzer{
 var lockIOPkgs = []string{
 	"internal/runtime",
 	"internal/cache",
-	"internal/autotune",
 }
 
 func runLockHold(pass *Pass) error {

@@ -1,5 +1,5 @@
 // Fixture for lockhold's file-I/O scoping: the same package is loaded
-// once as "fixture/internal/autotune" (where a file write under a mutex
+// once as "fixture/internal/cache" (where a file write under a mutex
 // is the convoy bug) and once as "fixture/journalish" (where the
 // single-writer-under-mutex design is legitimate and the analyzer must
 // stay silent — RunExpectNone disregards the want below).

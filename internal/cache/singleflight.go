@@ -4,12 +4,10 @@ import "sync"
 
 // Flight is a per-key singleflight table: N concurrent callers asking for
 // the same cold key execute the expensive function exactly once, with the
-// rest blocking on the leader's result. It generalizes the autotuner's
-// private inflight table (the PR 5 cold-key search fix) so the result
-// cache, the autotuner, and any future cold-path dedupe share one audited
-// primitive.
+// rest blocking on the leader's result. The result cache's GetOrCompute
+// runs its cold computations through it.
 //
-// Semantics, chosen to match the autotuner's hard-won contract:
+// Semantics:
 //
 //   - the first caller for a key becomes the leader and runs fn; callers
 //     arriving while the flight is up block until it lands;

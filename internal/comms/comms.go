@@ -1,24 +1,23 @@
 // Package comms models the halo-exchange communication strategies of
-// Section V ("Communication Autotuning") and implements the
-// communication-policy autotuner on top of them. When a multi-process
-// stencil runs on an MPI+GPU system there are several ways to move the
-// halos - stage through CPU memory with the GPU DMA engines, use
-// zero-copy reads/writes, or GPUDirect RDMA straight between GPU and NIC
-// - crossed with coarse-grained (one batched exchange, fewer latency
-// events, less overlap) or fine-grained (per-dimension messages, more
-// latency events, better overlap) scheduling. Which combination wins
-// depends on message size, node count, topology and software support, so
-// the tuner measures (here: evaluates the calibrated model) once per
-// problem/machine key and caches the winner, exactly as QUDA does.
+// Section V ("Communication Autotuning") and picks the policy for an
+// exchange. When a multi-process stencil runs on an MPI+GPU system there
+// are several ways to move the halos - stage through CPU memory with the
+// GPU DMA engines, use zero-copy reads/writes, or GPUDirect RDMA straight
+// between GPU and NIC - crossed with coarse-grained (one batched exchange,
+// fewer latency events, less overlap) or fine-grained (per-dimension
+// messages, more latency events, better overlap) scheduling. Which
+// combination wins depends on message size, node count, topology and
+// software support, so Model.Best evaluates every admissible choice on the
+// calibrated model for the exchange at hand - the paper's policy
+// autotuning, with the model standing in for QUDA's timed trial runs.
+// There is no cache: the choice is a function of the exchange alone.
 package comms
 
 import (
 	"fmt"
 	"math"
 
-	"femtoverse/internal/autotune"
 	"femtoverse/internal/machine"
-	"femtoverse/internal/obs"
 )
 
 // Policy enumerates the transfer mechanisms of Section V.
@@ -195,46 +194,9 @@ func (m Model) ExposedTime(c Choice, ex Exchange) float64 {
 	return math.Max(0, raw-hidden)
 }
 
-// Tuner wraps the shared autotune cache with the machine-specific model:
-// the paper's communication-policy autotuning.
-type Tuner struct {
-	Model Model
-	T     *autotune.Tuner
-}
-
-// NewTuner builds a policy tuner over a fresh cache.
-func NewTuner(m machine.Machine) *Tuner {
-	return &Tuner{Model: Model{M: m}, T: autotune.New()}
-}
-
-// SetObserver forwards observability sinks to the underlying autotune
-// cache: policy searches then show up as autotune.searches counts in the
-// registry and "search" instants in the trace, alongside the kernel
-// tuner's - one pane of glass for both tuning layers.
-func (t *Tuner) SetObserver(reg *obs.Registry, sc obs.Scope) { t.T.SetObserver(reg, sc) }
-
-// Best returns the optimal choice for the exchange, searching the model
-// once per (machine, volume-key, nodes) and caching thereafter.
-func (t *Tuner) Best(volumeKey string, nodes int, ex Exchange) Choice {
-	choices := t.Model.Choices()
-	cands := make([]autotune.LaunchParams, len(choices))
-	for i := range choices {
-		cands[i] = autotune.LaunchParams{Workers: i}
-	}
-	key := autotune.Key{
-		Kernel: "halo-exchange",
-		Volume: volumeKey,
-		Aux:    fmt.Sprintf("machine=%s,nodes=%d", t.Model.M.Name, nodes),
-	}
-	win := t.T.SearchModelled(key, cands, func(p autotune.LaunchParams) float64 {
-		return t.Model.ExposedTime(choices[p.Workers], ex)
-	})
-	return choices[win.Workers]
-}
-
-// BestFixed evaluates all choices and returns the winner without caching;
-// used by the ablation benchmarks comparing tuned vs fixed policies.
-func (m Model) BestFixed(ex Exchange) (Choice, float64) {
+// Best evaluates every admissible choice for the exchange and returns the
+// one with the least exposed time, the first on a tie, with that time.
+func (m Model) Best(ex Exchange) (Choice, float64) {
 	best := Choice{}
 	bestT := math.Inf(1)
 	for _, c := range m.Choices() {

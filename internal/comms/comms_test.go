@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"femtoverse/internal/machine"
-	"femtoverse/internal/obs"
 )
 
 func testExchange(compute float64) Exchange {
@@ -91,55 +90,13 @@ func TestNICSharingSlowsExchange(t *testing.T) {
 	}
 }
 
-func TestTunerCachesPerKey(t *testing.T) {
-	tn := NewTuner(machine.Sierra())
-	ex := testExchange(1e-3)
-	c1 := tn.Best("48x48x48x64x20", 4, ex)
-	// Same key: cached result even with a contradictory exchange.
-	exOther := testExchange(1e-9)
-	c2 := tn.Best("48x48x48x64x20", 4, exOther)
-	if c1 != c2 {
-		t.Fatalf("tuner did not cache: %v vs %v", c1, c2)
-	}
-	// Different node count: separate tuning.
-	if tn.T.Len() != 1 {
-		t.Fatalf("cache size %d", tn.T.Len())
-	}
-	tn.Best("48x48x48x64x20", 128, ex)
-	if tn.T.Len() != 2 {
-		t.Fatalf("cache size %d after second key", tn.T.Len())
-	}
-}
-
-// TestTunerObserverCountsSearches checks the observability pass-through:
-// policy searches land in an attached metrics registry, and cache hits
-// do not re-count.
-func TestTunerObserverCountsSearches(t *testing.T) {
-	tn := NewTuner(machine.Sierra())
-	reg := obs.NewRegistry()
-	tn.SetObserver(reg, obs.Scope{})
-	ex := testExchange(1e-3)
-	tn.Best("48x48x48x64x20", 4, ex)
-	tn.Best("48x48x48x64x20", 4, ex) // cached: no new search
-	tn.Best("48x48x48x64x20", 128, ex)
-	var searches int64
-	for _, c := range reg.Snapshot().Counters {
-		if c.Name == "autotune.searches" {
-			searches = c.Value
-		}
-	}
-	if searches != 2 {
-		t.Fatalf("observer counted %d searches, want 2", searches)
-	}
-}
-
-func TestBestFixedMatchesExhaustive(t *testing.T) {
+func TestBestMatchesExhaustive(t *testing.T) {
 	mod := Model{M: machine.Titan()}
 	ex := testExchange(5e-4)
-	best, bestT := mod.BestFixed(ex)
+	best, bestT := mod.Best(ex)
 	for _, c := range mod.Choices() {
 		if tt := mod.ExposedTime(c, ex); tt < bestT {
-			t.Fatalf("BestFixed missed %v (%g < %g for %v)", c, tt, bestT, best)
+			t.Fatalf("Best missed %v (%g < %g for %v)", c, tt, bestT, best)
 		}
 	}
 	if math.IsInf(bestT, 1) {

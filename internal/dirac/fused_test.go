@@ -64,10 +64,10 @@ func sameBits32(t *testing.T, what string, got, want []complex64) {
 // staged composition they replaced, bit for bit, over the shapes that
 // could tell them apart: several Ls, lattices with extent-2 directions
 // (where the forward and the backward neighbour are the same site), every
-// split of the site range the launch parameters can produce, and dense as
+// split of the site range the launch width can produce, and dense as
 // well as exactly-zero inputs. The last lattice's parity block is past
-// linalg.ForBlocked's serial cut, so its workers > 1 runs really split; on
-// the small ones the launch parameters only pick the serial path.
+// linalg.For's serial cut, so its workers > 1 runs really split; on the
+// small ones the launch width only picks the serial path.
 func TestFusedSchurMatchesStagedBitForBit(t *testing.T) {
 	for _, dims := range [][4]int{{2, 2, 2, 4}, {4, 2, 2, 2}, {2, 4, 8, 16}} {
 		g := lattice.MustNew(dims[0], dims[1], dims[2], dims[3])
@@ -100,24 +100,22 @@ func TestFusedSchurMatchesStagedBitForBit(t *testing.T) {
 				wantFull := p.refReconstruct(src, wantOdd)
 
 				for _, workers := range []int{1, 2, 3, 8} {
-					for _, block := range []int{0, 1, 7} {
-						m.W.Workers, m.W.Block = workers, block
-						tag := fmt.Sprintf("%v Ls=%d %s workers=%d block=%d", dims, ls, name, workers, block)
-						got := make([]complex128, n)
-						p.Apply(got, src)
-						sameBits64(t, tag+" Apply", got, want)
-						p.ApplyDagger(got, src)
-						sameBits64(t, tag+" ApplyDagger", got, wantDag)
-						got32 := make([]complex64, n)
-						q.Apply(got32, src32)
-						sameBits32(t, tag+" Apply32", got32, want32)
-						q.ApplyDagger(got32, src32)
-						sameBits32(t, tag+" ApplyDagger32", got32, wantDag32)
-						bhat, odd := p.PrepareSource(full)
-						sameBits64(t, tag+" PrepareSource bhat", bhat, wantBhat)
-						sameBits64(t, tag+" PrepareSource odd", odd, wantOdd)
-						sameBits64(t, tag+" Reconstruct", p.Reconstruct(src, odd), wantFull)
-					}
+					m.W.Workers = workers
+					tag := fmt.Sprintf("%v Ls=%d %s workers=%d", dims, ls, name, workers)
+					got := make([]complex128, n)
+					p.Apply(got, src)
+					sameBits64(t, tag+" Apply", got, want)
+					p.ApplyDagger(got, src)
+					sameBits64(t, tag+" ApplyDagger", got, wantDag)
+					got32 := make([]complex64, n)
+					q.Apply(got32, src32)
+					sameBits32(t, tag+" Apply32", got32, want32)
+					q.ApplyDagger(got32, src32)
+					sameBits32(t, tag+" ApplyDagger32", got32, wantDag32)
+					bhat, odd := p.PrepareSource(full)
+					sameBits64(t, tag+" PrepareSource bhat", bhat, wantBhat)
+					sameBits64(t, tag+" PrepareSource odd", odd, wantOdd)
+					sameBits64(t, tag+" Reconstruct", p.Reconstruct(src, odd), wantFull)
 				}
 			}
 		}
@@ -159,7 +157,7 @@ func TestWilsonApplyRejectsAliasedFields(t *testing.T) {
 }
 
 // The Schur applications sit inside the solver's iteration; on the calling
-// goroutine alone - a parity block under ForBlocked's cut at any worker
+// goroutine alone - a parity block under For's cut at any worker
 // count, or one worker at any size - they must not allocate.
 func TestSchurApplyDoesNotAllocate(t *testing.T) {
 	for _, c := range []struct {

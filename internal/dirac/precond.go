@@ -87,7 +87,7 @@ func (p *MobiusEO) ownScratch() {
 // reference - but applies through scratch and pass state of its own, so
 // that p and any number of views may run Apply, ApplyDagger, PrepareSource
 // and Reconstruct at the same time. It costs three half-fields. Changes to
-// the shared M (its launch parameters, say) reach every view; each view's
+// the shared M (its split width, say) reach every view; each view's
 // Workers is its own.
 func (p *MobiusEO) View() *MobiusEO {
 	v := &MobiusEO{M: p.M, EO: p.EO}
@@ -105,11 +105,10 @@ func (p *MobiusEO) HalfSize() int { return p.M.Ls * p.HalfVol() * SpinorLen }
 // Size implements the solver operator interface on half fields.
 func (p *MobiusEO) Size() int { return p.HalfSize() }
 
-// run makes one pass of the kernel, at this operator's launch parameters,
+// run makes one pass of the kernel, at this operator's split width,
 // on fields viewed as lanes.
 func (p *MobiusEO) run(st schurStage, dst, src []complex128) {
-	w := p.M.W
-	p.schur.run(st, lanes64(dst), lanes64(src), ownWidth(p.Workers, w.Workers), w.Block)
+	p.schur.run(st, lanes64(dst), lanes64(src), ownWidth(p.Workers, p.M.W.Workers))
 }
 
 // ownWidth is an operator's split width: its own when set, the shared

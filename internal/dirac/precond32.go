@@ -40,7 +40,7 @@ func DemoteGauge(f *gauge.Field) *GaugeC64 {
 // storage format. It is the float32 instance of the kernel MobiusEO is the
 // float64 instance of: the same source, on a demoted operator.
 type MobiusEO32 struct {
-	P *MobiusEO // parent: geometry and launch parameters
+	P *MobiusEO // parent: geometry and split width
 	U *GaugeC64
 
 	// Workers is MobiusEO.Workers for this operator's site loops.
@@ -87,8 +87,7 @@ func (q *MobiusEO32) View() *MobiusEO32 {
 func (q *MobiusEO32) Size() int { return q.P.HalfSize() }
 
 func (q *MobiusEO32) run(st schurStage, dst, src []complex64) {
-	w := q.P.M.W
-	q.schur.run(st, lanes32(dst), lanes32(src), ownWidth(q.Workers, w.Workers), w.Block)
+	q.schur.run(st, lanes32(dst), lanes32(src), ownWidth(q.Workers, q.P.M.W.Workers))
 }
 
 // Apply computes dst = Dhat src in single precision.

@@ -32,7 +32,7 @@ type schur[F float32 | float64] struct {
 	t1, t2, t3 []cx[F]
 
 	// The pass in flight: which site loop, on what. sites is runSites bound
-	// once, so that handing it to linalg.ForBlocked builds no closure per
+	// once, so that handing it to linalg.For builds no closure per
 	// application. A method value captures its receiver: own must run on
 	// the kernel at its final address, and again on every copy.
 	stage    schurStage
@@ -79,11 +79,10 @@ const (
 	stageRecon
 )
 
-// run makes one pass over the parity block, split workers wide in blocks
-// of block sites.
-func (k *schur[F]) run(st schurStage, dst, src []cx[F], workers, block int) {
+// run makes one pass over the parity block, split workers wide.
+func (k *schur[F]) run(st schurStage, dst, src []cx[F], workers int) {
 	k.stage, k.dst, k.src = st, dst, src
-	linalg.ForBlocked(k.halfVol, workers, block, k.sites)
+	linalg.For(k.halfVol, workers, k.sites)
 	k.dst, k.src = nil, nil
 }
 

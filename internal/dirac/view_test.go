@@ -14,7 +14,7 @@ import (
 // is its parent to the bit in all four entry points, at a split width of
 // its own, and shares nothing with it that an application writes - the
 // parent (and a second view) apply all the while, which is for the race
-// detector to judge. The lattice is past ForBlocked's serial cut, so the
+// detector to judge. The lattice is past For's serial cut, so the
 // view's width 1 and the parent's width 3 really differ.
 func TestViewMatchesParentWhileParentApplies(t *testing.T) {
 	g := lattice.MustNew(4, 4, 4, 8)

@@ -22,9 +22,6 @@ type Wilson struct {
 	U       *gauge.Field
 	Mass    float64
 	Workers int // goroutine count for the site loop; <= 0 means default
-	// Block is the work-stealing block size in sites (<= 0 = static
-	// chunking); with Workers it forms the autotuner's launch space.
-	Block int
 }
 
 // NewWilson constructs a Wilson operator over the given gauge field.
@@ -65,7 +62,7 @@ func (w *Wilson) apply(dst, src []complex128, dagger bool) {
 		w.sites(dst, src, dagger, 0, w.G.Vol)
 		return
 	}
-	linalg.ForBlocked(w.G.Vol, workers, w.Block, func(lo, hi int) { w.sites(dst, src, dagger, lo, hi) })
+	linalg.For(w.G.Vol, workers, func(lo, hi int) { w.sites(dst, src, dagger, lo, hi) })
 }
 
 // sites applies the stencil on sites [lo, hi): the mass term, written as

@@ -65,7 +65,7 @@ func genCommPolicy(bool) (Result, error) {
 					Nodes:          16,
 					ComputeSeconds: compute,
 				}
-				best, t := m.BestFixed(ex)
+				best, t := m.Best(ex)
 				out.Rows = append(out.Rows, CommPolicyRow{
 					MessageKB:  msgKB,
 					GPUsPerNIC: share,

@@ -66,7 +66,7 @@ func genTable3(bool) (Result, error) {
 	rows := [][3]string{
 		{"Lalibe", "physics measurement driver", "internal/core + internal/physics"},
 		{"Chroma", "application framework", "internal/workflow + internal/prop"},
-		{"QUDA", "GPU solver library", "internal/solver + internal/dirac + internal/autotune"},
+		{"QUDA", "GPU solver library", "internal/solver + internal/dirac + internal/prop"},
 		{"QDP++", "data-parallel field layer", "internal/linalg + internal/lattice"},
 		{"QMP", "communications layer", "internal/comms"},
 		{"mpi_jm", "job manager", "internal/mpijm (baseline: internal/metaq)"},

@@ -45,14 +45,13 @@ const (
 // with heavy damping.
 var ErrSingular = errors.New("fit: singular normal equations")
 
-// Problem is a weighted least-squares problem: minimise r^T W r with
-// r_i = y_i - f(p, x_i) and W the weight matrix.
+// Problem is a weighted least-squares problem: minimise sum_i W_i r_i^2
+// with r_i = y_i - f(p, x_i) and W the diagonal weights.
 type Problem struct {
 	F  Func
 	Xs []float64
 	Ys []float64
-	// W is the weight matrix, row-major n x n: diag(1/sigma_i^2) from
-	// NewUncorrelated.
+	// W holds the n weights 1/sigma_i^2 from NewUncorrelated.
 	W []float64
 }
 
@@ -62,28 +61,22 @@ func NewUncorrelated(f Func, xs, ys, sigmas []float64) (*Problem, error) {
 	if len(ys) != n || len(sigmas) != n {
 		return nil, fmt.Errorf("fit: length mismatch %d/%d/%d", len(xs), len(ys), len(sigmas))
 	}
-	w := make([]float64, n*n)
+	w := make([]float64, n)
 	for i, s := range sigmas {
 		if s <= 0 {
 			return nil, fmt.Errorf("fit: sigma[%d] = %g must be positive", i, s)
 		}
-		w[i*n+i] = 1 / (s * s)
+		w[i] = 1 / (s * s)
 	}
 	return &Problem{F: f, Xs: xs, Ys: ys, W: w}, nil
 }
 
-// Chi2 evaluates the correlated chi-square at the given parameters.
+// Chi2 evaluates the weighted chi-square at the given parameters.
 func (p *Problem) Chi2(params []float64) float64 {
-	n := len(p.Xs)
-	r := make([]float64, n)
-	for i := range r {
-		r[i] = p.Ys[i] - p.F(params, p.Xs[i])
-	}
 	chi2 := 0.0
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			chi2 += r[i] * p.W[i*n+j] * r[j]
-		}
+	for i, x := range p.Xs {
+		r := p.Ys[i] - p.F(params, x)
+		chi2 += r * p.W[i] * r
 	}
 	return chi2
 }
@@ -132,32 +125,19 @@ func (p *Problem) Solve(p0 []float64) (Result, error) {
 		for i := 0; i < n; i++ {
 			r[i] = p.Ys[i] - p.F(params, p.Xs[i])
 		}
-		// grad = J^T W r ; hess = J^T W J.
+		// grad = J^T W r ; hess = J^T W J, one row of J per point.
 		for a := 0; a < k; a++ {
 			grad[a] = 0
 			for b := 0; b < k; b++ {
 				hess[a*k+b] = 0
 			}
 		}
-		wr := make([]float64, n)
-		wj := make([]float64, n*k)
 		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				wij := p.W[i*n+j]
-				if wij == 0 {
-					continue
-				}
-				wr[i] += wij * r[j]
-				for a := 0; a < k; a++ {
-					wj[i*k+a] += wij * jac[j*k+a]
-				}
-			}
-		}
-		for i := 0; i < n; i++ {
+			wr := p.W[i] * r[i]
 			for a := 0; a < k; a++ {
-				grad[a] += jac[i*k+a] * wr[i]
+				grad[a] += jac[i*k+a] * wr
 				for b := 0; b < k; b++ {
-					hess[a*k+b] += jac[i*k+a] * wj[i*k+b]
+					hess[a*k+b] += jac[i*k+a] * (p.W[i] * jac[i*k+b])
 				}
 			}
 		}

@@ -4,8 +4,8 @@ import "math"
 
 // The BLAS-1 kernels below are the auxiliary operations of the CG solver
 // described in the paper (50-100 flops per lattice site, strongly
-// bandwidth-bound). Each kernel takes an explicit worker count so the
-// run-time autotuner can search over it; workers <= 0 means DefaultWorkers.
+// bandwidth-bound). Each kernel takes an explicit worker count, the width
+// the propagator lanes leave it; workers <= 0 means DefaultWorkers.
 
 // Copy copies src into dst. The slices must have equal length.
 func Copy(dst, src []complex128) {

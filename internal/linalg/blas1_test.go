@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -219,47 +218,4 @@ func TestMismatchedLengthsPanic(t *testing.T) {
 		}
 	}()
 	Axpy(1, make([]complex128, 3), make([]complex128, 4), 1)
-}
-
-func TestForBlockedCoversRangeExactlyOnce(t *testing.T) {
-	for _, n := range []int{0, 1, 255, 256, 1000, 4097} {
-		for _, w := range []int{1, 2, 7} {
-			for _, blk := range []int{0, 64, 300, 5000} {
-				counts := make([]int32, n)
-				ForBlocked(n, w, blk, func(lo, hi int) {
-					for i := lo; i < hi; i++ {
-						atomic.AddInt32(&counts[i], 1)
-					}
-				})
-				for i, c := range counts {
-					if c != 1 {
-						t.Fatalf("n=%d w=%d blk=%d: index %d visited %d times", n, w, blk, i, c)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestForBlockedMatchesForResults(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	n := 10000
-	x := randVec(rng, n)
-	want := make([]complex128, n)
-	For(n, 4, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			want[i] = 2 * x[i]
-		}
-	})
-	got := make([]complex128, n)
-	ForBlocked(n, 4, 128, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			got[i] = 2 * x[i]
-		}
-	})
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("blocked result differs at %d", i)
-		}
-	}
 }

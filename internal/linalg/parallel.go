@@ -47,67 +47,19 @@ func For(n, workers int, body func(lo, hi int)) {
 	wg.Wait()
 }
 
-// ForBlocked splits [0, n) into fixed-size blocks handed to a pool of
-// workers through a shared atomic cursor: the work-stealing analogue of a
-// GPU kernel's block/grid decomposition, and the second axis of the
-// autotuner's launch-parameter space (small blocks balance load on jittery
-// cores, large blocks minimize scheduling overhead). block <= 0 falls back
-// to the static chunking of For.
-func ForBlocked(n, workers, block int, body func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if block <= 0 {
-		For(n, workers, body)
-		return
-	}
-	if workers <= 0 {
-		workers = DefaultWorkers
-	}
-	nBlocks := (n + block - 1) / block
-	if workers > nBlocks {
-		workers = nBlocks
-	}
-	if workers <= 1 || n < 256 {
-		body(0, n)
-		return
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				b := int(cursor.Add(1)) - 1
-				if b >= nBlocks {
-					return
-				}
-				lo := b * block
-				hi := lo + block
-				if hi > n {
-					hi = n
-				}
-				body(lo, hi)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // ReduceChunk is the fixed reduction chunk size. Reductions accumulate a
 // partial sum per ReduceChunk-sized slab of [0, n) and combine the partials
 // in slab-index order, so the floating-point summation tree is a function of
 // n alone — never of the worker count. This is what keeps Dot/Norm2 (and
 // through them whole CGNE solves and the journal's bit-for-bit resume
-// guarantee) bitwise identical when the autotuner picks a different number
-// of workers on a different machine or tunecache.
+// guarantee) bitwise identical when the lanes leave a different number of
+// workers on a different machine.
 const ReduceChunk = 4096
 
 // ReduceFloat64 evaluates body over fixed-size chunks of [0, n) — in
 // parallel when workers > 1, serially otherwise — and combines the partial
 // sums in chunk-index order. The summation order is identical for every
-// worker count, so results are deterministic across tunecaches. All partial
+// worker count, so results are deterministic across machines. All partial
 // and final accumulation happens in float64, matching the paper's
 // convention that reductions are always performed in double precision.
 func ReduceFloat64(n, workers int, body func(lo, hi int) float64) float64 {

@@ -1,11 +1,11 @@
 // Package obs is the observability layer: a dependency-free metrics
 // registry (counters, gauges, fixed-bucket histograms) and a span tracer
-// exporting Chrome trace_event JSON, threaded through the job runtime,
-// the solvers, and the autotuner. It is the live analogue of the paper's
-// measured operational claims - sustained GFLOPS per solve (Figs. 3-4)
-// and scheduler utilization/idle-time recovery (Figs. 5-7) - in the same
-// spirit as QUDA's tunecache metadata and mpi_jm's utilization
-// accounting (Berkowitz et al., SC 2018).
+// exporting Chrome trace_event JSON, threaded through the job runtime and
+// the solvers. It is the live analogue of the paper's measured
+// operational claims - sustained GFLOPS per solve (Figs. 3-4) and
+// scheduler utilization/idle-time recovery (Figs. 5-7) - in the same
+// spirit as QUDA's per-kernel performance metadata and mpi_jm's
+// utilization accounting (Berkowitz et al., SC 2018).
 //
 // Two design rules govern the package:
 //

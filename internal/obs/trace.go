@@ -215,7 +215,7 @@ func (sc Scope) Begin(cat, name string, args map[string]interface{}) Span {
 }
 
 // Instant records a zero-duration event (retry, watchdog kill, drain
-// phase, autotune search) at the current clock reading.
+// phase) at the current clock reading.
 func (sc Scope) Instant(cat, name string, args map[string]interface{}) {
 	if sc.tr == nil {
 		return

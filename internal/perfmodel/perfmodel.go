@@ -13,7 +13,7 @@
 //     FP32 peak (Section VI);
 //   - strong scaling degrades through halo traffic: surface-to-volume
 //     growth, NIC sharing among the node's GPUs, per-message latency,
-//     and the communication policy chosen by the autotuner.
+//     and the communication policy the model picks for the exchange.
 //
 // This reproduces the shapes of Figs. 3-6: who wins, by what factor, and
 // where the strong-scaling rollover falls.
@@ -48,11 +48,6 @@ type Problem struct {
 	Ls     int    // fifth dimension
 }
 
-// VolumeKey renders the problem for autotuner cache keys.
-func (p Problem) VolumeKey() string {
-	return fmt.Sprintf("%dx%dx%dx%dx%d", p.Global[0], p.Global[1], p.Global[2], p.Global[3], p.Ls)
-}
-
 // Sites5D returns the global five-dimensional site count.
 func (p Problem) Sites5D() int {
 	v := p.Ls
@@ -62,15 +57,16 @@ func (p Problem) Sites5D() int {
 	return v
 }
 
-// Model predicts solver performance for one machine.
+// Model predicts solver performance for one machine. It holds no state
+// beyond the machine: every Solve picks its policy afresh, so a point does
+// not depend on the points asked for before it.
 type Model struct {
-	M     machine.Machine
-	Tuner *comms.Tuner
+	M machine.Machine
 }
 
-// New builds a model with a fresh communication-policy tuner.
+// New builds a model of the machine.
 func New(m machine.Machine) *Model {
-	return &Model{M: m, Tuner: comms.NewTuner(m)}
+	return &Model{M: m}
 }
 
 // Point is one strong-scaling measurement.
@@ -81,7 +77,7 @@ type Point struct {
 	PctPeak     float64 // paper-convention percent of FP32 peak
 	BWPerGPU    float64 // sustained effective bandwidth per GPU, GB/s
 	IterSeconds float64
-	Choice      comms.Choice // communication policy the tuner picked
+	Choice      comms.Choice // communication policy the model picked
 }
 
 // intraInterSplit estimates how the halo bytes of a decomposition divide
@@ -144,8 +140,7 @@ func (m *Model) Solve(p Problem, nGPUs int) (Point, error) {
 		Nodes:          nodes,
 		ComputeSeconds: tComp,
 	}
-	choice := m.Tuner.Best(p.VolumeKey(), nodes, ex)
-	exposed := comms.Model{M: m.M}.ExposedTime(choice, ex)
+	choice, exposed := comms.Model{M: m.M}.Best(ex)
 
 	tIter := tComp + exposed
 	flopsPerGPU := float64(d.LocalVolume5D()) * FlopsPerSite5D

@@ -170,10 +170,35 @@ func TestImpossibleDecompositionErrors(t *testing.T) {
 	}
 }
 
-func TestVolumeKeyFormat(t *testing.T) {
-	if fig3Problem.VolumeKey() != "48x48x48x64x20" {
-		t.Fatalf("key %q", fig3Problem.VolumeKey())
+// TestSolveIndependentOfCallOrder: the policy a model picks, and so every
+// figure of the point, is a function of the problem and the GPU count
+// alone. One model asked about every count in ascending order must answer
+// each as a fresh model does - a policy remembered from an earlier count
+// (a key that leaves out the exchange) would differ here.
+func TestSolveIndependentOfCallOrder(t *testing.T) {
+	problems := []Problem{fig3Problem, {Global: [4]int{24, 24, 24, 64}, Ls: 16}}
+	for _, mach := range []machine.Machine{machine.Sierra(), machine.Summit()} {
+		for _, p := range problems {
+			swept := New(mach)
+			for _, n := range []int{1, 2, 3, 4, 6} {
+				got, gotErr := swept.Solve(p, n)
+				want, wantErr := New(mach).Solve(p, n)
+				if (gotErr != nil) != (wantErr != nil) {
+					t.Fatalf("%s %v on %d GPUs: error %v after the sweep, %v fresh", mach.Name, p.Global, n, gotErr, wantErr)
+				}
+				if got.Choice != want.Choice ||
+					math.Float64bits(got.TFlops) != math.Float64bits(want.TFlops) ||
+					math.Float64bits(got.PctPeak) != math.Float64bits(want.PctPeak) ||
+					math.Float64bits(got.IterSeconds) != math.Float64bits(want.IterSeconds) {
+					t.Errorf("%s %v on %d GPUs: %v %v TF after the sweep, %v %v TF fresh",
+						mach.Name, p.Global, n, got.Choice, got.TFlops, want.Choice, want.TFlops)
+				}
+			}
+		}
 	}
+}
+
+func TestSites5D(t *testing.T) {
 	if fig3Problem.Sites5D() != 48*48*48*64*20 {
 		t.Fatal("Sites5D wrong")
 	}
