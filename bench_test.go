@@ -170,7 +170,10 @@ func BenchmarkSchurApply32(b *testing.B) {
 // iteration costs - at the fh-* lattice of the repository benchmark on a
 // dense source: the shape the campaigns run, under both split cuts, where
 // a few per cent in the hop bodies shows and the 8^3 x 16 point-source
-// rows above do not resolve it. Run with -cpu 1.
+// rows above do not resolve it. Run with -cpu 1. Its paired twin,
+// BenchmarkSchurNormalPaired in internal/dirac, times the same
+// application against the scalar kernel the lane-major one replaced,
+// in adjacent blocks of one process, and reports the ratio.
 func BenchmarkSchurNormal(b *testing.B) {
 	g := lattice.MustNew(2, 2, 4, 8)
 	m, err := dirac.NewMobius(gauge.NewRandom(g, 1), dirac.MobiusParams{Ls: 4, M5: 1.4, B5: 1.25, C5: 0.25, M: 0.1})

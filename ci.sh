@@ -6,6 +6,12 @@
 # determinism, cancellation, and hot-path contracts (see DESIGN.md
 # "Static analysis"); a violation anywhere in the tree fails CI.
 set -eux
+# The bit pins assume gc never contracts a multiply and an add into one
+# fused instruction. At the amd64 baseline, v1, it cannot (FMA arrives
+# with v3), so the Go bodies round every product the way the SSE bodies
+# of internal/dirac/schur_amd64.s do. Pin the level here rather than
+# inherit whatever the environment sets.
+export GOAMD64=v1
 # Formatting gate: gofmt -l prints the files it would rewrite; any name is
 # a failure. The nested benchmark module is covered too (gofmt walks
 # directories, not packages).
@@ -36,7 +42,15 @@ run_gate() {
 # views of internal/dirac/lanes.go, whose layout assumption lanes_test.go
 # pins. Any other file that imports unsafe fails here.
 test "$(grep -rl '"unsafe"' --include='*.go' . | sort | tr '\n' ' ')" = './internal/dirac/lanes.go ./internal/dirac/lanes_test.go '
+# Assembly allow-list: the tree has one assembly file, the Schur kernel's
+# hop bodies, held bit for bit to the portable Go body by the kernel gate
+# below (go vet's asmdecl pass checks its frames against the Go
+# declarations). Any other .s file fails here.
+test "$(find . -name '*.s' -not -path './.bench_build/*' | sort | tr '\n' ' ')" = './internal/dirac/schur_amd64.s '
 go vet ./...
+# The portable Go hop body is what every other architecture runs: keep it
+# compiling and vetted where no assembly stands in for it.
+GOARCH=arm64 go vet ./internal/dirac/ && GOARCH=arm64 go build ./...
 go build -o "$PWD/femtolint.bin" ./cmd/femtolint
 trap 'rm -f "$PWD/femtolint.bin" "$PWD/garank.bin" "$PWD/gastress.bin"' EXIT
 go vet -vettool="$PWD/femtolint.bin" ./...
@@ -69,16 +83,18 @@ run_gate 'Drain|Preempt|Budget|Admission|Atomic|Save' -race -count=2 -- ./intern
 # race-free under concurrent instrumentation, and the fixed-chunk
 # reductions must make solves bitwise identical at every worker count.
 # The kernel guards ride here too: the fused Schur kernels against their
-# staged reference at every launch split, two solves splitting their
-# passes at once, a For nested in a For body, and zero allocations per
-# BLAS-1 call and per Schur application whenever the pass stays on the
-# calling goroutine. So do the propagator lanes: a batch on 1, 2, 3 and
-# 12 lanes against the serial loop digest for digest, an operator view
-# against its parent while the parent applies, a kept solver workspace
-# against a fresh one, the lane budget under contention, cancellation
-# and the lowest-failure rule with every lane joined, and the half
-# codec's rounding and in-place round trip against what they replaced,
-# and the lane views the generic Schur kernel and the 4-D hop read their
+# staged reference at every launch split and on both hop bodies (the SSE
+# assembly and the portable Go body), the lane kernel against the scalar
+# kernel it replaced on a field with an infinity and a NaN in it, two
+# solves splitting their passes at once, a For nested in a For body, and
+# zero allocations per BLAS-1 call and per Schur application whenever the
+# pass stays on the calling goroutine. So do the propagator lanes: a
+# batch on 1, 2, 3 and 12 lanes against the serial loop digest for
+# digest, an operator view against its parent while the parent applies,
+# a kept solver workspace against a fresh one, the lane budget under
+# contention, cancellation and the lowest-failure rule with every lane
+# joined, and the half codec's rounding and in-place round trip against
+# what they replaced, and the lane views the generic Schur kernel and the 4-D hop read their
 # fields through (-race turns checkptr on, which checks every unsafe
 # conversion they make). The 4-D stencil rides here too: the flat Wilson
 # operator at every launch split, the rank-local stencil of

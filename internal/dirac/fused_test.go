@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"femtoverse/internal/gauge"
@@ -60,19 +61,41 @@ func sameBits32(t *testing.T, what string, got, want []complex64) {
 	}
 }
 
+// hopBodies are the hop bodies a Schur operator can run: the build's
+// (the assembly of schur_amd64.s on amd64) and the portable Go body,
+// which the test hook of clearing asmHop swaps in. Off amd64 both are the
+// Go body.
+var hopBodies = []string{"build", "go"}
+
+// useHopBody points p's kernels, and every view made of them afterwards,
+// at the named hop body.
+func useHopBody(p *MobiusEO, q *MobiusEO32, body string) {
+	p.asmHop, q.asmHop = hopLanes64, hopLanes32
+	if body == "go" {
+		p.asmHop, q.asmHop = nil, nil
+	}
+}
+
 // TestFusedSchurMatchesStagedBitForBit holds the fused site loops to the
 // staged composition they replaced, bit for bit, over the shapes that
-// could tell them apart: several Ls, lattices with extent-2 directions
-// (where the forward and the backward neighbour are the same site), every
-// split of the site range the launch width can produce, and dense as
-// well as exactly-zero inputs. The last lattice's parity block is past
-// linalg.For's serial cut, so its workers > 1 runs really split; on the
-// small ones the launch width only picks the serial path.
+// could tell them apart: Ls that fill the four lanes of a block, leave
+// some of them padding (2, 3, 5) or take two blocks (5, 8); lattices with
+// extent-2 directions (where the forward and the backward neighbour are
+// the same site); every split of the site range the launch width can
+// produce; both hop bodies; and dense as well as exactly-zero inputs. The
+// last lattice's parity block is past linalg.For's serial cut, so its
+// workers > 1 runs really split, at every Ls but the partial group of 3
+// the small lattices already hold; on the small ones every launch width
+// takes the serial path, so they run one width besides the single worker.
 func TestFusedSchurMatchesStagedBitForBit(t *testing.T) {
 	for _, dims := range [][4]int{{2, 2, 2, 4}, {4, 2, 2, 2}, {2, 4, 8, 16}} {
 		g := lattice.MustNew(dims[0], dims[1], dims[2], dims[3])
 		cfg := gauge.NewRandom(g, int64(dims[1]+dims[3]))
-		for _, ls := range []int{2, 4, 8} {
+		lss, widths := []int{2, 3, 4, 5, 8}, []int{1, 8}
+		if g.Vol/2 >= 256 { // past linalg.For's serial cut
+			lss, widths = []int{2, 4, 5, 8}, []int{1, 2, 3, 8}
+		}
+		for _, ls := range lss {
 			m, err := NewMobius(cfg, MobiusParams{Ls: ls, M5: 1.3, B5: 1.25, C5: 0.25, M: 0.15})
 			if err != nil {
 				t.Fatal(err)
@@ -82,6 +105,9 @@ func TestFusedSchurMatchesStagedBitForBit(t *testing.T) {
 				t.Fatal(err)
 			}
 			q := NewMobiusEO32(p)
+			if runtime.GOARCH == "amd64" && (p.asmHop == nil || q.asmHop == nil) {
+				t.Fatal("the amd64 build has no assembly hop body")
+			}
 			n := p.HalfSize()
 			for name, src := range schurInputs(n) {
 				src32 := make([]complex64, n)
@@ -99,27 +125,144 @@ func TestFusedSchurMatchesStagedBitForBit(t *testing.T) {
 				wantBhat, wantOdd := p.refPrepareSource(full)
 				wantFull := p.refReconstruct(src, wantOdd)
 
-				for _, workers := range []int{1, 2, 3, 8} {
-					m.W.Workers = workers
-					tag := fmt.Sprintf("%v Ls=%d %s workers=%d", dims, ls, name, workers)
-					got := make([]complex128, n)
-					p.Apply(got, src)
-					sameBits64(t, tag+" Apply", got, want)
-					p.ApplyDagger(got, src)
-					sameBits64(t, tag+" ApplyDagger", got, wantDag)
-					got32 := make([]complex64, n)
-					q.Apply(got32, src32)
-					sameBits32(t, tag+" Apply32", got32, want32)
-					q.ApplyDagger(got32, src32)
-					sameBits32(t, tag+" ApplyDagger32", got32, wantDag32)
-					bhat, odd := p.PrepareSource(full)
-					sameBits64(t, tag+" PrepareSource bhat", bhat, wantBhat)
-					sameBits64(t, tag+" PrepareSource odd", odd, wantOdd)
-					sameBits64(t, tag+" Reconstruct", p.Reconstruct(src, odd), wantFull)
+				for _, body := range hopBodies {
+					useHopBody(p, q, body)
+					for _, workers := range widths {
+						m.W.Workers = workers
+						tag := fmt.Sprintf("%v Ls=%d %s %s workers=%d", dims, ls, name, body, workers)
+						got := make([]complex128, n)
+						p.Apply(got, src)
+						sameBits64(t, tag+" Apply", got, want)
+						p.ApplyDagger(got, src)
+						sameBits64(t, tag+" ApplyDagger", got, wantDag)
+						tmp := make([]complex128, n)
+						p.ApplyNormal(got, src, tmp)
+						sameBits64(t, tag+" ApplyNormal Apply", tmp, want)
+						p.ApplyDagger(tmp, want)
+						sameBits64(t, tag+" ApplyNormal", got, tmp)
+						got32 := make([]complex64, n)
+						q.Apply(got32, src32)
+						sameBits32(t, tag+" Apply32", got32, want32)
+						q.ApplyDagger(got32, src32)
+						sameBits32(t, tag+" ApplyDagger32", got32, wantDag32)
+						tmp32 := make([]complex64, n)
+						q.ApplyNormal(got32, src32, tmp32)
+						sameBits32(t, tag+" ApplyNormal32 Apply", tmp32, want32)
+						q.ApplyDagger(tmp32, want32)
+						sameBits32(t, tag+" ApplyNormal32", got32, tmp32)
+						bhat, odd := p.PrepareSource(full)
+						sameBits64(t, tag+" PrepareSource bhat", bhat, wantBhat)
+						sameBits64(t, tag+" PrepareSource odd", odd, wantOdd)
+						sameBits64(t, tag+" Reconstruct", p.Reconstruct(src, odd), wantFull)
+					}
 				}
 			}
 		}
 	}
+}
+
+// poisonedInput is a dense field with an infinity and a NaN in it, on
+// two slices of two sites. Where an input is not finite, the staged
+// reference's generic hop (which multiplies the gamma phases out) makes
+// NaNs the specialised projections do not, so such an input is held to
+// the scalar kernel the lane kernel replaced instead.
+func poisonedInput(n int) []complex128 {
+	v := randField(rand.New(rand.NewSource(int64(n)+1)), n)
+	v[5] = complex(math.Inf(1), imag(v[5]))
+	v[n-SpinorLen*7+2] = complex(real(v[n-SpinorLen*7+2]), math.NaN())
+	return v
+}
+
+// sameOrBothNaN64 is sameBits64 where a NaN only has to meet a NaN: which
+// of two NaNs an instruction passes on depends on its operand order, which
+// the compiler picks, so a payload is not part of the result.
+func sameOrBothNaN64(t *testing.T, what string, got, want []complex128) {
+	t.Helper()
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+	}
+	for i := range want {
+		if !same(real(got[i]), real(want[i])) || !same(imag(got[i]), imag(want[i])) {
+			t.Fatalf("%s: element %d is %v, scalar kernel has %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+func sameOrBothNaN32(t *testing.T, what string, got, want []complex64) {
+	t.Helper()
+	same := func(a, b float32) bool {
+		return math.Float32bits(a) == math.Float32bits(b) || a != a && b != b
+	}
+	for i := range want {
+		if !same(real(got[i]), real(want[i])) || !same(imag(got[i]), imag(want[i])) {
+			t.Fatalf("%s: element %d is %v, scalar kernel has %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestLaneSchurMatchesScalarBitForBit holds the lane kernel, on both hop
+// bodies, to the scalar kernel it replaced (scalar_ref_test.go) on the
+// input the staged reference cannot judge, a field with an infinity and a
+// NaN; TestFusedSchurMatchesStagedBitForBit pins the finite inputs. With M = 0 the
+// fifth-dimension inverses have exact zeros above the diagonal: a kernel
+// that multiplied a zero weight instead of skipping it would carry a NaN
+// into slices the scalar kernel keeps finite.
+func TestLaneSchurMatchesScalarBitForBit(t *testing.T) {
+	g := lattice.MustNew(4, 4, 4, 4)
+	cfg := gauge.NewRandom(g, 5)
+	for _, mass := range []float64{0.15, 0} {
+		for _, ls := range []int{2, 3, 4, 5, 8} {
+			m, err := NewMobius(cfg, MobiusParams{Ls: ls, M5: 1.3, B5: 1.25, C5: 0.25, M: mass})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := NewMobiusEO(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q := NewMobiusEO32(p)
+			n := p.HalfSize()
+			src := poisonedInput(n)
+			src32 := make([]complex64, n)
+			linalg.Demote(src32, src)
+			ref, ref32 := newScalarSchur(p.schurOp), newScalarSchur(q.schurOp)
+			want, wantDag := make([]complex128, n), make([]complex128, n)
+			ref.apply(lanes64(want), lanes64(src))
+			ref.applyDagger(lanes64(wantDag), lanes64(src))
+			want32, wantDag32 := make([]complex64, n), make([]complex64, n)
+			ref32.apply(lanes32(want32), lanes32(src32))
+			ref32.applyDagger(lanes32(wantDag32), lanes32(src32))
+			if finite(want) == 0 || finite(want) == len(want) {
+				t.Fatalf("M=%v Ls=%d: %d of %d outputs finite; the poison must reach some and not all",
+					mass, ls, finite(want), len(want))
+			}
+			for _, body := range hopBodies {
+				useHopBody(p, q, body)
+				tag := fmt.Sprintf("M=%v Ls=%d %s", mass, ls, body)
+				got := make([]complex128, n)
+				p.Apply(got, src)
+				sameOrBothNaN64(t, tag+" Apply", got, want)
+				p.ApplyDagger(got, src)
+				sameOrBothNaN64(t, tag+" ApplyDagger", got, wantDag)
+				got32 := make([]complex64, n)
+				q.Apply(got32, src32)
+				sameOrBothNaN32(t, tag+" Apply32", got32, want32)
+				q.ApplyDagger(got32, src32)
+				sameOrBothNaN32(t, tag+" ApplyDagger32", got32, wantDag32)
+			}
+		}
+	}
+}
+
+// finite counts the components of v with both parts finite.
+func finite(v []complex128) int {
+	n := 0
+	for _, c := range v {
+		if !math.IsInf(real(c), 0) && !math.IsNaN(real(c)) && !math.IsInf(imag(c), 0) && !math.IsNaN(imag(c)) {
+			n++
+		}
+	}
+	return n
 }
 
 // TestWilsonDaggerMatchesGamma5Sandwich: the scratch-free ApplyDagger is

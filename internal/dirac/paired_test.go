@@ -1,0 +1,151 @@
+package dirac
+
+import (
+	"math/rand"
+	"runtime"
+	"slices"
+	"testing"
+	"time"
+
+	"femtoverse/internal/gauge"
+	"femtoverse/internal/lattice"
+	"femtoverse/internal/linalg"
+)
+
+// paired times a candidate against a reference in one process, by
+// adjacent blocks: the host's speed drifts by tens of per cent within
+// minutes, so two separately timed runs resolve little, but the ratio of
+// two blocks tens of milliseconds apart cancels the drift. Each block
+// runs a function reps times; a pair runs a candidate block and a
+// reference block, the order alternating from one pair to the next so
+// that neither side always runs on the warmer cache or the later clock.
+type paired struct {
+	cand, ref func()
+	reps      int
+	ratios    []float64
+}
+
+// newPaired sizes the blocks so that a reference block takes about block.
+func newPaired(cand, ref func(), block time.Duration) *paired {
+	ref()
+	cand()
+	reps := 1
+	for {
+		start := time.Now()
+		for i := 0; i < reps; i++ {
+			ref()
+		}
+		if el := time.Since(start); el >= block/4 {
+			reps = max(1, int(float64(reps)*float64(block)/float64(el)))
+			break
+		}
+		reps *= 2
+	}
+	return &paired{cand: cand, ref: ref, reps: reps}
+}
+
+func (p *paired) block(f func()) time.Duration {
+	start := time.Now()
+	for i := 0; i < p.reps; i++ {
+		f()
+	}
+	return time.Since(start)
+}
+
+// pair times the n-th pair of blocks and keeps its candidate/reference
+// ratio.
+func (p *paired) pair(n int) {
+	var tc, tr time.Duration
+	if n%2 == 0 {
+		tc = p.block(p.cand)
+		tr = p.block(p.ref)
+	} else {
+		tr = p.block(p.ref)
+		tc = p.block(p.cand)
+	}
+	p.ratios = append(p.ratios, float64(tc)/float64(tr))
+}
+
+// result is the median pair ratio and its 95% bootstrap interval (2000
+// resamples, fixed seed).
+func (p *paired) result() (med, lo, hi float64) {
+	med = median(p.ratios)
+	rng := rand.New(rand.NewSource(1))
+	meds := make([]float64, 2000)
+	sample := make([]float64, len(p.ratios))
+	for b := range meds {
+		for i := range sample {
+			sample[i] = p.ratios[rng.Intn(len(p.ratios))]
+		}
+		meds[b] = median(sample)
+	}
+	slices.Sort(meds)
+	return med, meds[len(meds)*25/1000], meds[len(meds)*975/1000]
+}
+
+func median(v []float64) float64 {
+	s := slices.Clone(v)
+	slices.Sort(s)
+	if len(s)%2 == 1 {
+		return s[len(s)/2]
+	}
+	return (s[len(s)/2-1] + s[len(s)/2]) / 2
+}
+
+// benchPaired runs one pair of blocks per iteration on a locked OS thread
+// and reports the median ratio with its interval: -benchtime 60x is 60
+// pairs. Nothing asserts on the numbers; EXPERIMENTS.md records them.
+func benchPaired(b *testing.B, cand, ref func()) {
+	runtime.LockOSThread()
+	defer runtime.UnlockOSThread()
+	p := newPaired(cand, ref, 15*time.Millisecond)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.pair(i)
+	}
+	med, lo, hi := p.result()
+	b.ReportMetric(med, "ratio")
+	b.ReportMetric(lo, "ratio_lo")
+	b.ReportMetric(hi, "ratio_hi")
+}
+
+// BenchmarkSchurNormalPaired is BenchmarkSchurNormal's normal-equation
+// application (the fh-* lattice, Ls 4, a dense source, one worker) judged
+// in pairs: each precision's lane kernel against the scalar kernel it
+// replaced (scalar_ref_test.go), float32 against float64 and against the
+// scalar float64 kernel, and an A/A calibration whose ratio should read 1.
+// Run with -cpu 1 -benchtime 60x.
+func BenchmarkSchurNormalPaired(b *testing.B) {
+	g := lattice.MustNew(2, 2, 4, 8)
+	m, err := NewMobius(gauge.NewRandom(g, 1), MobiusParams{Ls: 4, M5: 1.4, B5: 1.25, C5: 0.25, M: 0.1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	m.W.Workers = 1
+	p, err := NewMobiusEO(m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	q := NewMobiusEO32(p)
+	n := p.HalfSize()
+	src, dst, tmp := randField(rand.New(rand.NewSource(2)), n), make([]complex128, n), make([]complex128, n)
+	src32, dst32, tmp32 := make([]complex64, n), make([]complex64, n), make([]complex64, n)
+	linalg.Demote(src32, src)
+	ref64, ref32 := newScalarSchur(p.schurOp), newScalarSchur(q.schurOp)
+	vec64 := func() { p.ApplyNormal(dst, src, tmp) }
+	vec32 := func() { q.ApplyNormal(dst32, src32, tmp32) }
+	scalar64 := func() { ref64.applyNormal(lanes64(dst), lanes64(src), lanes64(tmp)) }
+	scalar32 := func() { ref32.applyNormal(lanes32(dst32), lanes32(src32), lanes32(tmp32)) }
+	for _, c := range []struct {
+		name      string
+		cand, ref func()
+	}{
+		{"f32", vec32, scalar32},
+		{"f64", vec64, scalar64},
+		{"f32-vs-f64", vec32, vec64},
+		{"f32-vs-scalar-f64", vec32, scalar64},
+		{"aa", vec32, vec32},
+	} {
+		b.Run(c.name, func(b *testing.B) { benchPaired(b, c.cand, c.ref) })
+	}
+}

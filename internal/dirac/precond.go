@@ -38,10 +38,6 @@ type MobiusEO struct {
 	// inverses minvP/minvM), shared by every View, and this applier's own
 	// scratch and pass state.
 	schur[float64]
-
-	// psiOdd is the kernel's t2 as the field type it was made as:
-	// Reconstruct scatters the odd solution out of it.
-	psiOdd []complex128
 }
 
 // NewMobiusEO builds the preconditioned operator from a Mobius operator.
@@ -65,21 +61,16 @@ func NewMobiusEO(m *Mobius) (*MobiusEO, error) {
 	}
 	p := &MobiusEO{M: m, EO: lattice.NewEvenOdd(m.W.G)}
 	p.schurOp = schurOp[float64]{
-		ls: ls, halfVol: p.EO.HalfVol(), hops: &p.EO.Hops,
+		ls: ls, halfVol: p.EO.HalfVol(), hops: &p.EO.Hops, oddLex: p.EO.EOToLex[1],
 		a: a, c: c, b5: m.B5, c5: m.C5, m: m.M,
 		minvP: inv, minvM: linalg.TransposeReal(ls, inv),
 	}
 	for mu := range p.u {
 		p.u[mu] = links64(m.W.U.U[mu])
 	}
-	p.ownScratch()
+	p.setLayout(hopLanes64)
+	p.own()
 	return p, nil
-}
-
-// ownScratch gives p the state no two appliers may share.
-func (p *MobiusEO) ownScratch() {
-	p.psiOdd = make([]complex128, p.HalfSize())
-	p.own(lanes64(p.psiOdd))
 }
 
 // View returns an operator that is p to the bit - the same Mobius
@@ -92,7 +83,7 @@ func (p *MobiusEO) ownScratch() {
 func (p *MobiusEO) View() *MobiusEO {
 	v := &MobiusEO{M: p.M, EO: p.EO}
 	v.schurOp = p.schurOp
-	v.ownScratch()
+	v.own()
 	return v
 }
 
@@ -137,16 +128,22 @@ func (p *MobiusEO) ApplyDagger(dst, src []complex128) {
 	if len(dst) != p.HalfSize() || len(src) != p.HalfSize() {
 		panic("dirac: MobiusEO.ApplyDagger size mismatch")
 	}
-	p.run(stageInnerDag, nil, src)
+	p.run(stageLoad, nil, src)
+	p.run(stageInnerDag, nil, nil)
 	p.run(stageOuterDag, dst, src)
 }
 
 // ApplyNormal computes dst = Dhat^dagger Dhat src, the operator of the
 // conjugate-gradient normal equations. tmp must be a caller-provided
-// half-field buffer distinct from dst and src.
+// half-field buffer distinct from dst and src. The dagger starts from the
+// lane-major tmp that Apply's last pass leaves, so it loads nothing.
 func (p *MobiusEO) ApplyNormal(dst, src, tmp []complex128) {
+	if len(dst) != p.HalfSize() {
+		panic("dirac: MobiusEO.ApplyNormal size mismatch")
+	}
 	p.Apply(tmp, src)
-	p.ApplyDagger(dst, tmp)
+	p.run(stageInnerDag, nil, nil)
+	p.run(stageOuterDag, dst, tmp)
 }
 
 // GatherParity5D splits a full lexicographic 5-D field into a half field
@@ -190,13 +187,13 @@ func (p *MobiusEO) PrepareSource(eta []complex128) (bhat, etaOdd []complex128) {
 }
 
 // Reconstruct rebuilds the full-lattice solution from the even solution
-// and the saved odd source: psi_o = A^{-1}(eta_o - K_oe psi_e).
+// and the saved odd source: psi_o = A^{-1}(eta_o - K_oe psi_e), written
+// straight into the odd sites of the full field.
 func (p *MobiusEO) Reconstruct(psiEven, etaOdd []complex128) []complex128 {
-	p.run(stageB, nil, psiEven)    // t1 = B psi_e
-	p.run(stageRecon, nil, etaOdd) // t2 = psi_o
 	full := make([]complex128, p.M.Size())
 	p.ScatterParity5D(0, psiEven, full)
-	p.ScatterParity5D(1, p.psiOdd, full)
+	p.run(stageB, nil, psiEven)     // t1 = B psi_e
+	p.run(stageRecon, full, etaOdd) // psi_o
 	return full
 }
 

@@ -69,7 +69,8 @@ func NewMobiusEO32(p *MobiusEO) *MobiusEO32 {
 	for mu := range q.u {
 		q.u[mu] = links32(q.U.U[mu])
 	}
-	q.own(make([]cx[float32], q.Size()))
+	q.setLayout(hopLanes32)
+	q.own()
 	return q
 }
 
@@ -79,7 +80,7 @@ func NewMobiusEO32(p *MobiusEO) *MobiusEO32 {
 func (q *MobiusEO32) View() *MobiusEO32 {
 	v := &MobiusEO32{P: q.P, U: q.U}
 	v.schurOp = q.schurOp
-	v.own(make([]cx[float32], v.Size()))
+	v.own()
 	return v
 }
 
@@ -105,13 +106,18 @@ func (q *MobiusEO32) ApplyDagger(dst, src []complex64) {
 	if len(dst) != q.Size() || len(src) != q.Size() {
 		panic("dirac: MobiusEO32.ApplyDagger size mismatch")
 	}
-	q.run(stageInnerDag, nil, src)
+	q.run(stageLoad, nil, src)
+	q.run(stageInnerDag, nil, nil)
 	q.run(stageOuterDag, dst, src)
 }
 
 // ApplyNormal computes dst = Dhat^dag Dhat src in single precision; tmp
 // must be caller-provided and distinct from dst and src.
 func (q *MobiusEO32) ApplyNormal(dst, src, tmp []complex64) {
+	if len(dst) != q.Size() {
+		panic("dirac: MobiusEO32.ApplyNormal size mismatch")
+	}
 	q.Apply(tmp, src)
-	q.ApplyDagger(dst, tmp)
+	q.run(stageInnerDag, nil, nil)
+	q.run(stageOuterDag, dst, tmp)
 }

@@ -6,13 +6,16 @@ import (
 )
 
 // schurOp is what a Schur operator is, in one precision: the geometry, the
-// stencil table, the gauge links in lanes and the fifth-dimension
-// constants. It is read-only once built and copied by value into every
-// view of the operator.
+// stencil table, the gauge links in lanes, the fifth-dimension constants
+// and the lane-major layout of the kernel's scratch. It is read-only once
+// built and copied by value into every view of the operator.
 type schurOp[F float32 | float64] struct {
 	ls, halfVol int
 	hops        *[2][]lattice.Hop
-	u           [lattice.NDim][]link[F]
+	// oddLex is the lexicographic site of each odd-parity site, where
+	// Reconstruct writes the odd solution.
+	oddLex []int32
+	u      [lattice.NDim][]link[F]
 
 	// A = a + c*chi, B = b5 + c5*chi, m the quark mass in chi's wrap.
 	a, c, b5, c5, m F
@@ -20,16 +23,71 @@ type schurOp[F float32 | float64] struct {
 	// (spins 0,1) and P- (spins 2,3) chirality sectors; minvM is the
 	// transpose of minvP because the sectors are transposes of each other.
 	minvP, minvM []F
+	// colP / colM are their columns padded to the lanes: colP[sIn*pad+sOut]
+	// is minvP[sOut*Ls+sIn], zero for the padding lanes sOut >= Ls.
+	colP, colM []F
+
+	// The lane-major layout (DESIGN.md s19). A site's fibre is groups
+	// blocks of 24 planes of laneW floats: plane 2j holds the real parts of
+	// component j and plane 2j+1 the imaginary ones, one lane per
+	// fifth-dimension slice, so that slice s sits in lane s%laneW of block
+	// s/laneW. The lanes past Ls are padding that starts at zero, never
+	// leaves the kernel and never mixes with a real lane. fib is the
+	// fibre's length in floats and lane[s] slice s's offset in it.
+	groups, fib int
+	lane        []int
+
+	// asmHop is the hop body in vector instructions, nil where the build
+	// has none; fibreHop then runs the portable Go body on the same layout.
+	asmHop hopBody[F]
+}
+
+// hopBody hops the eight directions of one site, all lane groups of the
+// fibre at dst, from the fibres of src: the signature the assembly bodies
+// of schur_amd64.s have.
+type hopBody[F float32 | float64] func(dst, src *F, hops *lattice.Hop, u *[lattice.NDim][]link[F], ls int, g5 bool)
+
+// hopLanes32 and hopLanes64 are the vector hop bodies the build provides,
+// set at start-up where there are any (schur_amd64.go) and nil elsewhere.
+var (
+	hopLanes32 hopBody[float32]
+	hopLanes64 hopBody[float64]
+)
+
+// laneW is the lane count of a plane: one 16-byte register of float32,
+// two of float64. One width for both precisions keeps the Go fibre loops'
+// strides constant and puts the fh-* shape, Ls 4, in a single block.
+const laneW = 4
+
+// setLayout fixes the lane-major layout and the hop body the build
+// provides for the precision.
+func (o *schurOp[F]) setLayout(asm hopBody[F]) {
+	o.groups = (o.ls + laneW - 1) / laneW
+	o.fib = o.groups * 2 * SpinorLen * laneW
+	o.lane = make([]int, o.ls)
+	for s := range o.lane {
+		o.lane[s] = s/laneW*2*SpinorLen*laneW + s%laneW
+	}
+	pad := o.groups * laneW
+	o.colP, o.colM = make([]F, o.ls*pad), make([]F, o.ls*pad)
+	for sIn := 0; sIn < o.ls; sIn++ {
+		for sOut := 0; sOut < o.ls; sOut++ {
+			o.colP[sIn*pad+sOut] = o.minvP[sOut*o.ls+sIn]
+			o.colM[sIn*pad+sOut] = o.minvM[sOut*o.ls+sIn]
+		}
+	}
+	o.asmHop = asm
 }
 
 // schur is the fused even-odd Schur kernel, the one source MobiusEO and
 // MobiusEO32 instantiate: an operator and one applier's own state on it.
-// Fields are half-volume, layout (s*halfVol + i)*SpinorLen + comp.
+// The caller's fields are half-volume, layout (s*halfVol + i)*SpinorLen +
+// comp; the kernel's scratch is lane-major.
 type schur[F float32 | float64] struct {
 	schurOp[F]
 
-	// Scratch half-fields.
-	t1, t2, t3 []cx[F]
+	// Scratch half-fields, lane-major.
+	t1, t2, t3 []F
 
 	// The pass in flight: which site loop, on what. sites is runSites bound
 	// once, so that handing it to linalg.For builds no closure per
@@ -41,27 +99,30 @@ type schur[F float32 | float64] struct {
 }
 
 // own gives k the state no two appliers may share: the scratch half-fields
-// and the bound site loop. t2 comes from the caller, who may want to read
-// a pass's result from it in its own field type.
-func (k *schur[F]) own(t2 []cx[F]) {
-	k.t1, k.t2, k.t3 = make([]cx[F], len(t2)), t2, make([]cx[F], len(t2))
+// and the bound site loop.
+func (k *schur[F]) own() {
+	n := k.halfVol * k.fib
+	k.t1, k.t2, k.t3 = make([]F, n), make([]F, n), make([]F, n)
 	k.sites = k.runSites
 }
 
 // schurStage names one fused pass over a parity block. Each pass carries
 // every site of its range through all of the pass's stages while the
 // site's fibre - its Ls slices of 12 components - is hot in cache, so no
-// intermediate vector is swept a second time:
+// intermediate vector is swept a second time. Every stage works on the
+// lane-major scratch; the passes that read a caller's field load its
+// fibre (L), the ones that write one store it (S):
 //
-//	Apply        stageB         t1_e = B x_e
-//	             stageInner     t2_o = B A^{-1} Hop_oe t1
-//	             stageOuter     dst_e = A x_e - Hop_eo t2
-//	ApplyDagger  stageInnerDag  t2_o = A^{-dag} B^dag g5 Hop_oe g5 x_e
-//	             stageOuterDag  dst_e = A^dag x_e - B^dag g5 Hop_eo g5 t2
-//	PrepareSource stageFibre    t2_o = B A^{-1} eta_o
-//	             stagePrepare   bhat_e -= Hop_eo t2
+//	Apply        stageB         t1 = B L(x_e)
+//	             stageInner     t2 = B A^{-1} Hop_oe t1
+//	             stageOuter     S(dst_e) = A L(x_e) - Hop_eo t2, kept in t3
+//	ApplyDagger  stageLoad      t3 = L(x_e), unless stageOuter left it
+//	             stageInnerDag  t2 = A^{-dag} B^dag g5 Hop_oe g5 t3
+//	             stageOuterDag  S(dst_e) = A^dag L(x_e) - B^dag g5 Hop_eo g5 t2
+//	PrepareSource stageFibre    t2 = B A^{-1} L(eta_o)
+//	             stagePrepare   S(bhat_e) = L(bhat_e) - Hop_eo t2
 //	Reconstruct  stageB, then
-//	             stageRecon     t2_o = A^{-1} (eta_o - Hop_oe t1)
+//	             stageRecon     S(psi_o) = A^{-1} (L(eta_o) - Hop_oe t1)
 //
 // Only a hop reads other sites, and it reads the previous pass's vector,
 // so the sites of a pass are independent and any split of the range over
@@ -72,6 +133,7 @@ const (
 	stageB schurStage = iota
 	stageInner
 	stageOuter
+	stageLoad
 	stageInnerDag
 	stageOuterDag
 	stageFibre
@@ -90,37 +152,50 @@ func (k *schur[F]) run(st schurStage, dst, src []cx[F], workers int) {
 // block.
 func (k *schur[F]) runSites(lo, hi int) {
 	t1, t2, t3, dst, src := k.t1, k.t2, k.t3, k.dst, k.src
+	half := k.halfVol * SpinorLen
 	for i := lo; i < hi; i++ {
+		off := i * SpinorLen
 		switch k.stage {
 		case stageB:
-			k.fibreBA(t1, src, i, k.b5, k.c5, false)
+			k.load(t3, i, src, off, half)
+			k.fibreBA(t1, t3, i, k.b5, k.c5, false)
 		case stageInner:
 			k.fibreHop(t2, t1, 1, i, false)
 			k.fibreAInv(t3, t2, i, false)
 			k.fibreBA(t2, t3, i, k.b5, k.c5, false)
 		case stageOuter:
 			k.fibreHop(t3, t2, 0, i, false)
-			k.fibreBA(dst, src, i, k.a, k.c, false)
-			k.fibreAxpy(dst, t3, dst, i)
+			k.load(t1, i, src, off, half)
+			k.fibreBAxpy(t3, t1, i, k.a, k.c, false)
+			k.store(dst, off, half, t3, i)
+		case stageLoad:
+			k.load(t3, i, src, off, half)
 		case stageInnerDag:
-			k.fibreHop(t2, src, 1, i, true)
+			k.fibreHop(t2, t3, 1, i, true)
 			k.fibreBA(t1, t2, i, k.b5, k.c5, true)
 			k.fibreAInv(t2, t1, i, true)
 		case stageOuterDag:
 			k.fibreHop(t3, t2, 0, i, true)
 			k.fibreBA(t1, t3, i, k.b5, k.c5, true)
-			k.fibreBA(dst, src, i, k.a, k.c, true)
-			k.fibreAxpy(dst, t1, dst, i)
+			k.load(t3, i, src, off, half)
+			k.fibreBAxpy(t1, t3, i, k.a, k.c, true)
+			k.store(dst, off, half, t1, i)
 		case stageFibre:
-			k.fibreAInv(t1, src, i, false)
-			k.fibreBA(t2, t1, i, k.b5, k.c5, false)
+			k.load(t1, i, src, off, half)
+			k.fibreAInv(t3, t1, i, false)
+			k.fibreBA(t2, t3, i, k.b5, k.c5, false)
 		case stagePrepare:
 			k.fibreHop(t3, t2, 0, i, false)
-			k.fibreAxpy(dst, t3, dst, i)
+			k.load(t1, i, dst, off, half)
+			k.fibreAxpy(t1, t3, i)
+			k.store(dst, off, half, t1, i)
 		case stageRecon:
+			// dst is the full field: the odd site's own place in it.
 			k.fibreHop(t2, t1, 1, i, false)
-			k.fibreAxpy(t3, t2, src, i)
+			k.load(t3, i, src, off, half)
+			k.fibreAxpy(t3, t2, i)
 			k.fibreAInv(t2, t3, i, false)
+			k.store(dst, int(k.oddLex[i])*SpinorLen, 2*half, t2, i)
 		}
 	}
 }
@@ -128,6 +203,40 @@ func (k *schur[F]) runSites(lo, hi int) {
 // spinor is one site's twelve components, spin slowest.
 func spinor[F float32 | float64](f []cx[F], off int) *[SpinorLen]cx[F] {
 	return (*[SpinorLen]cx[F])(f[off:])
+}
+
+// slot is slice l's lane of a fibre's block, as an array whose index
+// plane*laneW is in range for every plane: the fibre loops below index it
+// with constant strides and no bounds checks.
+func slot[F float32 | float64](fb []F, l int) *[slotLen]F {
+	return (*[slotLen]F)(fb[l:])
+}
+
+// slotLen reaches the last plane of a block from its first lane.
+const slotLen = (2*SpinorLen-1)*laneW + 1
+
+// load sets the fibre of site i in f to a caller's field whose slice s
+// of the site starts at off + s*stride.
+func (k *schur[F]) load(f []F, i int, src []cx[F], off, stride int) {
+	fb := f[i*k.fib:][:k.fib]
+	for s, l := range k.lane {
+		v, o := spinor(src, off+s*stride), slot(fb, l)
+		for j := range v {
+			o[2*j*laneW], o[(2*j+1)*laneW] = v[j].re, v[j].im
+		}
+	}
+}
+
+// store writes the fibre of site i in f back to a caller's field, laid out
+// as for load.
+func (k *schur[F]) store(dst []cx[F], off, stride int, f []F, i int) {
+	fb := f[i*k.fib:][:k.fib]
+	for s, l := range k.lane {
+		v, o := spinor(dst, off+s*stride), slot(fb, l)
+		for j := range v {
+			v[j] = cx[F]{o[2*j*laneW], o[(2*j+1)*laneW]}
+		}
+	}
 }
 
 // chiNeighbours returns, for slice s, the slices feeding the P+ (spins
@@ -155,118 +264,159 @@ func chiNeighbours[F float32 | float64](s, ls int, wrap F, dagger bool) (sp int,
 // fibreBA sets dst = (w0 + w1*chi) src, or its dagger, on the fibre of
 // site i: B for (b5, c5), A for (a, c). The weights are real and scale the
 // parts one by one, w0*x + w1*(w*chi); a product by (w, 0) as a complex
-// number would differ in the sign of some zeros (DESIGN.md s19). dst must
-// not alias src.
-func (k *schur[F]) fibreBA(dst, src []cx[F], i int, w0, w1 F, dagger bool) {
-	stride := k.halfVol * SpinorLen
-	base := i * SpinorLen
-	for s := 0; s < k.ls; s++ {
+// number would differ in the sign of some zeros (DESIGN.md s19). Planes
+// 0-11 are the P+ sector, 12-23 the P- one. dst must not alias src.
+func (k *schur[F]) fibreBA(dst, src []F, i int, w0, w1 F, dagger bool) {
+	d, x := dst[i*k.fib:][:k.fib], src[i*k.fib:][:k.fib]
+	for s, l := range k.lane {
 		sp, pw, sm, mw := chiNeighbours(s, k.ls, -k.m, dagger)
-		d := spinor(dst, s*stride+base)
-		x := spinor(src, s*stride+base)
-		up := spinor(src, sp*stride+base)
-		dn := spinor(src, sm*stride+base)
-		for j := 0; j < 6; j++ {
-			d[j] = x[j].scale(w0).add(up[j].scale(pw).scale(w1))
+		o, xs, up, dn := slot(d, l), slot(x, l), slot(x, k.lane[sp]), slot(x, k.lane[sm])
+		for p := 0; p < SpinorLen*laneW; p += laneW {
+			o[p] = w0*xs[p] + w1*(pw*up[p])
 		}
-		for j := 6; j < SpinorLen; j++ {
-			d[j] = x[j].scale(w0).add(dn[j].scale(mw).scale(w1))
+		for p := SpinorLen * laneW; p < slotLen; p += laneW {
+			o[p] = w0*xs[p] + w1*(mw*dn[p])
+		}
+	}
+}
+
+// fibreBAxpy sets z = (-1)*z + (w0 + w1*chi) y on the fibre of site i:
+// fibreBA into a temporary, then the axpy of fibreAxpy, with the same
+// roundings. z must not alias y.
+func (k *schur[F]) fibreBAxpy(z, y []F, i int, w0, w1 F, dagger bool) {
+	zf, x := z[i*k.fib:][:k.fib], y[i*k.fib:][:k.fib]
+	minus := cx[F]{-1, 0}
+	for s, l := range k.lane {
+		sp, pw, sm, mw := chiNeighbours(s, k.ls, -k.m, dagger)
+		o, xs, nb := slot(zf, l), slot(x, l), slot(x, k.lane[sp])
+		wt := pw
+		for p := 0; p < slotLen; p += 2 * laneW {
+			if p == SpinorLen*laneW {
+				nb, wt = slot(x, k.lane[sm]), mw
+			}
+			ba := cx[F]{w0*xs[p] + w1*(wt*nb[p]), w0*xs[p+laneW] + w1*(wt*nb[p+laneW])}
+			v := minus.times(cx[F]{o[p], o[p+laneW]}).add(ba)
+			o[p], o[p+laneW] = v.re, v.im
 		}
 	}
 }
 
 // fibreAInv sets dst = A^{-1} src (or A^{-dagger} src) on the fibre of
 // site i via the dense fifth-dimension inverses, each part a sum from +0
-// over the non-zero weights. dst must not alias src.
-func (k *schur[F]) fibreAInv(dst, src []cx[F], i int, dagger bool) {
-	mP, mM := k.minvP, k.minvM
+// over the non-zero weights in slice order: a zero weight is skipped,
+// never multiplied, so an infinite or NaN slice reaches only the slices
+// its weights do. A plane's four output lanes accumulate together, from
+// the inverses' padded columns, whose zero padding leaves the padding
+// lanes +0. dst must not alias src.
+func (k *schur[F]) fibreAInv(dst, src []F, i int, dagger bool) {
+	cP, cM := k.colP, k.colM
 	if dagger {
-		mP, mM = mM, mP
+		cP, cM = cM, cP
 	}
-	ls := k.ls
-	stride := k.halfVol * SpinorLen
-	base := i * SpinorLen
-	for sOut := 0; sOut < ls; sOut++ {
-		var acc [SpinorLen]cx[F]
-		for sIn := 0; sIn < ls; sIn++ {
-			v := spinor(src, sIn*stride+base)
-			if w := mP[sOut*ls+sIn]; w != 0 {
-				for j := 0; j < 6; j++ {
-					acc[j] = acc[j].add(v[j].scale(w))
+	lane, groups := k.lane, k.groups
+	pad := groups * laneW
+	d, x := dst[i*k.fib:][:k.fib], src[i*k.fib:][:k.fib]
+	for g := 0; g < groups; g++ {
+		dg := d[g*2*SpinorLen*laneW:][:2*SpinorLen*laneW]
+		for q := 0; q < 2*SpinorLen; q++ {
+			cols := cP[g*laneW:]
+			if q >= SpinorLen {
+				cols = cM[g*laneW:]
+			}
+			xq := x[q*laneW:]
+			var a0, a1, a2, a3 F
+			for sIn, l := range lane {
+				v := xq[l]
+				c := (*[laneW]F)(cols[sIn*pad:])
+				if c[0] != 0 {
+					a0 += c[0] * v
+				}
+				if c[1] != 0 {
+					a1 += c[1] * v
+				}
+				if c[2] != 0 {
+					a2 += c[2] * v
+				}
+				if c[3] != 0 {
+					a3 += c[3] * v
 				}
 			}
-			if w := mM[sOut*ls+sIn]; w != 0 {
-				for j := 6; j < SpinorLen; j++ {
-					acc[j] = acc[j].add(v[j].scale(w))
-				}
-			}
+			o := (*[laneW]F)(dg[q*laneW:])
+			o[0], o[1], o[2], o[3] = a0, a1, a2, a3
 		}
-		*spinor(dst, sOut*stride+base) = acc
 	}
 }
 
-// fibreAxpy sets z = (-1)*x + y on the fibre of site i, spelled as the
+// fibreAxpy sets y = (-1)*x + y on the fibre of site i, spelled as the
 // complex axpy it replaces - a full complex product by (-1, 0), whose
 // 0*x terms decide the sign of a zero - so that signed zeros come out the
-// same. z may alias y.
-func (k *schur[F]) fibreAxpy(z, x, y []cx[F], i int) {
+// same.
+func (k *schur[F]) fibreAxpy(y, x []F, i int) {
+	yf, xf := y[i*k.fib:][:k.fib], x[i*k.fib:][:k.fib]
 	minus := cx[F]{-1, 0}
-	stride := k.halfVol * SpinorLen
-	base := i * SpinorLen
-	for s := 0; s < k.ls; s++ {
-		zs := spinor(z, s*stride+base)
-		xs := spinor(x, s*stride+base)
-		ys := spinor(y, s*stride+base)
-		for j := range zs {
-			zs[j] = minus.times(xs[j]).add(ys[j])
+	for _, l := range k.lane {
+		o, xs := slot(yf, l), slot(xf, l)
+		for p := 0; p < slotLen; p += 2 * laneW {
+			v := minus.times(cx[F]{xs[p], xs[p+laneW]}).add(cx[F]{o[p], o[p+laneW]})
+			o[p], o[p+laneW] = v.re, v.im
 		}
 	}
 }
 
 // fibreHop sets the fibre of site i of parity pOut in dst to the
-// parity-flipping Wilson hopping term (with its -1/2) of src, the fifth
-// dimension innermost so that each link is fetched once for all Ls
-// slices. With g5 it is gamma_5 Hop gamma_5: the input gamma_5 flips the
-// sign the projector sees, the output gamma_5 negates the lower spins
-// once all eight directions have accumulated.
+// parity-flipping Wilson hopping term (with its -1/2) of src, each link
+// fetched once for all Ls slices. With g5 it is gamma_5 Hop gamma_5: the
+// input gamma_5 flips the sign the projector sees, the output gamma_5
+// negates the lower spins once all eight directions have accumulated.
 //
 // Every accumulator starts at +0 and only ever has terms subtracted from
 // it, so an output that is zero is +0 whatever the signs of the zeros
 // that went in: the specialised projections may differ from the generic
 // hop in the sign of an intermediate zero and still reproduce its output
 // bit for bit (DESIGN.md, "Kernels").
-func (k *schur[F]) fibreHop(dst, src []cx[F], pOut, i int, g5 bool) {
-	ls := k.ls
-	stride := k.halfVol * SpinorLen
-	base := i * SpinorLen
-	for s := 0; s < ls; s++ {
-		*spinor(dst, s*stride+base) = [SpinorLen]cx[F]{}
-	}
-	var hs, us halfSpinor[F]
+//
+// The assembly body runs the same operations in the same order on every
+// lane, w slices per instruction; hopGo is the portable body and the
+// reference it is held to.
+func (k *schur[F]) fibreHop(dst, src []F, pOut, i int, g5 bool) {
 	hops := k.hops[pOut][2*lattice.NDim*i:][:2*lattice.NDim]
-	for d, h := range hops {
-		u := &k.u[d/2][h.Link]
-		pd := d
-		if g5 {
-			pd ^= 1
-		}
-		in := src[int(h.Site)*SpinorLen:]
-		for s := 0; s < ls; s++ {
-			hs.project(spinor(in, s*stride), pd)
-			if d&1 == 0 {
-				us.mul(u, &hs)
-			} else {
-				us.mulAdj(u, &hs)
-			}
-			us.reconstruct(spinor(dst, s*stride+base), d)
-		}
+	if k.asmHop != nil {
+		k.asmHop(&dst[i*k.fib:][:k.fib][0], &src[0], &hops[0], &k.u, k.ls, g5)
+		return
 	}
-	if g5 {
-		for s := 0; s < ls; s++ {
-			o := spinor(dst, s*stride+base)
+	k.hopGo(dst[i*k.fib:][:k.fib], src, hops, g5)
+}
+
+// hopGo is fibreHop slice by slice: each lane gathered into a spinor, the
+// halfSpinor hop, and the result scattered back.
+func (k *schur[F]) hopGo(out, src []F, hops []lattice.Hop, g5 bool) {
+	var hs, us halfSpinor[F]
+	for _, l := range k.lane {
+		var o, v [SpinorLen]cx[F]
+		for d, h := range hops {
+			pd := d
+			if g5 {
+				pd ^= 1
+			}
+			in := src[int(h.Site)*k.fib+l:]
+			for j := range v {
+				v[j] = cx[F]{in[2*j*laneW], in[(2*j+1)*laneW]}
+			}
+			hs.project(&v, pd)
+			if d&1 == 0 {
+				us.mul(&k.u[d/2][h.Link], &hs)
+			} else {
+				us.mulAdj(&k.u[d/2][h.Link], &hs)
+			}
+			us.reconstruct(&o, d)
+		}
+		if g5 {
 			for j := 6; j < SpinorLen; j++ {
 				o[j] = cx[F]{-o[j].re, -o[j].im}
 			}
+		}
+		for j := range o {
+			out[l+2*j*laneW], out[l+(2*j+1)*laneW] = o[j].re, o[j].im
 		}
 	}
 }

@@ -8,12 +8,12 @@ import (
 
 // TestSerialPassDoesNotAllocate: the solver calls these once or more per
 // iteration, so a pass that stays on the calling goroutine - one worker at
-// any length, any worker count up to one ReduceChunk - must not allocate:
+// any length, any worker count up to serialCut - must not allocate:
 // no closure, no partial-sum slice.
 func TestSerialPassDoesNotAllocate(t *testing.T) {
 	for _, c := range []struct{ n, workers int }{
-		{ReduceChunk - ReduceChunk%12, 0}, // under the cut at any worker count
-		{3*ReduceChunk + 1, 1},            // several reduction chunks, one worker
+		{serialCut - serialCut%12, 0}, // under the cut at any worker count
+		{3*ReduceChunk + 1, 1},        // several reduction chunks, one worker
 	} {
 		n, w := c.n, c.workers
 		x, y, z := make([]complex128, n), make([]complex128, n), make([]complex128, n)
@@ -60,9 +60,9 @@ func TestSerialPassDoesNotAllocate(t *testing.T) {
 }
 
 // TestSerialPassMatchesSplitBitwise holds the named-loop serial passes to
-// the split ones on both sides of the ReduceChunk cut.
+// the split ones on both sides of serialPass's cut.
 func TestSerialPassMatchesSplitBitwise(t *testing.T) {
-	for _, n := range []int{ReduceChunk, ReduceChunk + 1, 5*ReduceChunk + 7} {
+	for _, n := range []int{serialCut, serialCut + 1, serialCut + 5*ReduceChunk + 7} {
 		x, y := make([]complex128, n), make([]complex128, n)
 		x32, y32 := make([]complex64, n), make([]complex64, n)
 		for i := range x {

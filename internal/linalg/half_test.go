@@ -176,7 +176,7 @@ func TestHalfRoundTripC64IsEncodeDecode(t *testing.T) {
 		{complex(math.MaxFloat32, -math.MaxFloat32), complex(1, math.SmallestNonzeroFloat32)},
 		{complex(math.SmallestNonzeroFloat32, 0), complex(0, -math.SmallestNonzeroFloat32)},
 	}
-	for len(blocks) < 8+4*ReduceChunk/block { // past serialPass's cut, so workers > 1 splits
+	for len(blocks) < 8+serialCut/block { // past serialPass's cut, so workers > 1 splits
 		blk := make([]complex64, block)
 		scale := float32(math.Exp(20 * rng.NormFloat64()))
 		for i := range blk {

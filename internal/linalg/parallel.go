@@ -127,14 +127,28 @@ func sumChunks[T float64 | complex128](n int, body func(lo, hi int) T) T {
 	return sum
 }
 
+// serialCut is the pass length up to which forking does not pay: a
+// BLAS-1 pass streams memory, and on a 2-vCPU host the second goroutine's
+// wake-up and join cost as much as it saves until the vectors are six
+// reduction chunks long. Measured with paired blocks (internal/dirac's
+// paired helper) on the CG iteration's five passes - Dot, two Axpy,
+// NormSq, Xpay - at GOMAXPROCS 2, two workers against one: 1.29x at
+// 6144 elements, 1.21x at 16384, 1.00x at 24576, 0.94x at 49152 and
+// 0.83x at 131072. Only the 6144-element point (the two-rank wire
+// coordinator's CG vectors) is backed by an end-to-end workload; above
+// it the cut rests on that microbenchmark alone, whose 95% intervals do
+// not resolve the break-even (0.94-1.28 at 16384, 0.95-1.10 at 24576).
+// A chunk of the reductions is still ReduceChunk, so the cut moves no
+// bit.
+const serialCut = 6 * ReduceChunk
+
 // serialPass reports whether a BLAS-1 or codec pass over n elements runs
-// on the calling goroutine alone: one worker, or at most one ReduceChunk —
-// the size up to which the reductions have always been a single serial
-// chunk. The kernels test it before building the closure For needs, so a
-// serial pass allocates nothing.
+// on the calling goroutine alone: one worker, or at most serialCut
+// elements. The kernels test it before building the closure For needs, so
+// a serial pass allocates nothing.
 func serialPass(n, workers int) bool {
 	if workers <= 0 {
 		workers = DefaultWorkers
 	}
-	return workers <= 1 || n <= ReduceChunk
+	return workers <= 1 || n <= serialCut
 }
