@@ -6,16 +6,26 @@
 # determinism, cancellation, and hot-path contracts (see DESIGN.md
 # "Static analysis"); a violation anywhere in the tree fails CI.
 set -eux
+# lap NAME prints the wall seconds since the previous lap (or the start)
+# under NAME, so the log shows which step a slow gate spent its time in.
+last=$(date +%s)
+lap() {
+	now=$(date +%s)
+	echo "ci: step $1 took $((now - last)) s" >&2
+	last=$now
+}
 # The bit pins assume gc never contracts a multiply and an add into one
 # fused instruction. At the amd64 baseline, v1, it cannot (FMA arrives
 # with v3), so the Go bodies round every product the way the SSE bodies
-# of internal/dirac/schur_amd64.s do. Pin the level here rather than
-# inherit whatever the environment sets.
+# of internal/dirac/schur_amd64.s - the hop and the fifth-dimension passes
+# - do. Pin the level here rather than inherit whatever the environment
+# sets.
 export GOAMD64=v1
 # Formatting gate: gofmt -l prints the files it would rewrite; any name is
 # a failure. The nested benchmark module is covered too (gofmt walks
 # directories, not packages).
 test -z "$(gofmt -l .)"
+lap gofmt
 # run_gate REGEX [go test flags] -- PKGS: `go test -run` exits 0 with "no
 # tests to run" when the regex matches nothing, so renaming a test can
 # silently empty a gate. Every -run line below goes through here: the
@@ -43,29 +53,38 @@ run_gate() {
 # pins. Any other file that imports unsafe fails here.
 test "$(grep -rl '"unsafe"' --include='*.go' . | sort | tr '\n' ' ')" = './internal/dirac/lanes.go ./internal/dirac/lanes_test.go '
 # Assembly allow-list: the tree has one assembly file, the Schur kernel's
-# hop bodies, held bit for bit to the portable Go body by the kernel gate
-# below (go vet's asmdecl pass checks its frames against the Go
-# declarations). Any other .s file fails here.
+# vector bodies - the hop, fibreAInv, fibreBA, fibreBAxpy, fibreAxpy and
+# the load/store transposes - each held bit for bit to its portable Go
+# body by the kernel gate below (go vet's asmdecl pass checks their frames
+# against the Go declarations). Any other .s file fails here.
 test "$(find . -name '*.s' -not -path './.bench_build/*' | sort | tr '\n' ' ')" = './internal/dirac/schur_amd64.s '
+lap allow-lists
 go vet ./...
-# The portable Go hop body is what every other architecture runs: keep it
-# compiling and vetted where no assembly stands in for it.
+lap vet
+# The portable Go bodies, hop and fifth-dimension passes, are what every
+# other architecture runs: keep them compiling and vetted where no
+# assembly stands in for them.
 GOARCH=arm64 go vet ./internal/dirac/ && GOARCH=arm64 go build ./...
+lap arm64
 go build -o "$PWD/femtolint.bin" ./cmd/femtolint
 trap 'rm -f "$PWD/femtolint.bin" "$PWD/garank.bin" "$PWD/gastress.bin"' EXIT
 go vet -vettool="$PWD/femtolint.bin" ./...
+lap femtolint
 go build ./...
+lap build
 # The benchmark is a nested module (benchmark/go.mod), so ./... does not
 # reach it: vet it and run its smoke suite here, so that drift in an
 # internal/* signature it compiles against fails CI and not the next
 # benchmark run.
 (cd benchmark && go vet . && go test .)
+lap benchmark-module
 # internal/core's race suite takes 16 minutes alone on a 2-vCPU host (the
 # fused Schur kernels are half the time of the staged ones natively but
 # 1.3x under the race detector: their half spinors travel by pointer, and
 # every access through a pointer is instrumented) and longer while other
 # packages share the cores; give the full sweep headroom.
 go test -race -timeout 40m ./...
+lap race
 # Chaos gate: the fault-tolerance suites run again under the race
 # detector with -count=2, so the chaos engine's determinism claim
 # (same seed and plan -> same fault sequence and report at any worker
@@ -73,18 +92,24 @@ go test -race -timeout 40m ./...
 # the recovery paths (panic isolation, watchdog kills, failure-domain
 # casualties, capped retry backoff) hold under concurrent load.
 go test -race -count=2 ./internal/fault/ ./internal/runtime/ ./internal/cluster/
+lap chaos
 # Drain gate: the allocation-budget paths - drain/resume determinism,
 # admission control, Preempt-fault preemption, and the atomic container
 # save a drain relies on - re-run under the race detector, so an
 # allocation can end (wall clock, SIGTERM, injected preemption) at any
 # instant without losing journaled work or corrupting a checkpoint.
 run_gate 'Drain|Preempt|Budget|Admission|Atomic|Save' -race -count=2 -- ./internal/core/ ./internal/hio/
+lap drain
 # Observability gate: the metrics registry and span tracer must be
 # race-free under concurrent instrumentation, and the fixed-chunk
 # reductions must make solves bitwise identical at every worker count.
 # The kernel guards ride here too: the fused Schur kernels against their
-# staged reference at every launch split and on both hop bodies (the SSE
-# assembly and the portable Go body), the lane kernel against the scalar
+# staged reference at every launch split and on both body sets (the SSE
+# assembly - hop, fibreAInv, fibreBA, fibreBAxpy, fibreAxpy, load and
+# store - and the portable Go bodies), each of those vector bodies against
+# its Go body at every Ls from 1 to 9 on fibres with infinities, a NaN,
+# -0 and subnormals beside the padding lanes, the padding lanes +0 after
+# every pass of every entry point, the lane kernel against the scalar
 # kernel it replaced on a field with an infinity and a NaN in it, two
 # solves splitting their passes at once, a For nested in a For body, and
 # zero allocations per BLAS-1 call and per Schur application whenever the
@@ -105,7 +130,9 @@ run_gate 'Drain|Preempt|Budget|Admission|Atomic|Save' -race -count=2 -- ./intern
 # against fresh interleavings.
 go test -race -count=2 ./internal/obs/
 run_gate 'Bitwise|BitForBit|ReduceChunk|Deterministic|DoesNotAllocate|NestedFor|ConcurrentCallers|Lane|Batch|Budget|Straggler|View|Workspace|RoundTrip|RoundHalf|Lanes|WilsonHop|WilsonApplyDoesNotAllocate' -race -count=2 -- ./internal/linalg/ ./internal/dirac/ ./internal/solver/ ./internal/prop/
+lap kernel
 run_gate 'Obs|Timeline|Trace' -race -- ./internal/runtime/ ./internal/core/ ./internal/cluster/
+lap observability
 # Cache gate: the content-addressed result cache must be race-free and
 # deterministic - the LRU eviction order, the byte budget, the disk
 # tier's corruption-is-a-miss contract and the per-key singleflight all
@@ -120,11 +147,13 @@ run_gate 'Obs|Timeline|Trace' -race -- ./internal/runtime/ ./internal/core/ ./in
 go test -race -count=2 ./internal/cache/
 run_gate 'ShareSolves|UsesCache|EquivalenceMatrix/workers=3' -race -- ./internal/core/
 run_gate 'FH' -race -- ./internal/workflow/
+lap cache
 # Analysis gate: the analyzer suite itself (driver, fact plumbing,
 # fixtures, the vettool handshake e2e) re-runs under the race detector
 # against fresh interleavings - the unitchecker is invoked concurrently
 # by cmd/go, so its own code must hold to the standard it enforces.
 go test -race -count=2 ./internal/analysis/...
+lap analysis
 # Distributed gate: the wire protocol suite - framing fuzz, bitwise
 # apply/solve parity, kill-at-every-iteration recovery, chaos solves,
 # partition and hang detection - re-runs under the race detector against
@@ -151,6 +180,7 @@ go build -o "$PWD/garank.bin" ./cmd/garank
 ./garank.bin -ranks 4 -drop 0.01 -corrupt 0.01 -delay 0.002 -chaos-seed 7 -max-inject 200
 ./garank.bin -ranks 2 -partition 0.3 -chaos-seed 2 -max-inject 4
 rm -f "$PWD/garank.bin"
+lap distributed
 # Scenario gate: the seeded chaos-soak sweep. The scenario package's own
 # suite (generator determinism, coverage, the full six-scenario soak and
 # the replay-identity contract) re-runs under the race detector against
@@ -166,6 +196,7 @@ go build -o "$PWD/gastress.bin" ./cmd/gastress
 ./gastress.bin -seed 1 -count 8 -repeat 2
 ./gastress.bin -seed 1 -index 3
 rm -f "$PWD/gastress.bin"
+lap scenario
 # Service gate: the multi-tenant campaign server. The serve suite
 # re-runs under the race detector against fresh interleavings
 # (-count=2): stride fair-share order pinned exactly, priorities that
@@ -181,6 +212,7 @@ rm -f "$PWD/gastress.bin"
 # the uninterrupted run's fingerprint.
 go test -race -count=2 ./internal/serve/ ./internal/validate/
 run_gate 'EndToEnd|FlagValidation' -race -- ./cmd/gaserve/ ./cmd/gasolve/ ./cmd/garank/ ./cmd/gastress/
+lap service
 # Touched-package gate: an interleaving-dependent test shows only when
 # its suite is repeated, and five were found by hand in four PRs because
 # somebody happened to pass -count. So every package the change under test
@@ -206,6 +238,7 @@ if [ -n "$touched" ]; then
 	# shellcheck disable=SC2086 # touched is a word list
 	go test -race -count=3 -timeout 120m $touched
 fi
+lap touched
 # The femtolint suppression budget: the tree carries 8 reviewed
 # //femtolint:ignore directives (the runtime's deliberate post-drain
 # Wait, the journal's best-effort Close-after-error cleanups). New code
@@ -214,3 +247,4 @@ fi
 # the analysis itself, and additionally fails on malformed directives and
 # on stale ones that no longer suppress anything.
 "$PWD/femtolint.bin" -audit -budget=8 ./...
+lap audit

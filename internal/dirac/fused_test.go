@@ -61,18 +61,18 @@ func sameBits32(t *testing.T, what string, got, want []complex64) {
 	}
 }
 
-// hopBodies are the hop bodies a Schur operator can run: the build's
-// (the assembly of schur_amd64.s on amd64) and the portable Go body,
-// which the test hook of clearing asmHop swaps in. Off amd64 both are the
-// Go body.
-var hopBodies = []string{"build", "go"}
+// bodySets are the body sets a Schur operator can run: the build's (the
+// vector bodies of schur_amd64.s on amd64, hop and fifth-dimension passes)
+// and the portable Go bodies, which clearing the operator's vec swaps in.
+// Off amd64 both are the Go bodies.
+var bodySets = []string{"build", "go"}
 
-// useHopBody points p's kernels, and every view made of them afterwards,
-// at the named hop body.
-func useHopBody(p *MobiusEO, q *MobiusEO32, body string) {
-	p.asmHop, q.asmHop = hopLanes64, hopLanes32
-	if body == "go" {
-		p.asmHop, q.asmHop = nil, nil
+// useBodies points p's and q's kernels, and every view made of them
+// afterwards, at the named body set.
+func useBodies(p *MobiusEO, q *MobiusEO32, set string) {
+	p.vec, q.vec = vec64, vec32
+	if set == "go" {
+		p.vec, q.vec = nil, nil
 	}
 }
 
@@ -82,7 +82,7 @@ func useHopBody(p *MobiusEO, q *MobiusEO32, body string) {
 // some of them padding (2, 3, 5) or take two blocks (5, 8); lattices with
 // extent-2 directions (where the forward and the backward neighbour are
 // the same site); every split of the site range the launch width can
-// produce; both hop bodies; and dense as well as exactly-zero inputs. The
+// produce; both body sets; and dense as well as exactly-zero inputs. The
 // last lattice's parity block is past linalg.For's serial cut, so its
 // workers > 1 runs really split, at every Ls but the partial group of 3
 // the small lattices already hold; on the small ones every launch width
@@ -105,8 +105,8 @@ func TestFusedSchurMatchesStagedBitForBit(t *testing.T) {
 				t.Fatal(err)
 			}
 			q := NewMobiusEO32(p)
-			if runtime.GOARCH == "amd64" && (p.asmHop == nil || q.asmHop == nil) {
-				t.Fatal("the amd64 build has no assembly hop body")
+			if runtime.GOARCH == "amd64" && (p.vec == nil || q.vec == nil) {
+				t.Fatal("the amd64 build has no vector bodies")
 			}
 			n := p.HalfSize()
 			for name, src := range schurInputs(n) {
@@ -125,8 +125,8 @@ func TestFusedSchurMatchesStagedBitForBit(t *testing.T) {
 				wantBhat, wantOdd := p.refPrepareSource(full)
 				wantFull := p.refReconstruct(src, wantOdd)
 
-				for _, body := range hopBodies {
-					useHopBody(p, q, body)
+				for _, body := range bodySets {
+					useBodies(p, q, body)
 					for _, workers := range widths {
 						m.W.Workers = workers
 						tag := fmt.Sprintf("%v Ls=%d %s %s workers=%d", dims, ls, name, body, workers)
@@ -200,8 +200,8 @@ func sameOrBothNaN32(t *testing.T, what string, got, want []complex64) {
 	}
 }
 
-// TestLaneSchurMatchesScalarBitForBit holds the lane kernel, on both hop
-// bodies, to the scalar kernel it replaced (scalar_ref_test.go) on the
+// TestLaneSchurMatchesScalarBitForBit holds the lane kernel, on both body
+// sets, to the scalar kernel it replaced (scalar_ref_test.go) on the
 // input the staged reference cannot judge, a field with an infinity and a
 // NaN; TestFusedSchurMatchesStagedBitForBit pins the finite inputs. With M = 0 the
 // fifth-dimension inverses have exact zeros above the diagonal: a kernel
@@ -236,8 +236,8 @@ func TestLaneSchurMatchesScalarBitForBit(t *testing.T) {
 				t.Fatalf("M=%v Ls=%d: %d of %d outputs finite; the poison must reach some and not all",
 					mass, ls, finite(want), len(want))
 			}
-			for _, body := range hopBodies {
-				useHopBody(p, q, body)
+			for _, body := range bodySets {
+				useBodies(p, q, body)
 				tag := fmt.Sprintf("M=%v Ls=%d %s", mass, ls, body)
 				got := make([]complex128, n)
 				p.Apply(got, src)

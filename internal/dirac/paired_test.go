@@ -112,9 +112,10 @@ func benchPaired(b *testing.B, cand, ref func()) {
 // BenchmarkSchurNormalPaired is BenchmarkSchurNormal's normal-equation
 // application (the fh-* lattice, Ls 4, a dense source, one worker) judged
 // in pairs: each precision's lane kernel against the scalar kernel it
-// replaced (scalar_ref_test.go), float32 against float64 and against the
-// scalar float64 kernel, and an A/A calibration whose ratio should read 1.
-// Run with -cpu 1 -benchtime 60x.
+// replaced (scalar_ref_test.go); against itself with the vector hop and
+// the Go fifth-dimension bodies (-fibre: what the vector fibre bodies buy);
+// float32 against float64 and against the scalar float64 kernel; and an
+// A/A calibration whose ratio should read 1. Run with -cpu 1 -benchtime 60x.
 func BenchmarkSchurNormalPaired(b *testing.B) {
 	g := lattice.MustNew(2, 2, 4, 8)
 	m, err := NewMobius(gauge.NewRandom(g, 1), MobiusParams{Ls: 4, M5: 1.4, B5: 1.25, C5: 0.25, M: 0.1})
@@ -132,8 +133,18 @@ func BenchmarkSchurNormalPaired(b *testing.B) {
 	src32, dst32, tmp32 := make([]complex64, n), make([]complex64, n), make([]complex64, n)
 	linalg.Demote(src32, src)
 	ref64, ref32 := newScalarSchur(p.schurOp), newScalarSchur(q.schurOp)
-	vec64 := func() { p.ApplyNormal(dst, src, tmp) }
-	vec32 := func() { q.ApplyNormal(dst32, src32, tmp32) }
+	// hop64 and hop32 are the build's vector hop alone: every
+	// fifth-dimension pass runs its Go body.
+	all64, all32 := p.vec, q.vec
+	var hop64 *vecBodies[float64]
+	var hop32 *vecBodies[float32]
+	if all64 != nil {
+		hop64, hop32 = &vecBodies[float64]{hop: all64.hop}, &vecBodies[float32]{hop: all32.hop}
+	}
+	vec64 := func() { p.vec = all64; p.ApplyNormal(dst, src, tmp) }
+	vec32 := func() { q.vec = all32; q.ApplyNormal(dst32, src32, tmp32) }
+	goFibre64 := func() { p.vec = hop64; p.ApplyNormal(dst, src, tmp) }
+	goFibre32 := func() { q.vec = hop32; q.ApplyNormal(dst32, src32, tmp32) }
 	scalar64 := func() { ref64.applyNormal(lanes64(dst), lanes64(src), lanes64(tmp)) }
 	scalar32 := func() { ref32.applyNormal(lanes32(dst32), lanes32(src32), lanes32(tmp32)) }
 	for _, c := range []struct {
@@ -142,9 +153,34 @@ func BenchmarkSchurNormalPaired(b *testing.B) {
 	}{
 		{"f32", vec32, scalar32},
 		{"f64", vec64, scalar64},
+		{"f32-fibre", vec32, goFibre32},
+		{"f64-fibre", vec64, goFibre64},
 		{"f32-vs-f64", vec32, vec64},
 		{"f32-vs-scalar-f64", vec32, scalar64},
 		{"aa", vec32, vec32},
+	} {
+		b.Run(c.name, func(b *testing.B) { benchPaired(b, c.cand, c.ref) })
+	}
+}
+
+// BenchmarkWilsonDslashPaired is BenchmarkWilsonDslash's application judged
+// in pairs, on one worker at the wire-2rank lattice (4^3 x 8): the flat
+// Wilson operator against the generic composition it replaced (refWilson,
+// staged_ref_test.go), and an A/A calibration whose ratio should read 1.
+// Run with -cpu 1 -benchtime 60x.
+func BenchmarkWilsonDslashPaired(b *testing.B) {
+	g := lattice.MustNew(4, 4, 4, 8)
+	w := NewWilson(gauge.NewRandom(g, 1), 0.1)
+	w.Workers = 1
+	src, dst := randField(rand.New(rand.NewSource(2)), w.Size()), make([]complex128, w.Size())
+	flat := func() { w.Apply(dst, src) }
+	generic := func() { refWilson(w, dst, src, false) }
+	for _, c := range []struct {
+		name      string
+		cand, ref func()
+	}{
+		{"apply", flat, generic},
+		{"aa", flat, flat},
 	} {
 		b.Run(c.name, func(b *testing.B) { benchPaired(b, c.cand, c.ref) })
 	}

@@ -68,7 +68,7 @@ func NewMobiusEO(m *Mobius) (*MobiusEO, error) {
 	for mu := range p.u {
 		p.u[mu] = links64(m.W.U.U[mu])
 	}
-	p.setLayout(hopLanes64)
+	p.setLayout(vec64)
 	p.own()
 	return p, nil
 }

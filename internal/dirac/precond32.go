@@ -69,7 +69,7 @@ func NewMobiusEO32(p *MobiusEO) *MobiusEO32 {
 	for mu := range q.u {
 		q.u[mu] = links32(q.U.U[mu])
 	}
-	q.setLayout(hopLanes32)
+	q.setLayout(vec32)
 	q.own()
 	return q
 }

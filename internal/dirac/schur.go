@@ -1,6 +1,8 @@
 package dirac
 
 import (
+	"math"
+
 	"femtoverse/internal/lattice"
 	"femtoverse/internal/linalg"
 )
@@ -37,31 +39,63 @@ type schurOp[F float32 | float64] struct {
 	groups, fib int
 	lane        []int
 
-	// asmHop is the hop body in vector instructions, nil where the build
-	// has none; fibreHop then runs the portable Go body on the same layout.
-	asmHop hopBody[F]
+	// keep is a lane mask per block, all bits set in a real lane and +0 in
+	// a padding lane, and chi the per-block tables of the vector chi; only
+	// the vector bodies read them.
+	keep []F
+	chi  []chiBlock[F]
+
+	// vec names the vector bodies of the build, hop and fifth-dimension
+	// passes alike; nil where the build has none, and then every pass runs
+	// its portable Go body on the same layout, as a pass whose body in vec
+	// is nil does (BenchmarkSchurNormalPaired's reference sets the hop
+	// alone).
+	vec *vecBodies[F]
 }
 
-// hopBody hops the eight directions of one site, all lane groups of the
-// fibre at dst, from the fibres of src: the signature the assembly bodies
-// of schur_amd64.s have.
-type hopBody[F float32 | float64] func(dst, src *F, hops *lattice.Hop, u *[lattice.NDim][]link[F], ls int, g5 bool)
+// vecBodies are one site's passes in vector instructions, with the
+// signatures the assembly bodies of schur_amd64.s have: the hop of all
+// eight directions, A^{-1}, B or A (ba), its closing axpy (baxpy), the
+// plain axpy, and the load and store that transpose between a caller's
+// field and the lane-major fibre.
+type vecBodies[F float32 | float64] struct {
+	hop   func(dst, src *F, hops *lattice.Hop, u *[lattice.NDim][]link[F], keep *F, ls int, g5 bool)
+	aInv  func(dst, src, colP, colM *F, lane *int, ls int)
+	ba    func(dst, src *F, chi *chiBlock[F], keep *F, groups int, w0, w1 F, dagger bool)
+	baxpy func(z, y *F, chi *chiBlock[F], keep *F, groups int, w0, w1 F, dagger bool)
+	axpy  func(y, x, keep *F, groups int)
+	load  func(dst, src *F, stride, ls int)
+	store func(dst, src *F, stride, ls int)
+}
 
-// hopLanes32 and hopLanes64 are the vector hop bodies the build provides,
-// set at start-up where there are any (schur_amd64.go) and nil elsewhere.
+// vec32 and vec64 are the vector bodies the build provides, set at
+// start-up where there are any (schur_amd64.go) and nil elsewhere.
 var (
-	hopLanes32 hopBody[float32]
-	hopLanes64 hopBody[float64]
+	vec32 *vecBodies[float32]
+	vec64 *vecBodies[float64]
 )
+
+// chiBlock is chi on one block of a fibre as the vector bodies apply it,
+// for the two shifts it is made of: index 0 reads slice s-1 (chi's P+
+// sector, chi^dagger's P-), index 1 slice s+1. A shift is a fixed rotation
+// of the block's four lanes; the one lane whose neighbour lies across the
+// block's edge or across the chiral wrap (all bits set in rep) takes a
+// broadcast of that neighbour instead, slice src, at src's float offset
+// from the block. wt is the weight chiNeighbours gives each lane: 1 in the
+// bulk, -m at the wrap.
+type chiBlock[F float32 | float64] struct {
+	rep, wt [2][laneW]F
+	src     [2]int
+}
 
 // laneW is the lane count of a plane: one 16-byte register of float32,
 // two of float64. One width for both precisions keeps the Go fibre loops'
 // strides constant and puts the fh-* shape, Ls 4, in a single block.
 const laneW = 4
 
-// setLayout fixes the lane-major layout and the hop body the build
-// provides for the precision.
-func (o *schurOp[F]) setLayout(asm hopBody[F]) {
+// setLayout fixes the lane-major layout, the vector tables, and the
+// vector bodies the build provides for the precision.
+func (o *schurOp[F]) setLayout(vec *vecBodies[F]) {
 	o.groups = (o.ls + laneW - 1) / laneW
 	o.fib = o.groups * 2 * SpinorLen * laneW
 	o.lane = make([]int, o.ls)
@@ -76,7 +110,39 @@ func (o *schurOp[F]) setLayout(asm hopBody[F]) {
 			o.colM[sIn*pad+sOut] = o.minvM[sOut*o.ls+sIn]
 		}
 	}
-	o.asmHop = asm
+	ones := allOnes[F]()
+	o.keep = make([]F, pad)
+	for s := 0; s < o.ls; s++ {
+		o.keep[s] = ones
+	}
+	o.chi = make([]chiBlock[F], o.groups)
+	for b := range o.chi {
+		c := &o.chi[b]
+		c.wt = [2][laneW]F{{1, 1, 1, 1}, {1, 1, 1, 1}}
+		// s-1 crosses the block's edge in its first lane, and wraps there
+		// in block 0.
+		s, base := b*laneW, o.lane[b*laneW]
+		sp, pw, _, _ := chiNeighbours(s, o.ls, -o.m, false)
+		c.rep[0][0], c.wt[0][0], c.src[0] = ones, pw, o.lane[sp]-base
+		// s+1 crosses it in the last lane, and wraps at the last real one.
+		s = min(s+laneW, o.ls) - 1
+		_, _, sm, mw := chiNeighbours(s, o.ls, -o.m, false)
+		c.rep[1][s%laneW], c.wt[1][s%laneW], c.src[1] = ones, mw, o.lane[sm]-base
+	}
+	o.vec = vec
+}
+
+// allOnes is the float whose bits are all set: a lane mask as the vector
+// bodies AND it.
+func allOnes[F float32 | float64]() F {
+	var f F
+	switch p := any(&f).(type) {
+	case *float32:
+		*p = math.Float32frombits(^uint32(0))
+	case *float64:
+		*p = math.Float64frombits(^uint64(0))
+	}
+	return f
 }
 
 // schur is the fused even-odd Schur kernel, the one source MobiusEO and
@@ -219,6 +285,11 @@ const slotLen = (2*SpinorLen-1)*laneW + 1
 // of the site starts at off + s*stride.
 func (k *schur[F]) load(f []F, i int, src []cx[F], off, stride int) {
 	fb := f[i*k.fib:][:k.fib]
+	if v := k.vec; v != nil && v.load != nil {
+		_ = src[off+(k.ls-1)*stride+SpinorLen-1]
+		v.load(&fb[0], &src[off].re, stride, k.ls)
+		return
+	}
 	for s, l := range k.lane {
 		v, o := spinor(src, off+s*stride), slot(fb, l)
 		for j := range v {
@@ -231,6 +302,11 @@ func (k *schur[F]) load(f []F, i int, src []cx[F], off, stride int) {
 // as for load.
 func (k *schur[F]) store(dst []cx[F], off, stride int, f []F, i int) {
 	fb := f[i*k.fib:][:k.fib]
+	if v := k.vec; v != nil && v.store != nil {
+		_ = dst[off+(k.ls-1)*stride+SpinorLen-1]
+		v.store(&dst[off].re, &fb[0], stride, k.ls)
+		return
+	}
 	for s, l := range k.lane {
 		v, o := spinor(dst, off+s*stride), slot(fb, l)
 		for j := range v {
@@ -268,6 +344,10 @@ func chiNeighbours[F float32 | float64](s, ls int, wrap F, dagger bool) (sp int,
 // 0-11 are the P+ sector, 12-23 the P- one. dst must not alias src.
 func (k *schur[F]) fibreBA(dst, src []F, i int, w0, w1 F, dagger bool) {
 	d, x := dst[i*k.fib:][:k.fib], src[i*k.fib:][:k.fib]
+	if v := k.vec; v != nil && v.ba != nil {
+		v.ba(&d[0], &x[0], &k.chi[0], &k.keep[0], k.groups, w0, w1, dagger)
+		return
+	}
 	for s, l := range k.lane {
 		sp, pw, sm, mw := chiNeighbours(s, k.ls, -k.m, dagger)
 		o, xs, up, dn := slot(d, l), slot(x, l), slot(x, k.lane[sp]), slot(x, k.lane[sm])
@@ -285,6 +365,10 @@ func (k *schur[F]) fibreBA(dst, src []F, i int, w0, w1 F, dagger bool) {
 // roundings. z must not alias y.
 func (k *schur[F]) fibreBAxpy(z, y []F, i int, w0, w1 F, dagger bool) {
 	zf, x := z[i*k.fib:][:k.fib], y[i*k.fib:][:k.fib]
+	if v := k.vec; v != nil && v.baxpy != nil {
+		v.baxpy(&zf[0], &x[0], &k.chi[0], &k.keep[0], k.groups, w0, w1, dagger)
+		return
+	}
 	minus := cx[F]{-1, 0}
 	for s, l := range k.lane {
 		sp, pw, sm, mw := chiNeighbours(s, k.ls, -k.m, dagger)
@@ -307,15 +391,22 @@ func (k *schur[F]) fibreBAxpy(z, y []F, i int, w0, w1 F, dagger bool) {
 // never multiplied, so an infinite or NaN slice reaches only the slices
 // its weights do. A plane's four output lanes accumulate together, from
 // the inverses' padded columns, whose zero padding leaves the padding
-// lanes +0. dst must not alias src.
+// lanes +0. The vector body makes the skip a mask: it adds the product
+// ANDed with the weight's non-zero mask, a +0 where a weight is zero,
+// which leaves a sum from +0 as it was (DESIGN.md s19). dst must not alias
+// src.
 func (k *schur[F]) fibreAInv(dst, src []F, i int, dagger bool) {
 	cP, cM := k.colP, k.colM
 	if dagger {
 		cP, cM = cM, cP
 	}
+	d, x := dst[i*k.fib:][:k.fib], src[i*k.fib:][:k.fib]
+	if v := k.vec; v != nil && v.aInv != nil {
+		v.aInv(&d[0], &x[0], &cP[0], &cM[0], &k.lane[0], k.ls)
+		return
+	}
 	lane, groups := k.lane, k.groups
 	pad := groups * laneW
-	d, x := dst[i*k.fib:][:k.fib], src[i*k.fib:][:k.fib]
 	for g := 0; g < groups; g++ {
 		dg := d[g*2*SpinorLen*laneW:][:2*SpinorLen*laneW]
 		for q := 0; q < 2*SpinorLen; q++ {
@@ -353,6 +444,10 @@ func (k *schur[F]) fibreAInv(dst, src []F, i int, dagger bool) {
 // same.
 func (k *schur[F]) fibreAxpy(y, x []F, i int) {
 	yf, xf := y[i*k.fib:][:k.fib], x[i*k.fib:][:k.fib]
+	if v := k.vec; v != nil && v.axpy != nil {
+		v.axpy(&yf[0], &xf[0], &k.keep[0], k.groups)
+		return
+	}
 	minus := cx[F]{-1, 0}
 	for _, l := range k.lane {
 		o, xs := slot(yf, l), slot(xf, l)
@@ -375,13 +470,14 @@ func (k *schur[F]) fibreAxpy(y, x []F, i int) {
 // hop in the sign of an intermediate zero and still reproduce its output
 // bit for bit (DESIGN.md, "Kernels").
 //
-// The assembly body runs the same operations in the same order on every
+// The vector body runs the same operations in the same order on every
 // lane, w slices per instruction; hopGo is the portable body and the
-// reference it is held to.
+// reference it is held to, as the loops of the passes above are for
+// theirs.
 func (k *schur[F]) fibreHop(dst, src []F, pOut, i int, g5 bool) {
 	hops := k.hops[pOut][2*lattice.NDim*i:][:2*lattice.NDim]
-	if k.asmHop != nil {
-		k.asmHop(&dst[i*k.fib:][:k.fib][0], &src[0], &hops[0], &k.u, k.ls, g5)
+	if v := k.vec; v != nil && v.hop != nil {
+		v.hop(&dst[i*k.fib:][:k.fib][0], &src[0], &hops[0], &k.u, &k.keep[0], k.ls, g5)
 		return
 	}
 	k.hopGo(dst[i*k.fib:][:k.fib], src, hops, g5)

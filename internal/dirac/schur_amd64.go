@@ -2,15 +2,58 @@ package dirac
 
 import "femtoverse/internal/lattice"
 
-// The hop bodies of schur_amd64.s. SSE and SSE2 are in the amd64 baseline,
-// so every amd64 build runs them; fibreHop's portable Go body is what the
-// tests hold them to.
+// The vector bodies of schur_amd64.s. SSE and SSE2 are in the amd64
+// baseline, so every amd64 build runs them; the portable Go bodies of
+// schur.go are what the tests hold them to.
 func init() {
-	hopLanes32, hopLanes64 = hopSSE32, hopSSE64
+	vec32 = &vecBodies[float32]{
+		hop: hopSSE32, aInv: aInvSSE32, ba: baSSE32, baxpy: baxpySSE32,
+		axpy: axpySSE32, load: loadSSE32, store: storeSSE32,
+	}
+	vec64 = &vecBodies[float64]{
+		hop: hopSSE64, aInv: aInvSSE64, ba: baSSE64, baxpy: baxpySSE64,
+		axpy: axpySSE64, load: loadSSE64, store: storeSSE64,
+	}
 }
 
 //go:noescape
-func hopSSE32(dst, src *float32, hops *lattice.Hop, u *[lattice.NDim][]link[float32], ls int, g5 bool)
+func hopSSE32(dst, src *float32, hops *lattice.Hop, u *[lattice.NDim][]link[float32], keep *float32, ls int, g5 bool)
 
 //go:noescape
-func hopSSE64(dst, src *float64, hops *lattice.Hop, u *[lattice.NDim][]link[float64], ls int, g5 bool)
+func hopSSE64(dst, src *float64, hops *lattice.Hop, u *[lattice.NDim][]link[float64], keep *float64, ls int, g5 bool)
+
+//go:noescape
+func aInvSSE32(dst, src, colP, colM *float32, lane *int, ls int)
+
+//go:noescape
+func aInvSSE64(dst, src, colP, colM *float64, lane *int, ls int)
+
+//go:noescape
+func baSSE32(dst, src *float32, chi *chiBlock[float32], keep *float32, groups int, w0, w1 float32, dagger bool)
+
+//go:noescape
+func baSSE64(dst, src *float64, chi *chiBlock[float64], keep *float64, groups int, w0, w1 float64, dagger bool)
+
+//go:noescape
+func baxpySSE32(z, y *float32, chi *chiBlock[float32], keep *float32, groups int, w0, w1 float32, dagger bool)
+
+//go:noescape
+func baxpySSE64(z, y *float64, chi *chiBlock[float64], keep *float64, groups int, w0, w1 float64, dagger bool)
+
+//go:noescape
+func axpySSE32(y, x, keep *float32, groups int)
+
+//go:noescape
+func axpySSE64(y, x, keep *float64, groups int)
+
+//go:noescape
+func loadSSE32(dst, src *float32, stride, ls int)
+
+//go:noescape
+func loadSSE64(dst, src *float64, stride, ls int)
+
+//go:noescape
+func storeSSE32(dst, src *float32, stride, ls int)
+
+//go:noescape
+func storeSSE64(dst, src *float64, stride, ls int)

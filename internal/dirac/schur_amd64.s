@@ -10,19 +10,21 @@
 // negation). Each lane therefore computes exactly what the Go body
 // computes for its slice, to the bit.
 //
-// func hopSSE32(dst, src *float32, hops *lattice.Hop, u *[4][]link[float32], ls int, g5 bool)
-// func hopSSE64(dst, src *float64, hops *lattice.Hop, u *[4][]link[float64], ls int, g5 bool)
+// func hopSSE32(dst, src *float32, hops *lattice.Hop, u *[4][]link[float32], keep *float32, ls int, g5 bool)
+// func hopSSE64(dst, src *float64, hops *lattice.Hop, u *[4][]link[float64], keep *float64, ls int, g5 bool)
 //
 // Registers: DI the output register group (the lanes one register holds),
 // SI the input field at the same register group, BX the site's eight
 // stencil entries, R8 the four link slices, R9 the fibre size in bytes, CX
 // the register groups left (those holding a slice below ls), R12 and R13
 // the steps to the next one, DX the g5 flag, AX the neighbour's register
-// group, R10 the link. X0-X5 hold a link row broadcast (re, im of three
-// entries), X6-X8 and X9-X11 build the real and imaginary plane of one
-// transported colour, X12-X13 update the output, X14 is 0.5 and X15 the
-// sign mask. The projected half spinor lives on the stack:
-// twelve planes, component c's real plane at 32*c and imaginary at 32*c+16.
+// group, R10 the link, R11 the register group's lanes of keep. X0-X5 hold
+// a link row broadcast (re, im of three entries), X6-X8 and X9-X11 build
+// the real and imaginary plane of one transported colour, X12-X13 update
+// the output, X14 is 0.5 and X15 the sign mask, ANDed with keep so that
+// the g5 negation leaves a padding lane +0. The projected half spinor lives
+// on the stack: twelve planes, component c's real plane at 32*c and
+// imaginary at 32*c+16, then the sign mask at 192.
 
 // A lane group of the layout is 24 planes of four lanes, PLANE bytes
 // each: component j's real plane at 2*PLANE*j, its imaginary plane at
@@ -142,6 +144,9 @@
 // NEG flips the sign of output plane q: gamma_5 on a lower spin.
 #define NEG(q) MOVUPS ((q)*PLANE)(DI), X12; XORPS X15, X12; MOVUPS X12, ((q)*PLANE)(DI)
 
+// SIGNKEEP sets X15 to the sign mask in the register group's real lanes.
+#define SIGNKEEP MOVUPS (R11), X15; MOVUPS 192(SP), X12; ANDPS X12, X15
+
 // NEGLOWER is the output gamma_5: planes 12-23 are spins 2 and 3.
 #define NEGLOWER \
 	NEG(12); NEG(13); NEG(14); NEG(15); NEG(16); NEG(17); \
@@ -158,13 +163,13 @@
 #define PLANE 16
 #define GROUP 384
 
-TEXT ·hopSSE32(SB), NOSPLIT, $192-41
+TEXT ·hopSSE32(SB), NOSPLIT, $208-49
 	MOVQ dst+0(FP), DI
 	MOVQ src+8(FP), SI
 	MOVQ hops+16(FP), BX
 	MOVQ u+24(FP), R8
-	MOVQ ls+32(FP), CX
-	MOVBQZX g5+40(FP), DX
+	MOVQ ls+40(FP), CX
+	MOVBQZX g5+48(FP), DX
 	ADDQ $3, CX
 	SHRQ $2, CX
 	IMUL3Q $GROUP, CX, R9
@@ -176,6 +181,8 @@ TEXT ·hopSSE32(SB), NOSPLIT, $192-41
 	MOVL $0x80000000, R11
 	MOVQ R11, X15
 	SHUFPS $0x00, X15, X15
+	MOVUPS X15, 192(SP)
+	MOVQ keep+32(FP), R11
 
 group32:
 	ZERO
@@ -262,9 +269,11 @@ mul7:
 
 	TESTQ DX, DX
 	JEQ   next32
+	SIGNKEEP
 	NEGLOWER
 
 next32:
+	ADDQ $16, R11
 	ADDQ R12, DI
 	ADDQ R12, SI
 	XCHGQ R12, R13
@@ -293,13 +302,13 @@ next32:
 #define PLANE 32
 #define GROUP 768
 
-TEXT ·hopSSE64(SB), NOSPLIT, $192-41
+TEXT ·hopSSE64(SB), NOSPLIT, $208-49
 	MOVQ dst+0(FP), DI
 	MOVQ src+8(FP), SI
 	MOVQ hops+16(FP), BX
 	MOVQ u+24(FP), R8
-	MOVQ ls+32(FP), CX
-	MOVBQZX g5+40(FP), DX
+	MOVQ ls+40(FP), CX
+	MOVBQZX g5+48(FP), DX
 	LEAQ 3(CX), R9
 	SHRQ $2, R9
 	IMUL3Q $GROUP, R9, R9
@@ -313,6 +322,8 @@ TEXT ·hopSSE64(SB), NOSPLIT, $192-41
 	MOVQ $0x8000000000000000, R11
 	MOVQ R11, X15
 	SHUFPD $0x00, X15, X15
+	MOVUPS X15, 192(SP)
+	MOVQ keep+32(FP), R11
 
 group64:
 	ZERO
@@ -399,12 +410,643 @@ mul7:
 
 	TESTQ DX, DX
 	JEQ   next64
+	SIGNKEEP
 	NEGLOWER
 
 next64:
+	ADDQ $16, R11
 	ADDQ R12, DI
 	ADDQ R12, SI
 	XCHGQ R12, R13
 	DECQ CX
 	JNZ  group64
+	RET
+
+#undef ADDV
+#undef SUBV
+#undef MULV
+#undef BCAST
+#undef ENTRY
+#undef IMAG
+#undef LINK
+#undef PLANE
+#undef GROUP
+
+// The fifth-dimension passes on the same layout: fibreAInv, fibreBA,
+// fibreBAxpy, fibreAxpy, load and store for one site, as the hop is
+// fibreHop for one. The rule is the hop's: packed MUL, ADD and SUB with no
+// fused multiply-add, each lane issuing its slice's scalar operations in
+// the Go body's order; the rest is data movement (loads, stores,
+// shuffles) and bit masks (AND, ANDN, OR, compare), which change no value
+// they let through. Where a body computes a padding lane it ANDs it back
+// to +0 (keep: all bits set in a real lane, zero in a padding one), so
+// every padding lane of the scratch stays +0 (DESIGN.md s19).
+//
+// func aInvSSE32(dst, src, colP, colM *float32, lane *int, ls int)
+// func aInvSSE64(dst, src, colP, colM *float64, lane *int, ls int)
+//
+// fibreAInv: per register group of the output and per sector (planes 0-11
+// from colP, 12-23 from colM), twelve accumulators start at +0 and take,
+// in sIn order, the input slice broadcast times the padded column, ANDed
+// with the column's non-zero mask. Where the Go body adds w*v for a
+// non-zero weight this adds the same product; where it skips a zero weight
+// this adds +0, and an accumulator that starts at +0 is never -0 (a sum
+// that is zero rounds to +0), so adding +0 leaves it as it was, NaN
+// included - and a zero weight never multiplies an infinity into a NaN
+// that reaches the sum. The padding lanes' columns are zero: they add only
+// +0 and stay +0.
+//
+// Registers: DI the output register group, SI the input fibre, R8/R9 the
+// columns of P+/P- at this register group, R10 lane, CX ls, R11 the column
+// stride (a padded column, in bytes), DX the register groups left, R12 the
+// column of slice BX, R13 the sector's plane offset, AX the input slice.
+// X0-X11 accumulate, X12 is the column, X13 its mask, X15 zero. The steps
+// to the next register group alternate through the two stack words.
+#define AACC(q, acc) BCASTM(((q)*PLANE), AX, X14); MULV X12, X14; ANDPS X13, X14; ADDV X14, acc
+
+// fibreBA and fibreBAxpy: chi is a fixed rotation of a block's lanes
+// (ROTDN, each lane from slice s-1; ROTUP, from s+1) with the one lane
+// whose neighbour lies across the block edge or the chiral wrap - rep of
+// the block's chiBlock - replaced by that neighbour broadcast (slice src);
+// then wt, 1 in the bulk and -m at the wrap, multiplies it as the Go body
+// multiplies by pw or mw (1*x is x, to the bit). The rotation reads only
+// the block's own lanes and the broadcast a real slice of the fibre, and a
+// real lane never takes a padding lane: every lane is
+// w0*x + w1*(wt*chi x), the Go body's order, and ANDed with keep.
+// fibreBAxpy then forms the complex product by (-1, 0) of the output's
+// own planes, (-1*re - 0*im, -1*im + 0*re), and adds that result, as
+// fibreAxpy does with the field it is given.
+//
+// func baSSE32(dst, src *float32, chi *chiBlock[float32], keep *float32, groups int, w0, w1 float32, dagger bool)
+// func baSSE64(dst, src *float64, chi *chiBlock[float64], keep *float64, groups int, w0, w1 float64, dagger bool)
+// func baxpySSE32(z, y *float32, chi *chiBlock[float32], keep *float32, groups int, w0, w1 float32, dagger bool)
+// func baxpySSE64(z, y *float64, chi *chiBlock[float64], keep *float64, groups int, w0, w1 float64, dagger bool)
+// func axpySSE32(y, x, keep *float32, groups int)
+// func axpySSE64(y, x, keep *float64, groups int)
+//
+// Registers: DI the output block, SI the input block, BX its chiBlock, R8
+// its keep, CX the blocks left, DX the dagger flag (chi^dagger swaps the
+// shifts of the two sectors), AX the broadcast slice. X15 is w0, X14 w1;
+// the rest is per precision, below.
+//
+// load and store transpose between a caller's field, where slice s of the
+// site starts stride complex numbers after slice s-1, and a block of
+// planes: four slices a block, a float32 4x4 transpose of (re, im, re, im)
+// rows, or a float64 2x2 one of (re, im) rows. Only real slices are read
+// or written: a padding slice reads a zeroed spinor on the stack (load)
+// or writes one there (store).
+//
+// func loadSSE32(dst, src *float32, stride, ls int)
+// func loadSSE64(dst, src *float64, stride, ls int)
+// func storeSSE32(dst, src *float32, stride, ls int)
+// func storeSSE64(dst, src *float64, stride, ls int)
+//
+// Registers: DI the fibre's block, SI the field at the block's first
+// slice, DX the stride in bytes, CX the slices left, R8-R11 the block's
+// four slices (or the stack spinor).
+
+// SLICES points R8-R11 at the block's slices, real ones in the field and
+// the rest at the stack spinor.
+#define SLICES \
+	MOVQ SI, R8; LEAQ 0(SP), R9; MOVQ R9, R10; MOVQ R9, R11; \
+	CMPQ CX, $2; JLT slicesDone; LEAQ (SI)(DX*1), R9; \
+	CMPQ CX, $3; JLT slicesDone; LEAQ (SI)(DX*2), R10; \
+	CMPQ CX, $4; JLT slicesDone; LEAQ (R10)(DX*1), R11
+
+// The float32 bodies: a plane is one register.
+#define ADDV ADDPS
+#define SUBV SUBPS
+#define MULV MULPS
+#define BCASTM(off, base, r) MOVSS off(base), r; SHUFPS $0x00, r, r
+#define PLANE 16
+#define GROUP 384
+#define CHIBLK 80
+#define ROTDN(r) SHUFPS $0x93, r, r
+#define ROTUP(r) SHUFPS $0x39, r, r
+
+TEXT ·aInvSSE32(SB), NOSPLIT, $16-48
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ colP+16(FP), R8
+	MOVQ colM+24(FP), R9
+	MOVQ lane+32(FP), R10
+	MOVQ ls+40(FP), CX
+	LEAQ 3(CX), R11
+	SHRQ $2, R11
+	MOVQ R11, DX
+	SHLQ $4, R11
+	MOVQ $GROUP, 0(SP)
+	MOVQ $GROUP, 8(SP)
+	XORPS X15, X15
+
+agroup32:
+	MOVQ R8, R12
+	XORQ R13, R13
+
+asector32:
+	XORPS X0, X0; XORPS X1, X1; XORPS X2, X2; XORPS X3, X3
+	XORPS X4, X4; XORPS X5, X5; XORPS X6, X6; XORPS X7, X7
+	XORPS X8, X8; XORPS X9, X9; XORPS X10, X10; XORPS X11, X11
+	XORQ BX, BX
+
+aslice32:
+	MOVUPS (R12), X12
+	MOVAPS X12, X13
+	CMPPS  X15, X13, $4
+	MOVQ   (R10)(BX*8), AX
+	LEAQ   (SI)(AX*4), AX
+	ADDQ   R13, AX
+	AACC(0, X0); AACC(1, X1); AACC(2, X2); AACC(3, X3)
+	AACC(4, X4); AACC(5, X5); AACC(6, X6); AACC(7, X7)
+	AACC(8, X8); AACC(9, X9); AACC(10, X10); AACC(11, X11)
+	ADDQ R11, R12
+	INCQ BX
+	CMPQ BX, CX
+	JLT  aslice32
+
+	LEAQ (DI)(R13*1), AX
+	MOVUPS X0, (0*PLANE)(AX); MOVUPS X1, (1*PLANE)(AX); MOVUPS X2, (2*PLANE)(AX); MOVUPS X3, (3*PLANE)(AX)
+	MOVUPS X4, (4*PLANE)(AX); MOVUPS X5, (5*PLANE)(AX); MOVUPS X6, (6*PLANE)(AX); MOVUPS X7, (7*PLANE)(AX)
+	MOVUPS X8, (8*PLANE)(AX); MOVUPS X9, (9*PLANE)(AX); MOVUPS X10, (10*PLANE)(AX); MOVUPS X11, (11*PLANE)(AX)
+	TESTQ R13, R13
+	JNE   anext32
+	MOVQ  $(12*PLANE), R13
+	MOVQ  R9, R12
+	JMP   asector32
+
+anext32:
+	ADDQ $16, R8
+	ADDQ $16, R9
+	MOVQ 0(SP), AX
+	ADDQ AX, DI
+	MOVQ 8(SP), BX
+	MOVQ BX, 0(SP)
+	MOVQ AX, 8(SP)
+	DECQ DX
+	JNZ  agroup32
+	RET
+
+// BAV sets R to B (or A) of the source plane at q, from the sector's rep
+// (X13), wt (X12) and broadcast slice (AX); it uses X1-X3.
+#define BAV(q, R, ROT) \
+	MOVUPS (q)(SI), R; MOVAPS R, X1; ROT(X1); MOVAPS X13, X2; ANDNPS X1, X2; \
+	BCASTM(q, AX, X3); ANDPS X13, X3; ORPS X3, X2; \
+	MULPS X12, X2; MULPS X14, X2; MULPS X15, R; ADDPS X2, R
+
+// BASECTOR loads shift t's tables and runs BODY on the sector's twelve
+// planes from plane offset base.
+#define BASECTOR(t, base, ROT, BODY) \
+	MOVUPS ((t)*PLANE)(BX), X13; MOVUPS ((2+(t))*PLANE)(BX), X12; \
+	MOVQ (4*PLANE+(t)*8)(BX), AX; LEAQ (SI)(AX*4), AX; \
+	BODY((base)+0*PLANE, ROT); BODY((base)+2*PLANE, ROT); BODY((base)+4*PLANE, ROT); \
+	BODY((base)+6*PLANE, ROT); BODY((base)+8*PLANE, ROT); BODY((base)+10*PLANE, ROT)
+
+// BAPAIR is fibreBA on the real and imaginary planes of a component.
+#define BAPAIR(q, ROT) \
+	BAV(q, X0, ROT); ANDPS X11, X0; MOVUPS X0, (q)(DI); \
+	BAV((q)+PLANE, X0, ROT); ANDPS X11, X0; MOVUPS X0, ((q)+PLANE)(DI)
+
+// BXPAIR is fibreBAxpy on them: X10 is -1, X9 zero.
+#define BXPAIR(q, ROT) \
+	BAV(q, X4, ROT); BAV((q)+PLANE, X5, ROT); \
+	MOVUPS (q)(DI), X6; MOVUPS ((q)+PLANE)(DI), X7; \
+	MOVAPS X6, X0; MULPS X10, X0; MOVAPS X7, X1; MULPS X9, X1; SUBPS X1, X0; ADDPS X4, X0; \
+	ANDPS X11, X0; MOVUPS X0, (q)(DI); \
+	MULPS X10, X7; MULPS X9, X6; ADDPS X6, X7; ADDPS X5, X7; \
+	ANDPS X11, X7; MOVUPS X7, ((q)+PLANE)(DI)
+
+TEXT ·baSSE32(SB), NOSPLIT, $0-49
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ chi+16(FP), BX
+	MOVQ keep+24(FP), R8
+	MOVQ groups+32(FP), CX
+	MOVSS w0+40(FP), X15
+	SHUFPS $0x00, X15, X15
+	MOVSS w1+44(FP), X14
+	SHUFPS $0x00, X14, X14
+	MOVBQZX dagger+48(FP), DX
+
+bablock32:
+	MOVUPS (R8), X11
+	TESTQ  DX, DX
+	JNE    badag32
+	BASECTOR(0, 0, ROTDN, BAPAIR)
+	BASECTOR(1, 12*PLANE, ROTUP, BAPAIR)
+	JMP    banext32
+
+badag32:
+	BASECTOR(1, 0, ROTUP, BAPAIR)
+	BASECTOR(0, 12*PLANE, ROTDN, BAPAIR)
+
+banext32:
+	ADDQ $GROUP, DI
+	ADDQ $GROUP, SI
+	ADDQ $CHIBLK, BX
+	ADDQ $16, R8
+	DECQ CX
+	JNZ  bablock32
+	RET
+
+TEXT ·baxpySSE32(SB), NOSPLIT, $0-49
+	MOVQ z+0(FP), DI
+	MOVQ y+8(FP), SI
+	MOVQ chi+16(FP), BX
+	MOVQ keep+24(FP), R8
+	MOVQ groups+32(FP), CX
+	MOVSS w0+40(FP), X15
+	SHUFPS $0x00, X15, X15
+	MOVSS w1+44(FP), X14
+	SHUFPS $0x00, X14, X14
+	MOVBQZX dagger+48(FP), DX
+	MOVL $0xbf800000, AX
+	MOVQ AX, X10
+	SHUFPS $0x00, X10, X10
+	XORPS X9, X9
+
+bxblock32:
+	MOVUPS (R8), X11
+	TESTQ  DX, DX
+	JNE    bxdag32
+	BASECTOR(0, 0, ROTDN, BXPAIR)
+	BASECTOR(1, 12*PLANE, ROTUP, BXPAIR)
+	JMP    bxnext32
+
+bxdag32:
+	BASECTOR(1, 0, ROTUP, BXPAIR)
+	BASECTOR(0, 12*PLANE, ROTDN, BXPAIR)
+
+bxnext32:
+	ADDQ $GROUP, DI
+	ADDQ $GROUP, SI
+	ADDQ $CHIBLK, BX
+	ADDQ $16, R8
+	DECQ CX
+	JNZ  bxblock32
+	RET
+
+// AXPAIR is fibreAxpy on one register of a component's planes at q, the
+// lanes of keep K: y = (-1*xr - 0*xi + yr, -1*xi + 0*xr + yi), X10 -1 and
+// X9 zero.
+#define AXPAIR(q, K) \
+	MOVUPS (q)(SI), X0; MOVUPS ((q)+PLANE)(SI), X1; MOVUPS (q)(DI), X2; MOVUPS ((q)+PLANE)(DI), X3; \
+	MOVAPS X0, X4; MULV X10, X4; MOVAPS X1, X5; MULV X9, X5; SUBV X5, X4; ADDV X2, X4; \
+	ANDPS K, X4; MOVUPS X4, (q)(DI); \
+	MULV X10, X1; MULV X9, X0; ADDV X0, X1; ADDV X3, X1; \
+	ANDPS K, X1; MOVUPS X1, ((q)+PLANE)(DI)
+
+// AXBLOCK runs AXPAIR on the twelve components of a block from offset h.
+#define AXBLOCK(h, K) \
+	AXPAIR((h)+0*PLANE, K); AXPAIR((h)+2*PLANE, K); AXPAIR((h)+4*PLANE, K); \
+	AXPAIR((h)+6*PLANE, K); AXPAIR((h)+8*PLANE, K); AXPAIR((h)+10*PLANE, K); \
+	AXPAIR((h)+12*PLANE, K); AXPAIR((h)+14*PLANE, K); AXPAIR((h)+16*PLANE, K); \
+	AXPAIR((h)+18*PLANE, K); AXPAIR((h)+20*PLANE, K); AXPAIR((h)+22*PLANE, K)
+
+TEXT ·axpySSE32(SB), NOSPLIT, $0-32
+	MOVQ y+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ keep+16(FP), R8
+	MOVQ groups+24(FP), CX
+	MOVL $0xbf800000, AX
+	MOVQ AX, X10
+	SHUFPS $0x00, X10, X10
+	XORPS X9, X9
+
+axblock32:
+	MOVUPS (R8), X11
+	AXBLOCK(0, X11)
+	ADDQ $GROUP, DI
+	ADDQ $GROUP, SI
+	ADDQ $16, R8
+	DECQ CX
+	JNZ  axblock32
+	RET
+
+// TRANSPOSE32 transposes the 4x4 of X0-X3 (rows) into X6, X5, X7, X2.
+#define TRANSPOSE32 \
+	MOVAPS X0, X4; UNPCKLPS X1, X4; MOVAPS X2, X5; UNPCKLPS X3, X5; UNPCKHPS X1, X0; UNPCKHPS X3, X2; \
+	MOVAPS X4, X6; MOVLHPS X5, X6; MOVHLPS X4, X5; MOVAPS X0, X7; MOVLHPS X2, X7; MOVHLPS X0, X2
+
+// LOADT32 loads components 2jj and 2jj+1 of the block's four slices into
+// planes 4jj to 4jj+3; STORET32 stores them back.
+#define LOADT32(jj) \
+	MOVUPS ((jj)*16)(R8), X0; MOVUPS ((jj)*16)(R9), X1; MOVUPS ((jj)*16)(R10), X2; MOVUPS ((jj)*16)(R11), X3; \
+	TRANSPOSE32; \
+	MOVUPS X6, ((jj)*64)(DI); MOVUPS X5, ((jj)*64+16)(DI); MOVUPS X7, ((jj)*64+32)(DI); MOVUPS X2, ((jj)*64+48)(DI)
+#define STORET32(jj) \
+	MOVUPS ((jj)*64)(DI), X0; MOVUPS ((jj)*64+16)(DI), X1; MOVUPS ((jj)*64+32)(DI), X2; MOVUPS ((jj)*64+48)(DI), X3; \
+	TRANSPOSE32; \
+	MOVUPS X6, ((jj)*16)(R8); MOVUPS X5, ((jj)*16)(R9); MOVUPS X7, ((jj)*16)(R10); MOVUPS X2, ((jj)*16)(R11)
+
+TEXT ·loadSSE32(SB), NOSPLIT, $96-32
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ stride+16(FP), DX
+	SHLQ $3, DX
+	MOVQ ls+24(FP), CX
+	TESTQ $3, CX
+	JEQ   lblock32
+	XORPS X0, X0
+	MOVUPS X0, 0(SP); MOVUPS X0, 16(SP); MOVUPS X0, 32(SP)
+	MOVUPS X0, 48(SP); MOVUPS X0, 64(SP); MOVUPS X0, 80(SP)
+
+lblock32:
+	SLICES
+
+slicesDone:
+	LOADT32(0); LOADT32(1); LOADT32(2); LOADT32(3); LOADT32(4); LOADT32(5)
+	ADDQ $GROUP, DI
+	LEAQ (SI)(DX*4), SI
+	SUBQ $4, CX
+	JGT  lblock32
+	RET
+
+TEXT ·storeSSE32(SB), NOSPLIT, $96-32
+	MOVQ dst+0(FP), SI
+	MOVQ src+8(FP), DI
+	MOVQ stride+16(FP), DX
+	SHLQ $3, DX
+	MOVQ ls+24(FP), CX
+
+sblock32:
+	SLICES
+
+slicesDone:
+	STORET32(0); STORET32(1); STORET32(2); STORET32(3); STORET32(4); STORET32(5)
+	ADDQ $GROUP, DI
+	LEAQ (SI)(DX*4), SI
+	SUBQ $4, CX
+	JGT  sblock32
+	RET
+
+#undef ADDV
+#undef SUBV
+#undef MULV
+#undef BCASTM
+#undef PLANE
+#undef GROUP
+#undef CHIBLK
+#undef ROTDN
+#undef ROTUP
+
+// The float64 bodies: a plane is two registers, lo (lanes 0, 1) and hi
+// (lanes 2, 3). fibreAInv runs per register, as the hop does; the others
+// per block. In fibreBA and fibreBAxpy X13/X12 are rep lo/hi, X11/X10 wt
+// lo/hi and X9/X8 keep lo/hi; the rotations cross the two registers.
+#define ADDV ADDPD
+#define SUBV SUBPD
+#define MULV MULPD
+#define BCASTM(off, base, r) MOVSD off(base), r; SHUFPD $0x00, r, r
+#define PLANE 32
+#define GROUP 768
+#define CHIBLK 144
+// ROTDN sets X2, X3 to (x1, x0), (x1, x2) from X0 = (x0, x1), X1 = (x2,
+// x3): each lane from slice s-1, lane 0 to be replaced. ROTUP sets them to
+// (x1, x2), (x3, x0): each lane from s+1.
+#define ROTDN MOVAPS X0, X2; SHUFPD $1, X2, X2; MOVAPS X0, X3; SHUFPD $1, X1, X3
+#define ROTUP MOVAPS X0, X2; SHUFPD $1, X1, X2; MOVAPS X1, X3; SHUFPD $1, X0, X3
+
+TEXT ·aInvSSE64(SB), NOSPLIT, $16-48
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ colP+16(FP), R8
+	MOVQ colM+24(FP), R9
+	MOVQ lane+32(FP), R10
+	MOVQ ls+40(FP), CX
+	LEAQ 3(CX), R11
+	SHRQ $2, R11
+	SHLQ $5, R11
+	LEAQ 1(CX), DX
+	SHRQ $1, DX
+	MOVQ $16, 0(SP)
+	MOVQ $(GROUP-16), 8(SP)
+	XORPS X15, X15
+
+agroup64:
+	MOVQ R8, R12
+	XORQ R13, R13
+
+asector64:
+	XORPS X0, X0; XORPS X1, X1; XORPS X2, X2; XORPS X3, X3
+	XORPS X4, X4; XORPS X5, X5; XORPS X6, X6; XORPS X7, X7
+	XORPS X8, X8; XORPS X9, X9; XORPS X10, X10; XORPS X11, X11
+	XORQ BX, BX
+
+aslice64:
+	MOVUPS (R12), X12
+	MOVAPS X12, X13
+	CMPPD  X15, X13, $4
+	MOVQ   (R10)(BX*8), AX
+	LEAQ   (SI)(AX*8), AX
+	ADDQ   R13, AX
+	AACC(0, X0); AACC(1, X1); AACC(2, X2); AACC(3, X3)
+	AACC(4, X4); AACC(5, X5); AACC(6, X6); AACC(7, X7)
+	AACC(8, X8); AACC(9, X9); AACC(10, X10); AACC(11, X11)
+	ADDQ R11, R12
+	INCQ BX
+	CMPQ BX, CX
+	JLT  aslice64
+
+	LEAQ (DI)(R13*1), AX
+	MOVUPS X0, (0*PLANE)(AX); MOVUPS X1, (1*PLANE)(AX); MOVUPS X2, (2*PLANE)(AX); MOVUPS X3, (3*PLANE)(AX)
+	MOVUPS X4, (4*PLANE)(AX); MOVUPS X5, (5*PLANE)(AX); MOVUPS X6, (6*PLANE)(AX); MOVUPS X7, (7*PLANE)(AX)
+	MOVUPS X8, (8*PLANE)(AX); MOVUPS X9, (9*PLANE)(AX); MOVUPS X10, (10*PLANE)(AX); MOVUPS X11, (11*PLANE)(AX)
+	TESTQ R13, R13
+	JNE   anext64
+	MOVQ  $(12*PLANE), R13
+	MOVQ  R9, R12
+	JMP   asector64
+
+anext64:
+	ADDQ $16, R8
+	ADDQ $16, R9
+	MOVQ 0(SP), AX
+	ADDQ AX, DI
+	MOVQ 8(SP), BX
+	MOVQ BX, 0(SP)
+	MOVQ AX, 8(SP)
+	DECQ DX
+	JNZ  agroup64
+	RET
+
+// BAV64 sets X0, X1 to B (or A) of the source plane at q; it uses X2-X6.
+#define BAV64(q, ROT) \
+	MOVUPS (q)(SI), X0; MOVUPS ((q)+16)(SI), X1; ROT; BCASTM(q, AX, X4); \
+	MOVAPS X13, X5; ANDNPS X2, X5; MOVAPS X4, X6; ANDPS X13, X6; ORPS X6, X5; \
+	MULPD X11, X5; MULPD X14, X5; MULPD X15, X0; ADDPD X5, X0; \
+	MOVAPS X12, X5; ANDNPS X3, X5; ANDPS X12, X4; ORPS X4, X5; \
+	MULPD X10, X5; MULPD X14, X5; MULPD X15, X1; ADDPD X5, X1
+
+#define BASECTOR64(t, base, ROT, BODY) \
+	MOVUPS ((t)*PLANE)(BX), X13; MOVUPS ((t)*PLANE+16)(BX), X12; \
+	MOVUPS ((2+(t))*PLANE)(BX), X11; MOVUPS ((2+(t))*PLANE+16)(BX), X10; \
+	MOVQ (4*PLANE+(t)*8)(BX), AX; LEAQ (SI)(AX*8), AX; \
+	BODY((base)+0*PLANE, ROT); BODY((base)+2*PLANE, ROT); BODY((base)+4*PLANE, ROT); \
+	BODY((base)+6*PLANE, ROT); BODY((base)+8*PLANE, ROT); BODY((base)+10*PLANE, ROT)
+
+#define BAPAIR64(q, ROT) \
+	BAV64(q, ROT); ANDPS X9, X0; ANDPS X8, X1; MOVUPS X0, (q)(DI); MOVUPS X1, ((q)+16)(DI); \
+	BAV64((q)+PLANE, ROT); ANDPS X9, X0; ANDPS X8, X1; MOVUPS X0, ((q)+PLANE)(DI); MOVUPS X1, ((q)+PLANE+16)(DI)
+
+// BXHALF is fibreBAxpy on register h of a component's planes at q, with
+// the real part's B in ba(SP) and the imaginary part's in BI, the lanes of
+// keep K; X7 is -1, X6 zero.
+#define BXHALF(q, ba, BI, K) \
+	MOVUPS (q)(DI), X2; MOVUPS ((q)+PLANE)(DI), X3; \
+	MOVAPS X2, X4; MULPD X7, X4; MOVAPS X3, X5; MULPD X6, X5; SUBPD X5, X4; MOVUPS ba(SP), X5; ADDPD X5, X4; \
+	ANDPS K, X4; MOVUPS X4, (q)(DI); \
+	MULPD X7, X3; MULPD X6, X2; ADDPD X2, X3; ADDPD BI, X3; \
+	ANDPS K, X3; MOVUPS X3, ((q)+PLANE)(DI)
+
+#define BXPAIR64(q, ROT) \
+	BAV64(q, ROT); MOVUPS X0, 0(SP); MOVUPS X1, 16(SP); \
+	BAV64((q)+PLANE, ROT); XORPS X6, X6; \
+	BXHALF(q, 0, X0, X9); BXHALF((q)+16, 16, X1, X8)
+
+TEXT ·baSSE64(SB), NOSPLIT, $0-57
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ chi+16(FP), BX
+	MOVQ keep+24(FP), R8
+	MOVQ groups+32(FP), CX
+	MOVSD w0+40(FP), X15
+	SHUFPD $0x00, X15, X15
+	MOVSD w1+48(FP), X14
+	SHUFPD $0x00, X14, X14
+	MOVBQZX dagger+56(FP), DX
+
+bablock64:
+	MOVUPS (R8), X9
+	MOVUPS 16(R8), X8
+	TESTQ  DX, DX
+	JNE    badag64
+	BASECTOR64(0, 0, ROTDN, BAPAIR64)
+	BASECTOR64(1, 12*PLANE, ROTUP, BAPAIR64)
+	JMP    banext64
+
+badag64:
+	BASECTOR64(1, 0, ROTUP, BAPAIR64)
+	BASECTOR64(0, 12*PLANE, ROTDN, BAPAIR64)
+
+banext64:
+	ADDQ $GROUP, DI
+	ADDQ $GROUP, SI
+	ADDQ $CHIBLK, BX
+	ADDQ $32, R8
+	DECQ CX
+	JNZ  bablock64
+	RET
+
+TEXT ·baxpySSE64(SB), NOSPLIT, $32-57
+	MOVQ z+0(FP), DI
+	MOVQ y+8(FP), SI
+	MOVQ chi+16(FP), BX
+	MOVQ keep+24(FP), R8
+	MOVQ groups+32(FP), CX
+	MOVSD w0+40(FP), X15
+	SHUFPD $0x00, X15, X15
+	MOVSD w1+48(FP), X14
+	SHUFPD $0x00, X14, X14
+	MOVBQZX dagger+56(FP), DX
+	MOVQ $0xbff0000000000000, AX
+	MOVQ AX, X7
+	SHUFPD $0x00, X7, X7
+
+bxblock64:
+	MOVUPS (R8), X9
+	MOVUPS 16(R8), X8
+	TESTQ  DX, DX
+	JNE    bxdag64
+	BASECTOR64(0, 0, ROTDN, BXPAIR64)
+	BASECTOR64(1, 12*PLANE, ROTUP, BXPAIR64)
+	JMP    bxnext64
+
+bxdag64:
+	BASECTOR64(1, 0, ROTUP, BXPAIR64)
+	BASECTOR64(0, 12*PLANE, ROTDN, BXPAIR64)
+
+bxnext64:
+	ADDQ $GROUP, DI
+	ADDQ $GROUP, SI
+	ADDQ $CHIBLK, BX
+	ADDQ $32, R8
+	DECQ CX
+	JNZ  bxblock64
+	RET
+
+TEXT ·axpySSE64(SB), NOSPLIT, $0-32
+	MOVQ y+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ keep+16(FP), R8
+	MOVQ groups+24(FP), CX
+	MOVQ $0xbff0000000000000, AX
+	MOVQ AX, X10
+	SHUFPD $0x00, X10, X10
+	XORPS X9, X9
+
+axblock64:
+	MOVUPS (R8), X11
+	MOVUPS 16(R8), X8
+	AXBLOCK(0, X11)
+	AXBLOCK(16, X8)
+	ADDQ $GROUP, DI
+	ADDQ $GROUP, SI
+	ADDQ $32, R8
+	DECQ CX
+	JNZ  axblock64
+	RET
+
+// LOADT64 loads component j of the block's four slices into planes 2j and
+// 2j+1; STORET64 stores it back.
+#define LOADT64(j) \
+	MOVUPS ((j)*16)(R8), X0; MOVUPS ((j)*16)(R9), X1; MOVUPS ((j)*16)(R10), X2; MOVUPS ((j)*16)(R11), X3; \
+	MOVAPS X0, X4; UNPCKLPD X1, X4; UNPCKHPD X1, X0; MOVAPS X2, X5; UNPCKLPD X3, X5; UNPCKHPD X3, X2; \
+	MOVUPS X4, ((j)*64)(DI); MOVUPS X5, ((j)*64+16)(DI); MOVUPS X0, ((j)*64+32)(DI); MOVUPS X2, ((j)*64+48)(DI)
+#define STORET64(j) \
+	MOVUPS ((j)*64)(DI), X0; MOVUPS ((j)*64+16)(DI), X1; MOVUPS ((j)*64+32)(DI), X2; MOVUPS ((j)*64+48)(DI), X3; \
+	MOVAPS X0, X4; UNPCKLPD X2, X4; UNPCKHPD X2, X0; MOVAPS X1, X5; UNPCKLPD X3, X5; UNPCKHPD X3, X1; \
+	MOVUPS X4, ((j)*16)(R8); MOVUPS X0, ((j)*16)(R9); MOVUPS X5, ((j)*16)(R10); MOVUPS X1, ((j)*16)(R11)
+
+TEXT ·loadSSE64(SB), NOSPLIT, $192-32
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ stride+16(FP), DX
+	SHLQ $4, DX
+	MOVQ ls+24(FP), CX
+	TESTQ $3, CX
+	JEQ   lblock64
+	XORPS X0, X0
+	MOVUPS X0, 0(SP); MOVUPS X0, 16(SP); MOVUPS X0, 32(SP); MOVUPS X0, 48(SP)
+	MOVUPS X0, 64(SP); MOVUPS X0, 80(SP); MOVUPS X0, 96(SP); MOVUPS X0, 112(SP)
+	MOVUPS X0, 128(SP); MOVUPS X0, 144(SP); MOVUPS X0, 160(SP); MOVUPS X0, 176(SP)
+
+lblock64:
+	SLICES
+
+slicesDone:
+	LOADT64(0); LOADT64(1); LOADT64(2); LOADT64(3); LOADT64(4); LOADT64(5)
+	LOADT64(6); LOADT64(7); LOADT64(8); LOADT64(9); LOADT64(10); LOADT64(11)
+	ADDQ $GROUP, DI
+	LEAQ (SI)(DX*4), SI
+	SUBQ $4, CX
+	JGT  lblock64
+	RET
+
+TEXT ·storeSSE64(SB), NOSPLIT, $192-32
+	MOVQ dst+0(FP), SI
+	MOVQ src+8(FP), DI
+	MOVQ stride+16(FP), DX
+	SHLQ $4, DX
+	MOVQ ls+24(FP), CX
+
+sblock64:
+	SLICES
+
+slicesDone:
+	STORET64(0); STORET64(1); STORET64(2); STORET64(3); STORET64(4); STORET64(5)
+	STORET64(6); STORET64(7); STORET64(8); STORET64(9); STORET64(10); STORET64(11)
+	ADDQ $GROUP, DI
+	LEAQ (SI)(DX*4), SI
+	SUBQ $4, CX
+	JGT  sblock64
 	RET
