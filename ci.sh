@@ -142,11 +142,13 @@ lap observability
 # 3-worker cells: every journal and batching choice, no store then a cold
 # one then the same directory warm), a sequential journaled run goes
 # through the store too, concurrent campaigns on one store solve each
-# configuration exactly once, and an FH campaign reuses cached base
-# propagators across insertions.
+# configuration exactly once, and an FH campaign (core.RunFHCampaign)
+# reuses cached base propagators across insertions, rejects duplicate
+# insertion names and keeps its pinned propagator keys. The FH regex is
+# anchored so it names exactly those suites, not TestBitPinFHCampaign.
 go test -race -count=2 ./internal/cache/
 run_gate 'ShareSolves|UsesCache|EquivalenceMatrix/workers=3' -race -- ./internal/core/
-run_gate 'FH' -race -- ./internal/workflow/
+run_gate '^Test(FHCampaign|FHPropKey|PropKeysPinned)' -race -- ./internal/core/
 lap cache
 # Analysis gate: the analyzer suite itself (driver, fact plumbing,
 # fixtures, the vettool handshake e2e) re-runs under the race detector

@@ -49,7 +49,6 @@ import (
 	"femtoverse/internal/prop"
 	jobrt "femtoverse/internal/runtime"
 	"femtoverse/internal/solver"
-	"femtoverse/internal/workflow"
 )
 
 // Lattice geometry and gauge fields.
@@ -175,8 +174,7 @@ func OpenCampaignJournal(path string, every int) (*CampaignJournal, *Campaign, e
 }
 
 // RealPipelineConfig is the campaign spec: geometry, action, ensemble
-// and solver policy. The FH campaigns of the workflow layer take the
-// same type under the name FHPipelineConfig.
+// and solver policy. An FHCampaignConfig embeds it.
 type RealPipelineConfig = core.RealConfig
 
 // DefaultRealPipelineConfig returns a seconds-scale configuration.
@@ -347,30 +345,25 @@ type (
 // memory-only store with the default budget.
 func NewResultCache(cfg ResultCacheConfig) (*ResultCache, error) { return cache.New(cfg) }
 
-// Feynman-Hellmann campaigns over the cache: the workflow layer caches
+// Feynman-Hellmann campaigns over the cache: an FH campaign caches
 // propagators (not just correlators), so adding a new current insertion
 // to an already-measured ensemble reuses every base propagator.
 type (
 	// FHInsertion names one current insertion and its spin structure.
-	FHInsertion = workflow.Insertion
-	// FHPipelineConfig is the campaign spec an FH campaign embeds: the
-	// same type as RealPipelineConfig.
-	FHPipelineConfig = workflow.RealConfig
-	// FHCampaignConfig is a real campaign plus its insertion list.
-	FHCampaignConfig = workflow.FHCampaignConfig
+	FHInsertion = core.Insertion
+	// FHCampaignConfig is a RealPipelineConfig plus its insertion list.
+	FHCampaignConfig = core.FHCampaignConfig
 	// FHCampaignResult holds per-insertion FH correlators and the solve
 	// counts that show what the cache saved.
-	FHCampaignResult = workflow.FHCampaignResult
+	FHCampaignResult = core.FHCampaignResult
 )
-
-// DefaultFHPipelineConfig returns a laptop-scale FH campaign spec.
-func DefaultFHPipelineConfig() FHPipelineConfig { return workflow.DefaultRealConfig() }
 
 // RunFHCampaign measures every insertion on every configuration through
 // the propagator cache; base propagators are solved once per
-// configuration and shared across insertions.
+// configuration and shared across insertions. Insertion names must be
+// distinct.
 func RunFHCampaign(ctx context.Context, cfg FHCampaignConfig, store *ResultCache) (*FHCampaignResult, error) {
-	return workflow.RunFHCampaign(ctx, cfg, store)
+	return core.RunFHCampaign(ctx, cfg, store)
 }
 
 // Experiments.

@@ -4,7 +4,7 @@ import (
 	"femtoverse/internal/cache"
 )
 
-// SpecKey starts a content address in the given namespace with the part
+// specKey starts a content address in the given namespace with the part
 // of the identity every result derived from a campaign spec shares:
 // geometry, action, ensemble generation and solver policy, in a fixed
 // order. The batch size (NConfigs) is deliberately absent - gauge
@@ -15,7 +15,7 @@ import (
 // their names and their order are the cache identity: changing any of
 // them orphans every stored entry, which the pinned key literals in the
 // tests exist to catch.
-func SpecKey(namespace string, spec RealConfig) *cache.KeyBuilder {
+func specKey(namespace string, spec RealConfig) *cache.KeyBuilder {
 	return cache.NewKey(namespace).
 		Int("nx", int64(spec.Dims[0])).
 		Int("ny", int64(spec.Dims[1])).
@@ -41,7 +41,7 @@ func SpecKey(namespace string, spec RealConfig) *cache.KeyBuilder {
 // and vice versa. The source construction is named explicitly so a future
 // smeared or displaced source cannot alias the point source entries.
 func SolveKey(spec RealConfig, cfg int) cache.Key {
-	return SpecKey("core/fh-correlators/v1", spec).
+	return specKey("core/fh-correlators/v1", spec).
 		Str("source", "point0-axial").
 		Int("cfg", int64(cfg)).
 		Build()

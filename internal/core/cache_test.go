@@ -16,7 +16,7 @@ import (
 func TestSolveKeyIdentity(t *testing.T) {
 	spec := campaignSpec()
 	base := SolveKey(spec, 0)
-	// The literal was computed before the key prefix moved into SpecKey: a
+	// The literal was computed before the key prefix moved into specKey: a
 	// store warmed by an older build stays warm. A pin that changes
 	// orphans every stored result and needs a namespace bump, not a new
 	// literal.

@@ -1,4 +1,4 @@
-package workflow
+package core
 
 import (
 	"context"
@@ -6,13 +6,9 @@ import (
 
 	"femtoverse/internal/cache"
 	"femtoverse/internal/contract"
-	"femtoverse/internal/core"
-	"femtoverse/internal/dirac"
-	"femtoverse/internal/gauge"
 	"femtoverse/internal/lattice"
 	"femtoverse/internal/linalg"
 	"femtoverse/internal/prop"
-	"femtoverse/internal/solver"
 )
 
 // Insertion names one Feynman-Hellmann current insertion: the spin
@@ -28,7 +24,8 @@ type Insertion struct {
 // propagator per configuration feeds every insertion's sequential solve,
 // which is the paper's amortization - and, with a result cache attached,
 // the base propagators are shared across insertions, campaigns, and
-// process restarts instead of being re-solved.
+// process restarts instead of being re-solved. Insertion names must be
+// distinct: they key the result's CFH map.
 type FHCampaignConfig struct {
 	RealConfig
 	Insertions []Insertion
@@ -68,9 +65,11 @@ func fhPropKey(cfg RealConfig, i int, ins Insertion) cache.Key {
 }
 
 // propKeyBuilder starts a propagator key: the spec identity every cache
-// key in the repository shares (core.SpecKey), then the configuration.
+// key in the repository shares (specKey), then the configuration. The
+// namespace predates this package's ownership of the campaign and is the
+// stored identity: renaming it orphans every cached propagator.
 func propKeyBuilder(cfg RealConfig, i int) *cache.KeyBuilder {
-	return core.SpecKey("workflow/prop/v1", cfg).Int("cfg", int64(i))
+	return specKey("workflow/prop/v1", cfg).Int("cfg", int64(i))
 }
 
 // propThroughCache returns the propagator for key, computing it at most
@@ -94,7 +93,7 @@ func propThroughCache(store *cache.Cache, key cache.Key, g *lattice.Geometry, co
 	}
 	cols, err := cache.DecodeComplexCols(blob, prop.NComp)
 	if err != nil {
-		return nil, fmt.Errorf("workflow: decode cached propagator: %w", err)
+		return nil, fmt.Errorf("core: decode cached propagator: %w", err)
 	}
 	p := &prop.Propagator{G: g}
 	for j := range p.Col {
@@ -110,23 +109,26 @@ func propThroughCache(store *cache.Cache, key cache.Key, g *lattice.Geometry, co
 // once no matter how many insertions consume it, and a warm rerun (same
 // physics, any process) performs zero solves while reproducing the
 // correlators bit for bit.
+//
+// It is a loop of its own rather than a Campaign.Run because its cache
+// unit is the propagator, shared across insertions, where Campaign.Run's
+// is the correlator pair SolveKey names.
 func RunFHCampaign(ctx context.Context, cfg FHCampaignConfig, store *cache.Cache) (*FHCampaignResult, error) {
-	g, err := lattice.New(cfg.Dims)
-	if err != nil {
-		return nil, err
-	}
-	configs := gauge.Ensemble(g, cfg.Seed, cfg.Beta, cfg.NConfigs, cfg.ThermSweeps, cfg.GapSweeps)
-
 	res := &FHCampaignResult{CFH: make(map[string][][]float64, len(cfg.Insertions))}
 	for _, ins := range cfg.Insertions {
+		if _, dup := res.CFH[ins.Name]; dup {
+			return nil, fmt.Errorf("core: insertion name %q used twice; names key the FH correlators", ins.Name)
+		}
 		res.CFH[ins.Name] = make([][]float64, 0, cfg.NConfigs)
+	}
+	configs, err := EnsembleFor(cfg.RealConfig)
+	if err != nil {
+		return nil, err
 	}
 	for i, u := range configs {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		u.FlipTimeBoundary()
-
 		// The operator stack is built lazily: a fully warm configuration
 		// never constructs a solver at all.
 		var qs *prop.QuarkSolver
@@ -134,19 +136,12 @@ func RunFHCampaign(ctx context.Context, cfg FHCampaignConfig, store *cache.Cache
 			if qs != nil {
 				return qs, nil
 			}
-			m, err := dirac.NewMobius(u, cfg.Params)
-			if err != nil {
-				return nil, err
-			}
-			eo, err := dirac.NewMobiusEO(m)
-			if err != nil {
-				return nil, err
-			}
-			qs = prop.NewQuarkSolver(eo, solver.Params{Tol: cfg.Tol, Precision: cfg.Prec})
-			return qs, nil
+			var err error
+			qs, err = quarkSolver(cfg.RealConfig, u)
+			return qs, err
 		}
 
-		base, err := propThroughCache(store, basePropKey(cfg.RealConfig, i), g, func() (*prop.Propagator, error) {
+		base, err := propThroughCache(store, basePropKey(cfg.RealConfig, i), u.G, func() (*prop.Propagator, error) {
 			s, err := solverFor()
 			if err != nil {
 				return nil, err
@@ -155,7 +150,7 @@ func RunFHCampaign(ctx context.Context, cfg FHCampaignConfig, store *cache.Cache
 			return s.ComputePointCtx(ctx, [4]int{0, 0, 0, 0})
 		})
 		if err != nil {
-			return nil, fmt.Errorf("workflow: config %d base propagator: %w", i, err)
+			return nil, fmt.Errorf("core: config %d base propagator: %w", i, err)
 		}
 		res.C2 = append(res.C2, contract.Real(contract.Proton2pt(base, base, 0)))
 
@@ -164,7 +159,7 @@ func RunFHCampaign(ctx context.Context, cfg FHCampaignConfig, store *cache.Cache
 				return nil, err
 			}
 			ins := ins
-			fh, err := propThroughCache(store, fhPropKey(cfg.RealConfig, i, ins), g, func() (*prop.Propagator, error) {
+			fh, err := propThroughCache(store, fhPropKey(cfg.RealConfig, i, ins), u.G, func() (*prop.Propagator, error) {
 				s, err := solverFor()
 				if err != nil {
 					return nil, err
@@ -173,7 +168,7 @@ func RunFHCampaign(ctx context.Context, cfg FHCampaignConfig, store *cache.Cache
 				return s.FHPropagatorCtx(ctx, base, ins.Gamma)
 			})
 			if err != nil {
-				return nil, fmt.Errorf("workflow: config %d insertion %q: %w", i, ins.Name, err)
+				return nil, fmt.Errorf("core: config %d insertion %q: %w", i, ins.Name, err)
 			}
 			res.CFH[ins.Name] = append(res.CFH[ins.Name],
 				contract.Real(contract.ProtonFH3pt(base, base, fh, fh, 0)))

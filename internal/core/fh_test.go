@@ -1,8 +1,9 @@
-package workflow
+package core
 
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"femtoverse/internal/cache"
@@ -12,14 +13,13 @@ import (
 )
 
 func fhCampaignSpec() FHCampaignConfig {
-	cfg := DefaultRealConfig()
-	cfg.Dims = [4]int{2, 2, 2, 4}
-	cfg.Params.Ls = 4
-	cfg.NConfigs = 2
-	cfg.ThermSweeps = 3
-	cfg.GapSweeps = 1
 	return FHCampaignConfig{
-		RealConfig: cfg,
+		RealConfig: RealConfig{
+			Dims:     [4]int{2, 2, 2, 4},
+			Params:   dirac.MobiusParams{Ls: 4, M5: 1.4, B5: 1.25, C5: 0.25, M: 0.1},
+			NConfigs: 2, Seed: 7, Tol: 1e-8, Prec: solver.Single,
+			Beta: 5.8, ThermSweeps: 3, GapSweeps: 1,
+		},
 		Insertions: []Insertion{
 			{Name: "axial", Gamma: linalg.AxialGamma()},
 			{Name: "vector4", Gamma: linalg.Gamma(3)},
@@ -121,6 +121,26 @@ func TestFHCampaignWarmZeroSolves(t *testing.T) {
 	}
 }
 
+// TestFHCampaignRejectsDuplicateNames: CFH is keyed by insertion name,
+// so two insertions sharing a name would interleave their correlators
+// into one series and CFH[name][i] would stop being configuration i.
+func TestFHCampaignRejectsDuplicateNames(t *testing.T) {
+	spec := fhCampaignSpec()
+	spec.Insertions = []Insertion{
+		{Name: "axial", Gamma: linalg.AxialGamma()},
+		{Name: "vector4", Gamma: linalg.Gamma(3)},
+		{Name: "axial", Gamma: linalg.Gamma(3)},
+	}
+	res, err := RunFHCampaign(context.Background(), spec, nil)
+	if err == nil {
+		t.Fatalf("duplicate insertion name accepted: CFH[axial] has %d entries for %d configurations",
+			len(res.CFH["axial"]), spec.NConfigs)
+	}
+	if !strings.Contains(err.Error(), `"axial"`) {
+		t.Fatalf("error %q does not name the duplicate", err)
+	}
+}
+
 // TestFHPropKeyCoversGamma: two insertions that share a name but differ
 // in spin structure get distinct cache identities.
 func TestFHPropKeyCoversGamma(t *testing.T) {
@@ -139,7 +159,7 @@ func TestFHPropKeyCoversGamma(t *testing.T) {
 }
 
 // TestPropKeysPinned holds the propagator cache identity to literals
-// computed before the key prefix moved into core.SpecKey: a store warmed
+// computed before the key prefix moved into specKey: a store warmed
 // by an older build stays warm. A pin that changes orphans every stored
 // propagator and needs a namespace bump, not a new literal.
 func TestPropKeysPinned(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"femtoverse/internal/cache"
 	"femtoverse/internal/obs"
 	jobrt "femtoverse/internal/runtime"
 )
@@ -18,16 +19,21 @@ import (
 // span durations, the runtime report's busy integrals, and the metrics
 // registry's counters. It also checks the solver spans actually nested
 // under the worker lanes - the end-to-end wiring from campaign driver
-// through job runtime into the CG inner loop.
+// through job runtime into the CG inner loop - and that every solved
+// configuration, and no cached one, opens one "contract" span.
 func TestCampaignObservability(t *testing.T) {
 	cfg := DefaultRealConfig()
 	cfg.NConfigs = 2
 	camp := NewCampaign(cfg)
 	reg := obs.NewRegistry()
 	tr := obs.NewTracer(nil)
+	store, err := cache.New(cache.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	done, rep, err := camp.Run(context.Background(), cfg.NConfigs,
-		RunOptions{Workers: 2, Obs: ObsConfig{Metrics: reg, Trace: tr}})
+		RunOptions{Workers: 2, Obs: ObsConfig{Metrics: reg, Trace: tr}, Cache: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,14 +80,28 @@ func TestCampaignObservability(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &parsed); err != nil {
 		t.Fatalf("trace not valid JSON: %v", err)
 	}
-	solverOnWorkerLane := 0
+	solverOnWorkerLane, contractSpans := 0, 0
 	for _, e := range parsed.TraceEvents {
 		if e.Cat == "solver" && e.PID == 1 {
 			solverOnWorkerLane++
 		}
+		if e.Cat == "contract" && e.Ph == "X" {
+			contractSpans++
+		}
 	}
 	if solverOnWorkerLane == 0 {
 		t.Fatal("no solver spans landed on the solve worker lane")
+	}
+	if contractSpans != cfg.NConfigs {
+		t.Fatalf("%d contract spans for %d solved configurations", contractSpans, cfg.NConfigs)
+	}
+	warmTr := obs.NewTracer(nil)
+	if _, _, err := NewCampaign(cfg).Run(context.Background(), cfg.NConfigs,
+		RunOptions{Workers: 2, Obs: ObsConfig{Trace: warmTr}, Cache: store}); err != nil {
+		t.Fatal(err)
+	}
+	if busy := warmTr.BusySeconds("contract"); len(busy) != 0 {
+		t.Fatalf("warm run served from the cache opened contract spans: %v", busy)
 	}
 
 	// Metrics: the campaign counters must agree with the report.

@@ -33,16 +33,10 @@ type configProps struct {
 // 12 FH solves. It is the single compute path under every driver, which is
 // what makes their outputs bit-for-bit comparable.
 func solveConfig(ctx context.Context, cfg RealConfig, u *gauge.Field) (*configProps, error) {
-	u.FlipTimeBoundary()
-	m, err := dirac.NewMobius(u, cfg.Params)
+	qs, err := quarkSolver(cfg, u)
 	if err != nil {
 		return nil, err
 	}
-	eo, err := dirac.NewMobiusEO(m)
-	if err != nil {
-		return nil, err
-	}
-	qs := prop.NewQuarkSolver(eo, solver.Params{Tol: cfg.Tol, Precision: cfg.Prec})
 	base, err := qs.ComputePointCtx(ctx, [4]int{0, 0, 0, 0})
 	if err != nil {
 		return nil, err
@@ -57,6 +51,23 @@ func solveConfig(ctx context.Context, cfg RealConfig, u *gauge.Field) (*configPr
 		iters:    qs.TotalIterations,
 		flops:    qs.TotalFlops,
 	}, nil
+}
+
+// quarkSolver flips u's time boundary in place and builds the spec's
+// operator stack over it: Mobius, its red-black preconditioned form and
+// the propagator solver under the spec's solver policy. Every solve in
+// the repository that starts from a campaign spec builds its solver here.
+func quarkSolver(spec RealConfig, u *gauge.Field) (*prop.QuarkSolver, error) {
+	u.FlipTimeBoundary()
+	m, err := dirac.NewMobius(u, spec.Params)
+	if err != nil {
+		return nil, err
+	}
+	eo, err := dirac.NewMobiusEO(m)
+	if err != nil {
+		return nil, err
+	}
+	return prop.NewQuarkSolver(eo, solver.Params{Tol: spec.Tol, Precision: spec.Prec}), nil
 }
 
 // contractConfig runs the contraction stage: the proton two-point and FH

@@ -37,7 +37,10 @@ func EnsembleFor(spec RealConfig) ([]*gauge.Field, error) {
 // callers of the store (per-key singleflight) before persisting. With a
 // nil store it degrades to a plain solve. The solver-work counters land
 // in reg (nil-safe) only when a solve actually runs, so "zero solver
-// iterations" is observable for fully warm requests. restarts reports
+// iterations" is observable for fully warm requests; so does the
+// "contract" span around the contractions, on ctx's trace scope (none
+// without one), which is how a caller splits its solve time into
+// propagators and contractions. restarts reports
 // the solver's precision-escalation restarts of this call's own compute
 // (0 for cache and coalesced hits).
 func SolveConfigCached(ctx context.Context, spec RealConfig, i int, field func() (*gauge.Field, error), store *cache.Cache, reg *obs.Registry) (c2, cfh []float64, restarts int, err error) {
@@ -54,7 +57,9 @@ func SolveConfigCached(ctx context.Context, spec RealConfig, i int, field func()
 		reg.Counter("core.configs_solved").Inc()
 		reg.Counter("core.solver_iterations").Add(int64(p.iters))
 		reg.Counter("core.solver_flops").Add(p.flops)
+		span := obs.ScopeFrom(ctx).Begin("contract", "contractions", nil)
 		cc2, ccfh := contractConfig(p)
+		span.End()
 		return cache.EncodeFloatSeries(cc2, ccfh)
 	}
 	var blob []byte

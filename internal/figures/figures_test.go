@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"femtoverse/internal/core"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -245,6 +247,36 @@ func TestStartupClaims(t *testing.T) {
 	}
 	if last.Monolithic < last.Lump128 {
 		t.Fatal("monolithic should lose at scale")
+	}
+}
+
+// TestFig2RealPipelineBudget runs Fig. 2's real row - a journaled
+// core.Run campaign - and checks its split is a budget: the shares sum to
+// 100, solves dominate, and every stage and counter saw work.
+func TestFig2RealPipelineBudget(t *testing.T) {
+	res, err := genFig2(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := res.(Fig2).Real
+	if r == nil {
+		t.Fatal("non-quick Fig. 2 has no real row")
+	}
+	p, c, io := r.Budget.Fractions()
+	if math.Abs(p+c+io-100) > 1e-9 {
+		t.Fatalf("shares %v + %v + %v do not sum to 100", p, c, io)
+	}
+	if p <= 50 {
+		t.Fatalf("propagator share %.1f%%; solves must dominate", p)
+	}
+	if c <= 0 || io <= 0 {
+		t.Fatalf("contraction share %v%%, i/o share %v%%; both stages must be measured", c, io)
+	}
+	if want := 24 * core.DefaultRealConfig().NConfigs; r.Solves != want {
+		t.Fatalf("solves = %d, want %d", r.Solves, want)
+	}
+	if r.Iterations <= 0 || r.JournalBytes <= 0 {
+		t.Fatalf("iterations %d, journal %d bytes", r.Iterations, r.JournalBytes)
 	}
 }
 
