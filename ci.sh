@@ -16,10 +16,12 @@ lap() {
 }
 # The bit pins assume gc never contracts a multiply and an add into one
 # fused instruction. At the amd64 baseline, v1, it cannot (FMA arrives
-# with v3), so the Go bodies round every product the way the SSE bodies
-# of internal/dirac/schur_amd64.s - the hop and the fifth-dimension passes
-# - do. Pin the level here rather than inherit whatever the environment
-# sets.
+# with v3), so the Go bodies round every product the way the vector bodies
+# do - the AVX hop and the SSE fifth-dimension passes of
+# internal/dirac/schur_amd64.s, the AVX half round trip of
+# internal/linalg/half_amd64.s - none of which fuses either
+# (TestAssemblyDiscipline). Pin the level here rather than inherit
+# whatever the environment sets.
 export GOAMD64=v1
 # Formatting gate: gofmt -l prints the files it would rewrite; any name is
 # a failure. The nested benchmark module is covered too (gofmt walks
@@ -52,19 +54,22 @@ run_gate() {
 # views of internal/dirac/lanes.go, whose layout assumption lanes_test.go
 # pins. Any other file that imports unsafe fails here.
 test "$(grep -rl '"unsafe"' --include='*.go' . | sort | tr '\n' ' ')" = './internal/dirac/lanes.go ./internal/dirac/lanes_test.go '
-# Assembly allow-list: the tree has one assembly file, the Schur kernel's
-# vector bodies - the hop, fibreAInv, fibreBA, fibreBAxpy, fibreAxpy and
-# the load/store transposes - each held bit for bit to its portable Go
-# body by the kernel gate below (go vet's asmdecl pass checks their frames
-# against the Go declarations). Any other .s file fails here.
-test "$(find . -name '*.s' -not -path './.bench_build/*' | sort | tr '\n' ' ')" = './internal/dirac/schur_amd64.s '
+# Assembly allow-list: the tree has two assembly files. One holds the
+# Schur kernel's vector bodies - the AVX hop (hopAVX32, hopAVX64) and the
+# SSE fibreAInv, fibreBA, fibreBAxpy, fibreAxpy and load/store transposes;
+# the other the CPUID/XGETBV probe that selects every AVX body once at
+# start-up and the AVX half round trip (halfRoundTripAVX). Each body is
+# held bit for bit to its portable Go body by the kernel gate below (go
+# vet's asmdecl pass checks their frames against the Go declarations).
+# Any other .s file fails here.
+test "$(find . -name '*.s' -not -path './.bench_build/*' | sort | tr '\n' ' ')" = './internal/dirac/schur_amd64.s ./internal/linalg/half_amd64.s '
 lap allow-lists
 go vet ./...
 lap vet
-# The portable Go bodies, hop and fifth-dimension passes, are what every
-# other architecture runs: keep them compiling and vetted where no
-# assembly stands in for them.
-GOARCH=arm64 go vet ./internal/dirac/ && GOARCH=arm64 go build ./...
+# The portable Go bodies - hop, fifth-dimension passes, half round trip -
+# are what every other architecture (and an amd64 host without AVX) runs:
+# keep them compiling and vetted where no assembly stands in for them.
+GOARCH=arm64 go vet ./internal/dirac/ ./internal/linalg/ && GOARCH=arm64 go build ./...
 lap arm64
 go build -o "$PWD/femtolint.bin" ./cmd/femtolint
 trap 'rm -f "$PWD/femtolint.bin" "$PWD/garank.bin" "$PWD/gastress.bin"' EXIT
@@ -104,11 +109,17 @@ lap drain
 # race-free under concurrent instrumentation, and the fixed-chunk
 # reductions must make solves bitwise identical at every worker count.
 # The kernel guards ride here too: the fused Schur kernels against their
-# staged reference at every launch split and on both body sets (the SSE
-# assembly - hop, fibreAInv, fibreBA, fibreBAxpy, fibreAxpy, load and
-# store - and the portable Go bodies), each of those vector bodies against
-# its Go body at every Ls from 1 to 9 on fibres with infinities, a NaN,
-# -0 and subnormals beside the padding lanes, the padding lanes +0 after
+# staged reference at every launch split and on both body sets (the
+# assembly - the AVX hop, the SSE fibreAInv, fibreBA, fibreBAxpy,
+# fibreAxpy, load and store - and the portable Go bodies), each of those
+# vector bodies against its Go body at every Ls from 1 to 9 on fibres with
+# infinities, a NaN, -0 and subnormals beside the padding lanes, the AVX
+# half round trip against its Go body on 20000 blocks of every special
+# value and exact ties, its finite flag against NormSqC64's verdict, the
+# start-up probe against /proc/cpuinfo (a probe that fell back to Go would
+# pass every bit test at half the speed), every .s file free of fused
+# multiply-adds and of legacy SSE in a VEX body, with VZEROUPPER before
+# each RET of a body that names a Y register, the padding lanes +0 after
 # every pass of every entry point, the lane kernel against the scalar
 # kernel it replaced on a field with an infinity and a NaN in it, two
 # solves splitting their passes at once, a For nested in a For body, and
@@ -129,7 +140,7 @@ lap drain
 # serial pass allocation-free. The suites run under -race with -count=2
 # against fresh interleavings.
 go test -race -count=2 ./internal/obs/
-run_gate 'Bitwise|BitForBit|ReduceChunk|Deterministic|DoesNotAllocate|NestedFor|ConcurrentCallers|Lane|Batch|Budget|Straggler|View|Workspace|RoundTrip|RoundHalf|Lanes|WilsonHop|WilsonApplyDoesNotAllocate' -race -count=2 -- ./internal/linalg/ ./internal/dirac/ ./internal/solver/ ./internal/prop/
+run_gate 'Bitwise|BitForBit|ReduceChunk|Deterministic|DoesNotAllocate|NestedFor|ConcurrentCallers|Lane|Batch|Budget|Straggler|View|Workspace|RoundTrip|RoundHalf|Lanes|WilsonHop|WilsonApplyDoesNotAllocate|Discipline|Probe' -race -count=2 -- ./internal/linalg/ ./internal/dirac/ ./internal/solver/ ./internal/prop/
 lap kernel
 run_gate 'Obs|Timeline|Trace' -race -- ./internal/runtime/ ./internal/core/ ./internal/cluster/
 lap observability

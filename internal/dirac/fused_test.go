@@ -62,9 +62,9 @@ func sameBits32(t *testing.T, what string, got, want []complex64) {
 }
 
 // bodySets are the body sets a Schur operator can run: the build's (the
-// vector bodies of schur_amd64.s on amd64, hop and fifth-dimension passes)
-// and the portable Go bodies, which clearing the operator's vec swaps in.
-// Off amd64 both are the Go bodies.
+// vector bodies of schur_amd64.s on amd64: the SSE fifth-dimension passes,
+// and the AVX hop where the host has AVX) and the portable Go bodies, which
+// clearing the operator's vec swaps in. Off amd64 both are the Go bodies.
 var bodySets = []string{"build", "go"}
 
 // useBodies points p's and q's kernels, and every view made of them

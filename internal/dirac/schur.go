@@ -69,7 +69,8 @@ type vecBodies[F float32 | float64] struct {
 }
 
 // vec32 and vec64 are the vector bodies the build provides, set at
-// start-up where there are any (schur_amd64.go) and nil elsewhere.
+// start-up where there are any (schur_amd64.go) and nil elsewhere; their
+// hop is nil on an amd64 host without AVX, which runs the Go hop.
 var (
 	vec32 *vecBodies[float32]
 	vec64 *vecBodies[float64]
@@ -89,8 +90,10 @@ type chiBlock[F float32 | float64] struct {
 }
 
 // laneW is the lane count of a plane: one 16-byte register of float32,
-// two of float64. One width for both precisions keeps the Go fibre loops'
-// strides constant and puts the fh-* shape, Ls 4, in a single block.
+// two of float64 in the SSE fifth-dimension bodies, and one XMM or one YMM
+// register in the AVX hop. One width for both precisions keeps the Go
+// fibre loops' strides constant and puts the fh-* shape, Ls 4, in a single
+// block.
 const laneW = 4
 
 // setLayout fixes the lane-major layout, the vector tables, and the

@@ -1,26 +1,34 @@
 package dirac
 
-import "femtoverse/internal/lattice"
+import (
+	"femtoverse/internal/lattice"
+	"femtoverse/internal/linalg"
+)
 
-// The vector bodies of schur_amd64.s. SSE and SSE2 are in the amd64
-// baseline, so every amd64 build runs them; the portable Go bodies of
-// schur.go are what the tests hold them to.
+// The vector bodies of schur_amd64.s. The fifth-dimension passes are SSE
+// and SSE2, the amd64 baseline, so every amd64 build runs them; the hop is
+// AVX and runs where linalg.HasAVX, the start-up probe, found it, and the
+// Go body elsewhere. The portable Go bodies of schur.go are what the tests
+// hold them to.
 func init() {
 	vec32 = &vecBodies[float32]{
-		hop: hopSSE32, aInv: aInvSSE32, ba: baSSE32, baxpy: baxpySSE32,
+		aInv: aInvSSE32, ba: baSSE32, baxpy: baxpySSE32,
 		axpy: axpySSE32, load: loadSSE32, store: storeSSE32,
 	}
 	vec64 = &vecBodies[float64]{
-		hop: hopSSE64, aInv: aInvSSE64, ba: baSSE64, baxpy: baxpySSE64,
+		aInv: aInvSSE64, ba: baSSE64, baxpy: baxpySSE64,
 		axpy: axpySSE64, load: loadSSE64, store: storeSSE64,
+	}
+	if linalg.HasAVX {
+		vec32.hop, vec64.hop = hopAVX32, hopAVX64
 	}
 }
 
 //go:noescape
-func hopSSE32(dst, src *float32, hops *lattice.Hop, u *[lattice.NDim][]link[float32], keep *float32, ls int, g5 bool)
+func hopAVX32(dst, src *float32, hops *lattice.Hop, u *[lattice.NDim][]link[float32], keep *float32, ls int, g5 bool)
 
 //go:noescape
-func hopSSE64(dst, src *float64, hops *lattice.Hop, u *[lattice.NDim][]link[float64], keep *float64, ls int, g5 bool)
+func hopAVX64(dst, src *float64, hops *lattice.Hop, u *[lattice.NDim][]link[float64], keep *float64, ls int, g5 bool)
 
 //go:noescape
 func aInvSSE32(dst, src, colP, colM *float32, lane *int, ls int)

@@ -1,441 +1,406 @@
 #include "textflag.h"
 
 // The Schur kernel's hop on the lane-major layout (schur.go, DESIGN.md s19):
-// hopSSE32 and hopSSE64 are fibreHop for one site, every lane of its
-// fibre, in baseline SSE/SSE2 (GOAMD64=v1, no feature check). A register
-// holds four float32 or two float64 lanes of a plane - one fifth-dimension
-// slice a lane - and every instruction is a packed MUL, ADD, SUB or XOR
-// with no fused multiply-add, issued in the order of the Go body's scalar
-// operations (halfSpinor.project, mul or mulAdj, reconstruct, then the g5
-// negation). Each lane therefore computes exactly what the Go body
-// computes for its slice, to the bit.
+// hopAVX32 and hopAVX64 are fibreHop for one site, every lane of its
+// fibre, in VEX-encoded AVX. The build links them on every amd64 host, but
+// schur_amd64.go selects them only where linalg.HasAVX - the start-up probe
+// of the host's AVX and of the OS saving YMM state - holds; elsewhere
+// fibreHop runs the Go body. A plane is one register, an XMM of four
+// float32 or a YMM of four float64, one fifth-dimension slice a lane, so in
+// either precision a register group is one block of the layout. Every
+// arithmetic instruction is a packed MUL, ADD or SUB with no fused
+// multiply-add.
 //
-// func hopSSE32(dst, src *float32, hops *lattice.Hop, u *[4][]link[float32], keep *float32, ls int, g5 bool)
-// func hopSSE64(dst, src *float64, hops *lattice.Hop, u *[4][]link[float64], keep *float64, ls int, g5 bool)
+// The loop nest is register-blocked. Per block and per output colour row
+// r, the row's eight planes - components r, 3+r, 6+r and 9+r, real and
+// imaginary - stay in registers across all eight directions and are
+// stored once; nothing else goes through memory. Each direction projects
+// the neighbour's components straight from memory operands, multiplies the
+// projection by the link's row r (mul) or column r (mulAdj) broadcast, and
+// reconstructs into the eight accumulators. An output element therefore
+// takes exactly the Go body's operations - halfSpinor.project, mul or
+// mulAdj, reconstruct, then the g5 negation - in direction order, and
+// comes out the same to the bit; only the order in which elements are
+// visited differs. The projection is formed again for each of the three
+// rows, which costs less than a round trip through the stack.
 //
-// Registers: DI the output register group (the lanes one register holds),
-// SI the input field at the same register group, BX the site's eight
-// stencil entries, R8 the four link slices, R9 the fibre size in bytes, CX
-// the register groups left (those holding a slice below ls), R12 and R13
-// the steps to the next one, DX the g5 flag, AX the neighbour's register
-// group, R10 the link, R11 the register group's lanes of keep. X0-X5 hold
-// a link row broadcast (re, im of three entries), X6-X8 and X9-X11 build
-// the real and imaginary plane of one transported colour, X12-X13 update
-// the output, X14 is 0.5 and X15 the sign mask, ANDed with keep so that
-// the g5 negation leaves a padding lane +0. The projected half spinor lives
-// on the stack: twelve planes, component c's real plane at 32*c and
-// imaginary at 32*c+16, then the sign mask at 192.
+// A body that writes a Y register leaves its upper halves dirty, and the
+// next legacy SSE instruction (Go's own float code at GOAMD64=v1, the SSE
+// fifth-dimension bodies below) then pays a state transition of about 500
+// cycles. So no body that names a Y register mixes in a legacy SSE
+// instruction, and each issues VZEROUPPER before every RET
+// (TestAssemblyDiscipline reads this file and holds it to that).
+//
+// func hopAVX32(dst, src *float32, hops *lattice.Hop, u *[4][]link[float32], keep *float32, ls int, g5 bool)
+// func hopAVX64(dst, src *float64, hops *lattice.Hop, u *[4][]link[float64], keep *float64, ls int, g5 bool)
+//
+// Registers: DI the output row (the block's output at row r's real plane of
+// component r), R12 the block's byte offset into a fibre, R13 and R14 row
+// r's offset into a link for mul and for mulAdj, R11 the block's lanes of
+// keep, CX the blocks left, AX the neighbour's block, R10 the link at the
+// row. The stack holds each direction d's neighbour fibre at 8*d and its
+// link at 64+8*d. Vector registers: U0R-L3I the row's accumulators (spins
+// 0-3 at colour r), WR/WI the transported colour, HR/HI a projected
+// component, BR/BI a link entry broadcast, T0/T1 products.
 
-// A lane group of the layout is 24 planes of four lanes, PLANE bytes
-// each: component j's real plane at 2*PLANE*j, its imaginary plane at
-// 2*PLANE*j+PLANE. A float32 plane is one register, a float64 plane two,
-// which the loop takes one after the other.
+// SETUP stores direction d's neighbour fibre and link: BX the site's
+// stencil entries, SI the input field, R8 the link slices, R9 the fibre
+// size in bytes.
+#define SETUP(d) \
+	MOVLQSX ((d)*8)(BX), AX; IMULQ R9, AX; ADDQ SI, AX; MOVQ AX, ((d)*8)(SP); \
+	MOVLQSX ((d)*8+4)(BX), AX; IMUL3Q $LINK, AX, AX; ADDQ (((d)/2)*24)(R8), AX; MOVQ AX, (64+(d)*8)(SP)
 
-// NEIGHBOUR points AX at the lane group of hop d's neighbour and R10 at its
-// link U_mu.
-#define NEIGHBOUR(d, mu) \
-	MOVLQSX ((d)*8)(BX), AX; IMULQ R9, AX; ADDQ SI, AX; \
-	MOVLQSX ((d)*8+4)(BX), R10; IMUL3Q $LINK, R10, R10; ADDQ ((mu)*24)(R8), R10
+// NB points AX at direction d's neighbour block and R10 at its link's row,
+// ROW being R13 (mul) or R14 (mulAdj).
+#define NB(d, ROW) \
+	MOVQ ((d)*8)(SP), AX; ADDQ R12, AX; MOVQ (64+(d)*8)(SP), R10; ADDQ ROW, R10
 
-// PJ sets projected component c to v[a] (+/-) v[b]: its real plane is
-// a.re ore b[bre] and its imaginary one a.im oim b[bim].
-#define PJ(a, b, c, ore, bre, oim, bim) \
-	MOVUPS ((a)*2*PLANE)(AX), X6; MOVUPS ((b)*2*PLANE+(bre))(AX), X7; ore X7, X6; MOVUPS X6, ((c)*32)(SP); \
-	MOVUPS ((a)*2*PLANE+PLANE)(AX), X8; MOVUPS ((b)*2*PLANE+(bim))(AX), X9; oim X9, X8; MOVUPS X8, ((c)*32+16)(SP)
+// PJ sets HR, HI to the projection of neighbour components a and b: a.re
+// ore b[bre] and a.im oim b[bim], b read as a memory operand.
+#define PJ(a, b, ore, bre, oim, bim) \
+	VMOVUV ((a)*2*PLANE)(AX), HR; ore ((b)*2*PLANE+(bre))(AX), HR, HR; \
+	VMOVUV ((a)*2*PLANE+PLANE)(AX), HI; oim ((b)*2*PLANE+(bim))(AX), HI, HI
 
 // The four projections of a pair: a + b, a - b, a + i b, a - i b.
-#define PADD(a, b, c) PJ(a, b, c, ADDV, 0, ADDV, PLANE)
-#define PSUB(a, b, c) PJ(a, b, c, SUBV, 0, SUBV, PLANE)
-#define PADDI(a, b, c) PJ(a, b, c, SUBV, PLANE, ADDV, 0)
-#define PSUBI(a, b, c) PJ(a, b, c, ADDV, PLANE, SUBV, 0)
+#define PADD(a, b) PJ(a, b, VADDV, 0, VADDV, PLANE)
+#define PSUB(a, b) PJ(a, b, VSUBV, 0, VSUBV, PLANE)
+#define PADDI(a, b) PJ(a, b, VSUBV, PLANE, VADDV, 0)
+#define PSUBI(a, b) PJ(a, b, VADDV, PLANE, VSUBV, 0)
 
-// PROJ applies the pair projection P0 to colours 0-2, paired with the
-// spinor components from lo0, and P1 to colours 3-5, paired from lo1.
-#define PROJ(P0, lo0, P1, lo1) \
-	P0(0, (lo0), 0); P0(1, (lo0)+1, 1); P0(2, (lo0)+2, 2); \
-	P1(3, (lo1), 3); P1(4, (lo1)+1, 4); P1(5, (lo1)+2, 5)
+// BC broadcasts the link entry at off from the row into BR (real part) and
+// BI (imaginary part).
+#define BC(off) VBCAST ((off))(R10), BR; VBCAST ((off)+IMAG)(R10), BI
 
-// halfSpinor.project, direction by direction.
-#define PROJ0 PROJ(PSUBI, 9, PSUBI, 6)
-#define PROJ1 PROJ(PADDI, 9, PADDI, 6)
-#define PROJ2 PROJ(PADD, 9, PSUB, 6)
-#define PROJ3 PROJ(PSUB, 9, PADD, 6)
-#define PROJ4 PROJ(PSUBI, 6, PADDI, 9)
-#define PROJ5 PROJ(PADDI, 6, PSUBI, 9)
-#define PROJ6 PROJ(PSUB, 6, PSUB, 9)
-#define PROJ7 PROJ(PADD, 6, PADD, 9)
+// T1ST sets WR, WI to the entry at off times the projection in HR, HI:
+// cx.times with ore SUB and oim ADD, cx.conjTimes with ore ADD and oim SUB.
+// TNXT adds the next such product, the sum running left to right.
+#define T1ST(off, ore, oim) \
+	BC(off); \
+	VMULV HR, BR, WR; VMULV HI, BI, T0; ore T0, WR, WR; \
+	VMULV HI, BR, WI; VMULV HR, BI, T0; oim T0, WI, WI
+#define TNXT(off, ore, oim) \
+	BC(off); \
+	VMULV HR, BR, T0; VMULV HI, BI, T1; ore T1, T0, T0; VADDV T0, WR, WR; \
+	VMULV HI, BR, T0; VMULV HR, BI, T1; oim T1, T0, T0; VADDV T0, WI, WI
 
-// ROWM broadcasts row r of U (mul), ROWA column r (mulAdj): entry c's real
-// part into X(2c), its imaginary part into X(2c+1).
-#define ROWM(r) \
-	BCAST(((r)*3+0)*ENTRY, X0); BCAST(((r)*3+0)*ENTRY+IMAG, X1); \
-	BCAST(((r)*3+1)*ENTRY, X2); BCAST(((r)*3+1)*ENTRY+IMAG, X3); \
-	BCAST(((r)*3+2)*ENTRY, X4); BCAST(((r)*3+2)*ENTRY+IMAG, X5)
-#define ROWA(r) \
-	BCAST((0*3+(r))*ENTRY, X0); BCAST((0*3+(r))*ENTRY+IMAG, X1); \
-	BCAST((1*3+(r))*ENTRY, X2); BCAST((1*3+(r))*ENTRY+IMAG, X3); \
-	BCAST((2*3+(r))*ENTRY, X4); BCAST((2*3+(r))*ENTRY+IMAG, X5)
+// W sets WR, WI to one transported colour of the row: the row's three
+// entries, US apart, times the projections P of components a0..a0+2
+// against b0..b0+2, summed and halved.
+#define W(P, a0, b0, US, ore, oim) \
+	P(a0, b0); T1ST(0, ore, oim); \
+	P((a0)+1, (b0)+1); TNXT(US, ore, oim); \
+	P((a0)+2, (b0)+2); TNXT(2*(US), ore, oim); \
+	VMULV HALF, WR, WR; VMULV HALF, WI, WI
 
-// PRODUCT sets X6, X9 to the broadcast row times the colour vector at
-// projected component h, halved: cx.times (ore SUB, oim ADD) or cx.conjTimes
-// (ore ADD, oim SUB) per entry, the three summed left to right, then
-// scale(0.5).
-#define PRODUCT(h, ore, oim) \
-	MOVUPS ((h)*32)(SP), X6; MULV X0, X6; MOVUPS ((h)*32+16)(SP), X7; MULV X1, X7; ore X7, X6; \
-	MOVUPS ((h)*32+32)(SP), X7; MULV X2, X7; MOVUPS ((h)*32+48)(SP), X8; MULV X3, X8; ore X8, X7; ADDV X7, X6; \
-	MOVUPS ((h)*32+64)(SP), X7; MULV X4, X7; MOVUPS ((h)*32+80)(SP), X8; MULV X5, X8; ore X8, X7; ADDV X7, X6; \
-	MULV X14, X6; \
-	MOVUPS ((h)*32+16)(SP), X9; MULV X0, X9; MOVUPS ((h)*32)(SP), X10; MULV X1, X10; oim X10, X9; \
-	MOVUPS ((h)*32+48)(SP), X10; MULV X2, X10; MOVUPS ((h)*32+32)(SP), X11; MULV X3, X11; oim X11, X10; ADDV X10, X9; \
-	MOVUPS ((h)*32+80)(SP), X10; MULV X4, X10; MOVUPS ((h)*32+64)(SP), X11; MULV X5, X11; oim X11, X10; ADDV X10, X9; \
-	MULV X14, X9
+// MULW is W for halfSpinor.mul (row r of U), ADJW for mulAdj (column r).
+#define MULW(P, a0, b0) W(P, a0, b0, ENTRY, VSUBV, VADDV)
+#define ADJW(P, a0, b0) W(P, a0, b0, 3*ENTRY, VADDV, VSUBV)
 
-// RL updates output component o: o.re ore wre, o.im oim wim, with the
-// transported colour's parts in X6 (re) and X9 (im).
-#define RL(o, ore, wre, oim, wim) \
-	MOVUPS ((o)*2*PLANE)(DI), X12; ore wre, X12; MOVUPS X12, ((o)*2*PLANE)(DI); \
-	MOVUPS ((o)*2*PLANE+PLANE)(DI), X13; oim wim, X13; MOVUPS X13, ((o)*2*PLANE+PLANE)(DI)
+// The four reconstructions of an accumulator pair: o + w, o - w, o + i w,
+// o - i w.
+#define RADD(re, im) VADDV WR, re, re; VADDV WI, im, im
+#define RSUB(re, im) VSUBV WR, re, re; VSUBV WI, im, im
+#define RADDI(re, im) VSUBV WI, re, re; VADDV WR, im, im
+#define RSUBI(re, im) VADDV WI, re, re; VSUBV WR, im, im
 
-// The four reconstructions: o + w, o - w, o + i w, o - i w.
-#define RADD(o) RL(o, ADDV, X6, ADDV, X9)
-#define RSUB(o) RL(o, SUBV, X6, SUBV, X9)
-#define RADDI(o) RL(o, SUBV, X9, ADDV, X6)
-#define RSUBI(o) RL(o, ADDV, X9, SUBV, X6)
+// DIRLO is hop direction d for x and y (d < 4), DIRHI for z and t: the
+// colours 0-2 of the half spinor (projection P0, from spin 0 against spin 3
+// or 2) subtract from spin 0 and reconstruct by R0 into spin 3 or 2; the
+// colours 3-5 (P1, spin 1 against spin 2 or 3) subtract from spin 1 and
+// reconstruct by R1 into the other lower spin.
+#define DIRLO(d, ROW, WM, P0, R0, P1, R1) \
+	NB(d, ROW); \
+	WM(P0, 0, 9); RSUB(U0R, U0I); R0(L3R, L3I); \
+	WM(P1, 3, 6); RSUB(U1R, U1I); R1(L2R, L2I)
+#define DIRHI(d, ROW, WM, P0, R0, P1, R1) \
+	NB(d, ROW); \
+	WM(P0, 0, 6); RSUB(U0R, U0I); R0(L2R, L2I); \
+	WM(P1, 3, 9); RSUB(U1R, U1I); R1(L3R, L3I)
 
-// MULROW transports both colour vectors through row r and reconstructs
-// them: upper spins minus w, lower spins R0 from lo0 (colours 0-2) and R1
-// from lo1 (colours 3-5).
-#define MULROW(ROW, r, ore, oim, R0, lo0, R1, lo1) \
-	ROW(r); \
-	PRODUCT(0, ore, oim); RSUB(r); R0((lo0)+(r)); \
-	PRODUCT(3, ore, oim); RSUB(3+(r)); R1((lo1)+(r))
+// HOPS is the eight directions: halfSpinor.project for direction d, mul
+// (even d) or mulAdj (odd d), reconstruct for d.
+#define HOPS \
+	DIRLO(0, R13, MULW, PSUBI, RSUBI, PSUBI, RSUBI); \
+	DIRLO(1, R14, ADJW, PADDI, RADDI, PADDI, RADDI); \
+	DIRLO(2, R13, MULW, PADD, RSUB, PSUB, RADD); \
+	DIRLO(3, R14, ADJW, PSUB, RADD, PADD, RSUB); \
+	DIRHI(4, R13, MULW, PSUBI, RSUBI, PADDI, RADDI); \
+	DIRHI(5, R14, ADJW, PADDI, RADDI, PSUBI, RSUBI); \
+	DIRHI(6, R13, MULW, PSUB, RADD, PSUB, RADD); \
+	DIRHI(7, R14, ADJW, PADD, RSUB, PADD, RSUB)
 
-// MUL is halfSpinor.mul then reconstruct, MULADJ mulAdj then reconstruct.
-#define MUL(R0, lo0, R1, lo1) \
-	MULROW(ROWM, 0, SUBV, ADDV, R0, lo0, R1, lo1); \
-	MULROW(ROWM, 1, SUBV, ADDV, R0, lo0, R1, lo1); \
-	MULROW(ROWM, 2, SUBV, ADDV, R0, lo0, R1, lo1)
-#define MULADJ(R0, lo0, R1, lo1) \
-	MULROW(ROWA, 0, ADDV, SUBV, R0, lo0, R1, lo1); \
-	MULROW(ROWA, 1, ADDV, SUBV, R0, lo0, R1, lo1); \
-	MULROW(ROWA, 2, ADDV, SUBV, R0, lo0, R1, lo1)
+// HOPSG5 is gamma_5 Hop's directions: the projection of d^1, the rest of d.
+#define HOPSG5 \
+	DIRLO(0, R13, MULW, PADDI, RSUBI, PADDI, RSUBI); \
+	DIRLO(1, R14, ADJW, PSUBI, RADDI, PSUBI, RADDI); \
+	DIRLO(2, R13, MULW, PSUB, RSUB, PADD, RADD); \
+	DIRLO(3, R14, ADJW, PADD, RADD, PSUB, RSUB); \
+	DIRHI(4, R13, MULW, PADDI, RSUBI, PSUBI, RADDI); \
+	DIRHI(5, R14, ADJW, PSUBI, RADDI, PADDI, RSUBI); \
+	DIRHI(6, R13, MULW, PADD, RADD, PADD, RADD); \
+	DIRHI(7, R14, ADJW, PSUB, RSUB, PSUB, RSUB)
 
-// halfSpinor.reconstruct's lower spins, direction by direction, after
-// mul (even directions) or mulAdj (odd ones).
-#define HOP0 MUL(RSUBI, 9, RSUBI, 6)
-#define HOP1 MULADJ(RADDI, 9, RADDI, 6)
-#define HOP2 MUL(RSUB, 9, RADD, 6)
-#define HOP3 MULADJ(RADD, 9, RSUB, 6)
-#define HOP4 MUL(RSUBI, 6, RADDI, 9)
-#define HOP5 MULADJ(RADDI, 6, RSUBI, 9)
-#define HOP6 MUL(RADD, 6, RADD, 9)
-#define HOP7 MULADJ(RSUB, 6, RSUB, 9)
+// ZEROROW starts the row's accumulators at +0.
+#define ZEROROW \
+	VXORV U0R, U0R, U0R; VXORV U0I, U0I, U0I; VXORV U1R, U1R, U1R; VXORV U1I, U1I, U1I; \
+	VXORV L2R, L2R, L2R; VXORV L2I, L2I, L2I; VXORV L3R, L3R, L3R; VXORV L3I, L3I, L3I
 
-// ZERO clears the output planes: every accumulator starts at +0.
-#define ZERO \
-	XORPS X0, X0; \
-	MOVUPS X0, (0*PLANE)(DI); MOVUPS X0, (1*PLANE)(DI); MOVUPS X0, (2*PLANE)(DI); MOVUPS X0, (3*PLANE)(DI); \
-	MOVUPS X0, (4*PLANE)(DI); MOVUPS X0, (5*PLANE)(DI); MOVUPS X0, (6*PLANE)(DI); MOVUPS X0, (7*PLANE)(DI); \
-	MOVUPS X0, (8*PLANE)(DI); MOVUPS X0, (9*PLANE)(DI); MOVUPS X0, (10*PLANE)(DI); MOVUPS X0, (11*PLANE)(DI); \
-	MOVUPS X0, (12*PLANE)(DI); MOVUPS X0, (13*PLANE)(DI); MOVUPS X0, (14*PLANE)(DI); MOVUPS X0, (15*PLANE)(DI); \
-	MOVUPS X0, (16*PLANE)(DI); MOVUPS X0, (17*PLANE)(DI); MOVUPS X0, (18*PLANE)(DI); MOVUPS X0, (19*PLANE)(DI); \
-	MOVUPS X0, (20*PLANE)(DI); MOVUPS X0, (21*PLANE)(DI); MOVUPS X0, (22*PLANE)(DI); MOVUPS X0, (23*PLANE)(DI)
-
-// NEG flips the sign of output plane q: gamma_5 on a lower spin.
-#define NEG(q) MOVUPS ((q)*PLANE)(DI), X12; XORPS X15, X12; MOVUPS X12, ((q)*PLANE)(DI)
-
-// SIGNKEEP sets X15 to the sign mask in the register group's real lanes.
-#define SIGNKEEP MOVUPS (R11), X15; MOVUPS 192(SP), X12; ANDPS X12, X15
-
-// NEGLOWER is the output gamma_5: planes 12-23 are spins 2 and 3.
+// NEGLOWER is the output gamma_5 on the row's lower spins: a sign flip
+// ANDed with keep, so that a padding lane stays +0.
 #define NEGLOWER \
-	NEG(12); NEG(13); NEG(14); NEG(15); NEG(16); NEG(17); \
-	NEG(18); NEG(19); NEG(20); NEG(21); NEG(22); NEG(23)
+	VMOVUV (R11), T0; VANDV SIGN, T0, T0; \
+	VXORV T0, L2R, L2R; VXORV T0, L2I, L2I; VXORV T0, L3R, L3R; VXORV T0, L3I, L3I
 
-// The float32 body: four slices a register.
-#define ADDV ADDPS
-#define SUBV SUBPS
-#define MULV MULPS
-#define BCAST(off, r) MOVSS (off)(R10), r; SHUFPS $0x00, r, r
+// STOREROW stores the row: components r, 3+r, 6+r, 9+r.
+#define STOREROW \
+	VMOVUV U0R, (0*PLANE)(DI); VMOVUV U0I, (1*PLANE)(DI); \
+	VMOVUV U1R, (6*PLANE)(DI); VMOVUV U1I, (7*PLANE)(DI); \
+	VMOVUV L2R, (12*PLANE)(DI); VMOVUV L2I, (13*PLANE)(DI); \
+	VMOVUV L3R, (18*PLANE)(DI); VMOVUV L3I, (19*PLANE)(DI)
+
+// NEXTROW steps DI, R13 and R14 to row r+1 and sets the flags for the last
+// row; NEXTBLOCK steps to the next block and counts it.
+#define NEXTROW \
+	ADDQ $(2*PLANE), DI; ADDQ $(3*ENTRY), R13; ADDQ $ENTRY, R14; CMPQ R14, $(3*ENTRY)
+#define NEXTBLOCK \
+	ADDQ $(GROUP-6*PLANE), DI; ADDQ $GROUP, R12; ADDQ $PLANE, R11; DECQ CX
+
+// PROLOGUE loads the arguments, stores the eight directions' neighbours
+// and links, and leaves the g5 flag in DX.
+#define PROLOGUE \
+	MOVQ dst+0(FP), DI; MOVQ src+8(FP), SI; MOVQ hops+16(FP), BX; MOVQ u+24(FP), R8; \
+	MOVQ keep+32(FP), R11; MOVQ ls+40(FP), CX; MOVBQZX g5+48(FP), DX; \
+	ADDQ $3, CX; SHRQ $2, CX; IMUL3Q $GROUP, CX, R9; \
+	SETUP(0); SETUP(1); SETUP(2); SETUP(3); SETUP(4); SETUP(5); SETUP(6); SETUP(7); \
+	XORQ R12, R12
+
+DATA half32<>+0(SB)/4, $0x3f000000
+DATA half32<>+4(SB)/4, $0x3f000000
+DATA half32<>+8(SB)/4, $0x3f000000
+DATA half32<>+12(SB)/4, $0x3f000000
+GLOBL half32<>(SB), RODATA|NOPTR, $16
+
+DATA sign32<>+0(SB)/4, $0x80000000
+DATA sign32<>+4(SB)/4, $0x80000000
+DATA sign32<>+8(SB)/4, $0x80000000
+DATA sign32<>+12(SB)/4, $0x80000000
+GLOBL sign32<>(SB), RODATA|NOPTR, $16
+
+DATA half64<>+0(SB)/8, $0x3fe0000000000000
+DATA half64<>+8(SB)/8, $0x3fe0000000000000
+DATA half64<>+16(SB)/8, $0x3fe0000000000000
+DATA half64<>+24(SB)/8, $0x3fe0000000000000
+GLOBL half64<>(SB), RODATA|NOPTR, $32
+
+DATA sign64<>+0(SB)/8, $0x8000000000000000
+DATA sign64<>+8(SB)/8, $0x8000000000000000
+DATA sign64<>+16(SB)/8, $0x8000000000000000
+DATA sign64<>+24(SB)/8, $0x8000000000000000
+GLOBL sign64<>(SB), RODATA|NOPTR, $32
+
+// The float32 body: a plane is one XMM register of four slices.
+#define VMOVUV VMOVUPS
+#define VADDV VADDPS
+#define VSUBV VSUBPS
+#define VMULV VMULPS
+#define VXORV VXORPS
+#define VANDV VANDPS
+#define VBCAST VBROADCASTSS
+#define HALF half32<>(SB)
+#define SIGN sign32<>(SB)
 #define ENTRY 8
 #define IMAG 4
 #define LINK 72
 #define PLANE 16
 #define GROUP 384
+#define U0R X0
+#define U0I X1
+#define U1R X2
+#define U1I X3
+#define L2R X4
+#define L2I X5
+#define L3R X6
+#define L3I X7
+#define WR X8
+#define WI X9
+#define HR X10
+#define HI X11
+#define BR X12
+#define BI X13
+#define T0 X14
+#define T1 X15
 
-TEXT ·hopSSE32(SB), NOSPLIT, $208-49
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ hops+16(FP), BX
-	MOVQ u+24(FP), R8
-	MOVQ ls+40(FP), CX
-	MOVBQZX g5+48(FP), DX
-	ADDQ $3, CX
-	SHRQ $2, CX
-	IMUL3Q $GROUP, CX, R9
-	MOVQ $GROUP, R12
-	MOVQ $GROUP, R13
-	MOVL $0x3f000000, R11
-	MOVQ R11, X14
-	SHUFPS $0x00, X14, X14
-	MOVL $0x80000000, R11
-	MOVQ R11, X15
-	SHUFPS $0x00, X15, X15
-	MOVUPS X15, 192(SP)
-	MOVQ keep+32(FP), R11
-
-group32:
-	ZERO
-
-	NEIGHBOUR(0, 0)
+TEXT ·hopAVX32(SB), NOSPLIT, $128-49
+	PROLOGUE
 	TESTQ DX, DX
-	JNE   g5p0
-	PROJ0
-	JMP   mul0
-g5p0:
-	PROJ1
-mul0:
-	HOP0
+	JNE   g5block
 
-	NEIGHBOUR(1, 0)
-	TESTQ DX, DX
-	JNE   g5p1
-	PROJ1
-	JMP   mul1
-g5p1:
-	PROJ0
-mul1:
-	HOP1
+plainblock:
+	XORQ R13, R13
+	XORQ R14, R14
 
-	NEIGHBOUR(2, 1)
-	TESTQ DX, DX
-	JNE   g5p2
-	PROJ2
-	JMP   mul2
-g5p2:
-	PROJ3
-mul2:
-	HOP2
-
-	NEIGHBOUR(3, 1)
-	TESTQ DX, DX
-	JNE   g5p3
-	PROJ3
-	JMP   mul3
-g5p3:
-	PROJ2
-mul3:
-	HOP3
-
-	NEIGHBOUR(4, 2)
-	TESTQ DX, DX
-	JNE   g5p4
-	PROJ4
-	JMP   mul4
-g5p4:
-	PROJ5
-mul4:
-	HOP4
-
-	NEIGHBOUR(5, 2)
-	TESTQ DX, DX
-	JNE   g5p5
-	PROJ5
-	JMP   mul5
-g5p5:
-	PROJ4
-mul5:
-	HOP5
-
-	NEIGHBOUR(6, 3)
-	TESTQ DX, DX
-	JNE   g5p6
-	PROJ6
-	JMP   mul6
-g5p6:
-	PROJ7
-mul6:
-	HOP6
-
-	NEIGHBOUR(7, 3)
-	TESTQ DX, DX
-	JNE   g5p7
-	PROJ7
-	JMP   mul7
-g5p7:
-	PROJ6
-mul7:
-	HOP7
-
-	TESTQ DX, DX
-	JEQ   next32
-	SIGNKEEP
-	NEGLOWER
-
-next32:
-	ADDQ $16, R11
-	ADDQ R12, DI
-	ADDQ R12, SI
-	XCHGQ R12, R13
-	DECQ CX
-	JNZ  group32
+plainrow:
+	ZEROROW
+	HOPS
+	STOREROW
+	NEXTROW
+	JNE plainrow
+	NEXTBLOCK
+	JNZ plainblock
+	VZEROUPPER
 	RET
 
-#undef ADDV
-#undef SUBV
-#undef MULV
-#undef BCAST
+g5block:
+	XORQ R13, R13
+	XORQ R14, R14
+
+g5row:
+	ZEROROW
+	HOPSG5
+	NEGLOWER
+	STOREROW
+	NEXTROW
+	JNE g5row
+	NEXTBLOCK
+	JNZ g5block
+	VZEROUPPER
+	RET
+
+#undef VMOVUV
+#undef VADDV
+#undef VSUBV
+#undef VMULV
+#undef VXORV
+#undef VANDV
+#undef VBCAST
+#undef HALF
+#undef SIGN
 #undef ENTRY
 #undef IMAG
 #undef LINK
 #undef PLANE
 #undef GROUP
+#undef U0R
+#undef U0I
+#undef U1R
+#undef U1I
+#undef L2R
+#undef L2I
+#undef L3R
+#undef L3I
+#undef WR
+#undef WI
+#undef HR
+#undef HI
+#undef BR
+#undef BI
+#undef T0
+#undef T1
 
-// The float64 body: two slices a register.
-#define ADDV ADDPD
-#define SUBV SUBPD
-#define MULV MULPD
-#define BCAST(off, r) MOVSD (off)(R10), r; SHUFPD $0x00, r, r
+// The float64 body: a plane is one YMM register of four slices.
+#define VMOVUV VMOVUPD
+#define VADDV VADDPD
+#define VSUBV VSUBPD
+#define VMULV VMULPD
+#define VXORV VXORPD
+#define VANDV VANDPD
+#define VBCAST VBROADCASTSD
+#define HALF half64<>(SB)
+#define SIGN sign64<>(SB)
 #define ENTRY 16
 #define IMAG 8
 #define LINK 144
 #define PLANE 32
 #define GROUP 768
+#define U0R Y0
+#define U0I Y1
+#define U1R Y2
+#define U1I Y3
+#define L2R Y4
+#define L2I Y5
+#define L3R Y6
+#define L3I Y7
+#define WR Y8
+#define WI Y9
+#define HR Y10
+#define HI Y11
+#define BR Y12
+#define BI Y13
+#define T0 Y14
+#define T1 Y15
 
-TEXT ·hopSSE64(SB), NOSPLIT, $208-49
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ hops+16(FP), BX
-	MOVQ u+24(FP), R8
-	MOVQ ls+40(FP), CX
-	MOVBQZX g5+48(FP), DX
-	LEAQ 3(CX), R9
-	SHRQ $2, R9
-	IMUL3Q $GROUP, R9, R9
-	ADDQ $1, CX
-	SHRQ $1, CX
-	MOVQ $16, R12
-	MOVQ $(GROUP-16), R13
-	MOVQ $0x3fe0000000000000, R11
-	MOVQ R11, X14
-	SHUFPD $0x00, X14, X14
-	MOVQ $0x8000000000000000, R11
-	MOVQ R11, X15
-	SHUFPD $0x00, X15, X15
-	MOVUPS X15, 192(SP)
-	MOVQ keep+32(FP), R11
-
-group64:
-	ZERO
-
-	NEIGHBOUR(0, 0)
+TEXT ·hopAVX64(SB), NOSPLIT, $128-49
+	PROLOGUE
 	TESTQ DX, DX
-	JNE   g5p0
-	PROJ0
-	JMP   mul0
-g5p0:
-	PROJ1
-mul0:
-	HOP0
+	JNE   g5block
 
-	NEIGHBOUR(1, 0)
-	TESTQ DX, DX
-	JNE   g5p1
-	PROJ1
-	JMP   mul1
-g5p1:
-	PROJ0
-mul1:
-	HOP1
+plainblock:
+	XORQ R13, R13
+	XORQ R14, R14
 
-	NEIGHBOUR(2, 1)
-	TESTQ DX, DX
-	JNE   g5p2
-	PROJ2
-	JMP   mul2
-g5p2:
-	PROJ3
-mul2:
-	HOP2
-
-	NEIGHBOUR(3, 1)
-	TESTQ DX, DX
-	JNE   g5p3
-	PROJ3
-	JMP   mul3
-g5p3:
-	PROJ2
-mul3:
-	HOP3
-
-	NEIGHBOUR(4, 2)
-	TESTQ DX, DX
-	JNE   g5p4
-	PROJ4
-	JMP   mul4
-g5p4:
-	PROJ5
-mul4:
-	HOP4
-
-	NEIGHBOUR(5, 2)
-	TESTQ DX, DX
-	JNE   g5p5
-	PROJ5
-	JMP   mul5
-g5p5:
-	PROJ4
-mul5:
-	HOP5
-
-	NEIGHBOUR(6, 3)
-	TESTQ DX, DX
-	JNE   g5p6
-	PROJ6
-	JMP   mul6
-g5p6:
-	PROJ7
-mul6:
-	HOP6
-
-	NEIGHBOUR(7, 3)
-	TESTQ DX, DX
-	JNE   g5p7
-	PROJ7
-	JMP   mul7
-g5p7:
-	PROJ6
-mul7:
-	HOP7
-
-	TESTQ DX, DX
-	JEQ   next64
-	SIGNKEEP
-	NEGLOWER
-
-next64:
-	ADDQ $16, R11
-	ADDQ R12, DI
-	ADDQ R12, SI
-	XCHGQ R12, R13
-	DECQ CX
-	JNZ  group64
+plainrow:
+	ZEROROW
+	HOPS
+	STOREROW
+	NEXTROW
+	JNE plainrow
+	NEXTBLOCK
+	JNZ plainblock
+	VZEROUPPER
 	RET
 
-#undef ADDV
-#undef SUBV
-#undef MULV
-#undef BCAST
+g5block:
+	XORQ R13, R13
+	XORQ R14, R14
+
+g5row:
+	ZEROROW
+	HOPSG5
+	NEGLOWER
+	STOREROW
+	NEXTROW
+	JNE g5row
+	NEXTBLOCK
+	JNZ g5block
+	VZEROUPPER
+	RET
+
+#undef VMOVUV
+#undef VADDV
+#undef VSUBV
+#undef VMULV
+#undef VXORV
+#undef VANDV
+#undef VBCAST
+#undef HALF
+#undef SIGN
 #undef ENTRY
 #undef IMAG
 #undef LINK
 #undef PLANE
 #undef GROUP
+#undef U0R
+#undef U0I
+#undef U1R
+#undef U1I
+#undef L2R
+#undef L2I
+#undef L3R
+#undef L3I
+#undef WR
+#undef WI
+#undef HR
+#undef HI
+#undef BR
+#undef BI
+#undef T0
+#undef T1
 
 // The fifth-dimension passes on the same layout: fibreAInv, fibreBA,
 // fibreBAxpy, fibreAxpy, load and store for one site, as the hop is
-// fibreHop for one. The rule is the hop's: packed MUL, ADD and SUB with no
-// fused multiply-add, each lane issuing its slice's scalar operations in
+// fibreHop for one, in baseline SSE/SSE2 (GOAMD64=v1, no feature check):
+// every amd64 host runs them. The rule is the hop's: packed MUL, ADD and
+// SUB with no fused multiply-add, each lane issuing its slice's scalar operations in
 // the Go body's order; the rest is data movement (loads, stores,
 // shuffles) and bit masks (AND, ANDN, OR, compare), which change no value
 // they let through. Where a body computes a padding lane it ANDs it back
@@ -790,7 +755,7 @@ slicesDone:
 #undef ROTUP
 
 // The float64 bodies: a plane is two registers, lo (lanes 0, 1) and hi
-// (lanes 2, 3). fibreAInv runs per register, as the hop does; the others
+// (lanes 2, 3). fibreAInv runs per register; the others
 // per block. In fibreBA and fibreBAxpy X13/X12 are rep lo/hi, X11/X10 wt
 // lo/hi and X9/X8 keep lo/hi; the rotations cross the two registers.
 #define ADDV ADDPD

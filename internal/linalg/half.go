@@ -1,6 +1,9 @@
 package linalg
 
-import "math"
+import (
+	"math"
+	"sync/atomic"
+)
 
 // HalfVector is the QUDA-style 16-bit fixed-point storage format used by
 // the inner stage of the mixed-precision solver: values are stored as
@@ -157,25 +160,60 @@ func (h *HalfVector) encodeC64(src []complex64, lo, hi int) {
 	}
 }
 
+// HasAVX reports whether the host runs the tree's AVX bodies - this
+// package's half round trip and internal/dirac's hop: the CPU has AVX and
+// the OS saves the YMM state. The probe of half_amd64.s sets it once at
+// start-up; it stays false on other architectures, whose builds have no
+// such bodies.
+var HasAVX bool
+
+// halfAVX is the vector round trip of halfVecBlock-element blocks, set
+// where HasAVX is; nil runs the Go body.
+var halfAVX func(v *complex64, blocks int) bool
+
+// halfVecBlock is the one block size halfAVX takes: a spinor's twelve
+// components (dirac.SpinorLen), the only block the solver rounds by.
+const halfVecBlock = 12
+
 // HalfRoundTripC64 rounds v through the 16-bit storage format in place:
 // every block of block complex elements comes out as DecodeC64 of its
 // EncodeC64, bit for bit, without the int16 buffer in between - what the
 // mixed-precision solver wants of the format, which never reads the
-// stored form. len(v) must be a multiple of block.
-func HalfRoundTripC64(v []complex64, block, workers int) {
+// stored form. It reports whether every component of v was finite before
+// the rounding, which would otherwise launder a NaN or an infinity into
+// finite values (the verdict NormSqC64(v) being finite gives). len(v) must
+// be a multiple of block.
+func HalfRoundTripC64(v []complex64, block, workers int) bool {
 	if block <= 0 || len(v)%block != 0 {
 		panic("linalg: half round trip length must be a positive multiple of block")
 	}
-	if nb := len(v) / block; serialPass(len(v), workers) {
-		halfRoundTripC64(v, block, 0, nb)
-	} else {
-		For(nb, workers, func(lo, hi int) { halfRoundTripC64(v, block, lo, hi) })
+	nb := len(v) / block
+	if serialPass(len(v), workers) {
+		return halfRoundTrip(v, block, 0, nb)
 	}
+	var bad atomic.Bool
+	For(nb, workers, func(lo, hi int) {
+		if !halfRoundTrip(v, block, lo, hi) {
+			bad.Store(true)
+		}
+	})
+	return !bad.Load()
 }
 
-func halfRoundTripC64(v []complex64, block, lo, hi int) {
+// halfRoundTrip rounds blocks lo to hi: by the AVX body where the host has
+// one and the block is a spinor, by the Go body otherwise.
+func halfRoundTrip(v []complex64, block, lo, hi int) bool {
+	if halfAVX != nil && block == halfVecBlock && lo < hi {
+		return halfAVX(&v[lo*block], hi-lo)
+	}
+	return halfRoundTripC64(v, block, lo, hi)
+}
+
+func halfRoundTripC64(v []complex64, block, lo, hi int) bool {
+	finite := true
 	for b := lo; b < hi; b++ {
 		blk := v[b*block : (b+1)*block]
+		finite = finite && finiteC64(blk)
 		m := maxAbsC64(blk)
 		if m == 0 {
 			// A block of zeros (or of nothing but NaNs, which never win
@@ -194,6 +232,18 @@ func halfRoundTripC64(v []complex64, block, lo, hi int) {
 			)
 		}
 	}
+	return finite
+}
+
+// finiteC64 reports whether every component of blk is finite: a NaN fails
+// the comparison as an infinity does.
+func finiteC64(blk []complex64) bool {
+	for _, c := range blk {
+		if !(absf32(real(c)) <= math.MaxFloat32 && absf32(imag(c)) <= math.MaxFloat32) {
+			return false
+		}
+	}
+	return true
 }
 
 // maxAbsC64 is the scale of a block: its largest absolute component.

@@ -151,12 +151,12 @@ func (ws *Workspace) CGNEMixed(ctx context.Context, op Linear, sloppy Linear32, 
 	copy(pv, r)
 	linalg.ZeroC64(xs)
 
-	// Half-precision storage rounding for the matvec stream.
+	// Half-precision storage rounding for the matvec stream. It reports
+	// whether v was finite before the rounding, which would scrub a NaN
+	// into finite garbage; without the rounding there is nothing to guard.
 	half := p.Precision == Half
-	roundHalf := func(v []complex64) {
-		if half {
-			linalg.HalfRoundTripC64(v, dirac.SpinorLen, w)
-		}
+	roundHalf := func(v []complex64) bool {
+		return !half || linalg.HalfRoundTripC64(v, dirac.SpinorLen, w)
 	}
 
 	rr := linalg.NormSq(rD, w)
@@ -236,19 +236,14 @@ func (ws *Workspace) CGNEMixed(ctx context.Context, op Linear, sloppy Linear32, 
 			roundHalf(pv)
 			sloppy.Apply(tmp, pv)
 			sloppy.ApplyDagger(ap, tmp)
-			if half {
-				// The fixed-point storage rounding would scrub a NaN into
-				// finite garbage; catch the poison before it is laundered.
-				if nf := linalg.NormSqC64(ap, w); math.IsNaN(nf) || math.IsInf(nf, 0) {
-					st.Flops += 2 * p.FlopsPerApply
-					st.Iterations++
-					diverged = true
-					break
-				}
-			}
-			roundHalf(ap)
+			finite := roundHalf(ap)
 			st.Flops += 2 * p.FlopsPerApply
 			st.Iterations++
+			if !finite {
+				// The poison caught before the rounding laundered it.
+				diverged = true
+				break
+			}
 
 			pap := real(linalg.DotC64(pv, ap, w))
 			if math.IsNaN(pap) || math.IsInf(pap, 0) || pap <= 0 {
