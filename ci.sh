@@ -100,10 +100,14 @@ go test -race -count=2 ./internal/fault/ ./internal/runtime/ ./internal/cluster/
 lap chaos
 # Drain gate: the allocation-budget paths - drain/resume determinism,
 # admission control, Preempt-fault preemption, and the atomic container
-# save a drain relies on - re-run under the race detector, so an
-# allocation can end (wall clock, SIGTERM, injected preemption) at any
-# instant without losing journaled work or corrupting a checkpoint.
+# save the cache's disk tier and the wire checkpoints rely on - re-run
+# under the race detector, so an allocation can end (wall clock, SIGTERM,
+# injected preemption) at any instant without losing journaled work or
+# corrupting a checkpoint. Then the campaign example runs a campaign in
+# two allocations through a journal reopen and exits non-zero unless the
+# resumed campaign is bit for bit the uninterrupted one.
 run_gate 'Drain|Preempt|Budget|Admission|Atomic|Save' -race -count=2 -- ./internal/core/ ./internal/hio/
+go run ./examples/campaign
 lap drain
 # Observability gate: the metrics registry and span tracer must be
 # race-free under concurrent instrumentation, and the fixed-chunk
@@ -222,7 +226,10 @@ lap scenario
 # binary over real HTTP: three tenants, a duplicate served warm from
 # the shared cache, a validation 400 and a quota 429, SIGTERM
 # mid-campaign, and a second server generation resuming the journal to
-# the uninterrupted run's fingerprint.
+# the uninterrupted run's fingerprint. The gasolve e2e runs one
+# campaign as three `-journal -batch 1` invocations plus one on the
+# finished journal, which must append nothing, and holds the journal to
+# core.Run's fingerprint for the same spec.
 go test -race -count=2 ./internal/serve/ ./internal/validate/
 run_gate 'EndToEnd|FlagValidation' -race -- ./cmd/gaserve/ ./cmd/gasolve/ ./cmd/garank/ ./cmd/gastress/
 lap service

@@ -20,9 +20,7 @@ type cliFlags struct {
 	configs    int
 	batch      int
 	workers    int
-	preflight  int
 	journal    string
-	checkpoint string
 }
 
 // validate applies the flag contract: range checks through the shared
@@ -40,17 +38,17 @@ func (f cliFlags) validate() error {
 		validate.PositiveInt("-t", f.t),
 		validate.PositiveInt("-ls", f.ls),
 		validate.PositiveInt("-configs", f.configs),
-		validate.PositiveInt("-batch", f.batch),
+		validate.NonNegativeInt("-batch", f.batch),
 		validate.NonNegativeInt("-workers", f.workers),
-		validate.NonNegativeInt("-preflight-ranks", f.preflight),
 	)
 	var structural []error
 	if f.walltime > 0 && f.journal == "" {
 		structural = append(structural,
 			errors.New("-walltime needs -journal: only a journaled campaign can resume the refused work"))
 	}
-	if f.journal != "" && f.checkpoint != "" {
-		structural = append(structural, errors.New("-journal and -checkpoint are mutually exclusive"))
+	if f.batch > 0 && f.journal == "" {
+		structural = append(structural,
+			errors.New("-batch needs -journal: only a journaled campaign can resume the configurations left over"))
 	}
 	return validate.All(append([]error{rangeErr}, structural...)...)
 }

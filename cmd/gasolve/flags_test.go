@@ -12,8 +12,8 @@ func goodFlags() cliFlags {
 	return cliFlags{
 		walltime: 0, drainGrace: 10 * time.Second, cacheMemMB: 0,
 		samples: 784, tradFactor: 10,
-		l: 4, t: 8, ls: 6, configs: 3, batch: 2,
-		workers: 0, preflight: 0,
+		l: 4, t: 8, ls: 6, configs: 3, batch: 0,
+		workers: 0,
 	}
 }
 
@@ -36,7 +36,8 @@ func TestFlagValidationSweep(t *testing.T) {
 		{"zero configs", func(f *cliFlags) { f.configs = 0 }, false, "-configs"},
 		{"negative batch", func(f *cliFlags) { f.batch = -1 }, false, "-batch"},
 		{"negative workers", func(f *cliFlags) { f.workers = -2 }, false, "-workers"},
-		{"journal and checkpoint", func(f *cliFlags) { f.journal = "j"; f.checkpoint = "c" }, false, "mutually exclusive"},
+		{"batch with journal", func(f *cliFlags) { f.batch = 2; f.journal = "j.fwal" }, true, ""},
+		{"batch without journal", func(f *cliFlags) { f.batch = 2 }, false, "-journal"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

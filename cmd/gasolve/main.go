@@ -19,7 +19,6 @@ import (
 	"femtoverse/internal/cache"
 	"femtoverse/internal/core"
 	"femtoverse/internal/dirac"
-	"femtoverse/internal/hio"
 	"femtoverse/internal/obs"
 	jobrt "femtoverse/internal/runtime"
 	"femtoverse/internal/solver"
@@ -130,17 +129,15 @@ func main() {
 		nCfg       = flag.Int("configs", 3, "real: gauge configurations")
 		mass       = flag.Float64("mass", 0.1, "real: bare quark mass")
 		seed       = flag.Int64("seed", 11, "RNG seed")
-		checkpoint = flag.String("checkpoint", "", "campaign checkpoint file: resume if it exists, save after each batch")
-		batch      = flag.Int("batch", 2, "configurations to measure per invocation in checkpoint mode")
+		batch      = flag.Int("batch", 0, "journal mode: measure at most this many configurations this invocation (0 = every remaining one)")
 		workers    = flag.Int("workers", 0, "solve configurations concurrently on this many workers (0 = sequential); results are bit-for-bit identical either way")
-		journal    = flag.String("journal", "", "campaign write-ahead journal: resume if it exists, run every remaining configuration, log each as it finishes")
+		journal    = flag.String("journal", "", "campaign write-ahead journal: resume if it exists, run the remaining configurations (up to -batch), log each as it finishes")
 		walltime   = flag.Duration("walltime", 0, "journal mode: allocation wall clock; the runtime refuses work that cannot finish and drains at expiry (0 = unbounded)")
 		drainGrace = flag.Duration("drain-grace", 10*time.Second, "journal mode: how long in-flight solves may keep running once a drain begins")
 		metrics    = flag.Bool("metrics", false, "print a metrics snapshot after the run: solver work and cache counters at any -workers, plus runtime counters and the utilization timeline when -workers > 0")
 		traceOut   = flag.String("trace", "", "write a Chrome trace of the campaign to this file (open in Perfetto): campaign and solver spans at any -workers, plus per-attempt worker lanes when -workers > 0")
 		cacheDir   = flag.String("cache-dir", "", "content-addressed result cache directory, shared across campaigns and restarts: cached solves are skipped, bit-for-bit")
 		cacheMem   = flag.Int("cache-mem", 0, "result cache in-memory budget in MiB (0 = 64 MiB default; a value > 0 enables caching even without -cache-dir)")
-		preflight  = flag.Int("preflight-ranks", 0, "before the campaign, smoke-test the distributed wire runtime with this many localhost ranks (0 = skip); fails fast if the halo exchange is broken")
 	)
 	flag.Parse()
 
@@ -148,20 +145,12 @@ func main() {
 		walltime: *walltime, drainGrace: *drainGrace, cacheMemMB: *cacheMem,
 		samples: *nSamples, tradFactor: *factor,
 		l: *l, t: *t, ls: *ls, configs: *nCfg, batch: *batch,
-		workers: *workers, preflight: *preflight,
-		journal: *journal, checkpoint: *checkpoint,
+		workers: *workers, journal: *journal,
 	}).validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "gasolve: invalid flags:\n%v\n", err)
 		os.Exit(2)
 	}
 	sinks := newObsSinks(*metrics, *traceOut)
-
-	if *preflight > 0 {
-		if err := runWirePreflight(*preflight, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "gasolve: wire preflight: %v\n", err)
-			os.Exit(1)
-		}
-	}
 
 	// The result cache dedupes identical solves across campaigns and
 	// process restarts; it is attached to every campaign mode. Synthetic
@@ -184,17 +173,7 @@ func main() {
 	defer cancel()
 	preempt := watchSignals(cancel, *journal != "")
 
-	spec := core.RealConfig{
-		Dims:        [4]int{*l, *l, *l, *t},
-		Params:      dirac.MobiusParams{Ls: *ls, M5: 1.4, B5: 1.25, C5: 0.25, M: *mass},
-		NConfigs:    *nCfg,
-		Seed:        *seed,
-		Beta:        5.8,
-		ThermSweeps: 10,
-		GapSweeps:   2,
-		Tol:         1e-8,
-		Prec:        solver.Single,
-	}
+	spec := realSpec(*l, *t, *ls, *nCfg, *mass, *seed)
 
 	// Every mode is the same run path; the flags only fill in its options.
 	opts := core.RunOptions{Workers: *workers, Obs: sinks.cfg, Cache: store}
@@ -202,15 +181,7 @@ func main() {
 	if *journal != "" {
 		opts.Budget = jobrt.Budget{WallClock: *walltime, DrainGrace: *drainGrace}
 		opts.Preempt = preempt
-		if err := runJournaled(ctx, *journal, opts, spec, sinks); err != nil {
-			fmt.Fprintf(os.Stderr, "gasolve: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *checkpoint != "" {
-		if err := runCheckpointed(ctx, *checkpoint, *batch, opts, spec, sinks); err != nil {
+		if err := runJournaled(ctx, *journal, *batch, opts, spec, sinks); err != nil {
 			fmt.Fprintf(os.Stderr, "gasolve: %v\n", err)
 			os.Exit(1)
 		}
@@ -253,13 +224,31 @@ func main() {
 	}
 }
 
+// realSpec is the campaign the real-solve flags describe: an l^3 x t
+// lattice, the fixed Mobius kernel, ensemble and solver settings, and the
+// flagged fifth-dimension extent, mass, configuration count and seed.
+func realSpec(l, t, ls, configs int, mass float64, seed int64) core.RealConfig {
+	return core.RealConfig{
+		Dims:        [4]int{l, l, l, t},
+		Params:      dirac.MobiusParams{Ls: ls, M5: 1.4, B5: 1.25, C5: 0.25, M: mass},
+		NConfigs:    configs,
+		Seed:        seed,
+		Beta:        5.8,
+		ThermSweeps: 10,
+		GapSweeps:   2,
+		Tol:         1e-8,
+		Prec:        solver.Single,
+	}
+}
+
 // runJournaled resumes (or starts) a write-ahead-journaled campaign and
-// runs every remaining configuration under the allocation budget: the
-// pool refuses work that cannot finish before the wall, drains gracefully
-// at expiry or on SIGINT/SIGTERM, and every finished configuration is
-// durable in the journal - so simply re-running the same command resumes
-// from where the previous allocation stopped, bit-for-bit.
-func runJournaled(ctx context.Context, path string, opts core.RunOptions, spec core.RealConfig, sinks obsSinks) error {
+// runs the remaining configurations - at most batch of them, when batch
+// is positive - under the allocation budget: the pool refuses work that
+// cannot finish before the wall, drains gracefully at expiry or on
+// SIGINT/SIGTERM, and every finished configuration is durable in the
+// journal - so simply re-running the same command resumes from where the
+// previous allocation stopped, bit-for-bit.
+func runJournaled(ctx context.Context, path string, batch int, opts core.RunOptions, spec core.RealConfig, sinks obsSinks) error {
 	var (
 		camp *core.Campaign
 		j    *core.Journal
@@ -283,7 +272,10 @@ func runJournaled(ctx context.Context, path string, opts core.RunOptions, spec c
 	// mode always runs on one: -workers 0 means a single solve worker.
 	opts.Workers = max(opts.Workers, 1)
 	opts.Journal = j
-	n, rep, err := camp.Run(ctx, camp.Spec.NConfigs, opts)
+	if batch == 0 {
+		batch = camp.Spec.NConfigs
+	}
+	n, rep, err := camp.Run(ctx, batch, opts)
 	sinks.printReport(rep)
 	printCacheStats(opts.Cache)
 	if cerr := j.Close(); cerr != nil && err == nil {
@@ -309,53 +301,6 @@ func runJournaled(ctx context.Context, path string, opts core.RunOptions, spec c
 	fmt.Println("campaign complete; effective coupling:")
 	for i := range geff {
 		fmt.Printf("%3d  %10.4f  %10.4f\n", i, geff[i], gerr[i])
-	}
-	return nil
-}
-
-// runCheckpointed resumes (or starts) a persistent campaign, measures one
-// batch, saves, and reports progress - the pattern a real allocation-by-
-// allocation campaign uses.
-func runCheckpointed(ctx context.Context, path string, batch int, opts core.RunOptions, spec core.RealConfig, sinks obsSinks) error {
-	var camp *core.Campaign
-	if file, err := hio.Load(path); err == nil {
-		camp, err = core.LoadCampaign(file.Root())
-		if err != nil {
-			return err
-		}
-		fmt.Printf("resumed campaign: %d/%d configurations done\n", camp.Done(), camp.Spec.NConfigs)
-	} else {
-		camp = core.NewCampaign(spec)
-		fmt.Printf("new campaign: %d configurations planned\n", spec.NConfigs)
-	}
-	n, rep, err := camp.Run(ctx, batch, opts)
-	sinks.printReport(rep)
-	if err != nil {
-		return err
-	}
-	printCacheStats(opts.Cache)
-	if err := sinks.flush(); err != nil {
-		return err
-	}
-	fmt.Printf("measured %d configurations this invocation (%d/%d total)\n",
-		n, camp.Done(), camp.Spec.NConfigs)
-	out := hio.New()
-	if err := camp.Save(out.Root()); err != nil {
-		return err
-	}
-	if err := out.Save(path); err != nil {
-		return err
-	}
-	fmt.Printf("checkpoint written to %s\n", path)
-	if camp.Complete() {
-		geff, gerr, err := camp.Geff()
-		if err != nil {
-			return err
-		}
-		fmt.Println("campaign complete; effective coupling:")
-		for i := range geff {
-			fmt.Printf("%3d  %10.4f  %10.4f\n", i, geff[i], gerr[i])
-		}
 	}
 	return nil
 }

@@ -4,16 +4,15 @@ import (
 	"fmt"
 
 	"femtoverse/internal/contract"
-	"femtoverse/internal/hio"
-	"femtoverse/internal/solver"
 	"femtoverse/internal/stats"
 )
 
-// Campaign is a checkpointable measurement campaign: the production
-// analogue runs for months across batch allocations, so the per-
-// configuration correlators are persisted through the hio container and
-// an interrupted campaign resumes exactly where it stopped, bit-for-bit
-// (configurations are regenerated deterministically from the seed).
+// Campaign is a resumable measurement campaign: the production analogue
+// runs for months across batch allocations, so each configuration's
+// correlators are appended to a write-ahead Journal as they finish and an
+// interrupted campaign, replayed by OpenJournal, resumes exactly where it
+// stopped, bit-for-bit (configurations are regenerated deterministically
+// from the seed).
 type Campaign struct {
 	Spec RealConfig
 	// C2 and CFH hold the finished configurations' correlators, indexed
@@ -36,103 +35,6 @@ func (c *Campaign) Done() int { return len(c.C2) }
 
 // Complete reports whether every configuration has been measured.
 func (c *Campaign) Complete() bool { return c.Done() >= c.Spec.NConfigs }
-
-// Save writes the campaign state into an hio container group.
-func (c *Campaign) Save(root *hio.Group) error {
-	grp, err := root.CreateGroup("campaign")
-	if err != nil {
-		return err
-	}
-	grp.SetAttrFloat("beta", c.Spec.Beta)
-	grp.SetAttrFloat("tol", c.Spec.Tol)
-	grp.SetAttrFloat("mass", c.Spec.Params.M)
-	dims := []int64{
-		int64(c.Spec.Dims[0]), int64(c.Spec.Dims[1]),
-		int64(c.Spec.Dims[2]), int64(c.Spec.Dims[3]),
-		int64(c.Spec.Params.Ls), int64(c.Spec.NConfigs),
-		c.Spec.Seed, int64(c.Spec.ThermSweeps), int64(c.Spec.GapSweeps),
-		int64(c.Spec.Prec),
-	}
-	if err := grp.WriteInt64("meta", []int{len(dims)}, dims); err != nil {
-		return err
-	}
-	grp.SetAttrFloat("m5", c.Spec.Params.M5)
-	grp.SetAttrFloat("b5", c.Spec.Params.B5)
-	grp.SetAttrFloat("c5", c.Spec.Params.C5)
-	for i, c2 := range c.C2 {
-		sub, err := grp.CreateGroup(fmt.Sprintf("cfg%04d", i))
-		if err != nil {
-			return err
-		}
-		if err := sub.WriteFloat64("c2", []int{len(c2)}, c2); err != nil {
-			return err
-		}
-		if err := sub.WriteFloat64("cfh", []int{len(c.CFH[i])}, c.CFH[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// LoadCampaign restores a campaign saved with Save.
-func LoadCampaign(root *hio.Group) (*Campaign, error) {
-	grp, err := root.Group("campaign")
-	if err != nil {
-		return nil, err
-	}
-	_, meta, err := grp.ReadInt64("meta")
-	if err != nil {
-		return nil, err
-	}
-	if len(meta) != 10 {
-		return nil, fmt.Errorf("core: campaign metadata has %d fields", len(meta))
-	}
-	spec := RealConfig{
-		Dims:        [4]int{int(meta[0]), int(meta[1]), int(meta[2]), int(meta[3])},
-		NConfigs:    int(meta[5]),
-		Seed:        meta[6],
-		ThermSweeps: int(meta[7]),
-		GapSweeps:   int(meta[8]),
-		Prec:        solver.Precision(meta[9]),
-	}
-	spec.Params.Ls = int(meta[4])
-	if spec.Beta, err = grp.AttrFloat("beta"); err != nil {
-		return nil, err
-	}
-	if spec.Tol, err = grp.AttrFloat("tol"); err != nil {
-		return nil, err
-	}
-	if spec.Params.M, err = grp.AttrFloat("mass"); err != nil {
-		return nil, err
-	}
-	if spec.Params.M5, err = grp.AttrFloat("m5"); err != nil {
-		return nil, err
-	}
-	if spec.Params.B5, err = grp.AttrFloat("b5"); err != nil {
-		return nil, err
-	}
-	if spec.Params.C5, err = grp.AttrFloat("c5"); err != nil {
-		return nil, err
-	}
-	c := NewCampaign(spec)
-	for i := 0; i < spec.NConfigs; i++ {
-		sub, err := grp.Group(fmt.Sprintf("cfg%04d", i))
-		if err != nil {
-			continue // not yet measured
-		}
-		_, c2, err := sub.ReadFloat64("c2")
-		if err != nil {
-			return nil, err
-		}
-		_, cfh, err := sub.ReadFloat64("cfh")
-		if err != nil {
-			return nil, err
-		}
-		c.C2[i] = c2
-		c.CFH[i] = cfh
-	}
-	return c, nil
-}
 
 // Result assembles the analysis of the finished configurations: their
 // correlators in configuration order plus the jackknifed effective

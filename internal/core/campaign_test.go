@@ -6,8 +6,6 @@ import (
 	"math"
 	"sync"
 	"testing"
-
-	"femtoverse/internal/hio"
 )
 
 func campaignSpec() RealConfig {
@@ -56,31 +54,8 @@ func requireIdentical(t *testing.T, ref, got *Campaign) {
 	}
 }
 
-// saveLoad round-trips a campaign through the serialized container, the
-// way an allocation-by-allocation campaign is checkpointed.
-func saveLoad(t *testing.T, c *Campaign) *Campaign {
-	t.Helper()
-	file := hio.New()
-	if err := c.Save(file.Root()); err != nil {
-		t.Fatal(err)
-	}
-	file2, err := hio.Decode(file.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := LoadCampaign(file2.Root())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.Spec != c.Spec {
-		t.Fatalf("spec lost in round trip: %+v vs %+v", restored.Spec, c.Spec)
-	}
-	requireIdentical(t, c, restored)
-	return restored
-}
-
 func TestCampaignAnalysis(t *testing.T) {
-	geff, gerr, err := saveLoad(t, reference(t)).Geff()
+	geff, gerr, err := reference(t).Geff()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,11 +88,5 @@ func TestBoundedRunNeedsPool(t *testing.T) {
 	}
 	if c.Done() != 0 {
 		t.Fatalf("refused run measured %d configurations", c.Done())
-	}
-}
-
-func TestLoadCampaignRejectsMissingGroup(t *testing.T) {
-	if _, err := LoadCampaign(hio.New().Root()); err == nil {
-		t.Fatal("missing campaign group accepted")
 	}
 }

@@ -9,15 +9,17 @@ import (
 	"sync"
 
 	"femtoverse/internal/hio"
+	"femtoverse/internal/solver"
 )
 
-// Journal is an incremental write-ahead log for a measurement campaign.
-// Where Campaign.Save rewrites the whole container, the journal appends
-// one framed record per finished configuration, so a campaign killed
+// Journal is an incremental write-ahead log for a measurement campaign,
+// and the one way a campaign persists across allocations. It appends one
+// framed record per finished configuration, so a campaign killed
 // mid-batch loses at most the in-flight work: OpenJournal replays every
 // intact record and resumes from the last good entry. A torn tail - the
 // process died inside a write - is detected by the record framing and
-// discarded, never propagated.
+// discarded, never propagated; so is a well-framed entry that does not
+// fit the spec.
 //
 // File layout (all integers little-endian):
 //
@@ -29,9 +31,9 @@ import (
 //	u32 payloadLen | u32 crc32(payload) | payload
 //
 // and every payload is an hio-encoded container: the first record holds
-// the campaign spec (an empty Campaign saved through Campaign.Save), and
-// each subsequent record holds one configuration's correlators in an
-// "entry" group (int64 "config", float64 "c2" and "cfh").
+// the campaign spec in a "campaign" group (specPayload), and each
+// subsequent record holds one configuration's correlators in an "entry"
+// group (int64 "config", float64 "c2" and "cfh").
 type Journal struct {
 	mu   sync.Mutex
 	f    *os.File
@@ -64,13 +66,73 @@ func writeRecord(w io.Writer, payload []byte) error {
 	return err
 }
 
-// specPayload encodes the campaign spec as the header record.
+// specAttr is one float attribute of the header and the spec field it
+// holds; specAttrs is the table the encoder and the decoder both walk.
+type specAttr struct {
+	key string
+	val *float64
+}
+
+func specAttrs(spec *RealConfig) []specAttr {
+	return []specAttr{
+		{"beta", &spec.Beta}, {"tol", &spec.Tol}, {"mass", &spec.Params.M},
+		{"m5", &spec.Params.M5}, {"b5", &spec.Params.B5}, {"c5", &spec.Params.C5},
+	}
+}
+
+// specPayload encodes the campaign spec as the header record: a
+// "campaign" group with the float parameters as attributes and the
+// integer ones as the ten-element int64 dataset "meta". Journals on disk
+// hold exactly these bytes (TestJournalHeaderPinned).
 func specPayload(spec RealConfig) ([]byte, error) {
 	file := hio.New()
-	if err := NewCampaign(spec).Save(file.Root()); err != nil {
+	grp, err := file.Root().CreateGroup("campaign")
+	if err != nil {
 		return nil, err
 	}
+	meta := []int64{
+		int64(spec.Dims[0]), int64(spec.Dims[1]), int64(spec.Dims[2]), int64(spec.Dims[3]),
+		int64(spec.Params.Ls), int64(spec.NConfigs), spec.Seed,
+		int64(spec.ThermSweeps), int64(spec.GapSweeps), int64(spec.Prec),
+	}
+	if err := grp.WriteInt64("meta", []int{len(meta)}, meta); err != nil {
+		return nil, err
+	}
+	for _, a := range specAttrs(&spec) {
+		grp.SetAttrFloat(a.key, *a.val)
+	}
 	return file.Encode(), nil
+}
+
+// decodeSpec reads the spec back from a decoded header record.
+func decodeSpec(file *hio.File) (RealConfig, error) {
+	var spec RealConfig
+	grp, err := file.Root().Group("campaign")
+	if err != nil {
+		return spec, err
+	}
+	_, meta, err := grp.ReadInt64("meta")
+	if err != nil {
+		return spec, err
+	}
+	if len(meta) != 10 {
+		return spec, fmt.Errorf("core: campaign metadata has %d fields", len(meta))
+	}
+	spec = RealConfig{
+		Dims:        [4]int{int(meta[0]), int(meta[1]), int(meta[2]), int(meta[3])},
+		NConfigs:    int(meta[5]),
+		Seed:        meta[6],
+		ThermSweeps: int(meta[7]),
+		GapSweeps:   int(meta[8]),
+		Prec:        solver.Precision(meta[9]),
+	}
+	spec.Params.Ls = int(meta[4])
+	for _, a := range specAttrs(&spec) {
+		if *a.val, err = grp.AttrFloat(a.key); err != nil {
+			return spec, err
+		}
+	}
+	return spec, nil
 }
 
 // entryPayload encodes one finished configuration.
@@ -90,6 +152,28 @@ func entryPayload(cfg int, c2, cfh []float64) ([]byte, error) {
 		return nil, err
 	}
 	return file.Encode(), nil
+}
+
+// decodeEntry reads one configuration's record back. ok is false unless
+// the record names a configuration of spec and carries a full time
+// series of each correlator: a CRC-valid record that breaks either rule
+// is damage all the same, and replay stops at it.
+func decodeEntry(file *hio.File, spec RealConfig) (cfg int, c2, cfh []float64, ok bool) {
+	grp, err := file.Root().Group("entry")
+	if err != nil {
+		return 0, nil, nil, false
+	}
+	_, idx, err := grp.ReadInt64("config")
+	if err != nil || len(idx) != 1 || idx[0] < 0 || idx[0] >= int64(spec.NConfigs) {
+		return 0, nil, nil, false
+	}
+	if _, c2, err = grp.ReadFloat64("c2"); err != nil || len(c2) != spec.Dims[3] {
+		return 0, nil, nil, false
+	}
+	if _, cfh, err = grp.ReadFloat64("cfh"); err != nil || len(cfh) != spec.Dims[3] {
+		return 0, nil, nil, false
+	}
+	return int(idx[0]), c2, cfh, true
 }
 
 // CreateJournal starts a fresh journal at path for the spec,
@@ -129,9 +213,11 @@ func CreateJournal(path string, spec RealConfig, every int) (*Journal, error) {
 // OpenJournal replays a journal and returns it - positioned to append -
 // together with the recovered campaign. Recovery is tolerant by design:
 // reading stops at the first truncated or corrupt record (a torn write
-// from the crash that ended the previous run), the tail is discarded,
-// and the campaign resumes from the last good entry. A journal whose
-// header record is unreadable is an error; a missing file is an error.
+// from the crash that ended the previous run) or at an entry outside the
+// spec (a configuration index out of range, a correlator of the wrong
+// length), the tail is discarded, and the campaign resumes from the last
+// good entry. A journal whose header record is unreadable is an error; a
+// missing file is an error.
 func OpenJournal(path string, every int) (*Journal, *Campaign, error) {
 	if every < 1 {
 		every = 1
@@ -168,28 +254,18 @@ func OpenJournal(path string, every int) (*Journal, *Campaign, error) {
 			break // framing intact but the container is not; stop here
 		}
 		if record == 0 {
-			if camp, err = LoadCampaign(file.Root()); err != nil {
+			spec, err := decodeSpec(file)
+			if err != nil {
 				return nil, nil, fmt.Errorf("core: journal header: %w", err)
 			}
+			camp = NewCampaign(spec)
 		} else {
-			grp, err := file.Root().Group("entry")
-			if err != nil {
-				break
+			cfg, c2, cfh, ok := decodeEntry(file, camp.Spec)
+			if !ok {
+				break // a record that does not fit the spec; stop here
 			}
-			_, cfgIdx, err := grp.ReadInt64("config")
-			if err != nil || len(cfgIdx) != 1 {
-				break
-			}
-			_, c2, err := grp.ReadFloat64("c2")
-			if err != nil {
-				break
-			}
-			_, cfh, err := grp.ReadFloat64("cfh")
-			if err != nil {
-				break
-			}
-			camp.C2[int(cfgIdx[0])] = c2
-			camp.CFH[int(cfgIdx[0])] = cfh
+			camp.C2[cfg] = c2
+			camp.CFH[cfg] = cfh
 		}
 		off += 8 + n
 		good = off

@@ -259,3 +259,110 @@ func TestJournalCheckpointCadence(t *testing.T) {
 		t.Fatal("append to closed journal accepted")
 	}
 }
+
+// TestJournalReplayStopsAtEntryOutsideSpec: a record can pass the CRC and
+// still not belong to the campaign - a configuration index outside
+// [0, NConfigs), or a correlator shorter than the time extent. Replay must
+// stop there exactly as at a torn record: keep the entries before it,
+// drop it and everything after, and resume to the reference. Trusting
+// such a record would count a configuration that was never measured, so
+// the campaign would report itself complete over the wrong ensemble.
+func TestJournalReplayStopsAtEntryOutsideSpec(t *testing.T) {
+	ref := reference(t)
+	short := ref.C2[2][:len(ref.C2[2])-1]
+	for _, c := range []struct {
+		name    string
+		cfg     int
+		c2, cfh []float64
+	}{
+		{"index out of range", 7, ref.C2[2], ref.CFH[2]},
+		{"negative index", -1, ref.C2[2], ref.CFH[2]},
+		{"short c2", 2, short, ref.CFH[2]},
+		{"short cfh", 2, ref.C2[2], ref.CFH[2][:1]},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "campaign.fwal")
+			j, err := CreateJournal(path, campaignSpec(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, i := range []int{0, 1} {
+				if err := j.Append(i, ref.C2[i], ref.CFH[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := j.Append(c.cfg, c.c2, c.cfh); err != nil {
+				t.Fatal(err)
+			}
+			// A good record behind the bad one is not replayed either:
+			// nothing past the first damage is trusted.
+			if err := j.Append(3, ref.C2[3], ref.CFH[3]); err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			j2, resumed, err := OpenJournal(path, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resumed.Done() != 2 || resumed.Complete() {
+				t.Fatalf("replayed %d entries (complete %v), want the 2 before the bad record",
+					resumed.Done(), resumed.Complete())
+			}
+			if _, err := runJournaled(resumed, 10, j2); err != nil {
+				t.Fatal(err)
+			}
+			if err := j2.Close(); err != nil {
+				t.Fatal(err)
+			}
+			requireIdentical(t, ref, resumed)
+			_, replayed, err := OpenJournal(path, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireIdentical(t, ref, replayed)
+		})
+	}
+}
+
+// TestJournalFromEarlierBuildOpens: testdata/campaign_v1.fwal was written
+// by an earlier build's CreateJournal and Append - campaignSpec() with
+// configurations 0 and 1 measured. It must open to that spec and those
+// entries, bit for bit, and resume to the reference.
+func TestJournalFromEarlierBuildOpens(t *testing.T) {
+	ref := reference(t)
+	data, err := os.ReadFile(filepath.Join("testdata", "campaign_v1.fwal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "campaign.fwal")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, camp, err := OpenJournal(path, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if camp.Spec != campaignSpec() {
+		t.Fatalf("spec %+v, want %+v", camp.Spec, campaignSpec())
+	}
+	if camp.Done() != 2 {
+		t.Fatalf("replayed %d entries, want 2", camp.Done())
+	}
+	for i := 0; i < 2; i++ {
+		for k := range ref.C2[i] {
+			if camp.C2[i][k] != ref.C2[i][k] || camp.CFH[i][k] != ref.CFH[i][k] {
+				t.Fatalf("config %d differs from the reference at t=%d", i, k)
+			}
+		}
+	}
+	if _, err := runJournaled(camp, 10, j); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	requireIdentical(t, ref, camp)
+}

@@ -135,7 +135,7 @@ type RunOptions struct {
 // seed and every reduction inside a solve combines in a fixed order, so
 // the correlators are bit-for-bit the same at every worker count, with or
 // without a journal or a cache, and across any split into batches
-// (Save/LoadCampaign or a journal reopen in between).
+// (the same Campaign run again, or a journal reopen in between).
 func (c *Campaign) Run(ctx context.Context, n int, opts RunOptions) (done int, rep *jobrt.Report, err error) {
 	if n <= 0 || c.Complete() {
 		return 0, nil, nil

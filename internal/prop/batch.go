@@ -215,7 +215,7 @@ func (b *batch) fail(j int, err error) {
 }
 
 // SolveBatchCtx solves the domain-wall system for each of the 4-D sources
-// and returns the projected 4-D quark fields in source order: Solve4DCtx
+// and returns the projected 4-D quark fields in source order: Solve4D
 // k times over, bit for bit, on as many cores as the process has idle. On
 // failure it returns the error of the lowest-index system that failed,
 // after every lane has stopped. Like every QuarkSolver method it is not

@@ -174,12 +174,7 @@ func (qs *QuarkSolver) Solve5DCtx(ctx context.Context, b4 []complex128) ([]compl
 // Solve4D solves the domain-wall system for a 4-D source and returns the
 // projected 4-D quark field.
 func (qs *QuarkSolver) Solve4D(b4 []complex128) ([]complex128, solver.Stats, error) {
-	return qs.Solve4DCtx(context.Background(), b4)
-}
-
-// Solve4DCtx is Solve4D under a context.
-func (qs *QuarkSolver) Solve4DCtx(ctx context.Context, b4 []complex128) ([]complex128, solver.Stats, error) {
-	psi5, st, err := qs.Solve5DCtx(ctx, b4)
+	psi5, st, err := qs.Solve5D(b4)
 	if err != nil {
 		return nil, st, err
 	}
@@ -253,14 +248,9 @@ func (qs *QuarkSolver) ResidualMass(x0 [4]int) (float64, error) {
 	return num / den, nil
 }
 
-// Compute solves all 12 components for the given source generator and
-// assembles the propagator.
-func (qs *QuarkSolver) Compute(source func(spin, color int) []complex128) (*Propagator, error) {
-	return qs.ComputeCtx(context.Background(), source)
-}
-
-// ComputeCtx is Compute under a context; cancellation aborts between (or
-// inside) component solves. The twelve sources are made up front, on the
+// ComputeCtx solves all 12 components for the given source generator
+// and assembles the propagator; cancellation aborts between (or inside)
+// component solves. The twelve sources are made up front, on the
 // calling goroutine, and solved as one batch whose system j is component
 // spin*3 + color.
 func (qs *QuarkSolver) ComputeCtx(ctx context.Context, source func(spin, color int) []complex128) (*Propagator, error) {
@@ -275,7 +265,7 @@ func (qs *QuarkSolver) ComputeCtx(ctx context.Context, source func(spin, color i
 	return &Propagator{G: qs.EO.M.W.G, Col: [NComp][]complex128(cols)}, nil
 }
 
-// ComputePoint is Compute with a point source at x0.
+// ComputePoint computes the propagator of a point source at x0.
 func (qs *QuarkSolver) ComputePoint(x0 [4]int) (*Propagator, error) {
 	return qs.ComputePointCtx(context.Background(), x0)
 }
