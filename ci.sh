@@ -55,12 +55,15 @@ run_gate() {
 # pins. Any other file that imports unsafe fails here.
 test "$(grep -rl '"unsafe"' --include='*.go' . | sort | tr '\n' ' ')" = './internal/dirac/lanes.go ./internal/dirac/lanes_test.go '
 # Assembly allow-list: the tree has two assembly files. One holds the
-# Schur kernel's vector bodies - the AVX hop (hopAVX32, hopAVX64) and the
-# SSE fibreAInv, fibreBA, fibreBAxpy, fibreAxpy and load/store transposes;
-# the other the CPUID/XGETBV probe that selects every AVX body once at
-# start-up and the AVX half round trip (halfRoundTripAVX). Each body is
-# held bit for bit to its portable Go body by the kernel gate below (go
-# vet's asmdecl pass checks their frames against the Go declarations).
+# Schur kernel's vector bodies - the AVX hop (hopAVX32, hopAVX64), the SSE
+# fibreAInv, fibreBA, fibreBAxpy, fibreAxpy and load/store transposes, and
+# the pair layout's AVX bodies of two systems at once (hopAVX32x2,
+# aInvAVX32x2, baAVX32x2, baxpyAVX32x2, loadAVX32x2, storeAVX32x2); the
+# other the CPUID/XGETBV probe that selects every AVX body once at
+# start-up and the AVX half round trip (halfRoundTripAVX). Each single
+# body is held bit for bit to its portable Go body, and each pair body to
+# the single body it doubles, by the kernel gate below (go vet's asmdecl
+# pass checks their frames against the Go declarations).
 # Any other .s file fails here.
 test "$(find . -name '*.s' -not -path './.bench_build/*' | sort | tr '\n' ' ')" = './internal/dirac/schur_amd64.s ./internal/linalg/half_amd64.s '
 lap allow-lists
@@ -105,9 +108,13 @@ lap chaos
 # injected preemption) at any instant without losing journaled work or
 # corrupting a checkpoint. Then the campaign example runs a campaign in
 # two allocations through a journal reopen and exits non-zero unless the
-# resumed campaign is bit for bit the uninterrupted one.
+# resumed campaign is bit for bit the uninterrupted one. Last, the journal
+# decoder is fuzzed for a short fixed time: whatever file OpenJournal
+# reads, it fails or yields entries inside the spec, and never panics or
+# allocates by an untrusted length.
 run_gate 'Drain|Preempt|Budget|Admission|Atomic|Save' -race -count=2 -- ./internal/core/ ./internal/hio/
 go run ./examples/campaign
+go test -run '^$' -fuzz '^FuzzOpenJournal$' -fuzztime 15s ./internal/core/
 lap drain
 # Observability gate: the metrics registry and span tracer must be
 # race-free under concurrent instrumentation, and the fixed-chunk
@@ -141,10 +148,15 @@ lap drain
 # internal/domain on every rank of three grids and a CGNE solve against
 # the generic hop (an external test of internal/dirac, which can import
 # domain where the reference's package cannot), and the flat operator's
-# serial pass allocation-free. The suites run under -race with -count=2
-# against fresh interleavings.
+# serial pass allocation-free. So does the pair layout: each of its AVX
+# bodies against the single body it doubles at every Ls from 1 to 9,
+# ApplyPair and ApplyDaggerPair against two single applications on
+# poisoned fields at every launch split, and the solver's pair drive
+# against each system solved alone - escalating, failing, cancelled - with
+# the one-system drive against the loop it replaced. The suites run under
+# -race with -count=2 against fresh interleavings.
 go test -race -count=2 ./internal/obs/
-run_gate 'Bitwise|BitForBit|ReduceChunk|Deterministic|DoesNotAllocate|NestedFor|ConcurrentCallers|Lane|Batch|Budget|Straggler|View|Workspace|RoundTrip|RoundHalf|Lanes|WilsonHop|WilsonApplyDoesNotAllocate|Discipline|Probe' -race -count=2 -- ./internal/linalg/ ./internal/dirac/ ./internal/solver/ ./internal/prop/
+run_gate 'Bitwise|BitForBit|Pair|ReduceChunk|Deterministic|DoesNotAllocate|NestedFor|ConcurrentCallers|Lane|Batch|Budget|Straggler|View|Workspace|RoundTrip|RoundHalf|Lanes|WilsonHop|WilsonApplyDoesNotAllocate|Discipline|Probe' -race -count=2 -- ./internal/linalg/ ./internal/dirac/ ./internal/solver/ ./internal/prop/
 lap kernel
 run_gate 'Obs|Timeline|Trace' -race -- ./internal/runtime/ ./internal/core/ ./internal/cluster/
 lap observability

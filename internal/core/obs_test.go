@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"sort"
 	"strings"
 	"testing"
 
 	"femtoverse/internal/cache"
+	"femtoverse/internal/linalg"
 	"femtoverse/internal/obs"
 	jobrt "femtoverse/internal/runtime"
 )
@@ -118,6 +120,92 @@ func TestCampaignObservability(t *testing.T) {
 	}
 	if counters["runtime.attempts"] < int64(2*cfg.NConfigs) {
 		t.Fatalf("runtime.attempts = %d, want >= %d", counters["runtime.attempts"], 2*cfg.NConfigs)
+	}
+}
+
+// TestTracedCampaignSpansNestOnEveryLane runs a traced campaign whose
+// configurations solve on two propagator lanes - the pool worker's and a
+// helper's - and holds every (pid, tid) of the trace to what obs.Scope.Lane
+// promises and BusySeconds relies on: its complete spans nest, none starting
+// inside another and ending after it (1 µs of rounding allowed), and its
+// solver drives never overlap at all. A pair of systems is one
+// "cgne-mixed" span, so the drives' systems must add up to every solve.
+func TestTracedCampaignSpansNestOnEveryLane(t *testing.T) {
+	old := linalg.DefaultWorkers
+	linalg.DefaultWorkers = 2
+	t.Cleanup(func() { linalg.DefaultWorkers = old })
+	cfg := DefaultRealConfig()
+	cfg.NConfigs = 2
+	tr := obs.NewTracer(nil)
+	if _, _, err := NewCampaign(cfg).Run(context.Background(), cfg.NConfigs,
+		RunOptions{Workers: 1, Obs: ObsConfig{Trace: tr}}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var parsed struct {
+		TraceEvents []struct {
+			Name     string
+			Ph       string
+			PID, TID int
+			TS, Dur  int64
+			Args     struct{ Systems int }
+		}
+	}
+	if err := json.Unmarshal(buf.Bytes(), &parsed); err != nil {
+		t.Fatal(err)
+	}
+	type span struct {
+		name   string
+		t0, t1 int64
+	}
+	lanes := map[[2]int][]span{}
+	systems := 0
+	for _, e := range parsed.TraceEvents {
+		if e.Ph != "X" {
+			continue
+		}
+		lanes[[2]int{e.PID, e.TID}] = append(lanes[[2]int{e.PID, e.TID}], span{e.Name, e.TS, e.TS + e.Dur})
+		if e.Name == "cgne-mixed" {
+			systems += max(e.Args.Systems, 1)
+		}
+	}
+	solveLanes := 0
+	for lane, spans := range lanes {
+		sort.Slice(spans, func(i, j int) bool {
+			if spans[i].t0 != spans[j].t0 {
+				return spans[i].t0 < spans[j].t0
+			}
+			return spans[i].t1 > spans[j].t1
+		})
+		var open []span
+		var lastDrive *span
+		for i := range spans {
+			s := spans[i]
+			for len(open) > 0 && open[len(open)-1].t1 <= s.t0 {
+				open = open[:len(open)-1]
+			}
+			if n := len(open); n > 0 && s.t1 > open[n-1].t1+1 {
+				t.Fatalf("pid %d tid %d: %s [%d, %d] starts inside %s [%d, %d] and ends after it",
+					lane[0], lane[1], s.name, s.t0, s.t1, open[n-1].name, open[n-1].t0, open[n-1].t1)
+			}
+			open = append(open, s)
+			if s.name == "cgne-mixed" {
+				if lastDrive != nil && s.t0 < lastDrive.t1 {
+					t.Fatalf("pid %d tid %d: solver drive %v overlaps %v", lane[0], lane[1], s, *lastDrive)
+				}
+				lastDrive = &spans[i]
+			}
+		}
+		if lastDrive != nil {
+			solveLanes++
+		}
+	}
+	// A helper the scheduler starts late may find nothing left to take.
+	if want := cfg.NConfigs * 2 * 12; systems != want || solveLanes < 1 || solveLanes > 2 {
+		t.Fatalf("solver drives of %d systems on %d lanes, want %d systems on at most 2", systems, solveLanes, want)
 	}
 }
 

@@ -100,8 +100,8 @@ func checkFibreBodies[F float32 | float64](t *testing.T, tag string, k *schur[F]
 			{"BAxpy", func(out []F, _ []cx[F], i int) { k.fibreBAxpy(out, x, i, k.a, k.c, dagger) }},
 			{"Axpy", func(out []F, _ []cx[F], i int) { k.fibreAxpy(out, x, i) }},
 			{"Hop", func(out []F, _ []cx[F], i int) { k.fibreHop(out, x, 1, i, dagger) }},
-			{"load", func(out []F, _ []cx[F], i int) { k.load(out, i, field, i*SpinorLen, half) }},
-			{"store", func(_ []F, fo []cx[F], i int) { k.store(fo, i*SpinorLen, half, x, i) }},
+			{"load", func(out []F, _ []cx[F], i int) { k.load(out, i, [2][]cx[F]{field}, i*SpinorLen, half) }},
+			{"store", func(_ []F, fo []cx[F], i int) { k.store([2][]cx[F]{fo}, i*SpinorLen, half, x, i) }},
 		}
 		for _, c := range passes {
 			run := func(v *vecBodies[F]) ([]F, []cx[F]) {
@@ -172,7 +172,11 @@ func oneSlice[F float32 | float64](k *schur[F]) {
 	k.ls = 1
 	k.minvP = []F{1 / (k.a - k.m*k.c)}
 	k.minvM = k.minvP
-	k.setLayout(k.vec)
+	var pair *pairBodies[F]
+	if k.pair != nil {
+		pair = k.pair.pairBodies
+	}
+	k.setLayout(k.vec, pair)
 	k.own()
 }
 

@@ -114,8 +114,11 @@ func benchPaired(b *testing.B, cand, ref func()) {
 // in pairs: each precision's lane kernel against the scalar kernel it
 // replaced (scalar_ref_test.go); against itself with the vector hop and
 // the Go fifth-dimension bodies (-fibre: what the vector fibre bodies buy);
-// float32 against float64 and against the scalar float64 kernel; and an
-// A/A calibration whose ratio should read 1. Run with -cpu 1 -benchtime 60x.
+// float32 against float64 and against the scalar float64 kernel; the
+// pair layout's sloppy step on two systems against the single layout's on
+// each (f32-pair: a ratio of 0.5 is the pair at the cost of one system);
+// and an A/A calibration whose ratio should read 1. Run with -cpu 1
+// -benchtime 60x.
 func BenchmarkSchurNormalPaired(b *testing.B) {
 	g := lattice.MustNew(2, 2, 4, 8)
 	m, err := NewMobius(gauge.NewRandom(g, 1), MobiusParams{Ls: 4, M5: 1.4, B5: 1.25, C5: 0.25, M: 0.1})
@@ -145,6 +148,22 @@ func BenchmarkSchurNormalPaired(b *testing.B) {
 	vec32 := func() { q.vec = all32; q.ApplyNormal(dst32, src32, tmp32) }
 	goFibre64 := func() { p.vec = hop64; p.ApplyNormal(dst, src, tmp) }
 	goFibre32 := func() { q.vec = hop32; q.ApplyNormal(dst32, src32, tmp32) }
+	// The pair's normal op is the mixed solver's sloppy step on two
+	// systems, ApplyPair then ApplyDaggerPair; single32 is that step on one.
+	srcB32, dstB32, tmpB32 := make([]complex64, n), make([]complex64, n), make([]complex64, n)
+	linalg.Demote(srcB32, randField(rand.New(rand.NewSource(3)), n))
+	pair32 := func() {
+		q.vec = all32
+		q.ApplyPair(tmp32, tmpB32, src32, srcB32)
+		q.ApplyDaggerPair(dst32, dstB32, tmp32, tmpB32)
+	}
+	single32 := func() {
+		q.vec = all32
+		q.Apply(tmp32, src32)
+		q.ApplyDagger(dst32, tmp32)
+		q.Apply(tmpB32, srcB32)
+		q.ApplyDagger(dstB32, tmpB32)
+	}
 	scalar64 := func() { ref64.applyNormal(lanes64(dst), lanes64(src), lanes64(tmp)) }
 	scalar32 := func() { ref32.applyNormal(lanes32(dst32), lanes32(src32), lanes32(tmp32)) }
 	for _, c := range []struct {
@@ -157,6 +176,7 @@ func BenchmarkSchurNormalPaired(b *testing.B) {
 		{"f64-fibre", vec64, goFibre64},
 		{"f32-vs-f64", vec32, vec64},
 		{"f32-vs-scalar-f64", vec32, scalar64},
+		{"f32-pair", pair32, single32},
 		{"aa", vec32, vec32},
 	} {
 		b.Run(c.name, func(b *testing.B) { benchPaired(b, c.cand, c.ref) })

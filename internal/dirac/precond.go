@@ -68,7 +68,7 @@ func NewMobiusEO(m *Mobius) (*MobiusEO, error) {
 	for mu := range p.u {
 		p.u[mu] = links64(m.W.U.U[mu])
 	}
-	p.setLayout(vec64)
+	p.setLayout(vec64, nil)
 	p.own()
 	return p, nil
 }
@@ -179,11 +179,17 @@ func (p *MobiusEO) ScatterParity5D(parity int, half []complex128, full []complex
 func (p *MobiusEO) PrepareSource(eta []complex128) (bhat, etaOdd []complex128) {
 	bhat = make([]complex128, p.HalfSize())
 	etaOdd = make([]complex128, p.HalfSize())
+	p.PrepareSourceInto(bhat, etaOdd, eta)
+	return bhat, etaOdd
+}
+
+// PrepareSourceInto is PrepareSource into the caller's half fields, every
+// element of which it writes.
+func (p *MobiusEO) PrepareSourceInto(bhat, etaOdd, eta []complex128) {
 	p.GatherParity5D(0, eta, bhat)   // bhat = eta_e
 	p.GatherParity5D(1, eta, etaOdd) // saved for reconstruction
 	p.run(stageFibre, nil, etaOdd)   // t2 = B A^{-1} eta_o
 	p.run(stagePrepare, bhat, nil)   // bhat -= Hop_eo t2
-	return bhat, etaOdd
 }
 
 // Reconstruct rebuilds the full-lattice solution from the even solution
@@ -191,10 +197,16 @@ func (p *MobiusEO) PrepareSource(eta []complex128) (bhat, etaOdd []complex128) {
 // straight into the odd sites of the full field.
 func (p *MobiusEO) Reconstruct(psiEven, etaOdd []complex128) []complex128 {
 	full := make([]complex128, p.M.Size())
+	p.ReconstructInto(full, psiEven, etaOdd)
+	return full
+}
+
+// ReconstructInto is Reconstruct into the caller's full field, every
+// element of which it writes.
+func (p *MobiusEO) ReconstructInto(full, psiEven, etaOdd []complex128) {
 	p.ScatterParity5D(0, psiEven, full)
 	p.run(stageB, nil, psiEven)     // t1 = B psi_e
 	p.run(stageRecon, full, etaOdd) // psi_o
-	return full
 }
 
 // FlopsPerApply returns the flop count of one Schur-operator application

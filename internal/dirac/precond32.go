@@ -69,13 +69,14 @@ func NewMobiusEO32(p *MobiusEO) *MobiusEO32 {
 	for mu := range q.u {
 		q.u[mu] = links32(q.U.U[mu])
 	}
-	q.setLayout(vec32)
+	q.setLayout(vec32, pair32)
 	q.own()
 	return q
 }
 
 // View is MobiusEO.View in single precision: the demoted gauge field and
-// the float32 constants by reference, scratch and pass state of its own. P
+// the float32 constants by reference, scratch and pass state of its own,
+// one pair-sized set that serves single and pair applications alike. P
 // stays the operator q was demoted from.
 func (q *MobiusEO32) View() *MobiusEO32 {
 	v := &MobiusEO32{P: q.P, U: q.U}
@@ -109,6 +110,50 @@ func (q *MobiusEO32) ApplyDagger(dst, src []complex64) {
 	q.run(stageLoad, nil, src)
 	q.run(stageInnerDag, nil, nil)
 	q.run(stageOuterDag, dst, src)
+}
+
+func (q *MobiusEO32) runPair(st schurStage, dstA, dstB, srcA, srcB []complex64) {
+	q.schur.pass(st, true, [2][]cx[float32]{lanes32(dstA), lanes32(dstB)},
+		[2][]cx[float32]{lanes32(srcA), lanes32(srcB)}, ownWidth(q.Workers, q.P.M.W.Workers))
+}
+
+// pairSizes panics unless all four fields are half fields.
+func (q *MobiusEO32) pairSizes(what string, f ...[]complex64) {
+	for _, v := range f {
+		if len(v) != q.Size() {
+			panic("dirac: MobiusEO32." + what + " size mismatch")
+		}
+	}
+}
+
+// ApplyPair computes dstA = Dhat srcA and dstB = Dhat srcB, each to the
+// bit what Apply computes, in one set of passes over the pair layout: two
+// systems in the two halves of every register. Where the build has no
+// pair bodies (linalg.HasAVX false) it is two Applies.
+func (q *MobiusEO32) ApplyPair(dstA, dstB, srcA, srcB []complex64) {
+	if q.pair == nil {
+		q.Apply(dstA, srcA)
+		q.Apply(dstB, srcB)
+		return
+	}
+	q.pairSizes("ApplyPair", dstA, dstB, srcA, srcB)
+	q.runPair(stageB, nil, nil, srcA, srcB)
+	q.runPair(stageInner, nil, nil, nil, nil)
+	q.runPair(stageOuter, dstA, dstB, srcA, srcB)
+}
+
+// ApplyDaggerPair is ApplyPair for Dhat^dagger: ApplyDagger on each
+// system, to the bit.
+func (q *MobiusEO32) ApplyDaggerPair(dstA, dstB, srcA, srcB []complex64) {
+	if q.pair == nil {
+		q.ApplyDagger(dstA, srcA)
+		q.ApplyDagger(dstB, srcB)
+		return
+	}
+	q.pairSizes("ApplyDaggerPair", dstA, dstB, srcA, srcB)
+	q.runPair(stageLoad, nil, nil, srcA, srcB)
+	q.runPair(stageInnerDag, nil, nil, nil, nil)
+	q.runPair(stageOuterDag, dstA, dstB, srcA, srcB)
 }
 
 // ApplyNormal computes dst = Dhat^dag Dhat src in single precision; tmp

@@ -51,6 +51,10 @@ type schurOp[F float32 | float64] struct {
 	// is nil does (BenchmarkSchurNormalPaired's reference sets the hop
 	// alone).
 	vec *vecBodies[F]
+	// pair is the pair layout's bodies and tables (pair.go); nil where the
+	// build has no pair bodies for the precision, and then a pair is two
+	// single applications.
+	pair *pairOp[F]
 }
 
 // vecBodies are one site's passes in vector instructions, with the
@@ -97,8 +101,8 @@ type chiBlock[F float32 | float64] struct {
 const laneW = 4
 
 // setLayout fixes the lane-major layout, the vector tables, and the
-// vector bodies the build provides for the precision.
-func (o *schurOp[F]) setLayout(vec *vecBodies[F]) {
+// vector and pair bodies the build provides for the precision.
+func (o *schurOp[F]) setLayout(vec *vecBodies[F], pair *pairBodies[F]) {
 	o.groups = (o.ls + laneW - 1) / laneW
 	o.fib = o.groups * 2 * SpinorLen * laneW
 	o.lane = make([]int, o.ls)
@@ -133,6 +137,7 @@ func (o *schurOp[F]) setLayout(vec *vecBodies[F]) {
 		c.rep[1][s%laneW], c.wt[1][s%laneW], c.src[1] = ones, mw, o.lane[sm]-base
 	}
 	o.vec = vec
+	o.setPair(pair)
 }
 
 // allOnes is the float whose bits are all set: a lane mask as the vector
@@ -155,15 +160,20 @@ func allOnes[F float32 | float64]() F {
 type schur[F float32 | float64] struct {
 	schurOp[F]
 
-	// Scratch half-fields, lane-major.
+	// Scratch half-fields, lane-major: pair-sized where the operator has
+	// the pair layout, whose fibres are twice as long, and the single
+	// layout then uses their first half.
 	t1, t2, t3 []F
 
-	// The pass in flight: which site loop, on what. sites is runSites bound
-	// once, so that handing it to linalg.For builds no closure per
-	// application. A method value captures its receiver: own must run on
-	// the kernel at its final address, and again on every copy.
+	// The pass in flight: which site loop, on what. dst[1] and src[1] are
+	// the second system's fields, and two is set, in a pass of the pair
+	// layout. sites is runSites bound once, so that handing it to
+	// linalg.For builds no closure per application. A method value
+	// captures its receiver: own must run on the kernel at its final
+	// address, and again on every copy.
 	stage    schurStage
-	dst, src []cx[F]
+	two      bool
+	dst, src [2][]cx[F]
 	sites    func(lo, hi int)
 }
 
@@ -171,6 +181,9 @@ type schur[F float32 | float64] struct {
 // and the bound site loop.
 func (k *schur[F]) own() {
 	n := k.halfVol * k.fib
+	if k.pair != nil {
+		n *= 2
+	}
 	k.t1, k.t2, k.t3 = make([]F, n), make([]F, n), make([]F, n)
 	k.sites = k.runSites
 }
@@ -212,13 +225,19 @@ const (
 
 // run makes one pass over the parity block, split workers wide.
 func (k *schur[F]) run(st schurStage, dst, src []cx[F], workers int) {
-	k.stage, k.dst, k.src = st, dst, src
+	k.pass(st, false, [2][]cx[F]{dst}, [2][]cx[F]{src}, workers)
+}
+
+// pass is run for one system, or with two for a pair in the pair layout:
+// the same stages, each fibre pass on both systems at once.
+func (k *schur[F]) pass(st schurStage, two bool, dst, src [2][]cx[F], workers int) {
+	k.stage, k.two, k.dst, k.src = st, two, dst, src
 	linalg.For(k.halfVol, workers, k.sites)
-	k.dst, k.src = nil, nil
+	k.dst, k.src = [2][]cx[F]{}, [2][]cx[F]{}
 }
 
 // runSites is the body of every pass: sites [lo, hi) of the pass's parity
-// block.
+// block. A pair runs the passes of Apply and ApplyDagger only.
 func (k *schur[F]) runSites(lo, hi int) {
 	t1, t2, t3, dst, src := k.t1, k.t2, k.t3, k.dst, k.src
 	half := k.halfVol * SpinorLen
@@ -285,33 +304,46 @@ func slot[F float32 | float64](fb []F, l int) *[slotLen]F {
 const slotLen = (2*SpinorLen-1)*laneW + 1
 
 // load sets the fibre of site i in f to a caller's field whose slice s
-// of the site starts at off + s*stride.
-func (k *schur[F]) load(f []F, i int, src []cx[F], off, stride int) {
+// of the site starts at off + s*stride: src[0]'s, or in a pair both
+// systems' fields.
+func (k *schur[F]) load(f []F, i int, src [2][]cx[F], off, stride int) {
+	last := off + (k.ls-1)*stride + SpinorLen - 1
+	if k.two {
+		_, _ = src[0][last], src[1][last]
+		k.pair.load(&k.pairFibre(f, i)[0], &src[0][off].re, &src[1][off].re, stride, k.ls)
+		return
+	}
 	fb := f[i*k.fib:][:k.fib]
 	if v := k.vec; v != nil && v.load != nil {
-		_ = src[off+(k.ls-1)*stride+SpinorLen-1]
-		v.load(&fb[0], &src[off].re, stride, k.ls)
+		_ = src[0][last]
+		v.load(&fb[0], &src[0][off].re, stride, k.ls)
 		return
 	}
 	for s, l := range k.lane {
-		v, o := spinor(src, off+s*stride), slot(fb, l)
+		v, o := spinor(src[0], off+s*stride), slot(fb, l)
 		for j := range v {
 			o[2*j*laneW], o[(2*j+1)*laneW] = v[j].re, v[j].im
 		}
 	}
 }
 
-// store writes the fibre of site i in f back to a caller's field, laid out
-// as for load.
-func (k *schur[F]) store(dst []cx[F], off, stride int, f []F, i int) {
+// store writes the fibre of site i in f back to a caller's field, or to
+// both systems' fields, laid out as for load.
+func (k *schur[F]) store(dst [2][]cx[F], off, stride int, f []F, i int) {
+	last := off + (k.ls-1)*stride + SpinorLen - 1
+	if k.two {
+		_, _ = dst[0][last], dst[1][last]
+		k.pair.store(&dst[0][off].re, &dst[1][off].re, &k.pairFibre(f, i)[0], stride, k.ls)
+		return
+	}
 	fb := f[i*k.fib:][:k.fib]
 	if v := k.vec; v != nil && v.store != nil {
-		_ = dst[off+(k.ls-1)*stride+SpinorLen-1]
-		v.store(&dst[off].re, &fb[0], stride, k.ls)
+		_ = dst[0][last]
+		v.store(&dst[0][off].re, &fb[0], stride, k.ls)
 		return
 	}
 	for s, l := range k.lane {
-		v, o := spinor(dst, off+s*stride), slot(fb, l)
+		v, o := spinor(dst[0], off+s*stride), slot(fb, l)
 		for j := range v {
 			v[j] = cx[F]{o[2*j*laneW], o[(2*j+1)*laneW]}
 		}
@@ -346,6 +378,10 @@ func chiNeighbours[F float32 | float64](s, ls int, wrap F, dagger bool) (sp int,
 // number would differ in the sign of some zeros (DESIGN.md s19). Planes
 // 0-11 are the P+ sector, 12-23 the P- one. dst must not alias src.
 func (k *schur[F]) fibreBA(dst, src []F, i int, w0, w1 F, dagger bool) {
+	if p := k.pair; k.two {
+		p.ba(&k.pairFibre(dst, i)[0], &k.pairFibre(src, i)[0], &p.chi[0], &p.keep[0], k.groups, w0, w1, dagger)
+		return
+	}
 	d, x := dst[i*k.fib:][:k.fib], src[i*k.fib:][:k.fib]
 	if v := k.vec; v != nil && v.ba != nil {
 		v.ba(&d[0], &x[0], &k.chi[0], &k.keep[0], k.groups, w0, w1, dagger)
@@ -367,6 +403,10 @@ func (k *schur[F]) fibreBA(dst, src []F, i int, w0, w1 F, dagger bool) {
 // fibreBA into a temporary, then the axpy of fibreAxpy, with the same
 // roundings. z must not alias y.
 func (k *schur[F]) fibreBAxpy(z, y []F, i int, w0, w1 F, dagger bool) {
+	if p := k.pair; k.two {
+		p.baxpy(&k.pairFibre(z, i)[0], &k.pairFibre(y, i)[0], &p.chi[0], &p.keep[0], k.groups, w0, w1, dagger)
+		return
+	}
 	zf, x := z[i*k.fib:][:k.fib], y[i*k.fib:][:k.fib]
 	if v := k.vec; v != nil && v.baxpy != nil {
 		v.baxpy(&zf[0], &x[0], &k.chi[0], &k.keep[0], k.groups, w0, w1, dagger)
@@ -399,6 +439,14 @@ func (k *schur[F]) fibreBAxpy(z, y []F, i int, w0, w1 F, dagger bool) {
 // which leaves a sum from +0 as it was (DESIGN.md s19). dst must not alias
 // src.
 func (k *schur[F]) fibreAInv(dst, src []F, i int, dagger bool) {
+	if p := k.pair; k.two {
+		cP, cM := p.colP, p.colM
+		if dagger {
+			cP, cM = cM, cP
+		}
+		p.aInv(&k.pairFibre(dst, i)[0], &k.pairFibre(src, i)[0], &cP[0], &cM[0], k.ls)
+		return
+	}
 	cP, cM := k.colP, k.colM
 	if dagger {
 		cP, cM = cM, cP
@@ -479,6 +527,11 @@ func (k *schur[F]) fibreAxpy(y, x []F, i int) {
 // theirs.
 func (k *schur[F]) fibreHop(dst, src []F, pOut, i int, g5 bool) {
 	hops := k.hops[pOut][2*lattice.NDim*i:][:2*lattice.NDim]
+	if p := k.pair; k.two {
+		_ = src[k.halfVol*2*k.fib-1]
+		p.hop(&k.pairFibre(dst, i)[0], &src[0], &hops[0], &k.u, &p.keep[0], k.ls, g5)
+		return
+	}
 	if v := k.vec; v != nil && v.hop != nil {
 		v.hop(&dst[i*k.fib:][:k.fib][0], &src[0], &hops[0], &k.u, &k.keep[0], k.ls, g5)
 		return

@@ -2,14 +2,18 @@
 
 // The Schur kernel's hop on the lane-major layout (schur.go, DESIGN.md s19):
 // hopAVX32 and hopAVX64 are fibreHop for one site, every lane of its
-// fibre, in VEX-encoded AVX. The build links them on every amd64 host, but
+// fibre, in VEX-encoded AVX, and hopAVX32x2 is it for a site of the pair
+// layout (pair.go). The build links them on every amd64 host, but
 // schur_amd64.go selects them only where linalg.HasAVX - the start-up probe
 // of the host's AVX and of the OS saving YMM state - holds; elsewhere
 // fibreHop runs the Go body. A plane is one register, an XMM of four
 // float32 or a YMM of four float64, one fifth-dimension slice a lane, so in
-// either precision a register group is one block of the layout. Every
-// arithmetic instruction is a packed MUL, ADD or SUB with no fused
-// multiply-add.
+// either precision a register group is one block of the layout; in the
+// pair layout it is a YMM of eight float32, two systems' blocks side by
+// side, and since every instruction of the body acts lane by lane (the
+// link entries are broadcast to all eight), each half computes what
+// hopAVX32 computes for its system. Every arithmetic instruction is a
+// packed MUL, ADD or SUB with no fused multiply-add.
 //
 // The loop nest is register-blocked. Per block and per output colour row
 // r, the row's eight planes - components r, 3+r, 6+r and 9+r, real and
@@ -174,17 +178,19 @@
 	SETUP(0); SETUP(1); SETUP(2); SETUP(3); SETUP(4); SETUP(5); SETUP(6); SETUP(7); \
 	XORQ R12, R12
 
-DATA half32<>+0(SB)/4, $0x3f000000
-DATA half32<>+4(SB)/4, $0x3f000000
-DATA half32<>+8(SB)/4, $0x3f000000
-DATA half32<>+12(SB)/4, $0x3f000000
-GLOBL half32<>(SB), RODATA|NOPTR, $16
+// The float32 constants are eight lanes wide for the pair body; the XMM
+// body reads the first four.
+DATA half32<>+0(SB)/8, $0x3f0000003f000000
+DATA half32<>+8(SB)/8, $0x3f0000003f000000
+DATA half32<>+16(SB)/8, $0x3f0000003f000000
+DATA half32<>+24(SB)/8, $0x3f0000003f000000
+GLOBL half32<>(SB), RODATA|NOPTR, $32
 
-DATA sign32<>+0(SB)/4, $0x80000000
-DATA sign32<>+4(SB)/4, $0x80000000
-DATA sign32<>+8(SB)/4, $0x80000000
-DATA sign32<>+12(SB)/4, $0x80000000
-GLOBL sign32<>(SB), RODATA|NOPTR, $16
+DATA sign32<>+0(SB)/8, $0x8000000080000000
+DATA sign32<>+8(SB)/8, $0x8000000080000000
+DATA sign32<>+16(SB)/8, $0x8000000080000000
+DATA sign32<>+24(SB)/8, $0x8000000080000000
+GLOBL sign32<>(SB), RODATA|NOPTR, $32
 
 DATA half64<>+0(SB)/8, $0x3fe0000000000000
 DATA half64<>+8(SB)/8, $0x3fe0000000000000
@@ -266,18 +272,6 @@ g5row:
 	VZEROUPPER
 	RET
 
-#undef VMOVUV
-#undef VADDV
-#undef VSUBV
-#undef VMULV
-#undef VXORV
-#undef VANDV
-#undef VBCAST
-#undef HALF
-#undef SIGN
-#undef ENTRY
-#undef IMAG
-#undef LINK
 #undef PLANE
 #undef GROUP
 #undef U0R
@@ -297,19 +291,9 @@ g5row:
 #undef T0
 #undef T1
 
-// The float64 body: a plane is one YMM register of four slices.
-#define VMOVUV VMOVUPD
-#define VADDV VADDPD
-#define VSUBV VSUBPD
-#define VMULV VMULPD
-#define VXORV VXORPD
-#define VANDV VANDPD
-#define VBCAST VBROADCASTSD
-#define HALF half64<>(SB)
-#define SIGN sign64<>(SB)
-#define ENTRY 16
-#define IMAG 8
-#define LINK 144
+// The float32 pair body: a plane is one YMM register of eight floats,
+// system A's four slices of the block and then system B's; the rest is the
+// float32 body's.
 #define PLANE 32
 #define GROUP 768
 #define U0R Y0
@@ -328,6 +312,70 @@ g5row:
 #define BI Y13
 #define T0 Y14
 #define T1 Y15
+
+TEXT ·hopAVX32x2(SB), NOSPLIT, $128-49
+	PROLOGUE
+	TESTQ DX, DX
+	JNE   g5block
+
+plainblock:
+	XORQ R13, R13
+	XORQ R14, R14
+
+plainrow:
+	ZEROROW
+	HOPS
+	STOREROW
+	NEXTROW
+	JNE plainrow
+	NEXTBLOCK
+	JNZ plainblock
+	VZEROUPPER
+	RET
+
+g5block:
+	XORQ R13, R13
+	XORQ R14, R14
+
+g5row:
+	ZEROROW
+	HOPSG5
+	NEGLOWER
+	STOREROW
+	NEXTROW
+	JNE g5row
+	NEXTBLOCK
+	JNZ g5block
+	VZEROUPPER
+	RET
+
+#undef VMOVUV
+#undef VADDV
+#undef VSUBV
+#undef VMULV
+#undef VXORV
+#undef VANDV
+#undef VBCAST
+#undef HALF
+#undef SIGN
+#undef ENTRY
+#undef IMAG
+#undef LINK
+
+// The float64 body: a plane is one YMM register of four slices, the pair
+// body's registers and strides.
+#define VMOVUV VMOVUPD
+#define VADDV VADDPD
+#define VSUBV VSUBPD
+#define VMULV VMULPD
+#define VXORV VXORPD
+#define VANDV VANDPD
+#define VBCAST VBROADCASTSD
+#define HALF half64<>(SB)
+#define SIGN sign64<>(SB)
+#define ENTRY 16
+#define IMAG 8
+#define LINK 144
 
 TEXT ·hopAVX64(SB), NOSPLIT, $128-49
 	PROLOGUE
@@ -753,6 +801,290 @@ slicesDone:
 #undef CHIBLK
 #undef ROTDN
 #undef ROTUP
+
+// The fifth-dimension passes in the pair layout (pair.go): fibreAInv,
+// fibreBA, fibreBAxpy, load and store for a site of two systems, in
+// VEX-encoded AVX on 256-bit registers. A plane is one YMM register,
+// system A's four slices in its low half and system B's in its high half,
+// and every shuffle is an in-lane one (VPERMILPS, VSHUFPS, VUNPCKLPS,
+// VUNPCKHPS), which acts on each half alone: each half runs the float32
+// SSE body's instructions above on its own system, operand for operand, so
+// each system comes out to the bit as the SSE body leaves it, NaNs
+// included. Where the SSE body broadcasts one slice (MOVSS, SHUFPS), the
+// pair body moves the slice's lane across each half with VPERMILPS: by an
+// immediate in fibreAInv, whose slice loop runs the four lanes of an input
+// block as four copies, and by the chiPair block's control (perm) in
+// fibreBA and fibreBAxpy. The tables - keep, chi, the padded columns - are
+// the single layout's with each block repeated in both halves (pairOp).
+// load and store transpose four slices of each system at once, system B's
+// rows through the upper halves (VINSERTF128, VEXTRACTF128). Every body
+// ends with VZEROUPPER.
+//
+// func aInvAVX32x2(dst, src, colP, colM *float32, ls int)
+//
+// Registers: DI the output block, SI the input fibre, R8/R9 the pair
+// columns of P+/P- at the output block, R11 the column stride, DX the
+// blocks left, R12 the column of the slice, R13 the sector's plane
+// offset, AX the input slice's block, BX the slices left. Y0-Y11
+// accumulate, Y12 is the column, Y13 its mask, Y14 the input, Y15 zero.
+
+// PACC adds plane q of the input slice in lane imm of the block at AX,
+// times the column and ANDed with its mask, to acc.
+#define PACC(q, imm, acc) VPERMILPS $imm, ((q)*32)(AX), Y14; VMULPS Y12, Y14, Y14; VANDPS Y13, Y14, Y14; VADDPS Y14, acc, acc
+
+// PSLICE is one input slice: its column and mask, then its twelve planes.
+#define PSLICE(imm) \
+	VMOVUPS (R12), Y12; VCMPPS $4, Y15, Y12, Y13; \
+	PACC(0, imm, Y0); PACC(1, imm, Y1); PACC(2, imm, Y2); PACC(3, imm, Y3); \
+	PACC(4, imm, Y4); PACC(5, imm, Y5); PACC(6, imm, Y6); PACC(7, imm, Y7); \
+	PACC(8, imm, Y8); PACC(9, imm, Y9); PACC(10, imm, Y10); PACC(11, imm, Y11); \
+	ADDQ R11, R12
+
+TEXT ·aInvAVX32x2(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ colP+16(FP), R8
+	MOVQ colM+24(FP), R9
+	MOVQ ls+32(FP), CX
+	LEAQ 3(CX), DX
+	SHRQ $2, DX
+	MOVQ DX, R11
+	SHLQ $5, R11
+	VXORPS Y15, Y15, Y15
+
+pgroup:
+	MOVQ R8, R12
+	XORQ R13, R13
+
+psector:
+	VXORPS Y0, Y0, Y0; VXORPS Y1, Y1, Y1; VXORPS Y2, Y2, Y2; VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4; VXORPS Y5, Y5, Y5; VXORPS Y6, Y6, Y6; VXORPS Y7, Y7, Y7
+	VXORPS Y8, Y8, Y8; VXORPS Y9, Y9, Y9; VXORPS Y10, Y10, Y10; VXORPS Y11, Y11, Y11
+	LEAQ (SI)(R13*1), AX
+	MOVQ CX, BX
+
+pslice:
+	PSLICE(0x00)
+	DECQ BX
+	JZ   pdone
+	PSLICE(0x55)
+	DECQ BX
+	JZ   pdone
+	PSLICE(0xaa)
+	DECQ BX
+	JZ   pdone
+	PSLICE(0xff)
+	ADDQ $768, AX
+	DECQ BX
+	JNZ  pslice
+
+pdone:
+	LEAQ (DI)(R13*1), AX
+	VMOVUPS Y0, (0*32)(AX); VMOVUPS Y1, (1*32)(AX); VMOVUPS Y2, (2*32)(AX); VMOVUPS Y3, (3*32)(AX)
+	VMOVUPS Y4, (4*32)(AX); VMOVUPS Y5, (5*32)(AX); VMOVUPS Y6, (6*32)(AX); VMOVUPS Y7, (7*32)(AX)
+	VMOVUPS Y8, (8*32)(AX); VMOVUPS Y9, (9*32)(AX); VMOVUPS Y10, (10*32)(AX); VMOVUPS Y11, (11*32)(AX)
+	TESTQ R13, R13
+	JNE   pnext
+	MOVQ  $(12*32), R13
+	MOVQ  R9, R12
+	JMP   psector
+
+pnext:
+	ADDQ $32, R8
+	ADDQ $32, R9
+	ADDQ $768, DI
+	DECQ DX
+	JNZ  pgroup
+	VZEROUPPER
+	RET
+
+// func baAVX32x2(dst, src *float32, chi *chiPair[float32], keep *float32, groups int, w0, w1 float32, dagger bool)
+// func baxpyAVX32x2(z, y *float32, chi *chiPair[float32], keep *float32, groups int, w0, w1 float32, dagger bool)
+//
+// Registers as in baSSE32 and baxpySSE32, on Y registers, with Y8 the
+// sector's lane control.
+
+// PBAV is BAV on the pair: R is B (or A) of the source plane at q.
+#define PBAV(q, R, ROT) \
+	VMOVUPS (q)(SI), R; VPERMILPS $ROT, R, Y1; VANDNPS Y1, Y13, Y2; \
+	VMOVUPS (q)(AX), Y3; VPERMILPS Y8, Y3, Y3; VANDPS Y13, Y3, Y3; VORPS Y3, Y2, Y2; \
+	VMULPS Y12, Y2, Y2; VMULPS Y14, Y2, Y2; VMULPS Y15, R, R; VADDPS Y2, R, R
+
+// PBASECTOR loads shift t's rep, wt, perm and pos (chiPair) and runs BODY
+// on the sector's twelve planes from plane offset base.
+#define PBASECTOR(t, base, ROT, BODY) \
+	VMOVUPS ((t)*32)(BX), Y13; VMOVUPS (64+(t)*32)(BX), Y12; VMOVUPS (128+(t)*32)(BX), Y8; \
+	MOVQ (192+(t)*8)(BX), AX; LEAQ (SI)(AX*4), AX; \
+	BODY((base)+0*32, ROT); BODY((base)+2*32, ROT); BODY((base)+4*32, ROT); \
+	BODY((base)+6*32, ROT); BODY((base)+8*32, ROT); BODY((base)+10*32, ROT)
+
+#define PBAPAIR(q, ROT) \
+	PBAV(q, Y0, ROT); VANDPS Y11, Y0, Y0; VMOVUPS Y0, (q)(DI); \
+	PBAV((q)+32, Y0, ROT); VANDPS Y11, Y0, Y0; VMOVUPS Y0, ((q)+32)(DI)
+
+// PBXPAIR is BXPAIR on the pair: Y10 is -1, Y9 zero.
+#define PBXPAIR(q, ROT) \
+	PBAV(q, Y4, ROT); PBAV((q)+32, Y5, ROT); \
+	VMOVUPS (q)(DI), Y6; VMOVUPS ((q)+32)(DI), Y7; \
+	VMULPS Y10, Y6, Y0; VMULPS Y9, Y7, Y1; VSUBPS Y1, Y0, Y0; VADDPS Y4, Y0, Y0; \
+	VANDPS Y11, Y0, Y0; VMOVUPS Y0, (q)(DI); \
+	VMULPS Y10, Y7, Y7; VMULPS Y9, Y6, Y6; VADDPS Y6, Y7, Y7; VADDPS Y5, Y7, Y7; \
+	VANDPS Y11, Y7, Y7; VMOVUPS Y7, ((q)+32)(DI)
+
+DATA negone32<>+0(SB)/8, $0xbf800000bf800000
+DATA negone32<>+8(SB)/8, $0xbf800000bf800000
+DATA negone32<>+16(SB)/8, $0xbf800000bf800000
+DATA negone32<>+24(SB)/8, $0xbf800000bf800000
+GLOBL negone32<>(SB), RODATA|NOPTR, $32
+
+TEXT ·baAVX32x2(SB), NOSPLIT, $0-49
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ chi+16(FP), BX
+	MOVQ keep+24(FP), R8
+	MOVQ groups+32(FP), CX
+	VBROADCASTSS w0+40(FP), Y15
+	VBROADCASTSS w1+44(FP), Y14
+	MOVBQZX dagger+48(FP), DX
+
+pbablock:
+	VMOVUPS (R8), Y11
+	TESTQ   DX, DX
+	JNE     pbadag
+	PBASECTOR(0, 0, 0x93, PBAPAIR)
+	PBASECTOR(1, 12*32, 0x39, PBAPAIR)
+	JMP     pbanext
+
+pbadag:
+	PBASECTOR(1, 0, 0x39, PBAPAIR)
+	PBASECTOR(0, 12*32, 0x93, PBAPAIR)
+
+pbanext:
+	ADDQ $768, DI
+	ADDQ $768, SI
+	ADDQ $208, BX
+	ADDQ $32, R8
+	DECQ CX
+	JNZ  pbablock
+	VZEROUPPER
+	RET
+
+TEXT ·baxpyAVX32x2(SB), NOSPLIT, $0-49
+	MOVQ z+0(FP), DI
+	MOVQ y+8(FP), SI
+	MOVQ chi+16(FP), BX
+	MOVQ keep+24(FP), R8
+	MOVQ groups+32(FP), CX
+	VBROADCASTSS w0+40(FP), Y15
+	VBROADCASTSS w1+44(FP), Y14
+	MOVBQZX dagger+48(FP), DX
+	VMOVUPS negone32<>(SB), Y10
+	VXORPS  Y9, Y9, Y9
+
+pbxblock:
+	VMOVUPS (R8), Y11
+	TESTQ   DX, DX
+	JNE     pbxdag
+	PBASECTOR(0, 0, 0x93, PBXPAIR)
+	PBASECTOR(1, 12*32, 0x39, PBXPAIR)
+	JMP     pbxnext
+
+pbxdag:
+	PBASECTOR(1, 0, 0x39, PBXPAIR)
+	PBASECTOR(0, 12*32, 0x93, PBXPAIR)
+
+pbxnext:
+	ADDQ $768, DI
+	ADDQ $768, SI
+	ADDQ $208, BX
+	ADDQ $32, R8
+	DECQ CX
+	JNZ  pbxblock
+	VZEROUPPER
+	RET
+
+// func loadAVX32x2(dst, a, b *float32, stride, ls int)
+// func storeAVX32x2(a, b, src *float32, stride, ls int)
+//
+// Registers: DI the pair fibre's block, SI and BX systems A's and B's
+// fields at the block's first slice, DX the stride in bytes, CX the slices
+// left, R8-R11 system A's four slices and R12, R13, R14, AX system B's (or
+// the stack spinor).
+
+// PSLICES points R8-R11 and R12-R14, AX at the block's slices.
+#define PSLICES \
+	MOVQ SI, R8; MOVQ BX, R12; LEAQ 0(SP), R9; MOVQ R9, R10; MOVQ R9, R11; MOVQ R9, R13; MOVQ R9, R14; MOVQ R9, AX; \
+	CMPQ CX, $2; JLT slicesDone; LEAQ (SI)(DX*1), R9; LEAQ (BX)(DX*1), R13; \
+	CMPQ CX, $3; JLT slicesDone; LEAQ (SI)(DX*2), R10; LEAQ (BX)(DX*2), R14; \
+	CMPQ CX, $4; JLT slicesDone; LEAQ (R10)(DX*1), R11; LEAQ (R14)(DX*1), AX
+
+// PTRANSPOSE is TRANSPOSE32 in each half: rows Y0-Y3 into planes Y0-Y3.
+#define PTRANSPOSE \
+	VUNPCKLPS Y1, Y0, Y4; VUNPCKLPS Y3, Y2, Y5; VUNPCKHPS Y1, Y0, Y6; VUNPCKHPS Y3, Y2, Y7; \
+	VSHUFPS $0x44, Y5, Y4, Y0; VSHUFPS $0xee, Y5, Y4, Y1; VSHUFPS $0x44, Y7, Y6, Y2; VSHUFPS $0xee, Y7, Y6, Y3
+
+// PLOADT loads components 2jj and 2jj+1 of both systems' four slices into
+// planes 4jj to 4jj+3; PSTORET stores them back.
+#define PLOADT(jj) \
+	VMOVUPS ((jj)*16)(R8), X0; VINSERTF128 $1, ((jj)*16)(R12), Y0, Y0; \
+	VMOVUPS ((jj)*16)(R9), X1; VINSERTF128 $1, ((jj)*16)(R13), Y1, Y1; \
+	VMOVUPS ((jj)*16)(R10), X2; VINSERTF128 $1, ((jj)*16)(R14), Y2, Y2; \
+	VMOVUPS ((jj)*16)(R11), X3; VINSERTF128 $1, ((jj)*16)(AX), Y3, Y3; \
+	PTRANSPOSE; \
+	VMOVUPS Y0, ((jj)*128)(DI); VMOVUPS Y1, ((jj)*128+32)(DI); VMOVUPS Y2, ((jj)*128+64)(DI); VMOVUPS Y3, ((jj)*128+96)(DI)
+#define PSTORET(jj) \
+	VMOVUPS ((jj)*128)(DI), Y0; VMOVUPS ((jj)*128+32)(DI), Y1; VMOVUPS ((jj)*128+64)(DI), Y2; VMOVUPS ((jj)*128+96)(DI), Y3; \
+	PTRANSPOSE; \
+	VMOVUPS X0, ((jj)*16)(R8); VEXTRACTF128 $1, Y0, ((jj)*16)(R12); \
+	VMOVUPS X1, ((jj)*16)(R9); VEXTRACTF128 $1, Y1, ((jj)*16)(R13); \
+	VMOVUPS X2, ((jj)*16)(R10); VEXTRACTF128 $1, Y2, ((jj)*16)(R14); \
+	VMOVUPS X3, ((jj)*16)(R11); VEXTRACTF128 $1, Y3, ((jj)*16)(AX)
+
+TEXT ·loadAVX32x2(SB), NOSPLIT, $96-40
+	MOVQ  dst+0(FP), DI
+	MOVQ  a+8(FP), SI
+	MOVQ  b+16(FP), BX
+	MOVQ  stride+24(FP), DX
+	SHLQ  $3, DX
+	MOVQ  ls+32(FP), CX
+	TESTQ $3, CX
+	JEQ   plblock
+	VXORPS  Y0, Y0, Y0
+	VMOVUPS Y0, 0(SP); VMOVUPS Y0, 32(SP); VMOVUPS Y0, 64(SP)
+
+plblock:
+	PSLICES
+
+slicesDone:
+	PLOADT(0); PLOADT(1); PLOADT(2); PLOADT(3); PLOADT(4); PLOADT(5)
+	ADDQ $768, DI
+	LEAQ (SI)(DX*4), SI
+	LEAQ (BX)(DX*4), BX
+	SUBQ $4, CX
+	JGT  plblock
+	VZEROUPPER
+	RET
+
+TEXT ·storeAVX32x2(SB), NOSPLIT, $96-40
+	MOVQ a+0(FP), SI
+	MOVQ b+8(FP), BX
+	MOVQ src+16(FP), DI
+	MOVQ stride+24(FP), DX
+	SHLQ $3, DX
+	MOVQ ls+32(FP), CX
+
+psblock:
+	PSLICES
+
+slicesDone:
+	PSTORET(0); PSTORET(1); PSTORET(2); PSTORET(3); PSTORET(4); PSTORET(5)
+	ADDQ $768, DI
+	LEAQ (SI)(DX*4), SI
+	LEAQ (BX)(DX*4), BX
+	SUBQ $4, CX
+	JGT  psblock
+	VZEROUPPER
+	RET
 
 // The float64 bodies: a plane is two registers, lo (lanes 0, 1) and hi
 // (lanes 2, 3). fibreAInv runs per register; the others

@@ -188,19 +188,35 @@ func (g *Group) put(name string, k Kind, shape []int, raw []byte) error {
 	if _, clash := g.children[name]; clash {
 		return fmt.Errorf("hio: %q already names a group", name)
 	}
-	n := 1
-	for _, s := range shape {
-		if s <= 0 {
-			return fmt.Errorf("hio: bad shape %v", shape)
-		}
-		n *= s
-	}
-	if n*k.elemSize() != len(raw) {
-		return fmt.Errorf("hio: shape %v implies %d bytes, got %d", shape, n*k.elemSize(), len(raw))
+	if err := checkShape(k, shape, len(raw)); err != nil {
+		return err
 	}
 	g.datasets[name] = &Dataset{
 		Name: name, Kind: k, Shape: append([]int(nil), shape...),
 		raw: raw, crc: crc32.ChecksumIEEE(raw),
+	}
+	return nil
+}
+
+// checkShape holds a dataset's shape to its size bytes of kind k: every
+// extent positive and their product, times k's element size, exactly
+// size. The product is held to the bytes before it can overflow, so a
+// decoded shape never names more elements than its data holds - the
+// readers below allocate by it.
+func checkShape(k Kind, shape []int, size int) error {
+	es := k.elemSize()
+	if es == 0 {
+		return fmt.Errorf("hio: unknown dataset kind %d", k)
+	}
+	n := 1
+	for _, s := range shape {
+		if s <= 0 || n > size/es/s {
+			return fmt.Errorf("hio: shape %v does not fit %d bytes of %v", shape, size, k)
+		}
+		n *= s
+	}
+	if n*es != size {
+		return fmt.Errorf("hio: shape %v implies %d bytes, got %d", shape, n*es, size)
 	}
 	return nil
 }
@@ -545,6 +561,9 @@ func (r *reader) group() (*Group, error) {
 		}
 		if crc32.ChecksumIEEE(raw) != crc {
 			return nil, fmt.Errorf("hio: dataset %q corrupt (checksum mismatch)", dn)
+		}
+		if err := checkShape(kind, shape, len(raw)); err != nil {
+			return nil, fmt.Errorf("hio: dataset %q: %w", dn, err)
 		}
 		g.datasets[dn] = &Dataset{Name: dn, Kind: kind, Shape: shape, raw: raw, crc: crc}
 	}

@@ -13,11 +13,13 @@ import (
 
 // A propagator is twelve independent solves against one gauge field, and
 // an FH propagator twelve more: the batch is where they meet the cores.
-// Its systems are taken, lowest index first, by lanes - the calling
-// goroutine, always, plus a helper goroutine for every core the process
-// has idle. Each lane solves on its own view of the operator pair with its
-// own solver workspace, so a system is solved by the same arithmetic
-// whichever lane takes it, and the solutions are filed by source index:
+// Its systems are taken, lowest index first and two at a time, by lanes -
+// the calling goroutine, always, plus a helper goroutine for every core
+// the process has idle. A lane solves its pair in lock-step
+// (solver.CGNEMixedPair), both systems through each pass of the operator,
+// on its own view of the operator pair with a solver workspace per system,
+// so a system is solved by the same arithmetic whichever lane takes it and
+// whichever partner it has, and the solutions are filed by source index:
 // nothing downstream can tell how many lanes ran. DESIGN.md, "Propagator
 // lanes", has the reasoning.
 
@@ -28,18 +30,29 @@ import (
 type lane struct {
 	eo     *dirac.MobiusEO
 	sloppy *dirac.MobiusEO32
-	ws     solver.Workspace
-	seq    []complex128 // the FH source under construction, made on first use
+	// One slot per system in flight.
+	slots [2]slot
 
 	// What the lane has done since it was last folded into its
 	// QuarkSolver's totals.
 	iters, solves, restarts int
 	flops                   int64
 
-	// Under batch.mu: the system in flight (-1 for none) and the cancel of
-	// the context the lane solves under.
-	cur    int
-	cancel context.CancelFunc
+	// Under batch.mu: the systems in flight (-1 for none) and the cancels
+	// of the contexts the lane solves them under.
+	cur    [2]int
+	cancel [2]context.CancelFunc
+}
+
+// slot is the scratch of one system in flight on a lane: its solver
+// workspace, the FH source under construction, and the 5-D source, the
+// even-odd reduction's half fields and the reconstructed 5-D solution,
+// each made on first use. Only the solution x and the projected 4-D field
+// a solve returns are made afresh.
+type slot struct {
+	ws                     solver.Workspace
+	seq                    []complex128
+	b5, bhat, etaOdd, full []complex128
 }
 
 // setWidth narrows the lane's kernels to the split width of one of lanes
@@ -57,30 +70,75 @@ func (l *lane) setWidth(par solver.Params, lanes int) solver.Params {
 	return par
 }
 
-// solve5D is one system on this lane: inject, reduce to the even Schur
-// system, mixed-precision CGNE, reconstruct.
-func (l *lane) solve5D(ctx context.Context, b4 []complex128, par solver.Params) ([]complex128, solver.Stats, error) {
+// prepare reduces the 4-D source b4 to the even Schur system in slot s's
+// fields: inject, then PrepareSourceInto.
+func (l *lane) prepare(s *slot, b4 []complex128) (bhat, etaOdd []complex128) {
 	if len(b4) != l.eo.M.W.G.Vol*dirac.SpinorLen {
 		panic("prop: Solve5D source size mismatch")
 	}
-	b5 := Inject5D(b4, l.eo.M.Ls)
-	bhat, etaOdd := l.eo.PrepareSource(b5)
-	xe, st, err := l.ws.CGNEMixed(ctx, l.eo, l.sloppy, bhat, par)
+	if s.b5 == nil {
+		n := l.eo.HalfSize()
+		s.b5, s.bhat, s.etaOdd, s.full = make([]complex128, l.eo.M.Size()), make([]complex128, n), make([]complex128, n), make([]complex128, l.eo.M.Size())
+	}
+	inject5D(s.b5, b4, l.eo.M.Ls)
+	l.eo.PrepareSourceInto(s.bhat, s.etaOdd, s.b5)
+	return s.bhat, s.etaOdd
+}
+
+// count adds a solve to the lane's totals and wraps its error.
+func (l *lane) count(st solver.Stats, err error) error {
 	l.iters += st.Iterations
 	l.flops += st.Flops
 	l.solves++
 	l.restarts += st.Restarts
 	if err != nil {
-		return nil, st, fmt.Errorf("prop: component solve failed: %w", err)
+		return fmt.Errorf("prop: component solve failed: %w", err)
+	}
+	return nil
+}
+
+// solve5D is one system on this lane: inject, reduce to the even Schur
+// system, mixed-precision CGNE, reconstruct into a field the caller owns.
+func (l *lane) solve5D(ctx context.Context, b4 []complex128, par solver.Params) ([]complex128, solver.Stats, error) {
+	s := &l.slots[0]
+	bhat, etaOdd := l.prepare(s, b4)
+	xe, st, err := s.ws.CGNEMixed(ctx, l.eo, l.sloppy, bhat, par)
+	if err := l.count(st, err); err != nil {
+		return nil, st, err
 	}
 	return l.eo.Reconstruct(xe, etaOdd), st, nil
+}
+
+// solve4D solves the first n of the sources b4 on this lane - a pair in
+// lock-step, or one alone - each under its own context and in its own
+// slot, and returns each system's projected 4-D field or error, and its
+// stats.
+func (l *lane) solve4D(ctx [2]context.Context, b4 [2][]complex128, n int, par solver.Params) (q [2][]complex128, st [2]solver.Stats, err [2]error) {
+	var bhat [2][]complex128
+	for k := 0; k < n; k++ {
+		bhat[k], _ = l.prepare(&l.slots[k], b4[k])
+	}
+	var xe [2][]complex128
+	if n == 2 {
+		xe, st, err = solver.CGNEMixedPair(ctx, l.eo, l.sloppy, [2]*solver.Workspace{&l.slots[0].ws, &l.slots[1].ws}, bhat, par)
+	} else {
+		xe[0], st[0], err[0] = l.slots[0].ws.CGNEMixed(ctx[0], l.eo, l.sloppy, bhat[0], par)
+	}
+	for k := 0; k < n; k++ {
+		if err[k] = l.count(st[k], err[k]); err[k] == nil {
+			s := &l.slots[k]
+			l.eo.ReconstructInto(s.full, xe[k], s.etaOdd)
+			q[k] = Project4D(s.full, l.eo.M.Ls)
+		}
+	}
+	return q, st, err
 }
 
 // lane returns lane i of the solver, building the lanes up to it on first
 // use.
 func (qs *QuarkSolver) lane(i int) *lane {
 	for len(qs.lanes) <= i {
-		l := &lane{eo: qs.EO, sloppy: qs.Sloppy}
+		l := &lane{eo: qs.EO, sloppy: qs.Sloppy, cur: [2]int{-1, -1}}
 		if len(qs.lanes) > 0 {
 			l.eo = qs.EO.View()
 			if qs.Sloppy != nil {
@@ -119,7 +177,7 @@ type batch struct {
 	qs     *QuarkSolver
 	ctx    context.Context
 	par    solver.Params
-	source func(j int, l *lane) []complex128
+	source func(j int, l *lane, slot int) []complex128
 	out    [][]complex128
 	wg     sync.WaitGroup // the helper lanes
 
@@ -131,19 +189,19 @@ type batch struct {
 }
 
 // addLanes is the one place the number of lanes is decided. The caller
-// runs it before each system it takes: a helper lane is started for every
-// core linalg.TryEnterLane finds idle, up to one lane per system not yet
-// handed out. Nothing waits here - a core that is busy now is asked for
-// again at the caller's next system, which is how a configuration still
-// solving picks up the core its sibling just freed.
+// runs it before each pair it takes: a helper lane is started for every
+// core linalg.TryEnterLane finds idle, up to one lane per pair of systems
+// not yet handed out. Nothing waits here - a core that is busy now is
+// asked for again at the caller's next pair, which is how a configuration
+// still solving picks up the core its sibling just freed.
 func (b *batch) addLanes() {
 	b.mu.Lock()
-	left := b.failAt - b.next
+	pairs := (b.failAt - b.next + 1) / 2
 	b.mu.Unlock()
-	for len(b.lanes) < left && linalg.TryEnterLane() {
+	for len(b.lanes) < pairs && linalg.TryEnterLane() {
 		i := len(b.lanes)
 		l := b.qs.lane(i)
-		l.cur = -1
+		l.cur = [2]int{-1, -1}
 		b.mu.Lock()
 		b.lanes = append(b.lanes, l)
 		b.mu.Unlock()
@@ -156,43 +214,60 @@ func (b *batch) addLanes() {
 	}
 }
 
-// run is the life of lane i in the batch: take systems until there are
-// none left to take.
+// run is the life of lane i in the batch: take pairs until there are none
+// left to take. Each slot solves under a context of its own, so that a
+// failure elsewhere can cancel one system of a pair and not the other.
 func (b *batch) run(l *lane, i int) {
-	ctx, cancel := context.WithCancel(b.ctx)
-	defer cancel()
+	var ctx [2]context.Context
+	var cancel [2]context.CancelFunc
+	for k := range ctx {
+		ctx[k], cancel[k] = context.WithCancel(b.ctx)
+		defer cancel[k]()
+	}
 	par := b.par
 	par.Obs = par.Obs.Lane(i)
 	for {
 		if i == 0 {
 			b.addLanes()
 		}
-		j, lanes, ok := b.take(l, cancel)
-		if !ok {
+		js, n, lanes := b.take(l, cancel)
+		if n == 0 {
 			return
 		}
 		lpar := l.setWidth(par, lanes)
-		psi5, _, err := l.solve5D(ctx, b.source(j, l), lpar)
-		if err != nil {
-			b.fail(j, err)
+		var src [2][]complex128
+		for k := 0; k < n; k++ {
+			src[k] = b.source(js[k], l, k)
+		}
+		q, _, errs := l.solve4D(ctx, src, n, lpar)
+		failed := false
+		for k := 0; k < n; k++ {
+			if errs[k] != nil {
+				b.fail(js[k], errs[k])
+				failed = true
+				continue
+			}
+			b.out[js[k]] = q[k]
+		}
+		if failed {
 			return
 		}
-		b.out[j] = Project4D(psi5, l.eo.M.Ls)
 	}
 }
 
-// take hands lane l the next system and tells it how many lanes it shares
-// the cores with. Once a system has failed nothing more is handed out.
-func (b *batch) take(l *lane, cancel context.CancelFunc) (j, lanes int, ok bool) {
+// take hands lane l the next n systems - two, or the last one - and tells
+// it how many lanes it shares the cores with. Once a system has failed
+// nothing more is handed out: n is 0.
+func (b *batch) take(l *lane, cancel [2]context.CancelFunc) (js [2]int, n, lanes int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.next >= b.failAt {
-		l.cur = -1
-		return 0, 0, false
+	l.cur, l.cancel = [2]int{-1, -1}, cancel
+	for n < 2 && b.next < b.failAt {
+		l.cur[n] = b.next
+		b.next++
+		n++
 	}
-	l.cur, l.cancel = b.next, cancel
-	b.next++
-	return l.cur, len(b.lanes), true
+	return l.cur, n, len(b.lanes)
 }
 
 // fail records that system j failed and cancels every system after the
@@ -208,8 +283,10 @@ func (b *batch) fail(j int, err error) {
 		b.failAt, b.err = j, fmt.Errorf("prop: system %d of %d: %w", j, len(b.out), err)
 	}
 	for _, l := range b.lanes {
-		if l.cur > b.failAt {
-			l.cancel()
+		for k, c := range l.cur {
+			if c > b.failAt {
+				l.cancel[k]()
+			}
 		}
 	}
 }
@@ -222,19 +299,19 @@ func (b *batch) fail(j int, err error) {
 // for concurrent use on one QuarkSolver; concurrent batches on separate
 // solvers share the cores between them.
 func (qs *QuarkSolver) SolveBatchCtx(ctx context.Context, sources [][]complex128) ([][]complex128, error) {
-	return qs.solveBatch(ctx, len(sources), func(j int, _ *lane) []complex128 { return sources[j] })
+	return qs.solveBatch(ctx, len(sources), func(j int, _ *lane, _ int) []complex128 { return sources[j] })
 }
 
-// solveBatch is SolveBatchCtx over sources made on demand: source(j, l)
-// is called on the lane about to solve system j and may build the source
-// in that lane's scratch.
-func (qs *QuarkSolver) solveBatch(ctx context.Context, k int, source func(j int, l *lane) []complex128) ([][]complex128, error) {
+// solveBatch is SolveBatchCtx over sources made on demand: source(j, l,
+// slot) is called on the lane about to solve system j and may build the
+// source in that lane's scratch for the slot the system takes.
+func (qs *QuarkSolver) solveBatch(ctx context.Context, k int, source func(j int, l *lane, slot int) []complex128) ([][]complex128, error) {
 	l0 := qs.lane(0)
-	l0.cur = -1
+	l0.cur = [2]int{-1, -1}
 	b := &batch{qs: qs, ctx: ctx, par: qs.scoped(ctx), source: source,
 		out: make([][]complex128, k), lanes: []*lane{l0}, failAt: k}
 	// The caller is lane 0. It counts against the process budget for as
-	// long as it is in here, takes systems like any lane, and before each
+	// long as it is in here, takes pairs like any lane, and before each
 	// one looks for idle cores to put helpers on; it never waits for a
 	// helper to start, only, at the end, for those that did to finish.
 	linalg.EnterLane()

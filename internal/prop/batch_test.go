@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"sort"
@@ -120,8 +121,9 @@ func TestLanesCannotMoveABit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(qs.lanes) != lanes {
-				t.Fatalf("%v: budget %d ran %d lanes", prec, lanes, len(qs.lanes))
+			// A lane takes two systems at a time: twelve fill six lanes.
+			if want := min(lanes, NComp/2); len(qs.lanes) != want {
+				t.Fatalf("%v: budget %d ran %d lanes, want %d", prec, lanes, len(qs.lanes), want)
 			}
 			if got := digestsOf(qs, base, fh); got != want {
 				t.Fatalf("%v on %d lanes differs from the serial loop:\n got %+v\nwant %+v", prec, lanes, got, want)
@@ -139,7 +141,7 @@ func TestBatchCancelJoinsAndSolverRecovers(t *testing.T) {
 	qs := laneTestSolver(t, solver.Single)
 	g := qs.EO.M.W.G
 	ctx, cancel := context.WithCancel(context.Background())
-	_, err := qs.solveBatch(ctx, NComp, func(j int, _ *lane) []complex128 {
+	_, err := qs.solveBatch(ctx, NComp, func(j int, _ *lane, _ int) []complex128 {
 		if j == 5 {
 			cancel()
 		}
@@ -175,7 +177,7 @@ func TestBatchReportsLowestFailure(t *testing.T) {
 		qs := laneTestSolver(t, solver.Single)
 		g := qs.EO.M.W.G
 		for rep := 0; rep < 5; rep++ {
-			_, err := qs.solveBatch(context.Background(), NComp, func(j int, _ *lane) []complex128 {
+			_, err := qs.solveBatch(context.Background(), NComp, func(j int, _ *lane, _ int) []complex128 {
 				b := PointSource(g, [4]int{}, j/3, j%3)
 				if j == 3 || j == 7 {
 					b[len(b)/2] = complex(math.NaN(), 0)
@@ -213,7 +215,7 @@ func TestConcurrentBatchesShareTheBudget(t *testing.T) {
 		go func(qs *QuarkSolver) {
 			defer wg.Done()
 			g := qs.EO.M.W.G
-			_, err := qs.solveBatch(context.Background(), NComp, func(j int, _ *lane) []complex128 {
+			_, err := qs.solveBatch(context.Background(), NComp, func(j int, _ *lane, _ int) []complex128 {
 				switch j {
 				case 0:
 					first.Done()
@@ -245,7 +247,7 @@ func TestExhaustedBudgetStartsNoGoroutine(t *testing.T) {
 	qs := laneTestSolver(t, solver.Single)
 	g := qs.EO.M.W.G
 	before := runtime.NumGoroutine()
-	_, err := qs.solveBatch(context.Background(), NComp, func(j int, _ *lane) []complex128 {
+	_, err := qs.solveBatch(context.Background(), NComp, func(j int, _ *lane, _ int) []complex128 {
 		// Not !=: a goroutine of an earlier test may still be on its way out.
 		if n := runtime.NumGoroutine(); n > before {
 			t.Errorf("system %d: %d goroutines, %d before the batch", j, n, before)
@@ -267,7 +269,7 @@ func TestStragglerPicksUpFreedCore(t *testing.T) {
 	linalg.EnterLane()
 	qs := laneTestSolver(t, solver.Single)
 	g := qs.EO.M.W.G
-	_, err := qs.solveBatch(context.Background(), NComp, func(j int, l *lane) []complex128 {
+	_, err := qs.solveBatch(context.Background(), NComp, func(j int, l *lane, _ int) []complex128 {
 		if j == 4 {
 			if len(qs.lanes) != 1 {
 				t.Errorf("%d lanes while the sibling held its core", len(qs.lanes))
@@ -285,8 +287,9 @@ func TestStragglerPicksUpFreedCore(t *testing.T) {
 }
 
 // TestHelperLanesTraceOnTheirOwnTids: a traced batch on three lanes puts
-// its twelve solve spans on up to three tids of the caller's pid, and no
-// two spans of one tid overlap.
+// its solve spans - one per pair, carrying its twelve systems between them
+// - on up to three tids of the caller's pid, and no two spans of one tid
+// overlap.
 func TestHelperLanesTraceOnTheirOwnTids(t *testing.T) {
 	withBudget(t, 3)
 	qs := laneTestSolver(t, solver.Single)
@@ -304,6 +307,7 @@ func TestHelperLanesTraceOnTheirOwnTids(t *testing.T) {
 			Name     string
 			PID, TID int
 			TS, Dur  int64
+			Args     struct{ Systems int }
 		}
 	}
 	if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
@@ -311,17 +315,17 @@ func TestHelperLanesTraceOnTheirOwnTids(t *testing.T) {
 	}
 	type span struct{ t0, t1 int64 }
 	byTID := map[int][]span{}
+	systems := 0
 	for _, e := range trace.TraceEvents {
 		if e.Name == "cgne-mixed" {
 			if e.PID != 2 {
 				t.Fatalf("solve span on pid %d", e.PID)
 			}
 			byTID[e.TID] = append(byTID[e.TID], span{e.TS, e.TS + e.Dur})
+			systems += max(e.Args.Systems, 1)
 		}
 	}
-	n := 0
 	for tid, spans := range byTID {
-		n += len(spans)
 		sort.Slice(spans, func(i, j int) bool { return spans[i].t0 < spans[j].t0 })
 		for i := 1; i < len(spans); i++ {
 			if spans[i].t0 < spans[i-1].t1 {
@@ -330,7 +334,143 @@ func TestHelperLanesTraceOnTheirOwnTids(t *testing.T) {
 		}
 	}
 	// A helper the scheduler starts late may find nothing left to take.
-	if _, ok := byTID[5]; !ok || len(byTID) > 3 || n != NComp {
-		t.Fatalf("%d solve spans on tids %v, want %d on the caller's tid 5 and at most two more", n, byTID, NComp)
+	if _, ok := byTID[5]; !ok || len(byTID) > 3 || systems != NComp {
+		t.Fatalf("solve spans of %d systems on tids %v, want %d on the caller's tid 5 and at most two more", systems, byTID, NComp)
+	}
+}
+
+// overflowSource is a point source scaled to the edge of float32's range:
+// its sloppy stage overflows in Half and again in Single, and the solve
+// finishes in Double - the escalation Half -> Single -> Double without an
+// injected fault.
+func overflowSource(g *lattice.Geometry) []complex128 {
+	b := PointSource(g, [4]int{}, 1, 2)
+	for i := range b {
+		b[i] *= 1e38
+	}
+	return b
+}
+
+// nanSource is a point source with a NaN in it: its solve fails.
+func nanSource(g *lattice.Geometry, spin int) []complex128 {
+	b := PointSource(g, [4]int{}, spin, 0)
+	b[len(b)/2] = complex(math.NaN(), 0)
+	return b
+}
+
+// stopAfter is a context cancelled at its n-th check: a cancellation at a
+// fixed iteration of whichever solve checks it.
+type stopAfter struct {
+	context.Context
+	checks, n int
+}
+
+func (c *stopAfter) Err() error {
+	if c.checks++; c.checks > c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestPairMatchesSoloSolve4D holds each system a lane solves in a pair to
+// the same system solved alone (Solve5DCtx, projected): the field to the
+// bit, the iterations, reliable updates and restarts, and the error - when
+// system A escalates Half -> Single -> Double while B converges, when B
+// fails, and when B's context is cancelled mid-pair.
+func TestPairMatchesSoloSolve4D(t *testing.T) {
+	qs := laneTestSolver(t, solver.Half)
+	g := qs.EO.M.W.G
+	point := PointSource(g, [4]int{}, 0, 1)
+	for _, c := range []struct {
+		name string
+		b4   [2][]complex128
+		stop [2]int // cancel at this many context checks; 0 for never
+		want func(st [2]solver.Stats, err [2]error) bool
+	}{
+		{"A escalates to Double", [2][]complex128{overflowSource(g), point}, [2]int{},
+			func(st [2]solver.Stats, err [2]error) bool {
+				return st[0].Restarts == 2 && st[0].Precision == solver.Double && st[1].Restarts == 0 && err == [2]error{}
+			}},
+		{"B fails", [2][]complex128{point, nanSource(g, 2)}, [2]int{},
+			func(_ [2]solver.Stats, err [2]error) bool {
+				return err[0] == nil && errors.Is(err[1], solver.ErrDiverged)
+			}},
+		{"B cancelled", [2][]complex128{point, PointSource(g, [4]int{}, 3, 2)}, [2]int{0, 9},
+			func(_ [2]solver.Stats, err [2]error) bool {
+				return err[0] == nil && errors.Is(err[1], context.Canceled)
+			}},
+	} {
+		ctx := func(k int) context.Context {
+			if c.stop[k] > 0 {
+				return &stopAfter{Context: context.Background(), n: c.stop[k]}
+			}
+			return context.Background()
+		}
+		q, st, err := qs.lane(0).solve4D([2]context.Context{ctx(0), ctx(1)}, c.b4, 2, qs.Par)
+		if !c.want(st, err) {
+			t.Fatalf("%s: the pair did not take the path the case is for: stats %+v, errors %v", c.name, st, err)
+		}
+		solo := laneTestSolver(t, solver.Half)
+		for k := range c.b4 {
+			psi5, wst, werr := solo.Solve5DCtx(ctx(k), c.b4[k])
+			what := fmt.Sprintf("%s system %d", c.name, k)
+			if fmt.Sprint(err[k]) != fmt.Sprint(werr) {
+				t.Fatalf("%s: error %v, alone %v", what, err[k], werr)
+			}
+			if st[k].Iterations != wst.Iterations || st[k].ReliableUpdates != wst.ReliableUpdates || st[k].Restarts != wst.Restarts {
+				t.Fatalf("%s: stats %+v, alone %+v", what, st[k], wst)
+			}
+			if werr == nil && digest(q[k]) != digest(Project4D(psi5, solo.EO.M.Ls)) {
+				t.Fatalf("%s: the field differs from the system solved alone", what)
+			}
+		}
+	}
+}
+
+// TestOddBatchOfPairsMatchesSolo: a batch of five - two pairs, one of them
+// escalating to Double, and a system alone - returns the fields and the
+// totals of Solve4D five times over, on one lane and on two; with systems
+// 3 and 4 poisoned, the second of a pair and the one alone, it reports
+// system 3.
+func TestOddBatchOfPairsMatchesSolo(t *testing.T) {
+	for _, lanes := range []int{1, 2} {
+		withBudget(t, lanes)
+		qs := laneTestSolver(t, solver.Half)
+		g := qs.EO.M.W.G
+		sources := [][]complex128{PointSource(g, [4]int{}, 0, 0), overflowSource(g)}
+		for j := 2; j < 5; j++ {
+			sources = append(sources, PointSource(g, [4]int{}, j, j%3))
+		}
+		solo := laneTestSolver(t, solver.Half)
+		want := make([][]complex128, len(sources))
+		for j, b := range sources {
+			q, _, err := solo.Solve4D(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[j] = q
+		}
+		got, err := qs.SolveBatchCtx(context.Background(), sources)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range want {
+			if digest(got[j]) != digest(want[j]) {
+				t.Fatalf("%d lanes: system %d differs from Solve4D", lanes, j)
+			}
+		}
+		if qs.TotalIterations != solo.TotalIterations || qs.TotalRestarts != solo.TotalRestarts ||
+			qs.TotalFlops != solo.TotalFlops || qs.Solves != solo.Solves || solo.TotalRestarts != 2 {
+			t.Fatalf("%d lanes: totals %d iterations, %d restarts, %d flops, %d solves; Solve4D %d, %d, %d, %d",
+				lanes, qs.TotalIterations, qs.TotalRestarts, qs.TotalFlops, qs.Solves,
+				solo.TotalIterations, solo.TotalRestarts, solo.TotalFlops, solo.Solves)
+		}
+		sources[3], sources[4] = nanSource(g, 3), nanSource(g, 1)
+		if _, err := qs.SolveBatchCtx(context.Background(), sources); !errors.Is(err, solver.ErrDiverged) || !strings.Contains(err.Error(), "system 3 of 5") {
+			t.Fatalf("%d lanes: got %v, want system 3's divergence", lanes, err)
+		}
+		if !lanesIdle(lanes) {
+			t.Fatal("a lane outlived the failed batch")
+		}
 	}
 }

@@ -62,8 +62,15 @@ func PointSource(g *lattice.Geometry, x0 [4]int, spin, color int) []complex128 {
 // chirality (spins 0,1) enters the s = 0 wall and the P- chirality
 // (spins 2,3) the s = Ls-1 wall.
 func Inject5D(b4 []complex128, ls int) []complex128 {
+	b5 := make([]complex128, ls*len(b4))
+	inject5D(b5, b4, ls)
+	return b5
+}
+
+// inject5D is Inject5D into b5, every element of which it writes.
+func inject5D(b5, b4 []complex128, ls int) {
 	vol4 := len(b4)
-	b5 := make([]complex128, ls*vol4)
+	clear(b5[:ls*vol4])
 	for site := 0; site < vol4; site += dirac.SpinorLen {
 		for i := 0; i < 6; i++ {
 			b5[site+i] = b4[site+i]
@@ -72,7 +79,6 @@ func Inject5D(b4 []complex128, ls int) []complex128 {
 			b5[(ls-1)*vol4+site+i] = b4[site+i]
 		}
 	}
-	return b5
 }
 
 // Project4D extracts the physical 4-D quark field from a 5-D solution:
@@ -288,14 +294,16 @@ func (qs *QuarkSolver) ComputePointCtx(ctx context.Context, x0 [4]int) (*Propaga
 // source-sink separations for the cost of one, which is the paper's
 // exponential improvement in time-to-solution. The twelve sequential
 // sources are each built by the lane that solves them, in that lane's
-// scratch; a cancelled ctx aborts the batch.
+// scratch, one buffer per system the lane has in flight; a cancelled ctx
+// aborts the batch.
 func (qs *QuarkSolver) FHPropagatorCtx(ctx context.Context, base *Propagator, gamma linalg.SpinMatrix) (*Propagator, error) {
-	cols, err := qs.solveBatch(ctx, NComp, func(j int, l *lane) []complex128 {
-		if l.seq == nil {
-			l.seq = make([]complex128, base.G.Vol*dirac.SpinorLen)
+	cols, err := qs.solveBatch(ctx, NComp, func(j int, l *lane, slot int) []complex128 {
+		s := &l.slots[slot]
+		if s.seq == nil {
+			s.seq = make([]complex128, base.G.Vol*dirac.SpinorLen)
 		}
-		spinMul(l.seq, base.Col[j], gamma, l.eo.Workers)
-		return l.seq
+		spinMul(s.seq, base.Col[j], gamma, l.eo.Workers)
+		return s.seq
 	})
 	if err != nil {
 		return nil, fmt.Errorf("prop: FH propagator: %w", err)

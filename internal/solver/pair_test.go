@@ -1,0 +1,257 @@
+package solver
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
+	"slices"
+	"testing"
+	"time"
+
+	"femtoverse/internal/dirac"
+	"femtoverse/internal/gauge"
+	"femtoverse/internal/lattice"
+)
+
+// nanPair32 is nanAfter32 for one system of a pair operator: the system
+// whose Apply output is target, its workspace's temporary. Its
+// applications, single or in a pair, are counted and poisoned as
+// nanAfter32 counts and poisons them for the system solved alone.
+type nanPair32 struct {
+	*dirac.MobiusEO32
+	target      *complex64
+	applies     int
+	from, until int
+}
+
+func (o *nanPair32) hit(dst []complex64) {
+	if &dst[0] != o.target {
+		return
+	}
+	o.applies++
+	if o.applies > o.from && (o.until < 0 || o.applies <= o.until) {
+		dst[0] = complex(float32(math.NaN()), 0)
+	}
+}
+
+func (o *nanPair32) Apply(dst, src []complex64) {
+	o.MobiusEO32.Apply(dst, src)
+	o.hit(dst)
+}
+
+func (o *nanPair32) ApplyPair(dstA, dstB, srcA, srcB []complex64) {
+	o.MobiusEO32.ApplyPair(dstA, dstB, srcA, srcB)
+	o.hit(dstA)
+	o.hit(dstB)
+}
+
+// stopAfter is a context cancelled at its n-th check: a cancellation at a
+// fixed iteration of whichever solve checks it.
+type stopAfter struct {
+	context.Context
+	checks, n int
+}
+
+func (c *stopAfter) Err() error {
+	if c.checks++; c.checks > c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// sameSolve fails unless two solves of one system returned the same
+// solution, stats and error, to the bit.
+func sameSolve(t *testing.T, what string, x []complex128, st Stats, err error, wx []complex128, wst Stats, werr error) {
+	t.Helper()
+	if fmt.Sprint(err) != fmt.Sprint(werr) {
+		t.Fatalf("%s: error %v, want %v", what, err, werr)
+	}
+	if st.Iterations != wst.Iterations || st.ReliableUpdates != wst.ReliableUpdates || st.Restarts != wst.Restarts ||
+		st.Flops != wst.Flops || st.Converged != wst.Converged || st.Precision != wst.Precision ||
+		math.Float64bits(st.TrueResidual) != math.Float64bits(wst.TrueResidual) {
+		t.Fatalf("%s: stats %+v, want %+v", what, st, wst)
+	}
+	if !slices.EqualFunc(st.Residuals, wst.Residuals, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+		t.Fatalf("%s: residuals %v, want %v", what, st.Residuals, wst.Residuals)
+	}
+	if len(x) != len(wx) {
+		t.Fatalf("%s: %d solution elements, want %d", what, len(x), len(wx))
+	}
+	for i := range wx {
+		if math.Float64bits(real(x[i])) != math.Float64bits(real(wx[i])) ||
+			math.Float64bits(imag(x[i])) != math.Float64bits(imag(wx[i])) {
+			t.Fatalf("%s: element %d is %v, want %v", what, i, x[i], wx[i])
+		}
+	}
+}
+
+// poison is a NaN schedule of nanAfter32 for one system, or none.
+type poison struct{ from, until int }
+
+// mixedCases are the systems the one-system and the pair drive are held
+// to: both precisions, escalation Half -> Single and Half -> Single ->
+// Double by the NaN injection of TestMixedNaNEscalatesHalfToSingle and
+// ToDouble, divergence with no restarts left, a cancellation mid-solve, a
+// zero right-hand side and the iteration cap.
+var mixedCases = []struct {
+	name   string
+	p      Params
+	poison [2]*poison
+	stop   [2]int // cancel at this many context checks; 0 for never
+	zero   [2]bool
+}{
+	{name: "single", p: Params{Tol: 1e-8, Precision: Single}},
+	{name: "half", p: Params{Tol: 1e-8, Precision: Half}},
+	{name: "A half to single", p: Params{Tol: 1e-8, Precision: Half}, poison: [2]*poison{{4, 5}}},
+	{name: "A half to double", p: Params{Tol: 1e-8, Precision: Half}, poison: [2]*poison{{2, -1}}},
+	{name: "B half to double", p: Params{Tol: 1e-8, Precision: Half}, poison: [2]*poison{nil, {9, -1}}},
+	{name: "B diverges", p: Params{Tol: 1e-8, Precision: Single, MaxRestarts: -1}, poison: [2]*poison{nil, {6, -1}}},
+	{name: "B cancelled", p: Params{Tol: 1e-8, Precision: Single}, stop: [2]int{0, 20}},
+	{name: "A cancelled first", p: Params{Tol: 1e-8, Precision: Half}, stop: [2]int{3, 0}},
+	{name: "A zero", p: Params{Tol: 1e-8, Precision: Single, RecordResiduals: true}, zero: [2]bool{true}},
+	{name: "iteration cap", p: Params{Tol: 1e-12, Precision: Half, MaxIter: 15, RecordResiduals: true}},
+}
+
+// TestCGNEMixedMatchesLoopBitForBit holds the stepper's one-system drive
+// to the loop it replaced (refCGNEMixed) on every case of mixedCases.
+func TestCGNEMixedMatchesLoopBitForBit(t *testing.T) {
+	eo := newTestEO(t, 11, 0.08)
+	rng := rand.New(rand.NewSource(21))
+	for _, c := range mixedCases {
+		for k := range c.poison {
+			b := randRHS(rng, eo.Size())
+			if c.zero[k] {
+				clear(b)
+			}
+			sloppy := func() Linear32 {
+				if q := c.poison[k]; q != nil {
+					return &nanAfter32{inner: dirac.NewMobiusEO32(eo), from: q.from, until: q.until}
+				}
+				return dirac.NewMobiusEO32(eo)
+			}
+			ctx := func() context.Context {
+				if c.stop[k] > 0 {
+					return &stopAfter{Context: context.Background(), n: c.stop[k]}
+				}
+				return context.Background()
+			}
+			var ws, wsRef Workspace
+			x, st, err := ws.CGNEMixed(ctx(), eo, sloppy(), b, c.p)
+			wx, wst, werr := refCGNEMixed(&wsRef, ctx(), eo, sloppy(), b, c.p)
+			sameSolve(t, fmt.Sprintf("%s system %d", c.name, k), x, st, err, wx, wst, werr)
+		}
+	}
+}
+
+// TestCGNEMixedPairMatchesSoloBitForBit holds each system of a pair to
+// the same system solved alone on every case of mixedCases: the solution,
+// the iterations, the reliable updates, the restarts and the rest of the
+// stats, and the error, to the bit, also where the partner converges while
+// the system escalates, fails or is cancelled.
+func TestCGNEMixedPairMatchesSoloBitForBit(t *testing.T) {
+	eo := newTestEO(t, 11, 0.08)
+	n := eo.Size()
+	rng := rand.New(rand.NewSource(22))
+	for _, c := range mixedCases {
+		var b [2][]complex128
+		var ctx, soloCtx [2]context.Context
+		var ws [2]*Workspace
+		pair := &nanPair32{MobiusEO32: dirac.NewMobiusEO32(eo), until: -1}
+		for k := range b {
+			b[k] = randRHS(rng, n)
+			if c.zero[k] {
+				clear(b[k])
+			}
+			ctx[k], soloCtx[k] = context.Background(), context.Background()
+			if c.stop[k] > 0 {
+				ctx[k] = &stopAfter{Context: context.Background(), n: c.stop[k]}
+				soloCtx[k] = &stopAfter{Context: context.Background(), n: c.stop[k]}
+			}
+			ws[k] = new(Workspace)
+			ws[k].size(n)
+			if q := c.poison[k]; q != nil {
+				pair.target, pair.from, pair.until = &ws[k].tmp[0], q.from, q.until
+			}
+		}
+		x, st, err := CGNEMixedPair(ctx, eo, pair, ws, b, c.p)
+		for k := range b {
+			var sloppy Linear32 = dirac.NewMobiusEO32(eo)
+			if q := c.poison[k]; q != nil {
+				sloppy = &nanAfter32{inner: sloppy, from: q.from, until: q.until}
+			}
+			wx, wst, werr := CGNEMixed(soloCtx[k], eo, sloppy, b[k], c.p)
+			sameSolve(t, fmt.Sprintf("%s system %d", c.name, k), x[k], st[k], err[k], wx, wst, werr)
+		}
+		if c.name == "B diverges" && (err[0] != nil || !errors.Is(err[1], ErrDiverged)) {
+			t.Fatalf("%s: errors %v, want B's divergence alone", c.name, err)
+		}
+	}
+}
+
+// BenchmarkCGNEMixedPaired judges the stepper in pairs of adjacent solves,
+// alternating which runs first, on the fh-* lattice (hv = 64, Ls = 4, one
+// worker): the one-system drive against the loop it replaced (drive), and
+// the pair drive against two one-system solves (pair; a ratio of 0.5 is
+// two systems at the cost of one). It reports the median ratio and its
+// quartiles. Run with -cpu 1 -benchtime 60x.
+func BenchmarkCGNEMixedPaired(b *testing.B) {
+	g := lattice.MustNew(2, 2, 4, 8)
+	m, err := dirac.NewMobius(gauge.NewWeak(g, 77, 0.3), dirac.MobiusParams{Ls: 4, M5: 1.4, B5: 1.25, C5: 0.25, M: 0.1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	m.W.Workers = 1
+	eo, err := dirac.NewMobiusEO(m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sloppy := dirac.NewMobiusEO32(eo)
+	rng := rand.New(rand.NewSource(5))
+	rhs := [2][]complex128{randRHS(rng, eo.Size()), randRHS(rng, eo.Size())}
+	p := Params{Tol: 1e-8, Precision: Single, Workers: 1}
+	var ws [2]Workspace
+	bg := [2]context.Context{context.Background(), context.Background()}
+	drive := func() { ws[0].CGNEMixed(bg[0], eo, sloppy, rhs[0], p) }
+	loop := func() { refCGNEMixed(&ws[0], bg[0], eo, sloppy, rhs[0], p) }
+	pair := func() { CGNEMixedPair(bg, eo, sloppy, [2]*Workspace{&ws[0], &ws[1]}, rhs, p) }
+	solos := func() { drive(); ws[1].CGNEMixed(bg[1], eo, sloppy, rhs[1], p) }
+	for _, c := range []struct {
+		name      string
+		cand, ref func()
+	}{
+		{"drive", drive, loop},
+		{"pair", pair, solos},
+		{"aa", drive, drive},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			runtime.LockOSThread()
+			defer runtime.UnlockOSThread()
+			c.cand()
+			c.ref()
+			ratios := make([]float64, b.N)
+			for i := range ratios {
+				first, second := c.cand, c.ref
+				if i%2 == 1 {
+					first, second = second, first
+				}
+				t0 := time.Now()
+				first()
+				t1 := time.Now()
+				second()
+				t2 := time.Now()
+				tc, tr := t1.Sub(t0), t2.Sub(t1)
+				if i%2 == 1 {
+					tc, tr = tr, tc
+				}
+				ratios[i] = float64(tc) / float64(tr)
+			}
+			slices.Sort(ratios)
+			b.ReportMetric(ratios[len(ratios)/2], "ratio")
+			b.ReportMetric(ratios[len(ratios)/4], "ratio_q1")
+			b.ReportMetric(ratios[len(ratios)*3/4], "ratio_q3")
+		})
+	}
+}
