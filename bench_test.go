@@ -337,18 +337,18 @@ func BenchmarkProtonContraction(b *testing.B) {
 
 func BenchmarkHalfPrecisionCodec(b *testing.B) {
 	n := 12 * 4096
-	v := make([]complex128, n)
+	v := make([]complex64, n)
 	rng := rand.New(rand.NewSource(6))
 	for i := range v {
-		v[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		v[i] = complex(float32(rng.NormFloat64()), float32(rng.NormFloat64()))
 	}
 	h := linalg.NewHalfVector(n, 12)
-	out := make([]complex128, n)
+	out := make([]complex64, n)
 	b.SetBytes(int64(h.Bytes()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h.Encode(v)
-		h.Decode(out)
+		h.EncodeC64(v)
+		h.DecodeC64(out)
 	}
 }
 

@@ -109,12 +109,16 @@ lap chaos
 # corrupting a checkpoint. Then the campaign example runs a campaign in
 # two allocations through a journal reopen and exits non-zero unless the
 # resumed campaign is bit for bit the uninterrupted one. Last, the journal
-# decoder is fuzzed for a short fixed time: whatever file OpenJournal
-# reads, it fails or yields entries inside the spec, and never panics or
-# allocates by an untrusted length.
+# decoder and the container decoder under it (the cache's disk tier and
+# the wire checkpoints read through it too) are fuzzed for a short fixed
+# time each: whatever file OpenJournal reads, it fails or yields entries
+# inside the spec; whatever bytes hio.Decode reads, it fails or yields a
+# file that re-encodes to itself; neither panics or allocates by an
+# untrusted length.
 run_gate 'Drain|Preempt|Budget|Admission|Atomic|Save' -race -count=2 -- ./internal/core/ ./internal/hio/
 go run ./examples/campaign
 go test -run '^$' -fuzz '^FuzzOpenJournal$' -fuzztime 15s ./internal/core/
+go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 15s ./internal/hio/
 lap drain
 # Observability gate: the metrics registry and span tracer must be
 # race-free under concurrent instrumentation, and the fixed-chunk
@@ -151,10 +155,12 @@ lap drain
 # serial pass allocation-free. So does the pair layout: each of its AVX
 # bodies against the single body it doubles at every Ls from 1 to 9,
 # ApplyPair and ApplyDaggerPair against two single applications on
-# poisoned fields at every launch split, and the solver's pair drive
-# against each system solved alone - escalating, failing, cancelled - with
-# the one-system drive against the loop it replaced. The suites run under
-# -race with -count=2 against fresh interleavings.
+# poisoned fields at every launch split, and the solver's one lock-step
+# drive against the loop it replaced, on one system and on each system of
+# a pair - escalating, failing, cancelled - and the batch, Solve4D and
+# Solve5D against a reference composed of the package's public seams
+# (Inject5D, PrepareSource, CGNEMixed, Reconstruct, Project4D). The suites
+# run under -race with -count=2 against fresh interleavings.
 go test -race -count=2 ./internal/obs/
 run_gate 'Bitwise|BitForBit|Pair|ReduceChunk|Deterministic|DoesNotAllocate|NestedFor|ConcurrentCallers|Lane|Batch|Budget|Straggler|View|Workspace|RoundTrip|RoundHalf|Lanes|WilsonHop|WilsonApplyDoesNotAllocate|Discipline|Probe' -race -count=2 -- ./internal/linalg/ ./internal/dirac/ ./internal/solver/ ./internal/prop/
 lap kernel
@@ -241,9 +247,10 @@ lap scenario
 # the uninterrupted run's fingerprint. The gasolve e2e runs one
 # campaign as three `-journal -batch 1` invocations plus one on the
 # finished journal, which must append nothing, and holds the journal to
-# core.Run's fingerprint for the same spec.
+# core.Run's fingerprint for the same spec. jmsim's flag test runs the
+# command on flag sets it must refuse with exit 2 before its table.
 go test -race -count=2 ./internal/serve/ ./internal/validate/
-run_gate 'EndToEnd|FlagValidation' -race -- ./cmd/gaserve/ ./cmd/gasolve/ ./cmd/garank/ ./cmd/gastress/
+run_gate 'EndToEnd|FlagValidation' -race -- ./cmd/gaserve/ ./cmd/gasolve/ ./cmd/garank/ ./cmd/gastress/ ./cmd/jmsim/
 lap service
 # Touched-package gate: an interleaving-dependent test shows only when
 # its suite is repeated, and five were found by hand in four PRs because

@@ -3,14 +3,22 @@ package femtoverse
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"io/fs"
 	"math"
 	"os"
+	"os/exec"
+	"path"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -248,6 +256,8 @@ func TestFacadeFunctionsAreDocumented(t *testing.T) {
 // implementations the fast paths are checked against.
 var exportAllowList = map[string]string{
 	// Test hooks.
+	"analysistest.Facts":          "test-support package: runs an analyzer fixture and returns the facts it exports",
+	"analysistest.Run":            "test-support package: runs an analyzer fixture against its // want comments",
 	"analysistest.RunExpectNone":  "test-support package: runs an analyzer fixture that must stay silent",
 	"cache.Cache.MemKeys":         "exposes the LRU order the eviction tests pin",
 	"cache.Flight.Inflight":       "exposes in-flight keys so the singleflight tests can wait for a leader",
@@ -259,6 +269,9 @@ var exportAllowList = map[string]string{
 	"wire.Session.ChaosCounts":    "exposes the coordinator's injected-fault tally to the chaos tests",
 	// Test references: independent implementations the tests check the
 	// production paths against.
+	"dirac.Mobius.Flops":           "the unpreconditioned operator's flop count, the other side of the preconditioning ablation",
+	"dirac.MobiusEO.ApplyNormal":   "the fused normal operator the kernel bit tests and paired benchmarks drive; the solver applies D and D^dag itself",
+	"dirac.MobiusEO32.ApplyNormal": "the fused normal operator the kernel bit tests and paired benchmarks drive; the solver applies D and D^dag itself",
 	"dirac.Wilson.ApplyDense":      "dense-matrix Wilson operator the spin-projected kernels are checked against",
 	"gauge.Field.GaugeTransform":   "gauge rotation for the gauge-invariance checks of the measurement chain",
 	"gauge.RandomGaugeRotation":    "draws the rotation the gauge-invariance checks apply",
@@ -269,93 +282,94 @@ var exportAllowList = map[string]string{
 	"runtime.Timeline.BusySeconds": "timeline-side busy seconds, cross-checked against the runtime's integrals",
 }
 
-// stdlibCalled names the methods the standard library calls through its
-// interfaces (sort.Interface and heap.Interface), so no call site names
-// them.
-var stdlibCalled = map[string]bool{"Less": true, "Swap": true}
-
 // TestInternalExportsHaveCallers keeps internal/ free of dead library:
 // every exported function or method declared in a non-test file under
-// internal/ must be named by some non-test code of the module - cmd/,
-// examples/ and the nested benchmark module included - other than by its
-// own declaration and body. Names are matched as identifiers, so a
-// mention in a comment does not count, and a method counts as called
-// when any call site uses its name. A new export arrives with its
-// caller, or it is listed in exportAllowList with the reason it has none.
+// internal/ must be used by some non-test code of the module - cmd/,
+// examples/ and the nested benchmark module included - other than its own
+// body. Uses are resolved by go/types against the export data `go list
+// -export` writes, so a call counts for the function it calls and for no
+// other of the same name. A method also counts as called when its type
+// implements an interface whose method of that name non-test code calls,
+// or an interface of the standard library, which calls through its own
+// (sort.Interface, fmt.Stringer, error, ...). A new export arrives with
+// its caller, or it is listed in exportAllowList with the reason it has
+// none.
 func TestInternalExportsHaveCallers(t *testing.T) {
-	type export struct {
-		key, name string
-		method    bool
-	}
-	var exports []export
-	uses := map[string]int{}
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
-				return filepath.SkipDir
+	exports := map[string]*types.Func{} // by exportKey, the internal exports
+	used := map[string]bool{}           // by exportKey, every function used
+	var ifaceUses []*types.Func         // interface methods used
+	var stdIfaces []*types.Interface    // the standard library's interfaces
+	for _, dir := range []string{".", "benchmark"} {
+		pkgs := listExport(t, dir)
+		fset := token.NewFileSet()
+		imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+			p, ok := pkgs[path]
+			if !ok || p.Export == "" {
+				return nil, fmt.Errorf("no export data for %q", path)
 			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				uses[id.Name]++
-			}
-			return true
+			return os.Open(p.Export)
 		})
-		internal := strings.HasPrefix(filepath.ToSlash(path), "internal/")
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok {
+		for _, p := range pkgs {
+			if p.Standard {
+				// The exports are all of the root module, and an interface
+				// only compares with the types of its own importer.
+				if dir == "." && !strings.Contains(p.ImportPath, "internal") && !strings.Contains(p.ImportPath, "vendor") {
+					stdIfaces = append(stdIfaces, scopeInterfaces(t, imp, p.ImportPath)...)
+				}
 				continue
 			}
-			// Neither the declaration nor a recursive call is a caller. A
-			// declaration without a body is implemented in assembly.
-			uses[fn.Name.Name]--
-			if fn.Body != nil {
-				ast.Inspect(fn.Body, func(n ast.Node) bool {
-					if call, ok := n.(*ast.CallExpr); ok && isSelfCall(fn, call.Fun) {
-						uses[fn.Name.Name]--
+			if p.Module == nil || p.Module.Path != moduleOf(dir) {
+				continue
+			}
+			var files []*ast.File
+			for _, name := range p.GoFiles {
+				f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
+				if err != nil {
+					t.Fatal(err)
+				}
+				files = append(files, f)
+			}
+			info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+			conf := types.Config{Importer: importerMap{imp, p.ImportMap}}
+			if _, err := conf.Check(p.ImportPath, fset, files, info); err != nil {
+				t.Fatalf("type-checking %s: %v", p.ImportPath, err)
+			}
+			internal := strings.Contains(p.ImportPath, "/internal/")
+			for _, f := range files {
+				for _, decl := range f.Decls {
+					fn, ok := decl.(*ast.FuncDecl)
+					if !ok {
+						ast.Inspect(decl, func(n ast.Node) bool { noteUse(info, n, nil, used, &ifaceUses); return true })
+						continue
 					}
-					return true
-				})
+					obj := info.Defs[fn.Name].(*types.Func)
+					if internal && fn.Name.IsExported() {
+						exports[exportKey(obj)] = obj
+					}
+					// Neither the declaration nor a recursive call is a use.
+					ast.Inspect(fn, func(n ast.Node) bool { noteUse(info, n, obj, used, &ifaceUses); return true })
+				}
 			}
-			if !internal || !fn.Name.IsExported() {
-				continue
-			}
-			key := filepath.Base(filepath.Dir(path)) + "."
-			if fn.Recv != nil {
-				key += recvName(fn.Recv.List[0].Type) + "."
-			}
-			key += fn.Name.Name
-			exports = append(exports, export{key, fn.Name.Name, fn.Recv != nil})
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	if len(exports) == 0 {
-		t.Fatal("parsed no internal exports")
+		t.Fatal("found no internal exports")
 	}
+	keys := make([]string, 0, len(exports))
+	for key := range exports {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
 	listed := map[string]bool{}
-	for _, e := range exports {
-		if _, ok := exportAllowList[e.key]; ok {
-			listed[e.key] = true
+	for _, key := range keys {
+		fn := exports[key]
+		name := shortKey(fn)
+		if _, ok := exportAllowList[name]; ok {
+			listed[name] = true
 			continue
 		}
-		if uses[e.name] <= 0 && !(e.method && stdlibCalled[e.name]) {
-			t.Errorf("%s is exported but no non-test code calls it", e.key)
+		if !used[key] && !calledThroughInterface(fn, ifaceUses, stdIfaces) {
+			t.Errorf("%s is exported but no non-test code calls it", name)
 		}
 	}
 	for key := range exportAllowList {
@@ -365,32 +379,179 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 	}
 }
 
-// recvName returns the type name of a method receiver expression.
-func recvName(x ast.Expr) string {
-	switch x := x.(type) {
-	case *ast.StarExpr:
-		return recvName(x.X)
-	case *ast.IndexExpr:
-		return recvName(x.X)
-	case *ast.IndexListExpr:
-		return recvName(x.X)
-	case *ast.Ident:
-		return x.Name
-	}
-	return "?"
+// listedPackage is the part of `go list -json` the export gate reads.
+type listedPackage struct {
+	ImportPath, Dir, Export string
+	Standard                bool
+	GoFiles                 []string
+	ImportMap               map[string]string
+	Module                  *struct{ Path string }
 }
 
-// isSelfCall reports whether fun, called inside fn's body, is fn itself:
-// the bare name for a function, the receiver's method for a method.
-func isSelfCall(fn *ast.FuncDecl, fun ast.Expr) bool {
-	if fn.Recv == nil {
-		id, ok := fun.(*ast.Ident)
-		return ok && id.Name == fn.Name.Name
+// listExport lists the packages of the module in dir and all their
+// dependencies, by import path, with export data built for each.
+func listExport(t *testing.T, dir string) map[string]*listedPackage {
+	t.Helper()
+	cmd := exec.Command("go", "list", "-export", "-deps", "-json", "./...")
+	cmd.Dir = dir
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list in %s: %v", dir, err)
 	}
-	sel, ok := fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != fn.Name.Name || len(fn.Recv.List[0].Names) == 0 {
+	pkgs := map[string]*listedPackage{}
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		p := new(listedPackage)
+		if err := dec.Decode(p); err != nil {
+			t.Fatal(err)
+		}
+		pkgs[p.ImportPath] = p
+	}
+	return pkgs
+}
+
+// moduleOf is the path of the module rooted at dir.
+func moduleOf(dir string) string {
+	if dir == "." {
+		return "femtoverse"
+	}
+	return "femtoverse/" + dir
+}
+
+// importerMap resolves a package's import paths through its ImportMap.
+type importerMap struct {
+	types.Importer
+	m map[string]string
+}
+
+func (im importerMap) Import(path string) (*types.Package, error) {
+	if mapped, ok := im.m[path]; ok {
+		path = mapped
+	}
+	return im.Importer.Import(path)
+}
+
+// scopeInterfaces returns the exported interface types, with methods, of
+// the package at path.
+func scopeInterfaces(t *testing.T, imp types.Importer, path string) []*types.Interface {
+	pkg, err := imp.Import(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []*types.Interface
+	for _, name := range pkg.Scope().Names() {
+		tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+		if !ok || !tn.Exported() {
+			continue
+		}
+		if it, ok := tn.Type().Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
+			out = append(out, it)
+		}
+	}
+	return out
+}
+
+// noteUse records a use of a function in node n, unless it is self, the
+// function the use is inside.
+func noteUse(info *types.Info, n ast.Node, self *types.Func, used map[string]bool, ifaceUses *[]*types.Func) {
+	id, ok := n.(*ast.Ident)
+	if !ok {
+		return
+	}
+	fn, ok := info.Uses[id].(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Origin() == self {
+		return // not a function, a method of the universe's error, or a recursive call
+	}
+	used[exportKey(fn)] = true
+	if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+		*ifaceUses = append(*ifaceUses, fn)
+	}
+}
+
+// exportKey names a function across the source and export-data views of
+// its package: package path, receiver type name, name.
+func exportKey(fn *types.Func) string {
+	return fn.Pkg().Path() + "." + recvTypeName(fn) + fn.Name()
+}
+
+// shortKey is exportKey with the package's last path element, the form
+// exportAllowList and the failures use.
+func shortKey(fn *types.Func) string {
+	return path.Base(fn.Pkg().Path()) + "." + recvTypeName(fn) + fn.Name()
+}
+
+// recvTypeName is the name of fn's receiver type and a dot, or "" for a
+// function.
+func recvTypeName(fn *types.Func) string {
+	recv := fn.Origin().Type().(*types.Signature).Recv()
+	if recv == nil {
+		return ""
+	}
+	t := recv.Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if n, ok := t.(*types.Named); ok {
+		return n.Obj().Name() + "."
+	}
+	return "?."
+}
+
+// calledThroughInterface reports whether method fn can be reached through
+// an interface call: its receiver type implements the interface of a used
+// interface method of its name, or a standard-library interface with a
+// method of its name. Against the module's interfaces methods are
+// compared by name and signature string, since the source and export-data
+// views of one package's types are different objects.
+func calledThroughInterface(fn *types.Func, ifaceUses []*types.Func, stdIfaces []*types.Interface) bool {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
 		return false
 	}
-	x, ok := sel.X.(*ast.Ident)
-	return ok && x.Name == fn.Recv.List[0].Names[0].Name
+	t := recv.Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	ptr := types.NewPointer(t)
+	for _, it := range stdIfaces {
+		if sel, _, _ := types.LookupFieldOrMethod(it, false, nil, fn.Name()); sel != nil && types.Implements(ptr, it) {
+			return true
+		}
+	}
+	have := map[string]string{}
+	ms := types.NewMethodSet(ptr)
+	for i := 0; i < ms.Len(); i++ {
+		m := ms.At(i).Obj()
+		have[m.Name()] = sigString(m.Type().(*types.Signature))
+	}
+	implements := func(it *types.Interface) bool {
+		for i := 0; i < it.NumMethods(); i++ {
+			if m := it.Method(i); have[m.Name()] != sigString(m.Type().(*types.Signature)) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, m := range ifaceUses {
+		if m.Name() == fn.Name() && implements(m.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)) {
+			return true
+		}
+	}
+	return false
+}
+
+// sigString writes a signature's parameter and result types, without
+// names and with packages by path, the same in either view.
+func sigString(sig *types.Signature) string {
+	var b strings.Builder
+	for _, tuple := range []*types.Tuple{sig.Params(), sig.Results()} {
+		b.WriteString("(")
+		for i := 0; i < tuple.Len(); i++ {
+			b.WriteString(types.TypeString(tuple.At(i).Type(), (*types.Package).Path) + ",")
+		}
+		b.WriteString(")")
+	}
+	if sig.Variadic() {
+		b.WriteString("...")
+	}
+	return b.String()
 }

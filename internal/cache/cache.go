@@ -259,14 +259,6 @@ func (c *Cache) Stats() Stats {
 	return s
 }
 
-// MemBytes returns the memory tier's current charge; it never exceeds
-// the configured budget, even observed concurrently with Puts.
-func (c *Cache) MemBytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
-}
-
 // MemKeys returns the memory tier's entry IDs from most to least
 // recently used: the exact eviction order (back first), exposed so the
 // determinism tests can pin it.

@@ -86,7 +86,7 @@ func TestByteBudgetNeverExceeded(t *testing.T) {
 				return
 			default:
 			}
-			if b := c.MemBytes(); b > budget {
+			if b := c.Stats().MemBytes; b > budget {
 				over.Add(1)
 			}
 		}
@@ -119,7 +119,7 @@ func TestByteBudgetNeverExceeded(t *testing.T) {
 	if n := over.Load(); n != 0 {
 		t.Fatalf("budget observed exceeded %d times", n)
 	}
-	if b := c.MemBytes(); b > budget {
+	if b := c.Stats().MemBytes; b > budget {
 		t.Fatalf("final charge %d exceeds budget %d", b, budget)
 	}
 	if st := c.Stats(); st.Evictions == 0 {

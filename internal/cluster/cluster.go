@@ -291,9 +291,6 @@ type hold struct {
 // Config returns the simulated allocation shape.
 func (s *Sim) Config() Config { return s.cfg }
 
-// Now returns the current simulation time.
-func (s *Sim) Now() float64 { return s.now }
-
 // PendingIDs returns the unscheduled task IDs whose dependencies have all
 // completed and whose arrival time has passed, in submission order.
 func (s *Sim) PendingIDs() []int {

@@ -283,14 +283,6 @@ func NewInjector(p Plan) (*Injector, error) {
 	return &Injector{plan: p, rates: p.rates()}, nil
 }
 
-// Plan returns the injector's plan.
-func (in *Injector) Plan() Plan {
-	if in == nil {
-		return Plan{}
-	}
-	return in.plan
-}
-
 // Draw returns the fault (or None) assigned to one execution attempt of a
 // task. attempt counts from 1. The result depends only on (plan, taskID,
 // attempt) - never on when or where the attempt runs.

@@ -109,9 +109,6 @@ func New() *File { return &File{root: newGroup("/")} }
 // Root returns the root group.
 func (f *File) Root() *Group { return f.root }
 
-// Name returns the group's name.
-func (g *Group) Name() string { return g.name }
-
 // CreateGroup adds (or returns the existing) child group.
 func (g *Group) CreateGroup(name string) (*Group, error) {
 	if name == "" || strings.Contains(name, "/") {

@@ -19,9 +19,6 @@ func TestGroupTreeAndAttrs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if props.Name() != "props" {
-		t.Fatal("name")
-	}
 	// Resolution by path.
 	got, err := f.Root().Group("config0042/props")
 	if err != nil || got != props {

@@ -21,7 +21,6 @@ func TestSerialPassDoesNotAllocate(t *testing.T) {
 		var sinkC complex128
 		var sinkF float64
 		kernels := map[string]func(){
-			"Scale":     func() { Scale(1, x, w) },
 			"Axpy":      func() { Axpy(1, x, y, w) },
 			"Xpay":      func() { Xpay(x, 1, y, w) },
 			"AxpyZ":     func() { AxpyZ(1, x, y, z, w) },
@@ -34,8 +33,6 @@ func TestSerialPassDoesNotAllocate(t *testing.T) {
 		}
 		if w == 0 { // the codec always runs at DefaultWorkers
 			h := NewHalfVector(n, 12)
-			kernels["Encode"] = func() { h.Encode(x) }
-			kernels["Decode"] = func() { h.Decode(x) }
 			kernels["EncodeC64"] = func() { h.EncodeC64(x32) }
 			kernels["DecodeC64"] = func() { h.DecodeC64(x32) }
 		}
@@ -77,7 +74,6 @@ func TestSerialPassMatchesSplitBitwise(t *testing.T) {
 			Axpy(a, x, u, w)
 			Xpay(x, a, u, w)
 			AxpyZ(a, x, u, z, w)
-			Scale(a, z, w)
 			AxpyC64(complex64(a), x32, u32, w)
 			XpayC64(x32, complex64(a), u32, w)
 			return z, u32, [2]complex128{Dot(x, z, w), DotC64(x32, u32, w)}, [2]float64{NormSq(z, w), NormSqC64(u32, w)}

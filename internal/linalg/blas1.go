@@ -20,21 +20,6 @@ func Copy(dst, src []complex128) {
 // For/Reduce* on sub-slices otherwise; the element order within a chunk,
 // and so every result bit, is the same either way.
 
-// Scale sets v[i] *= a.
-func Scale(a complex128, v []complex128, workers int) {
-	if serialPass(len(v), workers) {
-		scale(a, v)
-		return
-	}
-	For(len(v), workers, func(lo, hi int) { scale(a, v[lo:hi]) })
-}
-
-func scale(a complex128, v []complex128) {
-	for i := range v {
-		v[i] *= a
-	}
-}
-
 // Axpy computes y[i] += a*x[i].
 func Axpy(a complex128, x, y []complex128, workers int) {
 	if len(x) != len(y) {
@@ -129,21 +114,6 @@ func normSq(v []complex128) float64 {
 // Norm returns ||v||.
 func Norm(v []complex128, workers int) float64 {
 	return math.Sqrt(NormSq(v, workers))
-}
-
-// MaxAbs returns the largest |Re| or |Im| component magnitude in v; it is
-// the per-block scale computation of the half-precision encoder.
-func MaxAbs(v []complex128) float64 {
-	m := 0.0
-	for _, c := range v {
-		if a := math.Abs(real(c)); a > m {
-			m = a
-		}
-		if a := math.Abs(imag(c)); a > m {
-			m = a
-		}
-	}
-	return m
 }
 
 // Single-precision variants used by the inner stage of the mixed-precision

@@ -146,18 +146,6 @@ func TestForCoversRangeExactlyOnce(t *testing.T) {
 	}
 }
 
-func TestScale(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	v := randVec(rng, 300)
-	w := append([]complex128(nil), v...)
-	Scale(2-1i, w, 2)
-	for i := range v {
-		if cmplx.Abs(w[i]-(2-1i)*v[i]) > 1e-13 {
-			t.Fatalf("scale wrong at %d", i)
-		}
-	}
-}
-
 func TestPromoteDemoteRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	v := randVec(rng, 200)

@@ -43,65 +43,6 @@ func (h *HalfVector) Len() int { return len(h.Data) / 2 }
 // quantity that enters the solver's effective-bandwidth accounting.
 func (h *HalfVector) Bytes() int { return 2*len(h.Data) + 4*len(h.Scale) }
 
-// Encode quantizes src into h. Each block is scaled by its own maximum
-// absolute component so the int16 range is fully used; a block of exact
-// zeros gets scale 0 and decodes to exact zeros.
-func (h *HalfVector) Encode(src []complex128) {
-	if len(src) != h.Len() {
-		panic("linalg: Encode length mismatch")
-	}
-	if nb := len(h.Scale); serialPass(len(src), 0) {
-		h.encode(src, 0, nb)
-	} else {
-		For(nb, 0, func(lo, hi int) { h.encode(src, lo, hi) })
-	}
-}
-
-func (h *HalfVector) encode(src []complex128, lo, hi int) {
-	for b := lo; b < hi; b++ {
-		blk := src[b*h.Block : (b+1)*h.Block]
-		m := MaxAbs(blk)
-		h.Scale[b] = float32(m)
-		if m == 0 {
-			for i := range blk {
-				h.Data[2*(b*h.Block+i)] = 0
-				h.Data[2*(b*h.Block+i)+1] = 0
-			}
-			continue
-		}
-		q := halfMax / m
-		for i, c := range blk {
-			h.Data[2*(b*h.Block+i)] = int16(roundHalfAway(real(c) * q))
-			h.Data[2*(b*h.Block+i)+1] = int16(roundHalfAway(imag(c) * q))
-		}
-	}
-}
-
-// Decode dequantizes h into dst as complex128.
-func (h *HalfVector) Decode(dst []complex128) {
-	if len(dst) != h.Len() {
-		panic("linalg: Decode length mismatch")
-	}
-	if nb := len(h.Scale); serialPass(len(dst), 0) {
-		h.decode(dst, 0, nb)
-	} else {
-		For(nb, 0, func(lo, hi int) { h.decode(dst, lo, hi) })
-	}
-}
-
-func (h *HalfVector) decode(dst []complex128, lo, hi int) {
-	for b := lo; b < hi; b++ {
-		s := float64(h.Scale[b]) / halfMax
-		for i := 0; i < h.Block; i++ {
-			idx := b*h.Block + i
-			dst[idx] = complex(
-				float64(h.Data[2*idx])*s,
-				float64(h.Data[2*idx+1])*s,
-			)
-		}
-	}
-}
-
 // DecodeC64 dequantizes h into a single-precision vector, the form consumed
 // by the single-precision compute stage of the solver.
 func (h *HalfVector) DecodeC64(dst []complex64) {

@@ -69,20 +69,6 @@ func (g *Gauge) Set(v float64) {
 	g.bits.Store(math.Float64bits(v))
 }
 
-// Add adds d with a CAS loop, safe under concurrent writers.
-func (g *Gauge) Add(d float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 {
 	if g == nil {
@@ -93,12 +79,11 @@ func (g *Gauge) Value() float64 {
 
 // Histogram is a fixed-bucket histogram: bounds are the inclusive upper
 // edges of the finite buckets, with an implicit +Inf overflow bucket.
-// Observe is lock-free (one atomic add on the bucket, two on the
-// aggregates), so it can sit on the solve hot path.
+// Observe is lock-free (one atomic add on the bucket, a CAS on the sum),
+// so it can sit on the solve hot path.
 type Histogram struct {
 	bounds  []float64
 	counts  []atomic.Int64 // len(bounds)+1; last is overflow
-	n       atomic.Int64
 	sumBits atomic.Uint64
 }
 
@@ -109,7 +94,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i].Add(1)
-	h.n.Add(1)
 	for {
 		old := h.sumBits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -119,29 +103,12 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns how many samples were observed.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.n.Load()
-}
-
 // Sum returns the sum of all observed samples.
 func (h *Histogram) Sum() float64 {
 	if h == nil {
 		return 0
 	}
 	return math.Float64frombits(h.sumBits.Load())
-}
-
-// Mean returns the sample mean (0 with no samples).
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return h.Sum() / float64(n)
 }
 
 // DefaultSecondsBuckets are the histogram bounds used when a caller
@@ -323,15 +290,12 @@ func (r *Registry) Snapshot() Snapshot {
 			Bounds: append([]float64(nil), h.bounds...),
 			Counts: make([]int64, len(h.counts)),
 		}
-		// Count is the sum of the bucket reads, not a separate h.Count()
-		// load: Observe lands the bucket before the aggregates, so reading
-		// an aggregate first can tear (Count < sum of Counts) under
-		// concurrent writers. Deriving it keeps every snapshot internally
-		// consistent. Sum is read before the buckets for the same reason:
-		// an observation's sum lands after its bucket, so a sum read taken
-		// first covers only observations the later bucket reads also count
-		// - Sum trails Count, and the rendered mean never includes
-		// uncounted mass.
+		// Count is the sum of the bucket reads, so every snapshot is
+		// internally consistent under concurrent writers. Sum is read
+		// before the buckets: an observation's sum lands after its bucket,
+		// so a sum read taken first covers only observations the later
+		// bucket reads also count - Sum trails Count, and the rendered mean
+		// never includes uncounted mass.
 		hv.Sum = h.Sum()
 		for i := range h.counts {
 			c := h.counts[i].Load()

@@ -36,7 +36,7 @@ func TestSnapshotUnderConcurrentWrites(t *testing.T) {
 				default:
 				}
 				c.Inc()
-				g.Add(0.5)
+				g.Set(float64(i))
 				h.Observe(float64(i % 10))
 			}
 		}()
@@ -86,12 +86,15 @@ func TestSnapshotUnderConcurrentWrites(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	// Quiescent: the aggregates and the snapshot agree exactly.
+	// Quiescent: the aggregates and the snapshot agree exactly. Every
+	// iteration that counted also observed, so the counter is the number
+	// of observations.
 	s := r.Snapshot()
 	h := r.Histogram("hammer.hist", nil)
+	n, _ := s.CounterValue("hammer.counter")
 	for _, hv := range s.Histograms {
-		if hv.Count != h.Count() {
-			t.Fatalf("quiescent snapshot count %d != histogram count %d", hv.Count, h.Count())
+		if hv.Count != n {
+			t.Fatalf("quiescent snapshot count %d != observations %d", hv.Count, n)
 		}
 		if hv.Sum != h.Sum() {
 			t.Fatalf("quiescent snapshot sum %g != histogram sum %g", hv.Sum, h.Sum())

@@ -3,6 +3,7 @@ package prop
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"femtoverse/internal/dirac"
@@ -16,12 +17,13 @@ import (
 // Its systems are taken, lowest index first and two at a time, by lanes -
 // the calling goroutine, always, plus a helper goroutine for every core
 // the process has idle. A lane solves its pair in lock-step
-// (solver.CGNEMixedPair), both systems through each pass of the operator,
-// on its own view of the operator pair with a solver workspace per system,
-// so a system is solved by the same arithmetic whichever lane takes it and
-// whichever partner it has, and the solutions are filed by source index:
-// nothing downstream can tell how many lanes ran. DESIGN.md, "Propagator
-// lanes", has the reasoning.
+// (solver.CGNEMixedLockStep), both systems through each pass of the
+// operator, on its own view of the operator pair with a solver workspace
+// per system, so a system is solved by the same arithmetic whichever lane
+// takes it and whichever partner it has, and what is kept of each solution
+// is filed by source index: nothing downstream can tell how many lanes
+// ran. A single solve is a batch of one. DESIGN.md, "Propagator lanes",
+// has the reasoning.
 
 // lane is what one goroutine of a batch solves with. Lane 0 is the
 // caller's and works on the QuarkSolver's own operators; helper lanes work
@@ -30,8 +32,9 @@ import (
 type lane struct {
 	eo     *dirac.MobiusEO
 	sloppy *dirac.MobiusEO32
-	// One slot per system in flight.
+	// One slot per system in flight, and the systems the drive solves.
 	slots [2]slot
+	sys   [2]solver.System
 
 	// What the lane has done since it was last folded into its
 	// QuarkSolver's totals.
@@ -47,8 +50,8 @@ type lane struct {
 // slot is the scratch of one system in flight on a lane: its solver
 // workspace, the FH source under construction, and the 5-D source, the
 // even-odd reduction's half fields and the reconstructed 5-D solution,
-// each made on first use. Only the solution x and the projected 4-D field
-// a solve returns are made afresh.
+// each made on first use. Only the even solution and what the batch's
+// caller keeps of the 5-D one are made afresh.
 type slot struct {
 	ws                     solver.Workspace
 	seq                    []complex128
@@ -72,9 +75,9 @@ func (l *lane) setWidth(par solver.Params, lanes int) solver.Params {
 
 // prepare reduces the 4-D source b4 to the even Schur system in slot s's
 // fields: inject, then PrepareSourceInto.
-func (l *lane) prepare(s *slot, b4 []complex128) (bhat, etaOdd []complex128) {
+func (l *lane) prepare(s *slot, b4 []complex128) {
 	if len(b4) != l.eo.M.W.G.Vol*dirac.SpinorLen {
-		panic("prop: Solve5D source size mismatch")
+		panic("prop: source size mismatch")
 	}
 	if s.b5 == nil {
 		n := l.eo.HalfSize()
@@ -82,7 +85,6 @@ func (l *lane) prepare(s *slot, b4 []complex128) (bhat, etaOdd []complex128) {
 	}
 	inject5D(s.b5, b4, l.eo.M.Ls)
 	l.eo.PrepareSourceInto(s.bhat, s.etaOdd, s.b5)
-	return s.bhat, s.etaOdd
 }
 
 // count adds a solve to the lane's totals and wraps its error.
@@ -97,42 +99,36 @@ func (l *lane) count(st solver.Stats, err error) error {
 	return nil
 }
 
-// solve5D is one system on this lane: inject, reduce to the even Schur
-// system, mixed-precision CGNE, reconstruct into a field the caller owns.
-func (l *lane) solve5D(ctx context.Context, b4 []complex128, par solver.Params) ([]complex128, solver.Stats, error) {
-	s := &l.slots[0]
-	bhat, etaOdd := l.prepare(s, b4)
-	xe, st, err := s.ws.CGNEMixed(ctx, l.eo, l.sloppy, bhat, par)
-	if err := l.count(st, err); err != nil {
-		return nil, st, err
-	}
-	return l.eo.Reconstruct(xe, etaOdd), st, nil
-}
-
-// solve4D solves the first n of the sources b4 on this lane - a pair in
+// solve solves the first n of the sources b4 on this lane - a pair in
 // lock-step, or one alone - each under its own context and in its own
-// slot, and returns each system's projected 4-D field or error, and its
-// stats.
-func (l *lane) solve4D(ctx [2]context.Context, b4 [2][]complex128, n int, par solver.Params) (q [2][]complex128, st [2]solver.Stats, err [2]error) {
-	var bhat [2][]complex128
-	for k := 0; k < n; k++ {
-		bhat[k], _ = l.prepare(&l.slots[k], b4[k])
+// slot, and returns for each what keep makes of its 5-D solution, or its
+// error, and its stats.
+func (l *lane) solve(ctx [2]context.Context, b4 [2][]complex128, n int, par solver.Params, keep keepFunc) (q [2][]complex128, st [2]solver.Stats, err [2]error) {
+	sys := l.sys[:n]
+	for k := range sys {
+		s := &l.slots[k]
+		l.prepare(s, b4[k])
+		sys[k] = solver.System{Ctx: ctx[k], WS: &s.ws, B: s.bhat}
 	}
-	var xe [2][]complex128
-	if n == 2 {
-		xe, st, err = solver.CGNEMixedPair(ctx, l.eo, l.sloppy, [2]*solver.Workspace{&l.slots[0].ws, &l.slots[1].ws}, bhat, par)
-	} else {
-		xe[0], st[0], err[0] = l.slots[0].ws.CGNEMixed(ctx[0], l.eo, l.sloppy, bhat[0], par)
-	}
+	solver.CGNEMixedLockStep(l.eo, l.sloppy, par, sys)
 	for k := 0; k < n; k++ {
-		if err[k] = l.count(st[k], err[k]); err[k] == nil {
+		st[k] = sys[k].Stats
+		if err[k] = l.count(st[k], sys[k].Err); err[k] == nil {
 			s := &l.slots[k]
-			l.eo.ReconstructInto(s.full, xe[k], s.etaOdd)
-			q[k] = Project4D(s.full, l.eo.M.Ls)
+			l.eo.ReconstructInto(s.full, sys[k].X, s.etaOdd)
+			q[k] = keep(s.full, l.eo.M.Ls)
 		}
 	}
 	return q, st, err
 }
+
+// keepFunc makes what a batch's caller keeps of a system's 5-D solution
+// psi5, which lives in the lane's scratch only until the lane's next
+// system: Project4D, or clone5D.
+type keepFunc func(psi5 []complex128, ls int) []complex128
+
+// clone5D keeps the whole 5-D solution.
+func clone5D(psi5 []complex128, _ int) []complex128 { return slices.Clone(psi5) }
 
 // lane returns lane i of the solver, building the lanes up to it on first
 // use.
@@ -178,7 +174,9 @@ type batch struct {
 	ctx    context.Context
 	par    solver.Params
 	source func(j int, l *lane, slot int) []complex128
+	keep   keepFunc
 	out    [][]complex128
+	stats  []solver.Stats
 	wg     sync.WaitGroup // the helper lanes
 
 	mu     sync.Mutex
@@ -239,9 +237,10 @@ func (b *batch) run(l *lane, i int) {
 		for k := 0; k < n; k++ {
 			src[k] = b.source(js[k], l, k)
 		}
-		q, _, errs := l.solve4D(ctx, src, n, lpar)
+		q, st, errs := l.solve(ctx, src, n, lpar, b.keep)
 		failed := false
 		for k := 0; k < n; k++ {
+			b.stats[js[k]] = st[k]
 			if errs[k] != nil {
 				b.fail(js[k], errs[k])
 				failed = true
@@ -299,17 +298,20 @@ func (b *batch) fail(j int, err error) {
 // for concurrent use on one QuarkSolver; concurrent batches on separate
 // solvers share the cores between them.
 func (qs *QuarkSolver) SolveBatchCtx(ctx context.Context, sources [][]complex128) ([][]complex128, error) {
-	return qs.solveBatch(ctx, len(sources), func(j int, _ *lane, _ int) []complex128 { return sources[j] })
+	out, _, err := qs.solveBatch(ctx, len(sources), func(j int, _ *lane, _ int) []complex128 { return sources[j] }, Project4D)
+	return out, err
 }
 
-// solveBatch is SolveBatchCtx over sources made on demand: source(j, l,
-// slot) is called on the lane about to solve system j and may build the
-// source in that lane's scratch for the slot the system takes.
-func (qs *QuarkSolver) solveBatch(ctx context.Context, k int, source func(j int, l *lane, slot int) []complex128) ([][]complex128, error) {
+// solveBatch is SolveBatchCtx over sources made on demand, keeping of
+// each solution what keep makes of it, and reporting each system's stats:
+// source(j, l, slot) is called on the lane about to solve system j and may
+// build the source in that lane's scratch for the slot the system takes.
+// The stats are returned on failure too, for every system that finished.
+func (qs *QuarkSolver) solveBatch(ctx context.Context, k int, source func(j int, l *lane, slot int) []complex128, keep keepFunc) ([][]complex128, []solver.Stats, error) {
 	l0 := qs.lane(0)
 	l0.cur = [2]int{-1, -1}
-	b := &batch{qs: qs, ctx: ctx, par: qs.scoped(ctx), source: source,
-		out: make([][]complex128, k), lanes: []*lane{l0}, failAt: k}
+	b := &batch{qs: qs, ctx: ctx, par: qs.scoped(ctx), source: source, keep: keep,
+		out: make([][]complex128, k), stats: make([]solver.Stats, k), lanes: []*lane{l0}, failAt: k}
 	// The caller is lane 0. It counts against the process budget for as
 	// long as it is in here, takes pairs like any lane, and before each
 	// one looks for idle cores to put helpers on; it never waits for a
@@ -321,7 +323,7 @@ func (qs *QuarkSolver) solveBatch(ctx context.Context, k int, source func(j int,
 	l0.setWidth(qs.Par, 1) // qs.EO is the caller's again, at its configured width
 	qs.fold()
 	if b.err != nil {
-		return nil, b.err
+		return nil, b.stats, b.err
 	}
-	return b.out, nil
+	return b.out, b.stats, nil
 }

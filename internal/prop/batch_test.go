@@ -81,30 +81,56 @@ func digestsOf(qs *QuarkSolver, base, fh *Propagator) propDigests {
 	return d
 }
 
-// serialReference is the loop the batch replaced, kept here as the
-// reference: one Solve4D after another on the calling goroutine.
+// refSolve5D is the reference the batch is held to: one system through
+// the package's public seams, none of which the batch's lanes and slots
+// run - Inject5D, PrepareSource, solver.CGNEMixed, Reconstruct - on the
+// solver's own operators and parameters.
+func refSolve5D(qs *QuarkSolver, ctx context.Context, b4 []complex128) ([]complex128, solver.Stats, error) {
+	bhat, etaOdd := qs.EO.PrepareSource(Inject5D(b4, qs.EO.M.Ls))
+	xe, st, err := solver.CGNEMixed(ctx, qs.EO, qs.Sloppy, bhat, qs.Par)
+	if err != nil {
+		return nil, st, err
+	}
+	return qs.EO.Reconstruct(xe, etaOdd), st, nil
+}
+
+// refSolver runs refSolve5D system after system on the calling goroutine
+// and keeps the totals a QuarkSolver keeps.
+type refSolver struct {
+	qs                   *QuarkSolver
+	iters, solves, rests int
+	flops                int64
+}
+
+// solve4D is refSolve5D projected to 4-D, counted into the totals.
+func (r *refSolver) solve4D(t *testing.T, b4 []complex128) []complex128 {
+	t.Helper()
+	psi5, st, err := refSolve5D(r.qs, context.Background(), b4)
+	r.iters, r.flops, r.solves, r.rests = r.iters+st.Iterations, r.flops+st.Flops, r.solves+1, r.rests+st.Restarts
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Project4D(psi5, r.qs.EO.M.Ls)
+}
+
+// serialReference is the point and the FH propagator by refSolve5D, one
+// component after another.
 func serialReference(t *testing.T, prec solver.Precision) propDigests {
 	t.Helper()
-	qs := laneTestSolver(t, prec)
-	g := qs.EO.M.W.G
+	r := &refSolver{qs: laneTestSolver(t, prec)}
+	g := r.qs.EO.M.W.G
 	base, fh := NewPropagator(g), NewPropagator(g)
 	seq := make([]complex128, len(base.Col[0]))
 	for j := 0; j < NComp; j++ {
-		q, _, err := qs.Solve4D(PointSource(g, [4]int{}, j/3, j%3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		base.Col[j] = q
+		base.Col[j] = r.solve4D(t, PointSource(g, [4]int{}, j/3, j%3))
 	}
 	for j := 0; j < NComp; j++ {
 		SpinMul(seq, base.Col[j], linalg.AxialGamma())
-		q, _, err := qs.Solve4D(seq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fh.Col[j] = q
+		fh.Col[j] = r.solve4D(t, seq)
 	}
-	return digestsOf(qs, base, fh)
+	d := digestsOf(r.qs, base, fh)
+	d.iters, d.solves, d.rests, d.flops = r.iters, r.solves, r.rests, r.flops
+	return d
 }
 
 func TestLanesCannotMoveABit(t *testing.T) {
@@ -141,12 +167,12 @@ func TestBatchCancelJoinsAndSolverRecovers(t *testing.T) {
 	qs := laneTestSolver(t, solver.Single)
 	g := qs.EO.M.W.G
 	ctx, cancel := context.WithCancel(context.Background())
-	_, err := qs.solveBatch(ctx, NComp, func(j int, _ *lane, _ int) []complex128 {
+	_, _, err := qs.solveBatch(ctx, NComp, func(j int, _ *lane, _ int) []complex128 {
 		if j == 5 {
 			cancel()
 		}
 		return PointSource(g, [4]int{}, j/3, j%3)
-	})
+	}, Project4D)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled batch returned %v", err)
 	}
@@ -177,13 +203,13 @@ func TestBatchReportsLowestFailure(t *testing.T) {
 		qs := laneTestSolver(t, solver.Single)
 		g := qs.EO.M.W.G
 		for rep := 0; rep < 5; rep++ {
-			_, err := qs.solveBatch(context.Background(), NComp, func(j int, _ *lane, _ int) []complex128 {
+			_, _, err := qs.solveBatch(context.Background(), NComp, func(j int, _ *lane, _ int) []complex128 {
 				b := PointSource(g, [4]int{}, j/3, j%3)
 				if j == 3 || j == 7 {
 					b[len(b)/2] = complex(math.NaN(), 0)
 				}
 				return b
-			})
+			}, Project4D)
 			if !errors.Is(err, solver.ErrDiverged) || !strings.Contains(err.Error(), "system 3 of 12") {
 				t.Fatalf("%d lanes: got %v, want system 3's divergence", lanes, err)
 			}
@@ -215,7 +241,7 @@ func TestConcurrentBatchesShareTheBudget(t *testing.T) {
 		go func(qs *QuarkSolver) {
 			defer wg.Done()
 			g := qs.EO.M.W.G
-			_, err := qs.solveBatch(context.Background(), NComp, func(j int, _ *lane, _ int) []complex128 {
+			_, _, err := qs.solveBatch(context.Background(), NComp, func(j int, _ *lane, _ int) []complex128 {
 				switch j {
 				case 0:
 					first.Done()
@@ -226,7 +252,7 @@ func TestConcurrentBatchesShareTheBudget(t *testing.T) {
 					last.Wait()
 				}
 				return PointSource(g, [4]int{}, j/3, j%3)
-			})
+			}, Project4D)
 			if err != nil {
 				t.Error(err)
 			}
@@ -247,13 +273,13 @@ func TestExhaustedBudgetStartsNoGoroutine(t *testing.T) {
 	qs := laneTestSolver(t, solver.Single)
 	g := qs.EO.M.W.G
 	before := runtime.NumGoroutine()
-	_, err := qs.solveBatch(context.Background(), NComp, func(j int, _ *lane, _ int) []complex128 {
+	_, _, err := qs.solveBatch(context.Background(), NComp, func(j int, _ *lane, _ int) []complex128 {
 		// Not !=: a goroutine of an earlier test may still be on its way out.
 		if n := runtime.NumGoroutine(); n > before {
 			t.Errorf("system %d: %d goroutines, %d before the batch", j, n, before)
 		}
 		return PointSource(g, [4]int{}, j/3, j%3)
-	})
+	}, Project4D)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +295,7 @@ func TestStragglerPicksUpFreedCore(t *testing.T) {
 	linalg.EnterLane()
 	qs := laneTestSolver(t, solver.Single)
 	g := qs.EO.M.W.G
-	_, err := qs.solveBatch(context.Background(), NComp, func(j int, l *lane, _ int) []complex128 {
+	_, _, err := qs.solveBatch(context.Background(), NComp, func(j int, l *lane, _ int) []complex128 {
 		if j == 4 {
 			if len(qs.lanes) != 1 {
 				t.Errorf("%d lanes while the sibling held its core", len(qs.lanes))
@@ -277,7 +303,7 @@ func TestStragglerPicksUpFreedCore(t *testing.T) {
 			linalg.LeaveLane() // the sibling configuration finishes
 		}
 		return PointSource(g, [4]int{}, j/3, j%3)
-	})
+	}, Project4D)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,14 +399,15 @@ func (c *stopAfter) Err() error {
 }
 
 // TestPairMatchesSoloSolve4D holds each system a lane solves in a pair to
-// the same system solved alone (Solve5DCtx, projected): the field to the
-// bit, the iterations, reliable updates and restarts, and the error - when
-// system A escalates Half -> Single -> Double while B converges, when B
-// fails, and when B's context is cancelled mid-pair.
+// the same system solved by the reference (refSolve5D, projected): the
+// field to the bit, the iterations, reliable updates and restarts, and the
+// error the lane wraps - when system A escalates Half -> Single -> Double
+// while B converges, when B fails, and when B's context is cancelled
+// mid-pair.
 func TestPairMatchesSoloSolve4D(t *testing.T) {
 	qs := laneTestSolver(t, solver.Half)
 	g := qs.EO.M.W.G
-	point := PointSource(g, [4]int{}, 0, 1)
+	point := PointSource(g, [4]int{1, 0, 0, 0}, 0, 1) // on an odd site, so the reconstruction reads etaOdd
 	for _, c := range []struct {
 		name string
 		b4   [2][]complex128
@@ -406,15 +433,15 @@ func TestPairMatchesSoloSolve4D(t *testing.T) {
 			}
 			return context.Background()
 		}
-		q, st, err := qs.lane(0).solve4D([2]context.Context{ctx(0), ctx(1)}, c.b4, 2, qs.Par)
+		q, st, err := qs.lane(0).solve([2]context.Context{ctx(0), ctx(1)}, c.b4, 2, qs.Par, Project4D)
 		if !c.want(st, err) {
 			t.Fatalf("%s: the pair did not take the path the case is for: stats %+v, errors %v", c.name, st, err)
 		}
 		solo := laneTestSolver(t, solver.Half)
 		for k := range c.b4 {
-			psi5, wst, werr := solo.Solve5DCtx(ctx(k), c.b4[k])
+			psi5, wst, werr := refSolve5D(solo, ctx(k), c.b4[k])
 			what := fmt.Sprintf("%s system %d", c.name, k)
-			if fmt.Sprint(err[k]) != fmt.Sprint(werr) {
+			if fmt.Sprint(errors.Unwrap(err[k])) != fmt.Sprint(werr) {
 				t.Fatalf("%s: error %v, alone %v", what, err[k], werr)
 			}
 			if st[k].Iterations != wst.Iterations || st[k].ReliableUpdates != wst.ReliableUpdates || st[k].Restarts != wst.Restarts {
@@ -429,8 +456,9 @@ func TestPairMatchesSoloSolve4D(t *testing.T) {
 
 // TestOddBatchOfPairsMatchesSolo: a batch of five - two pairs, one of them
 // escalating to Double, and a system alone - returns the fields and the
-// totals of Solve4D five times over, on one lane and on two; with systems
-// 3 and 4 poisoned, the second of a pair and the one alone, it reports
+// totals of the reference five times over, on one lane and on two; so do
+// Solve4D and Solve5D, each a batch of one. With systems 3 and 4
+// poisoned, the second of a pair and the one alone, the batch reports
 // system 3.
 func TestOddBatchOfPairsMatchesSolo(t *testing.T) {
 	for _, lanes := range []int{1, 2} {
@@ -439,16 +467,12 @@ func TestOddBatchOfPairsMatchesSolo(t *testing.T) {
 		g := qs.EO.M.W.G
 		sources := [][]complex128{PointSource(g, [4]int{}, 0, 0), overflowSource(g)}
 		for j := 2; j < 5; j++ {
-			sources = append(sources, PointSource(g, [4]int{}, j, j%3))
+			sources = append(sources, PointSource(g, [4]int{j % 2, 0, 0, 0}, j, j%3))
 		}
-		solo := laneTestSolver(t, solver.Half)
+		ref := &refSolver{qs: laneTestSolver(t, solver.Half)}
 		want := make([][]complex128, len(sources))
 		for j, b := range sources {
-			q, _, err := solo.Solve4D(b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want[j] = q
+			want[j] = ref.solve4D(t, b)
 		}
 		got, err := qs.SolveBatchCtx(context.Background(), sources)
 		if err != nil {
@@ -456,14 +480,31 @@ func TestOddBatchOfPairsMatchesSolo(t *testing.T) {
 		}
 		for j := range want {
 			if digest(got[j]) != digest(want[j]) {
-				t.Fatalf("%d lanes: system %d differs from Solve4D", lanes, j)
+				t.Fatalf("%d lanes: system %d differs from the reference", lanes, j)
 			}
 		}
-		if qs.TotalIterations != solo.TotalIterations || qs.TotalRestarts != solo.TotalRestarts ||
-			qs.TotalFlops != solo.TotalFlops || qs.Solves != solo.Solves || solo.TotalRestarts != 2 {
-			t.Fatalf("%d lanes: totals %d iterations, %d restarts, %d flops, %d solves; Solve4D %d, %d, %d, %d",
+		if qs.TotalIterations != ref.iters || qs.TotalRestarts != ref.rests ||
+			qs.TotalFlops != ref.flops || qs.Solves != ref.solves || ref.rests != 2 {
+			t.Fatalf("%d lanes: totals %d iterations, %d restarts, %d flops, %d solves; reference %d, %d, %d, %d",
 				lanes, qs.TotalIterations, qs.TotalRestarts, qs.TotalFlops, qs.Solves,
-				solo.TotalIterations, solo.TotalRestarts, solo.TotalFlops, solo.Solves)
+				ref.iters, ref.rests, ref.flops, ref.solves)
+		}
+		one := laneTestSolver(t, solver.Half)
+		for j, b := range sources {
+			wpsi5, wst, werr := refSolve5D(ref.qs, context.Background(), b)
+			q, st, err := one.Solve4D(b)
+			psi5, st5, err5 := one.Solve5D(b)
+			if werr != nil || err != nil || err5 != nil || digest(q) != digest(want[j]) || digest(psi5) != digest(wpsi5) ||
+				st.Iterations != wst.Iterations || st5.Iterations != wst.Iterations || st.Restarts != wst.Restarts || st5.Restarts != wst.Restarts {
+				t.Fatalf("%d lanes: Solve4D or Solve5D of system %d differs from the reference (%v, %v, %v)", lanes, j, err, err5, werr)
+			}
+		}
+		if one.TotalIterations != 2*ref.iters || one.Solves != 2*ref.solves {
+			t.Fatalf("%d lanes: Solve4D and Solve5D counted %d iterations in %d solves, want %d in %d",
+				lanes, one.TotalIterations, one.Solves, 2*ref.iters, 2*ref.solves)
+		}
+		if q, st, err := one.Solve4D(nanSource(g, 3)); q != nil || st.Iterations == 0 || !errors.Is(err, solver.ErrDiverged) {
+			t.Fatalf("%d lanes: Solve4D of a poisoned source returned a field, %d iterations, error %v", lanes, st.Iterations, err)
 		}
 		sources[3], sources[4] = nanSource(g, 3), nanSource(g, 1)
 		if _, err := qs.SolveBatchCtx(context.Background(), sources); !errors.Is(err, solver.ErrDiverged) || !strings.Contains(err.Error(), "system 3 of 5") {

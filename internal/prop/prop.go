@@ -163,28 +163,25 @@ func NewQuarkSolver(eo *dirac.MobiusEO, par solver.Params) *QuarkSolver {
 
 // Solve5D solves the domain-wall system for a 4-D source and returns the
 // full five-dimensional solution (the midpoint slices carry the residual
-// chiral-symmetry-breaking diagnostics).
+// chiral-symmetry-breaking diagnostics): a batch of one.
 func (qs *QuarkSolver) Solve5D(b4 []complex128) ([]complex128, solver.Stats, error) {
-	return qs.Solve5DCtx(context.Background(), b4)
-}
-
-// Solve5DCtx is Solve5D under a context: a cancelled or expired ctx
-// aborts the inner CG mid-iteration, which is how the job runtime stops
-// a timed-out or superseded propagator solve.
-func (qs *QuarkSolver) Solve5DCtx(ctx context.Context, b4 []complex128) ([]complex128, solver.Stats, error) {
-	psi5, st, err := qs.lane(0).solve5D(ctx, b4, qs.scoped(ctx))
-	qs.fold()
-	return psi5, st, err
+	return qs.solveOne(b4, clone5D)
 }
 
 // Solve4D solves the domain-wall system for a 4-D source and returns the
-// projected 4-D quark field.
+// projected 4-D quark field: a batch of one.
 func (qs *QuarkSolver) Solve4D(b4 []complex128) ([]complex128, solver.Stats, error) {
-	psi5, st, err := qs.Solve5D(b4)
+	return qs.solveOne(b4, Project4D)
+}
+
+// solveOne solves the one system b4 as a batch and keeps what keep makes
+// of its solution.
+func (qs *QuarkSolver) solveOne(b4 []complex128, keep keepFunc) ([]complex128, solver.Stats, error) {
+	out, st, err := qs.solveBatch(context.Background(), 1, func(int, *lane, int) []complex128 { return b4 }, keep)
 	if err != nil {
-		return nil, st, err
+		return nil, st[0], err
 	}
-	return Project4D(psi5, qs.EO.M.Ls), st, nil
+	return out[0], st[0], nil
 }
 
 // Midpoint4D extracts the fifth-dimension midpoint field
@@ -218,27 +215,27 @@ func (qs *QuarkSolver) ResidualMass(x0 [4]int) (float64, error) {
 	if ls < 4 || ls%2 != 0 {
 		return 0, fmt.Errorf("prop: residual mass needs even Ls >= 4, have %d", ls)
 	}
+	psi5s, _, err := qs.solveBatch(context.Background(), NComp, func(j int, _ *lane, _ int) []complex128 {
+		return PointSource(g, x0, j/3, j%3)
+	}, clone5D)
+	if err != nil {
+		return 0, err
+	}
 	tExt := g.T()
 	cw := make([]float64, tExt)
 	cm := make([]float64, tExt)
-	for spin := 0; spin < 4; spin++ {
-		for color := 0; color < 3; color++ {
-			psi5, _, err := qs.Solve5D(PointSource(g, x0, spin, color))
-			if err != nil {
-				return 0, err
-			}
-			qw := Project4D(psi5, ls)
-			qm := Midpoint4D(psi5, ls)
-			for ts := 0; ts < tExt; ts++ {
-				for _, s := range g.TimeSlice(ts) {
-					base := s * dirac.SpinorLen
-					for i := 0; i < dirac.SpinorLen; i++ {
-						w := qw[base+i]
-						m := qm[base+i]
-						tt := (ts - x0[3] + tExt) % tExt
-						cw[tt] += real(w)*real(w) + imag(w)*imag(w)
-						cm[tt] += real(m)*real(m) + imag(m)*imag(m)
-					}
+	for _, psi5 := range psi5s {
+		qw := Project4D(psi5, ls)
+		qm := Midpoint4D(psi5, ls)
+		for ts := 0; ts < tExt; ts++ {
+			for _, s := range g.TimeSlice(ts) {
+				base := s * dirac.SpinorLen
+				for i := 0; i < dirac.SpinorLen; i++ {
+					w := qw[base+i]
+					m := qm[base+i]
+					tt := (ts - x0[3] + tExt) % tExt
+					cw[tt] += real(w)*real(w) + imag(w)*imag(w)
+					cm[tt] += real(m)*real(m) + imag(m)*imag(m)
 				}
 			}
 		}
@@ -254,34 +251,26 @@ func (qs *QuarkSolver) ResidualMass(x0 [4]int) (float64, error) {
 	return num / den, nil
 }
 
-// ComputeCtx solves all 12 components for the given source generator
-// and assembles the propagator; cancellation aborts between (or inside)
-// component solves. The twelve sources are made up front, on the
-// calling goroutine, and solved as one batch whose system j is component
-// spin*3 + color.
-func (qs *QuarkSolver) ComputeCtx(ctx context.Context, source func(spin, color int) []complex128) (*Propagator, error) {
-	sources := make([][]complex128, NComp)
-	for j := range sources {
-		sources[j] = source(j/3, j%3)
-	}
-	cols, err := qs.SolveBatchCtx(ctx, sources)
-	if err != nil {
-		return nil, fmt.Errorf("prop: propagator: %w", err)
-	}
-	return &Propagator{G: qs.EO.M.W.G, Col: [NComp][]complex128(cols)}, nil
-}
-
 // ComputePoint computes the propagator of a point source at x0.
 func (qs *QuarkSolver) ComputePoint(x0 [4]int) (*Propagator, error) {
 	return qs.ComputePointCtx(context.Background(), x0)
 }
 
-// ComputePointCtx is ComputePoint under a context.
+// ComputePointCtx is ComputePoint under a context: the twelve components
+// are made up front, on the calling goroutine, and solved as one batch
+// whose system j is component spin*3 + color; cancellation aborts between
+// (or inside) component solves.
 func (qs *QuarkSolver) ComputePointCtx(ctx context.Context, x0 [4]int) (*Propagator, error) {
 	g := qs.EO.M.W.G
-	return qs.ComputeCtx(ctx, func(spin, color int) []complex128 {
-		return PointSource(g, x0, spin, color)
-	})
+	sources := make([][]complex128, NComp)
+	for j := range sources {
+		sources[j] = PointSource(g, x0, j/3, j%3)
+	}
+	cols, err := qs.SolveBatchCtx(ctx, sources)
+	if err != nil {
+		return nil, fmt.Errorf("prop: propagator: %w", err)
+	}
+	return &Propagator{G: g, Col: [NComp][]complex128(cols)}, nil
 }
 
 // FHPropagatorCtx computes the Feynman-Hellmann sequential propagator
@@ -297,14 +286,14 @@ func (qs *QuarkSolver) ComputePointCtx(ctx context.Context, x0 [4]int) (*Propaga
 // scratch, one buffer per system the lane has in flight; a cancelled ctx
 // aborts the batch.
 func (qs *QuarkSolver) FHPropagatorCtx(ctx context.Context, base *Propagator, gamma linalg.SpinMatrix) (*Propagator, error) {
-	cols, err := qs.solveBatch(ctx, NComp, func(j int, l *lane, slot int) []complex128 {
+	cols, _, err := qs.solveBatch(ctx, NComp, func(j int, l *lane, slot int) []complex128 {
 		s := &l.slots[slot]
 		if s.seq == nil {
 			s.seq = make([]complex128, base.G.Vol*dirac.SpinorLen)
 		}
 		spinMul(s.seq, base.Col[j], gamma, l.eo.Workers)
 		return s.seq
-	})
+	}, Project4D)
 	if err != nil {
 		return nil, fmt.Errorf("prop: FH propagator: %w", err)
 	}

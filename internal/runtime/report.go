@@ -126,10 +126,6 @@ type Report struct {
 	PerTask []TaskMetrics
 }
 
-// IdleFraction returns 1 - SolveUtil, the bundling-waste metric the paper
-// quotes for the solve (GPU) partition.
-func (r Report) IdleFraction() float64 { return 1 - r.SolveUtil }
-
 // CheckConservation verifies the report's accounting identities: every
 // submitted task is exactly one of succeeded, failed, refused or
 // stranded; stranded work implies a drain happened (the hard-cancel

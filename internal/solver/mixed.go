@@ -30,10 +30,12 @@ import (
 // the solve fails with ErrDiverged.
 //
 // This form allocates its vectors afresh; a caller with many systems of
-// one size to solve keeps a Workspace and calls its method.
+// one size to solve keeps a Workspace per system in flight and hands them
+// to CGNEMixedLockStep.
 func CGNEMixed(ctx context.Context, op Linear, sloppy Linear32, b []complex128, p Params) ([]complex128, Stats, error) {
-	var ws Workspace
-	return ws.CGNEMixed(ctx, op, sloppy, b, p)
+	sys := []System{{Ctx: ctx, WS: new(Workspace), B: b}}
+	CGNEMixedLockStep(op, sloppy, p, sys)
+	return sys[0].X, sys[0].Stats, sys[0].Err
 }
 
 // Linear32Pair is a sloppy operator that also applies itself to two
@@ -70,99 +72,114 @@ func (ws *Workspace) size(n int) {
 	ws.r, ws.pv, ws.ap, ws.tmp, ws.xs = vec32(), vec32(), vec32(), vec32(), vec32()
 }
 
-// CGNEMixed is the package function of the same name on the workspace's
-// vectors: the same iteration, the same bits. It drives one system
-// through the stepper the pair drive drives two through.
-func (ws *Workspace) CGNEMixed(ctx context.Context, op Linear, sloppy Linear32, b []complex128, p Params) ([]complex128, Stats, error) {
-	p = p.withDefaults()
-	if p.Precision == Double || sloppy == nil {
-		return CGNE(ctx, op, b, p)
-	}
-	tr := mixedTrace{sc: p.Obs}
-	tr.open(op.Size(), p.Precision, 1)
-	s := mixedSolve{tr: &tr}
-	s.begin(ctx, op, sloppy, ws, b, p, time.Now())
-	s.run()
-	tr.close(&s)
-	return s.x, s.st, s.err
+// System is one right-hand side of CGNEMixedLockStep: the context it is
+// solved under, the workspace it is solved in and its source B, and, once
+// the drive returns, its solution X, stats and error.
+type System struct {
+	Ctx context.Context
+	WS  *Workspace
+	B   []complex128
+
+	X     []complex128
+	Stats Stats
+	Err   error
 }
 
-// CGNEMixedPair solves two systems of one operator, D x[k] = b[k], each
-// with ws[k] under ctx[k], and returns what CGNEMixed returns for each to
-// the bit: the two systems run CGNEMixed's iteration in lock-step, and
-// while both are in the sloppy stage their matrix applications are one
-// ApplyPair and one ApplyDaggerPair. Everything else stays per system -
-// the reductions, the reliable updates, the Half rounding and its NaN
-// guard, the escalation to Double - and a system that finishes, fails or
-// escalates leaves its partner to carry on alone. The trace records one
-// "cgne-mixed" span for the pair, with both systems' stats.
-func CGNEMixedPair(ctx [2]context.Context, op Linear, sloppy Linear32Pair, ws [2]*Workspace, b [2][]complex128, p Params) (x [2][]complex128, st [2]Stats, err [2]error) {
+// CGNEMixedLockStep solves systems of one operator, D X = B for each, and
+// gives each what CGNEMixed returns for it to the bit: the systems run
+// CGNEMixed's iteration in lock-step, and while two of them are in the
+// sloppy stage and the sloppy operator is a Linear32Pair their matrix
+// applications are one ApplyPair and one ApplyDaggerPair. Everything else
+// stays per system - the reductions, the reliable updates, the Half
+// rounding and its NaN guard, the escalation to Double - and a system
+// that finishes, fails or escalates leaves the others to carry on. The
+// trace records one "cgne-mixed" span for the drive, with every system's
+// stats.
+func CGNEMixedLockStep(op Linear, sloppy Linear32, p Params, sys []System) {
 	p = p.withDefaults()
 	if p.Precision == Double || sloppy == nil {
-		for k := range x {
-			x[k], st[k], err[k] = CGNE(ctx[k], op, b[k], p)
+		for k := range sys {
+			sys[k].X, sys[k].Stats, sys[k].Err = CGNE(sys[k].Ctx, op, sys[k].B, p)
 		}
-		return x, st, err
+		return
 	}
 	tr := mixedTrace{sc: p.Obs}
-	tr.open(op.Size(), p.Precision, 2)
-	var s [2]mixedSolve
+	tr.open(op.Size(), p.Precision, len(sys))
+	var small [2]mixedSolve // a drive of one or two systems allocates none
+	s := small[:]
+	if len(sys) > len(small) {
+		s = make([]mixedSolve, len(sys))
+	}
+	s = s[:len(sys)]
 	start := time.Now()
 	for k := range s {
-		s[k] = mixedSolve{tr: &tr, sys: k}
-		s[k].begin(ctx[k], op, sloppy, ws[k], b[k], p, start)
+		s[k] = mixedSolve{System: &sys[k], tr: &tr, sys: k}
+		s[k].begin(op, sloppy, p, start)
 	}
-	a, c := &s[0], &s[1]
-	for !a.done && !c.done {
-		a.before()
-		c.before()
-		if a.done || c.done {
-			// One left before its apply: the other has made its own
-			// preparations and goes on alone from its apply.
-			if !a.done {
-				a.step()
+	drive(&tr, sloppy, s)
+	tr.close(sys)
+}
+
+// drive is the one drive loop: each iteration starts every live system
+// (before), applies the sloppy normal operator to the directions of those
+// still live - two at a time through the pair bodies where the operator
+// has them, one at a time otherwise - and ends their iteration (after),
+// until none is live. A block one system's escalation closed while others
+// run on is reopened at the next iteration's start.
+func drive(t *mixedTrace, sloppy Linear32, s []mixedSolve) {
+	pair, _ := sloppy.(Linear32Pair)
+	for applied := true; applied; {
+		applied = false
+		var held *mixedSolve // a live system waiting for a partner
+		for k := range s {
+			a := &s[k]
+			if a.done {
+				continue
 			}
-			if !c.done {
-				c.step()
+			t.beginBlock()
+			if a.before(); a.done {
+				continue
 			}
-			break
+			applied = true
+			switch {
+			case pair == nil:
+				a.apply(sloppy)
+			case held == nil:
+				held = a
+			default:
+				pair.ApplyPair(held.WS.tmp, a.WS.tmp, held.WS.pv, a.WS.pv)
+				pair.ApplyDaggerPair(held.WS.ap, a.WS.ap, held.WS.tmp, a.WS.tmp)
+				held = nil
+			}
 		}
-		sloppy.ApplyPair(a.ws.tmp, c.ws.tmp, a.ws.pv, c.ws.pv)
-		sloppy.ApplyDaggerPair(a.ws.ap, c.ws.ap, a.ws.tmp, c.ws.tmp)
-		tr.steps++
-		a.after()
-		c.after()
+		if held != nil {
+			held.apply(sloppy)
+		}
+		if applied {
+			t.steps++
+		}
+		for k := range s {
+			if !s[k].done {
+				s[k].after()
+			}
+		}
 	}
-	a.run()
-	c.run()
-	tr.close(a, c)
-	for k := range s {
-		x[k], st[k], err[k] = s[k].x, s[k].st, s[k].err
-	}
-	return x, st, err
 }
 
 // mixedSolve is one system of a mixed-precision solve in flight: its
-// vectors, the recurrence's scalars, its stats. A drive steps it one
+// vectors, the recurrence's scalars, its stats. The drive steps it one
 // iteration at a time - before, the sloppy apply, after - until it is
-// done; run is the one-system drive, and step the apply and after of a
-// system alone. Each step is exactly the part of CGNEMixed's iteration it
-// names, so a system takes the same operations in the same order
-// whichever drive steps it.
+// done. Each step is exactly the part of CGNEMixed's iteration it names,
+// so a system takes the same operations in the same order whatever else
+// the drive is solving.
 type mixedSolve struct {
-	ctx    context.Context
-	op     Linear
-	sloppy Linear32
-	ws     *Workspace
-	b      []complex128
-	p      Params
-	tr     *mixedTrace
-	sys    int // the system's index in its drive, for the trace
+	*System // its inputs, and its results as they stand
+	op      Linear
+	p       Params
+	tr      *mixedTrace
+	sys     int // the system's index in its drive, for the trace
 
 	start time.Time
-	st    Stats
-	x     []complex128
-	err   error
 	done  bool
 
 	// half is whether the sloppy stream is rounded through 16 bits.
@@ -181,24 +198,25 @@ type mixedSolve struct {
 // reliable update be undone), and the sloppy state (xs the sloppy
 // solution accumulated since the last reliable update). A zero right-hand
 // side is done at once.
-func (s *mixedSolve) begin(ctx context.Context, op Linear, sloppy Linear32, ws *Workspace, b []complex128, p Params, start time.Time) {
-	s.ctx, s.op, s.sloppy, s.ws, s.b, s.p, s.start = ctx, op, sloppy, ws, b, p, start
+func (s *mixedSolve) begin(op Linear, sloppy Linear32, p Params, start time.Time) {
+	s.op, s.p, s.start = op, p, start
+	b, ws := s.B, s.WS
 	n := op.Size()
 	if len(b) != n || sloppy.Size() != n {
 		panic("solver: CGNEMixed size mismatch")
 	}
 	w := p.Workers
-	s.st = Stats{Precision: p.Precision}
+	s.Stats = Stats{Precision: p.Precision}
 	s.bNorm = math.Sqrt(linalg.NormSq(b, w))
-	s.x = make([]complex128, n)
+	s.X = make([]complex128, n)
 	if s.bNorm == 0 {
-		s.st.Converged = true
+		s.Stats.Converged = true
 		s.finish(nil)
 		return
 	}
 	ws.size(n)
 	op.ApplyDagger(ws.rhs, b)
-	s.st.Flops += p.FlopsPerApply
+	s.Stats.Flops += p.FlopsPerApply
 	linalg.Copy(ws.rD, ws.rhs)
 	linalg.Demote(ws.r, ws.rD)
 	copy(ws.pv, ws.r)
@@ -210,33 +228,17 @@ func (s *mixedSolve) begin(ctx context.Context, op Linear, sloppy Linear32, ws *
 	s.bestReliable = math.Inf(1)
 }
 
-// run steps the system alone until it is done, in a block of the trace
-// of its own once a pair drive's partner has left it.
-func (s *mixedSolve) run() {
-	if !s.done {
-		s.tr.beginBlock()
-	}
-	for !s.done {
-		s.before()
-		if s.done {
-			return
-		}
-		s.step()
-	}
-}
-
-// step is the iteration from its apply on, for a system alone.
-func (s *mixedSolve) step() {
-	s.sloppy.Apply(s.ws.tmp, s.ws.pv)
-	s.sloppy.ApplyDagger(s.ws.ap, s.ws.tmp)
-	s.tr.steps++
-	s.after()
+// apply is the iteration's sloppy normal operator on the system's
+// direction, for a system without a partner.
+func (s *mixedSolve) apply(sloppy Linear32) {
+	sloppy.Apply(s.WS.tmp, s.WS.pv)
+	sloppy.ApplyDagger(s.WS.ap, s.WS.tmp)
 }
 
 // finish stamps the elapsed time and the error and marks the system done.
 func (s *mixedSolve) finish(err error) {
-	s.st.Elapsed = time.Since(s.start)
-	s.err, s.done = err, true
+	s.Stats.Elapsed = time.Since(s.start)
+	s.Err, s.done = err, true
 }
 
 // roundHalf is the Half storage rounding of the matvec stream. It reports
@@ -250,35 +252,35 @@ func (s *mixedSolve) roundHalf(v []complex64) bool {
 // sloppy stage with the final fold-in, the context, and the rounding of
 // the direction the apply reads.
 func (s *mixedSolve) before() {
-	if s.st.Iterations >= s.p.MaxIter {
+	if s.Stats.Iterations >= s.p.MaxIter {
 		s.foldIn()
-		s.st.TrueResidual = s.trueResidual()
-		s.st.Converged = s.st.TrueResidual <= s.p.Tol
-		if !s.st.Converged {
+		s.Stats.TrueResidual = s.trueResidual()
+		s.Stats.Converged = s.Stats.TrueResidual <= s.p.Tol
+		if !s.Stats.Converged {
 			s.finish(ErrMaxIter)
 			return
 		}
 		s.finish(nil)
 		return
 	}
-	if err := interrupted(s.ctx); err != nil {
+	if err := interrupted(s.Ctx); err != nil {
 		// Fold in the sloppy accumulation so the partial solution is the
 		// best iterate reached, then abort.
 		s.foldIn()
-		s.finish(fmt.Errorf("solver: interrupted after %d iterations: %w", s.st.Iterations, err))
+		s.finish(fmt.Errorf("solver: interrupted after %d iterations: %w", s.Stats.Iterations, err))
 		return
 	}
-	s.roundHalf(s.ws.pv)
+	s.roundHalf(s.WS.pv)
 }
 
 // after is the rest of the iteration, from the rounding of the apply's
 // result: the reductions, the step, the reliable update and the
 // convergence test, and on divergence the restart.
 func (s *mixedSolve) after() {
-	ws, p, w := s.ws, s.p, s.p.Workers
+	ws, p, w := s.WS, s.p, s.p.Workers
 	finite := s.roundHalf(ws.ap)
-	s.st.Flops += 2 * p.FlopsPerApply
-	s.st.Iterations++
+	s.Stats.Flops += 2 * p.FlopsPerApply
+	s.Stats.Iterations++
 	if !finite {
 		// The poison caught before the rounding laundered it.
 		s.diverged()
@@ -312,9 +314,9 @@ func (s *mixedSolve) after() {
 		}
 		rNorm = math.Sqrt(rrNew)
 		if p.RecordResiduals {
-			s.st.Residuals = append(s.st.Residuals, rNorm)
+			s.Stats.Residuals = append(s.Stats.Residuals, rNorm)
 		}
-		s.tr.reliableUpdate(s.sys, s.st.ReliableUpdates, rNorm)
+		s.tr.reliableUpdate(s.sys, s.Stats.ReliableUpdates, rNorm)
 		s.maxSinceUpdate = rNorm
 		if rNorm < s.bestReliable {
 			s.bestReliable = rNorm
@@ -325,8 +327,8 @@ func (s *mixedSolve) after() {
 		}
 		if rNorm <= s.neTarget {
 			if res := s.trueResidual(); res <= p.Tol {
-				s.st.Converged = true
-				s.st.TrueResidual = res
+				s.Stats.Converged = true
+				s.Stats.TrueResidual = res
 				s.finish(nil)
 				return
 			}
@@ -343,15 +345,15 @@ func (s *mixedSolve) after() {
 
 // foldIn adds the sloppy accumulation to x.
 func (s *mixedSolve) foldIn() {
-	linalg.Promote(s.ws.tmpD, s.ws.xs)
-	linalg.Axpy(1, s.ws.tmpD, s.x, s.p.Workers)
+	linalg.Promote(s.WS.tmpD, s.WS.xs)
+	linalg.Axpy(1, s.WS.tmpD, s.X, s.p.Workers)
 }
 
 // trueResidual is ||b - D x|| / ||b|| in double precision.
 func (s *mixedSolve) trueResidual() float64 {
-	tmpD, b := s.ws.tmpD, s.b
-	s.op.Apply(tmpD, s.x)
-	s.st.Flops += s.p.FlopsPerApply
+	tmpD, b := s.WS.tmpD, s.B
+	s.op.Apply(tmpD, s.X)
+	s.Stats.Flops += s.p.FlopsPerApply
 	d := linalg.ReduceFloat64(len(b), s.p.Workers, func(lo, hi int) float64 {
 		sum := 0.0
 		for i := lo; i < hi; i++ {
@@ -366,10 +368,10 @@ func (s *mixedSolve) trueResidual() float64 {
 // refresh recomputes the normal residual rD = D^dag b - D^dag D x in
 // double precision and demotes it into the sloppy residual.
 func (s *mixedSolve) refresh() {
-	ws := s.ws
-	s.op.Apply(ws.tmpD, s.x)
+	ws := s.WS
+	s.op.Apply(ws.tmpD, s.X)
 	s.op.ApplyDagger(ws.tmpD2, ws.tmpD)
-	s.st.Flops += 2 * s.p.FlopsPerApply
+	s.Stats.Flops += 2 * s.p.FlopsPerApply
 	linalg.Copy(ws.rD, ws.rhs)
 	linalg.Axpy(-1, ws.tmpD2, ws.rD, s.p.Workers)
 	linalg.Demote(ws.r, ws.rD)
@@ -380,15 +382,15 @@ func (s *mixedSolve) refresh() {
 // means the fold-in was poisoned; x is restored from the snapshot and the
 // caller sees the NaN.
 func (s *mixedSolve) reliableUpdate() float64 {
-	ws := s.ws
-	linalg.Copy(ws.xPrev, s.x)
+	ws := s.WS
+	linalg.Copy(ws.xPrev, s.X)
 	s.foldIn()
 	linalg.ZeroC64(ws.xs)
 	s.refresh()
-	s.st.ReliableUpdates++
+	s.Stats.ReliableUpdates++
 	d := linalg.NormSq(ws.rD, s.p.Workers)
 	if math.IsNaN(d) || math.IsInf(d, 0) {
-		linalg.Copy(s.x, ws.xPrev)
+		linalg.Copy(s.X, ws.xPrev)
 	}
 	return d
 }
@@ -399,43 +401,43 @@ func (s *mixedSolve) reliableUpdate() float64 {
 // CGNE from it to the end - and ErrDiverged after that.
 func (s *mixedSolve) diverged() {
 	p := s.p
-	if p.MaxRestarts < 0 || s.st.Restarts >= p.MaxRestarts {
-		s.st.TrueResidual = s.trueResidual()
+	if p.MaxRestarts < 0 || s.Stats.Restarts >= p.MaxRestarts {
+		s.Stats.TrueResidual = s.trueResidual()
 		s.finish(ErrDiverged)
 		return
 	}
-	s.st.Restarts++
-	if s.st.Precision == Half {
+	s.Stats.Restarts++
+	if s.Stats.Precision == Half {
 		// One tier up: drop the 16-bit storage rounding, keep the
 		// single-precision sloppy operator, and rewind to the last reliable
 		// iterate: whatever accumulated in xs since then is discarded as
 		// poisoned.
-		s.st.Precision = Single
-		s.tr.restart(s.sys, s.st.Restarts, Single, true)
+		s.Stats.Precision = Single
+		s.tr.restart(s.sys, s.Stats.Restarts, Single, true)
 		s.half = false
-		linalg.ZeroC64(s.ws.xs)
+		linalg.ZeroC64(s.WS.xs)
 		s.refresh()
-		copy(s.ws.pv, s.ws.r)
-		s.rr = linalg.NormSq(s.ws.rD, p.Workers)
+		copy(s.WS.pv, s.WS.r)
+		s.rr = linalg.NormSq(s.WS.rD, p.Workers)
 		s.maxSinceUpdate = math.Sqrt(s.rr)
 		s.staleUpdates = 0
 		return
 	}
 	// Already single: finish the solve in full double precision from the
 	// last reliable iterate.
-	s.st.Precision = Double
-	s.tr.restart(s.sys, s.st.Restarts, Double, false)
+	s.Stats.Precision = Double
+	s.tr.restart(s.sys, s.Stats.Restarts, Double, false)
 	pd := p
 	pd.Precision = Double
-	pd.MaxIter = max(p.MaxIter-s.st.Iterations, 1)
-	xd, dst, derr := cgneFrom(s.ctx, s.op, s.b, s.x, pd)
-	s.st.Iterations += dst.Iterations
-	s.st.Flops += dst.Flops
-	s.st.ReliableUpdates += dst.ReliableUpdates
-	s.st.Residuals = append(s.st.Residuals, dst.Residuals...)
-	s.st.Converged = dst.Converged
-	s.st.TrueResidual = dst.TrueResidual
-	s.x = xd
+	pd.MaxIter = max(p.MaxIter-s.Stats.Iterations, 1)
+	xd, dst, derr := cgneFrom(s.Ctx, s.op, s.B, s.X, pd)
+	s.Stats.Iterations += dst.Iterations
+	s.Stats.Flops += dst.Flops
+	s.Stats.ReliableUpdates += dst.ReliableUpdates
+	s.Stats.Residuals = append(s.Stats.Residuals, dst.Residuals...)
+	s.Stats.Converged = dst.Converged
+	s.Stats.TrueResidual = dst.TrueResidual
+	s.X = xd
 	s.finish(derr)
 }
 
@@ -444,8 +446,8 @@ func (s *mixedSolve) diverged() {
 // iteration blocks) - rolled over when any system of the drive takes a
 // reliable update - and instants for reliable updates and restarts, each
 // tagged with its system. A drive records on one lane, so its spans never
-// overlap one another there: the pair's two systems share the one span
-// and the one block. All of it is a no-op on the zero Scope.
+// overlap one another there: the drive's systems share the one span and
+// the one block. All of it is a no-op on the zero Scope.
 type mixedTrace struct {
 	sc      obs.Scope
 	span    obs.Span
@@ -512,19 +514,19 @@ func (t *mixedTrace) restart(sys, restarts int, prec Precision, again bool) {
 }
 
 // close ends the last block and the drive's span with each system's stats:
-// numbers for one system, lists in system order for a pair.
-func (t *mixedTrace) close(s ...*mixedSolve) {
+// numbers for one system, lists in system order for more.
+func (t *mixedTrace) close(sys []System) {
 	if !t.sc.Enabled() {
 		return
 	}
 	t.endBlock()
 	stat := func(f func(st *Stats) interface{}) interface{} {
-		if len(s) == 1 {
-			return f(&s[0].st)
+		if len(sys) == 1 {
+			return f(&sys[0].Stats)
 		}
-		v := make([]interface{}, len(s))
-		for k := range s {
-			v[k] = f(&s[k].st)
+		v := make([]interface{}, len(sys))
+		for k := range sys {
+			v[k] = f(&sys[k].Stats)
 		}
 		return v
 	}

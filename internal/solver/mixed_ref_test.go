@@ -11,10 +11,11 @@ import (
 	"femtoverse/internal/obs"
 )
 
-// refCGNEMixed is Workspace.CGNEMixed as it stood before the stepper: one
-// loop with its state in closures. It survives as the reference the
-// stepper's one-system drive is held to bit for bit
-// (TestCGNEMixedMatchesLoopBitForBit) and timed against
+// refCGNEMixed is CGNEMixed as it stood before the lock-step drive: one
+// loop with its state in closures. It survives as the reference the drive
+// is held to bit for bit, on one system
+// (TestCGNEMixedMatchesLoopBitForBit) and on each system of a pair
+// (TestCGNEMixedPairMatchesSoloBitForBit), and timed against
 // (BenchmarkCGNEMixedPaired).
 func refCGNEMixed(ws *Workspace, ctx context.Context, op Linear, sloppy Linear32, b []complex128, p Params) ([]complex128, Stats, error) {
 	p = p.withDefaults()

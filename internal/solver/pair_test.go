@@ -88,11 +88,18 @@ func sameSolve(t *testing.T, what string, x []complex128, st Stats, err error, w
 	}
 }
 
+// lockStep1 is CGNEMixedLockStep on the one system b, solved in ws.
+func lockStep1(ws *Workspace, ctx context.Context, op Linear, sloppy Linear32, b []complex128, p Params) ([]complex128, Stats, error) {
+	sys := []System{{Ctx: ctx, WS: ws, B: b}}
+	CGNEMixedLockStep(op, sloppy, p, sys)
+	return sys[0].X, sys[0].Stats, sys[0].Err
+}
+
 // poison is a NaN schedule of nanAfter32 for one system, or none.
 type poison struct{ from, until int }
 
-// mixedCases are the systems the one-system and the pair drive are held
-// to: both precisions, escalation Half -> Single and Half -> Single ->
+// mixedCases are the systems the drive is held to, one alone and two in
+// lock-step: both precisions, escalation Half -> Single and Half -> Single ->
 // Double by the NaN injection of TestMixedNaNEscalatesHalfToSingle and
 // ToDouble, divergence with no restarts left, a cancellation mid-solve, a
 // zero right-hand side and the iteration cap.
@@ -115,8 +122,9 @@ var mixedCases = []struct {
 	{name: "iteration cap", p: Params{Tol: 1e-12, Precision: Half, MaxIter: 15, RecordResiduals: true}},
 }
 
-// TestCGNEMixedMatchesLoopBitForBit holds the stepper's one-system drive
-// to the loop it replaced (refCGNEMixed) on every case of mixedCases.
+// TestCGNEMixedMatchesLoopBitForBit holds the drive on one system, on a
+// kept workspace, to the loop it replaced (refCGNEMixed) on every case of
+// mixedCases.
 func TestCGNEMixedMatchesLoopBitForBit(t *testing.T) {
 	eo := newTestEO(t, 11, 0.08)
 	rng := rand.New(rand.NewSource(21))
@@ -139,63 +147,65 @@ func TestCGNEMixedMatchesLoopBitForBit(t *testing.T) {
 				return context.Background()
 			}
 			var ws, wsRef Workspace
-			x, st, err := ws.CGNEMixed(ctx(), eo, sloppy(), b, c.p)
+			x, st, err := lockStep1(&ws, ctx(), eo, sloppy(), b, c.p)
 			wx, wst, werr := refCGNEMixed(&wsRef, ctx(), eo, sloppy(), b, c.p)
 			sameSolve(t, fmt.Sprintf("%s system %d", c.name, k), x, st, err, wx, wst, werr)
 		}
 	}
 }
 
-// TestCGNEMixedPairMatchesSoloBitForBit holds each system of a pair to
-// the same system solved alone on every case of mixedCases: the solution,
-// the iterations, the reliable updates, the restarts and the rest of the
-// stats, and the error, to the bit, also where the partner converges while
-// the system escalates, fails or is cancelled.
+// TestCGNEMixedPairMatchesSoloBitForBit holds each system of a pair the
+// drive solves in lock-step, through the pair bodies, to the same system
+// solved by the loop the drive replaced (refCGNEMixed), which shares no
+// code with it, on every case of mixedCases: the solution, the iterations,
+// the reliable updates, the restarts and the rest of the stats, and the
+// error, to the bit, also where the partner converges while the system
+// escalates, fails or is cancelled.
 func TestCGNEMixedPairMatchesSoloBitForBit(t *testing.T) {
 	eo := newTestEO(t, 11, 0.08)
 	n := eo.Size()
 	rng := rand.New(rand.NewSource(22))
 	for _, c := range mixedCases {
 		var b [2][]complex128
-		var ctx, soloCtx [2]context.Context
-		var ws [2]*Workspace
+		var soloCtx [2]context.Context
+		var sys [2]System
 		pair := &nanPair32{MobiusEO32: dirac.NewMobiusEO32(eo), until: -1}
 		for k := range b {
 			b[k] = randRHS(rng, n)
 			if c.zero[k] {
 				clear(b[k])
 			}
-			ctx[k], soloCtx[k] = context.Background(), context.Background()
+			sys[k] = System{Ctx: context.Background(), WS: new(Workspace), B: b[k]}
+			soloCtx[k] = context.Background()
 			if c.stop[k] > 0 {
-				ctx[k] = &stopAfter{Context: context.Background(), n: c.stop[k]}
+				sys[k].Ctx = &stopAfter{Context: context.Background(), n: c.stop[k]}
 				soloCtx[k] = &stopAfter{Context: context.Background(), n: c.stop[k]}
 			}
-			ws[k] = new(Workspace)
-			ws[k].size(n)
+			sys[k].WS.size(n)
 			if q := c.poison[k]; q != nil {
-				pair.target, pair.from, pair.until = &ws[k].tmp[0], q.from, q.until
+				pair.target, pair.from, pair.until = &sys[k].WS.tmp[0], q.from, q.until
 			}
 		}
-		x, st, err := CGNEMixedPair(ctx, eo, pair, ws, b, c.p)
+		CGNEMixedLockStep(eo, pair, c.p, sys[:])
 		for k := range b {
 			var sloppy Linear32 = dirac.NewMobiusEO32(eo)
 			if q := c.poison[k]; q != nil {
 				sloppy = &nanAfter32{inner: sloppy, from: q.from, until: q.until}
 			}
-			wx, wst, werr := CGNEMixed(soloCtx[k], eo, sloppy, b[k], c.p)
-			sameSolve(t, fmt.Sprintf("%s system %d", c.name, k), x[k], st[k], err[k], wx, wst, werr)
+			wx, wst, werr := refCGNEMixed(new(Workspace), soloCtx[k], eo, sloppy, b[k], c.p)
+			sameSolve(t, fmt.Sprintf("%s system %d", c.name, k), sys[k].X, sys[k].Stats, sys[k].Err, wx, wst, werr)
 		}
-		if c.name == "B diverges" && (err[0] != nil || !errors.Is(err[1], ErrDiverged)) {
-			t.Fatalf("%s: errors %v, want B's divergence alone", c.name, err)
+		if c.name == "B diverges" && (sys[0].Err != nil || !errors.Is(sys[1].Err, ErrDiverged)) {
+			t.Fatalf("%s: errors %v and %v, want B's divergence alone", c.name, sys[0].Err, sys[1].Err)
 		}
 	}
 }
 
-// BenchmarkCGNEMixedPaired judges the stepper in pairs of adjacent solves,
+// BenchmarkCGNEMixedPaired judges the drive in pairs of adjacent solves,
 // alternating which runs first, on the fh-* lattice (hv = 64, Ls = 4, one
-// worker): the one-system drive against the loop it replaced (drive), and
-// the pair drive against two one-system solves (pair; a ratio of 0.5 is
-// two systems at the cost of one). It reports the median ratio and its
+// worker): the drive on one system against the loop it replaced (drive),
+// and on two systems against two one-system solves (pair; a ratio of 0.5
+// is two systems at the cost of one). It reports the median ratio and its
 // quartiles. Run with -cpu 1 -benchtime 60x.
 func BenchmarkCGNEMixedPaired(b *testing.B) {
 	g := lattice.MustNew(2, 2, 4, 8)
@@ -213,11 +223,13 @@ func BenchmarkCGNEMixedPaired(b *testing.B) {
 	rhs := [2][]complex128{randRHS(rng, eo.Size()), randRHS(rng, eo.Size())}
 	p := Params{Tol: 1e-8, Precision: Single, Workers: 1}
 	var ws [2]Workspace
-	bg := [2]context.Context{context.Background(), context.Background()}
-	drive := func() { ws[0].CGNEMixed(bg[0], eo, sloppy, rhs[0], p) }
-	loop := func() { refCGNEMixed(&ws[0], bg[0], eo, sloppy, rhs[0], p) }
-	pair := func() { CGNEMixedPair(bg, eo, sloppy, [2]*Workspace{&ws[0], &ws[1]}, rhs, p) }
-	solos := func() { drive(); ws[1].CGNEMixed(bg[1], eo, sloppy, rhs[1], p) }
+	bg := context.Background()
+	drive := func() { lockStep1(&ws[0], bg, eo, sloppy, rhs[0], p) }
+	loop := func() { refCGNEMixed(&ws[0], bg, eo, sloppy, rhs[0], p) }
+	pair := func() {
+		CGNEMixedLockStep(eo, sloppy, p, []System{{Ctx: bg, WS: &ws[0], B: rhs[0]}, {Ctx: bg, WS: &ws[1], B: rhs[1]}})
+	}
+	solos := func() { drive(); lockStep1(&ws[1], bg, eo, sloppy, rhs[1], p) }
 	for _, c := range []struct {
 		name      string
 		cand, ref func()

@@ -59,7 +59,7 @@ func TestWorkspaceReuseIsBitIdentical(t *testing.T) {
 		}
 		p := Params{Tol: 1e-8, Precision: c.prec}
 		want, wantSt, wantErr := CGNEMixed(c.ctx, op, sloppy, b, p)
-		got, gotSt, gotErr := ws.CGNEMixed(c.ctx, op, sloppy, b, p)
+		got, gotSt, gotErr := lockStep1(&ws, c.ctx, op, sloppy, b, p)
 		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || (c.poison && !errors.Is(gotErr, ErrDiverged)) {
 			t.Fatalf("solve %d: error %v, fresh workspace %v", i, gotErr, wantErr)
 		}
@@ -79,7 +79,7 @@ func TestWorkspaceReuseIsBitIdentical(t *testing.T) {
 	op, sloppy := ops[0], dirac.NewMobiusEO32(ops[0])
 	b := randRHS(rng, op.Size())
 	solve := func(ws *Workspace) {
-		if _, _, err := ws.CGNEMixed(context.Background(), op, sloppy, b, Params{Tol: 1e-8, Precision: Single}); err != nil {
+		if _, _, err := lockStep1(ws, context.Background(), op, sloppy, b, Params{Tol: 1e-8, Precision: Single}); err != nil {
 			t.Fatal(err)
 		}
 	}

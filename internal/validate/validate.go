@@ -86,3 +86,21 @@ func All(errs ...error) error {
 	}
 	return errors.Join(kept...)
 }
+
+// AtMost requires v <= ceiling, naming the ceiling the way the operator
+// would compute it.
+func AtMost(name string, v int, ceilingName string, ceiling int) error {
+	if v > ceiling {
+		return fmt.Errorf("%s (%d) must be at most %s (%d)", name, v, ceilingName, ceiling)
+	}
+	return nil
+}
+
+// MultipleOf requires v to be a whole multiple of unit. A unit below 1 is
+// left to its own parameter's check.
+func MultipleOf(name string, v int, unitName string, unit int) error {
+	if unit >= 1 && v%unit != 0 {
+		return fmt.Errorf("%s (%d) must be a multiple of %s (%d)", name, v, unitName, unit)
+	}
+	return nil
+}

@@ -50,6 +50,11 @@ func TestIntAndFloatChecks(t *testing.T) {
 		{"rate/above", UnitRate("-drop", 1.01), false},
 		{"rate/negative", UnitRate("-drop", -0.1), false},
 		{"rate/nan", UnitRate("-drop", math.NaN()), false},
+		{"atmost/equal", AtMost("-jobgpus", 256, "-nodes x -gpus", 256), true},
+		{"atmost/above", AtMost("-jobgpus", 257, "-nodes x -gpus", 256), false},
+		{"multiple/whole", MultipleOf("-jobgpus", 16, "-gpus", 4), true},
+		{"multiple/part", MultipleOf("-jobgpus", 3, "-gpus", 4), false},
+		{"multiple/zero unit", MultipleOf("-jobgpus", 3, "-gpus", 0), true},
 	}
 	for _, c := range cases {
 		if got := c.err == nil; got != c.ok {

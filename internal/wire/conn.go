@@ -155,12 +155,6 @@ func dialConn(addr string, link, plink int, chaos *Chaos, timing Timing, maxPayl
 // Close tears the socket down.
 func (fc *Conn) Close() error { return fc.c.Close() }
 
-// Stats exposes the connection's fault-tolerance tallies.
-func (fc *Conn) Stats() *Stats { return fc.stats }
-
-// RemoteAddr exposes the peer address for diagnostics.
-func (fc *Conn) RemoteAddr() string { return fc.c.RemoteAddr().String() }
-
 // Send transmits one frame whose payload is already rendered (the small
 // control frames). sel disambiguates frames sharing a (type, xid) - the
 // halo section index - so every transmission draws from its own identity
