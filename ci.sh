@@ -58,7 +58,8 @@ test "$(grep -rl '"unsafe"' --include='*.go' . | sort | tr '\n' ' ')" = './inter
 # Schur kernel's vector bodies - the AVX hop (hopAVX32, hopAVX64), the SSE
 # fibreAInv, fibreBA, fibreBAxpy, fibreAxpy and load/store transposes, and
 # the pair layout's AVX bodies of two systems at once (hopAVX32x2,
-# aInvAVX32x2, baAVX32x2, baxpyAVX32x2, loadAVX32x2, storeAVX32x2); the
+# aInvAVX32x2, baAVX32x2, baxpyAVX32x2, loadAVX32x2, storeAVX32x2) - and
+# the AVX body of one 4-D Wilson site (siteAVX); the
 # other the CPUID/XGETBV probe that selects every AVX body once at
 # start-up and the AVX half round trip (halfRoundTripAVX). Each single
 # body is held bit for bit to its portable Go body, and each pair body to
@@ -152,7 +153,13 @@ lap drain
 # internal/domain on every rank of three grids and a CGNE solve against
 # the generic hop (an external test of internal/dirac, which can import
 # domain where the reference's package cannot), and the flat operator's
-# serial pass allocation-free. So does the pair layout: each of its AVX
+# serial pass allocation-free. So does the 4-D site body: the AVX site
+# against the Go site on one site, every direction alone and all eight,
+# plain and dagger, on dense, point, signed-zero and non-finite spinors;
+# the flat operator and every rank of three splits, ghosts included, on
+# whole fields with each body; the probe selecting it and Wilson and Sub
+# running it; and the rank-local table stencil against the coordinate one
+# it replaced (internal/domain). So does the pair layout: each of its AVX
 # bodies against the single body it doubles at every Ls from 1 to 9,
 # ApplyPair and ApplyDaggerPair against two single applications on
 # poisoned fields at every launch split, and the solver's one lock-step
@@ -162,7 +169,7 @@ lap drain
 # (Inject5D, PrepareSource, CGNEMixed, Reconstruct, Project4D). The suites
 # run under -race with -count=2 against fresh interleavings.
 go test -race -count=2 ./internal/obs/
-run_gate 'Bitwise|BitForBit|Pair|ReduceChunk|Deterministic|DoesNotAllocate|NestedFor|ConcurrentCallers|Lane|Batch|Budget|Straggler|View|Workspace|RoundTrip|RoundHalf|Lanes|WilsonHop|WilsonApplyDoesNotAllocate|Discipline|Probe' -race -count=2 -- ./internal/linalg/ ./internal/dirac/ ./internal/solver/ ./internal/prop/
+run_gate 'Bitwise|BitForBit|Pair|ReduceChunk|Deterministic|DoesNotAllocate|NestedFor|ConcurrentCallers|Lane|Batch|Budget|Straggler|View|Workspace|RoundTrip|RoundHalf|Lanes|WilsonHop|WilsonApplyDoesNotAllocate|Discipline|Probe|Site' -race -count=2 -- ./internal/linalg/ ./internal/dirac/ ./internal/domain/ ./internal/solver/ ./internal/prop/
 lap kernel
 run_gate 'Obs|Timeline|Trace' -race -- ./internal/runtime/ ./internal/core/ ./internal/cluster/
 lap observability

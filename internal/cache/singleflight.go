@@ -24,12 +24,14 @@ type Flight[K comparable, V any] struct {
 }
 
 // flightCall is one in-progress execution; waiters block on done. ok
-// stays false if the leader panicked, telling waiters to retry.
+// stays false if the leader panicked, telling waiters to retry. joined
+// counts the callers that adopted the flight, under Flight.mu.
 type flightCall[V any] struct {
-	done chan struct{}
-	val  V
-	err  error
-	ok   bool
+	done   chan struct{}
+	val    V
+	err    error
+	ok     bool
+	joined int
 }
 
 // NewFlight returns an empty singleflight table.
@@ -48,6 +50,7 @@ func NewFlight[K comparable, V any]() *Flight[K, V] {
 func (f *Flight[K, V]) Do(key K, fn func() (V, error)) (val V, err error, shared, completed bool) {
 	f.mu.Lock()
 	if c, ok := f.inflight[key]; ok {
+		c.joined++
 		f.mu.Unlock()
 		<-c.done
 		return c.val, c.err, true, c.ok
@@ -75,4 +78,15 @@ func (f *Flight[K, V]) Inflight() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return len(f.inflight)
+}
+
+// joined returns how many callers have adopted key's flight, 0 when none
+// is up: what the singleflight tests wait on instead of a sleep.
+func (f *Flight[K, V]) joined(key K) int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if c, ok := f.inflight[key]; ok {
+		return c.joined
+	}
+	return 0
 }

@@ -111,8 +111,12 @@ func TestFlightLeaderPanicWakesWaiters(t *testing.T) {
 			}()
 			for {
 				v, err, _, completed := f.Do("k", func() (int, error) {
-					calls.Add(1)
-					time.Sleep(200 * time.Microsecond)
+					// The n-th leader waits until every caller still
+					// running has joined its flight: all the others for
+					// the first, all but the one that saw the panic for
+					// the second.
+					n := calls.Add(1)
+					waitJoined(t, f, "k", goroutines-int(n))
 					if fails.Add(-1) >= 0 {
 						panic("injected leader failure")
 					}
@@ -148,6 +152,17 @@ func TestFlightLeaderPanicWakesWaiters(t *testing.T) {
 	}
 	if f.Inflight() != 0 {
 		t.Fatalf("flight table not drained: %d", f.Inflight())
+	}
+}
+
+// waitJoined blocks until n callers have joined key's flight, and fails
+// the test if that takes a minute.
+func waitJoined(t *testing.T, f *Flight[string, int], key string, n int) {
+	for deadline := time.Now().Add(time.Minute); f.joined(key) < n; time.Sleep(10 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Errorf("%d of %d callers joined the flight", f.joined(key), n)
+			return
+		}
 	}
 }
 

@@ -186,20 +186,26 @@ func BenchmarkSchurNormalPaired(b *testing.B) {
 // BenchmarkWilsonDslashPaired is BenchmarkWilsonDslash's application judged
 // in pairs, on one worker at the wire-2rank lattice (4^3 x 8): the flat
 // Wilson operator against the generic composition it replaced (refWilson,
-// staged_ref_test.go), and an A/A calibration whose ratio should read 1.
-// Run with -cpu 1 -benchtime 60x.
+// staged_ref_test.go); against the loop of scalar hops the site body
+// replaced (scalarWilson, the same file), plain and dagger; and an A/A
+// calibration whose ratio should read 1. Run with -cpu 1 -benchtime 60x.
 func BenchmarkWilsonDslashPaired(b *testing.B) {
 	g := lattice.MustNew(4, 4, 4, 8)
 	w := NewWilson(gauge.NewRandom(g, 1), 0.1)
 	w.Workers = 1
 	src, dst := randField(rand.New(rand.NewSource(2)), w.Size()), make([]complex128, w.Size())
 	flat := func() { w.Apply(dst, src) }
+	flatDag := func() { w.ApplyDagger(dst, src) }
 	generic := func() { refWilson(w, dst, src, false) }
+	scalar := func() { scalarWilson(w, dst, src, false) }
+	scalarDag := func() { scalarWilson(w, dst, src, true) }
 	for _, c := range []struct {
 		name      string
 		cand, ref func()
 	}{
 		{"apply", flat, generic},
+		{"site", flat, scalar},
+		{"site-dagger", flatDag, scalarDag},
 		{"aa", flat, flat},
 	} {
 		b.Run(c.name, func(b *testing.B) { benchPaired(b, c.cand, c.ref) })

@@ -6,12 +6,13 @@ import (
 )
 
 // The vector bodies of schur_amd64.s. The fifth-dimension passes are SSE
-// and SSE2, the amd64 baseline, so every amd64 build runs them; the hop is
-// AVX and runs where linalg.HasAVX, the start-up probe, found it, and the
-// Go body elsewhere, as do the pair layout's bodies, all AVX (pair.go),
-// without which a pair is two single applications. The portable Go bodies
-// of schur.go are what the tests hold the single bodies to, and two single
-// applications what they hold the pair bodies to.
+// and SSE2, the amd64 baseline, so every amd64 build runs them; the hop and
+// the 4-D Wilson site are AVX and run where linalg.HasAVX, the start-up
+// probe, found it, and the Go bodies elsewhere, as do the pair layout's
+// bodies, all AVX (pair.go), without which a pair is two single
+// applications. The portable Go bodies of schur.go and wilson.go are what
+// the tests hold the single bodies to, and two single applications what
+// they hold the pair bodies to.
 func init() {
 	vec32 = &vecBodies[float32]{
 		aInv: aInvSSE32, ba: baSSE32, baxpy: baxpySSE32,
@@ -23,12 +24,16 @@ func init() {
 	}
 	if linalg.HasAVX {
 		vec32.hop, vec64.hop = hopAVX32, hopAVX64
+		siteBody = siteAVX
 		pair32 = &pairBodies[float32]{
 			hop: hopAVX32x2, aInv: aInvAVX32x2, ba: baAVX32x2, baxpy: baxpyAVX32x2,
 			load: loadAVX32x2, store: storeAVX32x2,
 		}
 	}
 }
+
+//go:noescape
+func siteAVX(out, in *[SpinorLen]complex128, legs Legs, diag float64, dagger bool)
 
 //go:noescape
 func hopAVX32x2(dst, src *float32, hops *lattice.Hop, u *[lattice.NDim][]link[float32], keep *float32, ls int, g5 bool)

@@ -1347,3 +1347,202 @@ slicesDone:
 	SUBQ $4, CX
 	JGT  sblock64
 	RET
+
+// The 4-D Wilson site (wilson.go, WilsonSite; DESIGN.md s19, "The 4-D
+// site body"): siteAVX is siteGo - the mass term diag*in, the eight legs'
+// hops in direction order, and with dagger the gamma_5 on every spinor it
+// reads and on its result - for one site of complex128 spinors, in
+// VEX-encoded AVX. linalg.HasAVX selects it at start-up (schur_amd64.go).
+//
+// A register holds one colour of two spins, one complex per 128-bit
+// half: the upper accumulators O0-O2 are (out[c], out[3+c]), the lower
+// ones Q0-Q2 (out[6+c], out[9+c]), and a projected colour H0-H2 is
+// (h0_c, h1_c), so each link entry is broadcast once for both spins. The
+// twelve outputs stay in the six accumulators across all eight legs and
+// are stored once. Per leg and colour the projection is the neighbour's
+// spins 0 and 1 plus or minus its spins 3 and 2 (x, y) or 2 and 3 (z, t),
+// swapped within each half where the phase is +-i. A link entry times a
+// projected colour is two VMULPD and a VADDSUBPD: (ur*hr - ui*hi,
+// ur*hi + ui*hr), cx.times to the bit; cx.conjTimes takes the swapped
+// colour negated, (ur*hr - ui*(-hi), ur*hi + ui*(-hr)), which is the same
+// two products and sums. A row sums its three terms left to right and is
+// halved, as mul and mulAdj do, and the upper spins subtract it; the lower
+// spins add or subtract it swapped as reconstruct does, across the halves
+// for x and y. Where a lane subtracts and its neighbour lane adds, the
+// body adds the operand with that lane's sign flipped: a + (-b) is a - b
+// in IEEE arithmetic, so only the sign of a NaN may differ, and a NaN's
+// sign is not part of the result (DESIGN.md s19). The dagger
+// flips signs where gamma5Spinor does - the lower spins of the site's own
+// spinor before the mass term and of the accumulators before the store -
+// and projects each neighbour by the body of d^1, which is the projection
+// of its gamma_5 copy. No fused multiply-add; VZEROUPPER before each RET.
+//
+// func siteAVX(out, in *[12]complex128, legs Legs, diag float64, dagger bool)
+//
+// Registers: DI out, SI in, BX the legs, AX a leg's neighbour spinor, R10
+// its link.
+
+DATA s4lo<>+0(SB)/8, $0x8000000000000000
+DATA s4lo<>+8(SB)/8, $0x8000000000000000
+DATA s4lo<>+16(SB)/8, $0
+DATA s4lo<>+24(SB)/8, $0
+GLOBL s4lo<>(SB), RODATA|NOPTR, $32
+
+DATA s4hi<>+0(SB)/8, $0
+DATA s4hi<>+8(SB)/8, $0
+DATA s4hi<>+16(SB)/8, $0x8000000000000000
+DATA s4hi<>+24(SB)/8, $0x8000000000000000
+GLOBL s4hi<>(SB), RODATA|NOPTR, $32
+
+#define S4O0 Y0
+#define S4O1 Y1
+#define S4O2 Y2
+#define S4Q0 Y3
+#define S4Q1 Y4
+#define S4Q2 Y5
+#define S4H0 Y6
+#define S4H1 Y7
+#define S4H2 Y8
+#define S4S0 Y9
+#define S4S1 Y10
+#define S4S2 Y11
+#define S4W Y12
+#define S4BR Y13
+#define S4BI Y14
+#define S4X Y15
+
+// S4LD sets R to (p[lo], p[hi]), two complexes of the spinor at p.
+#define S4LD(p, lo, hi, R) VBROADCASTF128 ((lo)*16)(p), R; VINSERTF128 $1, ((hi)*16)(p), R, R
+
+// The lane patterns: d = a + s*b lane by lane, s the pattern's signs in
+// lane order (re, im of the low half, re, im of the high half). A pattern
+// that mixes signs flips b's signs first where the instruction would
+// take the other one; b may be clobbered.
+#define S4PPPP(b, a, d) VADDPD b, a, d
+#define S4MMMM(b, a, d) VSUBPD b, a, d
+#define S4MPMP(b, a, d) VADDSUBPD b, a, d
+#define S4PMPM(b, a, d) VXORPD sign64<>(SB), b, b; VADDSUBPD b, a, d
+#define S4PPMM(b, a, d) VXORPD s4hi<>(SB), b, b; VADDPD b, a, d
+#define S4MMPP(b, a, d) VXORPD s4lo<>(SB), b, b; VADDPD b, a, d
+#define S4PMMP(b, a, d) VXORPD s4lo<>(SB), b, b; VADDSUBPD b, a, d
+#define S4MPPM(b, a, d) VXORPD s4hi<>(SB), b, b; VADDSUBPD b, a, d
+
+// The projections' second operands for colour c: spins 3 and 2 (x, y) or
+// 2 and 3 (z, t), swapped within each half for the +-i phases (x, z).
+#define S4BXY(c) S4LD(AX, 9+(c), 6+(c), S4W)
+#define S4BX(c) S4BXY(c); VPERMILPD $5, S4W, S4W
+#define S4BZT(c) S4LD(AX, 6+(c), 9+(c), S4W)
+#define S4BZ(c) S4BZT(c); VPERMILPD $5, S4W, S4W
+
+// S4PRJ sets H0-H2 to halfSpinor.project: spins 0 and 1 of the neighbour,
+// then OP with the second operand B.
+#define S4PRJ(B, OP) \
+	S4LD(AX, 0, 3, S4H0); B(0); OP(S4W, S4H0, S4H0); \
+	S4LD(AX, 1, 4, S4H1); B(1); OP(S4W, S4H1, S4H1); \
+	S4LD(AX, 2, 5, S4H2); B(2); OP(S4W, S4H2, S4H2)
+
+// S4SWM sets S0-S2 to the projection swapped within each half, for mul;
+// S4SWA to that negated, for mulAdj.
+#define S4SWM \
+	VPERMILPD $5, S4H0, S4S0; VPERMILPD $5, S4H1, S4S1; VPERMILPD $5, S4H2, S4S2
+#define S4SWA \
+	S4SWM; VXORPD sign64<>(SB), S4S0, S4S0; VXORPD sign64<>(SB), S4S1, S4S1; VXORPD sign64<>(SB), S4S2, S4S2
+
+// S4PROD sets BR to the link entry at off times the projected colour in H
+// (S its swapped copy).
+#define S4PROD(off, H, S) \
+	VBROADCASTSD (off)(R10), S4BR; VBROADCASTSD ((off)+8)(R10), S4BI; \
+	VMULPD H, S4BR, S4BR; VMULPD S, S4BI, S4BI; VADDSUBPD S4BI, S4BR, S4BR
+
+// S4ROW sets W to one row of the transported half spinor: the entries at
+// e0, e1, e2 times the projected colours, summed left to right and halved.
+#define S4ROW(e0, e1, e2) \
+	S4PROD(e0, S4H0, S4S0); VMOVAPD S4BR, S4W; \
+	S4PROD(e1, S4H1, S4S1); VADDPD S4BR, S4W, S4W; \
+	S4PROD(e2, S4H2, S4S2); VADDPD S4BR, S4W, S4W; \
+	VMULPD half64<>(SB), S4W, S4W
+
+// The lower spins' operand of reconstruct: W as it is (z, t), swapped
+// within each half (z), across the halves (y), or both (x).
+#define S4RZT(OP, Q) OP(S4W, Q, Q)
+#define S4RZ(OP, Q) VPERMILPD $5, S4W, S4X; OP(S4X, Q, Q)
+#define S4RY(OP, Q) VPERM2F128 $1, S4W, S4W, S4X; OP(S4X, Q, Q)
+#define S4RX(OP, Q) VPERM2F128 $1, S4W, S4W, S4X; VPERMILPD $5, S4X, S4X; OP(S4X, Q, Q)
+
+// S4REC is reconstruct for row r: the upper spins subtract W, the lower
+// ones take it by R and OP.
+#define S4REC(O, Q, R, OP) VSUBPD S4W, O, O; R(OP, Q)
+
+// S4LEG is hop direction d: the neighbour and link of leg d, the
+// projection by B and POP, the swap SW, and per row the link's row r (mul,
+// E = 16: entries 16*(3r+k)) or column r (mulAdj, E = 48: 16*(r+3k)) and
+// the reconstruction by R and ROP.
+#define S4LEG(d, B, POP, SW, MUL, R, ROP) \
+	MOVQ ((d)*16)(BX), AX; MOVQ ((d)*16+8)(BX), R10; \
+	S4PRJ(B, POP); SW; \
+	MUL(0); S4REC(S4O0, S4Q0, R, ROP); \
+	MUL(1); S4REC(S4O1, S4Q1, R, ROP); \
+	MUL(2); S4REC(S4O2, S4Q2, R, ROP)
+#define S4MUL(r) S4ROW(48*(r), 48*(r)+16, 48*(r)+32)
+#define S4ADJ(r) S4ROW(16*(r), 16*(r)+48, 16*(r)+96)
+
+// S4MASS sets an accumulator to diag times itself as the complex product
+// (diag, 0)*(r, i) = (diag*r - 0*i, diag*i + 0*r): Y13 holds diag, Y14
+// zero.
+#define S4MASS(R) \
+	VPERMILPD $5, R, S4X; VMULPD S4BI, S4X, S4X; VMULPD S4BR, R, R; VADDSUBPD S4X, R, R
+
+// S4STORE stores the accumulators: O0-O2 at components c and 3+c, Q0-Q2
+// at 6+c and 9+c.
+#define S4ST(X, Y, lo, hi) VMOVUPD X, ((lo)*16)(DI); VEXTRACTF128 $1, Y, ((hi)*16)(DI)
+#define S4STORE \
+	S4ST(X0, Y0, 0, 3); S4ST(X1, Y1, 1, 4); S4ST(X2, Y2, 2, 5); \
+	S4ST(X3, Y3, 6, 9); S4ST(X4, Y4, 7, 10); S4ST(X5, Y5, 8, 11)
+
+TEXT ·siteAVX(SB), NOSPLIT, $0-153
+	MOVQ out+0(FP), DI
+	MOVQ in+8(FP), SI
+	LEAQ legs+16(FP), BX
+	VBROADCASTSD diag+144(FP), S4BR
+	VXORPD S4BI, S4BI, S4BI
+	MOVBQZX dagger+152(FP), DX
+	S4LD(SI, 0, 3, S4O0); S4MASS(S4O0)
+	S4LD(SI, 1, 4, S4O1); S4MASS(S4O1)
+	S4LD(SI, 2, 5, S4O2); S4MASS(S4O2)
+	S4LD(SI, 6, 9, S4Q0)
+	S4LD(SI, 7, 10, S4Q1)
+	S4LD(SI, 8, 11, S4Q2)
+	TESTQ DX, DX
+	JNE   g5site
+
+	S4MASS(S4Q0); S4MASS(S4Q1); S4MASS(S4Q2)
+	S4LEG(0, S4BX, S4PMPM, S4SWM, S4MUL, S4RX, S4PMPM)
+	S4LEG(1, S4BX, S4MPMP, S4SWA, S4ADJ, S4RX, S4MPMP)
+	S4LEG(2, S4BXY, S4PPMM, S4SWM, S4MUL, S4RY, S4PPMM)
+	S4LEG(3, S4BXY, S4MMPP, S4SWA, S4ADJ, S4RY, S4MMPP)
+	S4LEG(4, S4BZ, S4PMMP, S4SWM, S4MUL, S4RZ, S4PMMP)
+	S4LEG(5, S4BZ, S4MPPM, S4SWA, S4ADJ, S4RZ, S4MPPM)
+	S4LEG(6, S4BZT, S4MMMM, S4SWM, S4MUL, S4RZT, S4PPPP)
+	S4LEG(7, S4BZT, S4PPPP, S4SWA, S4ADJ, S4RZT, S4MMMM)
+	S4STORE
+	VZEROUPPER
+	RET
+
+g5site:
+	VXORPD sign64<>(SB), S4Q0, S4Q0; S4MASS(S4Q0)
+	VXORPD sign64<>(SB), S4Q1, S4Q1; S4MASS(S4Q1)
+	VXORPD sign64<>(SB), S4Q2, S4Q2; S4MASS(S4Q2)
+	S4LEG(0, S4BX, S4MPMP, S4SWM, S4MUL, S4RX, S4PMPM)
+	S4LEG(1, S4BX, S4PMPM, S4SWA, S4ADJ, S4RX, S4MPMP)
+	S4LEG(2, S4BXY, S4MMPP, S4SWM, S4MUL, S4RY, S4PPMM)
+	S4LEG(3, S4BXY, S4PPMM, S4SWA, S4ADJ, S4RY, S4MMPP)
+	S4LEG(4, S4BZ, S4MPPM, S4SWM, S4MUL, S4RZ, S4PMMP)
+	S4LEG(5, S4BZ, S4PMMP, S4SWA, S4ADJ, S4RZ, S4MPPM)
+	S4LEG(6, S4BZT, S4PPPP, S4SWM, S4MUL, S4RZT, S4PPPP)
+	S4LEG(7, S4BZT, S4MMMM, S4SWA, S4ADJ, S4RZT, S4MMMM)
+	VXORPD sign64<>(SB), S4Q0, S4Q0
+	VXORPD sign64<>(SB), S4Q1, S4Q1
+	VXORPD sign64<>(SB), S4Q2, S4Q2
+	S4STORE
+	VZEROUPPER
+	RET

@@ -90,6 +90,43 @@ func refWilson(w *Wilson, dst, src []complex128, dagger bool) {
 	}
 }
 
+// scalarWilson is the flat Wilson operator's serial site loop before the
+// site body: per site the mass term and the eight scalar hops in mu order,
+// forward then backward, with the gamma_5 of the dagger applied to a stack
+// copy of every spinor the site reads and to its result. It is the
+// reference BenchmarkWilsonDslashPaired times the site body against.
+func scalarWilson(w *Wilson, dst, src []complex128, dagger bool) {
+	diag := complex(4+w.Mass, 0)
+	g := w.G
+	var in5, nb5 [SpinorLen]complex128
+	for s := 0; s < g.Vol; s++ {
+		out := (*[SpinorLen]complex128)(dst[s*SpinorLen:])
+		in := (*[SpinorLen]complex128)(src[s*SpinorLen:])
+		if dagger {
+			gamma5Spinor(in5[:], in[:])
+			in = &in5
+		}
+		for i := range out {
+			out[i] = diag * in[i]
+		}
+		for mu := 0; mu < lattice.NDim; mu++ {
+			fw, bw := g.Fwd(s, mu), g.Bwd(s, mu)
+			nf := (*[SpinorLen]complex128)(src[fw*SpinorLen:])
+			nb := (*[SpinorLen]complex128)(src[bw*SpinorLen:])
+			if dagger {
+				gamma5Spinor(in5[:], nf[:])
+				gamma5Spinor(nb5[:], nb[:])
+				nf, nb = &in5, &nb5
+			}
+			hop(out, nf, &w.U.U[mu][s], 2*mu)
+			hop(out, nb, &w.U.U[mu][bw], 2*mu+1)
+		}
+		if dagger {
+			gamma5Spinor(out[:], out[:])
+		}
+	}
+}
+
 func (p *MobiusEO) hopHalf(dst, src []complex128, pOut int) {
 	g := p.M.W.G
 	eo := p.EO

@@ -38,11 +38,10 @@ func (w *Wilson) Size() int { return w.G.Vol * SpinorLen }
 func (w *Wilson) Apply(dst, src []complex128) { w.apply(dst, src, false) }
 
 // ApplyDagger computes dst = D^dagger src using the gamma_5 hermiticity
-// D^dagger = gamma_5 D gamma_5 of the Wilson operator. The two gamma_5 are
-// applied site by site inside the stencil loop - to a stack copy of each
-// spinor the site reads, and to the site's own result - so the call needs
-// no scratch vector and the operator stays shareable. dst == src, which
-// the scratch copy used to allow, panics like it does for Apply.
+// D^dagger = gamma_5 D gamma_5 of the Wilson operator. The site function
+// applies the two gamma_5 as sign flips - on every spinor the site reads,
+// and on the site's result - so the call needs no scratch vector and the
+// operator stays shareable. dst == src panics, as it does for Apply.
 func (w *Wilson) ApplyDagger(dst, src []complex128) { w.apply(dst, src, true) }
 
 func (w *Wilson) apply(dst, src []complex128, dagger bool) {
@@ -65,45 +64,79 @@ func (w *Wilson) apply(dst, src []complex128, dagger bool) {
 	linalg.For(w.G.Vol, workers, func(lo, hi int) { w.sites(dst, src, dagger, lo, hi) })
 }
 
-// sites applies the stencil on sites [lo, hi): the mass term, written as
-// the complex product whose 0*x term decides the sign of a zero, then per
-// dimension the forward and the backward hop.
+// sites applies the stencil on sites [lo, hi): per site the eight legs,
+// per dimension the forward and the backward neighbour, and WilsonSite.
 func (w *Wilson) sites(dst, src []complex128, dagger bool, lo, hi int) {
-	diag := complex(4+w.Mass, 0)
-	g := w.G
-	var in5, nb5 [SpinorLen]complex128 // gamma_5 copies, dagger only
+	g, u := w.G, &w.U.U
+	var legs Legs
 	for s := lo; s < hi; s++ {
-		out := (*[SpinorLen]complex128)(dst[s*SpinorLen:])
-		in := (*[SpinorLen]complex128)(src[s*SpinorLen:])
-		if dagger {
-			gamma5Spinor(in5[:], in[:])
-			in = &in5
-		}
-		for i := range out {
-			out[i] = diag * in[i]
-		}
 		for mu := 0; mu < lattice.NDim; mu++ {
 			fw, bw := g.Fwd(s, mu), g.Bwd(s, mu)
-			nf := (*[SpinorLen]complex128)(src[fw*SpinorLen:])
-			nb := (*[SpinorLen]complex128)(src[bw*SpinorLen:])
-			if dagger {
-				gamma5Spinor(in5[:], nf[:])
-				gamma5Spinor(nb5[:], nb[:])
-				nf, nb = &in5, &nb5
-			}
-			Hop(out, nf, &w.U.U[mu][s], 2*mu)
-			Hop(out, nb, &w.U.U[mu][bw], 2*mu+1)
+			legs[2*mu] = Leg{(*[SpinorLen]complex128)(src[fw*SpinorLen:]), &u[mu][s]}
+			legs[2*mu+1] = Leg{(*[SpinorLen]complex128)(src[bw*SpinorLen:]), &u[mu][bw]}
 		}
+		WilsonSite((*[SpinorLen]complex128)(dst[s*SpinorLen:]), (*[SpinorLen]complex128)(src[s*SpinorLen:]), &legs, 4+w.Mass, dagger)
+	}
+}
+
+// Leg is one leg of the 4-D stencil at a site: the neighbour's spinor and
+// the link that transports it.
+type Leg struct {
+	Psi *[SpinorLen]complex128
+	U   *linalg.SU3
+}
+
+// Legs are a site's eight legs in hop-direction order d = 2*mu + b: per
+// dimension the forward leg (psi(x+mu) through U_mu(x)), then the backward
+// one (psi(x-mu) through U_mu(x-mu)^dagger).
+type Legs [2 * lattice.NDim]Leg
+
+// WilsonSite sets out to the Wilson operator at one site, out = diag*in -
+// 1/2 sum_d (1 -+ gamma_mu) U psi over the eight legs, or with dagger to
+// gamma_5 D gamma_5 there. It is the one body of the 4-D stencil: the flat
+// Wilson operator and the rank-local stencil of package domain call it,
+// each with its own legs. out must not alias in or a leg's spinor.
+func WilsonSite(out, in *[SpinorLen]complex128, legs *Legs, diag float64, dagger bool) {
+	siteBody(out, in, *legs, diag, dagger)
+}
+
+// siteBody is the site body the build runs: siteGo, or where the start-up
+// probe found AVX the vector body of schur_amd64.s (schur_amd64.go). The
+// legs go by value, so a caller's legs on its stack stay there.
+var siteBody = siteGo
+
+// siteGo is the portable site body and the reference the vector body is
+// held to: the mass term, written as the complex product whose 0*x term
+// decides the sign of a zero, then the eight hops in leg order. With
+// dagger, every spinor read goes through a gamma_5 copy on the stack and
+// the result through a gamma_5 in place.
+func siteGo(out, in *[SpinorLen]complex128, legs Legs, diag float64, dagger bool) {
+	var in5 [SpinorLen]complex128
+	if dagger {
+		gamma5Spinor(in5[:], in[:])
+		in = &in5
+	}
+	d := complex(diag, 0)
+	for i := range out {
+		out[i] = d * in[i]
+	}
+	for k := range legs {
+		nb := legs[k].Psi
 		if dagger {
-			gamma5Spinor(out[:], out[:])
+			gamma5Spinor(in5[:], nb[:])
+			nb = &in5
 		}
+		hop(out, nb, legs[k].U, k)
+	}
+	if dagger {
+		gamma5Spinor(out[:], out[:])
 	}
 }
 
 // Flops returns the flop count of one Apply in the standard convention.
 func (w *Wilson) Flops() int64 { return int64(w.G.Vol) * WilsonFlopsPerSite }
 
-// Hop accumulates one hopping term of the Wilson stencil into out, for
+// hop accumulates one hopping term of the Wilson stencil into out, for
 // direction d = 2*mu + b:
 //
 //	out -= 1/2 (1 - gamma_mu) U in         b = 0, the forward hop
@@ -112,9 +145,9 @@ func (w *Wilson) Flops() int64 { return int64(w.G.Vol) * WilsonFlopsPerSite }
 // It is the Schur kernel's hop on one spinor: a spin projection that is an
 // add or subtract of swapped parts, two colour-vector SU(3) products, and
 // the lower spins reconstructed by the same swaps - the QUDA matrix-free
-// stencil in scalar form, and the one copy of it. The 4-D Wilson operator
-// and the rank-local stencil of package domain call it.
-func Hop(out, in *[SpinorLen]complex128, u *linalg.SU3, d int) {
+// stencil in scalar form, and the one copy of it, which siteGo calls per
+// leg.
+func hop(out, in *[SpinorLen]complex128, u *linalg.SU3, d int) {
 	var h, uh halfSpinor[float64]
 	h.project(spinor64(in), d)
 	if d&1 == 0 {

@@ -67,18 +67,15 @@ func (ref *coordsRef) neighborSpinor(s, mu int, fwd bool) *[spinorLen]complex128
 	return (*[spinorLen]complex128)(sub.src[nb*spinorLen:])
 }
 
-// siteStencil applies the Wilson stencil at one local site into out.
+// siteStencil applies the Wilson stencil at one local site into out, its
+// legs resolved from the site's coordinates.
 func (ref *coordsRef) siteStencil(out *[spinorLen]complex128, s int) {
 	sub := ref.sub
-	in := sub.src[s*spinorLen : (s+1)*spinorLen]
-	diag := complex(4+sub.Spec.Mass, 0)
-	for i := 0; i < spinorLen; i++ {
-		out[i] = diag * in[i]
-	}
 	lc := sub.local.Coords(s)
+	var legs dirac.Legs
 	for mu := 0; mu < lattice.NDim; mu++ {
 		// Forward hop: (1-gamma) U_mu(x) psi(x+mu).
-		dirac.Hop(out, ref.neighborSpinor(s, mu, true), &sub.Spec.U[mu][s], 2*mu)
+		legs[2*mu] = dirac.Leg{Psi: ref.neighborSpinor(s, mu, true), U: &sub.Spec.U[mu][s]}
 		// Backward hop: (1+gamma) U_mu(x-mu)^dag psi(x-mu).
 		var link *linalg.SU3
 		if sub.Spec.Partitioned(mu) && lc[mu] == 0 {
@@ -86,8 +83,9 @@ func (ref *coordsRef) siteStencil(out *[spinorLen]complex128, s int) {
 		} else {
 			link = &sub.Spec.U[mu][sub.local.Bwd(s, mu)]
 		}
-		dirac.Hop(out, ref.neighborSpinor(s, mu, false), link, 2*mu+1)
+		legs[2*mu+1] = dirac.Leg{Psi: ref.neighborSpinor(s, mu, false), U: link}
 	}
+	dirac.WilsonSite(out, (*[spinorLen]complex128)(sub.src[s*spinorLen:]), &legs, 4+sub.Spec.Mass, false)
 }
 
 // bitDiff counts components whose float64 bit patterns differ.

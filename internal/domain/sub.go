@@ -144,13 +144,6 @@ func BuildSpecs(u *gauge.Field, grid [lattice.NDim]int, mass float64) ([]SubSpec
 	return specs, nil
 }
 
-// hop is one precomputed stencil leg: where the neighbor spinor sits in
-// the Sub's field array, and the gauge link that transports it.
-type hop struct {
-	psi  int32 // offset of the neighbor's 12 components in Sub.field
-	link *linalg.SU3
-}
-
 // hopsPerSite is the stencil's leg count: forward and backward in each
 // dimension, laid out [2*mu] = forward, [2*mu+1] = backward.
 const hopsPerSite = 2 * lattice.NDim
@@ -176,10 +169,11 @@ type Sub struct {
 	// faceSites[mu][dir] lists local sites on the dir-face of dim mu.
 	faceSites [lattice.NDim][2][]int
 
-	// hops is the stencil table, hopsPerSite entries per local site:
-	// NewSub resolves every (site, mu, direction) to a field offset and a
-	// link once, so an application never touches coordinates.
-	hops []hop
+	// hops is the stencil table, hopsPerSite legs per local site in the
+	// order dirac.WilsonSite takes them: NewSub resolves every (site, mu,
+	// direction) to a spinor of field and a link once, so an application
+	// never touches coordinates.
+	hops []dirac.Leg
 
 	interior []int // sites with no ghost dependence
 	boundary []int // sites touching at least one partitioned face
@@ -240,13 +234,14 @@ func NewSub(spec SubSpec) (*Sub, error) {
 	// The table starts as the periodic local stencil; each partitioned
 	// dimension then redirects the legs that cross its two faces to the
 	// ghost face (and, backward, to the ghost link).
-	sub.hops = make([]hop, lg.Vol*hopsPerSite)
+	spinorAt := func(off int) *[spinorLen]complex128 { return (*[spinorLen]complex128)(sub.field[off:]) }
+	sub.hops = make([]dirac.Leg, lg.Vol*hopsPerSite)
 	for s := 0; s < lg.Vol; s++ {
 		legs := sub.hops[s*hopsPerSite:]
 		for mu := 0; mu < lattice.NDim; mu++ {
 			bwd := lg.Bwd(s, mu)
-			legs[2*mu] = hop{psi: int32(lg.Fwd(s, mu) * spinorLen), link: &sub.Spec.U[mu][s]}
-			legs[2*mu+1] = hop{psi: int32(bwd * spinorLen), link: &sub.Spec.U[mu][bwd]}
+			legs[2*mu] = dirac.Leg{Psi: spinorAt(lg.Fwd(s, mu) * spinorLen), U: &sub.Spec.U[mu][s]}
+			legs[2*mu+1] = dirac.Leg{Psi: spinorAt(bwd * spinorLen), U: &sub.Spec.U[mu][bwd]}
 		}
 	}
 	touched := make([]bool, lg.Vol)
@@ -267,13 +262,13 @@ func NewSub(spec SubSpec) (*Sub, error) {
 				i := len(sub.faceSites[mu][0])
 				sub.faceSites[mu][0] = append(sub.faceSites[mu][0], s)
 				touched[s] = true
-				legs[2*mu+1] = hop{psi: int32(lower + i*spinorLen), link: &sub.Spec.GhostLink[mu][i]}
+				legs[2*mu+1] = dirac.Leg{Psi: spinorAt(lower + i*spinorLen), U: &sub.Spec.GhostLink[mu][i]}
 			}
 			if lc[mu] == spec.Local[mu]-1 {
 				i := len(sub.faceSites[mu][1])
 				sub.faceSites[mu][1] = append(sub.faceSites[mu][1], s)
 				touched[s] = true
-				legs[2*mu].psi = int32(upper + i*spinorLen)
+				legs[2*mu].Psi = spinorAt(upper + i*spinorLen)
 			}
 		}
 	}
@@ -369,19 +364,11 @@ func (sub *Sub) StencilBoundary() {
 	}
 }
 
-// siteStencil applies the Wilson stencil at one local site: the mass
-// term, then the eight hops in table order - per dimension the forward hop
-// (1-gamma) U_mu(x) psi(x+mu) and the backward hop (1+gamma)
-// U_mu(x-mu)^dag psi(x-mu) - each leg's spinor and link read off the
-// table, whose leg index is the hop's direction.
+// siteStencil applies the Wilson stencil at one local site: the site's
+// eight table legs - per dimension the forward hop (1-gamma) U_mu(x)
+// psi(x+mu) and the backward hop (1+gamma) U_mu(x-mu)^dag psi(x-mu), each
+// spinor in the local source or a ghost face - through dirac.WilsonSite.
 func (sub *Sub) siteStencil(s int) {
-	out := (*[spinorLen]complex128)(sub.dst[s*spinorLen:])
-	in := (*[spinorLen]complex128)(sub.src[s*spinorLen:])
-	diag := complex(4+sub.Spec.Mass, 0)
-	for i := range out {
-		out[i] = diag * in[i]
-	}
-	for d, leg := range sub.hops[s*hopsPerSite : (s+1)*hopsPerSite] {
-		dirac.Hop(out, (*[spinorLen]complex128)(sub.field[leg.psi:]), leg.link, d)
-	}
+	dirac.WilsonSite((*[spinorLen]complex128)(sub.dst[s*spinorLen:]), (*[spinorLen]complex128)(sub.src[s*spinorLen:]),
+		(*dirac.Legs)(sub.hops[s*hopsPerSite:]), 4+sub.Spec.Mass, false)
 }

@@ -230,7 +230,7 @@ func TestAssemblyDiscipline(t *testing.T) {
 	}
 	// The rules must have something to hold: the expansion has to see the
 	// Y registers the AVX bodies name through their macros.
-	for _, name := range []string{"hopAVX64", "halfRoundTripAVX"} {
+	for _, name := range []string{"hopAVX64", "siteAVX", "halfRoundTripAVX"} {
 		if !ymmBodies[name] {
 			t.Errorf("%s was not read as a body that names a Y register (bodies that do: %v)", name, ymmBodies)
 		}

@@ -466,9 +466,10 @@ func TestOddBatchOfPairsMatchesSolo(t *testing.T) {
 		qs := laneTestSolver(t, solver.Half)
 		g := qs.EO.M.W.G
 		sources := [][]complex128{PointSource(g, [4]int{}, 0, 0), overflowSource(g)}
-		for j := 2; j < 5; j++ {
-			sources = append(sources, PointSource(g, [4]int{j % 2, 0, 0, 0}, j, j%3))
-		}
+		// Systems 2-4: (spin, colour) 2,2 at the origin, and 3,0 and 0,1 on
+		// an odd site, so that the reconstruction reads etaOdd.
+		sources = append(sources, PointSource(g, [4]int{}, 2, 2),
+			PointSource(g, [4]int{1, 0, 0, 0}, 3, 0), PointSource(g, [4]int{1, 0, 0, 0}, 0, 1))
 		ref := &refSolver{qs: laneTestSolver(t, solver.Half)}
 		want := make([][]complex128, len(sources))
 		for j, b := range sources {

@@ -51,8 +51,13 @@ func (p *Propagator) At(site int) *[NComp][NComp]complex128 {
 }
 
 // PointSource returns the 4-D source field for component (spin, color)
-// localized at x0: the delta-function source of the paper's workflow.
+// localized at x0: the delta-function source of the paper's workflow. A
+// spin outside [0, 4) or a colour outside [0, 3) panics: it would name a
+// component of another site.
 func PointSource(g *lattice.Geometry, x0 [4]int, spin, color int) []complex128 {
+	if spin < 0 || spin >= 4 || color < 0 || color >= 3 {
+		panic(fmt.Sprintf("prop: PointSource spin %d, colour %d: want spin in [0, 4) and colour in [0, 3)", spin, color))
+	}
 	b := make([]complex128, g.Vol*dirac.SpinorLen)
 	b[g.Index(x0)*dirac.SpinorLen+spin*3+color] = 1
 	return b

@@ -2,9 +2,11 @@ package prop
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"femtoverse/internal/dirac"
@@ -43,6 +45,31 @@ func TestPointSourceStructure(t *testing.T) {
 	}
 	if nz != 1 {
 		t.Fatalf("%d nonzeros", nz)
+	}
+}
+
+// TestPointSourceRejectsBadSpinColour: a spin outside [0, 4) or a colour
+// outside [0, 3) panics with a message that names both, rather than
+// writing a component of the next site (spin 4 at the origin) or running
+// off the field (spin 4 at the last site).
+func TestPointSourceRejectsBadSpinColour(t *testing.T) {
+	g := lattice.MustNew(2, 2, 2, 4)
+	last := g.Coords(g.Vol - 1)
+	for _, c := range []struct {
+		x0           [4]int
+		spin, colour int
+	}{
+		{[4]int{}, 4, 1}, {last, 4, 0}, {[4]int{}, -1, 0}, {[4]int{}, 0, 3}, {[4]int{}, 2, -1}, {last, 3, 3},
+	} {
+		func() {
+			defer func() {
+				want := fmt.Sprintf("spin %d, colour %d", c.spin, c.colour)
+				if r := fmt.Sprint(recover()); !strings.Contains(r, want) {
+					t.Errorf("PointSource(%v, %d, %d) panicked with %q, want a message naming %q", c.x0, c.spin, c.colour, r, want)
+				}
+			}()
+			PointSource(g, c.x0, c.spin, c.colour)
+		}()
 	}
 }
 
