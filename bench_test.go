@@ -186,19 +186,20 @@ func BenchmarkSchurNormal(b *testing.B) {
 	}
 	q := dirac.NewMobiusEO32(eo)
 	n := eo.HalfSize()
-	src, dst, tmp := make([]complex128, n), make([]complex128, n), make([]complex128, n)
+	src, dst := make([]complex128, n), make([]complex128, n)
 	rng := rand.New(rand.NewSource(2))
 	for i := range src {
 		src[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
-	src32, dst32, tmp32 := make([]complex64, n), make([]complex64, n), make([]complex64, n)
+	src32, dst32 := make([]complex64, n), make([]complex64, n)
 	linalg.Demote(src32, src)
+	one64, one32 := [2][][]complex128{{dst}, {src}}, [2][][]complex64{{dst32}, {src32}}
 	for _, c := range []struct {
 		name   string
 		normal func()
 	}{
-		{"f64", func() { eo.ApplyNormal(dst, src, tmp) }},
-		{"f32", func() { q.ApplyNormal(dst32, src32, tmp32) }},
+		{"f64", func() { eo.ApplyNormal(one64[0], one64[1]) }},
+		{"f32", func() { q.ApplyNormal(one32[0], one32[1]) }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -444,12 +445,13 @@ func BenchmarkWireApply2Rank(b *testing.B) {
 
 func BenchmarkWireNormal2Rank(b *testing.B) {
 	s, dst, src := benchWireSession(b)
-	s.ApplyNormal(dst, src)
+	one := [2][][]complex128{{dst}, {src}}
+	s.ApplyNormal(one[0], one[1])
 	b.ReportAllocs()
 	b.SetBytes(int64(2 * 16 * len(src)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.ApplyNormal(dst, src)
+		s.ApplyNormal(one[0], one[1])
 	}
 }
 

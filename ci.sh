@@ -160,11 +160,13 @@ lap drain
 # whole fields with each body; the probe selecting it and Wilson and Sub
 # running it; and the rank-local table stencil against the coordinate one
 # it replaced (internal/domain). So does the pair layout: each of its AVX
-# bodies against the single body it doubles at every Ls from 1 to 9,
-# ApplyPair and ApplyDaggerPair against two single applications on
-# poisoned fields at every launch split, and the solver's one lock-step
-# drive against the loop it replaced, on one system and on each system of
-# a pair - escalating, failing, cancelled - and the batch, Solve4D and
+# bodies against the single body it doubles at every Ls from 1 to 9, the
+# fused normal operator (ApplyNormal) on one to three systems, paired and
+# one at a time, against ApplyDagger of Apply on poisoned, NaN and
+# signed-zero fields at every launch split, and the solver's one lock-step
+# drive against the loop it replaced, on each system of drives of one to
+# five - pairs and one alone, or all alone; escalating, failing,
+# cancelled - and the batch, Solve4D and
 # Solve5D against a reference composed of the package's public seams
 # (Inject5D, PrepareSource, CGNEMixed, Reconstruct, Project4D). The suites
 # run under -race with -count=2 against fresh interleavings.
@@ -255,9 +257,15 @@ lap scenario
 # campaign as three `-journal -batch 1` invocations plus one on the
 # finished journal, which must append nothing, and holds the journal to
 # core.Run's fingerprint for the same spec. jmsim's flag test runs the
-# command on flag sets it must refuse with exit 2 before its table.
+# command on flag sets it must refuse with exit 2 before its table. Last,
+# the submission decoder is fuzzed for a short fixed time: whatever body
+# POST /v1/campaigns reads, it fails, or yields a spec core accepts on a
+# lattice inside the server's site and Ls caps, and never panics (15 s
+# reach 56000-124000 execs on a 2-vCPU host, where the fuzz engine stalls
+# after its first seconds).
 go test -race -count=2 ./internal/serve/ ./internal/validate/
 run_gate 'EndToEnd|FlagValidation' -race -- ./cmd/gaserve/ ./cmd/gasolve/ ./cmd/garank/ ./cmd/gastress/ ./cmd/jmsim/
+go test -run '^$' -fuzz '^FuzzSubmitRequest$' -fuzztime 15s ./internal/serve/
 lap service
 # Touched-package gate: an interleaving-dependent test shows only when
 # its suite is repeated, and five were found by hand in four PRs because

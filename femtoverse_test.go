@@ -270,8 +270,6 @@ var exportAllowList = map[string]string{
 	// Test references: independent implementations the tests check the
 	// production paths against.
 	"dirac.Mobius.Flops":           "the unpreconditioned operator's flop count, the other side of the preconditioning ablation",
-	"dirac.MobiusEO.ApplyNormal":   "the fused normal operator the kernel bit tests and paired benchmarks drive; the solver applies D and D^dag itself",
-	"dirac.MobiusEO32.ApplyNormal": "the fused normal operator the kernel bit tests and paired benchmarks drive; the solver applies D and D^dag itself",
 	"dirac.Wilson.ApplyDense":      "dense-matrix Wilson operator the spin-projected kernels are checked against",
 	"gauge.Field.GaugeTransform":   "gauge rotation for the gauge-invariance checks of the measurement chain",
 	"gauge.RandomGaugeRotation":    "draws the rotation the gauge-invariance checks apply",
@@ -501,7 +499,10 @@ func recvTypeName(fn *types.Func) string {
 // interface method of its name, or a standard-library interface with a
 // method of its name. Against the module's interfaces methods are
 // compared by name and signature string, since the source and export-data
-// views of one package's types are different objects.
+// views of one package's types are different objects. A generic receiver
+// type is compared as instantiated with the type arguments of the
+// interface's instance, which is how a generic type implements a generic
+// interface.
 func calledThroughInterface(fn *types.Func, ifaceUses []*types.Func, stdIfaces []*types.Interface) bool {
 	recv := fn.Type().(*types.Signature).Recv()
 	if recv == nil {
@@ -517,13 +518,13 @@ func calledThroughInterface(fn *types.Func, ifaceUses []*types.Func, stdIfaces [
 			return true
 		}
 	}
-	have := map[string]string{}
-	ms := types.NewMethodSet(ptr)
-	for i := 0; i < ms.Len(); i++ {
-		m := ms.At(i).Obj()
-		have[m.Name()] = sigString(m.Type().(*types.Signature))
-	}
-	implements := func(it *types.Interface) bool {
+	implements := func(t types.Type, it *types.Interface) bool {
+		have := map[string]string{}
+		ms := types.NewMethodSet(types.NewPointer(t))
+		for i := 0; i < ms.Len(); i++ {
+			m := ms.At(i).Obj()
+			have[m.Name()] = sigString(m.Type().(*types.Signature))
+		}
 		for i := 0; i < it.NumMethods(); i++ {
 			if m := it.Method(i); have[m.Name()] != sigString(m.Type().(*types.Signature)) {
 				return false
@@ -532,7 +533,26 @@ func calledThroughInterface(fn *types.Func, ifaceUses []*types.Func, stdIfaces [
 		return true
 	}
 	for _, m := range ifaceUses {
-		if m.Name() == fn.Name() && implements(m.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)) {
+		if m.Name() != fn.Name() {
+			continue
+		}
+		iface := m.Type().(*types.Signature).Recv().Type()
+		inst := t
+		if n, ok := t.(*types.Named); ok && n.TypeParams().Len() > 0 {
+			in, ok := iface.(*types.Named)
+			if !ok || in.TypeArgs().Len() != n.TypeParams().Len() {
+				continue
+			}
+			args := make([]types.Type, in.TypeArgs().Len())
+			for i := range args {
+				args[i] = in.TypeArgs().At(i)
+			}
+			var err error
+			if inst, err = types.Instantiate(nil, n.Origin(), args, true); err != nil {
+				continue
+			}
+		}
+		if implements(inst, iface.Underlying().(*types.Interface)) {
 			return true
 		}
 	}

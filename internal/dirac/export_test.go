@@ -25,7 +25,7 @@ func UseGoSite() (restore func()) {
 func CountSites() (calls *atomic.Int64, restore func()) {
 	body := siteBody
 	calls = new(atomic.Int64)
-	siteBody = func(out, in *[SpinorLen]complex128, legs Legs, diag float64, dagger bool) {
+	siteBody = func(out, in *[SpinorLen]complex128, legs *Legs, diag float64, dagger bool) {
 		calls.Add(1)
 		body(out, in, legs, diag, dagger)
 	}

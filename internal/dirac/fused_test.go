@@ -61,6 +61,24 @@ func sameBits32(t *testing.T, what string, got, want []complex64) {
 	}
 }
 
+// lanesAs64 and lanesAs32 copy a lane view of a field out as complex
+// numbers.
+func lanesAs64(v []cx[float64]) []complex128 {
+	out := make([]complex128, len(v))
+	for i, c := range v {
+		out[i] = complex(c.re, c.im)
+	}
+	return out
+}
+
+func lanesAs32(v []cx[float32]) []complex64 {
+	out := make([]complex64, len(v))
+	for i, c := range v {
+		out[i] = complex(c.re, c.im)
+	}
+	return out
+}
+
 // bodySets are the body sets a Schur operator can run: the build's (the
 // vector bodies of schur_amd64.s on amd64: the SSE fifth-dimension passes,
 // and the AVX hop where the host has AVX) and the portable Go bodies, which
@@ -135,9 +153,9 @@ func TestFusedSchurMatchesStagedBitForBit(t *testing.T) {
 						sameBits64(t, tag+" Apply", got, want)
 						p.ApplyDagger(got, src)
 						sameBits64(t, tag+" ApplyDagger", got, wantDag)
+						p.ApplyNormal([][]complex128{got}, [][]complex128{src})
+						sameBits64(t, tag+" ApplyNormal Apply", lanesAs64(p.mid[0]), want)
 						tmp := make([]complex128, n)
-						p.ApplyNormal(got, src, tmp)
-						sameBits64(t, tag+" ApplyNormal Apply", tmp, want)
 						p.ApplyDagger(tmp, want)
 						sameBits64(t, tag+" ApplyNormal", got, tmp)
 						got32 := make([]complex64, n)
@@ -145,9 +163,9 @@ func TestFusedSchurMatchesStagedBitForBit(t *testing.T) {
 						sameBits32(t, tag+" Apply32", got32, want32)
 						q.ApplyDagger(got32, src32)
 						sameBits32(t, tag+" ApplyDagger32", got32, wantDag32)
+						q.ApplyNormal([][]complex64{got32}, [][]complex64{src32})
+						sameBits32(t, tag+" ApplyNormal32 Apply", lanesAs32(q.mid[0]), want32)
 						tmp32 := make([]complex64, n)
-						q.ApplyNormal(got32, src32, tmp32)
-						sameBits32(t, tag+" ApplyNormal32 Apply", tmp32, want32)
 						q.ApplyDagger(tmp32, want32)
 						sameBits32(t, tag+" ApplyNormal32", got32, tmp32)
 						bhat, odd := p.PrepareSource(full)

@@ -2,6 +2,7 @@ package dirac
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -151,14 +152,16 @@ func TestPairBodiesMatchSingleBitForBit(t *testing.T) {
 	}
 }
 
-// TestPairApplyMatchesTwoSinglesBitForBit holds ApplyPair and
-// ApplyDaggerPair to two Applies and two ApplyDaggers of the build, to the
-// bit - NaN payloads and infinities included - on random and on poisoned
-// fields, at Ls 2, 4, 6 and 8 (padding lanes, one block, two), at launch
-// widths 1 to 3 on a parity block past linalg.For's serial cut, and on a
-// view, whose scratch the single and the pair layout share; a single
-// application after a pair must be unchanged too. Without pair bodies the
-// pair is two single applications and the test holds trivially.
+// TestPairApplyMatchesTwoSinglesBitForBit holds ApplyNormal on one, two
+// and three systems - a pair through the pair bodies, and then one alone -
+// to ApplyDagger of Apply on each system, to the bit - NaN payloads,
+// infinities and the signs of zeros included - on random, poisoned, NaN,
+// +0 and -0 fields, at Ls 2, 4, 6 and 8 (padding lanes, one block, two),
+// at launch widths 1 to 3 on a parity block past linalg.For's serial cut,
+// with the pair bodies and with them switched off, and on a view, whose
+// scratch the single and the pair layout share; a single application
+// after a pair must be unchanged too. Without pair bodies the systems run
+// one at a time and the test holds the fused normal to the composed one.
 func TestPairApplyMatchesTwoSinglesBitForBit(t *testing.T) {
 	g := lattice.MustNew(4, 4, 4, 8)
 	cfg := gauge.NewRandom(g, 6)
@@ -179,32 +182,54 @@ func TestPairApplyMatchesTwoSinglesBitForBit(t *testing.T) {
 			linalg.Demote(v, f)
 			return v
 		}
-		inputs := map[string][2][]complex64{
-			"random":   {in(randField(rng, n)), in(randField(rng, n))},
-			"poisoned": {in(randField(rng, n)), in(poisonedInput(n))},
+		fill := func(c complex64) []complex64 {
+			v := make([]complex64, n)
+			for j := range v {
+				v[j] = c
+			}
+			return v
+		}
+		negZero := complex(float32(math.Copysign(0, -1)), float32(math.Copysign(0, -1)))
+		nan := complex(float32(math.NaN()), 0)
+		inputs := map[string][3][]complex64{
+			"random":   {in(randField(rng, n)), in(randField(rng, n)), in(randField(rng, n))},
+			"poisoned": {in(randField(rng, n)), in(poisonedInput(n)), in(randField(rng, n))},
+			"zeros":    {fill(0), fill(negZero), in(randField(rng, n))},
+			"nan":      {fill(nan), in(randField(rng, n)), fill(negZero)},
 		}
 		for name, src := range inputs {
 			for _, op := range []*MobiusEO32{q, q.View()} {
-				for workers := 1; workers <= 3; workers++ {
-					op.Workers = workers
-					tag := fmt.Sprintf("Ls=%d %s workers=%d view=%v", ls, name, workers, op != q)
-					for _, dagger := range []bool{false, true} {
-						single, pair := op.Apply, op.ApplyPair
-						if dagger {
-							single, pair = op.ApplyDagger, op.ApplyDaggerPair
+				bodies := op.pair
+				for _, paired := range []bool{true, false} {
+					op.pair = nil
+					if paired {
+						op.pair = bodies
+					}
+					for workers := 1; workers <= 3; workers++ {
+						op.Workers = workers
+						tag := fmt.Sprintf("Ls=%d %s workers=%d view=%v paired=%v", ls, name, workers, op != q, op.pair != nil)
+						var want, wantD [3][]complex64
+						for k := range want {
+							want[k], wantD[k] = make([]complex64, n), make([]complex64, n)
+							op.Apply(wantD[k], src[k])
+							op.ApplyDagger(want[k], wantD[k])
 						}
-						wa, wb := make([]complex64, n), make([]complex64, n)
-						single(wa, src[0])
-						single(wb, src[1])
-						ga, gb := make([]complex64, n), make([]complex64, n)
-						pair(ga, gb, src[0], src[1])
-						what := fmt.Sprintf("%s dagger=%v", tag, dagger)
-						sameBits32(t, what+" system A", ga, wa)
-						sameBits32(t, what+" system B", gb, wb)
-						single(ga, src[0])
-						sameBits32(t, what+" single after the pair", ga, wa)
+						for systems := 1; systems <= 3; systems++ {
+							got := make([][]complex64, systems)
+							for k := range got {
+								got[k] = make([]complex64, n)
+							}
+							op.ApplyNormal(got, src[:systems])
+							for k := range got {
+								sameBits32(t, fmt.Sprintf("%s of %d systems: system %d", tag, systems, k), got[k], want[k])
+							}
+							d := make([]complex64, n)
+							op.Apply(d, src[0])
+							sameBits32(t, fmt.Sprintf("%s of %d systems: an Apply after", tag, systems), d, wantD[0])
+						}
 					}
 				}
+				op.pair = bodies
 			}
 		}
 	}

@@ -117,8 +117,10 @@ func benchPaired(b *testing.B, cand, ref func()) {
 // float32 against float64 and against the scalar float64 kernel; the
 // pair layout's sloppy step on two systems against the single layout's on
 // each (f32-pair: a ratio of 0.5 is the pair at the cost of one system);
-// and an A/A calibration whose ratio should read 1. Run with -cpu 1
-// -benchtime 60x.
+// the fused normal - the dagger from the image Apply leaves in the
+// scratch, no load pass - against Apply then ApplyDagger, on one float64
+// system (f64-fused) and on a float32 pair (f32-pair-fused); and an A/A
+// calibration whose ratio should read 1. Run with -cpu 1 -benchtime 60x.
 func BenchmarkSchurNormalPaired(b *testing.B) {
 	g := lattice.MustNew(2, 2, 4, 8)
 	m, err := NewMobius(gauge.NewRandom(g, 1), MobiusParams{Ls: 4, M5: 1.4, B5: 1.25, C5: 0.25, M: 0.1})
@@ -144,18 +146,33 @@ func BenchmarkSchurNormalPaired(b *testing.B) {
 	if all64 != nil {
 		hop64, hop32 = &vecBodies[float64]{hop: all64.hop}, &vecBodies[float32]{hop: all32.hop}
 	}
-	vec64 := func() { p.vec = all64; p.ApplyNormal(dst, src, tmp) }
-	vec32 := func() { q.vec = all32; q.ApplyNormal(dst32, src32, tmp32) }
-	goFibre64 := func() { p.vec = hop64; p.ApplyNormal(dst, src, tmp) }
-	goFibre32 := func() { q.vec = hop32; q.ApplyNormal(dst32, src32, tmp32) }
+	one64, one32 := [2][][]complex128{{dst}, {src}}, [2][][]complex64{{dst32}, {src32}}
+	vec64 := func() { p.vec = all64; p.ApplyNormal(one64[0], one64[1]) }
+	vec32 := func() { q.vec = all32; q.ApplyNormal(one32[0], one32[1]) }
+	goFibre64 := func() { p.vec = hop64; p.ApplyNormal(one64[0], one64[1]) }
+	goFibre32 := func() { q.vec = hop32; q.ApplyNormal(one32[0], one32[1]) }
+	composed64 := func() {
+		p.vec = all64
+		p.Apply(tmp, src)
+		p.ApplyDagger(dst, tmp)
+	}
 	// The pair's normal op is the mixed solver's sloppy step on two
-	// systems, ApplyPair then ApplyDaggerPair; single32 is that step on one.
+	// systems; single32 is that step on each alone, and composedPair32 the
+	// pair's Apply then its ApplyDagger, each through the pair layout.
 	srcB32, dstB32, tmpB32 := make([]complex64, n), make([]complex64, n), make([]complex64, n)
 	linalg.Demote(srcB32, randField(rand.New(rand.NewSource(3)), n))
-	pair32 := func() {
+	two32 := [2][][]complex64{{dst32, dstB32}, {src32, srcB32}}
+	pair32 := func() { q.vec = all32; q.ApplyNormal(two32[0], two32[1]) }
+	pairSrc, pairTmp, pairDst := [2][]cx[float32]{lanes32(src32), lanes32(srcB32)}, [2][]cx[float32]{lanes32(tmp32), lanes32(tmpB32)}, [2][]cx[float32]{lanes32(dst32), lanes32(dstB32)}
+	composedPasses := []struct {
+		st       schurStage
+		dst, src [2][]cx[float32]
+	}{{stageB, pairDst, pairSrc}, {stageInner, pairDst, pairSrc}, {stageOuter, pairTmp, pairSrc}, {stageLoad, pairDst, pairTmp}, {stageInnerDag, pairDst, pairTmp}, {stageOuterDag, pairDst, pairTmp}}
+	composedPair32 := func() {
 		q.vec = all32
-		q.ApplyPair(tmp32, tmpB32, src32, srcB32)
-		q.ApplyDaggerPair(dst32, dstB32, tmp32, tmpB32)
+		for _, ps := range composedPasses {
+			q.pass(ps.st, q.pair != nil, ps.dst, ps.src, 1)
+		}
 	}
 	single32 := func() {
 		q.vec = all32
@@ -177,6 +194,8 @@ func BenchmarkSchurNormalPaired(b *testing.B) {
 		{"f32-vs-f64", vec32, vec64},
 		{"f32-vs-scalar-f64", vec32, scalar64},
 		{"f32-pair", pair32, single32},
+		{"f64-fused", vec64, composed64},
+		{"f32-pair-fused", pair32, composedPair32},
 		{"aa", vec32, vec32},
 	} {
 		b.Run(c.name, func(b *testing.B) { benchPaired(b, c.cand, c.ref) })

@@ -76,10 +76,10 @@ func NewMobiusEO(m *Mobius) (*MobiusEO, error) {
 // View returns an operator that is p to the bit - the same Mobius
 // operator, even-odd tables, links and fifth-dimension inverses, by
 // reference - but applies through scratch and pass state of its own, so
-// that p and any number of views may run Apply, ApplyDagger, PrepareSource
-// and Reconstruct at the same time. It costs three half-fields. Changes to
-// the shared M (its split width, say) reach every view; each view's
-// Workers is its own.
+// that p and any number of views may run Apply, ApplyDagger, ApplyNormal,
+// PrepareSource and Reconstruct at the same time. It costs four
+// half-fields. Changes to the shared M (its split width, say) reach every
+// view; each view's Workers is its own.
 func (p *MobiusEO) View() *MobiusEO {
 	v := &MobiusEO{M: p.M, EO: p.EO}
 	v.schurOp = p.schurOp
@@ -133,17 +133,10 @@ func (p *MobiusEO) ApplyDagger(dst, src []complex128) {
 	p.run(stageOuterDag, dst, src)
 }
 
-// ApplyNormal computes dst = Dhat^dagger Dhat src, the operator of the
-// conjugate-gradient normal equations. tmp must be a caller-provided
-// half-field buffer distinct from dst and src. The dagger starts from the
-// lane-major tmp that Apply's last pass leaves, so it loads nothing.
-func (p *MobiusEO) ApplyNormal(dst, src, tmp []complex128) {
-	if len(dst) != p.HalfSize() {
-		panic("dirac: MobiusEO.ApplyNormal size mismatch")
-	}
-	p.Apply(tmp, src)
-	p.run(stageInnerDag, nil, nil)
-	p.run(stageOuterDag, dst, tmp)
+// ApplyNormal sets dst[j] = Dhat^dagger Dhat src[j], the CG normal
+// operator, for every system: to the bit ApplyDagger of Apply.
+func (p *MobiusEO) ApplyNormal(dst, src [][]complex128) {
+	applyNormal(&p.schur, dst, src, lanes64, ownWidth(p.Workers, p.M.W.Workers))
 }
 
 // GatherParity5D splits a full lexicographic 5-D field into a half field

@@ -112,57 +112,8 @@ func (q *MobiusEO32) ApplyDagger(dst, src []complex64) {
 	q.run(stageOuterDag, dst, src)
 }
 
-func (q *MobiusEO32) runPair(st schurStage, dstA, dstB, srcA, srcB []complex64) {
-	q.schur.pass(st, true, [2][]cx[float32]{lanes32(dstA), lanes32(dstB)},
-		[2][]cx[float32]{lanes32(srcA), lanes32(srcB)}, ownWidth(q.Workers, q.P.M.W.Workers))
-}
-
-// pairSizes panics unless all four fields are half fields.
-func (q *MobiusEO32) pairSizes(what string, f ...[]complex64) {
-	for _, v := range f {
-		if len(v) != q.Size() {
-			panic("dirac: MobiusEO32." + what + " size mismatch")
-		}
-	}
-}
-
-// ApplyPair computes dstA = Dhat srcA and dstB = Dhat srcB, each to the
-// bit what Apply computes, in one set of passes over the pair layout: two
-// systems in the two halves of every register. Where the build has no
-// pair bodies (linalg.HasAVX false) it is two Applies.
-func (q *MobiusEO32) ApplyPair(dstA, dstB, srcA, srcB []complex64) {
-	if q.pair == nil {
-		q.Apply(dstA, srcA)
-		q.Apply(dstB, srcB)
-		return
-	}
-	q.pairSizes("ApplyPair", dstA, dstB, srcA, srcB)
-	q.runPair(stageB, nil, nil, srcA, srcB)
-	q.runPair(stageInner, nil, nil, nil, nil)
-	q.runPair(stageOuter, dstA, dstB, srcA, srcB)
-}
-
-// ApplyDaggerPair is ApplyPair for Dhat^dagger: ApplyDagger on each
-// system, to the bit.
-func (q *MobiusEO32) ApplyDaggerPair(dstA, dstB, srcA, srcB []complex64) {
-	if q.pair == nil {
-		q.ApplyDagger(dstA, srcA)
-		q.ApplyDagger(dstB, srcB)
-		return
-	}
-	q.pairSizes("ApplyDaggerPair", dstA, dstB, srcA, srcB)
-	q.runPair(stageLoad, nil, nil, srcA, srcB)
-	q.runPair(stageInnerDag, nil, nil, nil, nil)
-	q.runPair(stageOuterDag, dstA, dstB, srcA, srcB)
-}
-
-// ApplyNormal computes dst = Dhat^dag Dhat src in single precision; tmp
-// must be caller-provided and distinct from dst and src.
-func (q *MobiusEO32) ApplyNormal(dst, src, tmp []complex64) {
-	if len(dst) != q.Size() {
-		panic("dirac: MobiusEO32.ApplyNormal size mismatch")
-	}
-	q.Apply(tmp, src)
-	q.run(stageInnerDag, nil, nil)
-	q.run(stageOuterDag, dst, tmp)
+// ApplyNormal is MobiusEO.ApplyNormal in single precision, two systems to
+// a pass through the pair bodies where the build has them (linalg.HasAVX).
+func (q *MobiusEO32) ApplyNormal(dst, src [][]complex64) {
+	applyNormal(&q.schur, dst, src, lanes32, ownWidth(q.Workers, q.P.M.W.Workers))
 }

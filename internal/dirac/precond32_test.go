@@ -58,13 +58,11 @@ func TestMobiusEO32NormalMatchesDouble(t *testing.T) {
 	src32 := make([]complex64, len(src))
 	linalg.Demote(src32, src)
 
-	tmp := make([]complex128, len(src))
 	want := make([]complex128, len(src))
-	p.ApplyNormal(want, src, tmp)
+	p.ApplyNormal([][]complex128{want}, [][]complex128{src})
 
-	tmp32 := make([]complex64, len(src))
 	got32 := make([]complex64, len(src))
-	q.ApplyNormal(got32, src32, tmp32)
+	q.ApplyNormal([][]complex64{got32}, [][]complex64{src32})
 	got := make([]complex128, len(src))
 	linalg.Promote(got, got32)
 

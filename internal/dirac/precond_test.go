@@ -98,11 +98,9 @@ func TestNormalOperatorIsHermitianPositive(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	x := randField(rng, p.HalfSize())
 	y := randField(rng, p.HalfSize())
-	tmp := make([]complex128, p.HalfSize())
 	nx := make([]complex128, p.HalfSize())
 	ny := make([]complex128, p.HalfSize())
-	p.ApplyNormal(nx, x, tmp)
-	p.ApplyNormal(ny, y, tmp)
+	p.ApplyNormal([][]complex128{nx, ny}, [][]complex128{x, y})
 	lhs := linalg.Dot(x, ny, 0)
 	rhs := linalg.Dot(nx, y, 0)
 	if cmplx.Abs(lhs-rhs) > 1e-9*(1+cmplx.Abs(lhs)) {

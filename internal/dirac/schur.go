@@ -162,8 +162,10 @@ type schur[F float32 | float64] struct {
 
 	// Scratch half-fields, lane-major: pair-sized where the operator has
 	// the pair layout, whose fibres are twice as long, and the single
-	// layout then uses their first half.
+	// layout then uses their first half. mid is ApplyNormal's D x, a half
+	// field a system in the caller's layout, for its dagger's last pass.
 	t1, t2, t3 []F
+	mid        [2][]cx[F]
 
 	// The pass in flight: which site loop, on what. dst[1] and src[1] are
 	// the second system's fields, and two is set, in a pass of the pair
@@ -180,9 +182,11 @@ type schur[F float32 | float64] struct {
 // own gives k the state no two appliers may share: the scratch half-fields
 // and the bound site loop.
 func (k *schur[F]) own() {
-	n := k.halfVol * k.fib
+	n, half := k.halfVol*k.fib, k.ls*k.halfVol*SpinorLen
+	k.mid[0] = make([]cx[F], half)
 	if k.pair != nil {
 		n *= 2
+		k.mid[1] = make([]cx[F], half)
 	}
 	k.t1, k.t2, k.t3 = make([]F, n), make([]F, n), make([]F, n)
 	k.sites = k.runSites
@@ -198,9 +202,11 @@ func (k *schur[F]) own() {
 //	Apply        stageB         t1 = B L(x_e)
 //	             stageInner     t2 = B A^{-1} Hop_oe t1
 //	             stageOuter     S(dst_e) = A L(x_e) - Hop_eo t2, kept in t3
-//	ApplyDagger  stageLoad      t3 = L(x_e), unless stageOuter left it
+//	ApplyDagger  stageLoad      t3 = L(x_e)
 //	             stageInnerDag  t2 = A^{-dag} B^dag g5 Hop_oe g5 t3
 //	             stageOuterDag  S(dst_e) = A^dag L(x_e) - B^dag g5 Hop_eo g5 t2
+//	ApplyNormal  Apply's passes into mid, then ApplyDagger's on mid but
+//	             stageLoad: stageOuter left L(mid) in t3
 //	PrepareSource stageFibre    t2 = B A^{-1} L(eta_o)
 //	             stagePrepare   S(bhat_e) = L(bhat_e) - Hop_eo t2
 //	Reconstruct  stageB, then
@@ -222,6 +228,37 @@ const (
 	stagePrepare
 	stageRecon
 )
+
+// applyNormal sets dst[j] = Dhat^dagger Dhat src[j] for every system, on
+// fields view reads as lanes, two systems to a pass where k has the pair
+// layout: to the bit ApplyDagger of Apply, whose passes it runs, as t3
+// holds the same L(mid) whether stageOuter left it or stageLoad loaded it.
+func applyNormal[F float32 | float64, T complex64 | complex128](k *schur[F], dst, src [][]T, view func([]T) []cx[F], workers int) {
+	if len(dst) != len(src) {
+		panic("dirac: ApplyNormal system count mismatch")
+	}
+	half := len(k.mid[0])
+	for j := 0; j < len(src); {
+		w := 1
+		if k.pair != nil && j+1 < len(src) {
+			w = 2
+		}
+		var d, s [2][]cx[F]
+		for i := range w {
+			if len(dst[j+i]) != half || len(src[j+i]) != half {
+				panic("dirac: ApplyNormal size mismatch")
+			}
+			d[i], s[i] = view(dst[j+i]), view(src[j+i])
+		}
+		two := w == 2
+		k.pass(stageB, two, [2][]cx[F]{}, s, workers)
+		k.pass(stageInner, two, [2][]cx[F]{}, [2][]cx[F]{}, workers)
+		k.pass(stageOuter, two, k.mid, s, workers)
+		k.pass(stageInnerDag, two, [2][]cx[F]{}, [2][]cx[F]{}, workers)
+		k.pass(stageOuterDag, two, d, k.mid, workers)
+		j += w
+	}
+}
 
 // run makes one pass over the parity block, split workers wide.
 func (k *schur[F]) run(st schurStage, dst, src []cx[F], workers int) {

@@ -33,7 +33,7 @@ func init() {
 }
 
 //go:noescape
-func siteAVX(out, in *[SpinorLen]complex128, legs Legs, diag float64, dagger bool)
+func siteAVX(out, in *[SpinorLen]complex128, legs *Legs, diag float64, dagger bool)
 
 //go:noescape
 func hopAVX32x2(dst, src *float32, hops *lattice.Hop, u *[lattice.NDim][]link[float32], keep *float32, ls int, g5 bool)

@@ -1377,7 +1377,7 @@ slicesDone:
 // and projects each neighbour by the body of d^1, which is the projection
 // of its gamma_5 copy. No fused multiply-add; VZEROUPPER before each RET.
 //
-// func siteAVX(out, in *[12]complex128, legs Legs, diag float64, dagger bool)
+// func siteAVX(out, in *[12]complex128, legs *Legs, diag float64, dagger bool)
 //
 // Registers: DI out, SI in, BX the legs, AX a leg's neighbour spinor, R10
 // its link.
@@ -1499,13 +1499,13 @@ GLOBL s4hi<>(SB), RODATA|NOPTR, $32
 	S4ST(X0, Y0, 0, 3); S4ST(X1, Y1, 1, 4); S4ST(X2, Y2, 2, 5); \
 	S4ST(X3, Y3, 6, 9); S4ST(X4, Y4, 7, 10); S4ST(X5, Y5, 8, 11)
 
-TEXT ·siteAVX(SB), NOSPLIT, $0-153
+TEXT ·siteAVX(SB), NOSPLIT, $0-33
 	MOVQ out+0(FP), DI
 	MOVQ in+8(FP), SI
-	LEAQ legs+16(FP), BX
-	VBROADCASTSD diag+144(FP), S4BR
+	MOVQ legs+16(FP), BX
+	VBROADCASTSD diag+24(FP), S4BR
 	VXORPD S4BI, S4BI, S4BI
-	MOVBQZX dagger+152(FP), DX
+	MOVBQZX dagger+32(FP), DX
 	S4LD(SI, 0, 3, S4O0); S4MASS(S4O0)
 	S4LD(SI, 1, 4, S4O1); S4MASS(S4O1)
 	S4LD(SI, 2, 5, S4O2); S4MASS(S4O2)

@@ -128,8 +128,8 @@ func TestSiteAVXMatchesGoBitForBit(t *testing.T) {
 				for _, diag := range []float64{4.1, 2.6, 0} {
 					for _, dagger := range []bool{false, true} {
 						var got, want [SpinorLen]complex128
-						siteGo(&want, in, legs, diag, dagger)
-						siteAVX(&got, in, legs, diag, dagger)
+						siteGo(&want, in, &legs, diag, dagger)
+						siteAVX(&got, in, &legs, diag, dagger)
 						for i := range want {
 							if !sameOrNaN(real(got[i]), real(want[i])) || !sameOrNaN(imag(got[i]), imag(want[i])) {
 								t.Fatalf("%s, live leg %d, diag %v, dagger %v: component %d is %v, Go body %v",

@@ -1,6 +1,8 @@
 package dirac
 
 import (
+	"sync"
+
 	"femtoverse/internal/gauge"
 	"femtoverse/internal/lattice"
 	"femtoverse/internal/linalg"
@@ -22,6 +24,11 @@ type Wilson struct {
 	U       *gauge.Field
 	Mass    float64
 	Workers int // goroutine count for the site loop; <= 0 means default
+
+	// spare holds finished site loops' legs for the next loops, so that a
+	// pass allocates none once as many loops have run at once as it runs.
+	mu    sync.Mutex
+	spare []*Legs
 }
 
 // NewWilson constructs a Wilson operator over the given gauge field.
@@ -68,15 +75,24 @@ func (w *Wilson) apply(dst, src []complex128, dagger bool) {
 // per dimension the forward and the backward neighbour, and WilsonSite.
 func (w *Wilson) sites(dst, src []complex128, dagger bool, lo, hi int) {
 	g, u := w.G, &w.U.U
-	var legs Legs
+	w.mu.Lock()
+	if len(w.spare) == 0 {
+		w.spare = append(w.spare, new(Legs))
+	}
+	legs := w.spare[len(w.spare)-1]
+	w.spare = w.spare[:len(w.spare)-1]
+	w.mu.Unlock()
 	for s := lo; s < hi; s++ {
 		for mu := 0; mu < lattice.NDim; mu++ {
 			fw, bw := g.Fwd(s, mu), g.Bwd(s, mu)
 			legs[2*mu] = Leg{(*[SpinorLen]complex128)(src[fw*SpinorLen:]), &u[mu][s]}
 			legs[2*mu+1] = Leg{(*[SpinorLen]complex128)(src[bw*SpinorLen:]), &u[mu][bw]}
 		}
-		WilsonSite((*[SpinorLen]complex128)(dst[s*SpinorLen:]), (*[SpinorLen]complex128)(src[s*SpinorLen:]), &legs, 4+w.Mass, dagger)
+		WilsonSite((*[SpinorLen]complex128)(dst[s*SpinorLen:]), (*[SpinorLen]complex128)(src[s*SpinorLen:]), legs, 4+w.Mass, dagger)
 	}
+	w.mu.Lock()
+	w.spare = append(w.spare, legs)
+	w.mu.Unlock()
 }
 
 // Leg is one leg of the 4-D stencil at a site: the neighbour's spinor and
@@ -97,12 +113,13 @@ type Legs [2 * lattice.NDim]Leg
 // Wilson operator and the rank-local stencil of package domain call it,
 // each with its own legs. out must not alias in or a leg's spinor.
 func WilsonSite(out, in *[SpinorLen]complex128, legs *Legs, diag float64, dagger bool) {
-	siteBody(out, in, *legs, diag, dagger)
+	siteBody(out, in, legs, diag, dagger)
 }
 
 // siteBody is the site body the build runs: siteGo, or where the start-up
-// probe found AVX the vector body of schur_amd64.s (schur_amd64.go). The
-// legs go by value, so a caller's legs on its stack stay there.
+// probe found AVX the vector body of schur_amd64.s (schur_amd64.go). It
+// takes the legs by pointer, not a 128-byte copy, so legs a caller passes
+// escape to the heap, where Wilson's spares and domain.Sub's table live.
 var siteBody = siteGo
 
 // siteGo is the portable site body and the reference the vector body is
@@ -110,7 +127,7 @@ var siteBody = siteGo
 // decides the sign of a zero, then the eight hops in leg order. With
 // dagger, every spinor read goes through a gamma_5 copy on the stack and
 // the result through a gamma_5 in place.
-func siteGo(out, in *[SpinorLen]complex128, legs Legs, diag float64, dagger bool) {
+func siteGo(out, in *[SpinorLen]complex128, legs *Legs, diag float64, dagger bool) {
 	var in5 [SpinorLen]complex128
 	if dagger {
 		gamma5Spinor(in5[:], in[:])

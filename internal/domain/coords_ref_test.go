@@ -150,7 +150,8 @@ func TestTableStencilMatchesCoordsBitForBit(t *testing.T) {
 
 // TestDistBitForBitAndNormal checks, on the same grids, that the
 // distributed operator is bit-for-bit the flat one for Apply and
-// ApplyDagger, and that ApplyNormal is bit-for-bit their composition.
+// ApplyDagger, and that ApplyNormal, on two systems, is bit-for-bit their
+// composition on each.
 func TestDistBitForBitAndNormal(t *testing.T) {
 	g := lattice.MustNew(4, 4, 4, 8)
 	cfg := gauge.NewRandom(g, 213)
@@ -160,6 +161,8 @@ func TestDistBitForBitAndNormal(t *testing.T) {
 	want := make([]complex128, w.Size())
 	got := make([]complex128, w.Size())
 	tmp := make([]complex128, w.Size())
+	srcs := [][]complex128{src, randField(rng, w.Size())}
+	gots := [][]complex128{got, make([]complex128, w.Size())}
 	for _, grid := range tableGrids {
 		d, err := NewDist(cfg, grid, 0.1)
 		if err != nil {
@@ -177,26 +180,32 @@ func TestDistBitForBitAndNormal(t *testing.T) {
 		}
 		// Twice, so the second call meets the first call's face buffers.
 		for rep := 0; rep < 2; rep++ {
-			d.Apply(tmp, src)
-			d.ApplyDagger(want, tmp)
-			d.ApplyNormal(got, src)
-			if n := bitDiff(got, want); n != 0 {
-				t.Fatalf("grid %v rep %d: ApplyNormal differs from ApplyDagger(Apply) in %d components", grid, rep, n)
+			d.ApplyNormal(gots, srcs)
+			for k := range srcs {
+				d.Apply(tmp, srcs[k])
+				d.ApplyDagger(want, tmp)
+				if n := bitDiff(gots[k], want); n != 0 {
+					t.Fatalf("grid %v rep %d system %d: ApplyNormal differs from ApplyDagger(Apply) in %d components", grid, rep, k, n)
+				}
 			}
 		}
 	}
 }
 
 // TestCGNEThroughApplyNormalBitForBit runs the production CGNE on a Dist
-// twice - once as is, so the solver takes the one-call normal operator,
-// once behind a wrapper that hides ApplyNormal - and demands the same
-// solution, iteration count and residual history, bit for bit.
+// twice - once as is, a solver.Normal, so the solver takes the one-call
+// normal operator, once behind a wrapper that hides ApplyNormal - and
+// demands the same solution, iteration count and residual history, bit
+// for bit.
 func TestCGNEThroughApplyNormalBitForBit(t *testing.T) {
 	g := lattice.MustNew(4, 2, 2, 4)
 	cfg := gauge.NewWeak(g, 205, 0.3)
 	d, err := NewDist(cfg, [4]int{2, 1, 1, 2}, 0.3)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, ok := any(d).(solver.Normal[complex128]); !ok {
+		t.Fatal("Dist is not a solver.Normal")
 	}
 	b := randField(rand.New(rand.NewSource(3)), d.Size())
 	p := solver.Params{Tol: 1e-9, RecordResiduals: true}

@@ -134,12 +134,16 @@ func (d *Dist) Apply(dst, src []complex128) { d.mustRun(dst, src, stagesApply) }
 // ApplyDagger implements solver.Linear via gamma_5 hermiticity.
 func (d *Dist) ApplyDagger(dst, src []complex128) { d.mustRun(dst, src, stagesDagger) }
 
-// ApplyNormal computes dst = D^dag D src in one distributed application:
-// each rank runs both stencils back to back on its own subdomain, with a
-// halo exchange before each, and the intermediate D src is never
-// gathered. The result is bit-for-bit ApplyDagger(Apply(src)); CGNE uses
-// it for the normal operator when the operator offers it.
-func (d *Dist) ApplyNormal(dst, src []complex128) { d.mustRun(dst, src, stagesNormal) }
+// ApplyNormal computes dst[k] = D^dag D src[k] in one distributed
+// application a system: each rank runs both stencils back to back on its
+// own subdomain, with a halo exchange before each, and the intermediate
+// D src[k] is never gathered. Each result is bit-for-bit
+// ApplyDagger(Apply(src[k])); it is the solver.Normal CGNE takes.
+func (d *Dist) ApplyNormal(dst, src [][]complex128) {
+	for k := range src {
+		d.mustRun(dst[k], src[k], stagesNormal)
+	}
+}
 
 func (d *Dist) mustRun(dst, src []complex128, st stages) {
 	if err := d.run(context.Background(), dst, src, st); err != nil {

@@ -5,7 +5,10 @@
 // communication and performance models.
 package lattice
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // NDim is the number of space-time dimensions of the 4-D lattice; the
 // domain-wall fifth dimension is handled at the field level, not here.
@@ -34,6 +37,9 @@ func New(dims [NDim]int) (*Geometry, error) {
 		}
 		if d%2 != 0 {
 			return nil, fmt.Errorf("lattice: extent %d in direction %d must be even for red-black preconditioning", d, mu)
+		}
+		if vol > math.MaxInt32/d {
+			return nil, fmt.Errorf("lattice: extents %v have more sites than an int32 neighbour table indexes", dims)
 		}
 		vol *= d
 	}

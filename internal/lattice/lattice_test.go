@@ -103,6 +103,22 @@ func TestOddExtentsRejected(t *testing.T) {
 	}
 }
 
+// TestOversizedVolumeRejected: extents whose site count wraps int, or
+// passes what the int32 neighbour tables index, are an error before
+// anything is allocated. The wrapping cases come first: the others would
+// ask for tens of gigabytes from a New without the check.
+func TestOversizedVolumeRejected(t *testing.T) {
+	for _, dims := range [][4]int{
+		{1 << 32, 1 << 32, 2, 2}, // 2^66 sites: wraps to 0
+		{1 << 30, 1 << 30, 4, 2}, // 2^63: wraps negative
+		{1 << 16, 1 << 13, 2, 2}, // 2^31: one past the last int32 index
+	} {
+		if g, err := New(dims); err == nil {
+			t.Fatalf("extents %v accepted with volume %d", dims, g.Vol)
+		}
+	}
+}
+
 func TestTimeSliceCoversLattice(t *testing.T) {
 	g := MustNew(2, 2, 4, 6)
 	total := 0

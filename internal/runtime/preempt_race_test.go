@@ -162,3 +162,24 @@ func TestSecondPreemptValueStillEscalates(t *testing.T) {
 		t.Fatalf("stranded %d, want exactly the blocker", rep.Stranded)
 	}
 }
+
+// TestBudgetExpiringInsideNew: a budget shorter than New itself expires
+// while New is still setting the pool up, so the drain it fires reads the
+// budget timer as New stores it. The store is under the pool's lock, as
+// every read is; under -race this test fails otherwise.
+func TestBudgetExpiringInsideNew(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		p, err := New(context.Background(), Config{
+			SolveWorkers: 1, ContractWorkers: 1,
+			Budget: Budget{WallClock: time.Nanosecond, DrainGrace: time.Millisecond},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitSoft(t, p)
+		p.Close()
+		if _, rep, _ := p.Wait(); rep.DrainReason != "budget expired" {
+			t.Fatalf("pool %d drained for %q, want the budget's expiry", i, rep.DrainReason)
+		}
+	}
+}

@@ -392,9 +392,12 @@ func New(ctx context.Context, cfg Config) (*Pool, error) {
 		p.mu.Unlock()
 	}()
 	// The allocation clock: at WallClock the pool drains itself, exactly
-	// as if the batch system had reclaimed the nodes.
+	// as if the batch system had reclaimed the nodes. The drain reads the
+	// timer under p.mu, and may already be running when AfterFunc returns.
 	if cfg.Budget.Enabled() {
+		p.mu.Lock()
 		p.budgetTimer = time.AfterFunc(cfg.Budget.WallClock, func() { p.Drain("budget expired") })
+		p.mu.Unlock()
 	}
 	// External preemption notices land on the same drain path.
 	if cfg.Preempt != nil {

@@ -43,6 +43,17 @@ type SpecRequest struct {
 	Prec     *string  `json:"prec,omitempty"`
 }
 
+// The lattice a request may name: at most maxSites 4-D sites (8^4) and
+// maxLs fifth-dimension slices, 25 MB a 5-D double-precision field. The
+// campaigns the tests, examples and benchmark submit have 64 sites or
+// fewer and Ls 4 or less; the caps stop one request from naming a lattice
+// that exhausts the server's memory. maxRequestBytes caps the body.
+const (
+	maxSites        = 1 << 12
+	maxLs           = 32
+	maxRequestBytes = 1 << 16
+)
+
 // Validate checks the request through the same validator package the
 // command-line flag sweeps use, collecting every problem at once.
 func (r SubmitRequest) Validate() error {
@@ -53,12 +64,17 @@ func (r SubmitRequest) Validate() error {
 	errs = append(errs, checkPriority(r.Priority))
 	sp := r.Spec
 	if sp.Dims != nil {
+		sites := 1.0 // a float64 holds a product of four ints without overflow
 		for i, d := range sp.Dims {
 			errs = append(errs, validate.PositiveInt(fmt.Sprintf("spec.dims[%d]", i), d))
+			sites *= float64(d)
+		}
+		if sites > maxSites {
+			errs = append(errs, fmt.Errorf("spec.dims %v has more than the %d sites the server runs", *sp.Dims, maxSites))
 		}
 	}
 	if sp.Ls != nil {
-		errs = append(errs, validate.PositiveInt("spec.ls", *sp.Ls))
+		errs = append(errs, validate.PositiveInt("spec.ls", *sp.Ls), validate.AtMost("spec.ls", *sp.Ls, "the server's cap", maxLs))
 	}
 	if sp.NConfigs != nil && *sp.NConfigs < core.MinConfigs {
 		errs = append(errs, fmt.Errorf("spec.nconfigs must be at least %d (got %d): the effective coupling is jackknifed over configurations", core.MinConfigs, *sp.NConfigs))
@@ -173,11 +189,15 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v interface{}) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	var req SubmitRequest
 	if err := dec.Decode(&req); err != nil {
-		http.Error(w, "serve: bad request body: "+err.Error(), http.StatusBadRequest)
+		code := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, "serve: bad request body: "+err.Error(), code)
 		return
 	}
 	spec, err := req.RealConfig()

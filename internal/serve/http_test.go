@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"femtoverse/internal/core"
+	"femtoverse/internal/lattice"
 )
 
 func postJSON(t *testing.T, url, body string) *http.Response {
@@ -106,11 +107,13 @@ func TestHTTPValidationAndErrorMapping(t *testing.T) {
 	}
 }
 
-// TestUnrunnableSpecRefused checks that a spec the pipeline cannot run is
-// refused at submission - 400 over HTTP, an error through the Go API -
-// and that nothing reaches the state directory: no journal, no sidecar.
-// Odd or unit extents fail lattice.New and the Mobius values fail
-// NewMobius, both only at the first solve if admitted.
+// TestUnrunnableSpecRefused checks that a spec the pipeline cannot run,
+// or the server will not, is refused at submission - 400 over HTTP, an
+// error through the Go API - and that nothing reaches the state directory:
+// no journal, no sidecar. Odd or unit extents fail lattice.New and the
+// Mobius values fail NewMobius, both only at the first solve if admitted;
+// a lattice past the server's caps on sites and Ls, or one whose site
+// count overflows, would take the server's memory.
 func TestUnrunnableSpecRefused(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := newTestServer(t, Config{StartPaused: true, StateDir: dir})
@@ -123,6 +126,9 @@ func TestUnrunnableSpecRefused(t *testing.T) {
 		`{"m5":2.5}`,
 		`{"b5":0}`,
 		`{"mass":-1}`,
+		`{"dims":[16,16,16,16]}`,
+		`{"ls":64}`,
+		`{"dims":[4294967296,4294967296,2,2]}`,
 	} {
 		resp := postJSON(t, hs.URL, `{"tenant":"a","spec":`+spec+`}`)
 		if body := drainBody(t, resp); resp.StatusCode != http.StatusBadRequest {
@@ -146,6 +152,59 @@ func TestUnrunnableSpecRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestSubmitBodyCapped: a submission body past maxRequestBytes is refused
+// with 413 before it is decoded whole, and nothing is admitted.
+func TestSubmitBodyCapped(t *testing.T) {
+	s, _ := newTestServer(t, Config{StartPaused: true})
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+	resp := postJSON(t, hs.URL, `{"tenant":"a","name":"`+strings.Repeat("x", maxRequestBytes)+`","spec":{"nconfigs":2}}`)
+	if body := drainBody(t, resp); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: %d %s", resp.StatusCode, body)
+	}
+	if n := len(s.List()); n != 0 {
+		t.Fatalf("%d campaigns admitted from an oversized body", n)
+	}
+}
+
+// FuzzSubmitRequest decodes arbitrary bodies as handleSubmit does: each
+// either fails to decode or to validate, or yields a campaign spec that
+// core accepts, on a lattice inside the server's caps that lattice.New
+// builds - and nothing panics.
+func FuzzSubmitRequest(f *testing.F) {
+	for _, seed := range []string{
+		`{"tenant":"a"}`,
+		`{"tenant":"a","priority":2,"name":"n","spec":{"dims":[2,2,2,4],"ls":2,"nconfigs":3,"seed":11,"therm":2,"gap":1,"tol":1e-5,"prec":"half"}}`,
+		`{"tenant":"a","spec":{"dims":[16,16,16,16]}}`,
+		`{"tenant":"a","spec":{"dims":[4294967296,4294967296,2,2],"ls":1000}}`,
+		`{"tenant":"a","spec":{"dims":[-2,2,2,2],"m5":2.5,"b5":0}}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		var req SubmitRequest
+		if dec.Decode(&req) != nil {
+			return
+		}
+		spec, err := req.RealConfig()
+		if err != nil {
+			return
+		}
+		if err := spec.Validate(); err != nil {
+			t.Fatalf("%s: admitted spec fails core's validation: %v", body, err)
+		}
+		d := spec.Dims
+		if sites := float64(d[0]) * float64(d[1]) * float64(d[2]) * float64(d[3]); sites > maxSites || spec.Params.Ls > maxLs {
+			t.Fatalf("%s: admitted %v (%g sites), Ls %d, past the caps", body, d, sites, spec.Params.Ls)
+		}
+		if _, err := lattice.New(d); err != nil {
+			t.Fatalf("%s: admitted extents lattice.New rejects: %v", body, err)
+		}
+	})
 }
 
 // TestHTTPCampaignLifecycle drives one campaign end to end over HTTP:

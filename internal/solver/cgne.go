@@ -67,33 +67,23 @@ func cgneFrom(ctx context.Context, op Linear, b, x0 []complex128, p Params) ([]c
 		return x, st, nil
 	}
 
-	// rhs = D^dag b; r = rhs - N x.
-	rhs := make([]complex128, n)
-	op.ApplyDagger(rhs, b)
+	// r = D^dag b - N x; pv the direction and ap its image N pv, which
+	// between iterations is the true residual's scratch.
+	work := make([]complex128, 3*n)
+	r, pv, ap := work[:n:n], work[n:2*n:2*n], work[2*n:]
+	op.ApplyDagger(r, b)
 	st.Flops += p.FlopsPerApply
-	r := append([]complex128(nil), rhs...)
-	ap := make([]complex128, n)
-	tmp := make([]complex128, n)
-	// normal computes dst = D^dag D src: in one call when the operator can
-	// (a distributed operator then keeps D src on its ranks), as the two
-	// applications otherwise. The operator's type chooses, and must make
-	// the two bit-for-bit equal.
-	normal := func(dst, src []complex128) {
-		op.Apply(tmp, src)
-		op.ApplyDagger(dst, tmp)
-	}
-	if fused, ok := op.(interface{ ApplyNormal(dst, src []complex128) }); ok {
-		normal = fused.ApplyNormal
-	}
+	rhsNorm := math.Sqrt(linalg.NormSq(r, w))
+	// N = D^dag D on one system: io[:1] is ap, io[1:2] x and io[2:] pv.
+	normal, io := normalOf[complex128](op), [][]complex128{ap, x, pv}
 	if x0 != nil {
-		normal(ap, x)
+		normal.ApplyNormal(io[:1], io[1:2])
 		st.Flops += 2 * p.FlopsPerApply
 		linalg.Axpy(-1, ap, r, w)
 	}
-	pv := append([]complex128(nil), r...)
+	copy(pv, r)
 
 	rr := linalg.NormSq(r, w)
-	rhsNorm := math.Sqrt(linalg.NormSq(rhs, w))
 	// Inner target on the normal-equation residual; tightened whenever a
 	// true-residual check fails.
 	neTarget := p.Tol * rhsNorm
@@ -103,13 +93,12 @@ func cgneFrom(ctx context.Context, op Linear, b, x0 []complex128, p Params) ([]c
 	sinceBest := 0
 
 	trueResidual := func() float64 {
-		op.Apply(tmp, x)
+		op.Apply(ap, x)
 		st.Flops += p.FlopsPerApply
-		d := 0.0
-		d = linalg.ReduceFloat64(n, w, func(lo, hi int) float64 {
+		d := linalg.ReduceFloat64(n, w, func(lo, hi int) float64 {
 			s := 0.0
 			for i := lo; i < hi; i++ {
-				e := tmp[i] - b[i]
+				e := ap[i] - b[i]
 				s += real(e)*real(e) + imag(e)*imag(e)
 			}
 			return s
@@ -123,7 +112,7 @@ func cgneFrom(ctx context.Context, op Linear, b, x0 []complex128, p Params) ([]c
 			return x, st, fmt.Errorf("solver: interrupted after %d iterations: %w", st.Iterations, err)
 		}
 		// ap = N p = D^dag D p.
-		normal(ap, pv)
+		normal.ApplyNormal(io[:1], io[2:])
 		st.Flops += 2 * p.FlopsPerApply
 		st.Iterations++
 

@@ -38,27 +38,19 @@ func CGNEMixed(ctx context.Context, op Linear, sloppy Linear32, b []complex128, 
 	return sys[0].X, sys[0].Stats, sys[0].Err
 }
 
-// Linear32Pair is a sloppy operator that also applies itself to two
-// systems in one pass, each to the bit as Apply and ApplyDagger would
-// alone; dirac.MobiusEO32 is one.
-type Linear32Pair interface {
-	Linear32
-	ApplyPair(dstA, dstB, srcA, srcB []complex64)
-	ApplyDaggerPair(dstA, dstB, srcA, srcB []complex64)
-}
-
-// Workspace holds the ten work vectors of a mixed-precision solve - five
-// double (normal-equation right-hand side, true residual, two operator
-// temporaries, the reliable-update snapshot) and five single (residual,
-// direction, its image, a temporary, the sloppy solution) - so that a
-// caller solving system after system of one size allocates them once.
+// Workspace holds the eight work vectors of a mixed-precision solve - four
+// double (normal-equation right-hand side, true residual, an operator
+// temporary, the reliable-update snapshot) and four single (residual,
+// direction, its image, the sloppy solution) - so that a caller solving
+// system after system of one size allocates them once.
 // The zero value is ready; the vectors are sized by the first solve and
 // again whenever the size changes. A Workspace serves one solve at a
 // time, and nothing in it outlives a solve: the solution returned is
 // always a fresh vector the caller owns.
 type Workspace struct {
-	rhs, rD, tmpD, tmpD2, xPrev []complex128
-	r, pv, ap, tmp, xs          []complex64
+	rhs, rD, tmpD, xPrev []complex128
+	r, pv, ap, xs        []complex64
+	io                   [2][]complex128 // the operands of refresh's D^dag D
 }
 
 // size makes every vector n long. Only xs is read before it is written,
@@ -68,8 +60,8 @@ func (ws *Workspace) size(n int) {
 		return
 	}
 	vec, vec32 := func() []complex128 { return make([]complex128, n) }, func() []complex64 { return make([]complex64, n) }
-	ws.rhs, ws.rD, ws.tmpD, ws.tmpD2, ws.xPrev = vec(), vec(), vec(), vec(), vec()
-	ws.r, ws.pv, ws.ap, ws.tmp, ws.xs = vec32(), vec32(), vec32(), vec32(), vec32()
+	ws.rhs, ws.rD, ws.tmpD, ws.xPrev = vec(), vec(), vec(), vec()
+	ws.r, ws.pv, ws.ap, ws.xs = vec32(), vec32(), vec32(), vec32()
 }
 
 // System is one right-hand side of CGNEMixedLockStep: the context it is
@@ -87,14 +79,14 @@ type System struct {
 
 // CGNEMixedLockStep solves systems of one operator, D X = B for each, and
 // gives each what CGNEMixed returns for it to the bit: the systems run
-// CGNEMixed's iteration in lock-step, and while two of them are in the
-// sloppy stage and the sloppy operator is a Linear32Pair their matrix
-// applications are one ApplyPair and one ApplyDaggerPair. Everything else
-// stays per system - the reductions, the reliable updates, the Half
-// rounding and its NaN guard, the escalation to Double - and a system
-// that finishes, fails or escalates leaves the others to carry on. The
-// trace records one "cgne-mixed" span for the drive, with every system's
-// stats.
+// CGNEMixed's iteration in lock-step, and the matrix applications of those
+// in the sloppy stage are one normal operator on all of them, which the
+// operator groups as it runs best (a dirac.MobiusEO32 two to a pass of its
+// pair bodies). Everything else stays per system - the reductions, the
+// reliable updates, the Half rounding and its NaN guard, the escalation
+// to Double - and a system that finishes, fails or escalates leaves the
+// others to carry on. The trace records one "cgne-mixed" span for the
+// drive, with every system's stats.
 func CGNEMixedLockStep(op Linear, sloppy Linear32, p Params, sys []System) {
 	p = p.withDefaults()
 	if p.Precision == Double || sloppy == nil {
@@ -111,53 +103,41 @@ func CGNEMixedLockStep(op Linear, sloppy Linear32, p Params, sys []System) {
 		s = make([]mixedSolve, len(sys))
 	}
 	s = s[:len(sys)]
-	start := time.Now()
+	start, normal := time.Now(), normalOf[complex128](op)
 	for k := range s {
-		s[k] = mixedSolve{System: &sys[k], tr: &tr, sys: k}
-		s[k].begin(op, sloppy, p, start)
+		s[k] = mixedSolve{System: &sys[k], op: op, normal: normal, p: p, tr: &tr, sys: k, start: start}
+		s[k].begin(sloppy)
 	}
-	drive(&tr, sloppy, s)
+	drive(&tr, normalOf[complex64](sloppy), s)
 	tr.close(sys)
 }
 
 // drive is the one drive loop: each iteration starts every live system
 // (before), applies the sloppy normal operator to the directions of those
-// still live - two at a time through the pair bodies where the operator
-// has them, one at a time otherwise - and ends their iteration (after),
-// until none is live. A block one system's escalation closed while others
-// run on is reopened at the next iteration's start.
-func drive(t *mixedTrace, sloppy Linear32, s []mixedSolve) {
-	pair, _ := sloppy.(Linear32Pair)
-	for applied := true; applied; {
-		applied = false
-		var held *mixedSolve // a live system waiting for a partner
+// still live in one call, and ends their iteration (after), until none is
+// live. A block one system's escalation closed while others run on is
+// reopened at the next iteration's start.
+func drive(t *mixedTrace, sloppy Normal[complex64], s []mixedSolve) {
+	io := make([][]complex64, 2*len(s))
+	ap, pv := io[:len(s)], io[len(s):]
+	for {
+		live := 0
 		for k := range s {
 			a := &s[k]
 			if a.done {
 				continue
 			}
 			t.beginBlock()
-			if a.before(); a.done {
-				continue
-			}
-			applied = true
-			switch {
-			case pair == nil:
-				a.apply(sloppy)
-			case held == nil:
-				held = a
-			default:
-				pair.ApplyPair(held.WS.tmp, a.WS.tmp, held.WS.pv, a.WS.pv)
-				pair.ApplyDaggerPair(held.WS.ap, a.WS.ap, held.WS.tmp, a.WS.tmp)
-				held = nil
+			if a.before(); !a.done {
+				ap[live], pv[live] = a.WS.ap, a.WS.pv
+				live++
 			}
 		}
-		if held != nil {
-			held.apply(sloppy)
+		if live == 0 {
+			return
 		}
-		if applied {
-			t.steps++
-		}
+		sloppy.ApplyNormal(ap[:live], pv[:live])
+		t.steps++
 		for k := range s {
 			if !s[k].done {
 				s[k].after()
@@ -175,6 +155,7 @@ func drive(t *mixedTrace, sloppy Linear32, s []mixedSolve) {
 type mixedSolve struct {
 	*System // its inputs, and its results as they stand
 	op      Linear
+	normal  Normal[complex128] // op's
 	p       Params
 	tr      *mixedTrace
 	sys     int // the system's index in its drive, for the trace
@@ -198,10 +179,9 @@ type mixedSolve struct {
 // reliable update be undone), and the sloppy state (xs the sloppy
 // solution accumulated since the last reliable update). A zero right-hand
 // side is done at once.
-func (s *mixedSolve) begin(op Linear, sloppy Linear32, p Params, start time.Time) {
-	s.op, s.p, s.start = op, p, start
-	b, ws := s.B, s.WS
-	n := op.Size()
+func (s *mixedSolve) begin(sloppy Linear32) {
+	b, ws, p := s.B, s.WS, s.p
+	n := s.op.Size()
 	if len(b) != n || sloppy.Size() != n {
 		panic("solver: CGNEMixed size mismatch")
 	}
@@ -215,7 +195,7 @@ func (s *mixedSolve) begin(op Linear, sloppy Linear32, p Params, start time.Time
 		return
 	}
 	ws.size(n)
-	op.ApplyDagger(ws.rhs, b)
+	s.op.ApplyDagger(ws.rhs, b)
 	s.Stats.Flops += p.FlopsPerApply
 	linalg.Copy(ws.rD, ws.rhs)
 	linalg.Demote(ws.r, ws.rD)
@@ -226,13 +206,6 @@ func (s *mixedSolve) begin(op Linear, sloppy Linear32, p Params, start time.Time
 	s.neTarget = p.Tol * math.Sqrt(s.rr)
 	s.maxSinceUpdate = math.Sqrt(s.rr)
 	s.bestReliable = math.Inf(1)
-}
-
-// apply is the iteration's sloppy normal operator on the system's
-// direction, for a system without a partner.
-func (s *mixedSolve) apply(sloppy Linear32) {
-	sloppy.Apply(s.WS.tmp, s.WS.pv)
-	sloppy.ApplyDagger(s.WS.ap, s.WS.tmp)
 }
 
 // finish stamps the elapsed time and the error and marks the system done.
@@ -369,11 +342,11 @@ func (s *mixedSolve) trueResidual() float64 {
 // double precision and demotes it into the sloppy residual.
 func (s *mixedSolve) refresh() {
 	ws := s.WS
-	s.op.Apply(ws.tmpD, s.X)
-	s.op.ApplyDagger(ws.tmpD2, ws.tmpD)
+	ws.io = [2][]complex128{ws.tmpD, s.X}
+	s.normal.ApplyNormal(ws.io[:1], ws.io[1:])
 	s.Stats.Flops += 2 * s.p.FlopsPerApply
 	linalg.Copy(ws.rD, ws.rhs)
-	linalg.Axpy(-1, ws.tmpD2, ws.rD, s.p.Workers)
+	linalg.Axpy(-1, ws.tmpD, ws.rD, s.p.Workers)
 	linalg.Demote(ws.r, ws.rD)
 }
 

@@ -93,14 +93,14 @@ func refCGNEMixed(ws *Workspace, ctx context.Context, op Linear, sloppy Linear32
 	// xPrev snapshots x across a reliable update so a fold-in that turns
 	// out to be poisoned (non-finite recomputed residual) can be undone.
 	ws.size(n)
-	rhs, rD, tmpD, tmpD2, xPrev := ws.rhs, ws.rD, ws.tmpD, ws.tmpD2, ws.xPrev
+	rhs, rD, tmpD, tmpD2, xPrev := ws.rhs, ws.rD, ws.tmpD, make([]complex128, n), ws.xPrev
 	op.ApplyDagger(rhs, b)
 	st.Flops += p.FlopsPerApply
 	linalg.Copy(rD, rhs)
 
 	// Sloppy state; xs is the sloppy solution accumulated since the last
 	// reliable update.
-	r, pv, ap, tmp, xs := ws.r, ws.pv, ws.ap, ws.tmp, ws.xs
+	r, pv, ap, tmp, xs := ws.r, ws.pv, ws.ap, make([]complex64, n), ws.xs
 	linalg.Demote(r, rD)
 	copy(pv, r)
 	linalg.ZeroC64(xs)

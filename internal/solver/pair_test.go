@@ -16,36 +16,40 @@ import (
 	"femtoverse/internal/lattice"
 )
 
-// nanPair32 is nanAfter32 for one system of a pair operator: the system
-// whose Apply output is target, its workspace's temporary. Its
-// applications, single or in a pair, are counted and poisoned as
-// nanAfter32 counts and poisons them for the system solved alone.
+// nanPair32 is nanAfter32 for one system of a batched normal operator:
+// the system whose ApplyNormal output is target, its workspace's image of
+// the direction. The operator applies every system its own way - in pairs,
+// or one at a time where solo is set - and then, where nanAfter32 would
+// poison the system's Apply output, applies the target again as
+// nanAfter32's composition does, with the NaN in D src.
 type nanPair32 struct {
 	*dirac.MobiusEO32
+	solo        bool
 	target      *complex64
 	applies     int
 	from, until int
 }
 
-func (o *nanPair32) hit(dst []complex64) {
-	if &dst[0] != o.target {
-		return
+func (o *nanPair32) ApplyNormal(dst, src [][]complex64) {
+	if o.solo {
+		for k := range src {
+			o.MobiusEO32.ApplyNormal(dst[k:k+1], src[k:k+1])
+		}
+	} else {
+		o.MobiusEO32.ApplyNormal(dst, src)
 	}
-	o.applies++
-	if o.applies > o.from && (o.until < 0 || o.applies <= o.until) {
-		dst[0] = complex(float32(math.NaN()), 0)
+	for k := range dst {
+		if &dst[k][0] != o.target {
+			continue
+		}
+		o.applies++
+		if o.applies > o.from && (o.until < 0 || o.applies <= o.until) {
+			tmp := make([]complex64, len(src[k]))
+			o.Apply(tmp, src[k])
+			tmp[0] = complex(float32(math.NaN()), 0)
+			o.ApplyDagger(dst[k], tmp)
+		}
 	}
-}
-
-func (o *nanPair32) Apply(dst, src []complex64) {
-	o.MobiusEO32.Apply(dst, src)
-	o.hit(dst)
-}
-
-func (o *nanPair32) ApplyPair(dstA, dstB, srcA, srcB []complex64) {
-	o.MobiusEO32.ApplyPair(dstA, dstB, srcA, srcB)
-	o.hit(dstA)
-	o.hit(dstB)
 }
 
 // stopAfter is a context cancelled at its n-th check: a cancellation at a
@@ -154,49 +158,91 @@ func TestCGNEMixedMatchesLoopBitForBit(t *testing.T) {
 	}
 }
 
-// TestCGNEMixedPairMatchesSoloBitForBit holds each system of a pair the
-// drive solves in lock-step, through the pair bodies, to the same system
-// solved by the loop the drive replaced (refCGNEMixed), which shares no
-// code with it, on every case of mixedCases: the solution, the iterations,
-// the reliable updates, the restarts and the rest of the stats, and the
-// error, to the bit, also where the partner converges while the system
-// escalates, fails or is cancelled.
+// TestCGNEMixedPairMatchesSoloBitForBit holds each system of a drive of
+// one to five systems in lock-step - pairs through the pair bodies and an
+// odd one alone, or, with the pairing switched off, every one alone, both
+// through the fused normal operator - to the same system solved by the
+// loop the drive replaced (refCGNEMixed), which shares no code with it,
+// on every case of mixedCases: the solution, the iterations, the reliable
+// updates, the restarts and the rest of the stats, and the error, to the
+// bit, also where a partner converges while the system escalates, fails
+// or is cancelled. The case's two systems are the drive's last two, so
+// four systems are two pairs with the case in the second.
 func TestCGNEMixedPairMatchesSoloBitForBit(t *testing.T) {
 	eo := newTestEO(t, 11, 0.08)
 	n := eo.Size()
 	rng := rand.New(rand.NewSource(22))
 	for _, c := range mixedCases {
-		var b [2][]complex128
-		var soloCtx [2]context.Context
-		var sys [2]System
-		pair := &nanPair32{MobiusEO32: dirac.NewMobiusEO32(eo), until: -1}
-		for k := range b {
-			b[k] = randRHS(rng, n)
-			if c.zero[k] {
-				clear(b[k])
-			}
-			sys[k] = System{Ctx: context.Background(), WS: new(Workspace), B: b[k]}
-			soloCtx[k] = context.Background()
-			if c.stop[k] > 0 {
-				sys[k].Ctx = &stopAfter{Context: context.Background(), n: c.stop[k]}
-				soloCtx[k] = &stopAfter{Context: context.Background(), n: c.stop[k]}
-			}
-			sys[k].WS.size(n)
-			if q := c.poison[k]; q != nil {
-				pair.target, pair.from, pair.until = &sys[k].WS.tmp[0], q.from, q.until
-			}
+		var b [5][]complex128
+		for j := range b {
+			b[j] = randRHS(rng, n)
 		}
-		CGNEMixedLockStep(eo, pair, c.p, sys[:])
-		for k := range b {
+		// role is what system j of a drive of k plays: the case's system
+		// A (0) or B (1), or a plain solve (-1).
+		role := func(j, k int) int {
+			if r := j - max(k-2, 0); r >= 0 {
+				return r
+			}
+			return -1
+		}
+		type solve struct {
+			x   []complex128
+			st  Stats
+			err error
+		}
+		refs := map[[2]int]solve{}
+		ref := func(j, r int) solve {
+			if w, ok := refs[[2]int{j, r}]; ok {
+				return w
+			}
 			var sloppy Linear32 = dirac.NewMobiusEO32(eo)
-			if q := c.poison[k]; q != nil {
-				sloppy = &nanAfter32{inner: sloppy, from: q.from, until: q.until}
+			ctx, bj := context.Background(), b[j]
+			if r >= 0 {
+				if q := c.poison[r]; q != nil {
+					sloppy = &nanAfter32{inner: sloppy, from: q.from, until: q.until}
+				}
+				if c.stop[r] > 0 {
+					ctx = &stopAfter{Context: context.Background(), n: c.stop[r]}
+				}
+				if c.zero[r] {
+					bj = make([]complex128, n)
+				}
 			}
-			wx, wst, werr := refCGNEMixed(new(Workspace), soloCtx[k], eo, sloppy, b[k], c.p)
-			sameSolve(t, fmt.Sprintf("%s system %d", c.name, k), sys[k].X, sys[k].Stats, sys[k].Err, wx, wst, werr)
+			var w solve
+			w.x, w.st, w.err = refCGNEMixed(new(Workspace), ctx, eo, sloppy, bj, c.p)
+			refs[[2]int{j, r}] = w
+			return w
 		}
-		if c.name == "B diverges" && (sys[0].Err != nil || !errors.Is(sys[1].Err, ErrDiverged)) {
-			t.Fatalf("%s: errors %v and %v, want B's divergence alone", c.name, sys[0].Err, sys[1].Err)
+		for k := 1; k <= len(b); k++ {
+			for _, solo := range []bool{false, true} {
+				sloppy := &nanPair32{MobiusEO32: dirac.NewMobiusEO32(eo), solo: solo, until: -1}
+				sys := make([]System, k)
+				for j := range sys {
+					sys[j] = System{Ctx: context.Background(), WS: new(Workspace), B: b[j]}
+					sys[j].WS.size(n)
+					r := role(j, k)
+					if r < 0 {
+						continue
+					}
+					if c.stop[r] > 0 {
+						sys[j].Ctx = &stopAfter{Context: context.Background(), n: c.stop[r]}
+					}
+					if c.zero[r] {
+						sys[j].B = make([]complex128, n)
+					}
+					if q := c.poison[r]; q != nil {
+						sloppy.target, sloppy.from, sloppy.until = &sys[j].WS.ap[0], q.from, q.until
+					}
+				}
+				CGNEMixedLockStep(eo, sloppy, c.p, sys)
+				for j := range sys {
+					w := ref(j, role(j, k))
+					sameSolve(t, fmt.Sprintf("%s: system %d of %d (solo %v)", c.name, j, k, solo), sys[j].X, sys[j].Stats, sys[j].Err, w.x, w.st, w.err)
+				}
+				if c.name == "B diverges" && k >= 2 && (sys[k-2].Err != nil || !errors.Is(sys[k-1].Err, ErrDiverged)) {
+					t.Fatalf("%s of %d: errors %v and %v, want B's divergence alone", c.name, k, sys[k-2].Err, sys[k-1].Err)
+				}
+			}
 		}
 	}
 }

@@ -32,6 +32,43 @@ type Linear32 interface {
 	Size() int
 }
 
+// Normal is an operator that applies CGNE's D^dag D itself: ApplyNormal
+// sets each dst[k] to ApplyDagger of Apply of src[k], to the bit, grouping
+// the systems at the widths it runs natively (dirac.MobiusEO32 two to a
+// pass). The solvers compose Apply and ApplyDagger for other operators.
+type Normal[T complex64 | complex128] interface {
+	ApplyNormal(dst, src [][]T)
+}
+
+// linear is Linear or Linear32, by element type.
+type linear[T complex64 | complex128] interface {
+	Apply(dst, src []T)
+	ApplyDagger(dst, src []T)
+	Size() int
+}
+
+// normalOf is op's normal operator: its own ApplyNormal where it has one,
+// Apply then ApplyDagger through a scratch vector otherwise.
+func normalOf[T complex64 | complex128](op linear[T]) Normal[T] {
+	if n, ok := op.(Normal[T]); ok {
+		return n
+	}
+	return &composed[T]{op: op, tmp: make([]T, op.Size())}
+}
+
+// composed is the normal operator of an operator without one.
+type composed[T complex64 | complex128] struct {
+	op  linear[T]
+	tmp []T
+}
+
+func (c *composed[T]) ApplyNormal(dst, src [][]T) {
+	for k := range src {
+		c.op.Apply(c.tmp, src[k])
+		c.op.ApplyDagger(dst[k], c.tmp)
+	}
+}
+
 // Precision selects the storage/compute precision of the sloppy stage.
 type Precision int
 

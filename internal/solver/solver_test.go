@@ -333,16 +333,20 @@ func (o *normalOp) ApplyDagger(dst, src []complex128) {
 	o.diagOp.ApplyDagger(dst, src)
 }
 
-func (o *normalOp) ApplyNormal(dst, src []complex128) {
+func (o *normalOp) ApplyNormal(dst, src [][]complex128) {
+	if len(src) != 1 {
+		panic("normalOp: CGNE applies one system at a time")
+	}
 	o.fused++
-	o.diagOp.Apply(o.tmp, src)
-	o.diagOp.ApplyDagger(dst, o.tmp)
+	o.diagOp.Apply(o.tmp, src[0])
+	o.diagOp.ApplyDagger(dst[0], o.tmp)
 }
 
 // TestCGNETakesApplyNormalWhenOffered checks the selection is by the
-// operator's type alone: an operator with ApplyNormal gets exactly one
-// call per iteration (and one for an initial guess) in place of the
-// Apply+ApplyDagger pair, and the solve is bit-for-bit the one without.
+// operator's type alone: an operator that is a Normal gets exactly one
+// ApplyNormal call, on one system, per iteration (and one for an initial
+// guess) in place of the Apply+ApplyDagger pair, and the solve is
+// bit-for-bit the one without.
 func TestCGNETakesApplyNormalWhenOffered(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	n := 64

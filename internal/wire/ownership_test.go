@@ -42,17 +42,18 @@ func TestSessionApplyDoesNotAllocate(t *testing.T) {
 			})
 			src := randomSource(s.Size(), 5)
 			dst := make([]complex128, s.Size())
+			one := [2][][]complex128{{dst}, {src}}
 			for i := 0; i < 10; i++ {
 				s.Apply(dst, src)
 				s.ApplyDagger(dst, src)
-				s.ApplyNormal(dst, src)
+				s.ApplyNormal(one[0], one[1])
 			}
 			const n = 200
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			for i := 0; i < n; i++ {
 				s.Apply(dst, src)
-				s.ApplyNormal(dst, src)
+				s.ApplyNormal(one[0], one[1])
 			}
 			runtime.ReadMemStats(&after)
 			per := (after.TotalAlloc - before.TotalAlloc) / (2 * n)
@@ -64,10 +65,10 @@ func TestSessionApplyDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestSessionNormalBitwise checks ApplyNormal against the composition it
-// stands for, on the session and against the flat operator, under every
-// halo policy and on a grid where the two stencil stages of a request
-// meet distinct neighbors.
+// TestSessionNormalBitwise checks ApplyNormal on two systems against the
+// composition it stands for, on the session and against the flat
+// operator, under every halo policy and on a grid where the two stencil
+// stages of a request meet distinct neighbors.
 func TestSessionNormalBitwise(t *testing.T) {
 	dims := [lattice.NDim]int{4, 4, 4, 8}
 	for _, grid := range [][lattice.NDim]int{{1, 1, 1, 2}, {1, 1, 1, 4}} {
@@ -76,22 +77,24 @@ func TestSessionNormalBitwise(t *testing.T) {
 				o.Coarse, o.Staged = pol.coarse, pol.staged
 			})
 			w := dirac.NewWilson(u, 0.1)
-			src := randomSource(s.Size(), 5)
+			src := [][]complex128{randomSource(s.Size(), 5), randomSource(s.Size(), 6)}
 			tmp := make([]complex128, s.Size())
 			want := make([]complex128, s.Size())
-			got := make([]complex128, s.Size())
+			got := [][]complex128{make([]complex128, s.Size()), make([]complex128, s.Size())}
 			// Twice: the second request meets the first one's staged faces.
 			for rep := 0; rep < 2; rep++ {
 				s.ApplyNormal(got, src)
-				s.Apply(tmp, src)
-				s.ApplyDagger(want, tmp)
-				if d := bitDiff(got, want); d != 0 {
-					t.Fatalf("grid %v %s rep %d: ApplyNormal differs from ApplyDagger(Apply) in %d components", grid, pol.name, rep, d)
-				}
-				w.Apply(tmp, src)
-				w.ApplyDagger(want, tmp)
-				if d := bitDiff(got, want); d != 0 {
-					t.Fatalf("grid %v %s rep %d: ApplyNormal differs from the flat operator in %d components", grid, pol.name, rep, d)
+				for k := range src {
+					s.Apply(tmp, src[k])
+					s.ApplyDagger(want, tmp)
+					if d := bitDiff(got[k], want); d != 0 {
+						t.Fatalf("grid %v %s rep %d system %d: ApplyNormal differs from ApplyDagger(Apply) in %d components", grid, pol.name, rep, k, d)
+					}
+					w.Apply(tmp, src[k])
+					w.ApplyDagger(want, tmp)
+					if d := bitDiff(got[k], want); d != 0 {
+						t.Fatalf("grid %v %s rep %d system %d: ApplyNormal differs from the flat operator in %d components", grid, pol.name, rep, k, d)
+					}
 				}
 			}
 			s.Close()
@@ -100,9 +103,10 @@ func TestSessionNormalBitwise(t *testing.T) {
 }
 
 // TestSessionCGNEThroughApplyNormalBitForBit solves once through the
-// session as it is - CGNE takes ApplyNormal - and once with the method
-// hidden, so every iteration pays two round trips: same solution, same
-// iteration count, same residual history, half the requests.
+// session as it is - a solver.Normal, so CGNE takes ApplyNormal - and once
+// with the method hidden, so every iteration pays two round trips: same
+// solution, same iteration count, same residual history, half the
+// requests.
 func TestSessionCGNEThroughApplyNormalBitForBit(t *testing.T) {
 	dims := [lattice.NDim]int{4, 4, 4, 8}
 	grid := [lattice.NDim]int{1, 1, 1, 2}
@@ -110,6 +114,9 @@ func TestSessionCGNEThroughApplyNormalBitForBit(t *testing.T) {
 	b := randomSource(dims[0]*dims[1]*dims[2]*dims[3]*spinorComplexLen, 17)
 
 	s, _, reg := testSession(t, dims, grid, nil)
+	if _, ok := any(s).(solver.Normal[complex128]); !ok {
+		t.Fatal("Session is not a solver.Normal")
+	}
 	x, st, err := solver.CGNE(context.Background(), s, b, p)
 	if err != nil {
 		t.Fatal(err)

@@ -621,14 +621,18 @@ func (s *Session) Apply(dst, src []complex128) { s.mustApply(dst, src, 0) }
 // workers apply both gamma_5 to their own subdomains.
 func (s *Session) ApplyDagger(dst, src []complex128) { s.mustApply(dst, src, flagDagger) }
 
-// ApplyNormal computes dst = D^dag D src in one round trip: each worker
-// runs D, then gamma_5 D gamma_5 on its result, with a halo exchange
-// before each stencil, and only the final field comes back. dst is
-// bit-for-bit what ApplyDagger(Apply(src)) produces. solver.CGNE calls it
-// for the normal operator on any operator that has the method, which
-// halves a CG iteration's scatters, gathers and coordinator-worker wake
-// chains.
-func (s *Session) ApplyNormal(dst, src []complex128) { s.mustApply(dst, src, flagNormal) }
+// ApplyNormal computes dst[k] = D^dag D src[k] in one round trip a
+// system: each worker runs D, then gamma_5 D gamma_5 on its result, with a
+// halo exchange before each stencil, and only the final field comes back.
+// dst[k] is bit-for-bit what ApplyDagger(Apply(src[k])) produces. It is
+// the session's solver.Normal, which CGNE takes for the normal operator,
+// and it halves a CG iteration's scatters, gathers and coordinator-worker
+// wake chains.
+func (s *Session) ApplyNormal(dst, src [][]complex128) {
+	for k := range src {
+		s.mustApply(dst[k], src[k], flagNormal)
+	}
+}
 
 func (s *Session) mustApply(dst, src []complex128, op byte) {
 	if err := s.applyCtx(context.Background(), dst, src, op); err != nil {
