@@ -363,7 +363,7 @@ func BenchmarkBLAS1Axpy(b *testing.B) {
 	b.SetBytes(int64(32 * n))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		linalg.Axpy(complex(1e-9, 0), x, y, 0)
+		linalg.Axpy(complex(1e-9, 0), x, y)
 	}
 }
 

@@ -122,10 +122,10 @@ go test -run '^$' -fuzz '^FuzzOpenJournal$' -fuzztime 15s ./internal/core/
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 15s ./internal/hio/
 lap drain
 # Observability gate: the metrics registry and span tracer must be
-# race-free under concurrent instrumentation, and the fixed-chunk
-# reductions must make solves bitwise identical at every worker count.
+# race-free under concurrent instrumentation, and the reductions must sum
+# their fixed chunks in order, the bit contract of every solve.
 # The kernel guards ride here too: the fused Schur kernels against their
-# staged reference at every launch split and on both body sets (the
+# staged reference on both body sets (the
 # assembly - the AVX hop, the SSE fibreAInv, fibreBA, fibreBAxpy,
 # fibreAxpy, load and store - and the portable Go bodies), each of those
 # vector bodies against its Go body at every Ls from 1 to 9 on fibres with
@@ -138,9 +138,9 @@ lap drain
 # each RET of a body that names a Y register, the padding lanes +0 after
 # every pass of every entry point, the lane kernel against the scalar
 # kernel it replaced on a field with an infinity and a NaN in it, two
-# solves splitting their passes at once, a For nested in a For body, and
-# zero allocations per BLAS-1 call and per Schur application whenever the
-# pass stays on the calling goroutine. So do the propagator lanes: a
+# solves at once, concurrent callers of the BLAS-1 kernels, and zero
+# allocations per BLAS-1 call, per Schur, Wilson and Mobius application
+# and per CGNE iteration. So do the propagator lanes: a
 # batch on 1, 2, 3 and 12 lanes against the serial loop digest for
 # digest, an operator view against its parent while the parent applies,
 # a kept solver workspace against a fresh one, the lane budget under
@@ -149,11 +149,10 @@ lap drain
 # what they replaced, and the lane views the generic Schur kernel and the 4-D hop read their
 # fields through (-race turns checkptr on, which checks every unsafe
 # conversion they make). The 4-D stencil rides here too: the flat Wilson
-# operator at every launch split, the rank-local stencil of
-# internal/domain on every rank of three grids and a CGNE solve against
-# the generic hop (an external test of internal/dirac, which can import
-# domain where the reference's package cannot), and the flat operator's
-# serial pass allocation-free. So does the 4-D site body: the AVX site
+# operator, the rank-local stencil of internal/domain on every rank of
+# three grids and a CGNE solve against the generic hop (an external test
+# of internal/dirac, which can import domain where the reference's
+# package cannot). So does the 4-D site body: the AVX site
 # against the Go site on one site, every direction alone and all eight,
 # plain and dagger, on dense, point, signed-zero and non-finite spinors;
 # the flat operator and every rank of three splits, ghosts included, on
@@ -163,7 +162,7 @@ lap drain
 # bodies against the single body it doubles at every Ls from 1 to 9, the
 # fused normal operator (ApplyNormal) on one to three systems, paired and
 # one at a time, against ApplyDagger of Apply on poisoned, NaN and
-# signed-zero fields at every launch split, and the solver's one lock-step
+# signed-zero fields, and the solver's one lock-step
 # drive against the loop it replaced, on each system of drives of one to
 # five - pairs and one alone, or all alone; escalating, failing,
 # cancelled - and the batch, Solve4D and
@@ -171,7 +170,7 @@ lap drain
 # (Inject5D, PrepareSource, CGNEMixed, Reconstruct, Project4D). The suites
 # run under -race with -count=2 against fresh interleavings.
 go test -race -count=2 ./internal/obs/
-run_gate 'Bitwise|BitForBit|Pair|ReduceChunk|Deterministic|DoesNotAllocate|NestedFor|ConcurrentCallers|Lane|Batch|Budget|Straggler|View|Workspace|RoundTrip|RoundHalf|Lanes|WilsonHop|WilsonApplyDoesNotAllocate|Discipline|Probe|Site' -race -count=2 -- ./internal/linalg/ ./internal/dirac/ ./internal/domain/ ./internal/solver/ ./internal/prop/
+run_gate 'Bitwise|BitForBit|Pair|ReduceChunk|DoesNotAllocate|ConcurrentCallers|Lane|Batch|Budget|Straggler|View|Workspace|RoundTrip|RoundHalf|Lanes|WilsonHop|WilsonApplyDoesNotAllocate|Discipline|Probe|Site' -race -count=2 -- ./internal/linalg/ ./internal/dirac/ ./internal/domain/ ./internal/solver/ ./internal/prop/
 lap kernel
 run_gate 'Obs|Timeline|Trace' -race -- ./internal/runtime/ ./internal/core/ ./internal/cluster/
 lap observability
@@ -244,7 +243,8 @@ lap scenario
 # Service gate: the multi-tenant campaign server. The serve suite
 # re-runs under the race detector against fresh interleavings
 # (-count=2): stride fair-share order pinned exactly, priorities that
-# would zero a tenant's stride refused, quota admission refusals,
+# would zero a tenant's stride refused at submission and on resume,
+# quota admission refusals,
 # cross-tenant warm duplicates with zero solver iterations,
 # concurrent-duplicate coalescing through the cache singleflight,
 # drain + restart resuming a journaled campaign bit for bit, and a
@@ -260,12 +260,18 @@ lap scenario
 # command on flag sets it must refuse with exit 2 before its table. Last,
 # the submission decoder is fuzzed for a short fixed time: whatever body
 # POST /v1/campaigns reads, it fails, or yields a spec core accepts on a
-# lattice inside the server's site and Ls caps, and never panics (15 s
-# reach 56000-124000 execs on a 2-vCPU host, where the fuzz engine stalls
-# after its first seconds).
+# lattice inside the server's site and Ls caps with its gauge sweeps
+# inside theirs, and never panics (15 s reach 56000-124000 execs on a
+# 2-vCPU host, where the fuzz engine stalls after its first seconds). So
+# is the sidecar a restarted server resumes from: whatever file it reads,
+# it fails, or yields a sidecar with a tenant token and a priority a
+# submission may carry, which writing and reading again leaves unchanged
+# (15 s reach 3500-23000 execs on the same host, 3500 inside this script
+# behind the other gates; each exec writes two files).
 go test -race -count=2 ./internal/serve/ ./internal/validate/
 run_gate 'EndToEnd|FlagValidation' -race -- ./cmd/gaserve/ ./cmd/gasolve/ ./cmd/garank/ ./cmd/gastress/ ./cmd/jmsim/
 go test -run '^$' -fuzz '^FuzzSubmitRequest$' -fuzztime 15s ./internal/serve/
+go test -run '^$' -fuzz '^FuzzReadSidecar$' -fuzztime 15s ./internal/serve/
 lap service
 # Touched-package gate: an interleaving-dependent test shows only when
 # its suite is repeated, and five were found by hand in four PRs because

@@ -39,7 +39,7 @@ func Pion2pt(p *prop.Propagator, t0 int) []float64 {
 	out := make([]float64, tExt)
 	for ts := 0; ts < tExt; ts++ {
 		slice := g.TimeSlice(ts)
-		sum := linalg.ReduceFloat64(len(slice), 0, func(lo, hi int) float64 {
+		sum := linalg.ReduceFloat64(len(slice), func(lo, hi int) float64 {
 			acc := 0.0
 			for k := lo; k < hi; k++ {
 				base := slice[k] * dirac.SpinorLen
@@ -137,7 +137,7 @@ func Proton2pt(u, d *prop.Propagator, t0 int) []complex128 {
 	out := make([]complex128, tExt)
 	for ts := 0; ts < tExt; ts++ {
 		slice := g.TimeSlice(ts)
-		sum := linalg.ReduceComplex128(len(slice), 0, func(lo, hi int) complex128 {
+		sum := linalg.ReduceComplex128(len(slice), func(lo, hi int) complex128 {
 			var acc complex128
 			for k := lo; k < hi; k++ {
 				mu := u.At(slice[k])
@@ -164,7 +164,7 @@ func ProtonFH3pt(u, d, fhU, fhD *prop.Propagator, t0 int) []complex128 {
 	out := make([]complex128, tExt)
 	for ts := 0; ts < tExt; ts++ {
 		slice := g.TimeSlice(ts)
-		sum := linalg.ReduceComplex128(len(slice), 0, func(lo, hi int) complex128 {
+		sum := linalg.ReduceComplex128(len(slice), func(lo, hi int) complex128 {
 			var acc complex128
 			for k := lo; k < hi; k++ {
 				mu := u.At(slice[k])

@@ -52,7 +52,7 @@ func meson2pt(p *prop.Propagator, t0 int, gamma linalg.SpinMatrix) []float64 {
 	out := make([]float64, tExt)
 	for ts := 0; ts < tExt; ts++ {
 		slice := g.TimeSlice(ts)
-		sum := linalg.ReduceFloat64(len(slice), 0, func(lo, hi int) float64 {
+		sum := linalg.ReduceFloat64(len(slice), func(lo, hi int) float64 {
 			acc := 0.0
 			for k := lo; k < hi; k++ {
 				m := p.At(slice[k])

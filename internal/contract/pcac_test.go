@@ -92,7 +92,7 @@ func crossMeson2pt(p *prop.Propagator, t0 int, gSnk, gSrc linalg.SpinMatrix) []c
 	out := make([]complex128, tExt)
 	for ts := 0; ts < tExt; ts++ {
 		slice := g.TimeSlice(ts)
-		sum := linalg.ReduceComplex128(len(slice), 0, func(lo, hi int) complex128 {
+		sum := linalg.ReduceComplex128(len(slice), func(lo, hi int) complex128 {
 			var acc complex128
 			for k := lo; k < hi; k++ {
 				m := p.At(slice[k])

@@ -94,14 +94,14 @@ func checkFibreBodies[F float32 | float64](t *testing.T, tag string, k *schur[F]
 			name string
 			pass func(out []F, fieldOut []cx[F], i int)
 		}{
-			{"AInv", func(out []F, _ []cx[F], i int) { k.fibreAInv(out, x, i, dagger) }},
-			{"B", func(out []F, _ []cx[F], i int) { k.fibreBA(out, x, i, k.b5, k.c5, dagger) }},
-			{"A", func(out []F, _ []cx[F], i int) { k.fibreBA(out, x, i, k.a, k.c, dagger) }},
-			{"BAxpy", func(out []F, _ []cx[F], i int) { k.fibreBAxpy(out, x, i, k.a, k.c, dagger) }},
+			{"AInv", func(out []F, _ []cx[F], i int) { k.fibreAInv(out, x, i, false, dagger) }},
+			{"B", func(out []F, _ []cx[F], i int) { k.fibreBA(out, x, i, false, k.b5, k.c5, dagger) }},
+			{"A", func(out []F, _ []cx[F], i int) { k.fibreBA(out, x, i, false, k.a, k.c, dagger) }},
+			{"BAxpy", func(out []F, _ []cx[F], i int) { k.fibreBAxpy(out, x, i, false, k.a, k.c, dagger) }},
 			{"Axpy", func(out []F, _ []cx[F], i int) { k.fibreAxpy(out, x, i) }},
-			{"Hop", func(out []F, _ []cx[F], i int) { k.fibreHop(out, x, 1, i, dagger) }},
-			{"load", func(out []F, _ []cx[F], i int) { k.load(out, i, [2][]cx[F]{field}, i*SpinorLen, half) }},
-			{"store", func(_ []F, fo []cx[F], i int) { k.store([2][]cx[F]{fo}, i*SpinorLen, half, x, i) }},
+			{"Hop", func(out []F, _ []cx[F], i int) { k.fibreHop(out, x, 1, i, false, dagger) }},
+			{"load", func(out []F, _ []cx[F], i int) { k.load(out, i, false, [2][]cx[F]{field}, i*SpinorLen, half) }},
+			{"store", func(_ []F, fo []cx[F], i int) { k.store([2][]cx[F]{fo}, i*SpinorLen, half, x, i, false) }},
 		}
 		for _, c := range passes {
 			run := func(v *vecBodies[F]) ([]F, []cx[F]) {

@@ -99,19 +99,16 @@ func useBodies(p *MobiusEO, q *MobiusEO32, set string) {
 // could tell them apart: Ls that fill the four lanes of a block, leave
 // some of them padding (2, 3, 5) or take two blocks (5, 8); lattices with
 // extent-2 directions (where the forward and the backward neighbour are
-// the same site); every split of the site range the launch width can
-// produce; both body sets; and dense as well as exactly-zero inputs. The
-// last lattice's parity block is past linalg.For's serial cut, so its
-// workers > 1 runs really split, at every Ls but the partial group of 3
-// the small lattices already hold; on the small ones every launch width
-// takes the serial path, so they run one width besides the single worker.
+// the same site) and one of 512 sites a parity; both body sets; and dense
+// as well as exactly-zero inputs. The large lattice runs every Ls but the
+// partial group of 3, which the small lattices already hold.
 func TestFusedSchurMatchesStagedBitForBit(t *testing.T) {
 	for _, dims := range [][4]int{{2, 2, 2, 4}, {4, 2, 2, 2}, {2, 4, 8, 16}} {
 		g := lattice.MustNew(dims[0], dims[1], dims[2], dims[3])
 		cfg := gauge.NewRandom(g, int64(dims[1]+dims[3]))
-		lss, widths := []int{2, 3, 4, 5, 8}, []int{1, 8}
-		if g.Vol/2 >= 256 { // past linalg.For's serial cut
-			lss, widths = []int{2, 4, 5, 8}, []int{1, 2, 3, 8}
+		lss := []int{2, 3, 4, 5, 8}
+		if g.Vol > 64 {
+			lss = []int{2, 4, 5, 8}
 		}
 		for _, ls := range lss {
 			m, err := NewMobius(cfg, MobiusParams{Ls: ls, M5: 1.3, B5: 1.25, C5: 0.25, M: 0.15})
@@ -145,34 +142,31 @@ func TestFusedSchurMatchesStagedBitForBit(t *testing.T) {
 
 				for _, body := range bodySets {
 					useBodies(p, q, body)
-					for _, workers := range widths {
-						m.W.Workers = workers
-						tag := fmt.Sprintf("%v Ls=%d %s %s workers=%d", dims, ls, name, body, workers)
-						got := make([]complex128, n)
-						p.Apply(got, src)
-						sameBits64(t, tag+" Apply", got, want)
-						p.ApplyDagger(got, src)
-						sameBits64(t, tag+" ApplyDagger", got, wantDag)
-						p.ApplyNormal([][]complex128{got}, [][]complex128{src})
-						sameBits64(t, tag+" ApplyNormal Apply", lanesAs64(p.mid[0]), want)
-						tmp := make([]complex128, n)
-						p.ApplyDagger(tmp, want)
-						sameBits64(t, tag+" ApplyNormal", got, tmp)
-						got32 := make([]complex64, n)
-						q.Apply(got32, src32)
-						sameBits32(t, tag+" Apply32", got32, want32)
-						q.ApplyDagger(got32, src32)
-						sameBits32(t, tag+" ApplyDagger32", got32, wantDag32)
-						q.ApplyNormal([][]complex64{got32}, [][]complex64{src32})
-						sameBits32(t, tag+" ApplyNormal32 Apply", lanesAs32(q.mid[0]), want32)
-						tmp32 := make([]complex64, n)
-						q.ApplyDagger(tmp32, want32)
-						sameBits32(t, tag+" ApplyNormal32", got32, tmp32)
-						bhat, odd := p.PrepareSource(full)
-						sameBits64(t, tag+" PrepareSource bhat", bhat, wantBhat)
-						sameBits64(t, tag+" PrepareSource odd", odd, wantOdd)
-						sameBits64(t, tag+" Reconstruct", p.Reconstruct(src, odd), wantFull)
-					}
+					tag := fmt.Sprintf("%v Ls=%d %s %s", dims, ls, name, body)
+					got := make([]complex128, n)
+					p.Apply(got, src)
+					sameBits64(t, tag+" Apply", got, want)
+					p.ApplyDagger(got, src)
+					sameBits64(t, tag+" ApplyDagger", got, wantDag)
+					p.ApplyNormal([][]complex128{got}, [][]complex128{src})
+					sameBits64(t, tag+" ApplyNormal Apply", lanesAs64(p.mid[0]), want)
+					tmp := make([]complex128, n)
+					p.ApplyDagger(tmp, want)
+					sameBits64(t, tag+" ApplyNormal", got, tmp)
+					got32 := make([]complex64, n)
+					q.Apply(got32, src32)
+					sameBits32(t, tag+" Apply32", got32, want32)
+					q.ApplyDagger(got32, src32)
+					sameBits32(t, tag+" ApplyDagger32", got32, wantDag32)
+					q.ApplyNormal([][]complex64{got32}, [][]complex64{src32})
+					sameBits32(t, tag+" ApplyNormal32 Apply", lanesAs32(q.mid[0]), want32)
+					tmp32 := make([]complex64, n)
+					q.ApplyDagger(tmp32, want32)
+					sameBits32(t, tag+" ApplyNormal32", got32, tmp32)
+					bhat, odd := p.PrepareSource(full)
+					sameBits64(t, tag+" PrepareSource bhat", bhat, wantBhat)
+					sameBits64(t, tag+" PrepareSource odd", odd, wantOdd)
+					sameBits64(t, tag+" Reconstruct", p.Reconstruct(src, odd), wantFull)
 				}
 			}
 		}
@@ -317,21 +311,15 @@ func TestWilsonApplyRejectsAliasedFields(t *testing.T) {
 	}
 }
 
-// The Schur applications sit inside the solver's iteration; on the calling
-// goroutine alone - a parity block under For's cut at any worker
-// count, or one worker at any size - they must not allocate.
+// The Schur applications sit inside the solver's iteration, on the
+// calling goroutine; at any size they must not allocate.
 func TestSchurApplyDoesNotAllocate(t *testing.T) {
-	for _, c := range []struct {
-		dims    [4]int
-		workers int
-	}{{[4]int{2, 2, 4, 8}, 0}, {[4]int{4, 4, 4, 8}, 1}} {
-		dims := c.dims
+	for _, dims := range [][4]int{{2, 2, 4, 8}, {4, 4, 4, 8}} {
 		g := lattice.MustNew(dims[0], dims[1], dims[2], dims[3])
 		m, err := NewMobius(gauge.NewRandom(g, 1), MobiusParams{Ls: 4, M5: 1.3, B5: 1.25, C5: 0.25, M: 0.15})
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.W.Workers = c.workers
 		p, err := NewMobiusEO(m)
 		if err != nil {
 			t.Fatal(err)

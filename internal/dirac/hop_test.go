@@ -53,12 +53,11 @@ var boundary = map[string]int{
 
 // TestWilsonHopMatchesGenericBitForBit holds every user of the specialised
 // hop to the generic composition it replaced (RefWilson, built on the
-// generic hop of staged_ref_test.go): the flat Wilson operator at every
-// launch split, the rank-local stencil of package domain on every rank of
-// several grids, and a CGNE solve. On 4^4 every site has eight distinct
-// neighbours, so the point input isolates each of the eight directions at
-// a site of its own, and 256 sites are past linalg.For's serial cut, so
-// workers > 1 really split. The operators are equal to the bit except on
+// generic hop of staged_ref_test.go): the flat Wilson operator, the
+// rank-local stencil of package domain on every rank of several grids,
+// and a CGNE solve. On 4^4 every site has eight distinct neighbours, so
+// the point input isolates each of the eight directions at a site of its
+// own. The operators are equal to the bit except on
 // the zeros boundary pins, which differ in sign only, and the rank stencil
 // equals the flat operator on those too; the solve from the point input,
 // the one input among them a solve starts from, is equal to the bit.
@@ -96,15 +95,12 @@ func TestWilsonHopMatchesGenericBitForBit(t *testing.T) {
 					t.Errorf("%s: %d elements differ from the generic composition in a zero's sign, want %d", tag, d, boundary[op])
 				}
 			}
-			for _, workers := range []int{1, 2, 3} {
-				w.Workers = workers
-				if dagger {
-					w.ApplyDagger(got, src)
-				} else {
-					w.Apply(got, src)
-				}
-				check(fmt.Sprintf("%s Wilson workers=%d", op, workers))
+			if dagger {
+				w.ApplyDagger(got, src)
+			} else {
+				w.Apply(got, src)
 			}
+			check(op + " Wilson")
 			copy(flat, got)
 			for _, d := range dists {
 				if dagger {
@@ -173,7 +169,7 @@ func siteInputs(n int) map[string][]complex128 {
 
 // TestWilsonSiteBodiesMatchBitForBit holds the 4-D site body the build
 // runs to the Go body on whole fields (sameParts): the flat Wilson
-// operator, Apply and ApplyDagger, on one worker and three; and the
+// operator, Apply and ApplyDagger; and the
 // rank-local stencil of package domain on every rank of three splits of
 // the wire-2rank lattice (4^3 x 8), its source and every ghost face filled
 // from the field, so that legs read ghosts as well as the local source.
@@ -194,19 +190,16 @@ func TestWilsonSiteBodiesMatchBitForBit(t *testing.T) {
 	}
 	got, want := make([]complex128, n), make([]complex128, n)
 	for name, src := range siteInputs(n) {
-		for _, workers := range []int{1, 3} {
-			w.Workers = workers
-			for _, dagger := range []bool{false, true} {
-				apply := w.Apply
-				if dagger {
-					apply = w.ApplyDagger
-				}
-				restore := dirac.UseGoSite()
-				apply(want, src)
-				restore()
-				apply(got, src)
-				check(fmt.Sprintf("%s Wilson workers=%d dagger=%v", name, workers, dagger), got, want)
+		for _, dagger := range []bool{false, true} {
+			apply := w.Apply
+			if dagger {
+				apply = w.ApplyDagger
 			}
+			restore := dirac.UseGoSite()
+			apply(want, src)
+			restore()
+			apply(got, src)
+			check(fmt.Sprintf("%s Wilson dagger=%v", name, dagger), got, want)
 		}
 		for _, grid := range [][lattice.NDim]int{{1, 1, 1, 2}, {1, 1, 2, 2}, {2, 2, 2, 2}} {
 			specs, err := domain.BuildSpecs(u, grid, mass)

@@ -4,12 +4,11 @@ import (
 	"fmt"
 
 	"femtoverse/internal/gauge"
-	"femtoverse/internal/linalg"
 )
 
 // Mobius is the 5-D Mobius domain-wall operator D(m). It owns scratch
 // buffers, so a single instance must not be used from multiple goroutines
-// concurrently (the internal site loops are already parallel).
+// concurrently.
 type Mobius struct {
 	W  *Wilson // 4-D kernel with Mass = -M5
 	Ls int
@@ -86,24 +85,22 @@ func (m *Mobius) slice(f []complex128, s int) []complex128 {
 // with the chiral boundary wrap multiplied by -m. In the DeGrand-Rossi
 // basis P+ keeps spins {0,1} and P- keeps spins {2,3}, so the projection
 // is pure component selection. dst must not alias src.
-func chiApply(dst, src []complex128, ls, vol4 int, mf float64, dagger bool, workers int) {
-	linalg.For(ls, workers, func(lo, hi int) {
-		for s := lo; s < hi; s++ {
-			sp, pwr, sm, mwr := chiNeighbours(s, ls, -mf, dagger)
-			pw, mw := complex(pwr, 0), complex(mwr, 0)
-			d := dst[s*vol4 : (s+1)*vol4]
-			up := src[sp*vol4 : (sp+1)*vol4]
-			dn := src[sm*vol4 : (sm+1)*vol4]
-			for site := 0; site < vol4; site += SpinorLen {
-				for i := 0; i < 6; i++ {
-					d[site+i] = pw * up[site+i]
-				}
-				for i := 6; i < 12; i++ {
-					d[site+i] = mw * dn[site+i]
-				}
+func chiApply(dst, src []complex128, ls, vol4 int, mf float64, dagger bool) {
+	for s := 0; s < ls; s++ {
+		sp, pwr, sm, mwr := chiNeighbours(s, ls, -mf, dagger)
+		pw, mw := complex(pwr, 0), complex(mwr, 0)
+		d := dst[s*vol4 : (s+1)*vol4]
+		up := src[sp*vol4 : (sp+1)*vol4]
+		dn := src[sm*vol4 : (sm+1)*vol4]
+		for site := 0; site < vol4; site += SpinorLen {
+			for i := 0; i < 6; i++ {
+				d[site+i] = pw * up[site+i]
+			}
+			for i := 6; i < 12; i++ {
+				d[site+i] = mw * dn[site+i]
 			}
 		}
-	})
+	}
 }
 
 // Apply computes dst = D(m) src.
@@ -111,22 +108,18 @@ func (m *Mobius) Apply(dst, src []complex128) {
 	if len(dst) != m.Size() || len(src) != m.Size() {
 		panic("dirac: Mobius.Apply size mismatch")
 	}
-	chiApply(m.chi, src, m.Ls, m.vol4(), m.M, false, m.W.Workers)
+	chiApply(m.chi, src, m.Ls, m.vol4(), m.M, false)
 	b5 := complex(m.B5, 0)
 	c5 := complex(m.C5, 0)
-	linalg.For(len(src), m.W.Workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			m.cmb[i] = b5*src[i] + c5*m.chi[i]
-		}
-	})
+	for i := range src {
+		m.cmb[i] = b5*src[i] + c5*m.chi[i]
+	}
 	for s := 0; s < m.Ls; s++ {
 		m.W.Apply(m.slice(dst, s), m.slice(m.cmb, s))
 	}
-	linalg.For(len(src), m.W.Workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] += src[i] - m.chi[i]
-		}
-	})
+	for i := range src {
+		dst[i] += src[i] - m.chi[i]
+	}
 }
 
 // ApplyDagger computes dst = D(m)^dagger src using
@@ -141,20 +134,16 @@ func (m *Mobius) ApplyDagger(dst, src []complex128) {
 		m.W.ApplyDagger(m.slice(m.cmb, s), m.slice(src, s))
 	}
 	// dst = b5*y + c5*chi^dag(y) + src - chi^dag(src), y = Dw^dag src.
-	chiApply(m.chi, m.cmb, m.Ls, m.vol4(), m.M, true, m.W.Workers)
+	chiApply(m.chi, m.cmb, m.Ls, m.vol4(), m.M, true)
 	b5 := complex(m.B5, 0)
 	c5 := complex(m.C5, 0)
-	linalg.For(len(src), m.W.Workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] = b5*m.cmb[i] + c5*m.chi[i] + src[i]
-		}
-	})
-	chiApply(m.chi, src, m.Ls, m.vol4(), m.M, true, m.W.Workers)
-	linalg.For(len(src), m.W.Workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] -= m.chi[i]
-		}
-	})
+	for i := range src {
+		dst[i] = b5*m.cmb[i] + c5*m.chi[i] + src[i]
+	}
+	chiApply(m.chi, src, m.Ls, m.vol4(), m.M, true)
+	for i := range src {
+		dst[i] -= m.chi[i]
+	}
 }
 
 // Flops returns the flop count of one Apply: Ls Wilson applications plus

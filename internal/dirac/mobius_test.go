@@ -96,10 +96,10 @@ func TestMobiusDaggerIsTrueAdjoint(t *testing.T) {
 	y := randField(rng, m.Size())
 	dy := make([]complex128, m.Size())
 	m.Apply(dy, y)
-	lhs := linalg.Dot(x, dy, 0)
+	lhs := linalg.Dot(x, dy)
 	ddx := make([]complex128, m.Size())
 	m.ApplyDagger(ddx, x)
-	rhs := linalg.Dot(ddx, y, 0)
+	rhs := linalg.Dot(ddx, y)
 	if cmplx.Abs(lhs-rhs) > 1e-9*(1+cmplx.Abs(lhs)) {
 		t.Fatalf("Mobius adjoint mismatch: %v vs %v", lhs, rhs)
 	}
@@ -148,7 +148,7 @@ func TestMobiusLinearity(t *testing.T) {
 	y := randField(rng, m.Size())
 	a := complex(0.3, 0.7)
 	comb := make([]complex128, m.Size())
-	linalg.AxpyZ(a, x, y, comb, 0)
+	linalg.AxpyZ(a, x, y, comb)
 	dc := make([]complex128, m.Size())
 	m.Apply(dc, comb)
 	dx := make([]complex128, m.Size())
@@ -156,7 +156,7 @@ func TestMobiusLinearity(t *testing.T) {
 	dy := make([]complex128, m.Size())
 	m.Apply(dy, y)
 	want := make([]complex128, m.Size())
-	linalg.AxpyZ(a, dx, dy, want, 0)
+	linalg.AxpyZ(a, dx, dy, want)
 	if d := fieldDist(dc, want); d > 1e-10 {
 		t.Fatalf("linearity violated: %g", d)
 	}

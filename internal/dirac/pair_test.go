@@ -51,7 +51,6 @@ func sameBitsF[F float32 | float64](t *testing.T, what string, got, want []F) {
 // for that system alone, NaN payloads included.
 func checkPairBodies(t *testing.T, tag string, k *schur[float32]) {
 	t.Helper()
-	defer func() { k.two = false }()
 	rng := rand.New(rand.NewSource(int64(k.ls) + 7))
 	xa, xb, ya, yb := fibreField(k, rng), fibreField(k, rng), fibreField(k, rng), fibreField(k, rng)
 	x, y := interleave(xa, xb), interleave(ya, yb)
@@ -70,15 +69,19 @@ func checkPairBodies(t *testing.T, tag string, k *schur[float32]) {
 	for _, dagger := range []bool{false, true} {
 		passes := []struct {
 			name string
-			pass func(out, in []F32, fo [2][]cx[float32], i int)
+			pass func(out, in []F32, fo [2][]cx[float32], i int, two bool)
 		}{
-			{"AInv", func(out, in []F32, _ [2][]cx[float32], i int) { k.fibreAInv(out, in, i, dagger) }},
-			{"B", func(out, in []F32, _ [2][]cx[float32], i int) { k.fibreBA(out, in, i, k.b5, k.c5, dagger) }},
-			{"A", func(out, in []F32, _ [2][]cx[float32], i int) { k.fibreBA(out, in, i, k.a, k.c, dagger) }},
-			{"BAxpy", func(out, in []F32, _ [2][]cx[float32], i int) { k.fibreBAxpy(out, in, i, k.a, k.c, dagger) }},
-			{"Hop", func(out, in []F32, _ [2][]cx[float32], i int) { k.fibreHop(out, in, 1, i, dagger) }},
-			{"load", func(out, _ []F32, fo [2][]cx[float32], i int) { k.load(out, i, fo, i*SpinorLen, half) }},
-			{"store", func(_, in []F32, fo [2][]cx[float32], i int) { k.store(fo, i*SpinorLen, half, in, i) }},
+			{"AInv", func(out, in []F32, _ [2][]cx[float32], i int, two bool) { k.fibreAInv(out, in, i, two, dagger) }},
+			{"B", func(out, in []F32, _ [2][]cx[float32], i int, two bool) {
+				k.fibreBA(out, in, i, two, k.b5, k.c5, dagger)
+			}},
+			{"A", func(out, in []F32, _ [2][]cx[float32], i int, two bool) { k.fibreBA(out, in, i, two, k.a, k.c, dagger) }},
+			{"BAxpy", func(out, in []F32, _ [2][]cx[float32], i int, two bool) {
+				k.fibreBAxpy(out, in, i, two, k.a, k.c, dagger)
+			}},
+			{"Hop", func(out, in []F32, _ [2][]cx[float32], i int, two bool) { k.fibreHop(out, in, 1, i, two, dagger) }},
+			{"load", func(out, _ []F32, fo [2][]cx[float32], i int, two bool) { k.load(out, i, two, fo, i*SpinorLen, half) }},
+			{"store", func(_, in []F32, fo [2][]cx[float32], i int, two bool) { k.store(fo, i*SpinorLen, half, in, i, two) }},
 		}
 		for _, c := range passes {
 			what := fmt.Sprintf("%s dagger=%v %s", tag, dagger, c.name)
@@ -86,18 +89,16 @@ func checkPairBodies(t *testing.T, tag string, k *schur[float32]) {
 			var want [2][]F32
 			var wantField [2][]cx[float32]
 			for s, in := range [][]F32{xa, xb} {
-				k.two = false
 				want[s] = slices.Clone([][]F32{ya, yb}[s])
 				wantField[s] = slices.Clone(fields[s])
 				for i := 0; i < k.halfVol; i++ {
-					c.pass(want[s], in, [2][]cx[float32]{wantField[s]}, i)
+					c.pass(want[s], in, [2][]cx[float32]{wantField[s]}, i, false)
 				}
 			}
-			k.two = true
 			out := slices.Clone(y)
 			fo := [2][]cx[float32]{slices.Clone(fields[0]), slices.Clone(fields[1])}
 			for i := 0; i < k.halfVol; i++ {
-				c.pass(out, x, fo, i)
+				c.pass(out, x, fo, i, true)
 			}
 			ga, gb := split(out)
 			sameBitsF(t, what+" system A", ga, want[0])
@@ -157,8 +158,8 @@ func TestPairBodiesMatchSingleBitForBit(t *testing.T) {
 // to ApplyDagger of Apply on each system, to the bit - NaN payloads,
 // infinities and the signs of zeros included - on random, poisoned, NaN,
 // +0 and -0 fields, at Ls 2, 4, 6 and 8 (padding lanes, one block, two),
-// at launch widths 1 to 3 on a parity block past linalg.For's serial cut,
-// with the pair bodies and with them switched off, and on a view, whose
+// on the 4^3 x 8 lattice, with the pair bodies and with them switched
+// off, and on a view, whose
 // scratch the single and the pair layout share; a single application
 // after a pair must be unchanged too. Without pair bodies the systems run
 // one at a time and the test holds the fused normal to the composed one.
@@ -205,28 +206,25 @@ func TestPairApplyMatchesTwoSinglesBitForBit(t *testing.T) {
 					if paired {
 						op.pair = bodies
 					}
-					for workers := 1; workers <= 3; workers++ {
-						op.Workers = workers
-						tag := fmt.Sprintf("Ls=%d %s workers=%d view=%v paired=%v", ls, name, workers, op != q, op.pair != nil)
-						var want, wantD [3][]complex64
-						for k := range want {
-							want[k], wantD[k] = make([]complex64, n), make([]complex64, n)
-							op.Apply(wantD[k], src[k])
-							op.ApplyDagger(want[k], wantD[k])
+					tag := fmt.Sprintf("Ls=%d %s view=%v paired=%v", ls, name, op != q, op.pair != nil)
+					var want, wantD [3][]complex64
+					for k := range want {
+						want[k], wantD[k] = make([]complex64, n), make([]complex64, n)
+						op.Apply(wantD[k], src[k])
+						op.ApplyDagger(want[k], wantD[k])
+					}
+					for systems := 1; systems <= 3; systems++ {
+						got := make([][]complex64, systems)
+						for k := range got {
+							got[k] = make([]complex64, n)
 						}
-						for systems := 1; systems <= 3; systems++ {
-							got := make([][]complex64, systems)
-							for k := range got {
-								got[k] = make([]complex64, n)
-							}
-							op.ApplyNormal(got, src[:systems])
-							for k := range got {
-								sameBits32(t, fmt.Sprintf("%s of %d systems: system %d", tag, systems, k), got[k], want[k])
-							}
-							d := make([]complex64, n)
-							op.Apply(d, src[0])
-							sameBits32(t, fmt.Sprintf("%s of %d systems: an Apply after", tag, systems), d, wantD[0])
+						op.ApplyNormal(got, src[:systems])
+						for k := range got {
+							sameBits32(t, fmt.Sprintf("%s of %d systems: system %d", tag, systems, k), got[k], want[k])
 						}
+						d := make([]complex64, n)
+						op.Apply(d, src[0])
+						sameBits32(t, fmt.Sprintf("%s of %d systems: an Apply after", tag, systems), d, wantD[0])
 					}
 				}
 				op.pair = bodies

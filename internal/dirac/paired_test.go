@@ -110,7 +110,7 @@ func benchPaired(b *testing.B, cand, ref func()) {
 }
 
 // BenchmarkSchurNormalPaired is BenchmarkSchurNormal's normal-equation
-// application (the fh-* lattice, Ls 4, a dense source, one worker) judged
+// application (the fh-* lattice, Ls 4, a dense source) judged
 // in pairs: each precision's lane kernel against the scalar kernel it
 // replaced (scalar_ref_test.go); against itself with the vector hop and
 // the Go fifth-dimension bodies (-fibre: what the vector fibre bodies buy);
@@ -127,7 +127,6 @@ func BenchmarkSchurNormalPaired(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m.W.Workers = 1
 	p, err := NewMobiusEO(m)
 	if err != nil {
 		b.Fatal(err)
@@ -171,7 +170,7 @@ func BenchmarkSchurNormalPaired(b *testing.B) {
 	composedPair32 := func() {
 		q.vec = all32
 		for _, ps := range composedPasses {
-			q.pass(ps.st, q.pair != nil, ps.dst, ps.src, 1)
+			q.pass(ps.st, q.pair != nil, ps.dst, ps.src)
 		}
 	}
 	single32 := func() {
@@ -203,7 +202,7 @@ func BenchmarkSchurNormalPaired(b *testing.B) {
 }
 
 // BenchmarkWilsonDslashPaired is BenchmarkWilsonDslash's application judged
-// in pairs, on one worker at the wire-2rank lattice (4^3 x 8): the flat
+// in pairs, at the wire-2rank lattice (4^3 x 8): the flat
 // Wilson operator against the generic composition it replaced (refWilson,
 // staged_ref_test.go); against the loop of scalar hops the site body
 // replaced (scalarWilson, the same file), plain and dagger; and an A/A
@@ -211,7 +210,6 @@ func BenchmarkSchurNormalPaired(b *testing.B) {
 func BenchmarkWilsonDslashPaired(b *testing.B) {
 	g := lattice.MustNew(4, 4, 4, 8)
 	w := NewWilson(gauge.NewRandom(g, 1), 0.1)
-	w.Workers = 1
 	src, dst := randField(rand.New(rand.NewSource(2)), w.Size()), make([]complex128, w.Size())
 	flat := func() { w.Apply(dst, src) }
 	flatDag := func() { w.ApplyDagger(dst, src) }

@@ -28,15 +28,9 @@ type MobiusEO struct {
 	M  *Mobius
 	EO *lattice.EvenOdd
 
-	// Workers, when positive, is the split width of this operator's own
-	// site loops; zero defers to M.W.Workers. It is how a lane (View) runs
-	// narrower than its siblings' shared configuration; like every split
-	// width it cannot change a bit of the result.
-	Workers int
-
 	// The kernel: the operator in float64 lanes (a, c, the fifth-dimension
 	// inverses minvP/minvM), shared by every View, and this applier's own
-	// scratch and pass state.
+	// scratch.
 	schur[float64]
 }
 
@@ -77,9 +71,8 @@ func NewMobiusEO(m *Mobius) (*MobiusEO, error) {
 // operator, even-odd tables, links and fifth-dimension inverses, by
 // reference - but applies through scratch and pass state of its own, so
 // that p and any number of views may run Apply, ApplyDagger, ApplyNormal,
-// PrepareSource and Reconstruct at the same time. It costs four
-// half-fields. Changes to the shared M (its split width, say) reach every
-// view; each view's Workers is its own.
+// PrepareSource and Reconstruct at the same time, each on its caller's
+// goroutine. It costs four half-fields.
 func (p *MobiusEO) View() *MobiusEO {
 	v := &MobiusEO{M: p.M, EO: p.EO}
 	v.schurOp = p.schurOp
@@ -96,19 +89,9 @@ func (p *MobiusEO) HalfSize() int { return p.M.Ls * p.HalfVol() * SpinorLen }
 // Size implements the solver operator interface on half fields.
 func (p *MobiusEO) Size() int { return p.HalfSize() }
 
-// run makes one pass of the kernel, at this operator's split width,
-// on fields viewed as lanes.
+// run makes one pass of the kernel on fields viewed as lanes.
 func (p *MobiusEO) run(st schurStage, dst, src []complex128) {
-	p.schur.run(st, lanes64(dst), lanes64(src), ownWidth(p.Workers, p.M.W.Workers))
-}
-
-// ownWidth is an operator's split width: its own when set, the shared
-// configuration's otherwise.
-func ownWidth(own, shared int) int {
-	if own > 0 {
-		return own
-	}
-	return shared
+	p.schur.run(st, lanes64(dst), lanes64(src))
 }
 
 // Apply computes dst = Dhat src on an even half field (the solver-facing
@@ -136,7 +119,7 @@ func (p *MobiusEO) ApplyDagger(dst, src []complex128) {
 // ApplyNormal sets dst[j] = Dhat^dagger Dhat src[j], the CG normal
 // operator, for every system: to the bit ApplyDagger of Apply.
 func (p *MobiusEO) ApplyNormal(dst, src [][]complex128) {
-	applyNormal(&p.schur, dst, src, lanes64, ownWidth(p.Workers, p.M.W.Workers))
+	applyNormal(&p.schur, dst, src, lanes64)
 }
 
 // GatherParity5D splits a full lexicographic 5-D field into a half field

@@ -40,14 +40,11 @@ func DemoteGauge(f *gauge.Field) *GaugeC64 {
 // storage format. It is the float32 instance of the kernel MobiusEO is the
 // float64 instance of: the same source, on a demoted operator.
 type MobiusEO32 struct {
-	P *MobiusEO // parent: geometry and split width
+	P *MobiusEO // parent: the geometry
 	U *GaugeC64
 
-	// Workers is MobiusEO.Workers for this operator's site loops.
-	Workers int
-
 	// The kernel: P's operator demoted to float32 lanes over U, shared by
-	// every View, and this applier's own scratch and pass state.
+	// every View, and this applier's own scratch.
 	schur[float32]
 }
 
@@ -75,7 +72,7 @@ func NewMobiusEO32(p *MobiusEO) *MobiusEO32 {
 }
 
 // View is MobiusEO.View in single precision: the demoted gauge field and
-// the float32 constants by reference, scratch and pass state of its own,
+// the float32 constants by reference, scratch of its own,
 // one pair-sized set that serves single and pair applications alike. P
 // stays the operator q was demoted from.
 func (q *MobiusEO32) View() *MobiusEO32 {
@@ -89,7 +86,7 @@ func (q *MobiusEO32) View() *MobiusEO32 {
 func (q *MobiusEO32) Size() int { return q.P.HalfSize() }
 
 func (q *MobiusEO32) run(st schurStage, dst, src []complex64) {
-	q.schur.run(st, lanes32(dst), lanes32(src), ownWidth(q.Workers, q.P.M.W.Workers))
+	q.schur.run(st, lanes32(dst), lanes32(src))
 }
 
 // Apply computes dst = Dhat src in single precision.
@@ -115,5 +112,5 @@ func (q *MobiusEO32) ApplyDagger(dst, src []complex64) {
 // ApplyNormal is MobiusEO.ApplyNormal in single precision, two systems to
 // a pass through the pair bodies where the build has them (linalg.HasAVX).
 func (q *MobiusEO32) ApplyNormal(dst, src [][]complex64) {
-	applyNormal(&q.schur, dst, src, lanes32, ownWidth(q.Workers, q.P.M.W.Workers))
+	applyNormal(&q.schur, dst, src, lanes32)
 }

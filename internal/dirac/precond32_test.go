@@ -23,7 +23,7 @@ func TestMobiusEO32TracksDoublePrecision(t *testing.T) {
 	got := make([]complex128, len(src))
 	linalg.Promote(got, got32)
 
-	norm := math.Sqrt(linalg.NormSq(want, 0))
+	norm := math.Sqrt(linalg.NormSq(want))
 	if d := fieldDist(want, got); d > 1e-4*norm {
 		t.Fatalf("single-precision Schur drifted: %g vs norm %g", d, norm)
 	}
@@ -44,7 +44,7 @@ func TestMobiusEO32DaggerTracksDouble(t *testing.T) {
 	got := make([]complex128, len(src))
 	linalg.Promote(got, got32)
 
-	norm := math.Sqrt(linalg.NormSq(want, 0))
+	norm := math.Sqrt(linalg.NormSq(want))
 	if d := fieldDist(want, got); d > 1e-4*norm {
 		t.Fatalf("single-precision dagger drifted: %g vs norm %g", d, norm)
 	}
@@ -66,7 +66,7 @@ func TestMobiusEO32NormalMatchesDouble(t *testing.T) {
 	got := make([]complex128, len(src))
 	linalg.Promote(got, got32)
 
-	norm := math.Sqrt(linalg.NormSq(want, 0))
+	norm := math.Sqrt(linalg.NormSq(want))
 	if d := fieldDist(want, got); d > 5e-4*norm {
 		t.Fatalf("single-precision normal op drifted: %g vs norm %g", d, norm)
 	}

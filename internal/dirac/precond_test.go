@@ -54,8 +54,8 @@ func TestApplyADaggerIsAdjoint(t *testing.T) {
 	p.applyA(ay, y, false)
 	adx := make([]complex128, p.HalfSize())
 	p.applyA(adx, x, true)
-	lhs := linalg.Dot(x, ay, 0)
-	rhs := linalg.Dot(adx, y, 0)
+	lhs := linalg.Dot(x, ay)
+	rhs := linalg.Dot(adx, y)
 	if cmplx.Abs(lhs-rhs) > 1e-10*(1+cmplx.Abs(lhs)) {
 		t.Fatalf("A adjoint mismatch: %v vs %v", lhs, rhs)
 	}
@@ -70,8 +70,8 @@ func TestApplyBDaggerIsAdjoint(t *testing.T) {
 	p.applyB(by, y, false)
 	bdx := make([]complex128, p.HalfSize())
 	p.applyB(bdx, x, true)
-	lhs := linalg.Dot(x, by, 0)
-	rhs := linalg.Dot(bdx, y, 0)
+	lhs := linalg.Dot(x, by)
+	rhs := linalg.Dot(bdx, y)
 	if cmplx.Abs(lhs-rhs) > 1e-10*(1+cmplx.Abs(lhs)) {
 		t.Fatalf("B adjoint mismatch: %v vs %v", lhs, rhs)
 	}
@@ -84,10 +84,10 @@ func TestSchurDaggerIsTrueAdjoint(t *testing.T) {
 	y := randField(rng, p.HalfSize())
 	dy := make([]complex128, p.HalfSize())
 	p.Apply(dy, y)
-	lhs := linalg.Dot(x, dy, 0)
+	lhs := linalg.Dot(x, dy)
 	ddx := make([]complex128, p.HalfSize())
 	p.ApplyDagger(ddx, x)
-	rhs := linalg.Dot(ddx, y, 0)
+	rhs := linalg.Dot(ddx, y)
 	if cmplx.Abs(lhs-rhs) > 1e-9*(1+cmplx.Abs(lhs)) {
 		t.Fatalf("Schur adjoint mismatch: %v vs %v", lhs, rhs)
 	}
@@ -101,12 +101,12 @@ func TestNormalOperatorIsHermitianPositive(t *testing.T) {
 	nx := make([]complex128, p.HalfSize())
 	ny := make([]complex128, p.HalfSize())
 	p.ApplyNormal([][]complex128{nx, ny}, [][]complex128{x, y})
-	lhs := linalg.Dot(x, ny, 0)
-	rhs := linalg.Dot(nx, y, 0)
+	lhs := linalg.Dot(x, ny)
+	rhs := linalg.Dot(nx, y)
 	if cmplx.Abs(lhs-rhs) > 1e-9*(1+cmplx.Abs(lhs)) {
 		t.Fatalf("normal operator not Hermitian: %v vs %v", lhs, rhs)
 	}
-	selfIP := linalg.Dot(x, nx, 0)
+	selfIP := linalg.Dot(x, nx)
 	if real(selfIP) <= 0 || math.Abs(imag(selfIP)) > 1e-9*real(selfIP) {
 		t.Fatalf("normal operator not positive: %v", selfIP)
 	}
@@ -129,13 +129,13 @@ func TestSchurFactorizationConsistency(t *testing.T) {
 
 	got := make([]complex128, p.HalfSize())
 	p.Apply(got, psiEven)
-	if d := fieldDist(got, bhat); d > 1e-9*math.Sqrt(linalg.NormSq(bhat, 0)) {
+	if d := fieldDist(got, bhat); d > 1e-9*math.Sqrt(linalg.NormSq(bhat)) {
 		t.Fatalf("Dhat psi_e != bhat: %g", d)
 	}
 
 	// Reconstruct must give back the original full solution.
 	full := p.Reconstruct(psiEven, etaOdd)
-	if d := fieldDist(full, psi); d > 1e-9*math.Sqrt(linalg.NormSq(psi, 0)) {
+	if d := fieldDist(full, psi); d > 1e-9*math.Sqrt(linalg.NormSq(psi)) {
 		t.Fatalf("Reconstruct lost the odd solution: %g", d)
 	}
 }

@@ -1,9 +1,6 @@
 package dirac
 
-import (
-	"femtoverse/internal/lattice"
-	"femtoverse/internal/linalg"
-)
+import "femtoverse/internal/lattice"
 
 // scalarSchur is the Schur kernel as it stood before the lane-major
 // layout: the fibre of a site read and written in the caller's layout,
@@ -15,17 +12,12 @@ import (
 type scalarSchur[F float32 | float64] struct {
 	schurOp[F]
 	t1, t2, t3 []cx[F]
-	stage      schurStage
-	dst, src   []cx[F]
-	sites      func(lo, hi int)
 }
 
 // newScalarSchur is a scalar applier of op with scratch of its own.
 func newScalarSchur[F float32 | float64](op schurOp[F]) *scalarSchur[F] {
 	n := op.ls * op.halfVol * SpinorLen
-	k := &scalarSchur[F]{schurOp: op, t1: make([]cx[F], n), t2: make([]cx[F], n), t3: make([]cx[F], n)}
-	k.sites = k.runSites
-	return k
+	return &scalarSchur[F]{schurOp: op, t1: make([]cx[F], n), t2: make([]cx[F], n), t3: make([]cx[F], n)}
 }
 
 // apply is dst = Dhat src, applyDagger dst = Dhat^dagger src, and
@@ -48,15 +40,9 @@ func (k *scalarSchur[F]) applyNormal(dst, src, tmp []cx[F]) {
 }
 
 func (k *scalarSchur[F]) run(st schurStage, dst, src []cx[F]) {
-	k.stage, k.dst, k.src = st, dst, src
-	linalg.For(k.halfVol, 1, k.sites)
-	k.dst, k.src = nil, nil
-}
-
-func (k *scalarSchur[F]) runSites(lo, hi int) {
-	t1, t2, t3, dst, src := k.t1, k.t2, k.t3, k.dst, k.src
-	for i := lo; i < hi; i++ {
-		switch k.stage {
+	t1, t2, t3 := k.t1, k.t2, k.t3
+	for i := 0; i < k.halfVol; i++ {
+		switch st {
 		case stageB:
 			k.fibreBA(t1, src, i, k.b5, k.c5, false)
 		case stageInner:

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"femtoverse/internal/lattice"
-	"femtoverse/internal/linalg"
 )
 
 // schurOp is what a Schur operator is, in one precision: the geometry, the
@@ -166,21 +165,10 @@ type schur[F float32 | float64] struct {
 	// field a system in the caller's layout, for its dagger's last pass.
 	t1, t2, t3 []F
 	mid        [2][]cx[F]
-
-	// The pass in flight: which site loop, on what. dst[1] and src[1] are
-	// the second system's fields, and two is set, in a pass of the pair
-	// layout. sites is runSites bound once, so that handing it to
-	// linalg.For builds no closure per application. A method value
-	// captures its receiver: own must run on the kernel at its final
-	// address, and again on every copy.
-	stage    schurStage
-	two      bool
-	dst, src [2][]cx[F]
-	sites    func(lo, hi int)
 }
 
-// own gives k the state no two appliers may share: the scratch half-fields
-// and the bound site loop.
+// own gives k the state no two appliers may share: the scratch
+// half-fields.
 func (k *schur[F]) own() {
 	n, half := k.halfVol*k.fib, k.ls*k.halfVol*SpinorLen
 	k.mid[0] = make([]cx[F], half)
@@ -189,7 +177,6 @@ func (k *schur[F]) own() {
 		k.mid[1] = make([]cx[F], half)
 	}
 	k.t1, k.t2, k.t3 = make([]F, n), make([]F, n), make([]F, n)
-	k.sites = k.runSites
 }
 
 // schurStage names one fused pass over a parity block. Each pass carries
@@ -213,8 +200,7 @@ func (k *schur[F]) own() {
 //	             stageRecon     S(psi_o) = A^{-1} (L(eta_o) - Hop_oe t1)
 //
 // Only a hop reads other sites, and it reads the previous pass's vector,
-// so the sites of a pass are independent and any split of the range over
-// workers gives the same bits.
+// so the sites of a pass are independent of one another.
 type schurStage uint8
 
 const (
@@ -233,7 +219,7 @@ const (
 // fields view reads as lanes, two systems to a pass where k has the pair
 // layout: to the bit ApplyDagger of Apply, whose passes it runs, as t3
 // holds the same L(mid) whether stageOuter left it or stageLoad loaded it.
-func applyNormal[F float32 | float64, T complex64 | complex128](k *schur[F], dst, src [][]T, view func([]T) []cx[F], workers int) {
+func applyNormal[F float32 | float64, T complex64 | complex128](k *schur[F], dst, src [][]T, view func([]T) []cx[F]) {
 	if len(dst) != len(src) {
 		panic("dirac: ApplyNormal system count mismatch")
 	}
@@ -251,76 +237,71 @@ func applyNormal[F float32 | float64, T complex64 | complex128](k *schur[F], dst
 			d[i], s[i] = view(dst[j+i]), view(src[j+i])
 		}
 		two := w == 2
-		k.pass(stageB, two, [2][]cx[F]{}, s, workers)
-		k.pass(stageInner, two, [2][]cx[F]{}, [2][]cx[F]{}, workers)
-		k.pass(stageOuter, two, k.mid, s, workers)
-		k.pass(stageInnerDag, two, [2][]cx[F]{}, [2][]cx[F]{}, workers)
-		k.pass(stageOuterDag, two, d, k.mid, workers)
+		k.pass(stageB, two, [2][]cx[F]{}, s)
+		k.pass(stageInner, two, [2][]cx[F]{}, [2][]cx[F]{})
+		k.pass(stageOuter, two, k.mid, s)
+		k.pass(stageInnerDag, two, [2][]cx[F]{}, [2][]cx[F]{})
+		k.pass(stageOuterDag, two, d, k.mid)
 		j += w
 	}
 }
 
-// run makes one pass over the parity block, split workers wide.
-func (k *schur[F]) run(st schurStage, dst, src []cx[F], workers int) {
-	k.pass(st, false, [2][]cx[F]{dst}, [2][]cx[F]{src}, workers)
+// run makes one pass over the parity block for one system.
+func (k *schur[F]) run(st schurStage, dst, src []cx[F]) {
+	k.pass(st, false, [2][]cx[F]{dst}, [2][]cx[F]{src})
 }
 
-// pass is run for one system, or with two for a pair in the pair layout:
-// the same stages, each fibre pass on both systems at once.
-func (k *schur[F]) pass(st schurStage, two bool, dst, src [2][]cx[F], workers int) {
-	k.stage, k.two, k.dst, k.src = st, two, dst, src
-	linalg.For(k.halfVol, workers, k.sites)
-	k.dst, k.src = [2][]cx[F]{}, [2][]cx[F]{}
-}
-
-// runSites is the body of every pass: sites [lo, hi) of the pass's parity
-// block. A pair runs the passes of Apply and ApplyDagger only.
-func (k *schur[F]) runSites(lo, hi int) {
-	t1, t2, t3, dst, src := k.t1, k.t2, k.t3, k.dst, k.src
+// pass makes one pass over the parity block, every site on the calling
+// goroutine: for one system, or with two for a pair in the pair layout,
+// the same stages with each fibre pass on both systems at once. dst[1]
+// and src[1] are the second system's fields. A pair runs the passes of
+// Apply and ApplyDagger only.
+func (k *schur[F]) pass(st schurStage, two bool, dst, src [2][]cx[F]) {
+	t1, t2, t3 := k.t1, k.t2, k.t3
 	half := k.halfVol * SpinorLen
-	for i := lo; i < hi; i++ {
+	for i := 0; i < k.halfVol; i++ {
 		off := i * SpinorLen
-		switch k.stage {
+		switch st {
 		case stageB:
-			k.load(t3, i, src, off, half)
-			k.fibreBA(t1, t3, i, k.b5, k.c5, false)
+			k.load(t3, i, two, src, off, half)
+			k.fibreBA(t1, t3, i, two, k.b5, k.c5, false)
 		case stageInner:
-			k.fibreHop(t2, t1, 1, i, false)
-			k.fibreAInv(t3, t2, i, false)
-			k.fibreBA(t2, t3, i, k.b5, k.c5, false)
+			k.fibreHop(t2, t1, 1, i, two, false)
+			k.fibreAInv(t3, t2, i, two, false)
+			k.fibreBA(t2, t3, i, two, k.b5, k.c5, false)
 		case stageOuter:
-			k.fibreHop(t3, t2, 0, i, false)
-			k.load(t1, i, src, off, half)
-			k.fibreBAxpy(t3, t1, i, k.a, k.c, false)
-			k.store(dst, off, half, t3, i)
+			k.fibreHop(t3, t2, 0, i, two, false)
+			k.load(t1, i, two, src, off, half)
+			k.fibreBAxpy(t3, t1, i, two, k.a, k.c, false)
+			k.store(dst, off, half, t3, i, two)
 		case stageLoad:
-			k.load(t3, i, src, off, half)
+			k.load(t3, i, two, src, off, half)
 		case stageInnerDag:
-			k.fibreHop(t2, t3, 1, i, true)
-			k.fibreBA(t1, t2, i, k.b5, k.c5, true)
-			k.fibreAInv(t2, t1, i, true)
+			k.fibreHop(t2, t3, 1, i, two, true)
+			k.fibreBA(t1, t2, i, two, k.b5, k.c5, true)
+			k.fibreAInv(t2, t1, i, two, true)
 		case stageOuterDag:
-			k.fibreHop(t3, t2, 0, i, true)
-			k.fibreBA(t1, t3, i, k.b5, k.c5, true)
-			k.load(t3, i, src, off, half)
-			k.fibreBAxpy(t1, t3, i, k.a, k.c, true)
-			k.store(dst, off, half, t1, i)
+			k.fibreHop(t3, t2, 0, i, two, true)
+			k.fibreBA(t1, t3, i, two, k.b5, k.c5, true)
+			k.load(t3, i, two, src, off, half)
+			k.fibreBAxpy(t1, t3, i, two, k.a, k.c, true)
+			k.store(dst, off, half, t1, i, two)
 		case stageFibre:
-			k.load(t1, i, src, off, half)
-			k.fibreAInv(t3, t1, i, false)
-			k.fibreBA(t2, t3, i, k.b5, k.c5, false)
+			k.load(t1, i, two, src, off, half)
+			k.fibreAInv(t3, t1, i, two, false)
+			k.fibreBA(t2, t3, i, two, k.b5, k.c5, false)
 		case stagePrepare:
-			k.fibreHop(t3, t2, 0, i, false)
-			k.load(t1, i, dst, off, half)
+			k.fibreHop(t3, t2, 0, i, two, false)
+			k.load(t1, i, two, dst, off, half)
 			k.fibreAxpy(t1, t3, i)
-			k.store(dst, off, half, t1, i)
+			k.store(dst, off, half, t1, i, two)
 		case stageRecon:
 			// dst is the full field: the odd site's own place in it.
-			k.fibreHop(t2, t1, 1, i, false)
-			k.load(t3, i, src, off, half)
+			k.fibreHop(t2, t1, 1, i, two, false)
+			k.load(t3, i, two, src, off, half)
 			k.fibreAxpy(t3, t2, i)
-			k.fibreAInv(t2, t3, i, false)
-			k.store(dst, int(k.oddLex[i])*SpinorLen, 2*half, t2, i)
+			k.fibreAInv(t2, t3, i, two, false)
+			k.store(dst, int(k.oddLex[i])*SpinorLen, 2*half, t2, i, two)
 		}
 	}
 }
@@ -341,11 +322,11 @@ func slot[F float32 | float64](fb []F, l int) *[slotLen]F {
 const slotLen = (2*SpinorLen-1)*laneW + 1
 
 // load sets the fibre of site i in f to a caller's field whose slice s
-// of the site starts at off + s*stride: src[0]'s, or in a pair both
-// systems' fields.
-func (k *schur[F]) load(f []F, i int, src [2][]cx[F], off, stride int) {
+// of the site starts at off + s*stride: src[0]'s, or with two the pair
+// fibre to both systems' fields.
+func (k *schur[F]) load(f []F, i int, two bool, src [2][]cx[F], off, stride int) {
 	last := off + (k.ls-1)*stride + SpinorLen - 1
-	if k.two {
+	if two {
 		_, _ = src[0][last], src[1][last]
 		k.pair.load(&k.pairFibre(f, i)[0], &src[0][off].re, &src[1][off].re, stride, k.ls)
 		return
@@ -364,11 +345,11 @@ func (k *schur[F]) load(f []F, i int, src [2][]cx[F], off, stride int) {
 	}
 }
 
-// store writes the fibre of site i in f back to a caller's field, or to
-// both systems' fields, laid out as for load.
-func (k *schur[F]) store(dst [2][]cx[F], off, stride int, f []F, i int) {
+// store writes the fibre of site i in f back to a caller's field, or with
+// two the pair fibre to both systems' fields, laid out as for load.
+func (k *schur[F]) store(dst [2][]cx[F], off, stride int, f []F, i int, two bool) {
 	last := off + (k.ls-1)*stride + SpinorLen - 1
-	if k.two {
+	if two {
 		_, _ = dst[0][last], dst[1][last]
 		k.pair.store(&dst[0][off].re, &dst[1][off].re, &k.pairFibre(f, i)[0], stride, k.ls)
 		return
@@ -413,9 +394,10 @@ func chiNeighbours[F float32 | float64](s, ls int, wrap F, dagger bool) (sp int,
 // site i: B for (b5, c5), A for (a, c). The weights are real and scale the
 // parts one by one, w0*x + w1*(w*chi); a product by (w, 0) as a complex
 // number would differ in the sign of some zeros (DESIGN.md s19). Planes
-// 0-11 are the P+ sector, 12-23 the P- one. dst must not alias src.
-func (k *schur[F]) fibreBA(dst, src []F, i int, w0, w1 F, dagger bool) {
-	if p := k.pair; k.two {
+// 0-11 are the P+ sector, 12-23 the P- one. dst must not alias src. With
+// two, every fibre pass below works on the pair fibre of site i instead.
+func (k *schur[F]) fibreBA(dst, src []F, i int, two bool, w0, w1 F, dagger bool) {
+	if p := k.pair; two {
 		p.ba(&k.pairFibre(dst, i)[0], &k.pairFibre(src, i)[0], &p.chi[0], &p.keep[0], k.groups, w0, w1, dagger)
 		return
 	}
@@ -439,8 +421,8 @@ func (k *schur[F]) fibreBA(dst, src []F, i int, w0, w1 F, dagger bool) {
 // fibreBAxpy sets z = (-1)*z + (w0 + w1*chi) y on the fibre of site i:
 // fibreBA into a temporary, then the axpy of fibreAxpy, with the same
 // roundings. z must not alias y.
-func (k *schur[F]) fibreBAxpy(z, y []F, i int, w0, w1 F, dagger bool) {
-	if p := k.pair; k.two {
+func (k *schur[F]) fibreBAxpy(z, y []F, i int, two bool, w0, w1 F, dagger bool) {
+	if p := k.pair; two {
 		p.baxpy(&k.pairFibre(z, i)[0], &k.pairFibre(y, i)[0], &p.chi[0], &p.keep[0], k.groups, w0, w1, dagger)
 		return
 	}
@@ -475,8 +457,8 @@ func (k *schur[F]) fibreBAxpy(z, y []F, i int, w0, w1 F, dagger bool) {
 // ANDed with the weight's non-zero mask, a +0 where a weight is zero,
 // which leaves a sum from +0 as it was (DESIGN.md s19). dst must not alias
 // src.
-func (k *schur[F]) fibreAInv(dst, src []F, i int, dagger bool) {
-	if p := k.pair; k.two {
+func (k *schur[F]) fibreAInv(dst, src []F, i int, two, dagger bool) {
+	if p := k.pair; two {
 		cP, cM := p.colP, p.colM
 		if dagger {
 			cP, cM = cM, cP
@@ -562,9 +544,9 @@ func (k *schur[F]) fibreAxpy(y, x []F, i int) {
 // lane, w slices per instruction; hopGo is the portable body and the
 // reference it is held to, as the loops of the passes above are for
 // theirs.
-func (k *schur[F]) fibreHop(dst, src []F, pOut, i int, g5 bool) {
+func (k *schur[F]) fibreHop(dst, src []F, pOut, i int, two, g5 bool) {
 	hops := k.hops[pOut][2*lattice.NDim*i:][:2*lattice.NDim]
-	if p := k.pair; k.two {
+	if p := k.pair; two {
 		_ = src[k.halfVol*2*k.fib-1]
 		p.hop(&k.pairFibre(dst, i)[0], &src[0], &hops[0], &k.u, &p.keep[0], k.ls, g5)
 		return

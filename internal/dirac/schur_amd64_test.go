@@ -36,8 +36,8 @@ func TestProbeSelectsAVXHop(t *testing.T) {
 // TestProbeSelectsAVXSite holds the 4-D site body the build selects to
 // the start-up probe - siteAVX where the host has AVX, siteGo where it
 // does not - and the flat Wilson operator to running it: every site of
-// Apply and of ApplyDagger goes through the selected body, on one worker
-// and split. The rank-local stencil's half is TestProbeSubRunsSiteBody.
+// Apply and of ApplyDagger goes through the selected body. The rank-local
+// stencil's half is TestProbeSubRunsSiteBody.
 func TestProbeSelectsAVXSite(t *testing.T) {
 	want := any(siteGo)
 	if linalg.HasAVX {
@@ -48,15 +48,12 @@ func TestProbeSelectsAVXSite(t *testing.T) {
 	}
 	w := NewWilson(gauge.NewRandom(lattice.MustNew(4, 4, 4, 4), 3), 0.1)
 	src, dst := randField(rand.New(rand.NewSource(1)), w.Size()), make([]complex128, w.Size())
-	for _, workers := range []int{1, 3} {
-		w.Workers = workers
-		calls, restore := CountSites()
-		w.Apply(dst, src)
-		w.ApplyDagger(dst, src)
-		restore()
-		if n := calls.Load(); n != 2*int64(w.G.Vol) {
-			t.Fatalf("workers=%d: %d sites ran the selected body, want %d", workers, n, 2*w.G.Vol)
-		}
+	calls, restore := CountSites()
+	w.Apply(dst, src)
+	w.ApplyDagger(dst, src)
+	restore()
+	if n := calls.Load(); n != 2*int64(w.G.Vol) {
+		t.Fatalf("%d sites ran the selected body, want %d", n, 2*w.G.Vol)
 	}
 }
 

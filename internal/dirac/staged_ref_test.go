@@ -153,7 +153,7 @@ func (p *MobiusEO) hopHalf(dst, src []complex128, pOut int) {
 }
 
 func (p *MobiusEO) applyB(dst, src []complex128, dagger bool) {
-	chiApply(dst, src, p.M.Ls, p.HalfVol()*SpinorLen, p.M.M, dagger, 1)
+	chiApply(dst, src, p.M.Ls, p.HalfVol()*SpinorLen, p.M.M, dagger)
 	b5 := complex(p.M.B5, 0)
 	c5 := complex(p.M.C5, 0)
 	for i := range src {
@@ -162,7 +162,7 @@ func (p *MobiusEO) applyB(dst, src []complex128, dagger bool) {
 }
 
 func (p *MobiusEO) applyA(dst, src []complex128, dagger bool) {
-	chiApply(dst, src, p.M.Ls, p.HalfVol()*SpinorLen, p.M.M, dagger, 1)
+	chiApply(dst, src, p.M.Ls, p.HalfVol()*SpinorLen, p.M.M, dagger)
 	a := complex(p.a, 0)
 	c := complex(p.c, 0)
 	for i := range src {
@@ -213,7 +213,7 @@ func (p *MobiusEO) refApply(dst, src []complex128) {
 	p.applyB(t2, t1, false)
 	p.hopHalf(t3, t2, 0)
 	p.applyA(dst, src, false)
-	linalg.Axpy(-1, t3, dst, 1)
+	linalg.Axpy(-1, t3, dst)
 }
 
 func (p *MobiusEO) refApplyDagger(dst, src []complex128) {
@@ -228,7 +228,7 @@ func (p *MobiusEO) refApplyDagger(dst, src []complex128) {
 	Gamma5(t3, t3)
 	p.applyB(t1, t3, true)
 	p.applyA(dst, src, true)
-	linalg.Axpy(-1, t1, dst, 1)
+	linalg.Axpy(-1, t1, dst)
 }
 
 func (p *MobiusEO) refPrepareSource(eta []complex128) (bhat, etaOdd []complex128) {
@@ -240,7 +240,7 @@ func (p *MobiusEO) refPrepareSource(eta []complex128) (bhat, etaOdd []complex128
 	p.applyAInv(t1, etaOdd, false)
 	p.applyB(t2, t1, false)
 	p.hopHalf(t3, t2, 0)
-	linalg.Axpy(-1, t3, bhat, 1)
+	linalg.Axpy(-1, t3, bhat)
 	return bhat, etaOdd
 }
 
@@ -248,7 +248,7 @@ func (p *MobiusEO) refReconstruct(psiEven, etaOdd []complex128) []complex128 {
 	t1, t2, t3 := p.scratch()
 	p.applyB(t1, psiEven, false)
 	p.hopHalf(t2, t1, 1)
-	linalg.AxpyZ(-1, t2, etaOdd, t3, 1)
+	linalg.AxpyZ(-1, t2, etaOdd, t3)
 	p.applyAInv(t1, t3, false)
 	full := make([]complex128, p.M.Size())
 	p.ScatterParity5D(0, psiEven, full)
@@ -458,7 +458,7 @@ func (q *MobiusEO32) refApply(dst, src []complex64) {
 	q.applyB(t2, t1, false)
 	q.hopHalf(t3, t2, 0)
 	q.applyA(dst, src, false)
-	linalg.AxpyC64(-1, t3, dst, 1)
+	linalg.AxpyC64(-1, t3, dst)
 }
 
 func (q *MobiusEO32) refApplyDagger(dst, src []complex64) {
@@ -473,5 +473,5 @@ func (q *MobiusEO32) refApplyDagger(dst, src []complex64) {
 	gamma5C64(t3, t3)
 	q.applyB(t1, t3, true)
 	q.applyA(dst, src, true)
-	linalg.AxpyC64(-1, t1, dst, 1)
+	linalg.AxpyC64(-1, t1, dst)
 }

@@ -11,18 +11,15 @@ import (
 )
 
 // TestViewMatchesParentWhileParentApplies is what a lane relies on: a view
-// is its parent to the bit in all four entry points, at a split width of
-// its own, and shares nothing with it that an application writes - the
-// parent (and a second view) apply all the while, which is for the race
-// detector to judge. The lattice is past For's serial cut, so the
-// view's width 1 and the parent's width 3 really differ.
+// is its parent to the bit in all four entry points, and shares nothing
+// with it that an application writes - the parent (and a second view)
+// apply all the while, which is for the race detector to judge.
 func TestViewMatchesParentWhileParentApplies(t *testing.T) {
 	g := lattice.MustNew(4, 4, 4, 8)
 	m, err := NewMobius(gauge.NewRandom(g, 5), MobiusParams{Ls: 4, M5: 1.3, B5: 1.25, C5: 0.25, M: 0.15})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.W.Workers = 3
 	p, err := NewMobiusEO(m)
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +68,6 @@ func TestViewMatchesParentWhileParentApplies(t *testing.T) {
 	}
 
 	v, v32 := p.View(), q.View()
-	v.Workers, v32.Workers = 1, 1
 	got, got32 := make([]complex128, n), make([]complex64, n)
 	for rep := 0; rep < 3; rep++ {
 		v.Apply(got, src)

@@ -18,15 +18,18 @@ const WilsonFlopsPerSite = 1320
 
 // Wilson is the 4-D Wilson Dirac operator D = (4 + Mass) - (1/2) * hopping.
 // For the domain-wall kernel the mass is the negative domain-wall height
-// -M5. Apply is safe for concurrent use; the parallelism is internal.
+// -M5. Apply runs on the calling goroutine and is safe for concurrent use.
 type Wilson struct {
-	G       *lattice.Geometry
-	U       *gauge.Field
-	Mass    float64
-	Workers int // goroutine count for the site loop; <= 0 means default
+	G    *lattice.Geometry
+	U    *gauge.Field
+	Mass float64
 
-	// spare holds finished site loops' legs for the next loops, so that a
-	// pass allocates none once as many loops have run at once as it runs.
+	// spare holds finished applications' legs for the next ones, so that
+	// Apply allocates none once as many have run at once as run now. The
+	// legs cannot live on the caller's stack: siteBody is a func value,
+	// through which a pointer escapes, and calling the //go:noescape AVX
+	// body directly would need a file of its own for the other
+	// architectures.
 	mu    sync.Mutex
 	spare []*Legs
 }
@@ -58,22 +61,8 @@ func (w *Wilson) apply(dst, src []complex128, dagger bool) {
 	if &dst[0] == &src[0] {
 		panic("dirac: Wilson.Apply dst aliases src")
 	}
-	// A pass on one worker runs on the calling goroutine and builds no
-	// closure; only a pass that may split pays for one.
-	workers := w.Workers
-	if workers <= 0 {
-		workers = linalg.DefaultWorkers
-	}
-	if workers == 1 {
-		w.sites(dst, src, dagger, 0, w.G.Vol)
-		return
-	}
-	linalg.For(w.G.Vol, workers, func(lo, hi int) { w.sites(dst, src, dagger, lo, hi) })
-}
-
-// sites applies the stencil on sites [lo, hi): per site the eight legs,
-// per dimension the forward and the backward neighbour, and WilsonSite.
-func (w *Wilson) sites(dst, src []complex128, dagger bool, lo, hi int) {
+	// Per site the eight legs, per dimension the forward and the backward
+	// neighbour, and WilsonSite.
 	g, u := w.G, &w.U.U
 	w.mu.Lock()
 	if len(w.spare) == 0 {
@@ -82,7 +71,7 @@ func (w *Wilson) sites(dst, src []complex128, dagger bool, lo, hi int) {
 	legs := w.spare[len(w.spare)-1]
 	w.spare = w.spare[:len(w.spare)-1]
 	w.mu.Unlock()
-	for s := lo; s < hi; s++ {
+	for s := 0; s < g.Vol; s++ {
 		for mu := 0; mu < lattice.NDim; mu++ {
 			fw, bw := g.Fwd(s, mu), g.Bwd(s, mu)
 			legs[2*mu] = Leg{(*[SpinorLen]complex128)(src[fw*SpinorLen:]), &u[mu][s]}

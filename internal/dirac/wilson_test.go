@@ -54,14 +54,14 @@ func TestWilsonGamma5Hermiticity(t *testing.T) {
 	// <g5 D g5 x, y> == <x, D y> fails unless D^dag = g5 D g5.
 	dy := make([]complex128, w.Size())
 	w.Apply(dy, y)
-	lhs := linalg.Dot(x, dy, 0)
+	lhs := linalg.Dot(x, dy)
 
 	gdx := make([]complex128, w.Size())
 	Gamma5(gdx, x)
 	tmp := make([]complex128, w.Size())
 	w.Apply(tmp, gdx)
 	Gamma5(tmp, tmp)
-	rhs := linalg.Dot(tmp, y, 0)
+	rhs := linalg.Dot(tmp, y)
 	if cmplx.Abs(lhs-rhs) > 1e-9*(1+cmplx.Abs(lhs)) {
 		t.Fatalf("gamma_5 hermiticity violated: %v vs %v", lhs, rhs)
 	}
@@ -77,8 +77,8 @@ func TestWilsonApplyDaggerIsTrueAdjoint(t *testing.T) {
 	w.Apply(dy, y)
 	ddx := make([]complex128, w.Size())
 	w.ApplyDagger(ddx, x)
-	lhs := linalg.Dot(x, dy, 0)  // <x, D y>
-	rhs := linalg.Dot(ddx, y, 0) // <D^dag x, y>
+	lhs := linalg.Dot(x, dy)  // <x, D y>
+	rhs := linalg.Dot(ddx, y) // <D^dag x, y>
 	if cmplx.Abs(lhs-rhs) > 1e-9*(1+cmplx.Abs(lhs)) {
 		t.Fatalf("adjoint mismatch: %v vs %v", lhs, rhs)
 	}
@@ -115,7 +115,7 @@ func TestWilsonLinearity(t *testing.T) {
 	a := complex(1.5, -0.5)
 	// D(a x + y) = a D x + D y
 	comb := make([]complex128, w.Size())
-	linalg.AxpyZ(a, x, y, comb, 0)
+	linalg.AxpyZ(a, x, y, comb)
 	dComb := make([]complex128, w.Size())
 	w.Apply(dComb, comb)
 	dx := make([]complex128, w.Size())
@@ -123,42 +123,33 @@ func TestWilsonLinearity(t *testing.T) {
 	w.Apply(dx, x)
 	w.Apply(dy, y)
 	want := make([]complex128, w.Size())
-	linalg.AxpyZ(a, dx, dy, want, 0)
+	linalg.AxpyZ(a, dx, dy, want)
 	if d := fieldDist(dComb, want); d > 1e-10 {
 		t.Fatalf("linearity violated: %g", d)
 	}
 }
 
-func TestWilsonWorkerCountInvariance(t *testing.T) {
-	g := lattice.MustNew(4, 4, 2, 4)
-	cfg := gauge.NewRandom(g, 17)
-	rng := rand.New(rand.NewSource(5))
-	src := randField(rng, g.Vol*SpinorLen)
-	ref := make([]complex128, len(src))
-	w := NewWilson(cfg, 0.2)
-	w.Workers = 1
-	w.Apply(ref, src)
-	for _, workers := range []int{2, 4, 16} {
-		w.Workers = workers
-		out := make([]complex128, len(src))
-		w.Apply(out, src)
-		if d := fieldDist(ref, out); d > 1e-12 {
-			t.Fatalf("workers=%d changed result by %g", workers, d)
-		}
-	}
-}
-
-// TestWilsonApplyDoesNotAllocate: on one worker the flat operator's pass
-// runs on the calling goroutine and builds no closure, so neither Apply nor
-// ApplyDagger allocates.
+// TestWilsonApplyDoesNotAllocate: the flat operator and the 5-D Mobius
+// operator built on it run on the calling goroutine and build no closure,
+// so no Apply or ApplyDagger allocates - with a lane budget of two cores
+// as much as with one.
 func TestWilsonApplyDoesNotAllocate(t *testing.T) {
+	defer func(n int) { linalg.DefaultWorkers = n }(linalg.DefaultWorkers)
+	linalg.DefaultWorkers = 2
 	g := lattice.MustNew(4, 4, 4, 8)
-	w := NewWilson(gauge.NewRandom(g, 1), 0.1)
-	w.Workers = 1
+	u := gauge.NewRandom(g, 1)
+	w := NewWilson(u, 0.1)
+	m, err := NewMobius(u, MobiusParams{Ls: 4, M5: 1.3, B5: 1.25, C5: 0.25, M: 0.15})
+	if err != nil {
+		t.Fatal(err)
+	}
 	src, dst := randField(rand.New(rand.NewSource(1)), w.Size()), make([]complex128, w.Size())
+	src5, dst5 := randField(rand.New(rand.NewSource(2)), m.Size()), make([]complex128, m.Size())
 	for name, apply := range map[string]func(){
-		"Apply":       func() { w.Apply(dst, src) },
-		"ApplyDagger": func() { w.ApplyDagger(dst, src) },
+		"Apply":              func() { w.Apply(dst, src) },
+		"ApplyDagger":        func() { w.ApplyDagger(dst, src) },
+		"Mobius.Apply":       func() { m.Apply(dst5, src5) },
+		"Mobius.ApplyDagger": func() { m.ApplyDagger(dst5, src5) },
 	} {
 		if a := testing.AllocsPerRun(10, apply); a != 0 {
 			t.Errorf("%s: %v allocations per call", name, a)

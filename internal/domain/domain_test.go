@@ -78,8 +78,8 @@ func TestDistributedDaggerAdjoint(t *testing.T) {
 	d.Apply(dy, y)
 	ddx := make([]complex128, d.Size())
 	d.ApplyDagger(ddx, x)
-	lhs := linalg.Dot(x, dy, 0)
-	rhs := linalg.Dot(ddx, y, 0)
+	lhs := linalg.Dot(x, dy)
+	rhs := linalg.Dot(ddx, y)
 	if del := lhs - rhs; real(del)*real(del)+imag(del)*imag(del) > 1e-18*(1+real(lhs)*real(lhs)) {
 		t.Fatalf("adjoint mismatch: %v vs %v", lhs, rhs)
 	}

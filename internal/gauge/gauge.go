@@ -101,7 +101,7 @@ func (f *Field) staple(s, mu int) linalg.SU3 {
 // normalised so the free field gives exactly 1.
 func (f *Field) Plaquette() float64 {
 	g := f.G
-	sum := linalg.ReduceFloat64(g.Vol, 0, func(lo, hi int) float64 {
+	sum := linalg.ReduceFloat64(g.Vol, func(lo, hi int) float64 {
 		acc := 0.0
 		for s := lo; s < hi; s++ {
 			for mu := 0; mu < lattice.NDim; mu++ {

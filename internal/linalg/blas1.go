@@ -4,8 +4,50 @@ import "math"
 
 // The BLAS-1 kernels below are the auxiliary operations of the CG solver
 // described in the paper (50-100 flops per lattice site, strongly
-// bandwidth-bound). Each kernel takes an explicit worker count, the width
-// the propagator lanes leave it; workers <= 0 means DefaultWorkers.
+// bandwidth-bound). Each runs on the calling goroutine - the lane solving
+// the system - and allocates nothing.
+//
+// Axpy, Dot, NormSq, Norm, AxpyC64 and DotC64 take a trailing int that
+// they ignore: the benchmark module still passes a worker count to them,
+// and drops it with its next change (ROADMAP item 1(b)).
+
+// ReduceChunk is the fixed reduction chunk size. Reductions accumulate a
+// partial sum per ReduceChunk-sized slab of [0, n) and add the partials in
+// slab-index order, so the floating-point summation tree is a function of
+// n alone. That order is the bit contract of Dot/Norm2 - and through them
+// of whole CGNE solves and the journal's bit-for-bit resume - so it stays
+// fixed whatever the range's size.
+const ReduceChunk = 4096
+
+// ReduceFloat64 sums body over fixed-size chunks of [0, n) in chunk-index
+// order (sumChunks). All partial and final accumulation happens in
+// float64, matching the paper's convention that reductions are always
+// performed in double precision.
+func ReduceFloat64(n int, body func(lo, hi int) float64) float64 {
+	return sumChunks(n, body)
+}
+
+// ReduceComplex128 is ReduceFloat64 for complex partial sums.
+func ReduceComplex128(n int, body func(lo, hi int) complex128) complex128 {
+	return sumChunks(n, body)
+}
+
+// sumChunks is the reduction: a running sum over ReduceChunk-sized chunks
+// in order. It does not retain body, so a caller's closure stays on its
+// stack and the pass allocates nothing.
+func sumChunks[T float64 | complex128](n int, body func(lo, hi int) T) T {
+	if n <= ReduceChunk {
+		if n <= 0 {
+			return 0
+		}
+		return body(0, n)
+	}
+	var sum T
+	for lo := 0; lo < n; lo += ReduceChunk {
+		sum += body(lo, min(lo+ReduceChunk, n))
+	}
+	return sum
+}
 
 // Copy copies src into dst. The slices must have equal length.
 func Copy(dst, src []complex128) {
@@ -15,60 +57,31 @@ func Copy(dst, src []complex128) {
 	copy(dst, src)
 }
 
-// Every kernel below is a named loop over whole slices, run directly when
-// serialPass says the pass stays on the calling goroutine and through
-// For/Reduce* on sub-slices otherwise; the element order within a chunk,
-// and so every result bit, is the same either way.
-
 // Axpy computes y[i] += a*x[i].
-func Axpy(a complex128, x, y []complex128, workers int) {
+func Axpy(a complex128, x, y []complex128, _ ...int) {
 	if len(x) != len(y) {
 		panic("linalg: Axpy length mismatch")
 	}
-	if serialPass(len(x), workers) {
-		axpy(a, x, y)
-		return
-	}
-	For(len(x), workers, func(lo, hi int) { axpy(a, x[lo:hi], y[lo:hi]) })
-}
-
-func axpy(a complex128, x, y []complex128) {
 	for i, xi := range x {
 		y[i] += a * xi
 	}
 }
 
 // Xpay computes y[i] = x[i] + a*y[i] (the CG search-direction update).
-func Xpay(x []complex128, a complex128, y []complex128, workers int) {
+func Xpay(x []complex128, a complex128, y []complex128) {
 	if len(x) != len(y) {
 		panic("linalg: Xpay length mismatch")
 	}
-	if serialPass(len(x), workers) {
-		xpay(x, a, y)
-		return
-	}
-	For(len(x), workers, func(lo, hi int) { xpay(x[lo:hi], a, y[lo:hi]) })
-}
-
-func xpay(x []complex128, a complex128, y []complex128) {
 	for i, xi := range x {
 		y[i] = xi + a*y[i]
 	}
 }
 
 // AxpyZ computes z[i] = a*x[i] + y[i] without overwriting the inputs.
-func AxpyZ(a complex128, x, y, z []complex128, workers int) {
+func AxpyZ(a complex128, x, y, z []complex128) {
 	if len(x) != len(y) || len(x) != len(z) {
 		panic("linalg: AxpyZ length mismatch")
 	}
-	if serialPass(len(x), workers) {
-		axpyZ(a, x, y, z)
-		return
-	}
-	For(len(x), workers, func(lo, hi int) { axpyZ(a, x[lo:hi], y[lo:hi], z[lo:hi]) })
-}
-
-func axpyZ(a complex128, x, y, z []complex128) {
 	for i, xi := range x {
 		z[i] = a*xi + y[i]
 	}
@@ -76,14 +89,11 @@ func axpyZ(a complex128, x, y, z []complex128) {
 
 // Dot returns the conjugated inner product <x, y> = sum conj(x[i]) * y[i],
 // accumulated in double precision.
-func Dot(x, y []complex128, workers int) complex128 {
+func Dot(x, y []complex128, _ ...int) complex128 {
 	if len(x) != len(y) {
 		panic("linalg: Dot length mismatch")
 	}
-	if serialPass(len(x), workers) {
-		return sumChunks(len(x), func(lo, hi int) complex128 { return dot(x[lo:hi], y[lo:hi]) })
-	}
-	return ReduceComplex128(len(x), workers, func(lo, hi int) complex128 { return dot(x[lo:hi], y[lo:hi]) })
+	return sumChunks(len(x), func(lo, hi int) complex128 { return dot(x[lo:hi], y[lo:hi]) })
 }
 
 func dot(x, y []complex128) complex128 {
@@ -95,11 +105,8 @@ func dot(x, y []complex128) complex128 {
 }
 
 // NormSq returns ||v||^2 accumulated in double precision.
-func NormSq(v []complex128, workers int) float64 {
-	if serialPass(len(v), workers) {
-		return sumChunks(len(v), func(lo, hi int) float64 { return normSq(v[lo:hi]) })
-	}
-	return ReduceFloat64(len(v), workers, func(lo, hi int) float64 { return normSq(v[lo:hi]) })
+func NormSq(v []complex128, _ ...int) float64 {
+	return sumChunks(len(v), func(lo, hi int) float64 { return normSq(v[lo:hi]) })
 }
 
 func normSq(v []complex128) float64 {
@@ -112,8 +119,8 @@ func normSq(v []complex128) float64 {
 }
 
 // Norm returns ||v||.
-func Norm(v []complex128, workers int) float64 {
-	return math.Sqrt(NormSq(v, workers))
+func Norm(v []complex128, _ ...int) float64 {
+	return math.Sqrt(NormSq(v))
 }
 
 // Single-precision variants used by the inner stage of the mixed-precision
@@ -127,20 +134,12 @@ func ZeroC64(v []complex64) {
 }
 
 // AxpyC64 computes y[i] += a*x[i] in single precision.
-func AxpyC64(a complex64, x, y []complex64, workers int) {
+// The complex product is expanded into float32 components because the Go
+// compiler lowers complex64 multiplication through complex128.
+func AxpyC64(a complex64, x, y []complex64, _ ...int) {
 	if len(x) != len(y) {
 		panic("linalg: AxpyC64 length mismatch")
 	}
-	if serialPass(len(x), workers) {
-		axpyC64(a, x, y)
-		return
-	}
-	For(len(x), workers, func(lo, hi int) { axpyC64(a, x[lo:hi], y[lo:hi]) })
-}
-
-// The complex product is expanded into float32 components because the Go
-// compiler lowers complex64 multiplication through complex128.
-func axpyC64(a complex64, x, y []complex64) {
 	ar, ai := real(a), imag(a)
 	for i, xc := range x {
 		xr, xi := real(xc), imag(xc)
@@ -149,18 +148,10 @@ func axpyC64(a complex64, x, y []complex64) {
 }
 
 // XpayC64 computes y[i] = x[i] + a*y[i] in single precision.
-func XpayC64(x []complex64, a complex64, y []complex64, workers int) {
+func XpayC64(x []complex64, a complex64, y []complex64) {
 	if len(x) != len(y) {
 		panic("linalg: XpayC64 length mismatch")
 	}
-	if serialPass(len(x), workers) {
-		xpayC64(x, a, y)
-		return
-	}
-	For(len(x), workers, func(lo, hi int) { xpayC64(x[lo:hi], a, y[lo:hi]) })
-}
-
-func xpayC64(x []complex64, a complex64, y []complex64) {
 	ar, ai := real(a), imag(a)
 	for i, xc := range x {
 		yr, yi := real(y[i]), imag(y[i])
@@ -169,14 +160,11 @@ func xpayC64(x []complex64, a complex64, y []complex64) {
 }
 
 // DotC64 returns <x, y> with double-precision accumulation.
-func DotC64(x, y []complex64, workers int) complex128 {
+func DotC64(x, y []complex64, _ ...int) complex128 {
 	if len(x) != len(y) {
 		panic("linalg: DotC64 length mismatch")
 	}
-	if serialPass(len(x), workers) {
-		return sumChunks(len(x), func(lo, hi int) complex128 { return dotC64(x[lo:hi], y[lo:hi]) })
-	}
-	return ReduceComplex128(len(x), workers, func(lo, hi int) complex128 { return dotC64(x[lo:hi], y[lo:hi]) })
+	return sumChunks(len(x), func(lo, hi int) complex128 { return dotC64(x[lo:hi], y[lo:hi]) })
 }
 
 func dotC64(x, y []complex64) complex128 {
@@ -189,11 +177,8 @@ func dotC64(x, y []complex64) complex128 {
 }
 
 // NormSqC64 returns ||v||^2 with double-precision accumulation.
-func NormSqC64(v []complex64, workers int) float64 {
-	if serialPass(len(v), workers) {
-		return sumChunks(len(v), func(lo, hi int) float64 { return normSqC64(v[lo:hi]) })
-	}
-	return ReduceFloat64(len(v), workers, func(lo, hi int) float64 { return normSqC64(v[lo:hi]) })
+func NormSqC64(v []complex64) float64 {
+	return sumChunks(len(v), func(lo, hi int) float64 { return normSqC64(v[lo:hi]) })
 }
 
 func normSqC64(v []complex64) float64 {

@@ -2,91 +2,63 @@ package linalg
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
 )
 
-// workerCountsUnderTest are the counts the determinism tests sweep: the
-// issue's {1, 2, 3, 7, GOMAXPROCS} set. Results must be BITWISE identical
-// across all of them, because fixed-chunk reductions make the summation
-// tree a function of n alone.
-func workerCountsUnderTest() []int {
-	return []int{1, 2, 3, 7, runtime.GOMAXPROCS(0)}
-}
-
-func TestDotBitwiseIdenticalAcrossWorkerCounts(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for _, n := range []int{100, ReduceChunk, ReduceChunk + 1, 3*ReduceChunk + 17, 100000} {
-		x := randVec(rng, n)
-		y := randVec(rng, n)
-		ref := Dot(x, y, 1)
-		for _, w := range workerCountsUnderTest() {
-			for rep := 0; rep < 3; rep++ {
-				if got := Dot(x, y, w); got != ref {
-					t.Fatalf("n=%d workers=%d rep=%d: Dot = %v, want bitwise %v",
-						n, w, rep, got, ref)
-				}
-			}
-		}
-	}
-}
-
-func TestNormSqBitwiseIdenticalAcrossWorkerCounts(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for _, n := range []int{257, ReduceChunk + 3, 100000} {
-		v := randVec(rng, n)
-		ref := NormSq(v, 1)
-		for _, w := range workerCountsUnderTest() {
-			for rep := 0; rep < 3; rep++ {
-				if got := NormSq(v, w); got != ref {
-					t.Fatalf("n=%d workers=%d rep=%d: NormSq = %v, want bitwise %v",
-						n, w, rep, got, ref)
-				}
-			}
-		}
-	}
-}
-
-func TestDotC64BitwiseIdenticalAcrossWorkerCounts(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	n := 3*ReduceChunk + 5
-	x := make([]complex64, n)
-	y := make([]complex64, n)
-	for i := 0; i < n; i++ {
-		x[i] = complex(float32(rng.NormFloat64()), float32(rng.NormFloat64()))
-		y[i] = complex(float32(rng.NormFloat64()), float32(rng.NormFloat64()))
-	}
-	refD := DotC64(x, y, 1)
-	refN := NormSqC64(x, 1)
-	for _, w := range workerCountsUnderTest() {
-		if got := DotC64(x, y, w); got != refD {
-			t.Fatalf("workers=%d: DotC64 = %v, want bitwise %v", w, got, refD)
-		}
-		if got := NormSqC64(x, w); got != refN {
-			t.Fatalf("workers=%d: NormSqC64 = %v, want bitwise %v", w, got, refN)
-		}
-	}
-}
-
-// TestReduceChunkBoundaries pins the edge cases of the fixed-chunk walk:
-// exact multiples, one-off sizes, and the single-chunk fast path must all
-// cover the range exactly once and sum in index order.
+// TestReduceChunkBoundaries pins the fixed-chunk walk, the bit contract of
+// every reduction: exact multiples, one-off sizes and the single-chunk
+// fast path must each cover the range exactly once, and Dot, NormSq,
+// DotC64 and NormSqC64 must be, bit for bit, the chunk sums over
+// ReduceChunk-sized slabs added in slab order from zero.
 func TestReduceChunkBoundaries(t *testing.T) {
 	for _, n := range []int{1, ReduceChunk - 1, ReduceChunk, ReduceChunk + 1,
 		2 * ReduceChunk, 2*ReduceChunk + 1} {
-		for _, w := range workerCountsUnderTest() {
-			got := ReduceFloat64(n, w, func(lo, hi int) float64 {
-				return float64(hi - lo)
-			})
-			if got != float64(n) {
-				t.Fatalf("n=%d workers=%d: covered %v elements", n, w, got)
+		got := ReduceFloat64(n, func(lo, hi int) float64 {
+			return float64(hi - lo)
+		})
+		if got != float64(n) {
+			t.Fatalf("n=%d: covered %v elements", n, got)
+		}
+		gotC := ReduceComplex128(n, func(lo, hi int) complex128 {
+			return complex(float64(hi-lo), 0)
+		})
+		if gotC != complex(float64(n), 0) {
+			t.Fatalf("n=%d: complex covered %v", n, gotC)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(41))
+	for _, n := range []int{100, ReduceChunk, ReduceChunk + 1, 3*ReduceChunk + 17, 100000} {
+		x, y := randVec(rng, n), randVec(rng, n)
+		x32, y32 := make([]complex64, n), make([]complex64, n)
+		Demote(x32, x)
+		Demote(y32, y)
+		var dot, dot32 complex128
+		var norm, norm32 float64
+		for lo := 0; lo < n; lo += ReduceChunk {
+			hi := min(lo+ReduceChunk, n)
+			var d, d32 complex128
+			var s, s32 float64
+			for i := lo; i < hi; i++ {
+				d += complex(real(x[i]), -imag(x[i])) * y[i]
+				s += real(x[i])*real(x[i]) + imag(x[i])*imag(x[i])
+				a, b := complex128(x32[i]), complex128(y32[i])
+				d32 += complex(real(a), -imag(a)) * b
+				s32 += real(a)*real(a) + imag(a)*imag(a)
 			}
-			gotC := ReduceComplex128(n, w, func(lo, hi int) complex128 {
-				return complex(float64(hi-lo), 0)
-			})
-			if gotC != complex(float64(n), 0) {
-				t.Fatalf("n=%d workers=%d: complex covered %v", n, w, gotC)
-			}
+			dot, norm, dot32, norm32 = dot+d, norm+s, dot32+d32, norm32+s32
+		}
+		if got := Dot(x, y); got != dot {
+			t.Fatalf("n=%d: Dot = %v, chunk order gives %v", n, got, dot)
+		}
+		if got := NormSq(x); got != norm {
+			t.Fatalf("n=%d: NormSq = %v, chunk order gives %v", n, got, norm)
+		}
+		if got := DotC64(x32, y32); got != dot32 {
+			t.Fatalf("n=%d: DotC64 = %v, chunk order gives %v", n, got, dot32)
+		}
+		if got := NormSqC64(x32); got != norm32 {
+			t.Fatalf("n=%d: NormSqC64 = %v, chunk order gives %v", n, got, norm32)
 		}
 	}
 }

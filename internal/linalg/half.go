@@ -1,9 +1,6 @@
 package linalg
 
-import (
-	"math"
-	"sync/atomic"
-)
+import "math"
 
 // HalfVector is the QUDA-style 16-bit fixed-point storage format used by
 // the inner stage of the mixed-precision solver: values are stored as
@@ -49,15 +46,7 @@ func (h *HalfVector) DecodeC64(dst []complex64) {
 	if len(dst) != h.Len() {
 		panic("linalg: DecodeC64 length mismatch")
 	}
-	if nb := len(h.Scale); serialPass(len(dst), 0) {
-		h.decodeC64(dst, 0, nb)
-	} else {
-		For(nb, 0, func(lo, hi int) { h.decodeC64(dst, lo, hi) })
-	}
-}
-
-func (h *HalfVector) decodeC64(dst []complex64, lo, hi int) {
-	for b := lo; b < hi; b++ {
+	for b := range h.Scale {
 		s := h.Scale[b] / halfMax
 		for i := 0; i < h.Block; i++ {
 			idx := b*h.Block + i
@@ -74,15 +63,7 @@ func (h *HalfVector) EncodeC64(src []complex64) {
 	if len(src) != h.Len() {
 		panic("linalg: EncodeC64 length mismatch")
 	}
-	if nb := len(h.Scale); serialPass(len(src), 0) {
-		h.encodeC64(src, 0, nb)
-	} else {
-		For(nb, 0, func(lo, hi int) { h.encodeC64(src, lo, hi) })
-	}
-}
-
-func (h *HalfVector) encodeC64(src []complex64, lo, hi int) {
-	for b := lo; b < hi; b++ {
+	for b := range h.Scale {
 		blk := src[b*h.Block : (b+1)*h.Block]
 		m := maxAbsC64(blk)
 		h.Scale[b] = m
@@ -124,35 +105,21 @@ const halfVecBlock = 12
 // the rounding, which would otherwise launder a NaN or an infinity into
 // finite values (the verdict NormSqC64(v) being finite gives). len(v) must
 // be a multiple of block.
-func HalfRoundTripC64(v []complex64, block, workers int) bool {
+func HalfRoundTripC64(v []complex64, block int) bool {
 	if block <= 0 || len(v)%block != 0 {
 		panic("linalg: half round trip length must be a positive multiple of block")
 	}
-	nb := len(v) / block
-	if serialPass(len(v), workers) {
-		return halfRoundTrip(v, block, 0, nb)
+	// The AVX body where the host has one and the block is a spinor, the
+	// Go body otherwise.
+	if nb := len(v) / block; halfAVX != nil && block == halfVecBlock && nb > 0 {
+		return halfAVX(&v[0], nb)
 	}
-	var bad atomic.Bool
-	For(nb, workers, func(lo, hi int) {
-		if !halfRoundTrip(v, block, lo, hi) {
-			bad.Store(true)
-		}
-	})
-	return !bad.Load()
+	return halfRoundTripC64(v, block)
 }
 
-// halfRoundTrip rounds blocks lo to hi: by the AVX body where the host has
-// one and the block is a spinor, by the Go body otherwise.
-func halfRoundTrip(v []complex64, block, lo, hi int) bool {
-	if halfAVX != nil && block == halfVecBlock && lo < hi {
-		return halfAVX(&v[lo*block], hi-lo)
-	}
-	return halfRoundTripC64(v, block, lo, hi)
-}
-
-func halfRoundTripC64(v []complex64, block, lo, hi int) bool {
+func halfRoundTripC64(v []complex64, block int) bool {
 	finite := true
-	for b := lo; b < hi; b++ {
+	for b := 0; b < len(v)/block; b++ {
 		blk := v[b*block : (b+1)*block]
 		finite = finite && finiteC64(blk)
 		m := maxAbsC64(blk)

@@ -108,8 +108,7 @@ func sameBitsC64(a, b complex64) bool {
 // Go body, every bit of every component NaNs included, on 20000 blocks
 // one at a time and all at once, and its finite flag to the verdict of
 // NormSqC64, which the solver's NaN guard read before the flag replaced
-// it. HalfRoundTripC64 then has to give the same flag on its serial and
-// its forked path.
+// it. HalfRoundTripC64 then has to give the same flag on a whole vector.
 func TestHalfRoundTripAVXMatchesGoBitForBit(t *testing.T) {
 	if halfAVX == nil {
 		t.Skip("the host runs the Go body")
@@ -117,18 +116,18 @@ func TestHalfRoundTripAVXMatchesGoBitForBit(t *testing.T) {
 	const n = 20000
 	v := codecBlocks(rand.New(rand.NewSource(29)), n)
 	want := slices.Clone(v)
-	halfRoundTripC64(want, halfVecBlock, 0, n)
+	halfRoundTripC64(want, halfVecBlock)
 	allFinite := true
 	for b := 0; b < n; b++ {
 		in := v[b*halfVecBlock:][:halfVecBlock]
-		nf := NormSqC64(in, 1)
+		nf := NormSqC64(in)
 		finite := !math.IsNaN(nf) && !math.IsInf(nf, 0)
 		allFinite = allFinite && finite
 		got := slices.Clone(in)
 		if ok := halfAVX(&got[0], 1); ok != finite {
 			t.Fatalf("block %d %v: AVX finite flag %v, NormSqC64 %v", b, in, ok, nf)
 		}
-		if ok := halfRoundTripC64(slices.Clone(in), halfVecBlock, 0, 1); ok != finite {
+		if ok := halfRoundTripC64(slices.Clone(in), halfVecBlock); ok != finite {
 			t.Fatalf("block %d %v: Go finite flag %v, NormSqC64 %v", b, in, ok, nf)
 		}
 		for i := range got {
@@ -151,8 +150,8 @@ func TestHalfRoundTripAVXMatchesGoBitForBit(t *testing.T) {
 			t.Fatalf("all blocks at once: element %d is %v, Go body has %v", i, got[i], want[i])
 		}
 	}
-	// A finite vector past the serial cut, then the same with one NaN.
-	fin := make([]complex64, 2*serialCut)
+	// A finite vector of many blocks, then the same with one NaN.
+	fin := make([]complex64, 4096*halfVecBlock)
 	for i := range fin {
 		fin[i] = complex(float32(i%97)-48, float32(i%89)*0.25)
 	}
@@ -160,10 +159,8 @@ func TestHalfRoundTripAVXMatchesGoBitForBit(t *testing.T) {
 		if poison {
 			fin[len(fin)-5] = complex(0, float32(math.NaN()))
 		}
-		for _, workers := range []int{1, 3} {
-			if ok := HalfRoundTripC64(slices.Clone(fin), halfVecBlock, workers); ok == poison {
-				t.Fatalf("workers %d, NaN %v: finite flag %v", workers, poison, ok)
-			}
+		if ok := HalfRoundTripC64(slices.Clone(fin), halfVecBlock); ok == poison {
+			t.Fatalf("NaN %v: finite flag %v", poison, ok)
 		}
 	}
 }
@@ -182,8 +179,8 @@ func BenchmarkHalfRoundTripC64(b *testing.B) {
 		name string
 		run  func()
 	}{
-		{"build", func() { HalfRoundTripC64(work, halfVecBlock, 1) }},
-		{"go", func() { halfRoundTripC64(work, halfVecBlock, 0, len(work)/halfVecBlock) }},
+		{"build", func() { HalfRoundTripC64(work, halfVecBlock) }},
+		{"go", func() { halfRoundTripC64(work, halfVecBlock) }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			for b.Loop() {

@@ -158,7 +158,7 @@ func TestHalfRoundTripC64IsEncodeDecode(t *testing.T) {
 		{complex(math.MaxFloat32, -math.MaxFloat32), complex(1, math.SmallestNonzeroFloat32)},
 		{complex(math.SmallestNonzeroFloat32, 0), complex(0, -math.SmallestNonzeroFloat32)},
 	}
-	for len(blocks) < 8+serialCut/block { // past serialPass's cut, so workers > 1 splits
+	for len(blocks) < 8+2048 {
 		blk := make([]complex64, block)
 		scale := float32(math.Exp(20 * rng.NormFloat64()))
 		for i := range blk {
@@ -174,15 +174,13 @@ func TestHalfRoundTripC64IsEncodeDecode(t *testing.T) {
 	h := NewHalfVector(len(v), block)
 	h.EncodeC64(want)
 	h.DecodeC64(want)
-	for _, workers := range []int{1, 3} {
-		got := append([]complex64(nil), v...)
-		HalfRoundTripC64(got, block, workers)
-		for i := range want {
-			if math.Float32bits(real(got[i])) != math.Float32bits(real(want[i])) ||
-				math.Float32bits(imag(got[i])) != math.Float32bits(imag(want[i])) {
-				t.Fatalf("workers %d: element %d of block %d is %v in place, %v through the stored form (from %v)",
-					workers, i%block, i/block, got[i], want[i], v[i])
-			}
+	got := append([]complex64(nil), v...)
+	HalfRoundTripC64(got, block)
+	for i := range want {
+		if math.Float32bits(real(got[i])) != math.Float32bits(real(want[i])) ||
+			math.Float32bits(imag(got[i])) != math.Float32bits(imag(want[i])) {
+			t.Fatalf("element %d of block %d is %v in place, %v through the stored form (from %v)",
+				i%block, i/block, got[i], want[i], v[i])
 		}
 	}
 }

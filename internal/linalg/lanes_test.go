@@ -58,16 +58,3 @@ func TestLaneBudget(t *testing.T) {
 		t.Fatalf("%d of 16 racing helpers got a lane on a budget of 3; %d still counted", n, activeLanes.Load())
 	}
 }
-
-func TestLaneWidth(t *testing.T) {
-	setDefaultWorkers(t, 8)
-	for _, c := range []struct{ configured, lanes, want int }{
-		{0, 1, 0}, {5, 1, 5}, // alone: as configured
-		{0, 2, 4}, {0, 3, 2}, {0, 8, 1}, {0, 12, 1}, // shared: the cores divided, never under one
-		{1, 2, 1}, {3, 2, 3}, {6, 2, 4}, // and never wider than configured
-	} {
-		if got := LaneWidth(c.configured, c.lanes); got != c.want {
-			t.Errorf("LaneWidth(%d, %d) = %d, want %d", c.configured, c.lanes, got, c.want)
-		}
-	}
-}

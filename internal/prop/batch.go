@@ -58,21 +58,6 @@ type slot struct {
 	b5, bhat, etaOdd, full []complex128
 }
 
-// setWidth narrows the lane's kernels to the split width of one of lanes
-// concurrent lanes and returns par with its BLAS-1 width narrowed alike.
-func (l *lane) setWidth(par solver.Params, lanes int) solver.Params {
-	w := 0 // alone, the operators defer to their shared configuration
-	if lanes > 1 {
-		w = linalg.LaneWidth(l.eo.M.W.Workers, lanes)
-	}
-	l.eo.Workers = w
-	if l.sloppy != nil {
-		l.sloppy.Workers = w
-	}
-	par.Workers = linalg.LaneWidth(par.Workers, lanes)
-	return par
-}
-
 // prepare reduces the 4-D source b4 to the even Schur system in slot s's
 // fields: inject, then PrepareSourceInto.
 func (l *lane) prepare(s *slot, b4 []complex128) {
@@ -228,16 +213,15 @@ func (b *batch) run(l *lane, i int) {
 		if i == 0 {
 			b.addLanes()
 		}
-		js, n, lanes := b.take(l, cancel)
+		js, n := b.take(l, cancel)
 		if n == 0 {
 			return
 		}
-		lpar := l.setWidth(par, lanes)
 		var src [2][]complex128
 		for k := 0; k < n; k++ {
 			src[k] = b.source(js[k], l, k)
 		}
-		q, st, errs := l.solve(ctx, src, n, lpar, b.keep)
+		q, st, errs := l.solve(ctx, src, n, par, b.keep)
 		failed := false
 		for k := 0; k < n; k++ {
 			b.stats[js[k]] = st[k]
@@ -254,10 +238,9 @@ func (b *batch) run(l *lane, i int) {
 	}
 }
 
-// take hands lane l the next n systems - two, or the last one - and tells
-// it how many lanes it shares the cores with. Once a system has failed
-// nothing more is handed out: n is 0.
-func (b *batch) take(l *lane, cancel [2]context.CancelFunc) (js [2]int, n, lanes int) {
+// take hands lane l the next n systems - two, or the last one. Once a
+// system has failed nothing more is handed out: n is 0.
+func (b *batch) take(l *lane, cancel [2]context.CancelFunc) (js [2]int, n int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	l.cur, l.cancel = [2]int{-1, -1}, cancel
@@ -266,7 +249,7 @@ func (b *batch) take(l *lane, cancel [2]context.CancelFunc) (js [2]int, n, lanes
 		b.next++
 		n++
 	}
-	return l.cur, n, len(b.lanes)
+	return l.cur, n
 }
 
 // fail records that system j failed and cancels every system after the
@@ -320,7 +303,6 @@ func (qs *QuarkSolver) solveBatch(ctx context.Context, k int, source func(j int,
 	defer linalg.LeaveLane()
 	b.run(l0, 0)
 	b.wg.Wait()
-	l0.setWidth(qs.Par, 1) // qs.EO is the caller's again, at its configured width
 	qs.fold()
 	if b.err != nil {
 		return nil, b.stats, b.err

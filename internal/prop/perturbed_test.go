@@ -44,8 +44,8 @@ func TestPerturbedOperatorDaggerIsAdjoint(t *testing.T) {
 	op.Apply(dy, y)
 	ddx := make([]complex128, op.Size())
 	op.ApplyDagger(ddx, x)
-	lhs := linalg.Dot(x, dy, 0)
-	rhs := linalg.Dot(ddx, y, 0)
+	lhs := linalg.Dot(x, dy)
+	rhs := linalg.Dot(ddx, y)
 	if cmplx.Abs(lhs-rhs) > 1e-9*(1+cmplx.Abs(lhs)) {
 		t.Fatalf("perturbed adjoint mismatch: %v vs %v", lhs, rhs)
 	}

@@ -104,31 +104,24 @@ func Project4D(psi5 []complex128, ls int) []complex128 {
 
 // SpinMul applies a spin matrix to a 4-D field site by site:
 // dst_{s,c}(x) = sum_s' M[s][s'] src_{s',c}(x). dst must not alias src.
-func SpinMul(dst, src []complex128, m linalg.SpinMatrix) { spinMul(dst, src, m, 0) }
-
-// spinMul is SpinMul at a given split width.
-func spinMul(dst, src []complex128, m linalg.SpinMatrix, workers int) {
+func SpinMul(dst, src []complex128, m linalg.SpinMatrix) {
 	if len(dst) != len(src) || len(src)%dirac.SpinorLen != 0 {
 		panic("prop: SpinMul size mismatch")
 	}
-	n := len(src) / dirac.SpinorLen
-	linalg.For(n, workers, func(lo, hi int) {
-		for s := lo; s < hi; s++ {
-			base := s * dirac.SpinorLen
-			for sp := 0; sp < 4; sp++ {
-				for c := 0; c < 3; c++ {
-					var acc complex128
-					for sp2 := 0; sp2 < 4; sp2++ {
-						if m[sp][sp2] == 0 {
-							continue
-						}
-						acc += m[sp][sp2] * src[base+sp2*3+c]
+	for base := 0; base < len(src); base += dirac.SpinorLen {
+		for sp := 0; sp < 4; sp++ {
+			for c := 0; c < 3; c++ {
+				var acc complex128
+				for sp2 := 0; sp2 < 4; sp2++ {
+					if m[sp][sp2] == 0 {
+						continue
 					}
-					dst[base+sp*3+c] = acc
+					acc += m[sp][sp2] * src[base+sp2*3+c]
 				}
+				dst[base+sp*3+c] = acc
 			}
 		}
-	})
+	}
 }
 
 // QuarkSolver owns the preconditioned operator pair and solve parameters
@@ -296,7 +289,7 @@ func (qs *QuarkSolver) FHPropagatorCtx(ctx context.Context, base *Propagator, ga
 		if s.seq == nil {
 			s.seq = make([]complex128, base.G.Vol*dirac.SpinorLen)
 		}
-		spinMul(s.seq, base.Col[j], gamma, l.eo.Workers)
+		SpinMul(s.seq, base.Col[j], gamma)
 		return s.seq
 	}, Project4D)
 	if err != nil {

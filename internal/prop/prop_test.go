@@ -163,7 +163,7 @@ func TestSolve4DSatisfiesDiracEquation(t *testing.T) {
 	if !st.Converged {
 		t.Fatalf("not converged: %+v", st)
 	}
-	if linalg.NormSq(q, 0) == 0 {
+	if linalg.NormSq(q) == 0 {
 		t.Fatal("zero propagator")
 	}
 	if qs.Solves != 1 || qs.TotalIterations == 0 {
@@ -291,7 +291,7 @@ func TestFHWithZeroGammaIsZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	for j := 0; j < NComp; j++ {
-		if linalg.NormSq(fh.Col[j], 0) != 0 {
+		if linalg.NormSq(fh.Col[j]) != 0 {
 			t.Fatal("zero insertion gave non-zero FH propagator")
 		}
 	}

@@ -47,21 +47,24 @@ type SpecRequest struct {
 // maxLs fifth-dimension slices, 25 MB a 5-D double-precision field. The
 // campaigns the tests, examples and benchmark submit have 64 sites or
 // fewer and Ls 4 or less; the caps stop one request from naming a lattice
-// that exhausts the server's memory. maxRequestBytes caps the body.
+// that exhausts the server's memory. maxTherm and maxGap cap the gauge
+// sweeps before the first configuration and between two: the tenant
+// quota counts configurations, not sweeps, so without them one request
+// could hold a solve worker in sweeps for the whole allocation. Those
+// campaigns, gasolve and the default spec ask for at most 10 and 2.
+// maxRequestBytes caps the body.
 const (
 	maxSites        = 1 << 12
 	maxLs           = 32
+	maxTherm        = 1000
+	maxGap          = 100
 	maxRequestBytes = 1 << 16
 )
 
 // Validate checks the request through the same validator package the
 // command-line flag sweeps use, collecting every problem at once.
 func (r SubmitRequest) Validate() error {
-	var errs []error
-	if strings.TrimSpace(r.Tenant) == "" || strings.ContainsAny(r.Tenant, "/\\ \t\r\n") {
-		errs = append(errs, errors.New("tenant: must be a non-empty token without spaces or path separators"))
-	}
-	errs = append(errs, checkPriority(r.Priority))
+	errs := []error{checkTenant(r.Tenant), checkPriority(r.Priority)}
 	sp := r.Spec
 	if sp.Dims != nil {
 		sites := 1.0 // a float64 holds a product of four ints without overflow
@@ -86,10 +89,10 @@ func (r SubmitRequest) Validate() error {
 		errs = append(errs, validate.PositiveFloat("spec.tol", *sp.Tol))
 	}
 	if sp.Therm != nil {
-		errs = append(errs, validate.NonNegativeInt("spec.therm", *sp.Therm))
+		errs = append(errs, validate.NonNegativeInt("spec.therm", *sp.Therm), validate.AtMost("spec.therm", *sp.Therm, "the server's cap", maxTherm))
 	}
 	if sp.Gap != nil {
-		errs = append(errs, validate.NonNegativeInt("spec.gap", *sp.Gap))
+		errs = append(errs, validate.NonNegativeInt("spec.gap", *sp.Gap), validate.AtMost("spec.gap", *sp.Gap, "the server's cap", maxGap))
 	}
 	if sp.Prec != nil {
 		if _, err := parsePrecision(*sp.Prec); err != nil {
@@ -97,6 +100,15 @@ func (r SubmitRequest) Validate() error {
 		}
 	}
 	return validate.All(errs...)
+}
+
+// checkTenant is the rule a tenant name keeps: a non-empty token without
+// spaces or path separators.
+func checkTenant(tenant string) error {
+	if strings.TrimSpace(tenant) == "" || strings.ContainsAny(tenant, "/\\ \t\r\n") {
+		return errors.New("tenant: must be a non-empty token without spaces or path separators")
+	}
+	return nil
 }
 
 // RealConfig validates the request and materializes its campaign spec

@@ -129,6 +129,9 @@ func TestUnrunnableSpecRefused(t *testing.T) {
 		`{"dims":[16,16,16,16]}`,
 		`{"ls":64}`,
 		`{"dims":[4294967296,4294967296,2,2]}`,
+		`{"therm":1001}`,
+		`{"gap":101}`,
+		`{"therm":1000000000,"gap":1000000000}`,
 	} {
 		resp := postJSON(t, hs.URL, `{"tenant":"a","spec":`+spec+`}`)
 		if body := drainBody(t, resp); resp.StatusCode != http.StatusBadRequest {
@@ -172,7 +175,7 @@ func TestSubmitBodyCapped(t *testing.T) {
 // FuzzSubmitRequest decodes arbitrary bodies as handleSubmit does: each
 // either fails to decode or to validate, or yields a campaign spec that
 // core accepts, on a lattice inside the server's caps that lattice.New
-// builds - and nothing panics.
+// builds, with its gauge sweeps inside their caps - and nothing panics.
 func FuzzSubmitRequest(f *testing.F) {
 	for _, seed := range []string{
 		`{"tenant":"a"}`,
@@ -180,6 +183,7 @@ func FuzzSubmitRequest(f *testing.F) {
 		`{"tenant":"a","spec":{"dims":[16,16,16,16]}}`,
 		`{"tenant":"a","spec":{"dims":[4294967296,4294967296,2,2],"ls":1000}}`,
 		`{"tenant":"a","spec":{"dims":[-2,2,2,2],"m5":2.5,"b5":0}}`,
+		`{"tenant":"a","spec":{"therm":1000000000,"gap":1000000000}}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -200,6 +204,9 @@ func FuzzSubmitRequest(f *testing.F) {
 		d := spec.Dims
 		if sites := float64(d[0]) * float64(d[1]) * float64(d[2]) * float64(d[3]); sites > maxSites || spec.Params.Ls > maxLs {
 			t.Fatalf("%s: admitted %v (%g sites), Ls %d, past the caps", body, d, sites, spec.Params.Ls)
+		}
+		if spec.ThermSweeps > maxTherm || spec.GapSweeps > maxGap {
+			t.Fatalf("%s: admitted %d thermalisation and %d gap sweeps, past the caps", body, spec.ThermSweeps, spec.GapSweeps)
 		}
 		if _, err := lattice.New(d); err != nil {
 			t.Fatalf("%s: admitted extents lattice.New rejects: %v", body, err)

@@ -239,6 +239,10 @@ func (s *Server) resume() error {
 	return nil
 }
 
+// readSidecar reads a campaign's sidecar and holds it to the rules a
+// submission is held to: a file on disk is outside input as much as a
+// request is, and a priority past strideOne would give its tenant a stride
+// of zero, which starves every other tenant.
 func readSidecar(path string) (sidecar, error) {
 	var sc sidecar
 	data, err := os.ReadFile(path)
@@ -248,8 +252,8 @@ func readSidecar(path string) (sidecar, error) {
 	if err := decodeJSONStrict(data, &sc); err != nil {
 		return sc, err
 	}
-	if sc.Tenant == "" {
-		return sc, errors.New("serve: sidecar without tenant")
+	if err := errors.Join(checkTenant(sc.Tenant), checkPriority(sc.Priority)); err != nil {
+		return sc, fmt.Errorf("serve: sidecar %s: %w", path, err)
 	}
 	return sc, nil
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -369,4 +371,80 @@ func TestMetricsDeterministicForFixedWorkload(t *testing.T) {
 	if !strings.Contains(m1, "serve.campaigns_completed") || !strings.Contains(m1, "core.solver_iterations") {
 		t.Fatalf("metrics text missing expected series:\n%s", m1)
 	}
+}
+
+// TestResumeRefusesBadSidecar: a sidecar is held on resume to the rules
+// a submission is - a priority past strideOne, which would give its
+// tenant a zero stride, and a tenant name that is no token are counted
+// resume errors, not campaigns - while a sound campaign beside them
+// resumes.
+func TestResumeRefusesBadSidecar(t *testing.T) {
+	dir := t.TempDir()
+	for id, sc := range map[string]sidecar{
+		"c000001": {Tenant: "alpha", Priority: 1 << 20},
+		"c000002": {Tenant: "a/b", Priority: 1},
+		"c000003": {Tenant: "beta", Priority: 2},
+	} {
+		sc.ID = id
+		j, err := core.CreateJournal(filepath.Join(dir, id+".fwal"), tinySpec(5, 2), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := writeSidecar(filepath.Join(dir, id+".json"), sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, reg := newTestServer(t, Config{StateDir: dir, StartPaused: true})
+	if n := counterValue(t, reg, "serve.resume_errors"); n != 2 {
+		t.Fatalf("%d resume errors, want 2", n)
+	}
+	for _, id := range []string{"c000001", "c000002"} {
+		if st, err := s.Status(id); err == nil {
+			t.Fatalf("campaign %s resumed from a bad sidecar: %+v", id, st)
+		}
+	}
+	if st, err := s.Status("c000003"); err != nil || st.Tenant != "beta" {
+		t.Fatalf("the sound campaign did not resume: %+v, %v", st, err)
+	}
+}
+
+// FuzzReadSidecar feeds readSidecar arbitrary files: each fails, or
+// yields a sidecar that passes the submission's tenant and priority
+// checks and that writeSidecar's encoding carries through readSidecar
+// unchanged - and nothing panics.
+func FuzzReadSidecar(f *testing.F) {
+	for _, seed := range []string{
+		`{"id":"c000001","tenant":"alpha","priority":1,"name":"n"}`,
+		`{"id":"c000001","tenant":"alpha","priority":1048576}`,
+		`{"id":"c000001","tenant":"a/b","priority":-1}`,
+		`{"id":"c000001","tenant":"alpha","priority":1,"extra":true}`,
+		`{"tenant":" ","priority":65536}`,
+		`[]`,
+	} {
+		f.Add([]byte(seed))
+	}
+	dir := f.TempDir()
+	in, out := filepath.Join(dir, "in.json"), filepath.Join(dir, "out.json")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(in, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		sc, err := readSidecar(in)
+		if err != nil {
+			return
+		}
+		if err := errors.Join(checkTenant(sc.Tenant), checkPriority(sc.Priority)); err != nil {
+			t.Fatalf("%q: read a sidecar the submission checks refuse: %v", data, err)
+		}
+		if err := writeSidecar(out, sc); err != nil {
+			t.Fatal(err)
+		}
+		again, err := readSidecar(out)
+		if err != nil || again != sc {
+			t.Fatalf("%q: %+v came back from writeSidecar as %+v, %v", data, sc, again, err)
+		}
+	})
 }

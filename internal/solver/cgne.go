@@ -39,7 +39,6 @@ func cgneFrom(ctx context.Context, op Linear, b, x0 []complex128, p Params) ([]c
 	if len(b) != n {
 		panic("solver: CGNE rhs size mismatch")
 	}
-	w := p.Workers
 
 	st := Stats{Precision: Double}
 	if p.Obs.Enabled() {
@@ -53,7 +52,7 @@ func cgneFrom(ctx context.Context, op Linear, b, x0 []complex128, p Params) ([]c
 		}()
 	}
 
-	bNorm := math.Sqrt(linalg.NormSq(b, w))
+	bNorm := math.Sqrt(linalg.NormSq(b))
 	x := make([]complex128, n)
 	if x0 != nil {
 		if len(x0) != n {
@@ -73,17 +72,17 @@ func cgneFrom(ctx context.Context, op Linear, b, x0 []complex128, p Params) ([]c
 	r, pv, ap := work[:n:n], work[n:2*n:2*n], work[2*n:]
 	op.ApplyDagger(r, b)
 	st.Flops += p.FlopsPerApply
-	rhsNorm := math.Sqrt(linalg.NormSq(r, w))
+	rhsNorm := math.Sqrt(linalg.NormSq(r))
 	// N = D^dag D on one system: io[:1] is ap, io[1:2] x and io[2:] pv.
 	normal, io := normalOf[complex128](op), [][]complex128{ap, x, pv}
 	if x0 != nil {
 		normal.ApplyNormal(io[:1], io[1:2])
 		st.Flops += 2 * p.FlopsPerApply
-		linalg.Axpy(-1, ap, r, w)
+		linalg.Axpy(-1, ap, r)
 	}
 	copy(pv, r)
 
-	rr := linalg.NormSq(r, w)
+	rr := linalg.NormSq(r)
 	// Inner target on the normal-equation residual; tightened whenever a
 	// true-residual check fails.
 	neTarget := p.Tol * rhsNorm
@@ -95,7 +94,7 @@ func cgneFrom(ctx context.Context, op Linear, b, x0 []complex128, p Params) ([]c
 	trueResidual := func() float64 {
 		op.Apply(ap, x)
 		st.Flops += p.FlopsPerApply
-		d := linalg.ReduceFloat64(n, w, func(lo, hi int) float64 {
+		d := linalg.ReduceFloat64(n, func(lo, hi int) float64 {
 			s := 0.0
 			for i := lo; i < hi; i++ {
 				e := ap[i] - b[i]
@@ -116,7 +115,7 @@ func cgneFrom(ctx context.Context, op Linear, b, x0 []complex128, p Params) ([]c
 		st.Flops += 2 * p.FlopsPerApply
 		st.Iterations++
 
-		pap := real(linalg.Dot(pv, ap, w))
+		pap := real(linalg.Dot(pv, ap))
 		if math.IsNaN(pap) || math.IsInf(pap, 0) {
 			st.Elapsed = time.Since(start)
 			return x, st, ErrDiverged
@@ -127,9 +126,9 @@ func cgneFrom(ctx context.Context, op Linear, b, x0 []complex128, p Params) ([]c
 			return x, st, ErrBreakdown
 		}
 		alpha := complex(rr/pap, 0)
-		linalg.Axpy(alpha, pv, x, w)
-		linalg.Axpy(-alpha, ap, r, w)
-		rrNew := linalg.NormSq(r, w)
+		linalg.Axpy(alpha, pv, x)
+		linalg.Axpy(-alpha, ap, r)
+		rrNew := linalg.NormSq(r)
 		if p.RecordResiduals {
 			st.Residuals = append(st.Residuals, math.Sqrt(rrNew))
 		}
@@ -157,7 +156,7 @@ func cgneFrom(ctx context.Context, op Linear, b, x0 []complex128, p Params) ([]c
 			neTarget *= 0.1
 		}
 		beta := complex(rrNew/rr, 0)
-		linalg.Xpay(r, beta, pv, w)
+		linalg.Xpay(r, beta, pv)
 		rr = rrNew
 	}
 	st.TrueResidual = trueResidual()

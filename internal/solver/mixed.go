@@ -185,9 +185,8 @@ func (s *mixedSolve) begin(sloppy Linear32) {
 	if len(b) != n || sloppy.Size() != n {
 		panic("solver: CGNEMixed size mismatch")
 	}
-	w := p.Workers
 	s.Stats = Stats{Precision: p.Precision}
-	s.bNorm = math.Sqrt(linalg.NormSq(b, w))
+	s.bNorm = math.Sqrt(linalg.NormSq(b))
 	s.X = make([]complex128, n)
 	if s.bNorm == 0 {
 		s.Stats.Converged = true
@@ -202,7 +201,7 @@ func (s *mixedSolve) begin(sloppy Linear32) {
 	copy(ws.pv, ws.r)
 	linalg.ZeroC64(ws.xs)
 	s.half = p.Precision == Half
-	s.rr = linalg.NormSq(ws.rD, w)
+	s.rr = linalg.NormSq(ws.rD)
 	s.neTarget = p.Tol * math.Sqrt(s.rr)
 	s.maxSinceUpdate = math.Sqrt(s.rr)
 	s.bestReliable = math.Inf(1)
@@ -218,7 +217,7 @@ func (s *mixedSolve) finish(err error) {
 // whether v was finite before the rounding, which would scrub a NaN into
 // finite garbage; without the rounding there is nothing to guard.
 func (s *mixedSolve) roundHalf(v []complex64) bool {
-	return !s.half || linalg.HalfRoundTripC64(v, dirac.SpinorLen, s.p.Workers)
+	return !s.half || linalg.HalfRoundTripC64(v, dirac.SpinorLen)
 }
 
 // before is the iteration's start: the iteration cap, which ends the
@@ -250,7 +249,7 @@ func (s *mixedSolve) before() {
 // result: the reductions, the step, the reliable update and the
 // convergence test, and on divergence the restart.
 func (s *mixedSolve) after() {
-	ws, p, w := s.WS, s.p, s.p.Workers
+	ws, p := s.WS, s.p
 	finite := s.roundHalf(ws.ap)
 	s.Stats.Flops += 2 * p.FlopsPerApply
 	s.Stats.Iterations++
@@ -259,7 +258,7 @@ func (s *mixedSolve) after() {
 		s.diverged()
 		return
 	}
-	pap := real(linalg.DotC64(ws.pv, ws.ap, w))
+	pap := real(linalg.DotC64(ws.pv, ws.ap))
 	if math.IsNaN(pap) || math.IsInf(pap, 0) || pap <= 0 {
 		// Non-finite curvature is divergence outright; non-positive
 		// curvature from a true normal operator can only be sloppy
@@ -270,9 +269,9 @@ func (s *mixedSolve) after() {
 	}
 	alpha := s.rr / pap
 	a32 := complex(float32(alpha), 0)
-	linalg.AxpyC64(a32, ws.pv, ws.xs, w)
-	linalg.AxpyC64(-a32, ws.ap, ws.r, w)
-	rrNew := linalg.NormSqC64(ws.r, w)
+	linalg.AxpyC64(a32, ws.pv, ws.xs)
+	linalg.AxpyC64(-a32, ws.ap, ws.r)
+	rrNew := linalg.NormSqC64(ws.r)
 	if math.IsNaN(rrNew) || math.IsInf(rrNew, 0) {
 		s.diverged()
 		return
@@ -312,14 +311,14 @@ func (s *mixedSolve) after() {
 	}
 
 	beta := complex(float32(rrNew/s.rr), 0)
-	linalg.XpayC64(ws.r, beta, ws.pv, w)
+	linalg.XpayC64(ws.r, beta, ws.pv)
 	s.rr = rrNew
 }
 
 // foldIn adds the sloppy accumulation to x.
 func (s *mixedSolve) foldIn() {
 	linalg.Promote(s.WS.tmpD, s.WS.xs)
-	linalg.Axpy(1, s.WS.tmpD, s.X, s.p.Workers)
+	linalg.Axpy(1, s.WS.tmpD, s.X)
 }
 
 // trueResidual is ||b - D x|| / ||b|| in double precision.
@@ -327,7 +326,7 @@ func (s *mixedSolve) trueResidual() float64 {
 	tmpD, b := s.WS.tmpD, s.B
 	s.op.Apply(tmpD, s.X)
 	s.Stats.Flops += s.p.FlopsPerApply
-	d := linalg.ReduceFloat64(len(b), s.p.Workers, func(lo, hi int) float64 {
+	d := linalg.ReduceFloat64(len(b), func(lo, hi int) float64 {
 		sum := 0.0
 		for i := lo; i < hi; i++ {
 			e := tmpD[i] - b[i]
@@ -346,7 +345,7 @@ func (s *mixedSolve) refresh() {
 	s.normal.ApplyNormal(ws.io[:1], ws.io[1:])
 	s.Stats.Flops += 2 * s.p.FlopsPerApply
 	linalg.Copy(ws.rD, ws.rhs)
-	linalg.Axpy(-1, ws.tmpD, ws.rD, s.p.Workers)
+	linalg.Axpy(-1, ws.tmpD, ws.rD)
 	linalg.Demote(ws.r, ws.rD)
 }
 
@@ -361,7 +360,7 @@ func (s *mixedSolve) reliableUpdate() float64 {
 	linalg.ZeroC64(ws.xs)
 	s.refresh()
 	s.Stats.ReliableUpdates++
-	d := linalg.NormSq(ws.rD, s.p.Workers)
+	d := linalg.NormSq(ws.rD)
 	if math.IsNaN(d) || math.IsInf(d, 0) {
 		linalg.Copy(s.X, ws.xPrev)
 	}
@@ -391,7 +390,7 @@ func (s *mixedSolve) diverged() {
 		linalg.ZeroC64(s.WS.xs)
 		s.refresh()
 		copy(s.WS.pv, s.WS.r)
-		s.rr = linalg.NormSq(s.WS.rD, p.Workers)
+		s.rr = linalg.NormSq(s.WS.rD)
 		s.maxSinceUpdate = math.Sqrt(s.rr)
 		s.staleUpdates = 0
 		return

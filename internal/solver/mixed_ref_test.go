@@ -27,7 +27,6 @@ func refCGNEMixed(ws *Workspace, ctx context.Context, op Linear, sloppy Linear32
 	if len(b) != n || sloppy.Size() != n {
 		panic("solver: CGNEMixed size mismatch")
 	}
-	w := p.Workers
 	st := Stats{Precision: p.Precision}
 
 	// Trace spans: one "cgne-mixed" span over the whole solve, one
@@ -81,7 +80,7 @@ func refCGNEMixed(ws *Workspace, ctx context.Context, op Linear, sloppy Linear32
 		}()
 	}
 
-	bNorm := math.Sqrt(linalg.NormSq(b, w))
+	bNorm := math.Sqrt(linalg.NormSq(b))
 	x := make([]complex128, n)
 	if bNorm == 0 {
 		st.Converged = true
@@ -110,10 +109,10 @@ func refCGNEMixed(ws *Workspace, ctx context.Context, op Linear, sloppy Linear32
 	// into finite garbage; without the rounding there is nothing to guard.
 	half := p.Precision == Half
 	roundHalf := func(v []complex64) bool {
-		return !half || linalg.HalfRoundTripC64(v, dirac.SpinorLen, w)
+		return !half || linalg.HalfRoundTripC64(v, dirac.SpinorLen)
 	}
 
-	rr := linalg.NormSq(rD, w)
+	rr := linalg.NormSq(rD)
 	rhsNorm := math.Sqrt(rr)
 	neTarget := p.Tol * rhsNorm
 	maxSinceUpdate := math.Sqrt(rr)
@@ -124,7 +123,7 @@ func refCGNEMixed(ws *Workspace, ctx context.Context, op Linear, sloppy Linear32
 	trueResidual := func() float64 {
 		op.Apply(tmpD, x)
 		st.Flops += p.FlopsPerApply
-		d := linalg.ReduceFloat64(n, w, func(lo, hi int) float64 {
+		d := linalg.ReduceFloat64(n, func(lo, hi int) float64 {
 			s := 0.0
 			for i := lo; i < hi; i++ {
 				e := tmpD[i] - b[i]
@@ -142,16 +141,16 @@ func refCGNEMixed(ws *Workspace, ctx context.Context, op Linear, sloppy Linear32
 	reliableUpdate := func() float64 {
 		linalg.Copy(xPrev, x)
 		linalg.Promote(tmpD, xs)
-		linalg.Axpy(1, tmpD, x, w)
+		linalg.Axpy(1, tmpD, x)
 		linalg.ZeroC64(xs)
 		op.Apply(tmpD, x)
 		op.ApplyDagger(tmpD2, tmpD)
 		st.Flops += 2 * p.FlopsPerApply
 		linalg.Copy(rD, rhs)
-		linalg.Axpy(-1, tmpD2, rD, w)
+		linalg.Axpy(-1, tmpD2, rD)
 		linalg.Demote(r, rD)
 		st.ReliableUpdates++
-		d := linalg.NormSq(rD, w)
+		d := linalg.NormSq(rD)
 		if math.IsNaN(d) || math.IsInf(d, 0) {
 			linalg.Copy(x, xPrev)
 		}
@@ -167,10 +166,10 @@ func refCGNEMixed(ws *Workspace, ctx context.Context, op Linear, sloppy Linear32
 		op.ApplyDagger(tmpD2, tmpD)
 		st.Flops += 2 * p.FlopsPerApply
 		linalg.Copy(rD, rhs)
-		linalg.Axpy(-1, tmpD2, rD, w)
+		linalg.Axpy(-1, tmpD2, rD)
 		linalg.Demote(r, rD)
 		copy(pv, r)
-		rr = linalg.NormSq(rD, w)
+		rr = linalg.NormSq(rD)
 		maxSinceUpdate = math.Sqrt(rr)
 		staleUpdates = 0
 	}
@@ -183,7 +182,7 @@ func refCGNEMixed(ws *Workspace, ctx context.Context, op Linear, sloppy Linear32
 				// Fold in the sloppy accumulation so the partial solution is
 				// the best iterate reached, then abort.
 				linalg.Promote(tmpD, xs)
-				linalg.Axpy(1, tmpD, x, w)
+				linalg.Axpy(1, tmpD, x)
 				st.Elapsed = time.Since(start)
 				return x, st, fmt.Errorf("solver: interrupted after %d iterations: %w", st.Iterations, err)
 			}
@@ -199,7 +198,7 @@ func refCGNEMixed(ws *Workspace, ctx context.Context, op Linear, sloppy Linear32
 				break
 			}
 
-			pap := real(linalg.DotC64(pv, ap, w))
+			pap := real(linalg.DotC64(pv, ap))
 			if math.IsNaN(pap) || math.IsInf(pap, 0) || pap <= 0 {
 				// Non-finite curvature is divergence outright; non-positive
 				// curvature from a true normal operator can only be sloppy
@@ -210,9 +209,9 @@ func refCGNEMixed(ws *Workspace, ctx context.Context, op Linear, sloppy Linear32
 			}
 			alpha := rr / pap
 			a32 := complex(float32(alpha), 0)
-			linalg.AxpyC64(a32, pv, xs, w)
-			linalg.AxpyC64(-a32, ap, r, w)
-			rrNew := linalg.NormSqC64(r, w)
+			linalg.AxpyC64(a32, pv, xs)
+			linalg.AxpyC64(-a32, ap, r)
+			rrNew := linalg.NormSqC64(r)
 			if math.IsNaN(rrNew) || math.IsInf(rrNew, 0) {
 				diverged = true
 				break
@@ -249,7 +248,7 @@ func refCGNEMixed(ws *Workspace, ctx context.Context, op Linear, sloppy Linear32
 			}
 
 			beta := complex(float32(rrNew/rr), 0)
-			linalg.XpayC64(r, beta, pv, w)
+			linalg.XpayC64(r, beta, pv)
 			rr = rrNew
 		}
 		if !diverged {
@@ -303,7 +302,7 @@ func refCGNEMixed(ws *Workspace, ctx context.Context, op Linear, sloppy Linear32
 
 	// Final fold-in of whatever the sloppy stage accumulated.
 	linalg.Promote(tmpD, xs)
-	linalg.Axpy(1, tmpD, x, w)
+	linalg.Axpy(1, tmpD, x)
 	st.TrueResidual = trueResidual()
 	st.Converged = st.TrueResidual <= p.Tol
 	st.Elapsed = time.Since(start)

@@ -248,8 +248,8 @@ func TestCGNEMixedPairMatchesSoloBitForBit(t *testing.T) {
 }
 
 // BenchmarkCGNEMixedPaired judges the drive in pairs of adjacent solves,
-// alternating which runs first, on the fh-* lattice (hv = 64, Ls = 4, one
-// worker): the drive on one system against the loop it replaced (drive),
+// alternating which runs first, on the fh-* lattice (hv = 64, Ls = 4):
+// the drive on one system against the loop it replaced (drive),
 // and on two systems against two one-system solves (pair; a ratio of 0.5
 // is two systems at the cost of one). It reports the median ratio and its
 // quartiles. Run with -cpu 1 -benchtime 60x.
@@ -259,7 +259,6 @@ func BenchmarkCGNEMixedPaired(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m.W.Workers = 1
 	eo, err := dirac.NewMobiusEO(m)
 	if err != nil {
 		b.Fatal(err)
@@ -267,7 +266,7 @@ func BenchmarkCGNEMixedPaired(b *testing.B) {
 	sloppy := dirac.NewMobiusEO32(eo)
 	rng := rand.New(rand.NewSource(5))
 	rhs := [2][]complex128{randRHS(rng, eo.Size()), randRHS(rng, eo.Size())}
-	p := Params{Tol: 1e-8, Precision: Single, Workers: 1}
+	p := Params{Tol: 1e-8, Precision: Single}
 	var ws [2]Workspace
 	bg := context.Background()
 	drive := func() { lockStep1(&ws[0], bg, eo, sloppy, rhs[0], p) }

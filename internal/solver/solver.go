@@ -107,8 +107,6 @@ type Params struct {
 	MaxIter int
 	// Precision selects the sloppy stage (Double disables it).
 	Precision Precision
-	// Workers is the BLAS-1 goroutine count; <= 0 uses the default.
-	Workers int
 	// FlopsPerApply, if set, is the flop cost of one operator application
 	// used for the Stats.Flops accounting (matvec only; BLAS-1 is added
 	// with the paper's 50-100 flops/site convention by the caller).
@@ -137,8 +135,7 @@ type Params struct {
 	// Stats.Residuals: the per-iteration normal-equation residual norm for
 	// pure double CGNE, the per-reliable-update double-precision residual
 	// norm for CGNEMixed. Every recorded value derives from deterministic
-	// fixed-chunk reductions, so the trajectory is bitwise identical at
-	// any Workers count.
+	// fixed-chunk reductions, so the trajectory is bitwise reproducible.
 	RecordResiduals bool
 }
 
@@ -188,7 +185,7 @@ type Stats struct {
 	Restarts int
 	// Residuals is the residual trajectory, recorded only when
 	// Params.RecordResiduals is set (see there for what each solver
-	// records). Bitwise identical across worker counts.
+	// records). Bitwise reproducible.
 	Residuals []float64
 }
 

@@ -222,7 +222,7 @@ func TestZeroRHSGivesZeroSolution(t *testing.T) {
 	if err != nil || !st.Converged {
 		t.Fatalf("err=%v stats=%+v", err, st)
 	}
-	if linalg.NormSq(x, 0) != 0 {
+	if linalg.NormSq(x) != 0 {
 		t.Fatal("zero rhs produced non-zero solution")
 	}
 }
@@ -234,7 +234,7 @@ func TestSolverLinearityInRHS(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	b := randRHS(rng, p.Size())
 	b2 := make([]complex128, len(b))
-	linalg.AxpyZ(1, b, b, b2, 0)
+	linalg.AxpyZ(1, b, b, b2)
 	x1, _, err := CGNE(context.Background(), p, b, Params{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
