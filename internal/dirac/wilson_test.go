@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"femtoverse/internal/gauge"
@@ -126,6 +127,42 @@ func TestWilsonLinearity(t *testing.T) {
 	linalg.AxpyZ(a, dx, dy, want)
 	if d := fieldDist(dComb, want); d > 1e-10 {
 		t.Fatalf("linearity violated: %g", d)
+	}
+}
+
+// TestWilsonWorkerCountInvariance: one operator applied by 2, 4 and 16
+// lanes at once, under a lane budget of that many, gives each lane the
+// lone Apply's result to the bit: every lane runs its site loop whole on its
+// own goroutine, and the shared operator's spare legs never mix two calls.
+func TestWilsonWorkerCountInvariance(t *testing.T) {
+	g := lattice.MustNew(4, 4, 2, 4)
+	cfg := gauge.NewRandom(g, 17)
+	rng := rand.New(rand.NewSource(5))
+	src := randField(rng, g.Vol*SpinorLen)
+	ref := make([]complex128, len(src))
+	w := NewWilson(cfg, 0.2)
+	w.Apply(ref, src)
+	defer func(n int) { linalg.DefaultWorkers = n }(linalg.DefaultWorkers)
+	for _, workers := range []int{2, 4, 16} {
+		linalg.DefaultWorkers = workers
+		outs := make([][]complex128, workers)
+		var wg sync.WaitGroup
+		for l := range outs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				linalg.EnterLane()
+				defer linalg.LeaveLane()
+				outs[l] = make([]complex128, len(src))
+				w.Apply(outs[l], src)
+			}()
+		}
+		wg.Wait()
+		for l, out := range outs {
+			if d := fieldDist(ref, out); d != 0 {
+				t.Fatalf("workers=%d lane %d: changed result by %g", workers, l, d)
+			}
+		}
 	}
 }
 

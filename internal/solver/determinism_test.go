@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -22,6 +23,122 @@ func bitwiseEqual(t *testing.T, label string, got, ref []complex128) {
 	for i := range got {
 		if got[i] != ref[i] {
 			t.Fatalf("%s: element %d differs bitwise: %v vs %v", label, i, got[i], ref[i])
+		}
+	}
+}
+
+// solverWorkerCounts is the lane-budget grid the bitwise-determinism tests
+// sweep: serial, even/odd small counts, a count that does not divide
+// typical problem sizes, and whatever the host really has.
+func solverWorkerCounts() []int {
+	return []int{1, 2, 3, 7, runtime.GOMAXPROCS(0)}
+}
+
+func sameResiduals(t *testing.T, label string, got, ref []float64) {
+	t.Helper()
+	if len(got) != len(ref) {
+		t.Fatalf("%s: residual history length %d vs %d", label, len(got), len(ref))
+	}
+	for i := range got {
+		if got[i] != ref[i] {
+			t.Fatalf("%s: residual %d differs bitwise: %v vs %v", label, i, got[i], ref[i])
+		}
+	}
+}
+
+// onLanes sets the lane budget to len(ops) and runs solve once per operator,
+// all at once, each on a goroutine that holds a lane for the whole solve -
+// the way the lanes of a batch run. It returns what each solve returned.
+func onLanes[Op any](ops []Op, solve func(Op) ([]complex128, Stats, error)) ([][]complex128, []Stats, []error) {
+	defer func(n int) { linalg.DefaultWorkers = n }(linalg.DefaultWorkers)
+	linalg.DefaultWorkers = len(ops)
+	xs, sts, errs := make([][]complex128, len(ops)), make([]Stats, len(ops)), make([]error, len(ops))
+	var wg sync.WaitGroup
+	for l, op := range ops {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			linalg.EnterLane()
+			defer linalg.LeaveLane()
+			xs[l], sts[l], errs[l] = solve(op)
+		}()
+	}
+	wg.Wait()
+	return xs, sts, errs
+}
+
+// TestCGNEBitwiseDeterministicAcrossWorkerCounts runs the full
+// double-precision CGNE on the Mobius operator on as many lanes at once as
+// the lane budget allows, at every budget, and demands each lane's solution
+// vector AND per-iteration residual trajectory be bit-for-bit the lone
+// solve's: the property that lets a journaled campaign resume on a
+// different node width without changing the physics.
+func TestCGNEBitwiseDeterministicAcrossWorkerCounts(t *testing.T) {
+	b := randRHS(rand.New(rand.NewSource(42)), newTestEO(t, 21, 0.2).Size())
+	solve := func(op *dirac.MobiusEO) ([]complex128, Stats, error) {
+		return CGNE(context.Background(), op, b, Params{Tol: 1e-8, RecordResiduals: true})
+	}
+	refX, refSt, err := solve(newTestEO(t, 21, 0.2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(refSt.Residuals) != refSt.Iterations {
+		t.Fatalf("residual history has %d entries for %d iterations",
+			len(refSt.Residuals), refSt.Iterations)
+	}
+	for _, w := range solverWorkerCounts() {
+		ops := make([]*dirac.MobiusEO, w)
+		for l := range ops {
+			ops[l] = newTestEO(t, 21, 0.2)
+		}
+		xs, sts, errs := onLanes(ops, solve)
+		for l := range ops {
+			if errs[l] != nil {
+				t.Fatalf("workers=%d lane %d: %v", w, l, errs[l])
+			}
+			if sts[l].Iterations != refSt.Iterations {
+				t.Fatalf("workers=%d lane %d: %d iterations vs %d alone",
+					w, l, sts[l].Iterations, refSt.Iterations)
+			}
+			bitwiseEqual(t, "cgne", xs[l], refX)
+			sameResiduals(t, "cgne", sts[l].Residuals, refSt.Residuals)
+		}
+	}
+}
+
+// TestCGNEMixedBitwiseDeterministicAcrossWorkerCounts is the same sweep
+// through the production mixed-precision path: sloppy single-precision
+// inner stage, double-precision reliable updates. The recorded residuals
+// here are the reliable-update trajectory.
+func TestCGNEMixedBitwiseDeterministicAcrossWorkerCounts(t *testing.T) {
+	b := randRHS(rand.New(rand.NewSource(43)), newTestEO(t, 23, 0.25).Size())
+	solve := func(op *dirac.MobiusEO) ([]complex128, Stats, error) {
+		return CGNEMixed(context.Background(), op, dirac.NewMobiusEO32(op), b,
+			Params{Tol: 1e-8, Precision: Single, RecordResiduals: true})
+	}
+	refX, refSt, err := solve(newTestEO(t, 23, 0.25))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if refSt.ReliableUpdates == 0 || len(refSt.Residuals) == 0 {
+		t.Fatal("no reliable updates recorded; the sweep is vacuous")
+	}
+	for _, w := range solverWorkerCounts() {
+		ops := make([]*dirac.MobiusEO, w)
+		for l := range ops {
+			ops[l] = newTestEO(t, 23, 0.25)
+		}
+		xs, sts, errs := onLanes(ops, solve)
+		for l := range ops {
+			if errs[l] != nil {
+				t.Fatalf("workers=%d lane %d: %v", w, l, errs[l])
+			}
+			if sts[l].Iterations != refSt.Iterations || sts[l].ReliableUpdates != refSt.ReliableUpdates {
+				t.Fatalf("workers=%d lane %d: %d iters/%d updates vs %d/%d alone", w, l,
+					sts[l].Iterations, sts[l].ReliableUpdates, refSt.Iterations, refSt.ReliableUpdates)
+			}
+			bitwiseEqual(t, "cgne-mixed", xs[l], refX)
+			sameResiduals(t, "cgne-mixed", sts[l].Residuals, refSt.Residuals)
 		}
 	}
 }
