@@ -19,7 +19,8 @@ lap() {
 # with v3), so the Go bodies round every product the way the vector bodies
 # do - the AVX hop and the SSE fifth-dimension passes of
 # internal/dirac/schur_amd64.s, the AVX half round trip of
-# internal/linalg/half_amd64.s - none of which fuses either
+# internal/linalg/half_amd64.s, the AVX complex64 BLAS-1 of
+# internal/linalg/blas1_amd64.s - none of which fuses either
 # (TestAssemblyDiscipline). Pin the level here rather than inherit
 # whatever the environment sets.
 export GOAMD64=v1
@@ -54,24 +55,26 @@ run_gate() {
 # views of internal/dirac/lanes.go, whose layout assumption lanes_test.go
 # pins. Any other file that imports unsafe fails here.
 test "$(grep -rl '"unsafe"' --include='*.go' . | sort | tr '\n' ' ')" = './internal/dirac/lanes.go ./internal/dirac/lanes_test.go '
-# Assembly allow-list: the tree has two assembly files. One holds the
+# Assembly allow-list: the tree has three assembly files. One holds the
 # Schur kernel's vector bodies - the AVX hop (hopAVX32, hopAVX64), the SSE
 # fibreAInv, fibreBA, fibreBAxpy, fibreAxpy and load/store transposes, and
 # the pair layout's AVX bodies of two systems at once (hopAVX32x2,
 # aInvAVX32x2, baAVX32x2, baxpyAVX32x2, loadAVX32x2, storeAVX32x2) - and
 # the AVX body of one 4-D Wilson site (siteAVX); the
-# other the CPUID/XGETBV probe that selects every AVX body once at
-# start-up and the AVX half round trip (halfRoundTripAVX). Each single
-# body is held bit for bit to its portable Go body, and each pair body to
-# the single body it doubles, by the kernel gate below (go vet's asmdecl
-# pass checks their frames against the Go declarations).
+# second the CPUID/XGETBV probe that selects every AVX body once at
+# start-up and the AVX half round trip (halfRoundTripAVX); the third the
+# AVX bodies of the complex64 BLAS-1 (axpyC64AVX, xpayC64AVX, dotC64AVX,
+# normSqC64AVX and the fused axpyNormSqC64AVX). Each single body is held
+# bit for bit to its portable Go body, and each pair body to the single
+# body it doubles, by the kernel gate below (go vet's asmdecl pass checks
+# their frames against the Go declarations).
 # Any other .s file fails here.
-test "$(find . -name '*.s' -not -path './.bench_build/*' | sort | tr '\n' ' ')" = './internal/dirac/schur_amd64.s ./internal/linalg/half_amd64.s '
+test "$(find . -name '*.s' -not -path './.bench_build/*' | sort | tr '\n' ' ')" = './internal/dirac/schur_amd64.s ./internal/linalg/blas1_amd64.s ./internal/linalg/half_amd64.s '
 lap allow-lists
 go vet ./...
 lap vet
-# The portable Go bodies - hop, fifth-dimension passes, half round trip -
-# are what every other architecture (and an amd64 host without AVX) runs:
+# The portable Go bodies - hop, fifth-dimension passes, half round trip,
+# complex64 BLAS-1 loops - are what every other architecture (and an amd64 host without AVX) runs:
 # keep them compiling and vetted where no assembly stands in for them.
 GOARCH=arm64 go vet ./internal/dirac/ ./internal/linalg/ && GOARCH=arm64 go build ./...
 lap arm64
@@ -132,8 +135,12 @@ lap drain
 # infinities, a NaN, -0 and subnormals beside the padding lanes, the AVX
 # half round trip against its Go body on 20000 blocks of every special
 # value and exact ties, its finite flag against NormSqC64's verdict, the
-# start-up probe against /proc/cpuinfo (a probe that fell back to Go would
-# pass every bit test at half the speed), every .s file free of fused
+# complex64 BLAS-1 bodies and the fused axpy+norm pass against their Go
+# loops at every length from 0 through ReduceChunk+9 on vectors with
+# infinities, NaNs, -0 and subnormals, the BLAS-1 selection against the
+# probe, the start-up probe against /proc/cpuinfo (a probe that fell back
+# to Go would pass every bit test at half the speed), every .s file free
+# of fused
 # multiply-adds and of legacy SSE in a VEX body, with VZEROUPPER before
 # each RET of a body that names a Y register, the padding lanes +0 after
 # every pass of every entry point, the lane kernel against the scalar
@@ -158,7 +165,10 @@ lap drain
 # the flat operator and every rank of three splits, ghosts included, on
 # whole fields with each body; the probe selecting it and Wilson and Sub
 # running it; and the rank-local table stencil against the coordinate one
-# it replaced (internal/domain). So does the pair layout: each of its AVX
+# it replaced (internal/domain). So do the nucleon contractions: the
+# hoisted Proton2pt and ProtonFH3pt against the contractions they replaced
+# on random, zero-heavy and non-finite propagators at lane budgets 1, 2
+# and 4, and no allocation per site. So does the pair layout: each of its AVX
 # bodies against the single body it doubles at every Ls from 1 to 9, the
 # fused normal operator (ApplyNormal) on one to three systems, paired and
 # one at a time, against ApplyDagger of Apply on poisoned, NaN and
@@ -170,7 +180,7 @@ lap drain
 # (Inject5D, PrepareSource, CGNEMixed, Reconstruct, Project4D). The suites
 # run under -race with -count=2 against fresh interleavings.
 go test -race -count=2 ./internal/obs/
-run_gate 'Bitwise|BitForBit|Pair|ReduceChunk|DoesNotAllocate|ConcurrentCallers|Lane|Batch|Budget|Straggler|View|Workspace|RoundTrip|RoundHalf|Lanes|WilsonHop|WilsonApplyDoesNotAllocate|Discipline|Probe|Site' -race -count=2 -- ./internal/linalg/ ./internal/dirac/ ./internal/domain/ ./internal/solver/ ./internal/prop/
+run_gate 'Bitwise|BitForBit|Pair|ReduceChunk|DoesNotAllocate|ConcurrentCallers|Lane|Batch|Budget|Straggler|View|Workspace|RoundTrip|RoundHalf|Lanes|WilsonHop|WilsonApplyDoesNotAllocate|Discipline|Probe|Site' -race -count=2 -- ./internal/linalg/ ./internal/dirac/ ./internal/domain/ ./internal/solver/ ./internal/prop/ ./internal/contract/
 lap kernel
 run_gate 'Obs|Timeline|Trace' -race -- ./internal/runtime/ ./internal/core/ ./internal/cluster/
 lap observability
@@ -187,9 +197,17 @@ lap observability
 # reuses cached base propagators across insertions, rejects duplicate
 # insertion names and keeps its pinned propagator keys. The FH regex is
 # anchored so it names exactly those suites, not TestBitPinFHCampaign.
+# Last, the disk tier's entry framing is fuzzed for a short fixed time:
+# whatever file a key's entry holds, Get misses and counts it corrupt, or
+# returns a value that either is no series blob or decodes to series that
+# re-encode to the same bytes, and never panics (15 s reach 5300 execs
+# from an empty fuzz cache and 99000 with a warm one on a 2-vCPU host,
+# where the fuzz engine can stall for seconds; each exec writes and loads
+# a file).
 go test -race -count=2 ./internal/cache/
 run_gate 'ShareSolves|UsesCache|EquivalenceMatrix/workers=3' -race -- ./internal/core/
 run_gate '^Test(FHCampaign|FHPropKey|PropKeysPinned)' -race -- ./internal/core/
+go test -run '^$' -fuzz '^FuzzDiskEntry$' -fuzztime 15s ./internal/cache/
 lap cache
 # Analysis gate: the analyzer suite itself (driver, fact plumbing,
 # fixtures, the vettool handshake e2e) re-runs under the race detector

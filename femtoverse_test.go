@@ -274,6 +274,7 @@ var exportAllowList = map[string]string{
 	"gauge.Field.GaugeTransform":   "gauge rotation for the gauge-invariance checks of the measurement chain",
 	"gauge.RandomGaugeRotation":    "draws the rotation the gauge-invariance checks apply",
 	"linalg.AxpyZ":                 "out-of-place axpy the staged Schur reference and the linearity checks combine fields with",
+	"linalg.NormSqC64":             "the unfused norm the solver's AxpyNormSqC64 and the half codec's finite flag are checked against",
 	"linalg.SU3.UnitarityError":    "group-membership check for generated and reunitarized links",
 	"obs.Tracer.BusySeconds":       "trace-side busy seconds, cross-checked against the runtime's integrals",
 	"prop.ComputePerturbed":        "the explicit-insertion propagator the Feynman-Hellmann propagator is checked against",

@@ -9,7 +9,7 @@ import (
 
 // newDiskCache returns a cache on dir with a tiny memory tier budget so
 // reads are forced through the disk path, plus the entry's value.
-func newDiskCache(t *testing.T, dir string) *Cache {
+func newDiskCache(t testing.TB, dir string) *Cache {
 	t.Helper()
 	c, err := New(Config{MemBytes: 1, Dir: dir}) // budget 1: nothing fits in memory
 	if err != nil {

@@ -55,7 +55,7 @@ func meson2pt(p *prop.Propagator, t0 int, gamma linalg.SpinMatrix) []float64 {
 		sum := linalg.ReduceFloat64(len(slice), func(lo, hi int) float64 {
 			acc := 0.0
 			for k := lo; k < hi; k++ {
-				m := p.At(slice[k])
+				m := siteMatrix(p, slice[k])
 				var m1, m2 [12][12]complex128
 				for i := 0; i < 12; i++ {
 					si, ci := i/3, i%3

@@ -95,7 +95,7 @@ func crossMeson2pt(p *prop.Propagator, t0 int, gSnk, gSrc linalg.SpinMatrix) []c
 		sum := linalg.ReduceComplex128(len(slice), func(lo, hi int) complex128 {
 			var acc complex128
 			for k := lo; k < hi; k++ {
-				m := p.At(slice[k])
+				m := siteMatrix(p, slice[k])
 				// M1 = Gsnk S, M2 = S Gsrc; C = sum s_i s_j M1 conj(M2).
 				for i := 0; i < 12; i++ {
 					si, ci := i/3, i%3

@@ -109,13 +109,20 @@ func (g *Geometry) Parity(s int) int { return int(g.parity[s]) }
 // TimeSlice returns all lexicographic site indices with time coordinate t,
 // in increasing spatial order; used by correlator accumulation.
 func (g *Geometry) TimeSlice(t int) []int {
-	spatial := g.Dims[0] * g.Dims[1] * g.Dims[2]
-	out := make([]int, spatial)
-	base := t * spatial
+	lo, hi := g.TimeSliceRange(t)
+	out := make([]int, hi-lo)
 	for i := range out {
-		out[i] = base + i
+		out[i] = lo + i
 	}
 	return out
+}
+
+// TimeSliceRange returns the sites of TimeSlice(t) as the range [lo, hi):
+// t is the slowest coordinate of the lexicographic index, so a timeslice
+// is contiguous.
+func (g *Geometry) TimeSliceRange(t int) (lo, hi int) {
+	spatial := g.Dims[0] * g.Dims[1] * g.Dims[2]
+	return t * spatial, (t + 1) * spatial
 }
 
 // T returns the temporal extent.

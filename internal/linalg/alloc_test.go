@@ -25,6 +25,7 @@ func TestSerialPassDoesNotAllocate(t *testing.T) {
 			"XpayC64":          func() { XpayC64(x32, 1, y32) },
 			"DotC64":           func() { sinkC = DotC64(x32, y32) },
 			"NormSqC64":        func() { sinkF = NormSqC64(x32) },
+			"AxpyNormSqC64":    func() { sinkF = AxpyNormSqC64(1, x32, y32) },
 			"EncodeC64":        func() { h.EncodeC64(x32) },
 			"DecodeC64":        func() { h.DecodeC64(x32) },
 			"HalfRoundTripC64": func() { HalfRoundTripC64(x32, 12) },

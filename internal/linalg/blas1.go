@@ -133,13 +133,30 @@ func ZeroC64(v []complex64) {
 	}
 }
 
+// The complex64 passes run their Go loops below, or, where HasAVX, the
+// AVX bodies of blas1_amd64.s (avx_amd64.go selects them once at start-up).
+// An AVX body does to each element what its Go loop does, in the same
+// order, so the choice moves no bit.
+var (
+	axpyC64Body       = axpyC64
+	xpayC64Body       = xpayC64
+	dotC64Body        = dotC64
+	normSqC64Body     = normSqC64
+	axpyNormSqC64Body = axpyNormSqC64
+)
+
 // AxpyC64 computes y[i] += a*x[i] in single precision.
-// The complex product is expanded into float32 components because the Go
-// compiler lowers complex64 multiplication through complex128.
 func AxpyC64(a complex64, x, y []complex64, _ ...int) {
 	if len(x) != len(y) {
 		panic("linalg: AxpyC64 length mismatch")
 	}
+	axpyC64Body(a, x, y)
+}
+
+// axpyC64 is AxpyC64's Go loop. The complex product is expanded into
+// float32 components because the Go compiler lowers complex64
+// multiplication through complex128.
+func axpyC64(a complex64, x, y []complex64) {
 	ar, ai := real(a), imag(a)
 	for i, xc := range x {
 		xr, xi := real(xc), imag(xc)
@@ -152,6 +169,10 @@ func XpayC64(x []complex64, a complex64, y []complex64) {
 	if len(x) != len(y) {
 		panic("linalg: XpayC64 length mismatch")
 	}
+	xpayC64Body(x, a, y)
+}
+
+func xpayC64(x []complex64, a complex64, y []complex64) {
 	ar, ai := real(a), imag(a)
 	for i, xc := range x {
 		yr, yi := real(y[i]), imag(y[i])
@@ -164,7 +185,7 @@ func DotC64(x, y []complex64, _ ...int) complex128 {
 	if len(x) != len(y) {
 		panic("linalg: DotC64 length mismatch")
 	}
-	return sumChunks(len(x), func(lo, hi int) complex128 { return dotC64(x[lo:hi], y[lo:hi]) })
+	return sumChunks(len(x), func(lo, hi int) complex128 { return dotC64Body(x[lo:hi], y[lo:hi]) })
 }
 
 func dotC64(x, y []complex64) complex128 {
@@ -178,12 +199,35 @@ func dotC64(x, y []complex64) complex128 {
 
 // NormSqC64 returns ||v||^2 with double-precision accumulation.
 func NormSqC64(v []complex64) float64 {
-	return sumChunks(len(v), func(lo, hi int) float64 { return normSqC64(v[lo:hi]) })
+	return sumChunks(len(v), func(lo, hi int) float64 { return normSqC64Body(v[lo:hi]) })
 }
 
 func normSqC64(v []complex64) float64 {
 	s := 0.0
 	for _, c := range v {
+		re, im := float64(real(c)), float64(imag(c))
+		s += re*re + im*im
+	}
+	return s
+}
+
+// AxpyNormSqC64 computes y[i] += a*x[i] and returns ||y||^2 of the result:
+// AxpyC64 then NormSqC64, bit for bit, in one pass over x and y - the CG
+// residual update and the norm the next step divides by.
+func AxpyNormSqC64(a complex64, x, y []complex64) float64 {
+	if len(x) != len(y) {
+		panic("linalg: AxpyNormSqC64 length mismatch")
+	}
+	return sumChunks(len(x), func(lo, hi int) float64 { return axpyNormSqC64Body(a, x[lo:hi], y[lo:hi]) })
+}
+
+func axpyNormSqC64(a complex64, x, y []complex64) float64 {
+	ar, ai := real(a), imag(a)
+	s := 0.0
+	for i, xc := range x {
+		xr, xi := real(xc), imag(xc)
+		c := y[i] + complex(ar*xr-ai*xi, ar*xi+ai*xr)
+		y[i] = c
 		re, im := float64(real(c)), float64(imag(c))
 		s += re*re + im*im
 	}

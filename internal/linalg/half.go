@@ -83,10 +83,10 @@ func (h *HalfVector) EncodeC64(src []complex64) {
 }
 
 // HasAVX reports whether the host runs the tree's AVX bodies - this
-// package's half round trip and internal/dirac's hop: the CPU has AVX and
-// the OS saves the YMM state. The probe of half_amd64.s sets it once at
-// start-up; it stays false on other architectures, whose builds have no
-// such bodies.
+// package's half round trip and complex64 BLAS-1, internal/dirac's hop:
+// the CPU has AVX and the OS saves the YMM state. The probe of
+// half_amd64.s sets it once at start-up; it stays false on other
+// architectures, whose builds have no such bodies.
 var HasAVX bool
 
 // halfAVX is the vector round trip of halfVecBlock-element blocks, set

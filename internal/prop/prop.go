@@ -37,9 +37,8 @@ func NewPropagator(g *lattice.Geometry) *Propagator {
 	return p
 }
 
-// At returns the 12x12 spin-color matrix S(x)_{i,j} at a site.
-func (p *Propagator) At(site int) *[NComp][NComp]complex128 {
-	var m [NComp][NComp]complex128
+// At sets m to the 12x12 spin-color matrix S(x)_{i,j} at a site.
+func (p *Propagator) At(m *[NComp][NComp]complex128, site int) {
 	base := site * dirac.SpinorLen
 	for j := 0; j < NComp; j++ {
 		col := p.Col[j]
@@ -47,7 +46,6 @@ func (p *Propagator) At(site int) *[NComp][NComp]complex128 {
 			m[i][j] = col[base+i]
 		}
 	}
-	return &m
 }
 
 // PointSource returns the 4-D source field for component (spin, color)

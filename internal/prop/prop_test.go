@@ -202,8 +202,9 @@ func TestPropagatorGaugeCovariance(t *testing.T) {
 	worst := 0.0
 	scale := 0.0
 	for site := 0; site < g.Vol; site++ {
-		m1 := p1.At(site)
-		m2 := p2.At(site)
+		var m1, m2 [NComp][NComp]complex128
+		p1.At(&m1, site)
+		p2.At(&m2, site)
 		ox := omega[site]
 		for sp := 0; sp < 4; sp++ {
 			for c := 0; c < 3; c++ {
@@ -301,7 +302,8 @@ func TestPropagatorAtMatrixView(t *testing.T) {
 	g := lattice.MustNew(2, 2, 2, 2)
 	p := NewPropagator(g)
 	p.Col[5][7*12+3] = 2 + 1i
-	m := p.At(7)
+	var m [NComp][NComp]complex128
+	p.At(&m, 7)
 	if m[3][5] != 2+1i {
 		t.Fatalf("At view wrong: %v", m[3][5])
 	}

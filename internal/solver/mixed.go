@@ -270,8 +270,7 @@ func (s *mixedSolve) after() {
 	alpha := s.rr / pap
 	a32 := complex(float32(alpha), 0)
 	linalg.AxpyC64(a32, ws.pv, ws.xs)
-	linalg.AxpyC64(-a32, ws.ap, ws.r)
-	rrNew := linalg.NormSqC64(ws.r)
+	rrNew := linalg.AxpyNormSqC64(-a32, ws.ap, ws.r)
 	if math.IsNaN(rrNew) || math.IsInf(rrNew, 0) {
 		s.diverged()
 		return
