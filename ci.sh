@@ -17,7 +17,7 @@ lap() {
 # The bit pins assume gc never contracts a multiply and an add into one
 # fused instruction. At the amd64 baseline, v1, it cannot (FMA arrives
 # with v3), so the Go bodies round every product the way the vector bodies
-# do - the AVX hop and the SSE fifth-dimension passes of
+# do - the AVX hops and fifth-dimension passes of
 # internal/dirac/schur_amd64.s, the AVX half round trip of
 # internal/linalg/half_amd64.s, the AVX complex64 BLAS-1 of
 # internal/linalg/blas1_amd64.s - none of which fuses either
@@ -55,19 +55,19 @@ run_gate() {
 # views of internal/dirac/lanes.go, whose layout assumption lanes_test.go
 # pins. Any other file that imports unsafe fails here.
 test "$(grep -rl '"unsafe"' --include='*.go' . | sort | tr '\n' ' ')" = './internal/dirac/lanes.go ./internal/dirac/lanes_test.go '
-# Assembly allow-list: the tree has three assembly files. One holds the
-# Schur kernel's vector bodies - the AVX hop (hopAVX32, hopAVX64), the SSE
-# fibreAInv, fibreBA, fibreBAxpy, fibreAxpy and load/store transposes, and
-# the pair layout's AVX bodies of two systems at once (hopAVX32x2,
-# aInvAVX32x2, baAVX32x2, baxpyAVX32x2, loadAVX32x2, storeAVX32x2) - and
-# the AVX body of one 4-D Wilson site (siteAVX); the
-# second the CPUID/XGETBV probe that selects every AVX body once at
-# start-up and the AVX half round trip (halfRoundTripAVX); the third the
-# AVX bodies of the complex64 BLAS-1 (axpyC64AVX, xpayC64AVX, dotC64AVX,
-# normSqC64AVX and the fused axpyNormSqC64AVX). Each single body is held
-# bit for bit to its portable Go body, and each pair body to the single
-# body it doubles, by the kernel gate below (go vet's asmdecl pass checks
-# their frames against the Go declarations).
+# Assembly allow-list: the tree has three assembly files, every body in
+# them AVX. One holds the Schur kernel's vector bodies - float64's hop,
+# fibreAInv, fibreBA, fibreBAxpy and load/store transposes on YMM
+# registers (hopAVX64, aInvAVX64, baAVX64, baxpyAVX64, loadAVX64,
+# storeAVX64) and float32's in the pair layout, two systems or a lone one
+# as both halves (hopAVX32x2, aInvAVX32x2, baAVX32x2, baxpyAVX32x2,
+# loadAVX32x2, storeAVX32x2) - and the body of one 4-D Wilson site
+# (siteAVX); the second the CPUID/XGETBV probe that selects every AVX body
+# once at start-up and the half round trip (halfRoundTripAVX); the third
+# the bodies of the complex64 BLAS-1 (axpyC64AVX, xpayC64AVX, dotC64AVX,
+# normSqC64AVX and the fused axpyNormSqC64AVX). Each body is held bit for
+# bit to its portable Go body by the kernel gate below (go vet's asmdecl
+# pass checks their frames against the Go declarations).
 # Any other .s file fails here.
 test "$(find . -name '*.s' -not -path './.bench_build/*' | sort | tr '\n' ' ')" = './internal/dirac/schur_amd64.s ./internal/linalg/blas1_amd64.s ./internal/linalg/half_amd64.s '
 lap allow-lists
@@ -128,21 +128,21 @@ lap drain
 # race-free under concurrent instrumentation, and the reductions must sum
 # their fixed chunks in order, the bit contract of every solve.
 # The kernel guards ride here too: the fused Schur kernels against their
-# staged reference on both body sets (the
-# assembly - the AVX hop, the SSE fibreAInv, fibreBA, fibreBAxpy,
-# fibreAxpy, load and store - and the portable Go bodies), each of those
-# vector bodies against its Go body at every Ls from 1 to 9 on fibres with
-# infinities, a NaN, -0 and subnormals beside the padding lanes, the AVX
-# half round trip against its Go body on 20000 blocks of every special
-# value and exact ties, its finite flag against NormSqC64's verdict, the
-# complex64 BLAS-1 bodies and the fused axpy+norm pass against their Go
-# loops at every length from 0 through ReduceChunk+9 on vectors with
-# infinities, NaNs, -0 and subnormals, the BLAS-1 selection against the
+# staged reference in both configurations (the AVX assembly - float64's
+# YMM bodies, float32's pair bodies with a lone system as both halves -
+# and the portable Go bodies), each float64 vector body against its Go
+# body at every Ls from 1 to 9 on fibres with infinities, a NaN, -0 and
+# subnormals beside the padding lanes and on fibres of one NaN a site,
+# NaN payloads included there, the AVX half round trip against its Go
+# body on 20000 blocks of every special value and exact ties, its finite
+# flag against NormSqC64's verdict, the complex64 BLAS-1 bodies and the
+# fused axpy+norm pass against their Go loops at every length from 0
+# through ReduceChunk+9 on vectors with infinities, NaNs, -0 and
+# subnormals, the BLAS-1 selection against the
 # probe, the start-up probe against /proc/cpuinfo (a probe that fell back
-# to Go would pass every bit test at half the speed), every .s file free
-# of fused
-# multiply-adds and of legacy SSE in a VEX body, with VZEROUPPER before
-# each RET of a body that names a Y register, the padding lanes +0 after
+# to Go would pass every bit test at half the speed), every body of every
+# .s file free of fused multiply-adds and of legacy SSE, with VZEROUPPER
+# before each RET of a body that names a Y register, the padding lanes +0 after
 # every pass of every entry point, the lane kernel against the scalar
 # kernel it replaced on a field with an infinity and a NaN in it, two
 # solves at once, concurrent callers of the BLAS-1 kernels, and zero
@@ -169,10 +169,10 @@ lap drain
 # hoisted Proton2pt and ProtonFH3pt against the contractions they replaced
 # on random, zero-heavy and non-finite propagators at lane budgets 1, 2
 # and 4, and no allocation per site. So does the pair layout: each of its AVX
-# bodies against the single body it doubles at every Ls from 1 to 9, the
-# fused normal operator (ApplyNormal) on one to three systems, paired and
-# one at a time, against ApplyDagger of Apply on poisoned, NaN and
-# signed-zero fields, and the solver's one lock-step
+# bodies against the Go body at every Ls from 1 to 9, the fused normal
+# operator (ApplyNormal) on one to three systems, and Apply and
+# ApplyDagger of a lone system, against the Go configuration on poisoned,
+# NaN and signed-zero fields, and the solver's one lock-step
 # drive against the loop it replaced, on each system of drives of one to
 # five - pairs and one alone, or all alone; escalating, failing,
 # cancelled - and the batch, Solve4D and

@@ -259,6 +259,7 @@ var exportAllowList = map[string]string{
 	"analysistest.Facts":          "test-support package: runs an analyzer fixture and returns the facts it exports",
 	"analysistest.Run":            "test-support package: runs an analyzer fixture against its // want comments",
 	"analysistest.RunExpectNone":  "test-support package: runs an analyzer fixture that must stay silent",
+	"pairedtest.Bench":            "test-support package: times a candidate against a reference in adjacent blocks for the paired benchmarks",
 	"cache.Cache.MemKeys":         "exposes the LRU order the eviction tests pin",
 	"cache.Flight.Inflight":       "exposes in-flight keys so the singleflight tests can wait for a leader",
 	"domain.Dist.ApplyCtx":        "the cancellation tests' door into the ctx-aware apply that Apply runs under context.Background",

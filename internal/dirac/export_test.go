@@ -31,7 +31,3 @@ func CountSites() (calls *atomic.Int64, restore func()) {
 	}
 	return calls, func() { siteBody = body }
 }
-
-// BenchPaired is the paired benchmark of paired_test.go, for the external
-// test package's benchmarks.
-var BenchPaired = benchPaired

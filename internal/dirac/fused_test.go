@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"femtoverse/internal/gauge"
@@ -56,7 +55,9 @@ func sameBits32(t *testing.T, what string, got, want []complex64) {
 	for i := range want {
 		if math.Float32bits(real(got[i])) != math.Float32bits(real(want[i])) ||
 			math.Float32bits(imag(got[i])) != math.Float32bits(imag(want[i])) {
-			t.Fatalf("%s: element %d is %v, staged reference has %v", what, i, got[i], want[i])
+			t.Fatalf("%s: element %d is %v (%#x, %#x), staged reference has %v (%#x, %#x)", what, i,
+				got[i], math.Float32bits(real(got[i])), math.Float32bits(imag(got[i])),
+				want[i], math.Float32bits(real(want[i])), math.Float32bits(imag(want[i])))
 		}
 	}
 }
@@ -79,18 +80,21 @@ func lanesAs32(v []cx[float32]) []complex64 {
 	return out
 }
 
-// bodySets are the body sets a Schur operator can run: the build's (the
-// vector bodies of schur_amd64.s on amd64: the SSE fifth-dimension passes,
-// and the AVX hop where the host has AVX) and the portable Go bodies, which
-// clearing the operator's vec swaps in. Off amd64 both are the Go bodies.
+// bodySets are the two configurations a Schur operator runs in: the
+// build's (on an AVX host the YMM bodies of schur_amd64.s for float64, and
+// the pair layout for float32, a lone system as both halves of a pair) and
+// the portable Go bodies a system at a time, which an amd64 host without
+// AVX and every other architecture run, and which clearing the operator's
+// vec and pair swaps in. Without AVX both are the Go bodies.
 var bodySets = []string{"build", "go"}
 
 // useBodies points p's and q's kernels, and every view made of them
 // afterwards, at the named body set.
 func useBodies(p *MobiusEO, q *MobiusEO32, set string) {
-	p.vec, q.vec = vec64, vec32
+	p.vec = vec64
+	q.setPair(pair32)
 	if set == "go" {
-		p.vec, q.vec = nil, nil
+		p.vec, q.pair = nil, nil
 	}
 }
 
@@ -120,8 +124,8 @@ func TestFusedSchurMatchesStagedBitForBit(t *testing.T) {
 				t.Fatal(err)
 			}
 			q := NewMobiusEO32(p)
-			if runtime.GOARCH == "amd64" && (p.vec == nil || q.vec == nil) {
-				t.Fatal("the amd64 build has no vector bodies")
+			if linalg.HasAVX && (p.vec == nil || q.pair == nil) {
+				t.Fatal("the host has AVX, but the build runs no vector bodies")
 			}
 			n := p.HalfSize()
 			for name, src := range schurInputs(n) {

@@ -11,6 +11,7 @@ import (
 	"femtoverse/internal/domain"
 	"femtoverse/internal/gauge"
 	"femtoverse/internal/lattice"
+	"femtoverse/internal/pairedtest"
 	"femtoverse/internal/solver"
 )
 
@@ -305,6 +306,6 @@ func BenchmarkDomainSubStencilPaired(b *testing.B) {
 		{"site", vec, scalar},
 		{"aa", vec, vec},
 	} {
-		b.Run(c.name, func(b *testing.B) { dirac.BenchPaired(b, c.cand, c.ref) })
+		b.Run(c.name, func(b *testing.B) { pairedtest.Bench(b, c.cand, c.ref) })
 	}
 }

@@ -7,10 +7,9 @@ import "femtoverse/internal/lattice"
 // plane by plane: plane p of block b holds system A's four slices of the
 // block in lanes 0-3 and system B's in lanes 4-7, one 256-bit register of
 // float32. The AVX shuffles a body needs act within each 128-bit half, so
-// each half runs exactly the instructions the single layout's body runs
-// on its four lanes: the pair bodies are the single bodies on Y registers,
-// and each system comes out as it would alone, to the bit. Only the passes
-// of Apply and ApplyDagger have pair bodies.
+// each half computes what the Go body computes for its system alone, to
+// the bit; where the host has AVX every float32 pass runs in this layout,
+// a lone system as both halves.
 
 // pairBodies are the pair layout's site passes, the vecBodies of two
 // systems: the hop, A^{-1}, B or A (ba), its closing axpy (baxpy), and
@@ -27,7 +26,7 @@ type pairBodies[F float32 | float64] struct {
 
 // pair32 is the build's pair bodies, set at start-up where the host runs
 // them (schur_amd64.go) and nil elsewhere. There are none for float64: a
-// float64 plane already fills a YMM register.
+// float64 plane already fills a YMM register (vec64).
 var pair32 *pairBodies[float32]
 
 // chiPair is a block's chiBlock in the pair layout: rep and wt repeated in

@@ -34,26 +34,29 @@ func split[F float32 | float64](f []F) (a, b []F) {
 }
 
 // sameBitsF fails unless got and want are the same floats to the bit,
-// NaN payloads included.
-func sameBitsF[F float32 | float64](t *testing.T, what string, got, want []F) {
+// NaN payloads included, or with nanOnly where a NaN only has to meet a
+// NaN (sameOrNaN).
+func sameBitsF[F float32 | float64](t *testing.T, what string, got, want []F, nanOnly bool) {
 	t.Helper()
 	for j := range want {
-		if bitsOf(got[j]) != bitsOf(want[j]) {
+		if bitsOf(got[j]) != bitsOf(want[j]) && !(nanOnly && sameOrNaN(got[j], want[j])) {
 			t.Fatalf("%s: element %d is %v (%#x), alone %v (%#x)", what, j, got[j], bitsOf(got[j]), want[j], bitsOf(want[j]))
 		}
 	}
 }
 
-// checkPairBodies holds every pair body of k to the single layout's body
-// of the build: each pass over every site, from two systems' inputs in the
-// pair layout, must leave each system's half of the output - padding lanes
-// included - or each system's caller field as the single pass leaves it
-// for that system alone, NaN payloads included.
+// checkPairBodies holds every pair body of k to the single layout's Go
+// body: each pass over every site, from two systems' inputs in the pair
+// layout, must leave each system's half of the output - padding lanes
+// included - or each system's caller field as the Go pass leaves it for
+// that system alone, to the bit as checkFibreBodies holds them: NaN
+// payloads included on the NaN fibres, but for the hop's.
 func checkPairBodies(t *testing.T, tag string, k *schur[float32]) {
 	t.Helper()
+	bodies := k.pair
+	defer func() { k.pair = bodies }()
 	rng := rand.New(rand.NewSource(int64(k.ls) + 7))
 	xa, xb, ya, yb := fibreField(k, rng), fibreField(k, rng), fibreField(k, rng), fibreField(k, rng)
-	x, y := interleave(xa, xb), interleave(ya, yb)
 	half := k.halfVol * SpinorLen
 	specials := fibreSpecials[float32]()
 	fields := [2][]cx[float32]{}
@@ -66,45 +69,63 @@ func checkPairBodies(t *testing.T, tag string, k *schur[float32]) {
 			}
 		}
 	}
+	inputs := []struct {
+		name  string
+		x, y  [2][]F32
+		meets bool // two NaNs can meet in one operation
+	}{
+		{"specials", [2][]F32{xa, xb}, [2][]F32{ya, yb}, true},
+		{"NaN", [2][]F32{nanField(k, rng, 0), nanField(k, rng, 3)}, [2][]F32{nanField(k, rng, 6), nanField(k, rng, 9)}, false},
+	}
+	for _, in := range inputs {
+		checkPairPasses(t, tag+" "+in.name, k, bodies, in.x, in.y, fields, in.meets)
+	}
+}
+
+// checkPairPasses is checkPairBodies on one input, x and y per system,
+// meets where two NaNs can meet in one operation.
+func checkPairPasses(t *testing.T, tag string, k *schur[float32], bodies *pairOp[float32], xs, ys [2][]F32, fields [2][]cx[float32], meets bool) {
+	t.Helper()
+	half := k.halfVol * SpinorLen
+	x, y := interleave(xs[0], xs[1]), interleave(ys[0], ys[1])
 	for _, dagger := range []bool{false, true} {
 		passes := []struct {
 			name string
-			pass func(out, in []F32, fo [2][]cx[float32], i int, two bool)
+			pass func(out, in []F32, fo [2][]cx[float32], i int)
 		}{
-			{"AInv", func(out, in []F32, _ [2][]cx[float32], i int, two bool) { k.fibreAInv(out, in, i, two, dagger) }},
-			{"B", func(out, in []F32, _ [2][]cx[float32], i int, two bool) {
-				k.fibreBA(out, in, i, two, k.b5, k.c5, dagger)
-			}},
-			{"A", func(out, in []F32, _ [2][]cx[float32], i int, two bool) { k.fibreBA(out, in, i, two, k.a, k.c, dagger) }},
-			{"BAxpy", func(out, in []F32, _ [2][]cx[float32], i int, two bool) {
-				k.fibreBAxpy(out, in, i, two, k.a, k.c, dagger)
-			}},
-			{"Hop", func(out, in []F32, _ [2][]cx[float32], i int, two bool) { k.fibreHop(out, in, 1, i, two, dagger) }},
-			{"load", func(out, _ []F32, fo [2][]cx[float32], i int, two bool) { k.load(out, i, two, fo, i*SpinorLen, half) }},
-			{"store", func(_, in []F32, fo [2][]cx[float32], i int, two bool) { k.store(fo, i*SpinorLen, half, in, i, two) }},
+			{"AInv", func(out, in []F32, _ [2][]cx[float32], i int) { k.fibreAInv(out, in, i, dagger) }},
+			{"B", func(out, in []F32, _ [2][]cx[float32], i int) { k.fibreBA(out, in, i, k.b5, k.c5, dagger) }},
+			{"A", func(out, in []F32, _ [2][]cx[float32], i int) { k.fibreBA(out, in, i, k.a, k.c, dagger) }},
+			{"BAxpy", func(out, in []F32, _ [2][]cx[float32], i int) { k.fibreBAxpy(out, in, i, k.a, k.c, dagger) }},
+			{"Hop", func(out, in []F32, _ [2][]cx[float32], i int) { k.fibreHop(out, in, 1, i, dagger) }},
+			{"load", func(out, _ []F32, fo [2][]cx[float32], i int) { k.load(out, i, fo, i*SpinorLen, half) }},
+			{"store", func(_, in []F32, fo [2][]cx[float32], i int) { k.store(fo, i*SpinorLen, half, in, i) }},
 		}
 		for _, c := range passes {
 			what := fmt.Sprintf("%s dagger=%v %s", tag, dagger, c.name)
-			// Each system alone, on the build's single bodies.
+			// Each system alone, on the Go body.
+			k.pair = nil
 			var want [2][]F32
 			var wantField [2][]cx[float32]
-			for s, in := range [][]F32{xa, xb} {
-				want[s] = slices.Clone([][]F32{ya, yb}[s])
+			for s, in := range xs {
+				want[s] = slices.Clone(ys[s])
 				wantField[s] = slices.Clone(fields[s])
 				for i := 0; i < k.halfVol; i++ {
-					c.pass(want[s], in, [2][]cx[float32]{wantField[s]}, i, false)
+					c.pass(want[s], in, [2][]cx[float32]{wantField[s]}, i)
 				}
 			}
+			k.pair = bodies
 			out := slices.Clone(y)
 			fo := [2][]cx[float32]{slices.Clone(fields[0]), slices.Clone(fields[1])}
 			for i := 0; i < k.halfVol; i++ {
-				c.pass(out, x, fo, i, true)
+				c.pass(out, x, fo, i)
 			}
 			ga, gb := split(out)
-			sameBitsF(t, what+" system A", ga, want[0])
-			sameBitsF(t, what+" system B", gb, want[1])
+			nanOnly := c.name == "Hop" || meets && c.name != "load" && c.name != "store"
+			sameBitsF(t, what+" system A", ga, want[0], nanOnly)
+			sameBitsF(t, what+" system B", gb, want[1], nanOnly)
 			for s := range fo {
-				sameBitsF(t, fmt.Sprintf("%s field %d re", what, s), realsOf(fo[s]), realsOf(wantField[s]))
+				sameBitsF(t, fmt.Sprintf("%s field %d re", what, s), realsOf(fo[s]), realsOf(wantField[s]), false)
 			}
 		}
 	}
@@ -123,14 +144,17 @@ func realsOf(v []cx[float32]) []float32 {
 }
 
 // TestPairBodiesMatchSingleBitForBit holds each pair body of the build to
-// the single layout's body it doubles, system by system, at every Ls from
-// 1 to 9 (one block, a partial one, two and three), plain and dagger, at M
-// 0.15 and at M 0, on the special-valued fibres of
-// TestLaneFibreBodiesMatchGoBitForBit - to the bit, NaN payloads included,
-// since each half runs the single body's instructions operand for operand.
+// the single layout's Go body, system by system, at every Ls from 1 to 9
+// (one block, a partial one, two and three), plain and dagger, at M 0.15
+// and at M 0, on the special-valued fibres of
+// TestLaneFibreBodiesMatchGoBitForBit - to the bit, NaN payloads included
+// but for the hop's, since each half computes its system's Go body.
 func TestPairBodiesMatchSingleBitForBit(t *testing.T) {
+	if !linalg.HasAVX {
+		t.Skip("the host has no AVX: the build runs the Go bodies only")
+	}
 	if pair32 == nil {
-		t.Skip("the build runs no pair bodies on this host")
+		t.Fatal("the host has AVX, but the build has no pair bodies")
 	}
 	g := lattice.MustNew(2, 2, 2, 4)
 	cfg := gauge.NewRandom(g, 3)
@@ -154,15 +178,19 @@ func TestPairBodiesMatchSingleBitForBit(t *testing.T) {
 }
 
 // TestPairApplyMatchesTwoSinglesBitForBit holds ApplyNormal on one, two
-// and three systems - a pair through the pair bodies, and then one alone -
-// to ApplyDagger of Apply on each system, to the bit - NaN payloads,
-// infinities and the signs of zeros included - on random, poisoned, NaN,
-// +0 and -0 fields, at Ls 2, 4, 6 and 8 (padding lanes, one block, two),
-// on the 4^3 x 8 lattice, with the pair bodies and with them switched
-// off, and on a view, whose
-// scratch the single and the pair layout share; a single application
-// after a pair must be unchanged too. Without pair bodies the systems run
-// one at a time and the test holds the fused normal to the composed one.
+// and three systems (a pair through the pair bodies, and a lone system as
+// both halves of one), and an Apply and an ApplyDagger of a lone system
+// after it, in both body sets, to the same configuration's Apply and
+// ApplyDagger: to the bit, NaN payloads included, since each runs the
+// passes its staged form runs. The build's results are also held to the Go
+// configuration - every pass on its portable body, a system at a time, as
+// an amd64 host without AVX and every other architecture run them - to the
+// bit but that a NaN only has to meet a NaN, as the hop's does in
+// checkFibreBodies. On random, poisoned, NaN (with a payload), +0 and -0
+// fields, at Ls 2, 4, 6 and 8 (padding lanes, one block, two), on the 4^3
+// x 8 lattice, on the operator and on a view, whose scratch the lone
+// system and the pair share. A lone system and the same system in a pair
+// run the same instructions and are held to each other to the bit.
 func TestPairApplyMatchesTwoSinglesBitForBit(t *testing.T) {
 	g := lattice.MustNew(4, 4, 4, 8)
 	cfg := gauge.NewRandom(g, 6)
@@ -191,40 +219,65 @@ func TestPairApplyMatchesTwoSinglesBitForBit(t *testing.T) {
 			return v
 		}
 		negZero := complex(float32(math.Copysign(0, -1)), float32(math.Copysign(0, -1)))
-		nan := complex(float32(math.NaN()), 0)
+		nan := complex(math.Float32frombits(0x7fc01234), 0)
 		inputs := map[string][3][]complex64{
 			"random":   {in(randField(rng, n)), in(randField(rng, n)), in(randField(rng, n))},
 			"poisoned": {in(randField(rng, n)), in(poisonedInput(n)), in(randField(rng, n))},
 			"zeros":    {fill(0), fill(negZero), in(randField(rng, n))},
 			"nan":      {fill(nan), in(randField(rng, n)), fill(negZero)},
 		}
+		apply := func(f func(dst, src []complex64), src []complex64) []complex64 {
+			dst := make([]complex64, n)
+			f(dst, src)
+			return dst
+		}
+		// staged is a configuration's Apply, ApplyDagger and ApplyDagger of
+		// Apply of each system.
+		type staged struct{ d, dag, normal [3][]complex64 }
+		stagedOf := func(op *MobiusEO32, src [3][]complex64) (s staged) {
+			for k := range src {
+				s.d[k] = apply(op.Apply, src[k])
+				s.dag[k] = apply(op.ApplyDagger, src[k])
+				s.normal[k] = apply(op.ApplyDagger, s.d[k])
+			}
+			return s
+		}
 		for name, src := range inputs {
 			for _, op := range []*MobiusEO32{q, q.View()} {
 				bodies := op.pair
-				for _, paired := range []bool{true, false} {
-					op.pair = nil
-					if paired {
-						op.pair = bodies
-					}
-					tag := fmt.Sprintf("Ls=%d %s view=%v paired=%v", ls, name, op != q, op.pair != nil)
-					var want, wantD [3][]complex64
-					for k := range want {
-						want[k], wantD[k] = make([]complex64, n), make([]complex64, n)
-						op.Apply(wantD[k], src[k])
-						op.ApplyDagger(want[k], wantD[k])
-					}
+				op.pair = nil
+				goStaged := stagedOf(op, src)
+				op.pair = bodies
+				confs := []struct {
+					name string
+					pair *pairOp[float32]
+					own  staged
+				}{{"build", bodies, stagedOf(op, src)}, {"go", nil, goStaged}}
+				for _, c := range confs {
+					op.pair = c.pair
+					tag := fmt.Sprintf("Ls=%d %s view=%v %s", ls, name, op != q, c.name)
+					var lone []complex64
 					for systems := 1; systems <= 3; systems++ {
+						what := fmt.Sprintf("%s of %d systems", tag, systems)
 						got := make([][]complex64, systems)
 						for k := range got {
 							got[k] = make([]complex64, n)
 						}
 						op.ApplyNormal(got, src[:systems])
 						for k := range got {
-							sameBits32(t, fmt.Sprintf("%s of %d systems: system %d", tag, systems, k), got[k], want[k])
+							sameBits32(t, fmt.Sprintf("%s: system %d", what, k), got[k], c.own.normal[k])
+							sameOrBothNaN32(t, fmt.Sprintf("%s: system %d against the Go configuration", what, k), got[k], goStaged.normal[k])
 						}
-						d := make([]complex64, n)
-						op.Apply(d, src[0])
-						sameBits32(t, fmt.Sprintf("%s of %d systems: an Apply after", tag, systems), d, wantD[0])
+						if systems == 1 {
+							lone = got[0]
+						} else {
+							sameBits32(t, what+": system 0 against it alone", got[0], lone)
+						}
+						d, dag := apply(op.Apply, src[0]), apply(op.ApplyDagger, src[0])
+						sameBits32(t, what+": an Apply after", d, c.own.d[0])
+						sameBits32(t, what+": an ApplyDagger after", dag, c.own.dag[0])
+						sameOrBothNaN32(t, what+": an Apply after, against the Go configuration", d, goStaged.d[0])
+						sameOrBothNaN32(t, what+": an ApplyDagger after, against the Go configuration", dag, goStaged.dag[0])
 					}
 				}
 				op.pair = bodies

@@ -62,7 +62,7 @@ func NewMobiusEO(m *Mobius) (*MobiusEO, error) {
 	for mu := range p.u {
 		p.u[mu] = links64(m.W.U.U[mu])
 	}
-	p.setLayout(vec64, nil)
+	p.setLayout()
 	p.own()
 	return p, nil
 }

@@ -66,7 +66,7 @@ func NewMobiusEO32(p *MobiusEO) *MobiusEO32 {
 	for mu := range q.u {
 		q.u[mu] = links32(q.U.U[mu])
 	}
-	q.setLayout(vec32, pair32)
+	q.setLayout()
 	q.own()
 	return q
 }

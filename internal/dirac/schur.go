@@ -44,40 +44,35 @@ type schurOp[F float32 | float64] struct {
 	keep []F
 	chi  []chiBlock[F]
 
-	// vec names the vector bodies of the build, hop and fifth-dimension
-	// passes alike; nil where the build has none, and then every pass runs
-	// its portable Go body on the same layout, as a pass whose body in vec
-	// is nil does (BenchmarkSchurNormalPaired's reference sets the hop
-	// alone).
+	// vec names the build's vector bodies of one system, hop and
+	// fifth-dimension passes alike: float64's where the host has AVX, and
+	// nil for float32 and elsewhere, where every pass runs its portable Go
+	// body on the same layout, as a pass whose body in vec is nil does
+	// (BenchmarkSchurNormalPaired's reference sets the hop alone).
 	vec *vecBodies[F]
-	// pair is the pair layout's bodies and tables (pair.go); nil where the
-	// build has no pair bodies for the precision, and then a pair is two
-	// single applications.
+	// pair is the pair layout's bodies and tables (pair.go): float32's
+	// where the host has AVX, and then every pass runs in it, a lone system
+	// as both halves; nil for float64 and elsewhere.
 	pair *pairOp[F]
 }
 
 // vecBodies are one site's passes in vector instructions, with the
 // signatures the assembly bodies of schur_amd64.s have: the hop of all
-// eight directions, A^{-1}, B or A (ba), its closing axpy (baxpy), the
-// plain axpy, and the load and store that transpose between a caller's
-// field and the lane-major fibre.
+// eight directions, A^{-1}, B or A (ba), its closing axpy (baxpy), and the
+// load and store that transpose between a caller's field and the
+// lane-major fibre.
 type vecBodies[F float32 | float64] struct {
 	hop   func(dst, src *F, hops *lattice.Hop, u *[lattice.NDim][]link[F], keep *F, ls int, g5 bool)
-	aInv  func(dst, src, colP, colM *F, lane *int, ls int)
+	aInv  func(dst, src, colP, colM *F, ls int)
 	ba    func(dst, src *F, chi *chiBlock[F], keep *F, groups int, w0, w1 F, dagger bool)
 	baxpy func(z, y *F, chi *chiBlock[F], keep *F, groups int, w0, w1 F, dagger bool)
-	axpy  func(y, x, keep *F, groups int)
 	load  func(dst, src *F, stride, ls int)
 	store func(dst, src *F, stride, ls int)
 }
 
-// vec32 and vec64 are the vector bodies the build provides, set at
-// start-up where there are any (schur_amd64.go) and nil elsewhere; their
-// hop is nil on an amd64 host without AVX, which runs the Go hop.
-var (
-	vec32 *vecBodies[float32]
-	vec64 *vecBodies[float64]
-)
+// vec64 is the float64 vector bodies, set at start-up where the host runs
+// them (schur_amd64.go) and nil elsewhere.
+var vec64 *vecBodies[float64]
 
 // chiBlock is chi on one block of a fibre as the vector bodies apply it,
 // for the two shifts it is made of: index 0 reads slice s-1 (chi's P+
@@ -92,16 +87,16 @@ type chiBlock[F float32 | float64] struct {
 	src     [2]int
 }
 
-// laneW is the lane count of a plane: one 16-byte register of float32,
-// two of float64 in the SSE fifth-dimension bodies, and one XMM or one YMM
-// register in the AVX hop. One width for both precisions keeps the Go
-// fibre loops' strides constant and puts the fh-* shape, Ls 4, in a single
-// block.
+// laneW is the lane count of a plane: one YMM register of float64, and
+// one half of a YMM register of float32 in the pair layout. One width for
+// both precisions keeps the Go fibre loops' strides constant and puts the
+// fh-* shape, Ls 4, in a single block.
 const laneW = 4
 
 // setLayout fixes the lane-major layout, the vector tables, and the
-// vector and pair bodies the build provides for the precision.
-func (o *schurOp[F]) setLayout(vec *vecBodies[F], pair *pairBodies[F]) {
+// bodies the build provides for the precision: float64's vector bodies
+// (vec64), float32's pair bodies (pair32).
+func (o *schurOp[F]) setLayout() {
 	o.groups = (o.ls + laneW - 1) / laneW
 	o.fib = o.groups * 2 * SpinorLen * laneW
 	o.lane = make([]int, o.ls)
@@ -135,8 +130,12 @@ func (o *schurOp[F]) setLayout(vec *vecBodies[F], pair *pairBodies[F]) {
 		_, _, sm, mw := chiNeighbours(s, o.ls, -o.m, false)
 		c.rep[1][s%laneW], c.wt[1][s%laneW], c.src[1] = ones, mw, o.lane[sm]-base
 	}
-	o.vec = vec
-	o.setPair(pair)
+	switch o := any(o).(type) {
+	case *schurOp[float64]:
+		o.vec = vec64
+	case *schurOp[float32]:
+		o.setPair(pair32)
+	}
 }
 
 // allOnes is the float whose bits are all set: a lane mask as the vector
@@ -160,9 +159,10 @@ type schur[F float32 | float64] struct {
 	schurOp[F]
 
 	// Scratch half-fields, lane-major: pair-sized where the operator has
-	// the pair layout, whose fibres are twice as long, and the single
-	// layout then uses their first half. mid is ApplyNormal's D x, a half
-	// field a system in the caller's layout, for its dagger's last pass.
+	// the pair layout, whose fibres are twice as long (the single layout
+	// uses their first half where the tests switch the pair layout off).
+	// mid is ApplyNormal's D x, a half field a system in the caller's
+	// layout, for its dagger's last pass.
 	t1, t2, t3 []F
 	mid        [2][]cx[F]
 }
@@ -217,8 +217,9 @@ const (
 
 // applyNormal sets dst[j] = Dhat^dagger Dhat src[j] for every system, on
 // fields view reads as lanes, two systems to a pass where k has the pair
-// layout: to the bit ApplyDagger of Apply, whose passes it runs, as t3
-// holds the same L(mid) whether stageOuter left it or stageLoad loaded it.
+// layout and an odd one out as both halves of a pass: to the bit
+// ApplyDagger of Apply, whose passes it runs, as t3 holds the same L(mid)
+// whether stageOuter left it or stageLoad loaded it.
 func applyNormal[F float32 | float64, T complex64 | complex128](k *schur[F], dst, src [][]T, view func([]T) []cx[F]) {
 	if len(dst) != len(src) {
 		panic("dirac: ApplyNormal system count mismatch")
@@ -236,72 +237,77 @@ func applyNormal[F float32 | float64, T complex64 | complex128](k *schur[F], dst
 			}
 			d[i], s[i] = view(dst[j+i]), view(src[j+i])
 		}
-		two := w == 2
-		k.pass(stageB, two, [2][]cx[F]{}, s)
-		k.pass(stageInner, two, [2][]cx[F]{}, [2][]cx[F]{})
-		k.pass(stageOuter, two, k.mid, s)
-		k.pass(stageInnerDag, two, [2][]cx[F]{}, [2][]cx[F]{})
-		k.pass(stageOuterDag, two, d, k.mid)
+		mid := k.mid
+		if w == 1 {
+			d[1], s[1], mid[1] = d[0], s[0], mid[0]
+		}
+		k.pass(stageB, [2][]cx[F]{}, s)
+		k.pass(stageInner, [2][]cx[F]{}, [2][]cx[F]{})
+		k.pass(stageOuter, mid, s)
+		k.pass(stageInnerDag, [2][]cx[F]{}, [2][]cx[F]{})
+		k.pass(stageOuterDag, d, mid)
 		j += w
 	}
 }
 
-// run makes one pass over the parity block for one system.
+// run makes one pass over the parity block for one system, in the pair
+// layout as both halves of a pair: each half computes the same bits, and
+// the second store rewrites the values the first wrote.
 func (k *schur[F]) run(st schurStage, dst, src []cx[F]) {
-	k.pass(st, false, [2][]cx[F]{dst}, [2][]cx[F]{src})
+	k.pass(st, [2][]cx[F]{dst, dst}, [2][]cx[F]{src, src})
 }
 
 // pass makes one pass over the parity block, every site on the calling
-// goroutine: for one system, or with two for a pair in the pair layout,
-// the same stages with each fibre pass on both systems at once. dst[1]
-// and src[1] are the second system's fields. A pair runs the passes of
-// Apply and ApplyDagger only.
-func (k *schur[F]) pass(st schurStage, two bool, dst, src [2][]cx[F]) {
+// goroutine: for one system, dst[0] and src[0], or in the pair layout for
+// two, the same stages with each fibre pass on both systems at once, dst[1]
+// and src[1] the second system's fields. The passes of PrepareSource and
+// Reconstruct are float64's, which has no pair layout.
+func (k *schur[F]) pass(st schurStage, dst, src [2][]cx[F]) {
 	t1, t2, t3 := k.t1, k.t2, k.t3
 	half := k.halfVol * SpinorLen
 	for i := 0; i < k.halfVol; i++ {
 		off := i * SpinorLen
 		switch st {
 		case stageB:
-			k.load(t3, i, two, src, off, half)
-			k.fibreBA(t1, t3, i, two, k.b5, k.c5, false)
+			k.load(t3, i, src, off, half)
+			k.fibreBA(t1, t3, i, k.b5, k.c5, false)
 		case stageInner:
-			k.fibreHop(t2, t1, 1, i, two, false)
-			k.fibreAInv(t3, t2, i, two, false)
-			k.fibreBA(t2, t3, i, two, k.b5, k.c5, false)
+			k.fibreHop(t2, t1, 1, i, false)
+			k.fibreAInv(t3, t2, i, false)
+			k.fibreBA(t2, t3, i, k.b5, k.c5, false)
 		case stageOuter:
-			k.fibreHop(t3, t2, 0, i, two, false)
-			k.load(t1, i, two, src, off, half)
-			k.fibreBAxpy(t3, t1, i, two, k.a, k.c, false)
-			k.store(dst, off, half, t3, i, two)
+			k.fibreHop(t3, t2, 0, i, false)
+			k.load(t1, i, src, off, half)
+			k.fibreBAxpy(t3, t1, i, k.a, k.c, false)
+			k.store(dst, off, half, t3, i)
 		case stageLoad:
-			k.load(t3, i, two, src, off, half)
+			k.load(t3, i, src, off, half)
 		case stageInnerDag:
-			k.fibreHop(t2, t3, 1, i, two, true)
-			k.fibreBA(t1, t2, i, two, k.b5, k.c5, true)
-			k.fibreAInv(t2, t1, i, two, true)
+			k.fibreHop(t2, t3, 1, i, true)
+			k.fibreBA(t1, t2, i, k.b5, k.c5, true)
+			k.fibreAInv(t2, t1, i, true)
 		case stageOuterDag:
-			k.fibreHop(t3, t2, 0, i, two, true)
-			k.fibreBA(t1, t3, i, two, k.b5, k.c5, true)
-			k.load(t3, i, two, src, off, half)
-			k.fibreBAxpy(t1, t3, i, two, k.a, k.c, true)
-			k.store(dst, off, half, t1, i, two)
+			k.fibreHop(t3, t2, 0, i, true)
+			k.fibreBA(t1, t3, i, k.b5, k.c5, true)
+			k.load(t3, i, src, off, half)
+			k.fibreBAxpy(t1, t3, i, k.a, k.c, true)
+			k.store(dst, off, half, t1, i)
 		case stageFibre:
-			k.load(t1, i, two, src, off, half)
-			k.fibreAInv(t3, t1, i, two, false)
-			k.fibreBA(t2, t3, i, two, k.b5, k.c5, false)
+			k.load(t1, i, src, off, half)
+			k.fibreAInv(t3, t1, i, false)
+			k.fibreBA(t2, t3, i, k.b5, k.c5, false)
 		case stagePrepare:
-			k.fibreHop(t3, t2, 0, i, two, false)
-			k.load(t1, i, two, dst, off, half)
+			k.fibreHop(t3, t2, 0, i, false)
+			k.load(t1, i, dst, off, half)
 			k.fibreAxpy(t1, t3, i)
-			k.store(dst, off, half, t1, i, two)
+			k.store(dst, off, half, t1, i)
 		case stageRecon:
 			// dst is the full field: the odd site's own place in it.
-			k.fibreHop(t2, t1, 1, i, two, false)
-			k.load(t3, i, two, src, off, half)
+			k.fibreHop(t2, t1, 1, i, false)
+			k.load(t3, i, src, off, half)
 			k.fibreAxpy(t3, t2, i)
-			k.fibreAInv(t2, t3, i, two, false)
-			k.store(dst, int(k.oddLex[i])*SpinorLen, 2*half, t2, i, two)
+			k.fibreAInv(t2, t3, i, false)
+			k.store(dst, int(k.oddLex[i])*SpinorLen, 2*half, t2, i)
 		}
 	}
 }
@@ -322,11 +328,11 @@ func slot[F float32 | float64](fb []F, l int) *[slotLen]F {
 const slotLen = (2*SpinorLen-1)*laneW + 1
 
 // load sets the fibre of site i in f to a caller's field whose slice s
-// of the site starts at off + s*stride: src[0]'s, or with two the pair
-// fibre to both systems' fields.
-func (k *schur[F]) load(f []F, i int, two bool, src [2][]cx[F], off, stride int) {
+// of the site starts at off + s*stride: src[0]'s, or in the pair layout
+// the pair fibre to both systems' fields.
+func (k *schur[F]) load(f []F, i int, src [2][]cx[F], off, stride int) {
 	last := off + (k.ls-1)*stride + SpinorLen - 1
-	if two {
+	if k.pair != nil {
 		_, _ = src[0][last], src[1][last]
 		k.pair.load(&k.pairFibre(f, i)[0], &src[0][off].re, &src[1][off].re, stride, k.ls)
 		return
@@ -345,11 +351,12 @@ func (k *schur[F]) load(f []F, i int, two bool, src [2][]cx[F], off, stride int)
 	}
 }
 
-// store writes the fibre of site i in f back to a caller's field, or with
-// two the pair fibre to both systems' fields, laid out as for load.
-func (k *schur[F]) store(dst [2][]cx[F], off, stride int, f []F, i int, two bool) {
+// store writes the fibre of site i in f back to a caller's field, or in
+// the pair layout the pair fibre to both systems' fields, laid out as for
+// load.
+func (k *schur[F]) store(dst [2][]cx[F], off, stride int, f []F, i int) {
 	last := off + (k.ls-1)*stride + SpinorLen - 1
-	if two {
+	if k.pair != nil {
 		_, _ = dst[0][last], dst[1][last]
 		k.pair.store(&dst[0][off].re, &dst[1][off].re, &k.pairFibre(f, i)[0], stride, k.ls)
 		return
@@ -394,10 +401,10 @@ func chiNeighbours[F float32 | float64](s, ls int, wrap F, dagger bool) (sp int,
 // site i: B for (b5, c5), A for (a, c). The weights are real and scale the
 // parts one by one, w0*x + w1*(w*chi); a product by (w, 0) as a complex
 // number would differ in the sign of some zeros (DESIGN.md s19). Planes
-// 0-11 are the P+ sector, 12-23 the P- one. dst must not alias src. With
-// two, every fibre pass below works on the pair fibre of site i instead.
-func (k *schur[F]) fibreBA(dst, src []F, i int, two bool, w0, w1 F, dagger bool) {
-	if p := k.pair; two {
+// 0-11 are the P+ sector, 12-23 the P- one. dst must not alias src. In the
+// pair layout every fibre pass below works on the pair fibre of site i.
+func (k *schur[F]) fibreBA(dst, src []F, i int, w0, w1 F, dagger bool) {
+	if p := k.pair; p != nil {
 		p.ba(&k.pairFibre(dst, i)[0], &k.pairFibre(src, i)[0], &p.chi[0], &p.keep[0], k.groups, w0, w1, dagger)
 		return
 	}
@@ -421,8 +428,8 @@ func (k *schur[F]) fibreBA(dst, src []F, i int, two bool, w0, w1 F, dagger bool)
 // fibreBAxpy sets z = (-1)*z + (w0 + w1*chi) y on the fibre of site i:
 // fibreBA into a temporary, then the axpy of fibreAxpy, with the same
 // roundings. z must not alias y.
-func (k *schur[F]) fibreBAxpy(z, y []F, i int, two bool, w0, w1 F, dagger bool) {
-	if p := k.pair; two {
+func (k *schur[F]) fibreBAxpy(z, y []F, i int, w0, w1 F, dagger bool) {
+	if p := k.pair; p != nil {
 		p.baxpy(&k.pairFibre(z, i)[0], &k.pairFibre(y, i)[0], &p.chi[0], &p.keep[0], k.groups, w0, w1, dagger)
 		return
 	}
@@ -457,8 +464,8 @@ func (k *schur[F]) fibreBAxpy(z, y []F, i int, two bool, w0, w1 F, dagger bool) 
 // ANDed with the weight's non-zero mask, a +0 where a weight is zero,
 // which leaves a sum from +0 as it was (DESIGN.md s19). dst must not alias
 // src.
-func (k *schur[F]) fibreAInv(dst, src []F, i int, two, dagger bool) {
-	if p := k.pair; two {
+func (k *schur[F]) fibreAInv(dst, src []F, i int, dagger bool) {
+	if p := k.pair; p != nil {
 		cP, cM := p.colP, p.colM
 		if dagger {
 			cP, cM = cM, cP
@@ -472,7 +479,7 @@ func (k *schur[F]) fibreAInv(dst, src []F, i int, two, dagger bool) {
 	}
 	d, x := dst[i*k.fib:][:k.fib], src[i*k.fib:][:k.fib]
 	if v := k.vec; v != nil && v.aInv != nil {
-		v.aInv(&d[0], &x[0], &cP[0], &cM[0], &k.lane[0], k.ls)
+		v.aInv(&d[0], &x[0], &cP[0], &cM[0], k.ls)
 		return
 	}
 	lane, groups := k.lane, k.groups
@@ -511,13 +518,10 @@ func (k *schur[F]) fibreAInv(dst, src []F, i int, two, dagger bool) {
 // fibreAxpy sets y = (-1)*x + y on the fibre of site i, spelled as the
 // complex axpy it replaces - a full complex product by (-1, 0), whose
 // 0*x terms decide the sign of a zero - so that signed zeros come out the
-// same.
+// same. It has no vector body: PrepareSource and Reconstruct, its callers,
+// run it once a solve.
 func (k *schur[F]) fibreAxpy(y, x []F, i int) {
 	yf, xf := y[i*k.fib:][:k.fib], x[i*k.fib:][:k.fib]
-	if v := k.vec; v != nil && v.axpy != nil {
-		v.axpy(&yf[0], &xf[0], &k.keep[0], k.groups)
-		return
-	}
 	minus := cx[F]{-1, 0}
 	for _, l := range k.lane {
 		o, xs := slot(yf, l), slot(xf, l)
@@ -544,9 +548,9 @@ func (k *schur[F]) fibreAxpy(y, x []F, i int) {
 // lane, w slices per instruction; hopGo is the portable body and the
 // reference it is held to, as the loops of the passes above are for
 // theirs.
-func (k *schur[F]) fibreHop(dst, src []F, pOut, i int, two, g5 bool) {
+func (k *schur[F]) fibreHop(dst, src []F, pOut, i int, g5 bool) {
 	hops := k.hops[pOut][2*lattice.NDim*i:][:2*lattice.NDim]
-	if p := k.pair; two {
+	if p := k.pair; p != nil {
 		_ = src[k.halfVol*2*k.fib-1]
 		p.hop(&k.pairFibre(dst, i)[0], &src[0], &hops[0], &k.u, &p.keep[0], k.ls, g5)
 		return

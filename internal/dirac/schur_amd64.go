@@ -5,30 +5,25 @@ import (
 	"femtoverse/internal/linalg"
 )
 
-// The vector bodies of schur_amd64.s. The fifth-dimension passes are SSE
-// and SSE2, the amd64 baseline, so every amd64 build runs them; the hop and
-// the 4-D Wilson site are AVX and run where linalg.HasAVX, the start-up
-// probe, found it, and the Go bodies elsewhere, as do the pair layout's
-// bodies, all AVX (pair.go), without which a pair is two single
-// applications. The portable Go bodies of schur.go and wilson.go are what
-// the tests hold the single bodies to, and two single applications what
-// they hold the pair bodies to.
+// The vector bodies of schur_amd64.s and the 4-D Wilson site, all AVX:
+// they run where linalg.HasAVX, the start-up probe, found it, and
+// elsewhere every pass runs its portable Go body, as on every other
+// architecture. float64 runs the YMM bodies of one system (vec64), float32
+// the pair layout's (pair32, pair.go), a lone system as both halves of a
+// pair. The portable Go bodies of schur.go and wilson.go are what the tests
+// hold every body to.
 func init() {
-	vec32 = &vecBodies[float32]{
-		aInv: aInvSSE32, ba: baSSE32, baxpy: baxpySSE32,
-		axpy: axpySSE32, load: loadSSE32, store: storeSSE32,
+	if !linalg.HasAVX {
+		return
 	}
+	siteBody = siteAVX
 	vec64 = &vecBodies[float64]{
-		aInv: aInvSSE64, ba: baSSE64, baxpy: baxpySSE64,
-		axpy: axpySSE64, load: loadSSE64, store: storeSSE64,
+		hop: hopAVX64, aInv: aInvAVX64, ba: baAVX64, baxpy: baxpyAVX64,
+		load: loadAVX64, store: storeAVX64,
 	}
-	if linalg.HasAVX {
-		vec32.hop, vec64.hop = hopAVX32, hopAVX64
-		siteBody = siteAVX
-		pair32 = &pairBodies[float32]{
-			hop: hopAVX32x2, aInv: aInvAVX32x2, ba: baAVX32x2, baxpy: baxpyAVX32x2,
-			load: loadAVX32x2, store: storeAVX32x2,
-		}
+	pair32 = &pairBodies[float32]{
+		hop: hopAVX32x2, aInv: aInvAVX32x2, ba: baAVX32x2, baxpy: baxpyAVX32x2,
+		load: loadAVX32x2, store: storeAVX32x2,
 	}
 }
 
@@ -54,43 +49,19 @@ func loadAVX32x2(dst, a, b *float32, stride, ls int)
 func storeAVX32x2(a, b, src *float32, stride, ls int)
 
 //go:noescape
-func hopAVX32(dst, src *float32, hops *lattice.Hop, u *[lattice.NDim][]link[float32], keep *float32, ls int, g5 bool)
-
-//go:noescape
 func hopAVX64(dst, src *float64, hops *lattice.Hop, u *[lattice.NDim][]link[float64], keep *float64, ls int, g5 bool)
 
 //go:noescape
-func aInvSSE32(dst, src, colP, colM *float32, lane *int, ls int)
+func aInvAVX64(dst, src, colP, colM *float64, ls int)
 
 //go:noescape
-func aInvSSE64(dst, src, colP, colM *float64, lane *int, ls int)
+func baAVX64(dst, src *float64, chi *chiBlock[float64], keep *float64, groups int, w0, w1 float64, dagger bool)
 
 //go:noescape
-func baSSE32(dst, src *float32, chi *chiBlock[float32], keep *float32, groups int, w0, w1 float32, dagger bool)
+func baxpyAVX64(z, y *float64, chi *chiBlock[float64], keep *float64, groups int, w0, w1 float64, dagger bool)
 
 //go:noescape
-func baSSE64(dst, src *float64, chi *chiBlock[float64], keep *float64, groups int, w0, w1 float64, dagger bool)
+func loadAVX64(dst, src *float64, stride, ls int)
 
 //go:noescape
-func baxpySSE32(z, y *float32, chi *chiBlock[float32], keep *float32, groups int, w0, w1 float32, dagger bool)
-
-//go:noescape
-func baxpySSE64(z, y *float64, chi *chiBlock[float64], keep *float64, groups int, w0, w1 float64, dagger bool)
-
-//go:noescape
-func axpySSE32(y, x, keep *float32, groups int)
-
-//go:noescape
-func axpySSE64(y, x, keep *float64, groups int)
-
-//go:noescape
-func loadSSE32(dst, src *float32, stride, ls int)
-
-//go:noescape
-func loadSSE64(dst, src *float64, stride, ls int)
-
-//go:noescape
-func storeSSE32(dst, src *float32, stride, ls int)
-
-//go:noescape
-func storeSSE64(dst, src *float64, stride, ls int)
+func storeAVX64(dst, src *float64, stride, ls int)

@@ -1,22 +1,36 @@
 #include "textflag.h"
 
-// The Schur kernel's hop on the lane-major layout (schur.go, DESIGN.md s19):
-// hopAVX32 and hopAVX64 are fibreHop for one site, every lane of its
-// fibre, in VEX-encoded AVX, and hopAVX32x2 is it for a site of the pair
-// layout (pair.go). The build links them on every amd64 host, but
-// schur_amd64.go selects them only where linalg.HasAVX - the start-up probe
-// of the host's AVX and of the OS saving YMM state - holds; elsewhere
-// fibreHop runs the Go body. A plane is one register, an XMM of four
-// float32 or a YMM of four float64, one fifth-dimension slice a lane, so in
-// either precision a register group is one block of the layout; in the
-// pair layout it is a YMM of eight float32, two systems' blocks side by
-// side, and since every instruction of the body acts lane by lane (the
-// link entries are broadcast to all eight), each half computes what
-// hopAVX32 computes for its system. Every arithmetic instruction is a
-// packed MUL, ADD or SUB with no fused multiply-add.
+// The Schur kernel's site passes on the lane-major layout (schur.go,
+// DESIGN.md s19) in VEX-encoded AVX, one macro set for both precisions: a
+// plane is one YMM register. For float64 that is four doubles, one
+// fifth-dimension slice a lane, so a register group is one block of the
+// layout. For float32 it is the pair layout's eight floats (pair.go), two
+// systems' blocks side by side, system A's four slices in the low 128-bit
+// half and system B's in the high half; a lone system runs as both halves.
+// hopAVX32x2 and hopAVX64 are fibreHop for one site, every lane of its
+// fibre; aInv*, ba*, baxpy*, load* and store* are fibreAInv, fibreBA,
+// fibreBAxpy and the transposes to and from a caller's field. The build
+// links them on every amd64 host, but schur_amd64.go selects them only
+// where linalg.HasAVX - the start-up probe of the host's AVX and of the OS
+// saving YMM state - holds; elsewhere every pass runs its portable Go body.
 //
-// The loop nest is register-blocked. Per block and per output colour row
-// r, the row's eight planes - components r, 3+r, 6+r and 9+r, real and
+// The rules hold for every body. Every arithmetic instruction is a packed
+// MUL, ADD or SUB with no fused multiply-add, each lane issuing its
+// slice's scalar operations in the Go body's order; the rest is data
+// movement (loads, stores, broadcasts, shuffles) and bit masks (AND, ANDN,
+// OR, XOR, compare), which change no value they let through. In the pair
+// layout every instruction but the loads and stores of system B's rows
+// acts within each 128-bit half (the link entries and weights are
+// broadcast to all eight lanes, the shuffles are in-lane), so each half
+// computes what its system alone would. A body that writes a Y register
+// leaves its upper halves dirty, and the next legacy SSE instruction (Go's
+// own float code at GOAMD64=v1) would pay a state transition of about 500
+// cycles; so no body uses a legacy SSE instruction, and each issues
+// VZEROUPPER before every RET (TestAssemblyDiscipline reads this file and
+// holds it to both).
+//
+// The hop's loop nest is register-blocked. Per block and per output colour
+// row r, the row's eight planes - components r, 3+r, 6+r and 9+r, real and
 // imaginary - stay in registers across all eight directions and are
 // stored once; nothing else goes through memory. Each direction projects
 // the neighbour's components straight from memory operands, multiplies the
@@ -28,14 +42,7 @@
 // visited differs. The projection is formed again for each of the three
 // rows, which costs less than a round trip through the stack.
 //
-// A body that writes a Y register leaves its upper halves dirty, and the
-// next legacy SSE instruction (Go's own float code at GOAMD64=v1, the SSE
-// fifth-dimension bodies below) then pays a state transition of about 500
-// cycles. So no body that names a Y register mixes in a legacy SSE
-// instruction, and each issues VZEROUPPER before every RET
-// (TestAssemblyDiscipline reads this file and holds it to that).
-//
-// func hopAVX32(dst, src *float32, hops *lattice.Hop, u *[4][]link[float32], keep *float32, ls int, g5 bool)
+// func hopAVX32x2(dst, src *float32, hops *lattice.Hop, u *[4][]link[float32], keep *float32, ls int, g5 bool)
 // func hopAVX64(dst, src *float64, hops *lattice.Hop, u *[4][]link[float64], keep *float64, ls int, g5 bool)
 //
 // Registers: DI the output row (the block's output at row r's real plane of
@@ -178,8 +185,153 @@
 	SETUP(0); SETUP(1); SETUP(2); SETUP(3); SETUP(4); SETUP(5); SETUP(6); SETUP(7); \
 	XORQ R12, R12
 
-// The float32 constants are eight lanes wide for the pair body; the XMM
-// body reads the first four.
+// HOP is a hop body: the plain and the g5 loop nest, chosen once per call.
+#define HOP \
+	PROLOGUE; TESTQ DX, DX; JNE g5block; \
+plainblock:; \
+	XORQ R13, R13; XORQ R14, R14; \
+plainrow:; \
+	ZEROROW; HOPS; STOREROW; NEXTROW; JNE plainrow; NEXTBLOCK; JNZ plainblock; \
+	VZEROUPPER; RET; \
+g5block:; \
+	XORQ R13, R13; XORQ R14, R14; \
+g5row:; \
+	ZEROROW; HOPSG5; NEGLOWER; STOREROW; NEXTROW; JNE g5row; NEXTBLOCK; JNZ g5block; \
+	VZEROUPPER; RET
+
+// The fifth-dimension passes. Where a body computes a padding lane it ANDs
+// it back to +0 (keep: all bits set in a real lane, zero in a padding
+// one), so every padding lane of the scratch stays +0 (DESIGN.md s19).
+//
+// func aInvAVX32x2(dst, src, colP, colM *float32, ls int)
+// func aInvAVX64(dst, src, colP, colM *float64, ls int)
+//
+// fibreAInv: per block of the output and per sector (planes 0-11 from
+// colP, 12-23 from colM), twelve accumulators start at +0 and take, in sIn
+// order, the input slice broadcast times the padded column, ANDed with the
+// column's non-zero mask. Where the Go body adds w*v for a non-zero weight
+// this adds the same product; where it skips a zero weight this adds +0,
+// and an accumulator that starts at +0 is never -0 (a sum that is zero
+// rounds to +0), so adding +0 leaves it as it was, NaN included - and a
+// zero weight never multiplies an infinity into a NaN that reaches the
+// sum. The padding lanes' columns are zero: they add only +0 and stay +0.
+// The slice loop runs the four lanes of an input block as four copies,
+// each broadcasting its lane (LANEB).
+//
+// Registers: DI the output block, SI the input fibre, R8/R9 the columns of
+// P+/P- at the output block, R11 the column stride, DX the blocks left,
+// R12 the column of the slice, R13 the sector's plane offset, AX the input
+// slice's block, BX the slices left. Y0-Y11 accumulate, Y12 is the column,
+// Y13 its mask, Y14 the input, Y15 zero.
+
+// AACC adds plane q of the input slice in lane l of the block at AX, times
+// the column and ANDed with its mask, to acc.
+#define AACC(q, l, acc) LANEB(q, l); VMULV Y12, Y14, Y14; VANDV Y13, Y14, Y14; VADDV Y14, acc, acc
+
+// ASLICE is the input slice in lane l: its column and mask, then its
+// twelve planes.
+#define ASLICE(l) \
+	VMOVUV (R12), Y12; VCMPV $4, Y15, Y12, Y13; \
+	AACC(0, l, Y0); AACC(1, l, Y1); AACC(2, l, Y2); AACC(3, l, Y3); \
+	AACC(4, l, Y4); AACC(5, l, Y5); AACC(6, l, Y6); AACC(7, l, Y7); \
+	AACC(8, l, Y8); AACC(9, l, Y9); AACC(10, l, Y10); AACC(11, l, Y11); \
+	ADDQ R11, R12
+
+// AZERO starts the sector's accumulators at +0; ASTORE stores them at AX.
+#define AZERO \
+	VXORV Y0, Y0, Y0; VXORV Y1, Y1, Y1; VXORV Y2, Y2, Y2; VXORV Y3, Y3, Y3; \
+	VXORV Y4, Y4, Y4; VXORV Y5, Y5, Y5; VXORV Y6, Y6, Y6; VXORV Y7, Y7, Y7; \
+	VXORV Y8, Y8, Y8; VXORV Y9, Y9, Y9; VXORV Y10, Y10, Y10; VXORV Y11, Y11, Y11
+#define ASTORE \
+	VMOVUV Y0, (0*PLANE)(AX); VMOVUV Y1, (1*PLANE)(AX); VMOVUV Y2, (2*PLANE)(AX); VMOVUV Y3, (3*PLANE)(AX); \
+	VMOVUV Y4, (4*PLANE)(AX); VMOVUV Y5, (5*PLANE)(AX); VMOVUV Y6, (6*PLANE)(AX); VMOVUV Y7, (7*PLANE)(AX); \
+	VMOVUV Y8, (8*PLANE)(AX); VMOVUV Y9, (9*PLANE)(AX); VMOVUV Y10, (10*PLANE)(AX); VMOVUV Y11, (11*PLANE)(AX)
+
+// AINV is fibreAInv's body: per output block, the two sectors, each
+// over every input slice.
+#define AINV \
+	MOVQ dst+0(FP), DI; MOVQ src+8(FP), SI; MOVQ colP+16(FP), R8; MOVQ colM+24(FP), R9; \
+	MOVQ ls+32(FP), CX; LEAQ 3(CX), DX; SHRQ $2, DX; MOVQ DX, R11; SHLQ $5, R11; \
+	VXORV Y15, Y15, Y15; \
+group:; \
+	MOVQ R8, R12; XORQ R13, R13; \
+sector:; \
+	AZERO; LEAQ (SI)(R13*1), AX; MOVQ CX, BX; \
+slice:; \
+	ASLICE(0); DECQ BX; JZ done; \
+	ASLICE(1); DECQ BX; JZ done; \
+	ASLICE(2); DECQ BX; JZ done; \
+	ASLICE(3); ADDQ $GROUP, AX; DECQ BX; JNZ slice; \
+done:; \
+	LEAQ (DI)(R13*1), AX; ASTORE; \
+	TESTQ R13, R13; JNE next; MOVQ $(12*PLANE), R13; MOVQ R9, R12; JMP sector; \
+next:; \
+	ADDQ $PLANE, R8; ADDQ $PLANE, R9; ADDQ $GROUP, DI; DECQ DX; JNZ group; \
+	VZEROUPPER; RET
+
+// fibreBA and fibreBAxpy: chi is a fixed rotation of a block's lanes
+// (ROTDN, each lane from slice s-1; ROTUP, from s+1) with the one lane
+// whose neighbour lies across the block edge or the chiral wrap - rep of
+// the block's chi table - replaced by that neighbour broadcast (NBR); then
+// wt, 1 in the bulk and -m at the wrap, multiplies it as the Go body
+// multiplies by pw or mw (1*x is x, to the bit). The rotation reads only
+// the block's own lanes and the broadcast a real slice of the fibre, and a
+// real lane never takes a padding lane: every lane is w0*x + w1*(wt*chi
+// x), the Go body's order, and ANDed with keep. fibreBAxpy then forms the
+// complex product by (-1, 0) of the output's own planes as gc compiles the
+// Go body's, (-re - 0*im, -im + 0*re) with the product by -1 a sign flip,
+// and adds B or A to it.
+//
+// func baAVX32x2(dst, src *float32, chi *chiPair[float32], keep *float32, groups int, w0, w1 float32, dagger bool)
+// func baxpyAVX32x2(z, y *float32, chi *chiPair[float32], keep *float32, groups int, w0, w1 float32, dagger bool)
+// func baAVX64(dst, src *float64, chi *chiBlock[float64], keep *float64, groups int, w0, w1 float64, dagger bool)
+// func baxpyAVX64(z, y *float64, chi *chiBlock[float64], keep *float64, groups int, w0, w1 float64, dagger bool)
+//
+// Registers: DI the output block, SI the input block, BX its chi table, R8
+// its keep, CX the blocks left, DX the dagger flag (chi^dagger swaps the
+// shifts of the two sectors), AX the broadcast slice's block. Y15 is w0,
+// Y14 w1, Y13 the sector's rep, Y12 its wt, Y11 keep, Y10 the sign mask
+// and Y9 zero (fibreBAxpy), Y8 the pair's lane control (chiPair.perm).
+
+// BAV sets R to B (or A) of the source plane at q; it uses Y1-Y3.
+#define BAV(q, R, ROT) \
+	VMOVUV (q)(SI), R; ROT(R); VANDNV Y1, Y13, Y2; \
+	NBR(q); VANDV Y13, Y3, Y3; VORV Y3, Y2, Y2; \
+	VMULV Y12, Y2, Y2; VMULV Y14, Y2, Y2; VMULV Y15, R, R; VADDV Y2, R, R
+
+// BASECTOR loads shift t's tables and runs BODY on the sector's twelve
+// planes from plane offset base.
+#define BASECTOR(t, base, ROT, BODY) \
+	CHITAB(t); \
+	BODY((base)+0*PLANE, ROT); BODY((base)+2*PLANE, ROT); BODY((base)+4*PLANE, ROT); \
+	BODY((base)+6*PLANE, ROT); BODY((base)+8*PLANE, ROT); BODY((base)+10*PLANE, ROT)
+
+// BAPAIR is fibreBA on the real and imaginary planes of a component.
+#define BAPAIR(q, ROT) \
+	BAV(q, Y0, ROT); VANDV Y11, Y0, Y0; VMOVUV Y0, (q)(DI); \
+	BAV((q)+PLANE, Y0, ROT); VANDV Y11, Y0, Y0; VMOVUV Y0, ((q)+PLANE)(DI)
+
+// BXPAIR is fibreBAxpy on them.
+#define BXPAIR(q, ROT) \
+	BAV(q, Y4, ROT); BAV((q)+PLANE, Y5, ROT); \
+	VMOVUV (q)(DI), Y6; VMOVUV ((q)+PLANE)(DI), Y7; \
+	VXORV Y10, Y6, Y0; VMULV Y9, Y7, Y1; VSUBV Y1, Y0, Y0; VADDV Y4, Y0, Y0; \
+	VANDV Y11, Y0, Y0; VMOVUV Y0, (q)(DI); \
+	VXORV Y10, Y7, Y7; VMULV Y9, Y6, Y6; VADDV Y6, Y7, Y7; VADDV Y5, Y7, Y7; \
+	VANDV Y11, Y7, Y7; VMOVUV Y7, ((q)+PLANE)(DI)
+
+// BA is fibreBA's or fibreBAxpy's block loop after the arguments, BODY
+// BAPAIR or BXPAIR: the shifts of the two sectors, swapped for the dagger.
+#define BA(BODY) \
+block:; \
+	VMOVUV (R8), Y11; TESTQ DX, DX; JNE dag; \
+	BASECTOR(0, 0, ROTDN, BODY); BASECTOR(1, 12*PLANE, ROTUP, BODY); JMP next; \
+dag:; \
+	BASECTOR(1, 0, ROTUP, BODY); BASECTOR(0, 12*PLANE, ROTDN, BODY); \
+next:; \
+	ADDQ $GROUP, DI; ADDQ $GROUP, SI; ADDQ $CHIBLK, BX; ADDQ $PLANE, R8; DECQ CX; JNZ block; \
+	VZEROUPPER; RET
+
 DATA half32<>+0(SB)/8, $0x3f0000003f000000
 DATA half32<>+8(SB)/8, $0x3f0000003f000000
 DATA half32<>+16(SB)/8, $0x3f0000003f000000
@@ -204,96 +356,8 @@ DATA sign64<>+16(SB)/8, $0x8000000000000000
 DATA sign64<>+24(SB)/8, $0x8000000000000000
 GLOBL sign64<>(SB), RODATA|NOPTR, $32
 
-// The float32 body: a plane is one XMM register of four slices.
-#define VMOVUV VMOVUPS
-#define VADDV VADDPS
-#define VSUBV VSUBPS
-#define VMULV VMULPS
-#define VXORV VXORPS
-#define VANDV VANDPS
-#define VBCAST VBROADCASTSS
-#define HALF half32<>(SB)
-#define SIGN sign32<>(SB)
-#define ENTRY 8
-#define IMAG 4
-#define LINK 72
-#define PLANE 16
-#define GROUP 384
-#define U0R X0
-#define U0I X1
-#define U1R X2
-#define U1I X3
-#define L2R X4
-#define L2I X5
-#define L3R X6
-#define L3I X7
-#define WR X8
-#define WI X9
-#define HR X10
-#define HI X11
-#define BR X12
-#define BI X13
-#define T0 X14
-#define T1 X15
-
-TEXT ·hopAVX32(SB), NOSPLIT, $128-49
-	PROLOGUE
-	TESTQ DX, DX
-	JNE   g5block
-
-plainblock:
-	XORQ R13, R13
-	XORQ R14, R14
-
-plainrow:
-	ZEROROW
-	HOPS
-	STOREROW
-	NEXTROW
-	JNE plainrow
-	NEXTBLOCK
-	JNZ plainblock
-	VZEROUPPER
-	RET
-
-g5block:
-	XORQ R13, R13
-	XORQ R14, R14
-
-g5row:
-	ZEROROW
-	HOPSG5
-	NEGLOWER
-	STOREROW
-	NEXTROW
-	JNE g5row
-	NEXTBLOCK
-	JNZ g5block
-	VZEROUPPER
-	RET
-
-#undef PLANE
-#undef GROUP
-#undef U0R
-#undef U0I
-#undef U1R
-#undef U1I
-#undef L2R
-#undef L2I
-#undef L3R
-#undef L3I
-#undef WR
-#undef WI
-#undef HR
-#undef HI
-#undef BR
-#undef BI
-#undef T0
-#undef T1
-
-// The float32 pair body: a plane is one YMM register of eight floats,
-// system A's four slices of the block and then system B's; the rest is the
-// float32 body's.
+// Both precisions: a plane is one YMM register of 32 bytes and a block 24
+// of them, and the hop's sixteen registers are the Y registers.
 #define PLANE 32
 #define GROUP 768
 #define U0R Y0
@@ -313,703 +377,82 @@ g5row:
 #define T0 Y14
 #define T1 Y15
 
+// The float32 pair bodies: a plane is eight floats, system A's four slices
+// of the block and then system B's. fibreAInv broadcasts an input lane
+// within each half by VPERMILPS with an immediate; chi rotates within each
+// half by VPERMILPS too, and moves the rep lane's source slice across each
+// half by the chiPair block's control (perm), the source block at its
+// offset (pos). The tables - keep, chi, the padded columns - are the
+// single layout's with each block repeated in both halves (pairOp).
+#define VMOVUV VMOVUPS
+#define VADDV VADDPS
+#define VSUBV VSUBPS
+#define VMULV VMULPS
+#define VXORV VXORPS
+#define VANDV VANDPS
+#define VANDNV VANDNPS
+#define VORV VORPS
+#define VCMPV VCMPPS
+#define VBCAST VBROADCASTSS
+#define HALF half32<>(SB)
+#define SIGN sign32<>(SB)
+#define ENTRY 8
+#define IMAG 4
+#define LINK 72
+#define LANEB(q, l) VPERMILPS $((l)*0x55), ((q)*PLANE)(AX), Y14
+#define ROTDN(R) VPERMILPS $0x93, R, Y1
+#define ROTUP(R) VPERMILPS $0x39, R, Y1
+#define NBR(q) VMOVUPS (q)(AX), Y3; VPERMILPS Y8, Y3, Y3
+#define CHITAB(t) \
+	VMOVUPS ((t)*32)(BX), Y13; VMOVUPS (64+(t)*32)(BX), Y12; VMOVUPS (128+(t)*32)(BX), Y8; \
+	MOVQ (192+(t)*8)(BX), AX; LEAQ (SI)(AX*4), AX
+#define CHIBLK 208
+
 TEXT ·hopAVX32x2(SB), NOSPLIT, $128-49
-	PROLOGUE
-	TESTQ DX, DX
-	JNE   g5block
-
-plainblock:
-	XORQ R13, R13
-	XORQ R14, R14
-
-plainrow:
-	ZEROROW
-	HOPS
-	STOREROW
-	NEXTROW
-	JNE plainrow
-	NEXTBLOCK
-	JNZ plainblock
-	VZEROUPPER
-	RET
-
-g5block:
-	XORQ R13, R13
-	XORQ R14, R14
-
-g5row:
-	ZEROROW
-	HOPSG5
-	NEGLOWER
-	STOREROW
-	NEXTROW
-	JNE g5row
-	NEXTBLOCK
-	JNZ g5block
-	VZEROUPPER
-	RET
-
-#undef VMOVUV
-#undef VADDV
-#undef VSUBV
-#undef VMULV
-#undef VXORV
-#undef VANDV
-#undef VBCAST
-#undef HALF
-#undef SIGN
-#undef ENTRY
-#undef IMAG
-#undef LINK
-
-// The float64 body: a plane is one YMM register of four slices, the pair
-// body's registers and strides.
-#define VMOVUV VMOVUPD
-#define VADDV VADDPD
-#define VSUBV VSUBPD
-#define VMULV VMULPD
-#define VXORV VXORPD
-#define VANDV VANDPD
-#define VBCAST VBROADCASTSD
-#define HALF half64<>(SB)
-#define SIGN sign64<>(SB)
-#define ENTRY 16
-#define IMAG 8
-#define LINK 144
-
-TEXT ·hopAVX64(SB), NOSPLIT, $128-49
-	PROLOGUE
-	TESTQ DX, DX
-	JNE   g5block
-
-plainblock:
-	XORQ R13, R13
-	XORQ R14, R14
-
-plainrow:
-	ZEROROW
-	HOPS
-	STOREROW
-	NEXTROW
-	JNE plainrow
-	NEXTBLOCK
-	JNZ plainblock
-	VZEROUPPER
-	RET
-
-g5block:
-	XORQ R13, R13
-	XORQ R14, R14
-
-g5row:
-	ZEROROW
-	HOPSG5
-	NEGLOWER
-	STOREROW
-	NEXTROW
-	JNE g5row
-	NEXTBLOCK
-	JNZ g5block
-	VZEROUPPER
-	RET
-
-#undef VMOVUV
-#undef VADDV
-#undef VSUBV
-#undef VMULV
-#undef VXORV
-#undef VANDV
-#undef VBCAST
-#undef HALF
-#undef SIGN
-#undef ENTRY
-#undef IMAG
-#undef LINK
-#undef PLANE
-#undef GROUP
-#undef U0R
-#undef U0I
-#undef U1R
-#undef U1I
-#undef L2R
-#undef L2I
-#undef L3R
-#undef L3I
-#undef WR
-#undef WI
-#undef HR
-#undef HI
-#undef BR
-#undef BI
-#undef T0
-#undef T1
-
-// The fifth-dimension passes on the same layout: fibreAInv, fibreBA,
-// fibreBAxpy, fibreAxpy, load and store for one site, as the hop is
-// fibreHop for one, in baseline SSE/SSE2 (GOAMD64=v1, no feature check):
-// every amd64 host runs them. The rule is the hop's: packed MUL, ADD and
-// SUB with no fused multiply-add, each lane issuing its slice's scalar operations in
-// the Go body's order; the rest is data movement (loads, stores,
-// shuffles) and bit masks (AND, ANDN, OR, compare), which change no value
-// they let through. Where a body computes a padding lane it ANDs it back
-// to +0 (keep: all bits set in a real lane, zero in a padding one), so
-// every padding lane of the scratch stays +0 (DESIGN.md s19).
-//
-// func aInvSSE32(dst, src, colP, colM *float32, lane *int, ls int)
-// func aInvSSE64(dst, src, colP, colM *float64, lane *int, ls int)
-//
-// fibreAInv: per register group of the output and per sector (planes 0-11
-// from colP, 12-23 from colM), twelve accumulators start at +0 and take,
-// in sIn order, the input slice broadcast times the padded column, ANDed
-// with the column's non-zero mask. Where the Go body adds w*v for a
-// non-zero weight this adds the same product; where it skips a zero weight
-// this adds +0, and an accumulator that starts at +0 is never -0 (a sum
-// that is zero rounds to +0), so adding +0 leaves it as it was, NaN
-// included - and a zero weight never multiplies an infinity into a NaN
-// that reaches the sum. The padding lanes' columns are zero: they add only
-// +0 and stay +0.
-//
-// Registers: DI the output register group, SI the input fibre, R8/R9 the
-// columns of P+/P- at this register group, R10 lane, CX ls, R11 the column
-// stride (a padded column, in bytes), DX the register groups left, R12 the
-// column of slice BX, R13 the sector's plane offset, AX the input slice.
-// X0-X11 accumulate, X12 is the column, X13 its mask, X15 zero. The steps
-// to the next register group alternate through the two stack words.
-#define AACC(q, acc) BCASTM(((q)*PLANE), AX, X14); MULV X12, X14; ANDPS X13, X14; ADDV X14, acc
-
-// fibreBA and fibreBAxpy: chi is a fixed rotation of a block's lanes
-// (ROTDN, each lane from slice s-1; ROTUP, from s+1) with the one lane
-// whose neighbour lies across the block edge or the chiral wrap - rep of
-// the block's chiBlock - replaced by that neighbour broadcast (slice src);
-// then wt, 1 in the bulk and -m at the wrap, multiplies it as the Go body
-// multiplies by pw or mw (1*x is x, to the bit). The rotation reads only
-// the block's own lanes and the broadcast a real slice of the fibre, and a
-// real lane never takes a padding lane: every lane is
-// w0*x + w1*(wt*chi x), the Go body's order, and ANDed with keep.
-// fibreBAxpy then forms the complex product by (-1, 0) of the output's
-// own planes, (-1*re - 0*im, -1*im + 0*re), and adds that result, as
-// fibreAxpy does with the field it is given.
-//
-// func baSSE32(dst, src *float32, chi *chiBlock[float32], keep *float32, groups int, w0, w1 float32, dagger bool)
-// func baSSE64(dst, src *float64, chi *chiBlock[float64], keep *float64, groups int, w0, w1 float64, dagger bool)
-// func baxpySSE32(z, y *float32, chi *chiBlock[float32], keep *float32, groups int, w0, w1 float32, dagger bool)
-// func baxpySSE64(z, y *float64, chi *chiBlock[float64], keep *float64, groups int, w0, w1 float64, dagger bool)
-// func axpySSE32(y, x, keep *float32, groups int)
-// func axpySSE64(y, x, keep *float64, groups int)
-//
-// Registers: DI the output block, SI the input block, BX its chiBlock, R8
-// its keep, CX the blocks left, DX the dagger flag (chi^dagger swaps the
-// shifts of the two sectors), AX the broadcast slice. X15 is w0, X14 w1;
-// the rest is per precision, below.
-//
-// load and store transpose between a caller's field, where slice s of the
-// site starts stride complex numbers after slice s-1, and a block of
-// planes: four slices a block, a float32 4x4 transpose of (re, im, re, im)
-// rows, or a float64 2x2 one of (re, im) rows. Only real slices are read
-// or written: a padding slice reads a zeroed spinor on the stack (load)
-// or writes one there (store).
-//
-// func loadSSE32(dst, src *float32, stride, ls int)
-// func loadSSE64(dst, src *float64, stride, ls int)
-// func storeSSE32(dst, src *float32, stride, ls int)
-// func storeSSE64(dst, src *float64, stride, ls int)
-//
-// Registers: DI the fibre's block, SI the field at the block's first
-// slice, DX the stride in bytes, CX the slices left, R8-R11 the block's
-// four slices (or the stack spinor).
-
-// SLICES points R8-R11 at the block's slices, real ones in the field and
-// the rest at the stack spinor.
-#define SLICES \
-	MOVQ SI, R8; LEAQ 0(SP), R9; MOVQ R9, R10; MOVQ R9, R11; \
-	CMPQ CX, $2; JLT slicesDone; LEAQ (SI)(DX*1), R9; \
-	CMPQ CX, $3; JLT slicesDone; LEAQ (SI)(DX*2), R10; \
-	CMPQ CX, $4; JLT slicesDone; LEAQ (R10)(DX*1), R11
-
-// The float32 bodies: a plane is one register.
-#define ADDV ADDPS
-#define SUBV SUBPS
-#define MULV MULPS
-#define BCASTM(off, base, r) MOVSS off(base), r; SHUFPS $0x00, r, r
-#define PLANE 16
-#define GROUP 384
-#define CHIBLK 80
-#define ROTDN(r) SHUFPS $0x93, r, r
-#define ROTUP(r) SHUFPS $0x39, r, r
-
-TEXT ·aInvSSE32(SB), NOSPLIT, $16-48
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ colP+16(FP), R8
-	MOVQ colM+24(FP), R9
-	MOVQ lane+32(FP), R10
-	MOVQ ls+40(FP), CX
-	LEAQ 3(CX), R11
-	SHRQ $2, R11
-	MOVQ R11, DX
-	SHLQ $4, R11
-	MOVQ $GROUP, 0(SP)
-	MOVQ $GROUP, 8(SP)
-	XORPS X15, X15
-
-agroup32:
-	MOVQ R8, R12
-	XORQ R13, R13
-
-asector32:
-	XORPS X0, X0; XORPS X1, X1; XORPS X2, X2; XORPS X3, X3
-	XORPS X4, X4; XORPS X5, X5; XORPS X6, X6; XORPS X7, X7
-	XORPS X8, X8; XORPS X9, X9; XORPS X10, X10; XORPS X11, X11
-	XORQ BX, BX
-
-aslice32:
-	MOVUPS (R12), X12
-	MOVAPS X12, X13
-	CMPPS  X15, X13, $4
-	MOVQ   (R10)(BX*8), AX
-	LEAQ   (SI)(AX*4), AX
-	ADDQ   R13, AX
-	AACC(0, X0); AACC(1, X1); AACC(2, X2); AACC(3, X3)
-	AACC(4, X4); AACC(5, X5); AACC(6, X6); AACC(7, X7)
-	AACC(8, X8); AACC(9, X9); AACC(10, X10); AACC(11, X11)
-	ADDQ R11, R12
-	INCQ BX
-	CMPQ BX, CX
-	JLT  aslice32
-
-	LEAQ (DI)(R13*1), AX
-	MOVUPS X0, (0*PLANE)(AX); MOVUPS X1, (1*PLANE)(AX); MOVUPS X2, (2*PLANE)(AX); MOVUPS X3, (3*PLANE)(AX)
-	MOVUPS X4, (4*PLANE)(AX); MOVUPS X5, (5*PLANE)(AX); MOVUPS X6, (6*PLANE)(AX); MOVUPS X7, (7*PLANE)(AX)
-	MOVUPS X8, (8*PLANE)(AX); MOVUPS X9, (9*PLANE)(AX); MOVUPS X10, (10*PLANE)(AX); MOVUPS X11, (11*PLANE)(AX)
-	TESTQ R13, R13
-	JNE   anext32
-	MOVQ  $(12*PLANE), R13
-	MOVQ  R9, R12
-	JMP   asector32
-
-anext32:
-	ADDQ $16, R8
-	ADDQ $16, R9
-	MOVQ 0(SP), AX
-	ADDQ AX, DI
-	MOVQ 8(SP), BX
-	MOVQ BX, 0(SP)
-	MOVQ AX, 8(SP)
-	DECQ DX
-	JNZ  agroup32
-	RET
-
-// BAV sets R to B (or A) of the source plane at q, from the sector's rep
-// (X13), wt (X12) and broadcast slice (AX); it uses X1-X3.
-#define BAV(q, R, ROT) \
-	MOVUPS (q)(SI), R; MOVAPS R, X1; ROT(X1); MOVAPS X13, X2; ANDNPS X1, X2; \
-	BCASTM(q, AX, X3); ANDPS X13, X3; ORPS X3, X2; \
-	MULPS X12, X2; MULPS X14, X2; MULPS X15, R; ADDPS X2, R
-
-// BASECTOR loads shift t's tables and runs BODY on the sector's twelve
-// planes from plane offset base.
-#define BASECTOR(t, base, ROT, BODY) \
-	MOVUPS ((t)*PLANE)(BX), X13; MOVUPS ((2+(t))*PLANE)(BX), X12; \
-	MOVQ (4*PLANE+(t)*8)(BX), AX; LEAQ (SI)(AX*4), AX; \
-	BODY((base)+0*PLANE, ROT); BODY((base)+2*PLANE, ROT); BODY((base)+4*PLANE, ROT); \
-	BODY((base)+6*PLANE, ROT); BODY((base)+8*PLANE, ROT); BODY((base)+10*PLANE, ROT)
-
-// BAPAIR is fibreBA on the real and imaginary planes of a component.
-#define BAPAIR(q, ROT) \
-	BAV(q, X0, ROT); ANDPS X11, X0; MOVUPS X0, (q)(DI); \
-	BAV((q)+PLANE, X0, ROT); ANDPS X11, X0; MOVUPS X0, ((q)+PLANE)(DI)
-
-// BXPAIR is fibreBAxpy on them: X10 is -1, X9 zero.
-#define BXPAIR(q, ROT) \
-	BAV(q, X4, ROT); BAV((q)+PLANE, X5, ROT); \
-	MOVUPS (q)(DI), X6; MOVUPS ((q)+PLANE)(DI), X7; \
-	MOVAPS X6, X0; MULPS X10, X0; MOVAPS X7, X1; MULPS X9, X1; SUBPS X1, X0; ADDPS X4, X0; \
-	ANDPS X11, X0; MOVUPS X0, (q)(DI); \
-	MULPS X10, X7; MULPS X9, X6; ADDPS X6, X7; ADDPS X5, X7; \
-	ANDPS X11, X7; MOVUPS X7, ((q)+PLANE)(DI)
-
-TEXT ·baSSE32(SB), NOSPLIT, $0-49
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ chi+16(FP), BX
-	MOVQ keep+24(FP), R8
-	MOVQ groups+32(FP), CX
-	MOVSS w0+40(FP), X15
-	SHUFPS $0x00, X15, X15
-	MOVSS w1+44(FP), X14
-	SHUFPS $0x00, X14, X14
-	MOVBQZX dagger+48(FP), DX
-
-bablock32:
-	MOVUPS (R8), X11
-	TESTQ  DX, DX
-	JNE    badag32
-	BASECTOR(0, 0, ROTDN, BAPAIR)
-	BASECTOR(1, 12*PLANE, ROTUP, BAPAIR)
-	JMP    banext32
-
-badag32:
-	BASECTOR(1, 0, ROTUP, BAPAIR)
-	BASECTOR(0, 12*PLANE, ROTDN, BAPAIR)
-
-banext32:
-	ADDQ $GROUP, DI
-	ADDQ $GROUP, SI
-	ADDQ $CHIBLK, BX
-	ADDQ $16, R8
-	DECQ CX
-	JNZ  bablock32
-	RET
-
-TEXT ·baxpySSE32(SB), NOSPLIT, $0-49
-	MOVQ z+0(FP), DI
-	MOVQ y+8(FP), SI
-	MOVQ chi+16(FP), BX
-	MOVQ keep+24(FP), R8
-	MOVQ groups+32(FP), CX
-	MOVSS w0+40(FP), X15
-	SHUFPS $0x00, X15, X15
-	MOVSS w1+44(FP), X14
-	SHUFPS $0x00, X14, X14
-	MOVBQZX dagger+48(FP), DX
-	MOVL $0xbf800000, AX
-	MOVQ AX, X10
-	SHUFPS $0x00, X10, X10
-	XORPS X9, X9
-
-bxblock32:
-	MOVUPS (R8), X11
-	TESTQ  DX, DX
-	JNE    bxdag32
-	BASECTOR(0, 0, ROTDN, BXPAIR)
-	BASECTOR(1, 12*PLANE, ROTUP, BXPAIR)
-	JMP    bxnext32
-
-bxdag32:
-	BASECTOR(1, 0, ROTUP, BXPAIR)
-	BASECTOR(0, 12*PLANE, ROTDN, BXPAIR)
-
-bxnext32:
-	ADDQ $GROUP, DI
-	ADDQ $GROUP, SI
-	ADDQ $CHIBLK, BX
-	ADDQ $16, R8
-	DECQ CX
-	JNZ  bxblock32
-	RET
-
-// AXPAIR is fibreAxpy on one register of a component's planes at q, the
-// lanes of keep K: y = (-1*xr - 0*xi + yr, -1*xi + 0*xr + yi), X10 -1 and
-// X9 zero.
-#define AXPAIR(q, K) \
-	MOVUPS (q)(SI), X0; MOVUPS ((q)+PLANE)(SI), X1; MOVUPS (q)(DI), X2; MOVUPS ((q)+PLANE)(DI), X3; \
-	MOVAPS X0, X4; MULV X10, X4; MOVAPS X1, X5; MULV X9, X5; SUBV X5, X4; ADDV X2, X4; \
-	ANDPS K, X4; MOVUPS X4, (q)(DI); \
-	MULV X10, X1; MULV X9, X0; ADDV X0, X1; ADDV X3, X1; \
-	ANDPS K, X1; MOVUPS X1, ((q)+PLANE)(DI)
-
-// AXBLOCK runs AXPAIR on the twelve components of a block from offset h.
-#define AXBLOCK(h, K) \
-	AXPAIR((h)+0*PLANE, K); AXPAIR((h)+2*PLANE, K); AXPAIR((h)+4*PLANE, K); \
-	AXPAIR((h)+6*PLANE, K); AXPAIR((h)+8*PLANE, K); AXPAIR((h)+10*PLANE, K); \
-	AXPAIR((h)+12*PLANE, K); AXPAIR((h)+14*PLANE, K); AXPAIR((h)+16*PLANE, K); \
-	AXPAIR((h)+18*PLANE, K); AXPAIR((h)+20*PLANE, K); AXPAIR((h)+22*PLANE, K)
-
-TEXT ·axpySSE32(SB), NOSPLIT, $0-32
-	MOVQ y+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ keep+16(FP), R8
-	MOVQ groups+24(FP), CX
-	MOVL $0xbf800000, AX
-	MOVQ AX, X10
-	SHUFPS $0x00, X10, X10
-	XORPS X9, X9
-
-axblock32:
-	MOVUPS (R8), X11
-	AXBLOCK(0, X11)
-	ADDQ $GROUP, DI
-	ADDQ $GROUP, SI
-	ADDQ $16, R8
-	DECQ CX
-	JNZ  axblock32
-	RET
-
-// TRANSPOSE32 transposes the 4x4 of X0-X3 (rows) into X6, X5, X7, X2.
-#define TRANSPOSE32 \
-	MOVAPS X0, X4; UNPCKLPS X1, X4; MOVAPS X2, X5; UNPCKLPS X3, X5; UNPCKHPS X1, X0; UNPCKHPS X3, X2; \
-	MOVAPS X4, X6; MOVLHPS X5, X6; MOVHLPS X4, X5; MOVAPS X0, X7; MOVLHPS X2, X7; MOVHLPS X0, X2
-
-// LOADT32 loads components 2jj and 2jj+1 of the block's four slices into
-// planes 4jj to 4jj+3; STORET32 stores them back.
-#define LOADT32(jj) \
-	MOVUPS ((jj)*16)(R8), X0; MOVUPS ((jj)*16)(R9), X1; MOVUPS ((jj)*16)(R10), X2; MOVUPS ((jj)*16)(R11), X3; \
-	TRANSPOSE32; \
-	MOVUPS X6, ((jj)*64)(DI); MOVUPS X5, ((jj)*64+16)(DI); MOVUPS X7, ((jj)*64+32)(DI); MOVUPS X2, ((jj)*64+48)(DI)
-#define STORET32(jj) \
-	MOVUPS ((jj)*64)(DI), X0; MOVUPS ((jj)*64+16)(DI), X1; MOVUPS ((jj)*64+32)(DI), X2; MOVUPS ((jj)*64+48)(DI), X3; \
-	TRANSPOSE32; \
-	MOVUPS X6, ((jj)*16)(R8); MOVUPS X5, ((jj)*16)(R9); MOVUPS X7, ((jj)*16)(R10); MOVUPS X2, ((jj)*16)(R11)
-
-TEXT ·loadSSE32(SB), NOSPLIT, $96-32
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ stride+16(FP), DX
-	SHLQ $3, DX
-	MOVQ ls+24(FP), CX
-	TESTQ $3, CX
-	JEQ   lblock32
-	XORPS X0, X0
-	MOVUPS X0, 0(SP); MOVUPS X0, 16(SP); MOVUPS X0, 32(SP)
-	MOVUPS X0, 48(SP); MOVUPS X0, 64(SP); MOVUPS X0, 80(SP)
-
-lblock32:
-	SLICES
-
-slicesDone:
-	LOADT32(0); LOADT32(1); LOADT32(2); LOADT32(3); LOADT32(4); LOADT32(5)
-	ADDQ $GROUP, DI
-	LEAQ (SI)(DX*4), SI
-	SUBQ $4, CX
-	JGT  lblock32
-	RET
-
-TEXT ·storeSSE32(SB), NOSPLIT, $96-32
-	MOVQ dst+0(FP), SI
-	MOVQ src+8(FP), DI
-	MOVQ stride+16(FP), DX
-	SHLQ $3, DX
-	MOVQ ls+24(FP), CX
-
-sblock32:
-	SLICES
-
-slicesDone:
-	STORET32(0); STORET32(1); STORET32(2); STORET32(3); STORET32(4); STORET32(5)
-	ADDQ $GROUP, DI
-	LEAQ (SI)(DX*4), SI
-	SUBQ $4, CX
-	JGT  sblock32
-	RET
-
-#undef ADDV
-#undef SUBV
-#undef MULV
-#undef BCASTM
-#undef PLANE
-#undef GROUP
-#undef CHIBLK
-#undef ROTDN
-#undef ROTUP
-
-// The fifth-dimension passes in the pair layout (pair.go): fibreAInv,
-// fibreBA, fibreBAxpy, load and store for a site of two systems, in
-// VEX-encoded AVX on 256-bit registers. A plane is one YMM register,
-// system A's four slices in its low half and system B's in its high half,
-// and every shuffle is an in-lane one (VPERMILPS, VSHUFPS, VUNPCKLPS,
-// VUNPCKHPS), which acts on each half alone: each half runs the float32
-// SSE body's instructions above on its own system, operand for operand, so
-// each system comes out to the bit as the SSE body leaves it, NaNs
-// included. Where the SSE body broadcasts one slice (MOVSS, SHUFPS), the
-// pair body moves the slice's lane across each half with VPERMILPS: by an
-// immediate in fibreAInv, whose slice loop runs the four lanes of an input
-// block as four copies, and by the chiPair block's control (perm) in
-// fibreBA and fibreBAxpy. The tables - keep, chi, the padded columns - are
-// the single layout's with each block repeated in both halves (pairOp).
-// load and store transpose four slices of each system at once, system B's
-// rows through the upper halves (VINSERTF128, VEXTRACTF128). Every body
-// ends with VZEROUPPER.
-//
-// func aInvAVX32x2(dst, src, colP, colM *float32, ls int)
-//
-// Registers: DI the output block, SI the input fibre, R8/R9 the pair
-// columns of P+/P- at the output block, R11 the column stride, DX the
-// blocks left, R12 the column of the slice, R13 the sector's plane
-// offset, AX the input slice's block, BX the slices left. Y0-Y11
-// accumulate, Y12 is the column, Y13 its mask, Y14 the input, Y15 zero.
-
-// PACC adds plane q of the input slice in lane imm of the block at AX,
-// times the column and ANDed with its mask, to acc.
-#define PACC(q, imm, acc) VPERMILPS $imm, ((q)*32)(AX), Y14; VMULPS Y12, Y14, Y14; VANDPS Y13, Y14, Y14; VADDPS Y14, acc, acc
-
-// PSLICE is one input slice: its column and mask, then its twelve planes.
-#define PSLICE(imm) \
-	VMOVUPS (R12), Y12; VCMPPS $4, Y15, Y12, Y13; \
-	PACC(0, imm, Y0); PACC(1, imm, Y1); PACC(2, imm, Y2); PACC(3, imm, Y3); \
-	PACC(4, imm, Y4); PACC(5, imm, Y5); PACC(6, imm, Y6); PACC(7, imm, Y7); \
-	PACC(8, imm, Y8); PACC(9, imm, Y9); PACC(10, imm, Y10); PACC(11, imm, Y11); \
-	ADDQ R11, R12
+	HOP
 
 TEXT ·aInvAVX32x2(SB), NOSPLIT, $0-40
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ colP+16(FP), R8
-	MOVQ colM+24(FP), R9
-	MOVQ ls+32(FP), CX
-	LEAQ 3(CX), DX
-	SHRQ $2, DX
-	MOVQ DX, R11
-	SHLQ $5, R11
-	VXORPS Y15, Y15, Y15
-
-pgroup:
-	MOVQ R8, R12
-	XORQ R13, R13
-
-psector:
-	VXORPS Y0, Y0, Y0; VXORPS Y1, Y1, Y1; VXORPS Y2, Y2, Y2; VXORPS Y3, Y3, Y3
-	VXORPS Y4, Y4, Y4; VXORPS Y5, Y5, Y5; VXORPS Y6, Y6, Y6; VXORPS Y7, Y7, Y7
-	VXORPS Y8, Y8, Y8; VXORPS Y9, Y9, Y9; VXORPS Y10, Y10, Y10; VXORPS Y11, Y11, Y11
-	LEAQ (SI)(R13*1), AX
-	MOVQ CX, BX
-
-pslice:
-	PSLICE(0x00)
-	DECQ BX
-	JZ   pdone
-	PSLICE(0x55)
-	DECQ BX
-	JZ   pdone
-	PSLICE(0xaa)
-	DECQ BX
-	JZ   pdone
-	PSLICE(0xff)
-	ADDQ $768, AX
-	DECQ BX
-	JNZ  pslice
-
-pdone:
-	LEAQ (DI)(R13*1), AX
-	VMOVUPS Y0, (0*32)(AX); VMOVUPS Y1, (1*32)(AX); VMOVUPS Y2, (2*32)(AX); VMOVUPS Y3, (3*32)(AX)
-	VMOVUPS Y4, (4*32)(AX); VMOVUPS Y5, (5*32)(AX); VMOVUPS Y6, (6*32)(AX); VMOVUPS Y7, (7*32)(AX)
-	VMOVUPS Y8, (8*32)(AX); VMOVUPS Y9, (9*32)(AX); VMOVUPS Y10, (10*32)(AX); VMOVUPS Y11, (11*32)(AX)
-	TESTQ R13, R13
-	JNE   pnext
-	MOVQ  $(12*32), R13
-	MOVQ  R9, R12
-	JMP   psector
-
-pnext:
-	ADDQ $32, R8
-	ADDQ $32, R9
-	ADDQ $768, DI
-	DECQ DX
-	JNZ  pgroup
-	VZEROUPPER
-	RET
-
-// func baAVX32x2(dst, src *float32, chi *chiPair[float32], keep *float32, groups int, w0, w1 float32, dagger bool)
-// func baxpyAVX32x2(z, y *float32, chi *chiPair[float32], keep *float32, groups int, w0, w1 float32, dagger bool)
-//
-// Registers as in baSSE32 and baxpySSE32, on Y registers, with Y8 the
-// sector's lane control.
-
-// PBAV is BAV on the pair: R is B (or A) of the source plane at q.
-#define PBAV(q, R, ROT) \
-	VMOVUPS (q)(SI), R; VPERMILPS $ROT, R, Y1; VANDNPS Y1, Y13, Y2; \
-	VMOVUPS (q)(AX), Y3; VPERMILPS Y8, Y3, Y3; VANDPS Y13, Y3, Y3; VORPS Y3, Y2, Y2; \
-	VMULPS Y12, Y2, Y2; VMULPS Y14, Y2, Y2; VMULPS Y15, R, R; VADDPS Y2, R, R
-
-// PBASECTOR loads shift t's rep, wt, perm and pos (chiPair) and runs BODY
-// on the sector's twelve planes from plane offset base.
-#define PBASECTOR(t, base, ROT, BODY) \
-	VMOVUPS ((t)*32)(BX), Y13; VMOVUPS (64+(t)*32)(BX), Y12; VMOVUPS (128+(t)*32)(BX), Y8; \
-	MOVQ (192+(t)*8)(BX), AX; LEAQ (SI)(AX*4), AX; \
-	BODY((base)+0*32, ROT); BODY((base)+2*32, ROT); BODY((base)+4*32, ROT); \
-	BODY((base)+6*32, ROT); BODY((base)+8*32, ROT); BODY((base)+10*32, ROT)
-
-#define PBAPAIR(q, ROT) \
-	PBAV(q, Y0, ROT); VANDPS Y11, Y0, Y0; VMOVUPS Y0, (q)(DI); \
-	PBAV((q)+32, Y0, ROT); VANDPS Y11, Y0, Y0; VMOVUPS Y0, ((q)+32)(DI)
-
-// PBXPAIR is BXPAIR on the pair: Y10 is -1, Y9 zero.
-#define PBXPAIR(q, ROT) \
-	PBAV(q, Y4, ROT); PBAV((q)+32, Y5, ROT); \
-	VMOVUPS (q)(DI), Y6; VMOVUPS ((q)+32)(DI), Y7; \
-	VMULPS Y10, Y6, Y0; VMULPS Y9, Y7, Y1; VSUBPS Y1, Y0, Y0; VADDPS Y4, Y0, Y0; \
-	VANDPS Y11, Y0, Y0; VMOVUPS Y0, (q)(DI); \
-	VMULPS Y10, Y7, Y7; VMULPS Y9, Y6, Y6; VADDPS Y6, Y7, Y7; VADDPS Y5, Y7, Y7; \
-	VANDPS Y11, Y7, Y7; VMOVUPS Y7, ((q)+32)(DI)
-
-DATA negone32<>+0(SB)/8, $0xbf800000bf800000
-DATA negone32<>+8(SB)/8, $0xbf800000bf800000
-DATA negone32<>+16(SB)/8, $0xbf800000bf800000
-DATA negone32<>+24(SB)/8, $0xbf800000bf800000
-GLOBL negone32<>(SB), RODATA|NOPTR, $32
+	AINV
 
 TEXT ·baAVX32x2(SB), NOSPLIT, $0-49
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ chi+16(FP), BX
-	MOVQ keep+24(FP), R8
-	MOVQ groups+32(FP), CX
-	VBROADCASTSS w0+40(FP), Y15
-	VBROADCASTSS w1+44(FP), Y14
+	MOVQ    dst+0(FP), DI
+	MOVQ    src+8(FP), SI
+	MOVQ    chi+16(FP), BX
+	MOVQ    keep+24(FP), R8
+	MOVQ    groups+32(FP), CX
+	VBCAST  w0+40(FP), Y15
+	VBCAST  w1+44(FP), Y14
 	MOVBQZX dagger+48(FP), DX
-
-pbablock:
-	VMOVUPS (R8), Y11
-	TESTQ   DX, DX
-	JNE     pbadag
-	PBASECTOR(0, 0, 0x93, PBAPAIR)
-	PBASECTOR(1, 12*32, 0x39, PBAPAIR)
-	JMP     pbanext
-
-pbadag:
-	PBASECTOR(1, 0, 0x39, PBAPAIR)
-	PBASECTOR(0, 12*32, 0x93, PBAPAIR)
-
-pbanext:
-	ADDQ $768, DI
-	ADDQ $768, SI
-	ADDQ $208, BX
-	ADDQ $32, R8
-	DECQ CX
-	JNZ  pbablock
-	VZEROUPPER
-	RET
+	BA(BAPAIR)
 
 TEXT ·baxpyAVX32x2(SB), NOSPLIT, $0-49
-	MOVQ z+0(FP), DI
-	MOVQ y+8(FP), SI
-	MOVQ chi+16(FP), BX
-	MOVQ keep+24(FP), R8
-	MOVQ groups+32(FP), CX
-	VBROADCASTSS w0+40(FP), Y15
-	VBROADCASTSS w1+44(FP), Y14
+	MOVQ    z+0(FP), DI
+	MOVQ    y+8(FP), SI
+	MOVQ    chi+16(FP), BX
+	MOVQ    keep+24(FP), R8
+	MOVQ    groups+32(FP), CX
+	VBCAST  w0+40(FP), Y15
+	VBCAST  w1+44(FP), Y14
 	MOVBQZX dagger+48(FP), DX
-	VMOVUPS negone32<>(SB), Y10
-	VXORPS  Y9, Y9, Y9
+	VMOVUV  SIGN, Y10
+	VXORV   Y9, Y9, Y9
+	BA(BXPAIR)
 
-pbxblock:
-	VMOVUPS (R8), Y11
-	TESTQ   DX, DX
-	JNE     pbxdag
-	PBASECTOR(0, 0, 0x93, PBXPAIR)
-	PBASECTOR(1, 12*32, 0x39, PBXPAIR)
-	JMP     pbxnext
-
-pbxdag:
-	PBASECTOR(1, 0, 0x39, PBXPAIR)
-	PBASECTOR(0, 12*32, 0x93, PBXPAIR)
-
-pbxnext:
-	ADDQ $768, DI
-	ADDQ $768, SI
-	ADDQ $208, BX
-	ADDQ $32, R8
-	DECQ CX
-	JNZ  pbxblock
-	VZEROUPPER
-	RET
-
+// load and store transpose between a caller's field, where slice s of the
+// site starts stride complex numbers after slice s-1, and a block of
+// planes. Only real slices are read or written: a padding slice reads a
+// zeroed spinor on the stack (load) or writes one there (store). Moves do
+// not round, so every bit goes through, NaN payloads included.
+//
 // func loadAVX32x2(dst, a, b *float32, stride, ls int)
 // func storeAVX32x2(a, b, src *float32, stride, ls int)
 //
-// Registers: DI the pair fibre's block, SI and BX systems A's and B's
-// fields at the block's first slice, DX the stride in bytes, CX the slices
-// left, R8-R11 system A's four slices and R12, R13, R14, AX system B's (or
-// the stack spinor).
+// Four slices of each system are rows of (re, im, re, im), system B's
+// through the upper halves (VINSERTF128, VEXTRACTF128), and a 4x4
+// transpose in each half makes them planes. Registers: DI the pair fibre's
+// block, SI and BX systems A's and B's fields at the block's first slice,
+// DX the stride in bytes, CX the slices left, R8-R11 system A's four
+// slices and R12, R13, R14, AX system B's (or the stack spinor).
 
 // PSLICES points R8-R11 and R12-R14, AX at the block's slices.
 #define PSLICES \
@@ -1018,7 +461,8 @@ pbxnext:
 	CMPQ CX, $3; JLT slicesDone; LEAQ (SI)(DX*2), R10; LEAQ (BX)(DX*2), R14; \
 	CMPQ CX, $4; JLT slicesDone; LEAQ (R10)(DX*1), R11; LEAQ (R14)(DX*1), AX
 
-// PTRANSPOSE is TRANSPOSE32 in each half: rows Y0-Y3 into planes Y0-Y3.
+// PTRANSPOSE transposes the 4x4 in each half: rows Y0-Y3 into planes
+// Y0-Y3.
 #define PTRANSPOSE \
 	VUNPCKLPS Y1, Y0, Y4; VUNPCKLPS Y3, Y2, Y5; VUNPCKHPS Y1, Y0, Y6; VUNPCKHPS Y3, Y2, Y7; \
 	VSHUFPS $0x44, Y5, Y4, Y0; VSHUFPS $0xee, Y5, Y4, Y1; VSHUFPS $0x44, Y7, Y6, Y2; VSHUFPS $0xee, Y7, Y6, Y3
@@ -1048,20 +492,20 @@ TEXT ·loadAVX32x2(SB), NOSPLIT, $96-40
 	SHLQ  $3, DX
 	MOVQ  ls+32(FP), CX
 	TESTQ $3, CX
-	JEQ   plblock
+	JEQ   block
 	VXORPS  Y0, Y0, Y0
 	VMOVUPS Y0, 0(SP); VMOVUPS Y0, 32(SP); VMOVUPS Y0, 64(SP)
 
-plblock:
+block:
 	PSLICES
 
 slicesDone:
 	PLOADT(0); PLOADT(1); PLOADT(2); PLOADT(3); PLOADT(4); PLOADT(5)
-	ADDQ $768, DI
+	ADDQ $GROUP, DI
 	LEAQ (SI)(DX*4), SI
 	LEAQ (BX)(DX*4), BX
 	SUBQ $4, CX
-	JGT  plblock
+	JGT  block
 	VZEROUPPER
 	RET
 
@@ -1073,280 +517,217 @@ TEXT ·storeAVX32x2(SB), NOSPLIT, $96-40
 	SHLQ $3, DX
 	MOVQ ls+32(FP), CX
 
-psblock:
+block:
 	PSLICES
 
 slicesDone:
 	PSTORET(0); PSTORET(1); PSTORET(2); PSTORET(3); PSTORET(4); PSTORET(5)
-	ADDQ $768, DI
+	ADDQ $GROUP, DI
 	LEAQ (SI)(DX*4), SI
 	LEAQ (BX)(DX*4), BX
 	SUBQ $4, CX
-	JGT  psblock
+	JGT  block
 	VZEROUPPER
 	RET
 
-// The float64 bodies: a plane is two registers, lo (lanes 0, 1) and hi
-// (lanes 2, 3). fibreAInv runs per register; the others
-// per block. In fibreBA and fibreBAxpy X13/X12 are rep lo/hi, X11/X10 wt
-// lo/hi and X9/X8 keep lo/hi; the rotations cross the two registers.
-#define ADDV ADDPD
-#define SUBV SUBPD
-#define MULV MULPD
-#define BCASTM(off, base, r) MOVSD off(base), r; SHUFPD $0x00, r, r
-#define PLANE 32
-#define GROUP 768
+#undef VMOVUV
+#undef VADDV
+#undef VSUBV
+#undef VMULV
+#undef VXORV
+#undef VANDV
+#undef VANDNV
+#undef VORV
+#undef VCMPV
+#undef VBCAST
+#undef HALF
+#undef SIGN
+#undef ENTRY
+#undef IMAG
+#undef LINK
+#undef LANEB
+#undef ROTDN
+#undef ROTUP
+#undef NBR
+#undef CHITAB
+#undef CHIBLK
+
+// The float64 bodies: a plane is four doubles. fibreAInv broadcasts an
+// input lane by VBROADCASTSD from memory. chi's rotations cross the two
+// 128-bit halves, by the AVX moves VPERM2F128 (the halves swapped) and
+// VSHUFPD (each lane from the plane or its swapped copy): ROTDN makes
+// (x3, x0, x1, x2) of (x0, x1, x2, x3), each lane from slice s-1, and
+// ROTUP (x1, x2, x3, x0), each from s+1. The rep lane's source slice is a
+// VBROADCASTSD at the chiBlock's offset (src).
+#define VMOVUV VMOVUPD
+#define VADDV VADDPD
+#define VSUBV VSUBPD
+#define VMULV VMULPD
+#define VXORV VXORPD
+#define VANDV VANDPD
+#define VANDNV VANDNPD
+#define VORV VORPD
+#define VCMPV VCMPPD
+#define VBCAST VBROADCASTSD
+#define HALF half64<>(SB)
+#define SIGN sign64<>(SB)
+#define ENTRY 16
+#define IMAG 8
+#define LINK 144
+#define LANEB(q, l) VBROADCASTSD ((q)*PLANE+(l)*8)(AX), Y14
+#define ROTDN(R) VPERM2F128 $1, R, R, Y1; VSHUFPD $5, R, Y1, Y1
+#define ROTUP(R) VPERM2F128 $1, R, R, Y1; VSHUFPD $5, Y1, R, Y1
+#define NBR(q) VBROADCASTSD (q)(AX), Y3
+#define CHITAB(t) \
+	VMOVUPD ((t)*32)(BX), Y13; VMOVUPD (64+(t)*32)(BX), Y12; \
+	MOVQ (128+(t)*8)(BX), AX; LEAQ (SI)(AX*8), AX
 #define CHIBLK 144
-// ROTDN sets X2, X3 to (x1, x0), (x1, x2) from X0 = (x0, x1), X1 = (x2,
-// x3): each lane from slice s-1, lane 0 to be replaced. ROTUP sets them to
-// (x1, x2), (x3, x0): each lane from s+1.
-#define ROTDN MOVAPS X0, X2; SHUFPD $1, X2, X2; MOVAPS X0, X3; SHUFPD $1, X1, X3
-#define ROTUP MOVAPS X0, X2; SHUFPD $1, X1, X2; MOVAPS X1, X3; SHUFPD $1, X0, X3
 
-TEXT ·aInvSSE64(SB), NOSPLIT, $16-48
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ colP+16(FP), R8
-	MOVQ colM+24(FP), R9
-	MOVQ lane+32(FP), R10
-	MOVQ ls+40(FP), CX
-	LEAQ 3(CX), R11
-	SHRQ $2, R11
-	SHLQ $5, R11
-	LEAQ 1(CX), DX
-	SHRQ $1, DX
-	MOVQ $16, 0(SP)
-	MOVQ $(GROUP-16), 8(SP)
-	XORPS X15, X15
+TEXT ·hopAVX64(SB), NOSPLIT, $128-49
+	HOP
 
-agroup64:
-	MOVQ R8, R12
-	XORQ R13, R13
+TEXT ·aInvAVX64(SB), NOSPLIT, $0-40
+	AINV
 
-asector64:
-	XORPS X0, X0; XORPS X1, X1; XORPS X2, X2; XORPS X3, X3
-	XORPS X4, X4; XORPS X5, X5; XORPS X6, X6; XORPS X7, X7
-	XORPS X8, X8; XORPS X9, X9; XORPS X10, X10; XORPS X11, X11
-	XORQ BX, BX
-
-aslice64:
-	MOVUPS (R12), X12
-	MOVAPS X12, X13
-	CMPPD  X15, X13, $4
-	MOVQ   (R10)(BX*8), AX
-	LEAQ   (SI)(AX*8), AX
-	ADDQ   R13, AX
-	AACC(0, X0); AACC(1, X1); AACC(2, X2); AACC(3, X3)
-	AACC(4, X4); AACC(5, X5); AACC(6, X6); AACC(7, X7)
-	AACC(8, X8); AACC(9, X9); AACC(10, X10); AACC(11, X11)
-	ADDQ R11, R12
-	INCQ BX
-	CMPQ BX, CX
-	JLT  aslice64
-
-	LEAQ (DI)(R13*1), AX
-	MOVUPS X0, (0*PLANE)(AX); MOVUPS X1, (1*PLANE)(AX); MOVUPS X2, (2*PLANE)(AX); MOVUPS X3, (3*PLANE)(AX)
-	MOVUPS X4, (4*PLANE)(AX); MOVUPS X5, (5*PLANE)(AX); MOVUPS X6, (6*PLANE)(AX); MOVUPS X7, (7*PLANE)(AX)
-	MOVUPS X8, (8*PLANE)(AX); MOVUPS X9, (9*PLANE)(AX); MOVUPS X10, (10*PLANE)(AX); MOVUPS X11, (11*PLANE)(AX)
-	TESTQ R13, R13
-	JNE   anext64
-	MOVQ  $(12*PLANE), R13
-	MOVQ  R9, R12
-	JMP   asector64
-
-anext64:
-	ADDQ $16, R8
-	ADDQ $16, R9
-	MOVQ 0(SP), AX
-	ADDQ AX, DI
-	MOVQ 8(SP), BX
-	MOVQ BX, 0(SP)
-	MOVQ AX, 8(SP)
-	DECQ DX
-	JNZ  agroup64
-	RET
-
-// BAV64 sets X0, X1 to B (or A) of the source plane at q; it uses X2-X6.
-#define BAV64(q, ROT) \
-	MOVUPS (q)(SI), X0; MOVUPS ((q)+16)(SI), X1; ROT; BCASTM(q, AX, X4); \
-	MOVAPS X13, X5; ANDNPS X2, X5; MOVAPS X4, X6; ANDPS X13, X6; ORPS X6, X5; \
-	MULPD X11, X5; MULPD X14, X5; MULPD X15, X0; ADDPD X5, X0; \
-	MOVAPS X12, X5; ANDNPS X3, X5; ANDPS X12, X4; ORPS X4, X5; \
-	MULPD X10, X5; MULPD X14, X5; MULPD X15, X1; ADDPD X5, X1
-
-#define BASECTOR64(t, base, ROT, BODY) \
-	MOVUPS ((t)*PLANE)(BX), X13; MOVUPS ((t)*PLANE+16)(BX), X12; \
-	MOVUPS ((2+(t))*PLANE)(BX), X11; MOVUPS ((2+(t))*PLANE+16)(BX), X10; \
-	MOVQ (4*PLANE+(t)*8)(BX), AX; LEAQ (SI)(AX*8), AX; \
-	BODY((base)+0*PLANE, ROT); BODY((base)+2*PLANE, ROT); BODY((base)+4*PLANE, ROT); \
-	BODY((base)+6*PLANE, ROT); BODY((base)+8*PLANE, ROT); BODY((base)+10*PLANE, ROT)
-
-#define BAPAIR64(q, ROT) \
-	BAV64(q, ROT); ANDPS X9, X0; ANDPS X8, X1; MOVUPS X0, (q)(DI); MOVUPS X1, ((q)+16)(DI); \
-	BAV64((q)+PLANE, ROT); ANDPS X9, X0; ANDPS X8, X1; MOVUPS X0, ((q)+PLANE)(DI); MOVUPS X1, ((q)+PLANE+16)(DI)
-
-// BXHALF is fibreBAxpy on register h of a component's planes at q, with
-// the real part's B in ba(SP) and the imaginary part's in BI, the lanes of
-// keep K; X7 is -1, X6 zero.
-#define BXHALF(q, ba, BI, K) \
-	MOVUPS (q)(DI), X2; MOVUPS ((q)+PLANE)(DI), X3; \
-	MOVAPS X2, X4; MULPD X7, X4; MOVAPS X3, X5; MULPD X6, X5; SUBPD X5, X4; MOVUPS ba(SP), X5; ADDPD X5, X4; \
-	ANDPS K, X4; MOVUPS X4, (q)(DI); \
-	MULPD X7, X3; MULPD X6, X2; ADDPD X2, X3; ADDPD BI, X3; \
-	ANDPS K, X3; MOVUPS X3, ((q)+PLANE)(DI)
-
-#define BXPAIR64(q, ROT) \
-	BAV64(q, ROT); MOVUPS X0, 0(SP); MOVUPS X1, 16(SP); \
-	BAV64((q)+PLANE, ROT); XORPS X6, X6; \
-	BXHALF(q, 0, X0, X9); BXHALF((q)+16, 16, X1, X8)
-
-TEXT ·baSSE64(SB), NOSPLIT, $0-57
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ chi+16(FP), BX
-	MOVQ keep+24(FP), R8
-	MOVQ groups+32(FP), CX
-	MOVSD w0+40(FP), X15
-	SHUFPD $0x00, X15, X15
-	MOVSD w1+48(FP), X14
-	SHUFPD $0x00, X14, X14
+TEXT ·baAVX64(SB), NOSPLIT, $0-57
+	MOVQ    dst+0(FP), DI
+	MOVQ    src+8(FP), SI
+	MOVQ    chi+16(FP), BX
+	MOVQ    keep+24(FP), R8
+	MOVQ    groups+32(FP), CX
+	VBCAST  w0+40(FP), Y15
+	VBCAST  w1+48(FP), Y14
 	MOVBQZX dagger+56(FP), DX
+	BA(BAPAIR)
 
-bablock64:
-	MOVUPS (R8), X9
-	MOVUPS 16(R8), X8
-	TESTQ  DX, DX
-	JNE    badag64
-	BASECTOR64(0, 0, ROTDN, BAPAIR64)
-	BASECTOR64(1, 12*PLANE, ROTUP, BAPAIR64)
-	JMP    banext64
-
-badag64:
-	BASECTOR64(1, 0, ROTUP, BAPAIR64)
-	BASECTOR64(0, 12*PLANE, ROTDN, BAPAIR64)
-
-banext64:
-	ADDQ $GROUP, DI
-	ADDQ $GROUP, SI
-	ADDQ $CHIBLK, BX
-	ADDQ $32, R8
-	DECQ CX
-	JNZ  bablock64
-	RET
-
-TEXT ·baxpySSE64(SB), NOSPLIT, $32-57
-	MOVQ z+0(FP), DI
-	MOVQ y+8(FP), SI
-	MOVQ chi+16(FP), BX
-	MOVQ keep+24(FP), R8
-	MOVQ groups+32(FP), CX
-	MOVSD w0+40(FP), X15
-	SHUFPD $0x00, X15, X15
-	MOVSD w1+48(FP), X14
-	SHUFPD $0x00, X14, X14
+TEXT ·baxpyAVX64(SB), NOSPLIT, $0-57
+	MOVQ    z+0(FP), DI
+	MOVQ    y+8(FP), SI
+	MOVQ    chi+16(FP), BX
+	MOVQ    keep+24(FP), R8
+	MOVQ    groups+32(FP), CX
+	VBCAST  w0+40(FP), Y15
+	VBCAST  w1+48(FP), Y14
 	MOVBQZX dagger+56(FP), DX
-	MOVQ $0xbff0000000000000, AX
-	MOVQ AX, X7
-	SHUFPD $0x00, X7, X7
+	VMOVUV  SIGN, Y10
+	VXORV   Y9, Y9, Y9
+	BA(BXPAIR)
 
-bxblock64:
-	MOVUPS (R8), X9
-	MOVUPS 16(R8), X8
-	TESTQ  DX, DX
-	JNE    bxdag64
-	BASECTOR64(0, 0, ROTDN, BXPAIR64)
-	BASECTOR64(1, 12*PLANE, ROTUP, BXPAIR64)
-	JMP    bxnext64
+// func loadAVX64(dst, src *float64, stride, ls int)
+// func storeAVX64(dst, src *float64, stride, ls int)
+//
+// A component of a slice is a (re, im) row. Slices 0 and 2 of the block
+// share a register, the second through its upper half, as do slices 1 and
+// 3, and one unpack of the two makes the component's real plane, another
+// its imaginary one. Registers: DI the fibre's block, SI the field at the
+// block's first slice, DX the stride in bytes, CX the slices left, R8-R11
+// the block's four slices (or the stack spinor).
 
-bxdag64:
-	BASECTOR64(1, 0, ROTUP, BXPAIR64)
-	BASECTOR64(0, 12*PLANE, ROTDN, BXPAIR64)
+// SLICES points R8-R11 at the block's slices, real ones in the field and
+// the rest at the stack spinor.
+#define SLICES \
+	MOVQ SI, R8; LEAQ 0(SP), R9; MOVQ R9, R10; MOVQ R9, R11; \
+	CMPQ CX, $2; JLT slicesDone; LEAQ (SI)(DX*1), R9; \
+	CMPQ CX, $3; JLT slicesDone; LEAQ (SI)(DX*2), R10; \
+	CMPQ CX, $4; JLT slicesDone; LEAQ (R10)(DX*1), R11
 
-bxnext64:
-	ADDQ $GROUP, DI
-	ADDQ $GROUP, SI
-	ADDQ $CHIBLK, BX
-	ADDQ $32, R8
-	DECQ CX
-	JNZ  bxblock64
-	RET
+// LOADT loads component j of the block's four slices into planes 2j and
+// 2j+1; STORET stores them back.
+#define LOADT(j) \
+	VMOVUPD ((j)*16)(R8), X0; VINSERTF128 $1, ((j)*16)(R10), Y0, Y0; \
+	VMOVUPD ((j)*16)(R9), X1; VINSERTF128 $1, ((j)*16)(R11), Y1, Y1; \
+	VUNPCKLPD Y1, Y0, Y2; VUNPCKHPD Y1, Y0, Y3; \
+	VMOVUPD Y2, ((j)*2*PLANE)(DI); VMOVUPD Y3, ((j)*2*PLANE+PLANE)(DI)
+#define STORET(j) \
+	VMOVUPD ((j)*2*PLANE)(DI), Y0; VMOVUPD ((j)*2*PLANE+PLANE)(DI), Y1; \
+	VUNPCKLPD Y1, Y0, Y2; VUNPCKHPD Y1, Y0, Y3; \
+	VMOVUPD X2, ((j)*16)(R8); VEXTRACTF128 $1, Y2, ((j)*16)(R10); \
+	VMOVUPD X3, ((j)*16)(R9); VEXTRACTF128 $1, Y3, ((j)*16)(R11)
 
-TEXT ·axpySSE64(SB), NOSPLIT, $0-32
-	MOVQ y+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ keep+16(FP), R8
-	MOVQ groups+24(FP), CX
-	MOVQ $0xbff0000000000000, AX
-	MOVQ AX, X10
-	SHUFPD $0x00, X10, X10
-	XORPS X9, X9
-
-axblock64:
-	MOVUPS (R8), X11
-	MOVUPS 16(R8), X8
-	AXBLOCK(0, X11)
-	AXBLOCK(16, X8)
-	ADDQ $GROUP, DI
-	ADDQ $GROUP, SI
-	ADDQ $32, R8
-	DECQ CX
-	JNZ  axblock64
-	RET
-
-// LOADT64 loads component j of the block's four slices into planes 2j and
-// 2j+1; STORET64 stores it back.
-#define LOADT64(j) \
-	MOVUPS ((j)*16)(R8), X0; MOVUPS ((j)*16)(R9), X1; MOVUPS ((j)*16)(R10), X2; MOVUPS ((j)*16)(R11), X3; \
-	MOVAPS X0, X4; UNPCKLPD X1, X4; UNPCKHPD X1, X0; MOVAPS X2, X5; UNPCKLPD X3, X5; UNPCKHPD X3, X2; \
-	MOVUPS X4, ((j)*64)(DI); MOVUPS X5, ((j)*64+16)(DI); MOVUPS X0, ((j)*64+32)(DI); MOVUPS X2, ((j)*64+48)(DI)
-#define STORET64(j) \
-	MOVUPS ((j)*64)(DI), X0; MOVUPS ((j)*64+16)(DI), X1; MOVUPS ((j)*64+32)(DI), X2; MOVUPS ((j)*64+48)(DI), X3; \
-	MOVAPS X0, X4; UNPCKLPD X2, X4; UNPCKHPD X2, X0; MOVAPS X1, X5; UNPCKLPD X3, X5; UNPCKHPD X3, X1; \
-	MOVUPS X4, ((j)*16)(R8); MOVUPS X0, ((j)*16)(R9); MOVUPS X5, ((j)*16)(R10); MOVUPS X1, ((j)*16)(R11)
-
-TEXT ·loadSSE64(SB), NOSPLIT, $192-32
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ stride+16(FP), DX
-	SHLQ $4, DX
-	MOVQ ls+24(FP), CX
+TEXT ·loadAVX64(SB), NOSPLIT, $192-32
+	MOVQ  dst+0(FP), DI
+	MOVQ  src+8(FP), SI
+	MOVQ  stride+16(FP), DX
+	SHLQ  $4, DX
+	MOVQ  ls+24(FP), CX
 	TESTQ $3, CX
-	JEQ   lblock64
-	XORPS X0, X0
-	MOVUPS X0, 0(SP); MOVUPS X0, 16(SP); MOVUPS X0, 32(SP); MOVUPS X0, 48(SP)
-	MOVUPS X0, 64(SP); MOVUPS X0, 80(SP); MOVUPS X0, 96(SP); MOVUPS X0, 112(SP)
-	MOVUPS X0, 128(SP); MOVUPS X0, 144(SP); MOVUPS X0, 160(SP); MOVUPS X0, 176(SP)
+	JEQ   block
+	VXORPD  Y0, Y0, Y0
+	VMOVUPD Y0, 0(SP); VMOVUPD Y0, 32(SP); VMOVUPD Y0, 64(SP)
+	VMOVUPD Y0, 96(SP); VMOVUPD Y0, 128(SP); VMOVUPD Y0, 160(SP)
 
-lblock64:
+block:
 	SLICES
 
 slicesDone:
-	LOADT64(0); LOADT64(1); LOADT64(2); LOADT64(3); LOADT64(4); LOADT64(5)
-	LOADT64(6); LOADT64(7); LOADT64(8); LOADT64(9); LOADT64(10); LOADT64(11)
+	LOADT(0); LOADT(1); LOADT(2); LOADT(3); LOADT(4); LOADT(5)
+	LOADT(6); LOADT(7); LOADT(8); LOADT(9); LOADT(10); LOADT(11)
 	ADDQ $GROUP, DI
 	LEAQ (SI)(DX*4), SI
 	SUBQ $4, CX
-	JGT  lblock64
+	JGT  block
+	VZEROUPPER
 	RET
 
-TEXT ·storeSSE64(SB), NOSPLIT, $192-32
+TEXT ·storeAVX64(SB), NOSPLIT, $192-32
 	MOVQ dst+0(FP), SI
 	MOVQ src+8(FP), DI
 	MOVQ stride+16(FP), DX
 	SHLQ $4, DX
 	MOVQ ls+24(FP), CX
 
-sblock64:
+block:
 	SLICES
 
 slicesDone:
-	STORET64(0); STORET64(1); STORET64(2); STORET64(3); STORET64(4); STORET64(5)
-	STORET64(6); STORET64(7); STORET64(8); STORET64(9); STORET64(10); STORET64(11)
+	STORET(0); STORET(1); STORET(2); STORET(3); STORET(4); STORET(5)
+	STORET(6); STORET(7); STORET(8); STORET(9); STORET(10); STORET(11)
 	ADDQ $GROUP, DI
 	LEAQ (SI)(DX*4), SI
 	SUBQ $4, CX
-	JGT  sblock64
+	JGT  block
+	VZEROUPPER
 	RET
+
+#undef VMOVUV
+#undef VADDV
+#undef VSUBV
+#undef VMULV
+#undef VXORV
+#undef VANDV
+#undef VANDNV
+#undef VORV
+#undef VCMPV
+#undef VBCAST
+#undef HALF
+#undef SIGN
+#undef ENTRY
+#undef IMAG
+#undef LINK
+#undef LANEB
+#undef ROTDN
+#undef ROTUP
+#undef NBR
+#undef CHITAB
+#undef CHIBLK
+#undef PLANE
+#undef GROUP
+#undef U0R
+#undef U0I
+#undef U1R
+#undef U1I
+#undef L2R
+#undef L2I
+#undef L3R
+#undef L3I
+#undef WR
+#undef WI
+#undef HR
+#undef HI
+#undef BR
+#undef BI
+#undef T0
+#undef T1
 
 // The 4-D Wilson site (wilson.go, WilsonSite; DESIGN.md s19, "The 4-D
 // site body"): siteAVX is siteGo - the mass term diag*in, the eight legs'

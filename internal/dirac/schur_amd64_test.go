@@ -14,22 +14,44 @@ import (
 // sameFunc reports whether f and g are the same function.
 func sameFunc(f, g any) bool { return reflect.ValueOf(f).Pointer() == reflect.ValueOf(g).Pointer() }
 
-// TestProbeSelectsAVXHop holds the hop the build selects to the start-up
-// probe, which linalg's TestProbeSelectsAVXCodec holds to /proc/cpuinfo:
-// where the host has AVX both precisions run the AVX hop, and the Go hop
-// where it does not, while the SSE fifth-dimension bodies run either way.
-// A selection that fell back to Go silently would pass every bit test at
-// half the speed.
-func TestProbeSelectsAVXHop(t *testing.T) {
-	if vec32 == nil || vec64 == nil || vec32.aInv == nil || vec64.aInv == nil {
-		t.Fatal("the amd64 build has no SSE fifth-dimension bodies")
-	}
-	if linalg.HasAVX {
-		if vec32.hop == nil || vec64.hop == nil || !sameFunc(vec32.hop, hopAVX32) || !sameFunc(vec64.hop, hopAVX64) {
-			t.Fatal("the host has AVX, but the build does not run the AVX hop")
+// sameFuncs reports whether the structs of functions a and b hold the
+// same function in every field.
+func sameFuncs(a, b any) bool {
+	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
+	for i := range va.NumField() {
+		if va.Field(i).IsNil() || va.Field(i).Pointer() != vb.Field(i).Pointer() {
+			return false
 		}
-	} else if vec32.hop != nil || vec64.hop != nil {
-		t.Fatal("the host has no AVX, but the build selects a vector hop")
+	}
+	return true
+}
+
+// TestProbeSelectsAVXHop holds the Schur bodies the build selects to the
+// start-up probe, which linalg's TestProbeSelectsAVXCodec holds to
+// /proc/cpuinfo: where the host has AVX, float64 runs the YMM bodies and
+// float32 the pair bodies, every pass; where it does not, neither set is
+// selected and every pass runs its Go body. A selection that fell back to
+// Go silently would pass every bit test at a fraction of the speed.
+func TestProbeSelectsAVXHop(t *testing.T) {
+	if !linalg.HasAVX {
+		if vec64 != nil || pair32 != nil {
+			t.Fatal("the host has no AVX, but the build selects vector bodies")
+		}
+		return
+	}
+	want64 := vecBodies[float64]{
+		hop: hopAVX64, aInv: aInvAVX64, ba: baAVX64, baxpy: baxpyAVX64,
+		load: loadAVX64, store: storeAVX64,
+	}
+	want32 := pairBodies[float32]{
+		hop: hopAVX32x2, aInv: aInvAVX32x2, ba: baAVX32x2, baxpy: baxpyAVX32x2,
+		load: loadAVX32x2, store: storeAVX32x2,
+	}
+	if vec64 == nil || !sameFuncs(*vec64, want64) {
+		t.Fatal("the host has AVX, but float64 does not run the YMM bodies")
+	}
+	if pair32 == nil || !sameFuncs(*pair32, want32) {
+		t.Fatal("the host has AVX, but float32 does not run the pair bodies")
 	}
 }
 

@@ -177,12 +177,11 @@ var (
 // TestAssemblyDiscipline reads every .s file of the module and holds its
 // bodies to the rules the bit pins and the speed of the AVX bodies rest
 // on. No file contains a fused multiply-add, which rounds once where the
-// Go bodies round twice. A body that uses a VEX instruction uses nothing
-// but VEX instructions on vector registers: a legacy SSE instruction after
-// a write to a YMM register costs a state transition of some 500 cycles.
-// And a body that names a Y register issues VZEROUPPER before every RET,
-// so that the legacy SSE code the caller runs next - Go's own float code
-// at GOAMD64=v1 - does not pay it either.
+// Go bodies round twice. No body uses a legacy SSE instruction on a vector
+// register: after a write to a YMM register one costs a state transition
+// of some 500 cycles. And a body that names a Y register issues VZEROUPPER
+// before every RET, so that the legacy SSE code the caller runs next - Go's
+// own float code at GOAMD64=v1 - does not pay it either.
 func TestAssemblyDiscipline(t *testing.T) {
 	ymmBodies := map[string]bool{}
 	err := filepath.WalkDir("../..", func(path string, d fs.DirEntry, err error) error {
@@ -203,9 +202,8 @@ func TestAssemblyDiscipline(t *testing.T) {
 			t.Errorf("%s: fused multiply-add %s", path, m)
 		}
 		for name, body := range expandAsm(t, string(b)) {
-			vex, ymm := false, false
+			ymm := false
 			for _, in := range body {
-				vex = vex || strings.HasPrefix(in.op, "V")
 				ymm = ymm || ymmReg.MatchString(in.args)
 				if fma.MatchString(in.op) {
 					t.Errorf("%s: %s: fused multiply-add %s %s", path, name, in.op, in.args)
@@ -215,8 +213,8 @@ func TestAssemblyDiscipline(t *testing.T) {
 				ymmBodies[name] = true
 			}
 			for i, in := range body {
-				if (vex || ymm) && !strings.HasPrefix(in.op, "V") && vecReg.MatchString(in.args) {
-					t.Errorf("%s: %s: legacy SSE instruction %s %s in a VEX body", path, name, in.op, in.args)
+				if !strings.HasPrefix(in.op, "V") && vecReg.MatchString(in.args) {
+					t.Errorf("%s: %s: legacy SSE instruction %s %s", path, name, in.op, in.args)
 				}
 				if ymm && in.op == "RET" && (i == 0 || body[i-1].op != "VZEROUPPER") {
 					t.Errorf("%s: %s: RET without VZEROUPPER before it", path, name)
@@ -230,7 +228,10 @@ func TestAssemblyDiscipline(t *testing.T) {
 	}
 	// The rules must have something to hold: the expansion has to see the
 	// Y registers the AVX bodies name through their macros.
-	for _, name := range []string{"hopAVX64", "siteAVX", "halfRoundTripAVX",
+	for _, name := range []string{
+		"hopAVX64", "aInvAVX64", "baAVX64", "baxpyAVX64", "loadAVX64", "storeAVX64",
+		"hopAVX32x2", "aInvAVX32x2", "baAVX32x2", "baxpyAVX32x2", "loadAVX32x2", "storeAVX32x2",
+		"siteAVX", "halfRoundTripAVX",
 		"axpyC64AVX", "xpayC64AVX", "dotC64AVX", "normSqC64AVX", "axpyNormSqC64AVX"} {
 		if !ymmBodies[name] {
 			t.Errorf("%s was not read as a body that names a Y register (bodies that do: %v)", name, ymmBodies)
